@@ -110,9 +110,18 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+def _print_counters(registry) -> None:
+    """Print one line per subsystem whose counters ``registry`` holds."""
+    from .sim.telemetry import render_counters
+
+    for line in render_counters(registry.as_dict()):
+        print(line)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .sim.telemetry import (
-        CycleLedger, EventTracer, StageTimer, Telemetry, build_run_report,
+        CycleLedger, EventTracer, MetricsRegistry, StageTimer, Telemetry,
+        build_run_report,
     )
 
     timer = StageTimer()
@@ -143,12 +152,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
               "with --engine and with spec files that need engine "
               "features", file=sys.stderr)
         return 2
+    registry = MetricsRegistry()
     pass_cache = None
     if args.pass_cache:
         if runner is fast_simulate:
             from .sim.passcache import PassCache
 
-            pass_cache = PassCache(args.pass_cache)
+            pass_cache = PassCache(args.pass_cache, registry=registry)
         else:
             print("note: --pass-cache applies to fastpath runs only; "
                   "this engine run bypasses it", file=sys.stderr)
@@ -163,7 +173,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                   "this engine run bypasses it", file=sys.stderr)
     if args.sample or args.sample_validate:
         return _simulate_sampled(
-            args, config, trace, timer, pass_cache, stack_stats
+            args, config, trace, timer, pass_cache, stack_stats, registry
         )
     want_metrics = args.metrics or args.metrics_out
     telemetry = None
@@ -207,31 +217,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"write buffer: {stats.buffer.pushes} pushes, "
           f"{stats.buffer.full_stalls} full stalls, "
           f"{stats.buffer.match_stalls} read-match stalls")
-    if pass_cache is not None:
-        counters = pass_cache.counters
-        print(f"pass cache: {counters.hits} hit(s), "
-              f"{counters.misses} miss(es), "
-              f"{counters.bytes_read:,} B read, "
-              f"{counters.bytes_written:,} B written")
     if stack_stats is not None:
-        print(f"stack pass: {stack_stats.walks} shared walk(s), "
-              f"{stack_stats.derived_streams} stream(s) derived, "
-              f"{stack_stats.reused_streams} reused, "
-              f"{stack_stats.fallback_passes} fallback pass(es)")
+        stack_stats.publish(registry)
+    _print_counters(registry)
     if telemetry is not None and telemetry.ledger is not None:
         report = build_run_report(
             stats, telemetry.ledger, timer,
             run_identifier=f"{trace.name}-cli",
             simulator="engine" if runner is simulate else "fastpath",
-            n_refs_total=len(trace), config=config,
-            pass_cache=(
-                pass_cache.counters.as_dict()
-                if pass_cache is not None else None
-            ),
-            stack_pass=(
-                stack_stats.as_dict()
-                if stack_stats is not None else None
-            ),
+            n_refs_total=len(trace), config=config, registry=registry,
         )
         print("cycle attribution (measured):")
         print(telemetry.ledger.render(stats.cycles))
@@ -257,7 +251,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _simulate_sampled(
-    args: argparse.Namespace, config, trace, timer, pass_cache, stack_stats
+    args: argparse.Namespace, config, trace, timer, pass_cache, stack_stats,
+    registry,
 ) -> int:
     """The ``simulate --sample`` path: a stratified estimate, not an
     exact run.  Shares the printed statistics shape with the exact path
@@ -319,28 +314,24 @@ def _simulate_sampled(
               f"{estimate.true_read_miss_ratio:.4f}, "
               f"abs error {estimate.abs_error:.4f}; "
               f"true cycles {estimate.true_cycles}")
-    if pass_cache is not None:
-        counters = pass_cache.counters
-        print(f"pass cache: {counters.hits} hit(s), "
-              f"{counters.misses} miss(es), "
-              f"{counters.bytes_read:,} B read, "
-              f"{counters.bytes_written:,} B written")
+    sampling_stats.publish(registry)
+    _print_counters(registry)
     if args.metrics or args.metrics_out:
-        block = dict(sampling_stats.as_dict())
-        block["ci_half_width"] = round(estimate.ci_half_width, 6)
-        block["refs_reduction"] = round(estimate.refs_reduction, 3)
+        registry.gauge(
+            "sampling.ci_half_width", round(estimate.ci_half_width, 6)
+        )
+        registry.gauge(
+            "sampling.refs_reduction", round(estimate.refs_reduction, 3)
+        )
         if estimate.abs_error is not None:
-            block["abs_error"] = round(estimate.abs_error, 6)
+            registry.gauge(
+                "sampling.abs_error", round(estimate.abs_error, 6)
+            )
         report = build_run_report(
             stats, None, timer,
             run_identifier=f"{trace.name}-cli-sampled",
             simulator="fastpath",
-            n_refs_total=len(trace), config=config,
-            pass_cache=(
-                pass_cache.counters.as_dict()
-                if pass_cache is not None else None
-            ),
-            sampling=block,
+            n_refs_total=len(trace), config=config, registry=registry,
         )
         print(f"host: {report.total_wall_s:.3f}s wall "
               f"({report.refs_per_sec:,.0f} refs/s), "
@@ -446,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--stack-pass", action="store_true",
                       help="derive the functional pass through the "
                            "shared stack-walk machinery (fastpath runs "
-                           "only; bit-identical results, reported in "
-                           "the stack_pass metrics block)")
+                           "only; bit-identical results, reported as "
+                           "stackpass.* metrics counters)")
     simp.add_argument("--sample", default="",
                       help="estimate from representative trace "
                            "intervals instead of an exact run: a "
@@ -495,12 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     adv.add_argument("--pass-cache", default="",
                      help="directory of a persistent functional-pass "
                           "cache backing the advisor's sweep")
-    adv.add_argument("--replay-jobs", type=int, default=1,
-                     help="worker processes sharding the batch-replay "
-                          "grid pricing across event streams")
-    adv.add_argument("--scalar-replay", action="store_true",
-                     help="price the grid with the scalar replay() "
-                          "loop instead of the batch replay kernel")
+    adv.add_argument("--jobs", type=int, default=1,
+                     help="worker processes for the sweep's functional "
+                          "passes and then its grid pricing")
     adv.add_argument("--stack-pass", action="store_true",
                      help="collapse the sweep's cold functional passes "
                           "into one shared stack walk per trace "
@@ -1010,6 +998,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from .errors import CampaignError, ConfigurationError
     from .sim.campaign import Campaign
     from .sim.resilience import CampaignExecutor, RetryPolicy, sweep_jobs
+    from .sim.telemetry import MetricsRegistry
 
     try:
         names = tuple(
@@ -1112,10 +1101,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             strategy="stack",
             stack_stats=stack_stats,
         )
-        print(f"stack pass: {stack_stats.walks} shared walk(s), "
-              f"{stack_stats.derived_streams} stream(s) derived, "
-              f"{stack_stats.reused_streams} reused, "
-              f"{stack_stats.fallback_passes} fallback pass(es)")
+        registry = MetricsRegistry()
+        stack_stats.publish(registry)
+        _print_counters(registry)
     jobs = sweep_jobs(
         configs, list(suite.values()), simulate_fn=simulate_fn,
         seed=args.seed,
@@ -1150,11 +1138,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         return 1
     print(report.render())
     if executor.fabric:
-        fabric = executor.fabric
-        print(f"fabric: {fabric.get('workers', 0)} worker(s), "
-              f"{fabric.get('leases_issued', 0)} lease(s) issued, "
-              f"{fabric.get('leases_reclaimed', 0)} reclaimed, "
-              f"{fabric.get('jobs_poisoned', 0)} poisoned")
+        registry = MetricsRegistry()
+        registry.count_many("fabric", executor.fabric)
+        _print_counters(registry)
     return 0 if report.all_ok else 1
 
 
@@ -1370,7 +1356,7 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     from .core.advisor import LadderRung, advisor_table, recommend_design
     from .core.sweep import run_speed_size_sweep
     from .errors import SamplingError
-    from .sim.replaykernel import KernelStats
+    from .sim.telemetry import MetricsRegistry
 
     rungs = []
     for text in args.rungs:
@@ -1387,23 +1373,17 @@ def _cmd_advise(args: argparse.Namespace) -> int:
         | {s * 2 for s in sizes_each}
     )
     cycles = sorted({r.cycle_ns for r in rungs} | {20.0, 80.0})
+    registry = MetricsRegistry()
     pass_cache = None
     if args.pass_cache:
         from .sim.passcache import PassCache
 
         pass_cache = PassCache(args.pass_cache)
-    kernel_stats = KernelStats()
-    stack_stats = None
-    if args.stack_pass:
-        from .sim.stackpass import StackPassStats
-
-        stack_stats = StackPassStats()
     sampling = None
-    sampling_stats = None
     if args.sample or args.sample_validate:
         import dataclasses
 
-        from .sim.sampling import SamplingPlan, SamplingStats
+        from .sim.sampling import SamplingPlan
 
         try:
             sampling = SamplingPlan.parse(args.sample or "1")
@@ -1412,43 +1392,19 @@ def _cmd_advise(args: argparse.Namespace) -> int:
             return 2
         if args.sample_validate:
             sampling = dataclasses.replace(sampling, validate=True)
-        sampling_stats = SamplingStats()
+        print(f"sampling: {sampling.describe()}")
     try:
         grid = run_speed_size_sweep(
-            suite, extended, cycles, seed=args.seed,
-            pass_cache=pass_cache,
-            use_replay_kernel=not args.scalar_replay,
-            replay_jobs=args.replay_jobs,
-            kernel_stats=kernel_stats,
+            suite, extended, cycles, seed=args.seed, n_jobs=args.jobs,
+            pass_cache=pass_cache, registry=registry,
             functional_strategy="stack" if args.stack_pass else "scalar",
-            stack_stats=stack_stats,
             sampling=sampling,
-            sampling_stats=sampling_stats,
         )
     except SamplingError as exc:
         print(f"repro-sim advise: error: {exc}", file=sys.stderr)
         return 1
     print(advisor_table(recommend_design(grid, rungs)))
-    print(f"replay: {kernel_stats.batch_outcomes} batch outcome(s), "
-          f"{kernel_stats.scalar_replays} scalar replay(s), "
-          f"{kernel_stats.vectorized_events:,} vectorized / "
-          f"{kernel_stats.scalar_events:,} scalar event(s)")
-    if stack_stats is not None:
-        print(f"stack pass: {stack_stats.walks} shared walk(s), "
-              f"{stack_stats.derived_streams} stream(s) derived, "
-              f"{stack_stats.reused_streams} reused, "
-              f"{stack_stats.fallback_passes} fallback pass(es)")
-    if sampling_stats is not None:
-        line = (f"sampling: {sampling.describe()}; "
-                f"{sampling_stats.selections} selection(s), "
-                f"{sampling_stats.representatives} representative(s), "
-                f"{sampling_stats.refs_sampled:,} / "
-                f"{sampling_stats.refs_full:,} refs simulated")
-        if sampling_stats.validations:
-            line += (f", max true error "
-                     f"{sampling_stats.true_error_max:.4f} over "
-                     f"{sampling_stats.validations} validation(s)")
-        print(line)
+    _print_counters(registry)
     return 0
 
 

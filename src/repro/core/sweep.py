@@ -43,7 +43,7 @@ from ..sim.fastpath import (
     functional_pass,
     replay,
 )
-from ..sim.replaykernel import BatchReplayKernel, KernelStats, TimingPoint
+from ..sim.replaykernel import BatchReplayKernel, TimingPoint
 from ..sim.sampling import (
     SampledPassGroup,
     SamplingPlan,
@@ -105,82 +105,6 @@ def _cache_metrics(
         yield
     finally:
         pass_cache.registry = prior
-
-
-def _local_kernel_stats(
-    registry: Optional["MetricsRegistry"],
-) -> Optional[KernelStats]:
-    """A *fresh* :class:`KernelStats` to price with when metrics are on —
-    fresh so publishing it after the sweep cannot double-count work a
-    caller-supplied stats object already held.  ``None`` (metrics off)
-    means the caller's own ``kernel_stats`` is used directly."""
-    return KernelStats() if registry is not None else None
-
-
-def _publish_kernel(
-    registry: Optional["MetricsRegistry"],
-    local_stats: Optional[KernelStats],
-    kernel_stats: Optional[KernelStats],
-) -> None:
-    """Fold sweep-local kernel counters into the registry and the
-    caller's accumulator."""
-    if registry is None or local_stats is None:
-        return
-    local_stats.publish(registry)
-    if kernel_stats is not None:
-        kernel_stats.merge(local_stats)
-
-
-def _local_stack_stats(
-    registry: Optional["MetricsRegistry"],
-    strategy: str,
-) -> Optional[StackPassStats]:
-    """Fresh :class:`StackPassStats` when metrics are on and the stack
-    strategy is in play — fresh for the same double-count reason as
-    :func:`_local_kernel_stats`."""
-    if registry is not None and strategy == "stack":
-        return StackPassStats()
-    return None
-
-
-def _publish_stack(
-    registry: Optional["MetricsRegistry"],
-    local_stats: Optional[StackPassStats],
-    stack_stats: Optional[StackPassStats],
-) -> None:
-    """Fold sweep-local stack-pass counters into the registry and the
-    caller's accumulator."""
-    if registry is None or local_stats is None:
-        return
-    local_stats.publish(registry)
-    if stack_stats is not None:
-        stack_stats.merge(local_stats)
-
-
-def _local_sampling_stats(
-    registry: Optional["MetricsRegistry"],
-    sampling: Optional[SamplingPlan],
-) -> Optional[SamplingStats]:
-    """Fresh :class:`SamplingStats` when metrics are on and a sampling
-    plan is in play — fresh for the same double-count reason as
-    :func:`_local_kernel_stats`."""
-    if registry is not None and sampling is not None:
-        return SamplingStats()
-    return None
-
-
-def _publish_sampling(
-    registry: Optional["MetricsRegistry"],
-    local_stats: Optional[SamplingStats],
-    sampling_stats: Optional[SamplingStats],
-) -> None:
-    """Fold sweep-local sampling counters into the registry and the
-    caller's accumulator."""
-    if registry is None or local_stats is None:
-        return
-    local_stats.publish(registry)
-    if sampling_stats is not None:
-        sampling_stats.merge(local_stats)
 
 
 def _as_trace_list(traces) -> List[Trace]:
@@ -464,33 +388,18 @@ def _replay_job(args):
 def _price_streams(
     streams: Sequence[EventStream],
     points: Sequence[TimingPoint],
-    use_replay_kernel: bool,
-    replay_jobs: int,
-    kernel_stats: Optional[KernelStats],
+    n_jobs: int,
+    registry: Optional["MetricsRegistry"],
 ) -> List[List[ReplayOutcome]]:
     """Price every stream at every timing point; one outcome row each.
 
     The batch kernel prices a stream's whole grid in one call;
-    ``replay_jobs > 1`` shards the streams over processes (worthwhile on
-    warm sweeps, where replay is essentially the entire cost).  With
-    ``use_replay_kernel`` off this is the legacy one-``replay()``-per-
-    point loop — cycle-for-cycle the same outcomes either way.
+    ``n_jobs > 1`` shards the streams over processes (worthwhile on
+    warm sweeps, where replay is essentially the entire cost).  Each
+    kernel's counters land in ``registry`` as ``replay.*``.
     """
     points = list(points)
-    if not use_replay_kernel:
-        if kernel_stats is not None:
-            kernel_stats.scalar_replays += len(streams) * len(points)
-        return [
-            [
-                replay(
-                    stream, point.memory, point.cycle_ns,
-                    write_buffer_depth=point.write_buffer_depth,
-                )
-                for point in points
-            ]
-            for stream in streams
-        ]
-    if replay_jobs > 1 and len(streams) > 1:
+    if n_jobs > 1 and len(streams) > 1:
         global _WORKER_STREAMS
         packed = [(k, k, points) for k in range(len(streams))]
         rows: List[Optional[List[ReplayOutcome]]] = [None] * len(streams)
@@ -511,7 +420,7 @@ def _price_streams(
             )
         try:
             with ProcessPoolExecutor(
-                max_workers=replay_jobs, **pool_kwargs
+                max_workers=n_jobs, **pool_kwargs
             ) as pool:
                 for job, result in zip(
                     packed, pool.map(_replay_job, packed)
@@ -523,8 +432,8 @@ def _price_streams(
                             f"job {job[0]}, got {index}"
                         )
                     rows[index] = outcomes
-                    if kernel_stats is not None:
-                        kernel_stats.merge(stats)
+                    if registry is not None:
+                        stats.publish(registry)
         finally:
             _WORKER_STREAMS = []
         return rows
@@ -532,9 +441,59 @@ def _price_streams(
     for stream in streams:
         kernel = BatchReplayKernel(stream)
         rows.append(kernel.replay_grid(points))
-        if kernel_stats is not None:
-            kernel_stats.merge(kernel.stats)
+        if registry is not None:
+            kernel.stats.publish(registry)
     return rows
+
+
+def _run_grid(
+    configs: Sequence[SystemConfig],
+    traces: Sequence[Trace],
+    points: Sequence[TimingPoint],
+    seed: int,
+    n_jobs: int,
+    pass_cache: Optional["PassCache"],
+    functional_strategy: str,
+    sampling: Optional[SamplingPlan],
+    registry: Optional["MetricsRegistry"],
+):
+    """Both phases of a sweep: one functional pass per (organization,
+    trace), then every resulting stream priced at every timing point.
+
+    Returns ``(pass results, group spans, outcome rows, sampling
+    stats)``; see :func:`_flatten_pass_results` for the first two.  The
+    pass results are streams, or :class:`SampledPassGroup` objects under
+    ``sampling``.  With a ``registry`` the stack-pass counters land in
+    it here, and the returned :class:`SamplingStats` (``None`` without
+    a registry or a plan) collects the estimates the caller still makes
+    before it publishes them.
+    """
+    stack_stats = (
+        StackPassStats()
+        if registry is not None and functional_strategy == "stack"
+        else None
+    )
+    sampling_stats = (
+        SamplingStats()
+        if registry is not None and sampling is not None else None
+    )
+    with _cache_metrics(registry, pass_cache), \
+            _span(registry, "sweep.functional_passes"):
+        results = run_functional_passes(
+            [(config, trace, seed) for config in configs for trace in traces],
+            n_jobs=n_jobs,
+            cache=pass_cache,
+            strategy=functional_strategy,
+            stack_stats=stack_stats,
+            sampling=sampling,
+            sampling_stats=sampling_stats,
+        )
+    if stack_stats is not None:
+        stack_stats.publish(registry)
+    flat_streams, group_spans = _flatten_pass_results(results, sampling)
+    with _span(registry, "sweep.price_grid"):
+        rows = _price_streams(flat_streams, points, n_jobs, registry)
+    return results, group_spans, rows, sampling_stats
 
 
 def _flatten_pass_results(
@@ -572,51 +531,41 @@ def run_speed_size_sweep(
     n_jobs: int = 1,
     progress: Optional[ProgressFn] = None,
     pass_cache: Optional["PassCache"] = None,
-    use_replay_kernel: bool = True,
-    replay_jobs: int = 1,
-    kernel_stats: Optional[KernelStats] = None,
     registry: Optional["MetricsRegistry"] = None,
     functional_strategy: str = "scalar",
-    stack_stats: Optional[StackPassStats] = None,
     sampling: Optional[SamplingPlan] = None,
-    sampling_stats: Optional[SamplingStats] = None,
 ) -> SpeedSizeGrid:
     """Sweep (cache size x cycle time); aggregate over the trace suite.
 
     ``sizes_each_bytes`` sizes *each* of the split caches (the paper
     varies the pair together); the returned grid is indexed by total L1
     size.  This one sweep backs Figures 3-1 through 3-4 and, repeated
-    per associativity, Figures 4-1 through 4-5.  ``n_jobs`` distributes
-    the functional passes over processes; ``pass_cache`` reuses
+    per associativity, Figures 4-1 through 4-5.  ``pass_cache`` reuses
     persisted passes across invocations (see
     :mod:`repro.sim.passcache`).
 
     Each stream is priced across its whole cycle-time column in one
-    :class:`~repro.sim.replaykernel.BatchReplayKernel` invocation;
-    ``replay_jobs`` shards the streams over processes and
-    ``kernel_stats`` (if given) accumulates the kernel's counters.
-    ``use_replay_kernel=False`` restores the scalar ``replay()`` loop —
-    outcomes are cycle-for-cycle identical either way.
-
-    ``registry`` (a :class:`~repro.sim.telemetry.MetricsRegistry`)
-    times the two phases as ``sweep.functional_passes`` /
-    ``sweep.price_grid`` spans and folds the kernel and pass-cache
-    counters in as ``replay.*`` / ``passcache.*`` metrics.
+    :class:`~repro.sim.replaykernel.BatchReplayKernel` invocation.
+    ``n_jobs`` sizes both parallel phases: the functional passes run
+    over a pool of that many processes, then the streams are sharded
+    over as many pricing workers.
 
     ``functional_strategy="stack"`` collapses the cold passes into one
-    shared stack walk per trace (see :mod:`repro.sim.stackpass`);
-    ``stack_stats`` accumulates its walk/derivation/fallback counters,
-    which also land in the registry as ``stackpass.*``.
+    shared stack walk per trace (see :mod:`repro.sim.stackpass`).
 
     ``sampling`` (a :class:`~repro.sim.sampling.SamplingPlan`) runs the
     whole sweep on representative trace intervals: the functional
     passes cover only each trace's cluster representatives and every
     grid cell is a stratified *estimate* — refused with
     :exc:`~repro.errors.SamplingError` when its confidence interval
-    exceeds the plan's bound.  ``sampling_stats`` accumulates the
-    selection/estimate counters, which also land in the registry as
-    ``sampling.*``.  Sampling composes with the cache, the pool and
-    either functional strategy.
+    exceeds the plan's bound.  Sampling composes with the cache, the
+    pool and either functional strategy.
+
+    ``registry`` (a :class:`~repro.sim.telemetry.MetricsRegistry`) is
+    the only way counters leave the sweep: it times the two phases as
+    ``sweep.functional_passes`` / ``sweep.price_grid`` spans and
+    collects the ``passcache.*``, ``stackpass.*``, ``replay.*`` and
+    ``sampling.*`` counters.  Without one the sweep keeps no counters.
     """
     traces = _as_trace_list(traces)
     if not traces:
@@ -640,34 +589,6 @@ def run_speed_size_sweep(
             f"{len(configs)} organizations x {len(traces)} traces, "
             f"n_jobs={n_jobs}"
         )
-    local_stats = _local_kernel_stats(registry)
-    price_stats = local_stats if local_stats is not None else kernel_stats
-    local_stack = _local_stack_stats(registry, functional_strategy)
-    pass_stack = local_stack if local_stack is not None else stack_stats
-    local_sampling = _local_sampling_stats(registry, sampling)
-    pass_sampling = (
-        local_sampling if local_sampling is not None else sampling_stats
-    )
-    with _cache_metrics(registry, pass_cache), \
-            _span(registry, "sweep.functional_passes"):
-        all_streams = run_functional_passes(
-            [
-                (config, trace, seed)
-                for config in configs
-                for trace in traces
-            ],
-            n_jobs=n_jobs,
-            cache=pass_cache,
-            strategy=functional_strategy,
-            stack_stats=pass_stack,
-            sampling=sampling,
-            sampling_stats=pass_sampling,
-        )
-    _publish_stack(registry, local_stack, stack_stats)
-    flat_streams, group_spans = _flatten_pass_results(all_streams, sampling)
-    n_i, n_j = len(sizes), len(cycles_ns)
-    exec_gm = np.empty((n_i, n_j))
-    cpr_gm = np.empty((n_i, n_j))
     points = [
         TimingPoint(
             memory=memory, cycle_ns=cycle_ns,
@@ -675,12 +596,13 @@ def run_speed_size_sweep(
         )
         for cycle_ns in cycles_ns
     ]
-    with _span(registry, "sweep.price_grid"):
-        outcome_rows = _price_streams(
-            flat_streams, points, use_replay_kernel, replay_jobs,
-            price_stats,
-        )
-    _publish_kernel(registry, local_stats, kernel_stats)
+    all_streams, group_spans, outcome_rows, sampling_stats = _run_grid(
+        configs, traces, points, seed, n_jobs, pass_cache,
+        functional_strategy, sampling, registry,
+    )
+    n_i, n_j = len(sizes), len(cycles_ns)
+    exec_gm = np.empty((n_i, n_j))
+    cpr_gm = np.empty((n_i, n_j))
     per_size_metrics: List[AggregateMetrics] = []
     for i, size in enumerate(sizes):
         lo = i * len(traces)
@@ -720,7 +642,7 @@ def run_speed_size_sweep(
             est = estimate_stats(
                 group.selection, group.streams,
                 [row[0] for row in rows], cycles_ns[0],
-                stats=pass_sampling,
+                stats=sampling_stats,
             )
             size_summaries.append(TraceRunSummary.from_stats(est.stats))
             cycle_rows.append([
@@ -737,7 +659,8 @@ def run_speed_size_sweep(
                 max(cycles[j] / refs if refs else 0.0, GM_FLOOR)
                 for cycles, refs in zip(cycle_rows, n_refs)
             )
-    _publish_sampling(registry, local_sampling, sampling_stats)
+    if sampling_stats is not None:
+        sampling_stats.publish(registry)
     return SpeedSizeGrid(
         total_sizes=[2 * s for s in sizes],
         cycle_times_ns=list(cycles_ns),
@@ -798,14 +721,9 @@ def run_blocksize_sweep(
     n_jobs: int = 1,
     progress: Optional[ProgressFn] = None,
     pass_cache: Optional["PassCache"] = None,
-    use_replay_kernel: bool = True,
-    replay_jobs: int = 1,
-    kernel_stats: Optional[KernelStats] = None,
     registry: Optional["MetricsRegistry"] = None,
     functional_strategy: str = "scalar",
-    stack_stats: Optional[StackPassStats] = None,
     sampling: Optional[SamplingPlan] = None,
-    sampling_stats: Optional[SamplingStats] = None,
 ) -> Dict[Tuple[int, float], BlockSizeCurve]:
     """Sweep block size against memory latency and transfer rate (§5).
 
@@ -819,10 +737,8 @@ def run_blocksize_sweep(
     simulated memory, so colliding keys are priced once (first
     occurrence wins; the outcomes are identical by construction).  The
     memory grid is priced per stream in one batch-kernel call; see
-    :func:`run_speed_size_sweep` for ``use_replay_kernel``,
-    ``replay_jobs``, ``kernel_stats``, ``registry``,
-    ``functional_strategy``, ``stack_stats``, ``sampling`` and
-    ``sampling_stats``.
+    :func:`run_speed_size_sweep` for ``n_jobs``, ``pass_cache``,
+    ``registry``, ``functional_strategy`` and ``sampling``.
     """
     traces = _as_trace_list(traces)
     if not traces:
@@ -842,31 +758,6 @@ def run_blocksize_sweep(
             f"{len(configs)} block sizes x {len(traces)} traces, "
             f"n_jobs={n_jobs}"
         )
-    local_stats = _local_kernel_stats(registry)
-    price_stats = local_stats if local_stats is not None else kernel_stats
-    local_stack = _local_stack_stats(registry, functional_strategy)
-    pass_stack = local_stack if local_stack is not None else stack_stats
-    local_sampling = _local_sampling_stats(registry, sampling)
-    pass_sampling = (
-        local_sampling if local_sampling is not None else sampling_stats
-    )
-    with _cache_metrics(registry, pass_cache), \
-            _span(registry, "sweep.functional_passes"):
-        all_streams = run_functional_passes(
-            [
-                (config, trace, seed)
-                for config in configs
-                for trace in traces
-            ],
-            n_jobs=n_jobs,
-            cache=pass_cache,
-            strategy=functional_strategy,
-            stack_stats=pass_stack,
-            sampling=sampling,
-            sampling_stats=pass_sampling,
-        )
-    _publish_stack(registry, local_stack, stack_stats)
-    flat_streams, group_spans = _flatten_pass_results(all_streams, sampling)
     # One functional pass per (block size, trace); the memory grid is
     # built once — not per block size — and deduplicated by quantized
     # key before any replay runs.
@@ -891,12 +782,10 @@ def run_blocksize_sweep(
         )
         for _key, mem in unique_memories
     ]
-    with _span(registry, "sweep.price_grid"):
-        outcome_rows = _price_streams(
-            flat_streams, points, use_replay_kernel, replay_jobs,
-            price_stats,
-        )
-    _publish_kernel(registry, local_stats, kernel_stats)
+    all_streams, group_spans, outcome_rows, sampling_stats = _run_grid(
+        configs, traces, points, seed, n_jobs, pass_cache,
+        functional_strategy, sampling, registry,
+    )
     curves: Dict[Tuple[int, float], Dict[int, AggregateMetrics]] = {}
     for b_index, block_words in enumerate(block_sizes):
         lo = b_index * len(traces)
@@ -920,11 +809,12 @@ def run_blocksize_sweep(
                     est = estimate_stats(
                         group.selection, group.streams,
                         [row[p_index] for row in rows], cycle_ns,
-                        stats=pass_sampling,
+                        stats=sampling_stats,
                     )
                     summaries.append(TraceRunSummary.from_stats(est.stats))
             curves.setdefault(key, {})[block_words] = aggregate(summaries)
-    _publish_sampling(registry, local_sampling, sampling_stats)
+    if sampling_stats is not None:
+        sampling_stats.publish(registry)
     result: Dict[Tuple[int, float], BlockSizeCurve] = {}
     for (latency_cycles, transfer_rate), by_block in curves.items():
         result[(latency_cycles, transfer_rate)] = BlockSizeCurve(

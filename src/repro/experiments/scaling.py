@@ -79,14 +79,15 @@ def run(settings: Optional[ExperimentSettings] = None) -> ExperimentResult:
         ),
         precision=3,
     )
+    # A zero base slope has no ratio to take: drop it like a NaN.
     pairs = [
         (b, h) for b, h in zip(f_base, f_halved)
-        if not (np.isnan(b) or np.isnan(h))
+        if not (np.isnan(b) or np.isnan(h)) and b != 0
     ]
     even_dev = max(abs(h / b - 1.0) for b, h in pairs) if pairs else float("nan")
     cpu_pairs = [
         (b, c) for b, c in zip(f_base, f_cpu)
-        if not (np.isnan(b) or np.isnan(c))
+        if not (np.isnan(b) or np.isnan(c)) and b != 0
     ]
     cpu_growth = (
         float(np.mean([c / b for b, c in cpu_pairs])) if cpu_pairs else

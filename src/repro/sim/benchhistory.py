@@ -315,7 +315,6 @@ _BENCH_SHAPES: Dict[str, Dict[str, Tuple[str, str]]] = {
     },
     "replay_kernel_vs_scalar": {
         "streams": ("count", "info"),
-        "replay_jobs": ("count", "info"),
         "scalar_s": ("s", "lower"),
         "batch_serial_s": ("s", "lower"),
         "batch_s": ("s", "lower"),

@@ -108,9 +108,8 @@ class KernelStats:
 
     ``vectorized_events``/``scalar_events`` count event-grid cells
     (events x timing points), so their ratio is the fraction of replay
-    work the prefix-sum path absorbed.  Sweeps aggregate these and the
-    telemetry :class:`~repro.sim.telemetry.RunReport` records them as
-    the ``replay`` block.
+    work the prefix-sum path absorbed.  Sweeps publish these into their
+    :class:`~repro.sim.telemetry.MetricsRegistry` as ``replay.*``.
     """
 
     batch_outcomes: int = 0
@@ -118,13 +117,6 @@ class KernelStats:
     vectorized_events: int = 0
     scalar_events: int = 0
     contended_runs: int = 0
-
-    def merge(self, other: "KernelStats") -> None:
-        self.batch_outcomes += other.batch_outcomes
-        self.scalar_replays += other.scalar_replays
-        self.vectorized_events += other.vectorized_events
-        self.scalar_events += other.scalar_events
-        self.contended_runs += other.contended_runs
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -1072,21 +1064,3 @@ def _next_member(mask: np.ndarray, n: int) -> List[int]:
     return np.where(
         pos < len(idx), idx[np.minimum(pos, len(idx) - 1)], n
     ).tolist()
-
-
-def replay_batch(
-    stream: EventStream,
-    points: Sequence[TimingPoint],
-    stats: Optional[KernelStats] = None,
-) -> List[ReplayOutcome]:
-    """One-shot convenience wrapper around :class:`BatchReplayKernel`.
-
-    Builds a kernel for ``stream``, prices every point, and (optionally)
-    merges the kernel's counters into ``stats``.  Callers pricing the
-    same stream against several grids should hold a kernel instead.
-    """
-    kernel = BatchReplayKernel(stream)
-    outcomes = kernel.replay_grid(points)
-    if stats is not None:
-        stats.merge(kernel.stats)
-    return outcomes

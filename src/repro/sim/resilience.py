@@ -300,21 +300,18 @@ def _worker_main(
                 if getattr(simulate_fn, "__name__", "") == "simulate"
                 else "fastpath"
             )
+            if simulator == "fastpath" and ledger is not None:
+                # Telemetry-enabled replays always price through the
+                # scalar path (the batch kernel takes no telemetry
+                # handle), so metrics-collecting campaign runs record
+                # one scalar replay apiece.
+                registry.count("replay.scalar_replays")
             report = build_run_report(
                 stats, ledger, timer,
                 run_identifier=run_id(config, trace),
                 simulator=simulator,
                 n_refs_total=len(trace),
                 config=config,
-                # Telemetry-enabled replays always price through the
-                # scalar path (the batch kernel takes no telemetry
-                # handle), so metrics-collecting campaign runs record
-                # one scalar replay apiece.
-                replay=(
-                    {"scalar_replays": 1}
-                    if simulator == "fastpath" and ledger is not None
-                    else None
-                ),
                 registry=registry,
             )
             conn.send(("ok", (stats, report.to_dict())))
@@ -509,7 +506,11 @@ class CampaignExecutor:
                 None if self.timeout_s is None
                 else self.timeout_s + self.grace_s
             )
-            if proc.is_alive():
+            # Without a timeout the join above was unbounded, yet
+            # is_alive() can still read true when another thread's
+            # Process.start() reaped the child first; only a bounded
+            # join that ran out means the worker overran.
+            if self.timeout_s is not None and proc.is_alive():
                 proc.terminate()
                 proc.join(5.0)
                 if proc.is_alive():  # pragma: no cover — stuck in kernel

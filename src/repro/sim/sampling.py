@@ -196,7 +196,7 @@ class SamplingStats:
     """Counters describing what sampled runs actually did.
 
     Published to a :class:`~repro.sim.telemetry.MetricsRegistry` under
-    ``sampling.*`` and surfaced in the RunReport ``sampling`` block.
+    ``sampling.*``.
     """
 
     selections: int = 0         #: jobs expanded through a selection
@@ -214,18 +214,6 @@ class SamplingStats:
         doc = dataclasses.asdict(self)
         doc["true_error_max"] = round(self.true_error_max, 6)
         return doc
-
-    def merge(self, other: "SamplingStats") -> None:
-        self.selections += other.selections
-        self.intervals += other.intervals
-        self.clusters += other.clusters
-        self.representatives += other.representatives
-        self.refs_full += other.refs_full
-        self.refs_sampled += other.refs_sampled
-        self.estimates += other.estimates
-        self.refusals += other.refusals
-        self.validations += other.validations
-        self.true_error_max = max(self.true_error_max, other.true_error_max)
 
     def publish(self, registry) -> None:
         """Mirror the counters into a metrics registry."""

@@ -87,7 +87,7 @@ class StackPassStats:
     """Counters describing what a stack-strategy pass actually did.
 
     Published to a :class:`~repro.sim.telemetry.MetricsRegistry` under
-    ``stackpass.*`` and surfaced in the RunReport ``stack_pass`` block.
+    ``stackpass.*``.
     """
 
     walks: int = 0              #: shared stack walks over a trace
@@ -97,12 +97,6 @@ class StackPassStats:
 
     def as_dict(self) -> Dict[str, int]:
         return dataclasses.asdict(self)
-
-    def merge(self, other: "StackPassStats") -> None:
-        self.walks += other.walks
-        self.derived_streams += other.derived_streams
-        self.reused_streams += other.reused_streams
-        self.fallback_passes += other.fallback_passes
 
     def publish(self, registry) -> None:
         """Mirror the counters into a metrics registry."""

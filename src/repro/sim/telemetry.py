@@ -410,7 +410,7 @@ class MetricsRegistry:
     collect them all under dotted names (``passcache.hits``,
     ``replay.batch_outcomes``, ``fabric.leases_reclaimed``) without the
     subsystems knowing about each other.  A registry dump
-    (:meth:`as_dict`) is the ``metrics`` block of RunReport schema 5,
+    (:meth:`as_dict`) is the ``metrics`` block of a RunReport,
     and ``repro-sim bench`` flattens the same dump into benchmark
     records.
 
@@ -464,7 +464,7 @@ class MetricsRegistry:
         return not (self.counters or self.gauges or self.spans)
 
     def as_dict(self) -> Dict:
-        """The JSON-able dump: the RunReport schema-5 ``metrics`` block."""
+        """The JSON-able dump: the RunReport ``metrics`` block."""
         return {
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
@@ -477,7 +477,8 @@ class MetricsRegistry:
         """Fold another registry's :meth:`as_dict` dump into this one.
 
         Counters and span counts/totals add; span maxima and gauges take
-        the larger / latest value.  Used by aggregation, where per-run
+        the larger value, so a merged gauge is the worst case across the
+        dumps whatever their order.  Used by aggregation, where per-run
         metrics blocks from many workers combine into one sweep view.
         """
         if not isinstance(dump, dict):
@@ -487,7 +488,9 @@ class MetricsRegistry:
                 self.count(name, delta)
         for name, value in (dump.get("gauges") or {}).items():
             if isinstance(value, (int, float)):
-                self.gauge(name, float(value))
+                self.gauge(name, max(
+                    float(value), self.gauges.get(name, float("-inf"))
+                ))
         for name, entry in (dump.get("spans") or {}).items():
             if not isinstance(entry, dict):
                 continue
@@ -564,14 +567,24 @@ def quantization_info(config) -> Dict[str, float]:
 #: activity: trace walks, streams derived/reused, per-organization
 #: fallback passes; see :class:`repro.sim.stackpass.StackPassStats`;
 #: empty when the run used the scalar functional-pass strategy).
-#: Version 7 adds the ``sampling`` block (trace-interval sampling:
-#: selections, intervals/clusters/representatives, exact-vs-sampled
-#: reference counts, estimate and refusal counts, and — when
-#: validation ran — the worst observed true absolute miss-ratio error
-#: as ``true_error_max``; see
-#: :class:`repro.sim.sampling.SamplingStats`; empty when the run
-#: simulated exactly).
-REPORT_SCHEMA = 7
+#: Version 7 adds the ``sampling`` block (trace-interval sampling
+#: counters and, when validation ran, the worst observed true absolute
+#: miss-ratio error; see :class:`repro.sim.sampling.SamplingStats`).
+#: Version 8 folds the five per-subsystem blocks into ``metrics``:
+#: their integers become counters and their floats gauges, under the
+#: prefixes of :data:`_FOLDED_BLOCKS`.  :meth:`RunReport.from_dict`
+#: upgrades older documents the same way.
+REPORT_SCHEMA = 8
+
+#: The per-subsystem blocks of schemas 2–7, each with the ``metrics``
+#: prefix its values move under at schema 8.
+_FOLDED_BLOCKS = (
+    ("pass_cache", "passcache"),
+    ("replay", "replay"),
+    ("fabric", "fabric"),
+    ("stack_pass", "stackpass"),
+    ("sampling", "sampling"),
+)
 
 
 @dataclass
@@ -599,30 +612,11 @@ class RunReport:
     refs_per_sec: float = 0.0
     peak_rss_kb: Optional[int] = None
     quantization: Dict[str, float] = field(default_factory=dict)
-    #: Functional-pass cache activity during this run (see
-    #: :class:`repro.sim.passcache.PassCacheCounters.as_dict`); empty
-    #: when the run used no pass cache.
-    pass_cache: Dict[str, int] = field(default_factory=dict)
-    #: Batch replay-kernel activity during this run (see
-    #: :meth:`repro.sim.replaykernel.KernelStats.as_dict`); empty when
-    #: the run did no grid repricing.
-    replay: Dict[str, int] = field(default_factory=dict)
-    #: Work-queue fabric activity for this run (lease epochs, losses,
-    #: heartbeats; see :mod:`repro.sim.workqueue`); empty when the run
-    #: executed outside the spool backend.
-    fabric: Dict[str, int] = field(default_factory=dict)
-    #: Shared stack-walk activity (see
-    #: :meth:`repro.sim.stackpass.StackPassStats.as_dict`); empty when
-    #: the run used the scalar functional-pass strategy.
-    stack_pass: Dict[str, int] = field(default_factory=dict)
-    #: Trace-interval sampling activity (see
-    #: :meth:`repro.sim.sampling.SamplingStats.as_dict`, plus
-    #: estimate-level keys such as ``ci_half_width`` for single-run
-    #: reports); empty when the run simulated exactly.
-    sampling: Dict = field(default_factory=dict)
-    #: Unified metrics block: a :class:`MetricsRegistry` dump
-    #: (``{"counters": ..., "gauges": ..., "spans": ...}``); empty when
-    #: no registry was threaded through the run.
+    #: A :class:`MetricsRegistry` dump (``{"counters": ..., "gauges":
+    #: ..., "spans": ...}``) holding every subsystem's counters —
+    #: ``passcache.*``, ``replay.*``, ``fabric.*``, ``stackpass.*``,
+    #: ``sampling.*`` — and the run's spans; empty when no registry
+    #: collected anything.
     metrics: Dict = field(default_factory=dict)
 
     @property
@@ -656,11 +650,6 @@ class RunReport:
             "refs_per_sec": self.refs_per_sec,
             "peak_rss_kb": self.peak_rss_kb,
             "quantization": dict(self.quantization),
-            "pass_cache": dict(self.pass_cache),
-            "replay": dict(self.replay),
-            "fabric": dict(self.fabric),
-            "stack_pass": dict(self.stack_pass),
-            "sampling": dict(self.sampling),
             "metrics": dict(self.metrics),
         }
 
@@ -671,14 +660,15 @@ class RunReport:
         """Rebuild a report from a stored document, tolerating drift.
 
         Older schema versions upgrade cleanly: blocks they predate
-        (``pass_cache``, ``replay``, ``fabric``, ``metrics``,
-        ``stack_pass``, ``sampling``) default to empty.  Fields a *newer* schema may have added are dropped, but
-        never silently — pass a list as ``unknown`` to collect their
-        names, the same reporting contract as
-        :func:`repro.sim.campaign.stats_from_dict`.  A payload that is
-        not an object, or whose schema marker is not a positive integer,
-        is rejected with :exc:`~repro.errors.CorruptResultError` rather
-        than surfacing as a :exc:`TypeError` deep in aggregation.
+        default to empty, and the per-subsystem blocks of schemas 2–7
+        move into ``metrics`` (see :func:`_fold_legacy_blocks`).  Fields
+        a *newer* schema may have added are dropped, but never silently
+        — pass a list as ``unknown`` to collect their names, the same
+        reporting contract as :func:`repro.sim.campaign.stats_from_dict`.
+        A payload that is not an object, or whose schema marker is not a
+        positive integer, is rejected with
+        :exc:`~repro.errors.CorruptResultError` rather than surfacing as
+        a :exc:`TypeError` deep in aggregation.
         """
         if not isinstance(payload, dict):
             raise CorruptResultError(
@@ -692,12 +682,18 @@ class RunReport:
                 f"run report schema marker {schema!r} is not a "
                 f"positive integer"
             )
+        if schema < 8:
+            metrics = _fold_legacy_blocks(payload)
+            payload = {
+                k: v for k, v in payload.items()
+                if k not in dict(_FOLDED_BLOCKS)
+            }
+            payload["metrics"] = metrics
         names = {
             "run_id", "trace", "config", "simulator", "n_refs_total",
             "n_refs_measured", "cycles", "total_cycles", "warm_cycles",
             "buckets", "buckets_measured", "conserved", "wall_s",
-            "refs_per_sec", "peak_rss_kb", "quantization", "pass_cache",
-            "replay", "fabric", "stack_pass", "sampling", "metrics",
+            "refs_per_sec", "peak_rss_kb", "quantization", "metrics",
         }
         if unknown is not None:
             unknown.extend(
@@ -705,6 +701,33 @@ class RunReport:
                 if k not in names and k != "schema"
             )
         return cls(**{k: v for k, v in payload.items() if k in names})
+
+
+def _fold_legacy_blocks(payload: Dict) -> Dict:
+    """The ``metrics`` dump of a schema 1–7 document with each
+    per-subsystem block moved under its prefix.
+
+    Integers become counters and floats gauges.  A block is skipped when
+    the old dump already holds counters under its prefix: runs at
+    schemas 5–7 that had a registry mirrored ``passcache.*`` into both
+    places, and folding both would count every hit twice.
+    """
+    registry = MetricsRegistry()
+    registry.merge(payload.get("metrics") or {})
+    for block, prefix in _FOLDED_BLOCKS:
+        values = payload.get(block)
+        if not isinstance(values, dict) or any(
+            name.startswith(f"{prefix}.") for name in registry.counters
+        ):
+            continue
+        for name, value in values.items():
+            if isinstance(value, bool):
+                continue
+            if isinstance(value, int):
+                registry.count(f"{prefix}.{name}", value)
+            elif isinstance(value, float):
+                registry.gauge(f"{prefix}.{name}", value)
+    return {} if registry.empty() else registry.as_dict()
 
 
 def build_run_report(
@@ -715,29 +738,17 @@ def build_run_report(
     simulator: str = "fastpath",
     n_refs_total: int = 0,
     config=None,
-    pass_cache: Optional[Dict[str, int]] = None,
-    replay: Optional[Dict[str, int]] = None,
-    fabric: Optional[Dict[str, int]] = None,
     registry: Optional[MetricsRegistry] = None,
-    stack_pass: Optional[Dict[str, int]] = None,
-    sampling: Optional[Dict] = None,
 ) -> RunReport:
     """Assemble the metrics document for one completed run.
 
     ``stats`` is the run's :class:`~repro.sim.statistics.SimStats`;
     ``ledger`` may be ``None`` when only host metrics were collected.
-    ``pass_cache`` is the counter dict of the functional-pass cache the
-    run used, if any; ``replay`` the batch replay-kernel counters, if
-    the run repriced timing grids; ``fabric`` the work-queue lease
-    counters, if the run executed through the spool backend;
-    ``registry`` the run's :class:`MetricsRegistry`, dumped into the
-    schema-5 ``metrics`` block when it collected anything;
-    ``stack_pass`` the shared stack-walk counters, if the run used the
-    stack functional-pass strategy; ``sampling`` the trace-interval
-    sampling counters (with estimate-level keys where applicable), if
-    the run produced a sampled estimate.
-    Conservation is *checked* here (never trusted): ``conserved`` is
-    the outcome of :meth:`CycleLedger.verify`.
+    ``registry`` is the run's :class:`MetricsRegistry` — the pass-cache,
+    replay-kernel, fabric, stack-pass and sampling counters the run
+    published into it — dumped into the ``metrics`` block when it
+    collected anything.  Conservation is *checked* here (never
+    trusted): ``conserved`` is the outcome of :meth:`CycleLedger.verify`.
     """
     buckets: Dict[str, int] = {}
     buckets_measured: Dict[str, int] = {}
@@ -769,11 +780,6 @@ def build_run_report(
         refs_per_sec=refs / total_wall if total_wall > 0 else 0.0,
         peak_rss_kb=peak_rss_kb(),
         quantization=quantization_info(config) if config is not None else {},
-        pass_cache=dict(pass_cache) if pass_cache else {},
-        replay=dict(replay) if replay else {},
-        fabric=dict(fabric) if fabric else {},
-        stack_pass=dict(stack_pass) if stack_pass else {},
-        sampling=dict(sampling) if sampling else {},
         metrics=(
             registry.as_dict()
             if registry is not None and not registry.empty() else {}
@@ -802,47 +808,24 @@ def aggregate_reports(
     The summary answers the questions a campaign post-mortem starts
     with: how fast was the sweep (throughput percentiles), which runs
     dominated it (slowest list), where did the simulated cycles go
-    (aggregate bucket breakdown), and did every run conserve.
-    ``fabric`` overlays sweep-level work-queue counters (worker count
-    and lifetimes, leases expired/reclaimed) over the per-run lease
-    sums — the sweep-level view wins where both exist, because it also
-    counts leases whose jobs never produced a report (crashed owners).
+    (aggregate bucket breakdown), and did every run conserve.  The
+    per-run ``metrics`` dumps merge into one (counters sum, gauges keep
+    the worst value).  ``fabric`` overlays sweep-level work-queue
+    counters (worker count and lifetimes, leases expired/reclaimed) as
+    ``fabric.*`` over the per-run lease sums — the sweep-level view
+    wins where both exist, because it also counts leases whose jobs
+    never produced a report (crashed owners).
     """
     throughputs = sorted(r.refs_per_sec for r in reports)
     walls = sorted(r.total_wall_s for r in reports)
     bucket_totals: Dict[str, int] = {name: 0 for name in BUCKETS}
-    cache_totals: Dict[str, int] = {}
-    replay_totals: Dict[str, int] = {}
-    fabric_totals: Dict[str, int] = {}
-    stack_totals: Dict[str, int] = {}
-    sampling_totals: Dict[str, float] = {}
     metrics_totals = MetricsRegistry()
     for report in reports:
         for name, cycles in report.buckets_measured.items():
             bucket_totals[name] = bucket_totals.get(name, 0) + cycles
-        for name, count in report.pass_cache.items():
-            cache_totals[name] = cache_totals.get(name, 0) + count
-        for name, count in report.replay.items():
-            replay_totals[name] = replay_totals.get(name, 0) + count
-        for name, count in report.fabric.items():
-            fabric_totals[name] = fabric_totals.get(name, 0) + count
-        for name, count in report.stack_pass.items():
-            stack_totals[name] = stack_totals.get(name, 0) + count
-        for name, value in report.sampling.items():
-            if isinstance(value, bool) or not isinstance(
-                value, (int, float)
-            ):
-                continue
-            if name.endswith("_max"):
-                sampling_totals[name] = max(
-                    sampling_totals.get(name, 0), value
-                )
-            else:
-                sampling_totals[name] = (
-                    sampling_totals.get(name, 0) + value
-                )
         metrics_totals.merge(report.metrics)
-    fabric_totals.update(fabric or {})
+    for name, count in (fabric or {}).items():
+        metrics_totals.counters[f"fabric.{name}"] = count
     ranked = sorted(
         reports, key=lambda r: r.total_wall_s, reverse=True
     )[:slowest]
@@ -858,11 +841,6 @@ def aggregate_reports(
         "refs_per_sec_p50": _percentile(throughputs, 0.50),
         "refs_per_sec_p90": _percentile(throughputs, 0.90),
         "buckets_measured": bucket_totals,
-        "pass_cache": cache_totals,
-        "replay": replay_totals,
-        "fabric": fabric_totals,
-        "stack_pass": stack_totals,
-        "sampling": sampling_totals,
         "metrics": (
             {} if metrics_totals.empty() else metrics_totals.as_dict()
         ),
@@ -876,6 +854,72 @@ def aggregate_reports(
             for r in ranked
         ],
     }
+
+
+#: The terminal line :func:`render_counters` prints per counter prefix:
+#: its label, then each counter's name under the prefix with the words
+#: that follow its value.
+_COUNTER_LINES = (
+    ("passcache", "pass cache", (
+        ("hits", "hit(s)"), ("misses", "miss(es)"), ("corrupt", "corrupt"),
+        ("bytes_read", "B read"), ("bytes_written", "B written"),
+    )),
+    ("replay", "replay", (
+        ("batch_outcomes", "batch outcome(s)"),
+        ("scalar_replays", "scalar replay(s)"),
+        ("vectorized_events", "vectorized event(s)"),
+        ("scalar_events", "scalar event(s)"),
+    )),
+    ("stackpass", "stack pass", (
+        ("walks", "shared walk(s)"),
+        ("derived_streams", "stream(s) derived"),
+        ("reused_streams", "reused"),
+        ("fallback_passes", "fallback pass(es)"),
+    )),
+    ("sampling", "sampling", (
+        ("selections", "selection(s)"),
+        ("representatives", "representative(s)"),
+        ("refs_sampled", "refs simulated"),
+        ("refs_full", "refs in full"),
+        ("refusals", "refusal(s)"),
+        ("validations", "validation(s)"),
+    )),
+    ("fabric", "fabric", (
+        ("workers", "worker(s)"),
+        ("leases_issued", "lease(s) issued"),
+        ("leases_expired", "expired"),
+        ("leases_reclaimed", "reclaimed"),
+        ("jobs_poisoned", "poisoned"),
+        ("duplicate_publishes", "duplicate publish(es) dropped"),
+    )),
+)
+
+
+def render_counters(metrics: Dict) -> List[str]:
+    """One terminal line per subsystem present in a registry dump.
+
+    A subsystem is present when the dump holds any counter under its
+    prefix; its gauges (such as ``sampling.true_error_max``) follow its
+    counters on the same line.
+    """
+    counters = metrics.get("counters") or {}
+    gauges = metrics.get("gauges") or {}
+    lines = []
+    for prefix, label, fields in _COUNTER_LINES:
+        head = f"{prefix}."
+        if not any(name.startswith(head) for name in counters):
+            continue
+        parts = [
+            f"{counters.get(head + name, 0):,} {words}"
+            for name, words in fields
+        ]
+        parts += [
+            f"{name[len(head):].replace('_', ' ')} {value:.4f}"
+            for name, value in sorted(gauges.items())
+            if name.startswith(head)
+        ]
+        lines.append(f"{label}: " + ", ".join(parts))
+    return lines
 
 
 def render_summary(summary: Dict) -> str:
@@ -901,61 +945,9 @@ def render_summary(summary: Dict) -> str:
                     f"  {name:<18} {cycles:>14}  "
                     f"({100.0 * cycles / total:5.1f}%)"
                 )
-    cache = summary.get("pass_cache") or {}
-    if any(cache.values()):
-        lines.append(
-            f"pass cache: {cache.get('hits', 0)} hit(s), "
-            f"{cache.get('misses', 0)} miss(es), "
-            f"{cache.get('corrupt', 0)} corrupt, "
-            f"{cache.get('bytes_read', 0):,} B read, "
-            f"{cache.get('bytes_written', 0):,} B written"
-        )
-    fabric = summary.get("fabric") or {}
-    if any(fabric.values()):
-        lines.append(
-            f"work-queue fabric: {fabric.get('workers', 0)} worker(s), "
-            f"{fabric.get('leases_issued', 0)} lease(s) issued, "
-            f"{fabric.get('leases_expired', 0)} expired, "
-            f"{fabric.get('leases_reclaimed', 0)} reclaimed, "
-            f"{fabric.get('jobs_poisoned', 0)} poisoned, "
-            f"{fabric.get('duplicate_publishes', 0)} duplicate "
-            f"publish(es) dropped"
-        )
-    replay = summary.get("replay") or {}
-    if any(replay.values()):
-        lines.append(
-            f"replay kernel: {replay.get('batch_outcomes', 0)} batch "
-            f"outcome(s), {replay.get('scalar_replays', 0)} scalar "
-            f"replay(s), {replay.get('vectorized_events', 0):,} "
-            f"vectorized / {replay.get('scalar_events', 0):,} scalar "
-            f"event(s)"
-        )
-    stack = summary.get("stack_pass") or {}
-    if any(stack.values()):
-        lines.append(
-            f"stack pass: {stack.get('walks', 0)} shared walk(s), "
-            f"{stack.get('derived_streams', 0)} stream(s) derived, "
-            f"{stack.get('reused_streams', 0)} reused, "
-            f"{stack.get('fallback_passes', 0)} fallback pass(es)"
-        )
-    sampling = summary.get("sampling") or {}
-    if any(sampling.values()):
-        line = (
-            f"sampling: {int(sampling.get('selections', 0))} "
-            f"selection(s), "
-            f"{int(sampling.get('representatives', 0))} "
-            f"representative(s), "
-            f"{int(sampling.get('refs_sampled', 0)):,} / "
-            f"{int(sampling.get('refs_full', 0)):,} refs simulated, "
-            f"{int(sampling.get('refusals', 0))} refusal(s)"
-        )
-        if sampling.get("validations"):
-            line += (
-                f", max true error "
-                f"{float(sampling.get('true_error_max', 0.0)):.4f}"
-            )
-        lines.append(line)
-    spans = (summary.get("metrics") or {}).get("spans") or {}
+    metrics = summary.get("metrics") or {}
+    lines.extend(render_counters(metrics))
+    spans = metrics.get("spans") or {}
     if spans:
         lines.append("stage spans across the sweep:")
         for name in sorted(spans):

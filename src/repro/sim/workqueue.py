@@ -71,6 +71,7 @@ from .resilience import (
     CampaignExecutor, CampaignManifest, RetryPolicy, RunJob, RunRecord,
     STATUS_FAILED, STATUS_OK, sweep_jobs,
 )
+from .telemetry import MetricsRegistry
 
 #: Version of the spool manifest (``spool.json``) document.
 SPOOL_SCHEMA = 1
@@ -1108,11 +1109,14 @@ class SpoolWorker:
             return  # metrics are advisory; never fail the job
         if not isinstance(payload, dict):
             return
-        payload["fabric"] = {
+        registry = MetricsRegistry()
+        registry.merge(payload.get("metrics") or {})
+        registry.count_many("fabric", {
             "leases_issued": lease.epoch,
             "leases_lost": lease.epoch - 1,
             "heartbeats": lease.beat,
-        }
+        })
+        payload["metrics"] = registry.as_dict()
         try:
             self.campaign.save_report(payload)
         except OSError:

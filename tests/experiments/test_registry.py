@@ -50,3 +50,14 @@ class TestTable2Exactness:
     def test_no_mismatches_against_paper(self):
         result = run_experiment("table2", TINY)
         assert result.data["mismatches"] == []
+
+
+def test_scaling_survives_a_zero_base_slope():
+    # On these short traces the largest size's base slope is exactly
+    # zero; its ratio pairs are dropped like NaN pairs, not divided by.
+    result = run_experiment("scaling", ExperimentSettings(
+        trace_length=3000, seed=7, full=False, n_jobs=1,
+        pass_cache_dir="", stack_pass=False, sample="",
+    ))
+    assert result.ok
+    assert 0.0 in result.data["fraction_slopes_base"]

@@ -197,7 +197,8 @@ class TestPassCacheCLI:
         ]) == 0
         capsys.readouterr()
         payload = json.loads(out_path.read_text())
-        assert payload["pass_cache"]["puts"] == 1
+        assert "pass_cache" not in payload
+        assert payload["metrics"]["counters"]["passcache.puts"] == 1
 
     def test_cache_stats_gc_verify(self, capsys, tmp_path):
         directory = str(tmp_path / "pc")
@@ -285,11 +286,13 @@ class TestSamplingCLI:
         capsys.readouterr()
         payload = json.loads(out_path.read_text())
         assert payload["schema"] == REPORT_SCHEMA
-        block = payload["sampling"]
-        assert block["estimates"] == 1
-        assert block["validations"] == 1
-        assert block["refs_sampled"] < block["refs_full"]
-        assert block["ci_half_width"] >= 0.0
+        counters = payload["metrics"]["counters"]
+        gauges = payload["metrics"]["gauges"]
+        assert counters["sampling.estimates"] == 1
+        assert counters["sampling.validations"] == 1
+        assert counters["sampling.refs_sampled"] < counters["sampling.refs_full"]
+        assert gauges["sampling.ci_half_width"] >= 0.0
+        assert gauges["sampling.true_error_max"] >= 0.0
 
     def test_advise_sample_prints_summary_line(self, capsys):
         assert main([

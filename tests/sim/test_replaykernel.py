@@ -18,11 +18,9 @@ from repro.sim.fastpath import EventStream, functional_pass, replay
 from repro.sim.replaykernel import (
     REPLAY_SCHEMA,
     BatchReplayKernel,
-    KernelStats,
     TimingPoint,
     outcome_from_dict,
     outcome_to_dict,
-    replay_batch,
 )
 from repro.sim.statistics import CacheCounters
 from repro.units import KB
@@ -249,20 +247,6 @@ def test_kernel_stats_account_every_event(mu3_small):
         == stream.n_events * len(points)
     )
     assert stats.vectorized_events > 0
-
-
-def test_replay_batch_wrapper_merges_stats(mu3_small):
-    config = baseline_config(cache_size_bytes=8 * KB)
-    stream = functional_pass(config, mu3_small)
-    stats = KernelStats(scalar_replays=2)
-    points = [TimingPoint(memory=config.memory, cycle_ns=40.0)]
-    outcomes = replay_batch(stream, points, stats=stats)
-    assert len(outcomes) == 1
-    assert stats.batch_outcomes == 1
-    assert stats.scalar_replays == 2
-    merged = KernelStats()
-    merged.merge(stats)
-    assert merged.as_dict() == stats.as_dict()
 
 
 def test_timing_point_validation():

@@ -415,15 +415,22 @@ class TestEstimator:
 # ----------------------------------------------------------------------
 class TestSamplingStats:
     def test_merge_sums_counters_and_maxes_error(self):
-        a = SamplingStats(selections=1, refs_sampled=10,
-                          validations=1, true_error_max=0.01)
-        b = SamplingStats(selections=2, refs_sampled=5,
-                          validations=1, true_error_max=0.03)
-        a.merge(b)
-        assert a.selections == 3
-        assert a.refs_sampled == 15
-        assert a.validations == 2
-        assert a.true_error_max == 0.03
+        """Two runs' published stats merge into one registry view:
+        counters sum and the error gauge keeps the worst run."""
+        merged = MetricsRegistry()
+        for stats in (
+            SamplingStats(selections=1, refs_sampled=10,
+                          validations=1, true_error_max=0.03),
+            SamplingStats(selections=2, refs_sampled=5,
+                          validations=1, true_error_max=0.01),
+        ):
+            registry = MetricsRegistry()
+            stats.publish(registry)
+            merged.merge(registry.as_dict())
+        assert merged.counters["sampling.selections"] == 3
+        assert merged.counters["sampling.refs_sampled"] == 15
+        assert merged.counters["sampling.validations"] == 2
+        assert merged.gauges["sampling.true_error_max"] == 0.03
 
     def test_publish_mirrors_counters(self):
         registry = MetricsRegistry()
@@ -504,12 +511,13 @@ class TestComposition:
         cycles = [40.0]
         exact = run_speed_size_sweep(suite, sizes, cycles)
         plan = SamplingPlan(interval_refs=6000, n_clusters=4)
-        stats = SamplingStats()
+        registry = MetricsRegistry()
         sampled = run_speed_size_sweep(
-            suite, sizes, cycles, sampling=plan, sampling_stats=stats
+            suite, sizes, cycles, sampling=plan, registry=registry
         )
-        assert stats.estimates > 0
-        assert stats.refs_sampled < stats.refs_full
+        counters = registry.counters
+        assert counters["sampling.estimates"] > 0
+        assert counters["sampling.refs_sampled"] < counters["sampling.refs_full"]
         assert sampled.total_sizes == exact.total_sizes
         miss_gap = np.abs(
             sampled.read_miss_ratio - exact.read_miss_ratio
@@ -551,12 +559,13 @@ class TestComposition:
             interval_refs=6000, n_clusters=3,
             validate=True, validate_period=1,
         )
-        stats = SamplingStats()
+        registry = MetricsRegistry()
         run_speed_size_sweep(
-            suite, [8 * KB], [40.0], sampling=plan, sampling_stats=stats
+            suite, [8 * KB], [40.0], sampling=plan, registry=registry
         )
-        assert stats.validations == 2  # one per job at period 1
-        assert stats.true_error_max < 0.05
+        # one per job at period 1
+        assert registry.counters["sampling.validations"] == 2
+        assert registry.gauges["sampling.true_error_max"] < 0.05
 
     def test_sampled_simulate_is_picklable_and_returns_stats(self):
         runner = functools.partial(

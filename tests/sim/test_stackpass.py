@@ -324,13 +324,22 @@ class TestRandomizedMatrix:
 
 class TestStats:
     def test_merge_and_dict(self):
+        """Two walks' stats merge by publishing into one registry."""
+        from repro.sim.telemetry import MetricsRegistry
+
         a = StackPassStats(walks=1, derived_streams=3, reused_streams=2,
                            fallback_passes=1)
         b = StackPassStats(walks=2, derived_streams=1)
-        a.merge(b)
         assert a.as_dict() == {
-            "walks": 3, "derived_streams": 4, "reused_streams": 2,
+            "walks": 1, "derived_streams": 3, "reused_streams": 2,
             "fallback_passes": 1,
+        }
+        registry = MetricsRegistry()
+        a.publish(registry)
+        b.publish(registry)
+        assert registry.counters == {
+            "stackpass.walks": 3, "stackpass.derived_streams": 4,
+            "stackpass.reused_streams": 2, "stackpass.fallback_passes": 1,
         }
 
     def test_publish_to_registry(self):
@@ -347,32 +356,35 @@ class TestStats:
         from repro.sim.telemetry import MetricsRegistry
 
         registry = MetricsRegistry()
-        caller = StackPassStats()
         run_speed_size_sweep(
             [tiny_trace], [2 * KB, 4 * KB], [20.0, 40.0],
-            functional_strategy="stack", stack_stats=caller,
-            registry=registry,
+            functional_strategy="stack", registry=registry,
         )
         counters = registry.as_dict()["counters"]
         assert counters["stackpass.walks"] == 1
-        assert caller.walks == 1  # merged back into the caller's stats
+        assert counters["stackpass.derived_streams"] == 2
 
 
 class TestRunReportBlock:
+    """Stack-pass counters travel in the RunReport ``metrics`` block."""
+
+    _COUNTERS = {"stackpass.walks": 1, "stackpass.derived_streams": 2}
+
     def test_stack_pass_block_round_trips(self):
         from repro.sim.telemetry import REPORT_SCHEMA, RunReport
 
-        assert REPORT_SCHEMA >= 6
+        assert REPORT_SCHEMA >= 8
         report = RunReport(
             run_id="r", trace="t", config="c", simulator="fastpath",
             n_refs_total=10, n_refs_measured=8, cycles=100,
             total_cycles=120, warm_cycles=20,
-            stack_pass={"walks": 1, "derived_streams": 2},
+            metrics={"counters": dict(self._COUNTERS)},
         )
         payload = report.to_dict()
-        assert payload["stack_pass"] == {"walks": 1, "derived_streams": 2}
+        assert "stack_pass" not in payload
+        assert payload["metrics"]["counters"] == self._COUNTERS
         rebuilt = RunReport.from_dict(payload)
-        assert rebuilt.stack_pass == report.stack_pass
+        assert rebuilt.metrics == report.metrics
 
     def test_older_schema_defaults_empty(self):
         from repro.sim.telemetry import RunReport
@@ -383,7 +395,7 @@ class TestRunReportBlock:
             "n_refs_measured": 1, "cycles": 1, "total_cycles": 1,
             "warm_cycles": 0,
         }
-        assert RunReport.from_dict(payload).stack_pass == {}
+        assert RunReport.from_dict(payload).metrics == {}
 
     def test_aggregate_folds_stack_totals(self):
         from repro.sim.telemetry import RunReport, aggregate_reports
@@ -393,12 +405,16 @@ class TestRunReportBlock:
                 run_id=f"r{i}", trace="t", config="c",
                 simulator="fastpath", n_refs_total=1, n_refs_measured=1,
                 cycles=1, total_cycles=1, warm_cycles=0,
-                stack_pass={"walks": 1, "derived_streams": i},
+                metrics={"counters": {
+                    "stackpass.walks": 1, "stackpass.derived_streams": i,
+                }},
             )
             for i in (1, 2)
         ]
         summary = aggregate_reports(reports)
-        assert summary["stack_pass"] == {"walks": 2, "derived_streams": 3}
+        assert summary["metrics"]["counters"] == {
+            "stackpass.walks": 2, "stackpass.derived_streams": 3,
+        }
 
 
 def test_fully_associative_geometry_direct(tiny_trace):

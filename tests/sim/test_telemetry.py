@@ -28,6 +28,7 @@ from repro.sim.config import (
 )
 from repro.sim.engine import simulate
 from repro.sim.fastpath import fast_simulate
+from repro.sim.sampling import SamplingStats
 from repro.sim.telemetry import (
     BUCKETS,
     CycleLedger,
@@ -40,6 +41,7 @@ from repro.sim.telemetry import (
     build_run_report,
     peak_rss_kb,
     quantization_info,
+    render_counters,
     render_summary,
     truncate_segments,
 )
@@ -438,48 +440,55 @@ class TestRunReport:
     def test_replay_block_round_trips_and_aggregates(
         self, mu3_small, small_config
     ):
+        """Replay-kernel counters ride in ``metrics`` as ``replay.*``."""
         telemetry = Telemetry(ledger=CycleLedger())
         stats = fast_simulate(small_config, mu3_small, telemetry=telemetry)
+        registry = MetricsRegistry()
+        registry.count("replay.scalar_replays")
         report = build_run_report(
             stats, telemetry.ledger, StageTimer(), config=small_config,
-            replay={"scalar_replays": 1},
+            registry=registry,
         )
         payload = report.to_dict()
-        assert payload["replay"] == {"scalar_replays": 1}
+        assert "replay" not in payload
+        assert payload["metrics"]["counters"] == {"replay.scalar_replays": 1}
         assert RunReport.from_dict(payload) == report
-        # Version-2 documents predate the replay block; it defaults off.
-        del payload["replay"]
-        assert RunReport.from_dict(payload).replay == {}
         summary = aggregate_reports([report, report])
-        assert summary["replay"] == {"scalar_replays": 2}
+        assert summary["metrics"]["counters"] == {"replay.scalar_replays": 2}
+        assert "replay: 0 batch outcome(s), 2 scalar replay(s)" in \
+            render_summary(summary)
 
     def test_sampling_block_round_trips_and_aggregates(
         self, mu3_small, small_config
     ):
+        """Sampling counters ride in ``metrics`` as ``sampling.*``; the
+        worst true error is a gauge."""
         telemetry = Telemetry(ledger=CycleLedger())
         stats = fast_simulate(small_config, mu3_small, telemetry=telemetry)
-        block = {
-            "selections": 1, "representatives": 4,
-            "refs_full": 1000, "refs_sampled": 200,
-            "validations": 1, "true_error_max": 0.004,
-        }
+        registry = MetricsRegistry()
+        SamplingStats(
+            selections=1, representatives=4, refs_full=1000,
+            refs_sampled=200, validations=1, true_error_max=0.004,
+        ).publish(registry)
         report = build_run_report(
             stats, telemetry.ledger, StageTimer(), config=small_config,
-            sampling=block,
+            registry=registry,
         )
         payload = report.to_dict()
-        assert payload["sampling"] == block
+        assert "sampling" not in payload
+        assert payload["metrics"]["counters"]["sampling.refs_sampled"] == 200
+        assert payload["metrics"]["gauges"] == {
+            "sampling.true_error_max": 0.004
+        }
         assert RunReport.from_dict(payload) == report
-        # Version-6 documents predate the sampling block.
-        del payload["sampling"]
-        assert RunReport.from_dict(payload).sampling == {}
         summary = aggregate_reports([report, report])
-        # Counters sum across runs; *_max keys keep the worst value.
-        assert summary["sampling"]["refs_sampled"] == 400
-        assert summary["sampling"]["true_error_max"] == 0.004
+        # Counters sum across runs; the gauge keeps the worst value.
+        metrics = summary["metrics"]
+        assert metrics["counters"]["sampling.refs_sampled"] == 400
+        assert metrics["gauges"]["sampling.true_error_max"] == 0.004
         text = render_summary(summary)
         assert "sampling:" in text
-        assert "max true error 0.0040" in text
+        assert "true error max 0.0040" in text
 
     def test_sampling_line_omitted_without_sampling(
         self, mu3_small, small_config
@@ -537,6 +546,30 @@ class TestMetricsRegistry:
         assert target.spans["s"]["count"] == 2
         assert target.spans["s"]["max_s"] == source.spans["s"]["max_s"]
 
+    def test_merge_keeps_larger_gauge_in_either_order(self):
+        low = {"gauges": {"sampling.true_error_max": 0.01}}
+        high = {"gauges": {"sampling.true_error_max": 0.03}}
+        for dumps in ((low, high), (high, low)):
+            registry = MetricsRegistry()
+            for dump in dumps:
+                registry.merge(dump)
+            assert registry.gauges == {"sampling.true_error_max": 0.03}
+
+    def test_render_counters_one_line_per_subsystem(self):
+        registry = MetricsRegistry()
+        registry.count_many("passcache", {"hits": 1, "misses": 2})
+        registry.count("stackpass.walks")
+        registry.count("unlisted.thing", 5)
+        # A gauge alone does not make a subsystem present.
+        registry.gauge("sampling.true_error_max", 0.5)
+        assert render_counters(registry.as_dict()) == [
+            "pass cache: 1 hit(s), 2 miss(es), 0 corrupt, 0 B read, "
+            "0 B written",
+            "stack pass: 1 shared walk(s), 0 stream(s) derived, 0 reused, "
+            "0 fallback pass(es)",
+        ]
+        assert render_counters({}) == []
+
     def test_merge_ignores_malformed_dumps(self):
         registry = MetricsRegistry()
         registry.merge("not a dict")
@@ -579,6 +612,56 @@ class TestRunReportSchemaDrift:
         del payload["metrics"]
         report = RunReport.from_dict(payload)
         assert report.metrics == {}
+
+    @pytest.mark.parametrize("block, values, counters, gauges", [
+        ("pass_cache", {"hits": 2, "misses": 1},
+         {"passcache.hits": 2, "passcache.misses": 1}, {}),
+        ("replay", {"scalar_replays": 1},
+         {"replay.scalar_replays": 1}, {}),
+        ("fabric", {"leases_issued": 2, "leases_lost": 1},
+         {"fabric.leases_issued": 2, "fabric.leases_lost": 1}, {}),
+        ("stack_pass", {"walks": 1, "derived_streams": 3},
+         {"stackpass.walks": 1, "stackpass.derived_streams": 3}, {}),
+        ("sampling", {"selections": 1, "true_error_max": 0.004},
+         {"sampling.selections": 1}, {"sampling.true_error_max": 0.004}),
+    ])
+    def test_schema7_block_folds_into_metrics(
+        self, mu3_small, small_config, block, values, counters, gauges
+    ):
+        payload = self._payload(mu3_small, small_config)
+        payload.update({"schema": 7, block: values, "metrics": {}})
+        unknown = []
+        report = RunReport.from_dict(payload, unknown=unknown)
+        assert unknown == []
+        assert report.metrics["counters"] == counters
+        assert report.metrics["gauges"] == gauges
+        # The upgrade rule covers old documents only: at schema 8 the
+        # block is foreign.
+        payload["schema"] = 8
+        unknown = []
+        assert RunReport.from_dict(payload, unknown=unknown).metrics == {}
+        assert unknown == [block]
+
+    def test_schema7_mirrored_pass_cache_counts_once(
+        self, mu3_small, small_config
+    ):
+        # Schemas 5–7 with a registry mirrored passcache.* into both
+        # the pass_cache block and the metrics dump.
+        payload = self._payload(mu3_small, small_config)
+        payload.update({
+            "schema": 7,
+            "pass_cache": {"hits": 3, "misses": 0, "bytes_read": 90},
+            "metrics": {
+                "counters": {"passcache.hits": 3, "passcache.bytes_read": 90},
+                "gauges": {}, "spans": {},
+            },
+        })
+        report = RunReport.from_dict(payload)
+        assert report.metrics["counters"] == {
+            "passcache.hits": 3, "passcache.bytes_read": 90,
+        }
+        summary = aggregate_reports([report, report])
+        assert summary["metrics"]["counters"]["passcache.hits"] == 6
 
     def test_non_object_payload_rejected(self):
         with pytest.raises(CorruptResultError, match="expected object"):
@@ -652,6 +735,28 @@ class TestAggregation:
         text = render_summary(summary)
         assert "cycle conservation: ok" in text
         assert "slowest runs:" in text
+
+    def test_sweep_level_fabric_overrides_run_sums(self):
+        reports = [
+            RunReport(
+                run_id=f"r{i}", trace="t", config="c",
+                simulator="fastpath", n_refs_total=1, n_refs_measured=1,
+                cycles=1, total_cycles=1, warm_cycles=0, conserved=True,
+                metrics={"counters": {
+                    "fabric.leases_issued": 1, "passcache.hits": 1,
+                }},
+            )
+            for i in (1, 2)
+        ]
+        summary = aggregate_reports(
+            reports, fabric={"workers": 2, "leases_issued": 5}
+        )
+        assert summary["metrics"]["counters"] == {
+            "fabric.leases_issued": 5, "fabric.workers": 2,
+            "passcache.hits": 2,
+        }
+        assert "fabric: 2 worker(s), 5 lease(s) issued" in \
+            render_summary(summary)
 
     def test_violations_are_named(self):
         bad = RunReport(

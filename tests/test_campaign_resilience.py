@@ -12,6 +12,7 @@ results byte-identical to a fault-free sweep.
 """
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -430,6 +431,43 @@ class TestExecutor:
         )
         assert report.records[0].status == "timeout"
         assert "cooperative" in report.records[0].error
+
+    def test_unbounded_join_never_reads_as_timeout(self, tmp_path, config,
+                                                   trace):
+        # Without a timeout the join is unbounded, yet is_alive() can
+        # still read true when another thread's Process.start() reaped
+        # the child first.  That must not take the timeout branch (and
+        # format a None deadline).
+        class ReapedElsewhere:
+            exitcode = 0
+
+            def __init__(self, target, args, daemon):
+                self._run = lambda: target(*args)
+
+            def start(self):
+                self._run()  # the worker finishes and sends inline
+
+            def join(self, timeout=None):
+                pass
+
+            def is_alive(self):
+                return True
+
+            def terminate(self):
+                raise AssertionError("terminated a finished worker")
+
+        class Context:
+            Pipe = staticmethod(multiprocessing.Pipe)
+            Process = ReapedElsewhere
+
+        executor, _ = make_executor(
+            Campaign(tmp_path), mp_context=Context(),
+            retry=RetryPolicy(max_attempts=1),
+        )
+        report = executor.run_sweep(sweep_jobs([config], [trace]))
+        assert report.records[0].status == "ok"
+        assert Campaign(tmp_path).load(report.records[0].run_id) == \
+            fast_simulate(config, trace)
 
 
 # ----------------------------------------------------------------------
