@@ -546,10 +546,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "after the run")
     lint.add_argument("--why", default="",
                       metavar="RULE[:PATH]",
-                      help="explain an interprocedural rule: print the "
-                           "call chain(s) behind REPRO012/REPRO013 (or "
-                           "the REPRO014 findings) for modules "
-                           "matching PATH, then exit")
+                      help="explain a graph rule: print the call "
+                           "chain(s) behind REPRO001/REPRO003 (or the "
+                           "REPRO014 findings) for modules matching "
+                           "PATH, then exit")
     lint.set_defaults(func=_cmd_lint)
 
     camp = sub.add_parser(
@@ -866,7 +866,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         Baseline, all_rules, find_repo_root, lint_paths, load_config,
         run_self_test,
     )
-    from .lint.framework import collect_sources
+    from .lint.framework import LintInputError, collect_sources
     from .lint.rules_structure import write_fingerprints
 
     if args.self_test:
@@ -881,7 +881,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
     root = find_repo_root(paths[0])
-    config = load_config(root)
+    try:
+        config = load_config(root)
+    except LintInputError as exc:
+        print(f"repro-sim lint: error: {exc}", file=sys.stderr)
+        return 2
     rules = all_rules(config)
     if args.rule:
         known = {r.rule_id for r in rules}
@@ -930,11 +934,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         Path(args.baseline) if args.baseline
         else root / "lint-baseline.json"
     )
-    result = lint_paths(
-        paths, root=root, config=config, rules=rules,
-        use_cache=not args.no_cache,
-        baseline_path=baseline_path,
-    )
+    try:
+        result = lint_paths(
+            paths, root=root, config=config, rules=rules,
+            use_cache=not args.no_cache,
+            baseline_path=baseline_path,
+        )
+    except LintInputError as exc:
+        print(f"repro-sim lint: error: {exc}", file=sys.stderr)
+        return 2
     if args.write_baseline:
         sources = {s.rel: s for s in collect_sources(paths, root)}
         pairs = [

@@ -20,6 +20,7 @@ from .framework import (  # noqa: F401
     Baseline,
     LintCache,
     LintConfig,
+    LintInputError,
     LintResult,
     Rule,
     SourceFile,
@@ -42,6 +43,7 @@ __all__ = [
     "Baseline",
     "LintCache",
     "LintConfig",
+    "LintInputError",
     "LintResult",
     "Rule",
     "SourceFile",

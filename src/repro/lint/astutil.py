@@ -1,15 +1,15 @@
 """Shared AST helpers for the reprolint rules.
 
 Everything here is pure stdlib-:mod:`ast` analysis: canonicalizing
-call targets through a module's import aliases, locating enclosing
-function definitions, and classifying expressions that can introduce
-floats into integer cycle arithmetic.
+call targets through a module's import aliases, reading dict-literal
+keys and assignment targets, and classifying expressions that can
+introduce floats into integer cycle arithmetic.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 # ----------------------------------------------------------------------
@@ -166,27 +166,6 @@ def canonical_call_name(
 # ----------------------------------------------------------------------
 # Structure helpers
 # ----------------------------------------------------------------------
-def walk_functions(
-    tree: ast.AST,
-) -> Iterator[Tuple[ast.AST, Optional[ast.AST]]]:
-    """Yield ``(node, enclosing_function)`` for every node.
-
-    ``enclosing_function`` is the innermost FunctionDef/AsyncFunctionDef
-    containing the node (``None`` at module/class level).
-    """
-    def visit(node: ast.AST, func: Optional[ast.AST]):
-        yield node, func
-        inner = (
-            node
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            else func
-        )
-        for child in ast.iter_child_nodes(node):
-            yield from visit(child, inner)
-
-    yield from visit(tree, None)
-
-
 def dict_literal_keys(node: ast.AST) -> Optional[List[str]]:
     """Constant string keys of a dict literal (``None`` for non-dicts
     or dicts with any non-constant key, including ``**spread``)."""

@@ -14,7 +14,9 @@ Pieces:
 * :class:`Violation` — one finding, locatable and JSON-able;
 * :class:`Rule` — base class; file-scope rules get one parsed
   :class:`SourceFile` at a time, project-scope rules see the whole file
-  set at once (registry consistency, schema fingerprints);
+  set at once (the project graph, registry consistency, schema
+  fingerprints), and the audit rule sees every other rule's raw
+  findings;
 * suppression — ``# reprolint: disable=REPRO001`` on the offending
   line, or ``# reprolint: disable-file=REPRO001`` anywhere in the first
   :data:`FILE_SUPPRESS_WINDOW` lines;
@@ -35,10 +37,12 @@ import hashlib
 import json
 import re
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 #: Bumped whenever rule behaviour changes; invalidates stale caches.
-LINT_VERSION = 3
+LINT_VERSION = 4
 
 #: ``disable-file=`` comments are honoured only this early in a file,
 #: so a whole-file opt-out is visible at the top where reviewers look.
@@ -161,29 +165,25 @@ class LintConfig:
     """Effective configuration; defaults mirror ``[tool.reprolint]``."""
 
     enabled: Tuple[str, ...] = ()  # empty means "all registered rules"
-    #: Packages whose simulation results must be deterministic
-    #: (REPRO001/REPRO002 guard these).
+    #: Packages whose simulation results must be deterministic: no
+    #: function here may reach a wall-clock/entropy source (REPRO001),
+    #: and cycle arithmetic stays integer (REPRO002).
     deterministic_paths: Tuple[str, ...] = (
         "repro/sim", "repro/cache", "repro/memory", "repro/cpu", "repro/vm",
     )
-    #: Modules that persist campaign/metrics state (REPRO003).
-    persistence_modules: Tuple[str, ...] = (
+    #: Modules whose files must appear atomically — campaign results,
+    #: pass-cache entries, spool leases, bench records: no function
+    #: here may reach a raw write (REPRO003) or serialize a monotonic
+    #: reading (REPRO014).
+    write_scoped_modules: Tuple[str, ...] = (
         "repro/sim/campaign.py",
         "repro/sim/resilience.py",
         "repro/sim/telemetry.py",
         "repro/sim/faults.py",
+        "repro/sim/passcache.py",
+        "repro/sim/workqueue.py",
+        "repro/sim/benchhistory.py",
     )
-    #: Modules implementing the functional-pass cache (REPRO009 holds
-    #: them to the same atomic-write contract as persistence modules).
-    pass_cache_modules: Tuple[str, ...] = ("repro/sim/passcache.py",)
-    #: Modules implementing the durable work-queue fabric (REPRO010:
-    #: spool/lease state is a coordination token — a torn write breaks
-    #: mutual exclusion, so the atomic-writer contract is mandatory).
-    workqueue_modules: Tuple[str, ...] = ("repro/sim/workqueue.py",)
-    #: Modules emitting benchmark records (REPRO011: the history is the
-    #: perf-ratchet baseline — a torn append silently shrinks it, so
-    #: BENCH emitters must write through the atomic primitives).
-    bench_modules: Tuple[str, ...] = ("repro/sim/benchhistory.py",)
     #: Functions allowed to perform raw writes (the atomic primitives:
     #: staged rename, and the exclusive hard-link claim).
     atomic_writers: Tuple[str, ...] = (
@@ -200,17 +200,6 @@ class LintConfig:
     fingerprints_path: str = "src/repro/lint/schema_fingerprints.json"
     #: Schema payloads REPRO008 tracks.
     schemas: Tuple[SchemaSpec, ...] = DEFAULT_SCHEMAS
-    #: Simulation hot-path modules: REPRO012 proves no call chain from
-    #: any function here reaches a wall-clock/entropy source, even
-    #: through helpers in modules the per-file rules never scope.
-    hot_path_modules: Tuple[str, ...] = (
-        "repro/sim/engine.py",
-        "repro/sim/fastpath.py",
-        "repro/sim/replaykernel.py",
-        "repro/sim/passcache.py",
-        "repro/sim/stackpass.py",
-        "repro/sim/sampling.py",
-    )
     #: Direct fingerprint injection (tests/self-test); wins over file.
     fingerprints_data: Optional[Mapping] = None
     #: On-disk project-graph cache (set by lint_paths with the cache
@@ -218,10 +207,17 @@ class LintConfig:
     graph_cache_path: Optional[str] = None
 
 
-def _tuple(value) -> Tuple[str, ...]:
-    if isinstance(value, str):
-        return (value,)
-    return tuple(str(v) for v in value)
+class LintInputError(ValueError):
+    """Malformed linter input (``[tool.reprolint]``, baseline file);
+    the CLI reports it on one line and exits 2."""
+
+
+#: ``[tool.reprolint]`` keys: list-of-string keys, then string keys.
+_LIST_KEYS = (
+    "enabled", "deterministic-paths", "write-scoped-modules",
+    "atomic-writers", "exception-paths",
+)
+_STR_KEYS = ("experiments-package", "config-module", "fingerprints-path")
 
 
 def load_config(root: Path) -> LintConfig:
@@ -229,7 +225,9 @@ def load_config(root: Path) -> LintConfig:
 
     Uses :mod:`tomllib` when available (Python >= 3.11); on older
     interpreters, or when the table is absent, the built-in defaults
-    (which mirror the committed table) apply.
+    (which mirror the committed table) apply.  Unknown keys, values of
+    the wrong type and ``enabled`` ids naming no registered rule raise
+    :class:`LintInputError` rather than silently linting less.
     """
     pyproject = root / "pyproject.toml"
     if not pyproject.is_file():
@@ -246,28 +244,36 @@ def load_config(root: Path) -> LintConfig:
     section = table.get("tool", {}).get("reprolint", {})
     if not isinstance(section, dict) or not section:
         return LintConfig()
+    where = f"{pyproject}: [tool.reprolint]"
     kwargs = {}
-    mapping = {
-        "enabled": "enabled",
-        "deterministic-paths": "deterministic_paths",
-        "persistence-modules": "persistence_modules",
-        "pass-cache-modules": "pass_cache_modules",
-        "workqueue-modules": "workqueue_modules",
-        "bench-modules": "bench_modules",
-        "atomic-writers": "atomic_writers",
-        "exception-paths": "exception_paths",
-        "hot-path-modules": "hot_path_modules",
-    }
-    for key, attr in mapping.items():
-        if key in section:
-            kwargs[attr] = _tuple(section[key])
-    for key, attr in (
-        ("experiments-package", "experiments_package"),
-        ("config-module", "config_module"),
-        ("fingerprints-path", "fingerprints_path"),
-    ):
-        if key in section:
-            kwargs[attr] = str(section[key])
+    for key, value in section.items():
+        if key in _LIST_KEYS:
+            if not isinstance(value, list) or \
+                    not all(isinstance(v, str) for v in value):
+                raise LintInputError(
+                    f"{where} {key} must be a list of strings, "
+                    f"got {value!r}"
+                )
+            value = tuple(value)
+        elif key in _STR_KEYS:
+            if not isinstance(value, str):
+                raise LintInputError(
+                    f"{where} {key} must be a string, got {value!r}"
+                )
+        else:
+            raise LintInputError(
+                f"{where} has unknown key {key!r}; known keys: "
+                f"{', '.join(_LIST_KEYS + _STR_KEYS)}"
+            )
+        kwargs[key.replace("-", "_")] = value
+    known = {r.rule_id for r in _registered_rules()}
+    unknown = [r for r in kwargs.get("enabled", ()) if r not in known]
+    if unknown:
+        raise LintInputError(
+            f"{where} enabled names unknown rule(s) "
+            f"{', '.join(unknown)}; registered: "
+            f"{', '.join(sorted(known))}"
+        )
     return LintConfig(**kwargs)
 
 
@@ -363,8 +369,10 @@ class Rule:
 
     Subclasses set :attr:`rule_id`, :attr:`title` and
     :attr:`invariant` (the *runtime* property the static check
-    protects), and implement :meth:`check_file` (``scope = "file"``) or
-    :meth:`check_project` (``scope = "project"``).
+    protects), and implement :meth:`check_file` (``scope = "file"``),
+    :meth:`check_project` (``scope = "project"``) or :meth:`audit`
+    (``scope = "audit"``: judged per file against the other rules'
+    raw, pre-suppression findings).
     """
 
     rule_id: str = "REPRO000"
@@ -385,6 +393,12 @@ class Rule:
     ) -> List[Violation]:
         return []
 
+    def audit(
+        self, src: SourceFile, raw: Sequence[Violation],
+        judged: Set[str],
+    ) -> List[Violation]:
+        return []
+
 
 # ----------------------------------------------------------------------
 # Per-file result cache
@@ -398,8 +412,9 @@ class LintCache:
     ``--rule`` selections can never serve a stale result.  Entries for
     a bounded number of recent signatures coexist, so alternating
     between (say) a full run and a ``--rule REPRO002`` run does not
-    thrash the cache.  Project-scope rules are never cached — they are
-    cross-file by definition.
+    thrash the cache.  Entries hold raw (pre-suppression) findings.
+    Project-scope rules are never cached — they are cross-file by
+    definition.
     """
 
     #: How many distinct (version, rules, config) generations keep
@@ -497,7 +512,13 @@ class Baseline:
         entries = payload.get("entries", {})
         if not isinstance(entries, dict):
             return cls()
-        return cls({str(k): int(v) for k, v in entries.items()})
+        for key, count in entries.items():
+            if not isinstance(count, int) or isinstance(count, bool):
+                raise LintInputError(
+                    f"{path}: baseline entry {key!r} has non-integer "
+                    f"count {count!r}"
+                )
+        return cls({str(k): v for k, v in entries.items()})
 
     @classmethod
     def from_violations(
@@ -579,15 +600,11 @@ class LintResult:
 
 
 def _registered_rules() -> List[Rule]:
-    from .rules_determinism import DETERMINISM_RULES
-    from .rules_interproc import INTERPROC_RULES
-    from .rules_robustness import ROBUSTNESS_RULES
+    from .rules_interproc import GRAPH_RULES
+    from .rules_robustness import FILE_RULES
     from .rules_structure import STRUCTURE_RULES
 
-    return [
-        *DETERMINISM_RULES, *ROBUSTNESS_RULES, *STRUCTURE_RULES,
-        *INTERPROC_RULES,
-    ]
+    return [*FILE_RULES, *GRAPH_RULES, *STRUCTURE_RULES]
 
 
 def all_rules(config: Optional[LintConfig] = None) -> List[Rule]:
@@ -637,6 +654,7 @@ def collect_sources(
 def _check_one(
     src: SourceFile, rules: Sequence[Rule], config: LintConfig
 ) -> List[Violation]:
+    """Raw (pre-suppression) findings of the file-scope ``rules``."""
     if src.syntax_error is not None:
         exc = src.syntax_error
         return [Violation(
@@ -644,14 +662,12 @@ def _check_one(
             line=exc.lineno or 1, col=(exc.offset or 1) - 1,
             message=f"syntax error: {exc.msg}",
         )]
-    found: List[Violation] = []
-    for rule in rules:
-        if rule.scope != "file" or not rule.applies_to(src.rel, config):
-            continue
-        for violation in rule.check_file(src, config):
-            if not src.suppressed(violation.line, rule.rule_id):
-                found.append(violation)
-    return found
+    return [
+        violation
+        for rule in rules
+        if rule.scope == "file" and rule.applies_to(src.rel, config)
+        for violation in rule.check_file(src, config)
+    ]
 
 
 def lint_sources(
@@ -661,33 +677,52 @@ def lint_sources(
     cache: Optional[LintCache] = None,
     baseline: Optional[Baseline] = None,
 ) -> LintResult:
-    """Lint already-loaded sources (fixtures, tests, editor buffers)."""
+    """Lint already-loaded sources (fixtures, tests, editor buffers).
+
+    Every rule first yields its *raw* findings; suppression comments
+    filter them afterwards, so an audit rule (REPRO015) can judge each
+    comment against exactly what it suppresses.  An audit widens the
+    rules that run to every enabled one; only the selected rules'
+    findings are reported.
+    """
     config = config or LintConfig()
     rules = list(rules) if rules is not None else all_rules(config)
-    by_rel = {src.rel: src for src in sources}
-    pairs: List[Tuple[Violation, str]] = []
+    audits = [r for r in rules if r.scope == "audit"]
+    judged = [
+        r for r in (all_rules(config) if audits else rules)
+        if r.scope != "audit"
+    ]
+    raw: Dict[str, List[Violation]] = {}
     for src in sources:
-        cached = cache.get(src) if cache is not None else None
-        if cached is None:
-            found = _check_one(src, rules, config)
+        found = cache.get(src) if cache is not None else None
+        if found is None:
+            found = _check_one(src, judged, config)
             if cache is not None:
                 cache.put(src, found)
-        else:
-            found = cached
-        pairs.extend((v, src.source_line(v.line)) for v in found)
-    for rule in rules:
-        if rule.scope != "project":
-            continue
-        for violation in rule.check_project(list(sources), config):
-            src = by_rel.get(violation.path)
-            if src is not None and src.suppressed(
-                violation.line, rule.rule_id
-            ):
-                continue
-            line_text = (
-                src.source_line(violation.line) if src is not None else ""
+        raw[src.rel] = list(found)
+    for rule in judged:
+        if rule.scope == "project":
+            for violation in rule.check_project(list(sources), config):
+                raw.setdefault(violation.path, []).append(violation)
+    judged_ids = {r.rule_id for r in judged}
+    reported = {r.rule_id for r in rules} | {"REPRO000"}
+    by_rel = {src.rel: src for src in sources}
+    for rule in audits:
+        for src in sources:
+            raw[src.rel].extend(
+                rule.audit(src, raw[src.rel], judged_ids)
             )
-            pairs.append((violation, line_text))
+    pairs: List[Tuple[Violation, str]] = []
+    for rel, found in raw.items():
+        src = by_rel.get(rel)
+        for violation in found:
+            if violation.rule_id not in reported:
+                continue
+            if src is None:
+                pairs.append((violation, ""))
+            elif violation.rule_id == "REPRO000" or \
+                    not src.suppressed(violation.line, violation.rule_id):
+                pairs.append((violation, src.source_line(violation.line)))
     pairs.sort(key=lambda p: (p[0].path, p[0].line, p[0].rule_id))
     if baseline is not None:
         new, accepted = baseline.partition(pairs)

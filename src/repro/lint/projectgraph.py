@@ -1,20 +1,18 @@
 """Whole-project import/call graph with bottom-up function summaries.
 
-The per-file rules (REPRO001, REPRO003 and friends) see one module at a
-time, so a helper that reads the wall clock or writes a raw file is
-invisible to them the moment it moves one module away from the scoped
-code that calls it.  This module is the second analysis engine: it
-parses every source handed to the linter, builds
+Every rule about *what a function can reach* — REPRO001 (wall clock and
+entropy in simulation code), REPRO003 (raw writes in persistence code),
+REPRO014 (monotonic readings in documents) — is judged here, on one
+graph.  This module parses every source handed to the linter and builds
 
 * a **module-import graph** (who imports whom, project modules only),
 * an **alias-resolved call graph** (``from .campaign import save as s``
   and re-exports through ``__init__`` both resolve to the defining
   function), and
-* **per-function summaries** — for each function (and each module's
-  top-level code, the ``<module>`` pseudo-function), whether it can
-  *transitively* reach a wall-clock/entropy source, perform a raw
-  filesystem write, introduce a float into cycle math, spawn a
-  thread/process, take an exclusive spool claim, or return a monotonic
+* **per-function facts and summaries** — for each function (and each
+  module's top-level code, the ``<module>`` pseudo-function), every
+  direct wall-clock/entropy call and raw filesystem write it contains,
+  and whether it can *transitively* reach one, or return a monotonic
   clock reading.
 
 Summaries are computed bottom-up over the call graph with a fixed-point
@@ -22,7 +20,8 @@ loop, so mutual recursion converges (properties only ever turn on —
 the lattice is a product of booleans).  Each summary stores a *next
 hop* rather than a flat flag: either the offending call site itself or
 the call edge it was inherited through, so ``lint --why`` can print the
-full chain from an entry point down to ``time.time()``.
+full chain from an entry point down to ``time.time()``.  A direct fact
+is a zero-hop chain.
 
 Results are cached on disk (``.reprolint-graph-cache.json``), keyed
 per-module on a fingerprint of the module's **transitive import
@@ -33,8 +32,7 @@ Known over-approximations (deliberate — this is a linter, not a
 verifier): code inside nested functions and lambdas is attributed to
 the enclosing top-level function whether or not the closure is ever
 called, and calls through variables or data structures do not create
-edges (the per-file rules still catch direct use at the definition
-site).
+edges.
 """
 
 from __future__ import annotations
@@ -47,63 +45,69 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .astutil import (
+    _resolve_relative,
     dotted_name,
     import_aliases,
-    is_cycle_counter_name,
-    is_floaty,
     module_dotted,
     module_package,
-    terminal_name,
 )
 from .framework import LintConfig, SourceFile
-from .rules_determinism import _BANNED_CALLS, _BANNED_PREFIXES
-from .rules_robustness import _open_write_mode
 
 #: Bumped whenever summary semantics change; invalidates graph caches.
-GRAPH_VERSION = 1
+GRAPH_VERSION = 2
 
 # The summary lattice: one monotone boolean per property.
 PROP_WALLCLOCK = "wallclock"    # reaches a wall-clock/entropy source
 PROP_RAWWRITE = "rawwrite"      # performs a raw (non-atomic) FS write
-PROP_FLOATCYCLE = "floatcycle"  # introduces a float into cycle math
-PROP_THREAD = "thread"          # spawns a thread/process/pool
-PROP_LEASE = "lease"            # takes an exclusive spool claim
 PROP_MONOTONIC = "monotonic"    # returns a monotonic clock reading
 
-PROPS = (
-    PROP_WALLCLOCK, PROP_RAWWRITE, PROP_FLOATCYCLE,
-    PROP_THREAD, PROP_LEASE, PROP_MONOTONIC,
+PROPS = (PROP_WALLCLOCK, PROP_RAWWRITE, PROP_MONOTONIC)
+
+#: Exact dotted call targets that read a wall clock or entropy source.
+WALLCLOCK_CALLS = {
+    "time.time": "reads the wall clock",
+    "time.time_ns": "reads the wall clock",
+    "time.monotonic": "reads a host clock",
+    "time.monotonic_ns": "reads a host clock",
+    "time.perf_counter": "reads a host clock",
+    "time.perf_counter_ns": "reads a host clock",
+    "time.process_time": "reads a host clock",
+    "time.process_time_ns": "reads a host clock",
+    "datetime.datetime.now": "reads the wall clock",
+    "datetime.datetime.utcnow": "reads the wall clock",
+    "datetime.datetime.today": "reads the wall clock",
+    "datetime.date.today": "reads the wall clock",
+    "datetime.now": "reads the wall clock",
+    "datetime.utcnow": "reads the wall clock",
+    "os.urandom": "draws OS entropy",
+    "uuid.uuid1": "draws host state",
+    "uuid.uuid4": "draws OS entropy",
+}
+
+#: Prefixes banned wholesale: any call into these namespaces is either
+#: entropy or global-RNG state.
+WALLCLOCK_PREFIXES = (
+    ("secrets.", "draws OS entropy"),
+    ("numpy.random.", "uses numpy's global RNG"),
+    ("np.random.", "uses numpy's global RNG"),
 )
 
 #: Host-clock readers (the monotonic-discipline sources, REPRO014).
 HOST_CLOCK_CALLS = frozenset(
-    name for name in _BANNED_CALLS if name.startswith("time.")
+    name for name in WALLCLOCK_CALLS if name.startswith("time.")
 )
 
-_THREAD_CALLS = {
-    "threading.Thread": "spawns a thread",
-    "concurrent.futures.ThreadPoolExecutor": "spawns a thread pool",
-    "concurrent.futures.ProcessPoolExecutor": "spawns worker processes",
-    "multiprocessing.Process": "spawns a process",
-    "multiprocessing.Pool": "spawns a process pool",
-    "os.fork": "forks the process",
-}
+#: open() modes that create or truncate — the dangerous ones.
+_WRITE_MODES = ("w", "a", "x", "+")
 
-_CLAIM_WRITER = "atomic_claim_text"
-
-#: A direct fact is skipped when its line carries a suppression for any
-#: of these rule ids — an accepted, documented exception (StageTimer's
-#: host profiling, the torn-write fault helpers) must not taint every
-#: caller upstream.
+#: A direct fact still counts as a raw finding when its line carries a
+#: suppression for this rule id, but it does not enter the summary: an
+#: accepted, documented exception (StageTimer's host profiling, the
+#: torn-write fault helpers) must not taint every caller upstream.
 _PROP_SUPPRESS: Dict[str, Tuple[str, ...]] = {
-    PROP_WALLCLOCK: ("REPRO001", "REPRO012"),
-    PROP_RAWWRITE: (
-        "REPRO003", "REPRO009", "REPRO010", "REPRO011", "REPRO013",
-    ),
-    PROP_FLOATCYCLE: ("REPRO002",),
+    PROP_WALLCLOCK: ("REPRO001",),
+    PROP_RAWWRITE: ("REPRO003",),
     PROP_MONOTONIC: ("REPRO001", "REPRO014"),
-    PROP_THREAD: (),
-    PROP_LEASE: (),
 }
 
 
@@ -164,6 +168,9 @@ class FunctionNode:
     calls: List[Tuple[int, str]] = dataclasses.field(default_factory=list)
     return_calls: List[Tuple[int, str]] = \
         dataclasses.field(default_factory=list)
+    #: Every direct fact per property, suppressed or not (raw findings).
+    facts: Dict[str, List[Hop]] = dataclasses.field(default_factory=dict)
+    #: The first unsuppressed fact per property (the summary seed).
     direct: Dict[str, Hop] = dataclasses.field(default_factory=dict)
 
 
@@ -299,24 +306,30 @@ class CallResolver:
 
 
 class ProjectGraph:
-    """The built graph: summaries, chains, per-module function lists."""
+    """The built graph: facts, summaries, chains, per-module functions."""
 
     def __init__(
         self,
         tables: Dict[str, ModuleTable],
         dotted_to_rel: Dict[str, str],
+        facts: Dict[str, Dict[str, List[Hop]]],
         summaries: Dict[str, Dict[str, Hop]],
         functions_by_module: Dict[str, List[Tuple[str, int]]],
         stats: GraphStats,
     ) -> None:
         self.tables = tables
         self.dotted_to_rel = dotted_to_rel
+        self.facts = facts
         self.summaries = summaries
         self.functions_by_module = functions_by_module
         self.stats = stats
 
     def summary(self, key: str) -> Dict[str, Hop]:
         return self.summaries.get(key, {})
+
+    def direct_facts(self, key: str, prop: str) -> List[Hop]:
+        """Every direct ``prop`` fact in ``key``, suppressed or not."""
+        return self.facts.get(key, {}).get(prop, [])
 
     def functions_in(self, rel: str) -> List[Tuple[str, int]]:
         """``(qualname, lineno)`` of every function unit in ``rel``."""
@@ -371,7 +384,7 @@ def _graph_signature(config: LintConfig) -> str:
     return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
-#: One-slot memo: the three interprocedural rules (and --why) all build
+#: One-slot memo: the graph rules (and --why) all build
 #: the graph for the same (sources, config) within one lint run.
 _MEMO: Dict[Tuple, ProjectGraph] = {}
 
@@ -439,7 +452,6 @@ def _module_imports(
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
             if node.level:
-                from .astutil import _resolve_relative
                 base = _resolve_relative(package, node.level, base)
             for alias in node.names:
                 if alias.name == "*" or not base:
@@ -508,8 +520,6 @@ def _scan_unit(
         key=fkey(src.rel, qualname), rel=src.rel, qualname=qualname,
         lineno=lineno,
     )
-    aliases = resolver.tables[src.rel].aliases
-
     return_call_ids: Set[int] = set()
     for stmt in stmts:
         for sub in ast.walk(stmt):
@@ -518,12 +528,12 @@ def _scan_unit(
                 return_call_ids.add(id(sub.value))
 
     def add_direct(prop: str, line: int, desc: str) -> None:
-        if prop in node_fn.direct:
-            return
-        if any(src.suppressed(line, rid)
-               for rid in _PROP_SUPPRESS[prop]):
-            return
-        node_fn.direct[prop] = Hop("direct", src.rel, line, desc)
+        hop = Hop("direct", src.rel, line, desc)
+        node_fn.facts.setdefault(prop, []).append(hop)
+        if prop not in node_fn.direct and not any(
+            src.suppressed(line, rid) for rid in _PROP_SUPPRESS[prop]
+        ):
+            node_fn.direct[prop] = hop
 
     def handle_call(call: ast.Call, func_name: Optional[str]) -> None:
         line = call.lineno
@@ -535,60 +545,31 @@ def _scan_unit(
                 node_fn.calls.append((line, callee))
                 if id(call) in return_call_ids:
                     node_fn.return_calls.append((line, callee))
-            if _last_segment(fkey_parts(callee)[1]) == _CLAIM_WRITER:
-                add_direct(PROP_LEASE, line,
-                           f"{_CLAIM_WRITER}() takes an exclusive "
-                           f"spool claim")
         elif hit is not None:
             ext_name = hit[1]
-        if ext_name is not None:
-            _external_facts(call, ext_name, line, add_direct,
-                            return_call_ids)
-        blessed = func_name is not None and \
-            func_name in config.atomic_writers
-        if not blessed:
-            if ext_name == "open":
-                mode = _open_write_mode(call)
-                if mode is not None:
-                    add_direct(PROP_RAWWRITE, line,
-                               f"open(..., {mode!r}) raw write")
-            elif isinstance(call.func, ast.Attribute) and \
-                    call.func.attr in ("write_text", "write_bytes"):
+            why = _wallclock_fact(call, ext_name)
+            if why is not None:
+                add_direct(PROP_WALLCLOCK, line, why)
+            if ext_name in HOST_CLOCK_CALLS and \
+                    id(call) in return_call_ids:
+                add_direct(PROP_MONOTONIC, line, f"returns {ext_name}()")
+        if func_name is not None and func_name in config.atomic_writers:
+            return  # inside a blessed atomic primitive
+        if ext_name == "open":
+            mode = _open_write_mode(call)
+            if mode is not None:
                 add_direct(PROP_RAWWRITE, line,
-                           f".{call.func.attr}() raw write")
+                           f"open(..., {mode!r}) raw write")
+        elif isinstance(call.func, ast.Attribute) and \
+                call.func.attr in ("write_text", "write_bytes"):
+            add_direct(PROP_RAWWRITE, line,
+                       f".{call.func.attr}() raw write")
 
     def visit(node: ast.AST, func_name: Optional[str]) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func_name = node.name
-        if isinstance(node, ast.Call):
+        elif isinstance(node, ast.Call):
             handle_call(node, func_name)
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                flat = (
-                    target.elts
-                    if isinstance(target, (ast.Tuple, ast.List))
-                    else [target]
-                )
-                for t in flat:
-                    name = terminal_name(t)
-                    if is_cycle_counter_name(name) and \
-                            is_floaty(node.value, aliases):
-                        add_direct(
-                            PROP_FLOATCYCLE, node.lineno,
-                            f"float-producing expression assigned to "
-                            f"cycle counter {name!r}",
-                        )
-        elif isinstance(node, ast.AugAssign):
-            name = terminal_name(node.target)
-            if is_cycle_counter_name(name) and (
-                isinstance(node.op, ast.Div)
-                or is_floaty(node.value, aliases)
-            ):
-                add_direct(
-                    PROP_FLOATCYCLE, node.lineno,
-                    f"float-producing expression assigned to cycle "
-                    f"counter {name!r}",
-                )
         for child in ast.iter_child_nodes(node):
             visit(child, func_name)
 
@@ -599,43 +580,41 @@ def _scan_unit(
     return node_fn
 
 
-def _external_facts(
-    call: ast.Call, name: str, line: int, add_direct, return_call_ids
-) -> None:
-    """Classify an external call target into direct facts."""
-    if name in _BANNED_CALLS:
-        add_direct(PROP_WALLCLOCK, line,
-                   f"{name}() {_BANNED_CALLS[name]}")
-    else:
-        for prefix, why in _BANNED_PREFIXES:
-            if name.startswith(prefix):
-                add_direct(PROP_WALLCLOCK, line, f"{name}() {why}")
-                break
-        else:
-            _random_fact(call, name, line, add_direct)
-    if name in HOST_CLOCK_CALLS and id(call) in return_call_ids:
-        add_direct(PROP_MONOTONIC, line, f"returns {name}()")
-    if name in _THREAD_CALLS:
-        add_direct(PROP_THREAD, line, f"{name}() {_THREAD_CALLS[name]}")
-    if _last_segment(name) == _CLAIM_WRITER:
-        add_direct(PROP_LEASE, line,
-                   f"{_CLAIM_WRITER}() takes an exclusive spool claim")
-
-
-def _random_fact(call: ast.Call, name: str, line: int, add_direct):
+def _wallclock_fact(call: ast.Call, name: str) -> Optional[str]:
+    """Why calling external ``name`` breaks determinism, or None."""
+    if name in WALLCLOCK_CALLS:
+        return f"{name}() {WALLCLOCK_CALLS[name]}"
+    for prefix, why in WALLCLOCK_PREFIXES:
+        if name.startswith(prefix):
+            return f"{name}() {why}"
     head, _, tail = name.partition(".")
     if name == "Random" or name.endswith(".Random"):
         if not call.args and not call.keywords:
-            add_direct(PROP_WALLCLOCK, line,
-                       "random.Random() without a seed draws OS entropy")
-        elif call.args and isinstance(call.args[0], ast.Constant) and \
+            return "random.Random() without a seed draws OS entropy"
+        if call.args and isinstance(call.args[0], ast.Constant) and \
                 call.args[0].value is None:
-            add_direct(PROP_WALLCLOCK, line,
-                       "random.Random(None) seeds from OS entropy")
+            return "random.Random(None) seeds from OS entropy"
     elif head == "random" and tail and "." not in tail:
-        add_direct(PROP_WALLCLOCK, line,
-                   f"module-level random.{tail}() uses the "
-                   f"interpreter-global RNG")
+        return (f"module-level random.{tail}() uses the "
+                f"interpreter-global RNG")
+    return None
+
+
+def _open_write_mode(node: ast.Call) -> Optional[str]:
+    """The mode string of an ``open()`` call if it writes, else None."""
+    mode: Optional[ast.AST] = None
+    if len(node.args) >= 2:
+        mode = node.args[1]
+    for keyword in node.keywords:
+        if keyword.arg == "mode":
+            mode = keyword.value
+    if mode is None:
+        return None  # default "r"
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        if any(flag in mode.value for flag in _WRITE_MODES):
+            return mode.value
+        return None
+    return "<dynamic>"  # can't prove it's read-only: flag it
 
 
 def _build(
@@ -685,6 +664,7 @@ def _build(
 
     # Phase 3: split into cache-valid (frozen) and to-scan modules.
     tables: Dict[str, ModuleTable] = {}
+    facts: Dict[str, Dict[str, List[Hop]]] = {}
     summaries: Dict[str, Dict[str, Hop]] = {}
     functions_by_module: Dict[str, List[Tuple[str, int]]] = {}
     frozen: Set[str] = set()
@@ -709,6 +689,10 @@ def _build(
             for q, info in funcs.items()
         )
         for q, info in funcs.items():
+            facts[fkey(s.rel, q)] = {
+                prop: [Hop.from_list(row) for row in rows]
+                for prop, rows in info.get("facts", {}).items()
+            }
             summaries[fkey(s.rel, q)] = {
                 prop: Hop.from_list(row)
                 for prop, row in info.get("summary", {}).items()
@@ -732,6 +716,7 @@ def _build(
         edge_count += module_edges[s.rel]
         for n in mod_nodes:
             nodes[n.key] = n
+            facts[n.key] = n.facts
             summaries[n.key] = dict(n.direct)
 
     # Phase 5: fixed point — propagate properties bottom-up.  Each
@@ -781,13 +766,14 @@ def _build(
     if cache_path is not None and scanned:
         _save_disk_cache(
             cache_path, signature, files, disk, frozen, imports,
-            dep_fp, tables, functions_by_module, summaries,
+            dep_fp, tables, functions_by_module, facts, summaries,
             module_edges,
         )
 
     return ProjectGraph(
         tables=tables,
         dotted_to_rel=dotted_to_rel,
+        facts=facts,
         summaries=summaries,
         functions_by_module=functions_by_module,
         stats=stats,
@@ -804,6 +790,7 @@ def _save_disk_cache(
     dep_fp: Dict[str, str],
     tables: Dict[str, ModuleTable],
     functions_by_module: Dict[str, List[Tuple[str, int]]],
+    facts: Dict[str, Dict[str, List[Hop]]],
     summaries: Dict[str, Dict[str, Hop]],
     module_edges: Dict[str, int],
 ) -> None:
@@ -815,9 +802,14 @@ def _save_disk_cache(
         table = tables[s.rel]
         funcs = {}
         for qualname, lineno in functions_by_module.get(s.rel, []):
-            summary = summaries.get(fkey(s.rel, qualname), {})
+            key = fkey(s.rel, qualname)
+            summary = summaries.get(key, {})
             funcs[qualname] = {
                 "lineno": lineno,
+                "facts": {
+                    prop: [hop.to_list() for hop in hops]
+                    for prop, hops in sorted(facts.get(key, {}).items())
+                },
                 "summary": {
                     prop: hop.to_list()
                     for prop, hop in sorted(summary.items())

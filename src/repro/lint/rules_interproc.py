@@ -1,24 +1,29 @@
-"""Interprocedural rules over the project graph: REPRO012 (hot-path
-determinism taint), REPRO013 (atomic-write reachability), REPRO014
-(monotonic clock discipline).
+"""Rules judged on the project graph: REPRO001 (determinism), REPRO003
+(atomic writes), REPRO014 (monotonic clock discipline).
 
-These are the cross-module closures of invariants the per-file rules
-already enforce locally:
+REPRO001 and REPRO003 share one shape, :class:`ReachRule`: every direct
+fact of their graph property inside a scoped module is a finding (a
+zero-hop chain), and so is every call chain from a scoped function that
+leaves the scope for good — the hole a refactor opens by moving a clock
+read or a write helper one module away.  A chain that passes through
+another scoped function is that function's finding, so one defect is
+reported once, where it leaves the scope.
 
-* REPRO001 flags a ``time.time()`` written *in* a deterministic
-  package; REPRO012 flags a hot-path function whose **call chain**
-  reaches one through helpers in modules REPRO001 never scopes.
-* REPRO003/009/010/011 flag a raw write *in* their scoped modules;
-  REPRO013 flags a raw write a scoped entry point reaches in a module
-  **outside every scope** — the hole a refactor opens by moving a
-  write helper one file away.
+* REPRO001 protects byte-identical re-simulation: the resilience layer
+  quarantines a corrupt result and re-simulates, trusting the retry to
+  produce the exact same file — one ``time.time()`` or unseeded
+  ``random`` call anywhere on the simulation path breaks that.
+* REPRO003 protects atomic persistence: ``fsck``, the quarantine
+  machinery, the pass cache, the lease protocol and the bench ratchet
+  all assume a visible file is complete or checksummed-corrupt, never a
+  torn artifact of a crash.
 * REPRO014 hardens the lease protocol's "expiry by observation only"
   rule: a monotonic clock reading is process-local, so serializing one
-  into a spool/bench document silently re-introduces cross-host clock
+  into a persisted document silently re-introduces cross-host clock
   comparison.  Durations (differences of two readings) are fine.
 
-All three report the full offending chain in the message; ``lint
---why RULE:path`` prints the same chains standalone.
+Chain findings carry the full chain in the message; ``lint --why
+RULE:path`` prints the same chains standalone.
 """
 
 from __future__ import annotations
@@ -44,114 +49,109 @@ from .projectgraph import (
     fkey,
 )
 
-#: The per-module atomic-write scopes REPRO013 unifies: each pairs a
-#: LintConfig attribute with the per-file rule that owns *direct*
-#: writes inside it.  REPRO013 only fires when a chain terminates in a
-#: module covered by none of them.
-WRITE_SCOPES: Tuple[Tuple[str, str], ...] = (
-    ("persistence_modules", "REPRO003"),
-    ("pass_cache_modules", "REPRO009"),
-    ("workqueue_modules", "REPRO010"),
-    ("bench_modules", "REPRO011"),
-)
+
+def _in_scope(rel: str, prefixes: Sequence[str]) -> bool:
+    return any(path_matches(rel, p) for p in prefixes)
 
 
-def _in_write_scope(rel: str, config: LintConfig) -> bool:
-    return any(
-        path_matches(rel, prefix)
-        for attr, _ in WRITE_SCOPES
-        for prefix in getattr(config, attr)
-    )
+class ReachRule(Rule):
+    """A graph property no function in the rule's scope may reach."""
 
-
-class HotPathDeterminismRule(Rule):
-    """REPRO012 — no call chain from hot-path code to the wall clock."""
-
-    rule_id = "REPRO012"
-    title = "hot-path call chains never reach wall-clock/entropy"
-    invariant = (
-        "byte-identical re-simulation, transitively: REPRO001 only "
-        "sees direct calls, so a clean-looking helper in an unscoped "
-        "module can smuggle time.time() into the simulation path — "
-        "the call graph proves no such chain exists"
-    )
     scope = "project"
+    prop: str = ""
+    #: What reaching :attr:`prop` means, for chain messages.
+    reaches: str = ""
+    #: The :class:`LintConfig` field listing the scoped modules.
+    scope_key: str = ""
+
+    def scoped(self, config: LintConfig) -> Tuple[str, ...]:
+        return getattr(config, self.scope_key)
+
+    def exempt(self, qualname: str, config: LintConfig) -> bool:
+        return False
+
+    def remedy(self, config: LintConfig) -> str:
+        raise NotImplementedError
 
     def check_project(
         self, files: Sequence[SourceFile], config: LintConfig
     ) -> List[Violation]:
         graph = build_project_graph(files, config)
+        prefixes = self.scoped(config)
+        remedy = self.remedy(config)
         found: List[Violation] = []
         for src in files:
-            if not any(path_matches(src.rel, p)
-                       for p in config.hot_path_modules):
+            if not _in_scope(src.rel, prefixes):
                 continue
             for qualname, _lineno in graph.functions_in(src.rel):
                 key = fkey(src.rel, qualname)
-                hop = graph.summary(key).get(PROP_WALLCLOCK)
-                if hop is None or hop.kind != "call":
-                    continue  # direct calls are REPRO001's finding
-                found.append(Violation(
-                    rule_id=self.rule_id, path=src.rel,
-                    line=hop.line, col=0,
-                    message=(
-                        f"call chain from {qualname}() reaches a "
-                        f"wall-clock/entropy source: "
-                        f"{graph.describe_chain(key, PROP_WALLCLOCK)}"
-                        f" — hot-path code must be deterministic even "
-                        f"through helpers in unscoped modules"
-                    ),
-                ))
-        return found
-
-
-class AtomicReachabilityRule(Rule):
-    """REPRO013 — scoped entry points never reach an unscoped raw write."""
-
-    rule_id = "REPRO013"
-    title = "persistence entry points never reach unscoped raw writes"
-    invariant = (
-        "atomic persistence, transitively: REPRO003/009/010/011 guard "
-        "writes inside their module scopes — a write helper moved one "
-        "module away would silently escape all four, and only the "
-        "call graph sees the chain back into the scoped entry point"
-    )
-    scope = "project"
-
-    def check_project(
-        self, files: Sequence[SourceFile], config: LintConfig
-    ) -> List[Violation]:
-        graph = build_project_graph(files, config)
-        atomic = set(config.atomic_writers)
-        found: List[Violation] = []
-        for src in files:
-            if not _in_write_scope(src.rel, config):
-                continue
-            for qualname, _lineno in graph.functions_in(src.rel):
-                if qualname.rsplit(".", 1)[-1] in atomic:
-                    continue  # the blessed primitives themselves
-                key = fkey(src.rel, qualname)
-                hop = graph.summary(key).get(PROP_RAWWRITE)
-                if hop is None or hop.kind != "call":
-                    continue  # direct writes are the per-file rules'
-                chain = graph.chain(key, PROP_RAWWRITE)
-                terminal = chain[-1] if chain else None
-                if terminal is None or terminal.kind != "direct":
+                for fact in graph.direct_facts(key, self.prop):
+                    found.append(Violation(
+                        rule_id=self.rule_id, path=src.rel,
+                        line=fact.line, col=0,
+                        message=f"{fact.detail}; {remedy}",
+                    ))
+                hop = graph.summary(key).get(self.prop)
+                if hop is None or hop.kind != "call" or \
+                        self.exempt(qualname, config):
                     continue
-                if _in_write_scope(terminal.rel, config):
-                    continue  # that module's own rule owns the write
+                chain = graph.chain(key, self.prop)
+                if any(_in_scope(h.rel, prefixes) for h in chain[1:]):
+                    continue  # a scoped function further down owns it
                 found.append(Violation(
                     rule_id=self.rule_id, path=src.rel,
                     line=hop.line, col=0,
                     message=(
-                        f"raw write reachable from {qualname}() in an "
-                        f"unscoped module: "
-                        f"{graph.describe_chain(key, PROP_RAWWRITE)}"
-                        f" — route it through "
-                        f"{'/'.join(sorted(atomic))}"
+                        f"call chain from {qualname}() reaches "
+                        f"{self.reaches} in an unscoped module: "
+                        f"{graph.describe_chain(key, self.prop)}; "
+                        f"{remedy}"
                     ),
                 ))
         return found
+
+
+class WallClockEntropyRule(ReachRule):
+    """REPRO001 — simulation code never reaches wall clock or entropy."""
+
+    rule_id = "REPRO001"
+    title = "no wall-clock/entropy reachable from simulation code"
+    invariant = (
+        "byte-identical re-simulation: quarantine-and-retry (PR 1) "
+        "assumes re-running a (config, trace, seed) produces the exact "
+        "same statistics, even through helpers in unscoped modules"
+    )
+    prop = PROP_WALLCLOCK
+    reaches = "a wall-clock/entropy source"
+    scope_key = "deterministic_paths"
+
+    def remedy(self, config: LintConfig) -> str:
+        return ("simulation code must be deterministic (re-simulation "
+                "is assumed byte-identical)")
+
+
+class AtomicWriteRule(ReachRule):
+    """REPRO003 — persistence code writes only via atomic primitives."""
+
+    rule_id = "REPRO003"
+    title = "persisted files are written only through atomic writers"
+    invariant = (
+        "atomic persistence: fsck/quarantine, the pass cache, the lease "
+        "protocol and the bench ratchet assume a visible file is "
+        "complete; a bare open(..., 'w') — here or in a helper it calls "
+        "— can leave a torn file across a crash"
+    )
+    prop = PROP_RAWWRITE
+    reaches = "a raw write"
+    scope_key = "write_scoped_modules"
+
+    def exempt(self, qualname: str, config: LintConfig) -> bool:
+        return qualname.rsplit(".", 1)[-1] in config.atomic_writers
+
+    def remedy(self, config: LintConfig) -> str:
+        writers = "/".join(sorted(config.atomic_writers))
+        return (f"route it through {writers}, or a crash mid-write "
+                f"leaves a torn file")
 
 
 class ClockDisciplineRule(Rule):
@@ -162,18 +162,12 @@ class ClockDisciplineRule(Rule):
     invariant = (
         "expiry by observation only (the PR 6 lease protocol): a "
         "monotonic reading is meaningless on any other host or "
-        "process, so one serialized into a spool/bench document "
+        "process, so one serialized into a persisted document "
         "re-introduces exactly the cross-host clock comparison the "
         "protocol exists to avoid; durations (reading minus reading) "
         "are portable and stay legal"
     )
     scope = "project"
-
-    def _scoped(self, rel: str, config: LintConfig) -> bool:
-        return any(
-            path_matches(rel, p)
-            for p in config.workqueue_modules + config.bench_modules
-        )
 
     def check_project(
         self, files: Sequence[SourceFile], config: LintConfig
@@ -181,7 +175,8 @@ class ClockDisciplineRule(Rule):
         graph = build_project_graph(files, config)
         found: List[Violation] = []
         for src in files:
-            if not self._scoped(src.rel, config) or src.tree is None:
+            if not _in_scope(src.rel, config.write_scoped_modules) or \
+                    src.tree is None:
                 continue
             resolver = graph.resolver_for(src.rel)
             for funcdef, cls in _function_defs(src.tree):
@@ -315,26 +310,20 @@ def _walk_scope(funcdef: ast.AST):
 
 
 # ----------------------------------------------------------------------
-# `lint --why` / `lint --graph-stats` support
+# `lint --why` support
 # ----------------------------------------------------------------------
-_WHY_PROPS = {
-    "REPRO012": PROP_WALLCLOCK,
-    "REPRO013": PROP_RAWWRITE,
-}
-
-
 def explain_why(
     files: Sequence[SourceFile],
     config: LintConfig,
     rule_id: str,
     path_filter: Optional[str] = None,
 ) -> List[str]:
-    """Chains (REPRO012/013) or findings (REPRO014) for ``--why``.
+    """Chains (REPRO001/003) or findings (REPRO014) for ``--why``.
 
     With a path filter, every function in matching modules that
     carries the property is explained — including mid-chain helpers,
-    not just scoped entry points; without one, only the rule's actual
-    entry-point scope is walked.
+    not just scoped entry points; without one, only the rule's own
+    scope is walked.
     """
     if rule_id == "REPRO014":
         rule = ClockDisciplineRule()
@@ -342,35 +331,28 @@ def explain_why(
             v.render() for v in rule.check_project(list(files), config)
             if path_filter is None or path_filter in v.path
         ]
-    prop = _WHY_PROPS.get(rule_id)
-    if prop is None:
+    rule = next((r for r in GRAPH_RULES if r.rule_id == rule_id), None)
+    if not isinstance(rule, ReachRule):
         raise ValueError(
-            f"--why supports REPRO012/REPRO013/REPRO014, not {rule_id}"
+            f"--why supports REPRO001/REPRO003/REPRO014, not {rule_id}"
         )
     graph = build_project_graph(files, config)
-
-    def in_default_scope(rel: str) -> bool:
-        if rule_id == "REPRO012":
-            return any(path_matches(rel, p)
-                       for p in config.hot_path_modules)
-        return _in_write_scope(rel, config)
-
     lines: List[str] = []
     for rel in sorted(graph.functions_by_module):
         if path_filter is not None:
             if path_filter not in rel:
                 continue
-        elif not in_default_scope(rel):
+        elif not _in_scope(rel, rule.scoped(config)):
             continue
         for qualname, _lineno in graph.functions_in(rel):
             key = fkey(rel, qualname)
-            if prop in graph.summary(key):
-                lines.append(graph.describe_chain(key, prop))
+            if rule.prop in graph.summary(key):
+                lines.append(graph.describe_chain(key, rule.prop))
     return lines
 
 
-INTERPROC_RULES = (
-    HotPathDeterminismRule(),
-    AtomicReachabilityRule(),
+GRAPH_RULES = (
+    WallClockEntropyRule(),
+    AtomicWriteRule(),
     ClockDisciplineRule(),
 )

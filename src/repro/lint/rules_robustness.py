@@ -1,12 +1,12 @@
-"""Robustness rules: REPRO003 (atomic persistence), REPRO004 (no
-silent exception swallowing), REPRO007 (no mutable default arguments),
-REPRO009 (atomic pass-cache writes).
+"""Per-file rules: REPRO002 (integer-only cycle arithmetic), REPRO004
+(no silent exception swallowing), REPRO007 (no mutable default
+arguments).
 
-REPRO003 protects the crash-safety contract of PR 1: every file that
-lands in a campaign or metrics directory must appear atomically (temp
-file + fsync + rename via ``atomic_write_text``), because ``fsck`` and
-the quarantine machinery assume a visible ``*.json`` is either complete
-or checksummed-corrupt — never a half-written artifact of a crash.
+REPRO002 protects exact cycle conservation: the CycleLedger (PR 2)
+verifies that attribution buckets sum *exactly* to the total cycle
+count — conservation is only decidable because every quantity involved
+is an integer; a single float creeping into a cycle counter turns an
+identity into an epsilon comparison.
 
 REPRO004 protects the fault harness's exception-flow assumptions: the
 resilience layer routes cancellation and injected crashes through
@@ -18,46 +18,35 @@ failure into silence.
 from __future__ import annotations
 
 import ast
-from typing import List, Optional
+from typing import List
 
-from .astutil import canonical_call_name, import_aliases, walk_functions
+from .astutil import (
+    canonical_call_name,
+    import_aliases,
+    is_cycle_counter_name,
+    is_floaty,
+    terminal_name,
+)
 from .framework import LintConfig, Rule, SourceFile, Violation, path_matches
 
-#: open() modes that create or truncate — the dangerous ones.
-_WRITE_MODES = ("w", "a", "x", "+")
+#: Methods whose cycle arguments feed the conservation ledger.
+_LEDGER_METHODS = {"charge", "charge_couplet"}
 
 
-def _open_write_mode(node: ast.Call) -> Optional[str]:
-    """The mode string of an ``open()`` call if it writes, else None."""
-    mode: Optional[ast.AST] = None
-    if len(node.args) >= 2:
-        mode = node.args[1]
-    for keyword in node.keywords:
-        if keyword.arg == "mode":
-            mode = keyword.value
-    if mode is None:
-        return None  # default "r"
-    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
-        if any(flag in mode.value for flag in _WRITE_MODES):
-            return mode.value
-        return None
-    return "<dynamic>"  # can't prove it's read-only: flag it
+class IntegerCycleRule(Rule):
+    """REPRO002 — cycle counters carry ints only (``//``, never ``/``)."""
 
-
-class AtomicPersistenceRule(Rule):
-    """REPRO003 — persistence modules write via the atomic primitive."""
-
-    rule_id = "REPRO003"
-    title = "campaign/metrics writes go through the atomic writer"
+    rule_id = "REPRO002"
+    title = "integer-only cycle arithmetic"
     invariant = (
-        "atomic persistence: fsck/quarantine (PR 1) assume a visible "
-        "result file is complete; a bare open(..., 'w') can leave a "
-        "torn file across a crash"
+        "exact cycle conservation: CycleLedger.verify (PR 2) asserts "
+        "buckets sum to the total as an integer identity, not within "
+        "an epsilon"
     )
 
     def applies_to(self, rel: str, config: LintConfig) -> bool:
         return any(
-            path_matches(rel, p) for p in config.persistence_modules
+            path_matches(rel, p) for p in config.deterministic_paths
         )
 
     def check_file(
@@ -68,117 +57,104 @@ class AtomicPersistenceRule(Rule):
             return []
         aliases = import_aliases(tree)
         found: List[Violation] = []
-        for node, func in walk_functions(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if func is not None and func.name in config.atomic_writers:
-                continue  # inside the blessed primitive itself
-            name = canonical_call_name(node.func, aliases)
-            if name == "open":
-                mode = _open_write_mode(node)
-                if mode is not None:
+
+        def report(node: ast.AST, name: str, detail: str) -> None:
+            found.append(Violation(
+                rule_id=self.rule_id, path=src.rel,
+                line=node.lineno, col=node.col_offset,
+                message=(
+                    f"{detail} assigned to cycle counter {name!r}; "
+                    f"cycle arithmetic must stay integer (use //, "
+                    f"int() or the quantize helpers)"
+                ),
+            ))
+
+        def check_target(target: ast.AST, value: ast.AST,
+                         node: ast.AST) -> None:
+            name = terminal_name(target)
+            if is_cycle_counter_name(name) and is_floaty(value, aliases):
+                detail = "float-producing expression"
+                if isinstance(value, ast.Constant):
+                    detail = f"float literal {value.value!r}"
+                elif isinstance(value, ast.BinOp) and \
+                        isinstance(value.op, ast.Div):
+                    detail = "true division (/)"
+                elif isinstance(value, ast.Call):
+                    detail = "float() conversion"
+                report(node, name or "?", detail)
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    targets = (
+                        target.elts
+                        if isinstance(target, (ast.Tuple, ast.List))
+                        else [target]
+                    )
+                    for t in targets:
+                        check_target(t, node.value, node)
+            elif isinstance(node, ast.AnnAssign):
+                name = terminal_name(node.target)
+                if is_cycle_counter_name(name):
+                    ann = node.annotation
+                    if isinstance(ann, ast.Name) and ann.id == "float":
+                        found.append(Violation(
+                            rule_id=self.rule_id, path=src.rel,
+                            line=node.lineno, col=node.col_offset,
+                            message=(
+                                f"cycle counter {name!r} annotated as "
+                                f"float; cycle counts are integers"
+                            ),
+                        ))
+                    elif node.value is not None:
+                        check_target(node.target, node.value, node)
+            elif isinstance(node, ast.AugAssign):
+                name = terminal_name(node.target)
+                if not is_cycle_counter_name(name):
+                    continue
+                if isinstance(node.op, ast.Div):
+                    report(node, name or "?", "in-place true division (/=)")
+                elif is_floaty(node.value, aliases):
+                    report(node, name or "?", "float-producing expression")
+            elif isinstance(node, ast.Call):
+                found.extend(self._check_call(node, src, aliases))
+        return found
+
+    def _check_call(self, node: ast.Call, src: SourceFile,
+                    aliases) -> List[Violation]:
+        found: List[Violation] = []
+        # Ledger charges: every positional/keyword cycle argument.
+        func_name = (
+            node.func.attr if isinstance(node.func, ast.Attribute)
+            else getattr(node.func, "id", "")
+        )
+        if func_name in _LEDGER_METHODS:
+            for arg in list(node.args) + [k.value for k in node.keywords]:
+                if is_floaty(arg, aliases):
                     found.append(Violation(
                         rule_id=self.rule_id, path=src.rel,
                         line=node.lineno, col=node.col_offset,
                         message=(
-                            f"open(..., {mode!r}) in a persistence "
-                            f"module bypasses atomic_write_text; a "
-                            f"crash mid-write leaves a torn file"
+                            f"float-producing argument to "
+                            f"{func_name}(); the ledger's conservation "
+                            f"check needs exact integer cycle counts"
                         ),
                     ))
-            elif isinstance(node.func, ast.Attribute) and \
-                    node.func.attr in ("write_text", "write_bytes"):
+                    break
+        # Any call site: keyword args named like cycle counters.
+        for keyword in node.keywords:
+            if is_cycle_counter_name(keyword.arg) and \
+                    is_floaty(keyword.value, aliases):
                 found.append(Violation(
                     rule_id=self.rule_id, path=src.rel,
                     line=node.lineno, col=node.col_offset,
                     message=(
-                        f"Path.{node.func.attr}() in a persistence "
-                        f"module bypasses atomic_write_text; a crash "
-                        f"mid-write leaves a torn file"
+                        f"float-producing value for cycle argument "
+                        f"{keyword.arg!r}; cycle counts are integers"
                     ),
                 ))
         return found
 
-
-class PassCacheAtomicRule(AtomicPersistenceRule):
-    """REPRO009 — pass-cache writes go through the atomic writer.
-
-    Same mechanics as REPRO003 but scoped to the functional-pass cache
-    modules (``pass-cache-modules`` in ``[tool.reprolint]``).  A
-    separate id keeps the two contracts independently toggleable and
-    their baselines distinct: the pass cache is *reconstructible* state
-    (a lost entry costs a re-simulation, not data), but a torn entry
-    that parses would defeat the checksum-or-miss guarantee the warm
-    path's correctness rests on.
-    """
-
-    rule_id = "REPRO009"
-    title = "pass-cache writes go through the atomic writer"
-    invariant = (
-        "pass-cache integrity: a cached functional pass is trusted as "
-        "a substitute for re-simulation; a bare write can leave a torn "
-        "entry that a crash exposes as a visible, unvalidated file"
-    )
-
-    def applies_to(self, rel: str, config: LintConfig) -> bool:
-        return any(
-            path_matches(rel, p) for p in config.pass_cache_modules
-        )
-
-
-class WorkQueueAtomicRule(AtomicPersistenceRule):
-    """REPRO010 — spool/lease state writes go through atomic helpers.
-
-    Same mechanics as REPRO003, scoped to the work-queue fabric modules
-    (``workqueue-modules`` in ``[tool.reprolint]``).  The lease
-    protocol's safety rests on a stronger property than crash-safe
-    persistence: a lease or done record is a *coordination token*, and
-    a torn one that another worker can observe breaks mutual exclusion,
-    not just one file.  Every write in these modules must go through
-    ``atomic_write_text`` (renewals, archives) or ``atomic_claim_text``
-    (exclusive claims/publishes) — both listed in ``atomic-writers``.
-    """
-
-    rule_id = "REPRO010"
-    title = "work-queue spool/lease writes go through atomic helpers"
-    invariant = (
-        "lease integrity: a visible lease or done record must be "
-        "complete and checksummed — a bare open(..., 'w') can expose a "
-        "torn coordination token, double-granting a job or losing a "
-        "completion"
-    )
-
-    def applies_to(self, rel: str, config: LintConfig) -> bool:
-        return any(
-            path_matches(rel, p) for p in config.workqueue_modules
-        )
-
-
-class BenchHistoryAtomicRule(AtomicPersistenceRule):
-    """REPRO011 — benchmark-history writes go through the atomic writer.
-
-    Same mechanics as REPRO003, scoped to the bench-record emitters
-    (``bench-modules`` in ``[tool.reprolint]``).  The history file is
-    the perf-ratchet's *baseline*: ``bench diff`` derives its noise
-    band from whatever records load, so a torn append would not crash
-    anything — it would silently shrink or skew the baseline and let a
-    real regression pass the gate.  Every write must go through
-    ``atomic_write_text`` (whole-file staged rename), so a crash leaves
-    the previous history intact, never a truncated tail line.
-    """
-
-    rule_id = "REPRO011"
-    title = "benchmark-history writes go through the atomic writer"
-    invariant = (
-        "ratchet integrity: the bench history is the regression gate's "
-        "baseline; a bare write can leave a torn JSONL tail that loads "
-        "as a shorter history and widens or shifts the noise band"
-    )
-
-    def applies_to(self, rel: str, config: LintConfig) -> bool:
-        return any(
-            path_matches(rel, p) for p in config.bench_modules
-        )
 
 
 _BROAD_TYPES = {"Exception", "BaseException"}
@@ -318,7 +294,4 @@ class MutableDefaultRule(Rule):
         return found
 
 
-ROBUSTNESS_RULES = (
-    AtomicPersistenceRule(), PassCacheAtomicRule(), WorkQueueAtomicRule(),
-    BenchHistoryAtomicRule(), SilentSwallowRule(), MutableDefaultRule(),
-)
+FILE_RULES = (IntegerCycleRule(), SilentSwallowRule(), MutableDefaultRule())

@@ -2,11 +2,11 @@
 (validated config fields), REPRO008 (schema fingerprints), REPRO015
 (dead suppression comments).
 
-Most are project-scope checks: each one reasons about relationships
-*between* files — an experiment module and the registry, a dataclass
-and its ``__post_init__``, a serializer and its committed fingerprint —
-that no single-file pass can see.  REPRO015 is the odd one out: a
-file-scope hygiene check over the suppression mechanism itself.
+Most reason about relationships *between* files — an experiment module
+and the registry, a dataclass and its ``__post_init__``, a serializer
+and its committed fingerprint — that no single-file pass can see.
+REPRO015 is the odd one out: an audit of the suppression mechanism
+itself, judged against every other rule's raw findings.
 """
 
 from __future__ import annotations
@@ -509,8 +509,11 @@ def _suppression_comments(
     Tokenize-based on purpose: the framework's line regex also matches
     suppression-shaped text inside string literals (fixture sources in
     ``selftest.py``, docs in docstrings) — those are not suppressions
-    and must not be audited as dead ones.
+    and must not be audited as dead ones.  Files that never mention
+    ``reprolint:`` skip the tokenizer.
     """
+    if "reprolint:" not in src.text:
+        return []
     out: List[Tuple[int, str, List[str]]] = []
     try:
         tokens = tokenize.generate_tokens(
@@ -536,13 +539,13 @@ class DeadSuppressionRule(Rule):
     A ``# reprolint: disable=...`` that no longer matches any raw
     finding is not harmless: it pre-authorizes a *future* violation on
     that line, silently, and rots the audit trail the in-line
-    suppression design exists for.  The check replays the other
-    enabled file-scope rules on the file (only when suppression
-    comments are present) and flags each suppressed rule id that has
-    no finding left to suppress, plus unknown rule ids and
-    ``disable-file`` comments below the honoured window.  Project-scope
-    ids are skipped — their findings need the whole file set, which a
-    file-scope audit does not see.
+    suppression design exists for.  The runner hands this audit every
+    raw (pre-suppression) finding it already computed for the file —
+    file- and project-scope rules alike — and it flags each suppressed
+    rule id with no finding left to suppress, plus unknown rule ids and
+    ``disable-file`` comments below the honoured window.  Ids of
+    registered rules that did not run (disabled in the config) are not
+    judged.
     """
 
     rule_id = "REPRO015"
@@ -552,78 +555,60 @@ class DeadSuppressionRule(Rule):
         "who accepted which exception if every disable comment maps "
         "to a live, intentional finding"
     )
+    scope = "audit"
 
-    def check_file(
-        self, src: SourceFile, config: LintConfig
+    def audit(
+        self, src: SourceFile, raw: Sequence[Violation],
+        judged: Set[str],
     ) -> List[Violation]:
         comments = _suppression_comments(src)
         if not comments or src.tree is None:
             return []
         from .framework import all_rules
 
-        registered = all_rules(None)
-        known = {r.rule_id for r in registered}
-        project_ids = {
-            r.rule_id for r in registered if r.scope == "project"
-        }
-        peers = [
-            r for r in all_rules(config)
-            if r.scope == "file" and r.rule_id != self.rule_id
-            and r.applies_to(src.rel, config)
-        ]
+        known = {r.rule_id for r in all_rules(None)}
         raw_lines: Dict[str, Set[int]] = {}
-        for rule in peers:
-            for violation in rule.check_file(src, config):
-                raw_lines.setdefault(
-                    violation.rule_id, set()
-                ).add(violation.line)
+        for violation in raw:
+            raw_lines.setdefault(violation.rule_id, set()).add(
+                violation.line
+            )
 
         found: List[Violation] = []
+
+        def report(line: int, message: str) -> None:
+            found.append(Violation(
+                rule_id=self.rule_id, path=src.rel, line=line, col=0,
+                message=message,
+            ))
+
         for line, kind, ids in comments:
             for rid in ids:
                 if rid == "all":
                     continue  # blanket: auditing it needs every rule
                 if rid not in known:
-                    found.append(Violation(
-                        rule_id=self.rule_id, path=src.rel,
-                        line=line, col=0,
-                        message=(
-                            f"suppression names unknown rule {rid!r}; "
-                            f"it disables nothing"
-                        ),
-                    ))
+                    report(line, f"suppression names unknown rule "
+                                 f"{rid!r}; it disables nothing")
                     continue
-                if rid in project_ids:
+                if kind == "disable-file" and \
+                        line > FILE_SUPPRESS_WINDOW:
+                    report(line, f"disable-file={rid} below line "
+                                 f"{FILE_SUPPRESS_WINDOW} is outside "
+                                 f"the honoured window and has no "
+                                 f"effect")
+                    continue
+                if rid not in judged:
                     continue
                 if kind == "disable":
                     dead = line not in raw_lines.get(rid, ())
                     where = f"at line {line}"
                 else:
-                    if line > FILE_SUPPRESS_WINDOW:
-                        found.append(Violation(
-                            rule_id=self.rule_id, path=src.rel,
-                            line=line, col=0,
-                            message=(
-                                f"disable-file={rid} below line "
-                                f"{FILE_SUPPRESS_WINDOW} is outside "
-                                f"the honoured window and has no "
-                                f"effect"
-                            ),
-                        ))
-                        continue
                     dead = not raw_lines.get(rid)
                     where = "anywhere in the file"
                 if dead:
-                    found.append(Violation(
-                        rule_id=self.rule_id, path=src.rel,
-                        line=line, col=0,
-                        message=(
-                            f"dead suppression: no {rid} finding "
-                            f"{where} is left to suppress — remove "
-                            f"the comment so it cannot silently "
-                            f"pre-authorize a future violation"
-                        ),
-                    ))
+                    report(line, f"dead suppression: no {rid} finding "
+                                 f"{where} is left to suppress — remove "
+                                 f"the comment so it cannot silently "
+                                 f"pre-authorize a future violation")
         return found
 
 

@@ -4,15 +4,17 @@ A linter that silently stops matching is worse than no linter — CI
 would keep passing while the invariants rot.  ``repro-sim lint
 --self-test`` runs each rule against a known-violating fixture (must
 fire) and a known-clean fixture (must stay silent), plus a framework
-check that suppression comments actually suppress.  The same fixtures
-drive ``tests/lint/``.
+check that suppression comments actually suppress.  The graph rules
+REPRO001 and REPRO003 carry a second, labelled ``chain`` fixture: the
+offending call sits one module away, outside the rule's scope.  The
+same fixtures drive ``tests/lint/``.
 """
 
 from __future__ import annotations
 
 import textwrap
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .framework import LintConfig, SourceFile, all_rules, lint_sources
 from .rules_structure import schema_fields_fingerprint
@@ -30,6 +32,13 @@ class RuleFixture:
     config: LintConfig = field(default_factory=LintConfig)
     #: Minimum violations the violating fixture must produce.
     expect_min: int = 1
+    #: Tells apart several fixtures of one rule in the report.
+    label: str = ""
+
+    @property
+    def name(self) -> str:
+        return f"{self.rule_id} ({self.label})" if self.label \
+            else self.rule_id
 
 
 def _src(text: str) -> str:
@@ -231,16 +240,17 @@ def _r8_module(fields: Sequence[str]) -> str:
     return _R8_MODULE % body
 
 
-# REPRO012: the hot-path module itself is squeaky clean — the wall
-# clock hides two modules away, behind a helper REPRO001 never scopes.
-_R12_ENGINE_VIOLATING = _src("""
+# REPRO001 chain: the engine module itself is squeaky clean — the wall
+# clock hides in a module outside every deterministic path, two calls
+# away.
+_R1_ENGINE = _src("""
     from repro.trace.stamputil import stamp
 
     def step(state, n):
         return stamp(state, n)
 """)
 
-_R12_HELPER_VIOLATING = _src("""
+_R1_HELPER_VIOLATING = _src("""
     import time
 
     def now_tag():
@@ -251,9 +261,7 @@ _R12_HELPER_VIOLATING = _src("""
         return state
 """)
 
-_R12_ENGINE_CLEAN = _R12_ENGINE_VIOLATING
-
-_R12_HELPER_CLEAN = _src("""
+_R1_HELPER_CLEAN = _src("""
     def now_tag():
         return 0
 
@@ -262,29 +270,29 @@ _R12_HELPER_CLEAN = _src("""
         return state
 """)
 
-# REPRO013: a persistence entry point reaches a raw write through a
-# helper module outside every atomic-write scope.
-_R13_CAMPAIGN_VIOLATING = _src("""
+# REPRO003 chain: a persistence entry point reaches a raw write through
+# a helper module outside every write-scoped module.
+_R3_CAMPAIGN_VIOLATING = _src("""
     from repro.util.rawio import dump
 
     def save_result(path, doc):
         dump(path, doc)
 """)
 
-_R13_HELPER_VIOLATING = _src("""
+_R3_HELPER_VIOLATING = _src("""
     def dump(path, doc):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(doc)
 """)
 
-_R13_CAMPAIGN_CLEAN = _src("""
+_R3_CAMPAIGN_CLEAN = _src("""
     from repro.util.rawio import load
 
     def restore_result(path):
         return load(path)
 """)
 
-_R13_HELPER_CLEAN = _src("""
+_R3_HELPER_CLEAN = _src("""
     def load(path):
         with open(path, encoding="utf-8") as handle:
             return handle.read()
@@ -349,7 +357,7 @@ def _r8_config(fields: Sequence[str]) -> LintConfig:
 
 
 def rule_fixtures() -> List[RuleFixture]:
-    """The paired fixtures, one entry per shipped rule."""
+    """The paired fixtures: at least one per shipped rule."""
     sim = "src/repro/sim"
     return [
         RuleFixture(
@@ -357,6 +365,20 @@ def rule_fixtures() -> List[RuleFixture]:
             violating=((f"{sim}/fixture_clock.py", _R1_VIOLATING),),
             clean=((f"{sim}/fixture_clock.py", _R1_CLEAN),),
             expect_min=5,
+        ),
+        # The engine file is identical in both chain fixtures — only
+        # the helper outside the deterministic paths changes.
+        RuleFixture(
+            "REPRO001",
+            violating=(
+                (f"{sim}/engine.py", _R1_ENGINE),
+                ("src/repro/trace/stamputil.py", _R1_HELPER_VIOLATING),
+            ),
+            clean=(
+                (f"{sim}/engine.py", _R1_ENGINE),
+                ("src/repro/trace/stamputil.py", _R1_HELPER_CLEAN),
+            ),
+            label="chain",
         ),
         RuleFixture(
             "REPRO002",
@@ -369,6 +391,18 @@ def rule_fixtures() -> List[RuleFixture]:
             violating=((f"{sim}/campaign.py", _R3_VIOLATING),),
             clean=((f"{sim}/campaign.py", _R3_CLEAN),),
             expect_min=2,
+        ),
+        RuleFixture(
+            "REPRO003",
+            violating=(
+                (f"{sim}/campaign.py", _R3_CAMPAIGN_VIOLATING),
+                ("src/repro/util/rawio.py", _R3_HELPER_VIOLATING),
+            ),
+            clean=(
+                (f"{sim}/campaign.py", _R3_CAMPAIGN_CLEAN),
+                ("src/repro/util/rawio.py", _R3_HELPER_CLEAN),
+            ),
+            label="chain",
         ),
         RuleFixture(
             "REPRO004",
@@ -409,59 +443,6 @@ def rule_fixtures() -> List[RuleFixture]:
                         _r8_module(_R8_FIELDS_NEW)),),
             clean=((f"{sim}/campaign.py", _r8_module(_R8_FIELDS_OLD)),),
             config=_r8_config(_R8_FIELDS_OLD),
-        ),
-        # REPRO009 shares REPRO003's mechanics but is scoped to the
-        # pass-cache modules, so the same write-pattern fixtures apply
-        # at the passcache path.
-        RuleFixture(
-            "REPRO009",
-            violating=((f"{sim}/passcache.py", _R3_VIOLATING),),
-            clean=((f"{sim}/passcache.py", _R3_CLEAN),),
-            expect_min=2,
-        ),
-        # REPRO010 likewise: the write-pattern fixtures, scoped to the
-        # work-queue fabric module (lease/done records are coordination
-        # tokens, so the atomic contract is load-bearing there).
-        RuleFixture(
-            "REPRO010",
-            violating=((f"{sim}/workqueue.py", _R3_VIOLATING),),
-            clean=((f"{sim}/workqueue.py", _R3_CLEAN),),
-            expect_min=2,
-        ),
-        # REPRO011 likewise: the write-pattern fixtures, scoped to the
-        # bench-history module (the history is the perf-ratchet's
-        # baseline, so a torn append skews the regression gate).
-        RuleFixture(
-            "REPRO011",
-            violating=((f"{sim}/benchhistory.py", _R3_VIOLATING),),
-            clean=((f"{sim}/benchhistory.py", _R3_CLEAN),),
-            expect_min=2,
-        ),
-        # REPRO012: the engine file is identical in both fixtures —
-        # only the helper two imports away changes, which is exactly
-        # the hole the per-file REPRO001 cannot see.
-        RuleFixture(
-            "REPRO012",
-            violating=(
-                (f"{sim}/engine.py", _R12_ENGINE_VIOLATING),
-                ("src/repro/trace/stamputil.py",
-                 _R12_HELPER_VIOLATING),
-            ),
-            clean=(
-                (f"{sim}/engine.py", _R12_ENGINE_CLEAN),
-                ("src/repro/trace/stamputil.py", _R12_HELPER_CLEAN),
-            ),
-        ),
-        RuleFixture(
-            "REPRO013",
-            violating=(
-                (f"{sim}/campaign.py", _R13_CAMPAIGN_VIOLATING),
-                ("src/repro/util/rawio.py", _R13_HELPER_VIOLATING),
-            ),
-            clean=(
-                (f"{sim}/campaign.py", _R13_CAMPAIGN_CLEAN),
-                ("src/repro/util/rawio.py", _R13_HELPER_CLEAN),
-            ),
         ),
         RuleFixture(
             "REPRO014",
@@ -505,13 +486,13 @@ def run_self_test() -> Tuple[bool, str]:
         if len(hits) < fixture.expect_min:
             ok = False
             lines.append(
-                f"FAIL {fixture.rule_id}: violating fixture produced "
+                f"FAIL {fixture.name}: violating fixture produced "
                 f"{len(hits)} finding(s), expected >= "
                 f"{fixture.expect_min}"
             )
         else:
             lines.append(
-                f"ok   {fixture.rule_id}: caught {len(hits)} seeded "
+                f"ok   {fixture.name}: caught {len(hits)} seeded "
                 f"violation(s)"
             )
         clean = _lint_fixture(
@@ -520,7 +501,7 @@ def run_self_test() -> Tuple[bool, str]:
         if clean.violations:
             ok = False
             lines.append(
-                f"FAIL {fixture.rule_id}: clean fixture produced "
+                f"FAIL {fixture.name}: clean fixture produced "
                 f"{len(clean.violations)} finding(s): "
                 f"{clean.violations[0].render()}"
             )
@@ -559,13 +540,11 @@ def _check_suppression() -> List[str]:
     return ["ok   suppression: line- and file-level disables honoured"]
 
 
-_FIXTURES_BY_RULE: Dict[str, RuleFixture] = {}
+def fixtures_for(rule_id: str) -> List[RuleFixture]:
+    """Every fixture of ``rule_id`` (lookup used by tests/lint)."""
+    return [f for f in rule_fixtures() if f.rule_id == rule_id]
 
 
 def fixture_for(rule_id: str) -> RuleFixture:
-    """Lookup used by tests/lint (cached)."""
-    if not _FIXTURES_BY_RULE:
-        _FIXTURES_BY_RULE.update(
-            {f.rule_id: f for f in rule_fixtures()}
-        )
-    return _FIXTURES_BY_RULE[rule_id]
+    """The rule's first (unlabelled) fixture."""
+    return fixtures_for(rule_id)[0]

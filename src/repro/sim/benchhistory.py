@@ -15,7 +15,7 @@ module makes the trajectory durable and *enforceable*:
   Appends rewrite the whole file through
   :func:`~repro.sim.campaign.atomic_write_text`, so a crash leaves
   either the old history or the new one — never a torn tail line
-  (reprolint REPRO011 holds this module to that contract);
+  (reprolint REPRO003 holds this module to that contract);
 
 * :func:`ingest_raw_bench` converts the raw ``BENCH_*.json`` documents
   the CI jobs emit (``telemetry_smoke``, ``passcache_warm_vs_cold``,

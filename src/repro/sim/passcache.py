@@ -29,7 +29,7 @@ Design:
   boxed-int list, on disk and across pickles alike.
 * **Crash safety.**  Writes go through
   :func:`repro.sim.campaign.atomic_write_text` (enforced statically by
-  reprolint REPRO009) and every payload carries a schema version and a
+  reprolint REPRO003) and every payload carries a schema version and a
   SHA-256 checksum (:func:`repro.sim.campaign.payload_checksum`).  A
   truncated, bit-flipped or foreign file is *quarantined* and treated
   as a miss — a corrupt cache degrades to extra simulation, never to a

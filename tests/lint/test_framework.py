@@ -4,6 +4,7 @@ loading, fingerprint regeneration — and the repo itself lints clean."""
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -70,20 +71,78 @@ def test_committed_fingerprints_match_sources():
         assert committed[name]["version"] == entry["version"]
 
 
+needs_tomllib = pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="tomllib unavailable"
+)
+
+
+@needs_tomllib
 def test_config_table_is_read_from_pyproject():
     config = load_config(REPO_ROOT)
-    if sys.version_info < (3, 11):
-        pytest.skip("tomllib unavailable; defaults apply")
     assert config.enabled == tuple(
-        f"REPRO00{i}" for i in range(1, 10)
-    ) + ("REPRO010", "REPRO011", "REPRO012", "REPRO013",
-         "REPRO014", "REPRO015")
-    assert "repro/sim/engine.py" in config.hot_path_modules
+        f"REPRO00{i}" for i in range(1, 9)
+    ) + ("REPRO014", "REPRO015")
+    assert set(config.enabled) == {r.rule_id for r in all_rules()}
     assert "repro/sim" in config.deterministic_paths
-    assert "repro/sim/campaign.py" in config.persistence_modules
-    assert "repro/sim/workqueue.py" in config.workqueue_modules
-    assert "repro/sim/benchhistory.py" in config.bench_modules
+    for module in ("campaign", "passcache", "workqueue", "benchhistory"):
+        assert f"repro/sim/{module}.py" in config.write_scoped_modules
     assert "atomic_claim_text" in config.atomic_writers
+    # The built-in defaults (used without tomllib) mirror the table.
+    assert config == LintConfig(enabled=config.enabled)
+
+
+def _write_table(root, body):
+    (root / "pyproject.toml").write_text(
+        "[tool.reprolint]\n" + body, encoding="utf-8"
+    )
+
+
+_MALFORMED_TABLES = {
+    "unknown-key": (
+        'pass-cache-modules = ["repro/sim/passcache.py"]\n',
+        "unknown key 'pass-cache-modules'",
+    ),
+    "non-list": (
+        "atomic-writers = 5\n",
+        "atomic-writers must be a list of strings, got 5",
+    ),
+    "unknown-rule": (
+        'enabled = ["REPRO001", "REPRO0l2"]\n',
+        "enabled names unknown rule(s) REPRO0l2",
+    ),
+}
+
+
+@needs_tomllib
+@pytest.mark.parametrize("case", sorted(_MALFORMED_TABLES))
+def test_malformed_config_is_rejected(tmp_path, case):
+    body, message = _MALFORMED_TABLES[case]
+    _write_table(tmp_path, body)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(tmp_path)
+
+
+def _lint_cli_in(root, *argv):
+    (root / "src").mkdir(exist_ok=True)
+    (root / "src" / "mod.py").write_text("X = 1\n", encoding="utf-8")
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", "lint", "src", "--no-cache",
+         *argv],
+        cwd=root, capture_output=True, text=True,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"),
+             "PATH": "/usr/bin:/bin"},
+    )
+
+
+@needs_tomllib
+@pytest.mark.parametrize("case", sorted(_MALFORMED_TABLES))
+def test_cli_lint_malformed_config_exits_2(tmp_path, case):
+    body, message = _MALFORMED_TABLES[case]
+    _write_table(tmp_path, body)
+    proc = _lint_cli_in(tmp_path)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert message in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
 
 
 # ----------------------------------------------------------------------
@@ -158,6 +217,27 @@ def test_baseline_absorbs_known_violations_but_not_new_ones():
     )
     assert len(third.violations) == 1
     assert len(third.baselined) == 1
+
+
+@pytest.mark.parametrize("count", ["three", 2.5, None, True])
+def test_baseline_with_non_integer_count_is_rejected(tmp_path, count):
+    path = tmp_path / "lint-baseline.json"
+    path.write_text(
+        json.dumps({"entries": {"0123abcd": count}}), encoding="utf-8"
+    )
+    with pytest.raises(ValueError, match="'0123abcd'"):
+        Baseline.load(path)
+
+
+def test_cli_lint_malformed_baseline_exits_2(tmp_path):
+    (tmp_path / "pyproject.toml").write_text("", encoding="utf-8")
+    (tmp_path / "lint-baseline.json").write_text(
+        json.dumps({"entries": {"0123abcd": "three"}}), encoding="utf-8"
+    )
+    proc = _lint_cli_in(tmp_path)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "baseline entry '0123abcd'" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_baseline_round_trips_through_disk(tmp_path):

@@ -1,6 +1,12 @@
-"""The interprocedural rules (REPRO012/013/014), the dead-suppression
-audit (REPRO015), the generation-keyed lint cache, and the new CLI
-surface (``--graph-stats``, ``--why``)."""
+"""The graph rules (REPRO001 determinism, REPRO003 atomic writes,
+REPRO014 monotonic clock discipline), the dead-suppression audit
+(REPRO015), the generation-keyed lint cache, and the CLI surface
+(``--graph-stats``, ``--why``).
+
+The ``test_repro012_*`` / ``test_repro013_*`` cases keep their names
+from the cross-module chain rules that REPRO001 and REPRO003 absorbed;
+they pin the same findings under the surviving ids.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +14,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro.lint import (
     LintCache,
@@ -26,6 +34,10 @@ def _rule(rule_id):
     return [r for r in all_rules() if r.rule_id == rule_id]
 
 
+def _where(result):
+    return [(v.path, v.line) for v in result.violations]
+
+
 _HELPER = SourceFile(
     "src/repro/trace/stamputil.py",
     "import time\n\n"
@@ -41,37 +53,67 @@ _ENGINE = SourceFile(
 
 
 # ----------------------------------------------------------------------
-# REPRO012: the acceptance scenario
+# REPRO001: call chains out of the deterministic paths
 # ----------------------------------------------------------------------
 def test_repro012_catches_cross_module_chain():
-    result = lint_sources([_ENGINE, _HELPER], rules=_rule("REPRO012"))
-    assert len(result.violations) == 1
+    result = lint_sources([_ENGINE, _HELPER], rules=_rule("REPRO001"))
+    assert _where(result) == [("src/repro/sim/engine.py", 4)]
     v = result.violations[0]
-    assert v.path == "src/repro/sim/engine.py"
     # The message carries the whole chain down to the clock call.
     assert "step" in v.message
     assert "now_tag" in v.message
     assert "time.time()" in v.message
 
 
-def test_repro001_provably_misses_the_same_chain():
-    """The per-file rule sees nothing: engine.py contains no banned
-    call, and stamputil.py is outside every deterministic path."""
-    result = lint_sources([_ENGINE, _HELPER], rules=_rule("REPRO001"))
-    assert result.violations == []
+def test_repro001_catches_chain_from_cache_package():
+    """``repro/cache`` is a deterministic path, so a replacement policy
+    that reaches the clock through a trace helper is a finding too."""
+    policy = SourceFile(
+        "src/repro/cache/policy.py",
+        "from repro.trace.stamputil import now_tag\n\n"
+        "def choose_victim(ways):\n"
+        "    return now_tag() % ways\n",
+    )
+    result = lint_sources([policy, _HELPER], rules=_rule("REPRO001"))
+    assert _where(result) == [("src/repro/cache/policy.py", 4)]
+    assert "time.time()" in result.violations[0].message
+
+
+def test_repro001_reports_a_chain_once_where_it_leaves_scope():
+    # engine.step -> sim/relay.forward -> trace/stamputil.now_tag: the
+    # chain leaves the deterministic paths in relay.py, and only there
+    # is it reported.
+    relay = SourceFile(
+        "src/repro/sim/relay.py",
+        "from repro.trace.stamputil import now_tag\n\n"
+        "def forward():\n"
+        "    return now_tag()\n",
+    )
+    engine = SourceFile(
+        "src/repro/sim/engine.py",
+        "from repro.sim.relay import forward\n\n"
+        "def step(state, n):\n"
+        "    return forward()\n",
+    )
+    result = lint_sources(
+        [engine, relay, _HELPER], rules=_rule("REPRO001")
+    )
+    assert _where(result) == [("src/repro/sim/relay.py", 4)]
 
 
 def test_repro012_ignores_direct_calls_in_hot_path():
-    # A time.time() *in* engine.py is REPRO001's finding; REPRO012
-    # only reports chains so one defect never fires two rules.
+    # A time.time() *in* engine.py is a zero-hop chain: one finding at
+    # the call, not a second one for the enclosing function.
     direct = SourceFile(
         "src/repro/sim/engine.py",
         "import time\n\n"
         "def step(state, n):\n"
         "    return time.time()\n",
     )
-    result = lint_sources([direct], rules=_rule("REPRO012"))
-    assert result.violations == []
+    result = lint_sources([direct], rules=_rule("REPRO001"))
+    assert _where(result) == [("src/repro/sim/engine.py", 4)]
+    assert "time.time() reads the wall clock" in \
+        result.violations[0].message
 
 
 def test_repro012_clean_when_helper_is_deterministic():
@@ -81,24 +123,24 @@ def test_repro012_clean_when_helper_is_deterministic():
         "    return 0\n",
     )
     result = lint_sources(
-        [_ENGINE, clean_helper], rules=_rule("REPRO012")
+        [_ENGINE, clean_helper], rules=_rule("REPRO001")
     )
     assert result.violations == []
 
 
 def test_repro012_outside_hot_path_is_ignored():
     caller = SourceFile(
-        "src/repro/sim/report.py",  # not a hot-path module
+        "src/repro/analysis/report.py",  # not a deterministic path
         "from repro.trace.stamputil import now_tag\n\n"
         "def annotate(doc):\n"
         "    return now_tag()\n",
     )
-    result = lint_sources([caller, _HELPER], rules=_rule("REPRO012"))
+    result = lint_sources([caller, _HELPER], rules=_rule("REPRO001"))
     assert result.violations == []
 
 
 # ----------------------------------------------------------------------
-# REPRO013: atomic-write reachability
+# REPRO003: raw writes reachable from the write-scoped modules
 # ----------------------------------------------------------------------
 _RAWIO = SourceFile(
     "src/repro/util/rawio.py",
@@ -113,15 +155,67 @@ _CAMPAIGN = SourceFile(
     "    dump(path, repr(rows))\n",
 )
 
+#: One raw write per case, and the line it must be reported at.
+_WRITE_CASES = {
+    "open": (
+        "def save(path, doc):\n"
+        "    with open(path, 'w', encoding='utf-8') as fh:\n"
+        "        fh.write(doc)\n",
+        2,
+    ),
+    "write_text": (
+        "from pathlib import Path\n\n"
+        "def save(path, doc):\n"
+        "    Path(path).write_text(doc, encoding='utf-8')\n",
+        4,
+    ),
+    "write_bytes": (
+        "from pathlib import Path\n\n"
+        "def save(path, doc):\n"
+        "    Path(path).write_bytes(doc)\n",
+        4,
+    ),
+    "chain": (
+        "from repro.util.rawio import dump\n\n"
+        "def save(path, doc):\n"
+        "    dump(path, doc)\n",
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRITE_CASES))
+@pytest.mark.parametrize("module", LintConfig().write_scoped_modules)
+def test_atomic_write_rule_covers_every_write_scoped_module(module, case):
+    text, line = _WRITE_CASES[case]
+    rel = f"src/{module}"
+    result = lint_sources(
+        [SourceFile(rel, text), _RAWIO], rules=_rule("REPRO003")
+    )
+    assert _where(result) == [(rel, line)]
+
+
+def test_repro003_reports_each_raw_write_in_a_function():
+    src = SourceFile(
+        "src/repro/sim/passcache.py",
+        "from pathlib import Path\n\n"
+        "def put(path, doc):\n"
+        "    Path(path).write_text(doc)\n"
+        "    Path(str(path) + '.sum').write_text(doc)\n",
+    )
+    result = lint_sources([src], rules=_rule("REPRO003"))
+    assert _where(result) == [
+        ("src/repro/sim/passcache.py", 4),
+        ("src/repro/sim/passcache.py", 5),
+    ]
+
 
 def test_repro013_catches_escaped_write_helper():
     result = lint_sources(
-        [_CAMPAIGN, _RAWIO], rules=_rule("REPRO013")
+        [_CAMPAIGN, _RAWIO], rules=_rule("REPRO003")
     )
-    assert len(result.violations) == 1
-    v = result.violations[0]
-    assert v.path == "src/repro/sim/campaign.py"
-    assert "rawio" in v.message
+    assert _where(result) == [("src/repro/sim/campaign.py", 4)]
+    assert "rawio" in result.violations[0].message
 
 
 def test_repro013_skips_chains_through_atomic_writers():
@@ -137,13 +231,13 @@ def test_repro013_skips_chains_through_atomic_writers():
         "    with open(path, 'w') as fh:\n"
         "        fh.write(text)\n",
     )
-    result = lint_sources([blessed, writer], rules=_rule("REPRO013"))
+    result = lint_sources([blessed, writer], rules=_rule("REPRO003"))
     assert result.violations == []
 
 
 def test_repro013_skips_writes_inside_scoped_modules():
-    # A chain ending in another scoped module is that module's own
-    # per-file finding, not a REPRO013 escape.
+    # A chain ending at a direct write in another write-scoped module
+    # is reported once, at that write — not again at the caller.
     queue = SourceFile(
         "src/repro/sim/workqueue.py",
         "def spool(path, text):\n"
@@ -156,8 +250,8 @@ def test_repro013_skips_writes_inside_scoped_modules():
         "def save_results(path, rows):\n"
         "    spool(path, repr(rows))\n",
     )
-    result = lint_sources([caller, queue], rules=_rule("REPRO013"))
-    assert result.violations == []
+    result = lint_sources([caller, queue], rules=_rule("REPRO003"))
+    assert _where(result) == [("src/repro/sim/workqueue.py", 2)]
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +303,7 @@ def test_repro014_taint_flows_through_local_helper():
 
 def test_repro014_ignores_unscoped_modules():
     src = SourceFile(
-        "src/repro/sim/telemetry.py",  # persistence, not queue/bench
+        "src/repro/sim/report.py",  # not a write-scoped module
         "import time\n\n"
         "def doc():\n"
         "    return {'at': time.monotonic()}\n",
@@ -271,6 +365,80 @@ def test_repro015_ignores_suppression_text_in_strings():
         "FIXTURE = '''\n"
         "x = 1  # reprolint: disable=REPRO001\n"
         "'''\n"
+    )
+    assert result.violations == []
+
+
+# Fixture copies of two real waivers: StageTimer's host profiling in
+# telemetry.py (REPRO001) and the torn-write fault in faults.py
+# (REPRO003).  Each is live as written and dead once the waived call
+# is gone.
+_TELEMETRY_WAIVER = (
+    "src/repro/sim/telemetry.py", "REPRO001",
+    "import time\n"
+    "from contextlib import contextmanager\n\n"
+    "class Telemetry:\n"
+    "    @contextmanager\n"
+    "    def stage(self, name):\n"
+    "        start = time.perf_counter()  # reprolint: disable=REPRO001\n"
+    "        try:\n"
+    "            yield\n"
+    "        finally:\n"
+    "            self.stages[name] = (\n"
+    "                self.stages.get(name, 0.0)\n"
+    "                + time.perf_counter() - start"
+    "  # reprolint: disable=REPRO001\n"
+    "            )\n",
+    "time.perf_counter()  # reprolint: disable=REPRO001\n        try",
+    "0.0  # reprolint: disable=REPRO001\n        try",
+    7,
+)
+_FAULTS_WAIVER = (
+    "src/repro/sim/faults.py", "REPRO003",
+    "from pathlib import Path\n\n"
+    "def truncate_file(path):\n"
+    "    path = Path(path)\n"
+    "    data = path.read_bytes()\n"
+    "    # Simulating the torn write is the point.\n"
+    "    path.write_bytes(data[: len(data) // 2])"
+    "  # reprolint: disable=REPRO003\n",
+    "path.write_bytes(data[: len(data) // 2])",
+    "del data",
+    7,
+)
+
+
+@pytest.mark.parametrize(
+    "waiver", [_TELEMETRY_WAIVER, _FAULTS_WAIVER],
+    ids=["telemetry-perf_counter", "faults-write_bytes"],
+)
+def test_repro015_audits_real_waivers(waiver):
+    rel, waived_id, text, call, stub, line = waiver
+    rules = _rule(waived_id) + _rule("REPRO015")
+    live = lint_sources([SourceFile(rel, text)], rules=rules)
+    assert live.violations == []
+
+    edited = text.replace(call, stub)
+    assert edited != text
+    dead = lint_sources([SourceFile(rel, edited)], rules=rules)
+    assert [(v.rule_id, v.line) for v in dead.violations] == \
+        [("REPRO015", line)]
+    assert waived_id in dead.violations[0].message
+
+
+def test_repro015_keeps_suppression_of_a_chain_finding():
+    engine = SourceFile(
+        _ENGINE.rel,
+        _ENGINE.text.replace(
+            "return now_tag()",
+            "return now_tag()  # reprolint: disable=REPRO001",
+        ),
+    )
+    unsuppressed = lint_sources([_ENGINE, _HELPER],
+                                rules=_rule("REPRO001"))
+    assert _where(unsuppressed) == [("src/repro/sim/engine.py", 4)]
+    result = lint_sources(
+        [engine, _HELPER], rules=_rule("REPRO001") + _rule("REPRO015")
     )
     assert result.violations == []
 
@@ -340,7 +508,7 @@ def test_legacy_single_signature_payload_is_discarded(tmp_path):
 # ----------------------------------------------------------------------
 def test_explain_why_renders_full_chain():
     lines = explain_why(
-        [_ENGINE, _HELPER], LintConfig(), "REPRO012", None
+        [_ENGINE, _HELPER], LintConfig(), "REPRO001", None
     )
     assert len(lines) == 1
     assert "step" in lines[0]
@@ -349,7 +517,7 @@ def test_explain_why_renders_full_chain():
 
 def test_explain_why_path_filter_reaches_mid_chain_helpers():
     lines = explain_why(
-        [_ENGINE, _HELPER], LintConfig(), "REPRO012", "stamputil"
+        [_ENGINE, _HELPER], LintConfig(), "REPRO001", "stamputil"
     )
     assert len(lines) == 1
     assert lines[0].startswith("now_tag")
@@ -357,11 +525,20 @@ def test_explain_why_path_filter_reaches_mid_chain_helpers():
 
 def test_explain_why_rejects_file_scope_rules():
     try:
-        explain_why([_ENGINE], LintConfig(), "REPRO001", None)
+        explain_why([_ENGINE], LintConfig(), "REPRO002", None)
     except ValueError as exc:
-        assert "REPRO001" in str(exc)
+        assert "REPRO002" in str(exc)
     else:
         raise AssertionError("expected ValueError")
+
+
+def test_explain_why_write_chain():
+    lines = explain_why(
+        [_CAMPAIGN, _RAWIO], LintConfig(), "REPRO003", None
+    )
+    assert len(lines) == 1
+    assert lines[0].startswith("save_results")
+    assert "open(..., 'w') raw write" in lines[0]
 
 
 # ----------------------------------------------------------------------
@@ -394,11 +571,20 @@ def test_cli_graph_stats_json():
 
 
 def test_cli_why_clean_tree_reports_no_chains():
-    proc = _run_cli("lint", "src", "--no-cache", "--why", "REPRO012")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "no REPRO012 chains" in proc.stdout
+    for rule_id in ("REPRO001", "REPRO003"):
+        proc = _run_cli("lint", "src", "--no-cache", "--why", rule_id)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert f"no {rule_id} chains" in proc.stdout
 
 
 def test_cli_why_unknown_rule_is_usage_error():
-    proc = _run_cli("lint", "src", "--no-cache", "--why", "REPRO001")
+    proc = _run_cli("lint", "src", "--no-cache", "--why", "REPRO002")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("flag", ["--why", "--rule"])
+@pytest.mark.parametrize("retired", ["REPRO012", "REPRO013"])
+def test_cli_retired_rule_ids_are_usage_errors(flag, retired):
+    proc = _run_cli("lint", "src", "--no-cache", flag, retired)
+    assert proc.returncode == 2
+    assert retired in proc.stderr

@@ -11,7 +11,6 @@ from repro.lint import LintConfig, SourceFile, build_project_graph
 from repro.lint.projectgraph import (
     PROP_MONOTONIC,
     PROP_RAWWRITE,
-    PROP_THREAD,
     PROP_WALLCLOCK,
     fkey,
 )
@@ -187,19 +186,6 @@ def test_rawwrite_fact_and_atomic_writer_blessing():
     assert PROP_RAWWRITE in graph.summary(fkey(rel, "sloppy"))
 
 
-def test_thread_spawn_is_summarized():
-    graph = _graph([
-        (
-            "src/repro/sim/pool.py",
-            "import threading\n\n"
-            "def start(fn):\n"
-            "    threading.Thread(target=fn).start()\n",
-        ),
-    ])
-    summary = graph.summary(fkey("src/repro/sim/pool.py", "start"))
-    assert PROP_THREAD in summary
-
-
 def test_monotonic_only_taints_return_position():
     graph = _graph([
         (
@@ -235,6 +221,23 @@ def test_suppressed_fact_does_not_taint_callers():
     ])
     summary = graph.summary(fkey("src/repro/sim/engine.py", "step"))
     assert PROP_WALLCLOCK not in summary
+
+
+def test_direct_facts_keep_every_call_including_suppressed_ones():
+    graph = _graph([
+        (
+            "src/repro/sim/timer.py",
+            "import time\n\n"
+            "def lap():\n"
+            "    t0 = time.time()  # reprolint: disable=REPRO001\n"
+            "    return time.time() - t0\n",
+        ),
+    ])
+    key = fkey("src/repro/sim/timer.py", "lap")
+    assert [h.line for h in graph.direct_facts(key, PROP_WALLCLOCK)] \
+        == [4, 5]
+    # The summary seeds from the first *unsuppressed* fact.
+    assert graph.summary(key)[PROP_WALLCLOCK].line == 5
 
 
 def test_module_level_code_is_a_pseudo_function():
@@ -292,6 +295,9 @@ def test_disk_cache_reuses_unchanged_modules(tmp_path):
     key = fkey("src/repro/sim/engine.py", "step")
     assert g2.summary(key)[PROP_WALLCLOCK] == \
         g1.summary(key)[PROP_WALLCLOCK]
+    helper = fkey("src/repro/trace/stamputil.py", "now_tag")
+    assert g2.direct_facts(helper, PROP_WALLCLOCK) == \
+        g1.direct_facts(helper, PROP_WALLCLOCK) != []
 
 
 def test_disk_cache_invalidates_importers_transitively(tmp_path):

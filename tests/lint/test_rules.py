@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint import LintConfig, SourceFile, all_rules, lint_sources
-from repro.lint.selftest import fixture_for, rule_fixtures
+from repro.lint.selftest import fixture_for, fixtures_for, rule_fixtures
 
 RULE_IDS = sorted(r.rule_id for r in all_rules())
 
@@ -25,21 +25,27 @@ def test_every_rule_has_a_fixture():
 
 @pytest.mark.parametrize("rule_id", RULE_IDS)
 def test_violating_fixture_fires(rule_id):
-    fixture = fixture_for(rule_id)
-    result = _lint(fixture.violating, rule_id, fixture.config)
-    hits = [v for v in result.violations if v.rule_id == rule_id]
-    assert len(hits) >= fixture.expect_min
-    # Findings are locatable and carry the rule id in their rendering.
-    for violation in hits:
-        assert violation.line >= 1
-        assert rule_id in violation.render()
+    for fixture in fixtures_for(rule_id):
+        result = _lint(fixture.violating, rule_id, fixture.config)
+        hits = [v for v in result.violations if v.rule_id == rule_id]
+        assert len(hits) >= fixture.expect_min, fixture.name
+        # Findings are locatable and carry the rule id in their
+        # rendering.
+        for violation in hits:
+            assert violation.line >= 1
+            assert rule_id in violation.render()
 
 
 @pytest.mark.parametrize("rule_id", RULE_IDS)
 def test_clean_fixture_is_silent(rule_id):
-    fixture = fixture_for(rule_id)
-    result = _lint(fixture.clean, rule_id, fixture.config)
-    assert result.violations == []
+    for fixture in fixtures_for(rule_id):
+        result = _lint(fixture.clean, rule_id, fixture.config)
+        assert result.violations == [], fixture.name
+
+
+@pytest.mark.parametrize("rule_id", ["REPRO001", "REPRO003"])
+def test_graph_rules_have_a_chain_fixture(rule_id):
+    assert "chain" in {f.label for f in fixtures_for(rule_id)}
 
 
 def test_repro001_outside_guarded_paths_is_ignored():
