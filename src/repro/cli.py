@@ -55,9 +55,10 @@ Main subcommands:
   down to ``--max-entries``/``--max-bytes`` budgets, ``verify``
   validates every entry's checksum (``--repair`` quarantines).  The
   ``simulate``, ``advise`` and ``campaign run`` subcommands accept
-  ``--pass-cache DIR`` to reuse functional passes across invocations,
-  and ``--stack-pass`` to collapse cold functional passes into one
-  shared stack walk per trace (see ``docs/internals.md``); results are
+  ``--pass-cache DIR`` to reuse functional passes across invocations.
+  Every fastpath pass takes the route its organization allows: LRU and
+  direct-mapped organizations are derived from a shared stack walk,
+  the rest take a scalar pass (see ``docs/internals.md``); results are
   bit-identical either way.
 """
 
@@ -138,16 +139,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             assoc=args.assoc,
             cycle_ns=args.cycle_ns,
         )
-    runner = simulate if args.engine else fast_simulate
-    if not args.engine:
+    use_engine = args.engine
+    if not use_engine:
         from .errors import ConfigurationError
         from .sim.fastpath import check_fastpath_supported
 
         try:
             check_fastpath_supported(config)
         except ConfigurationError:
-            runner = simulate  # spec needs engine features
-    if (args.sample or args.sample_validate) and runner is simulate:
+            use_engine = True  # spec needs engine features
+    if (args.sample or args.sample_validate) and use_engine:
         print("error: --sample requires the fastpath; it is incompatible "
               "with --engine and with spec files that need engine "
               "features", file=sys.stderr)
@@ -155,25 +156,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     pass_cache = None
     if args.pass_cache:
-        if runner is fast_simulate:
+        if not use_engine:
             from .sim.passcache import PassCache
 
             pass_cache = PassCache(args.pass_cache, registry=registry)
         else:
             print("note: --pass-cache applies to fastpath runs only; "
                   "this engine run bypasses it", file=sys.stderr)
-    stack_stats = None
-    if args.stack_pass:
-        if runner is fast_simulate:
-            from .sim.stackpass import StackPassStats
-
-            stack_stats = StackPassStats()
-        else:
-            print("note: --stack-pass applies to fastpath runs only; "
-                  "this engine run bypasses it", file=sys.stderr)
     if args.sample or args.sample_validate:
         return _simulate_sampled(
-            args, config, trace, timer, pass_cache, stack_stats, registry
+            args, config, trace, timer, pass_cache, registry
         )
     want_metrics = args.metrics or args.metrics_out
     telemetry = None
@@ -183,23 +175,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             tracer=EventTracer() if args.trace_out else None,
         )
     with timer.stage("simulate"):
-        if stack_stats is not None:
-            from .sim.stackpass import stack_fast_simulate
-
-            stats = stack_fast_simulate(
-                config, trace, cache=pass_cache, stats=stack_stats,
-                telemetry=telemetry,
-            )
-        elif pass_cache is not None:
-            from .sim.passcache import cached_fast_simulate
-
-            stats = cached_fast_simulate(
-                config, trace, cache=pass_cache, telemetry=telemetry
-            )
-        elif telemetry is not None:
-            stats = runner(config, trace, telemetry=telemetry)
+        if use_engine:
+            stats = simulate(config, trace, telemetry=telemetry)
         else:
-            stats = runner(config, trace)
+            from .core.sweep import run_functional_passes
+            from .sim.stackpass import StackPassStats
+
+            stack_stats = StackPassStats()
+            stream = run_functional_passes(
+                [(config, trace, 0)], cache=pass_cache,
+                stack_stats=stack_stats,
+            )[0]
+            stats = fast_simulate(
+                config, trace, telemetry=telemetry, stream=stream
+            )
+            if want_metrics:  # the route's counters ride with --metrics
+                stack_stats.publish(registry)
     print(f"trace: {trace.name} ({len(trace)} references, "
           f"{stats.n_refs} measured)")
     print(f"warm-up: {len(trace) - stats.n_refs} reference(s) before the "
@@ -217,14 +208,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"write buffer: {stats.buffer.pushes} pushes, "
           f"{stats.buffer.full_stalls} full stalls, "
           f"{stats.buffer.match_stalls} read-match stalls")
-    if stack_stats is not None:
-        stack_stats.publish(registry)
     _print_counters(registry)
     if telemetry is not None and telemetry.ledger is not None:
         report = build_run_report(
             stats, telemetry.ledger, timer,
             run_identifier=f"{trace.name}-cli",
-            simulator="engine" if runner is simulate else "fastpath",
+            simulator="engine" if use_engine else "fastpath",
             n_refs_total=len(trace), config=config, registry=registry,
         )
         print("cycle attribution (measured):")
@@ -251,8 +240,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _simulate_sampled(
-    args: argparse.Namespace, config, trace, timer, pass_cache, stack_stats,
-    registry,
+    args: argparse.Namespace, config, trace, timer, pass_cache, registry,
 ) -> int:
     """The ``simulate --sample`` path: a stratified estimate, not an
     exact run.  Shares the printed statistics shape with the exact path
@@ -273,10 +261,6 @@ def _simulate_sampled(
     except SamplingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if stack_stats is not None:
-        print("note: --stack-pass applies to exact and sweep runs; this "
-              "sampled single run uses scalar representative passes",
-              file=sys.stderr)
     if args.trace_out:
         print("note: --trace-out needs an exact replay; the sampled run "
               "skips it", file=sys.stderr)
@@ -434,11 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="directory of a persistent functional-pass "
                            "cache to reuse across invocations "
                            "(fastpath runs only)")
-    simp.add_argument("--stack-pass", action="store_true",
-                      help="derive the functional pass through the "
-                           "shared stack-walk machinery (fastpath runs "
-                           "only; bit-identical results, reported as "
-                           "stackpass.* metrics counters)")
     simp.add_argument("--sample", default="",
                       help="estimate from representative trace "
                            "intervals instead of an exact run: a "
@@ -489,10 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
     adv.add_argument("--jobs", type=int, default=1,
                      help="worker processes for the sweep's functional "
                           "passes and then its grid pricing")
-    adv.add_argument("--stack-pass", action="store_true",
-                     help="collapse the sweep's cold functional passes "
-                          "into one shared stack walk per trace "
-                          "(bit-identical results)")
     adv.add_argument("--sample", default="",
                      help="price the advisor's sweep on representative "
                           "trace intervals (stratified estimates with "
@@ -595,9 +570,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "(incompatible with --engine)")
     crun.add_argument("--stack-pass", action="store_true",
                       help="precompute the sweep's functional passes "
-                           "with one shared stack walk per trace before "
-                           "dispatching workers (requires --pass-cache; "
-                           "incompatible with --engine)")
+                           "in the parent before dispatching workers "
+                           "(one shared stack walk per trace for LRU and "
+                           "direct-mapped organizations; requires "
+                           "--pass-cache; incompatible with --engine)")
     crun.add_argument("--sample", default="",
                       help="run every sweep job as a stratified "
                            "interval-sampling estimate: a sampling-plan "
@@ -1092,8 +1068,9 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     else:
         simulate_fn = simulate if args.engine else fast_simulate
     if args.stack_pass:
-        # One shared walk per trace fills the pass cache up front; the
-        # workers below then find every stream already materialized.
+        # The parent fills the pass cache up front (one shared walk per
+        # trace where the organizations allow it); the workers below
+        # then find every stream already materialized.
         from .core.sweep import run_functional_passes
         from .sim.passcache import PassCache
         from .sim.stackpass import StackPassStats
@@ -1106,7 +1083,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
                 for trace in suite.values()
             ],
             cache=PassCache(args.pass_cache),
-            strategy="stack",
             stack_stats=stack_stats,
         )
         registry = MetricsRegistry()
@@ -1404,9 +1380,7 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     try:
         grid = run_speed_size_sweep(
             suite, extended, cycles, seed=args.seed, n_jobs=args.jobs,
-            pass_cache=pass_cache, registry=registry,
-            functional_strategy="stack" if args.stack_pass else "scalar",
-            sampling=sampling,
+            pass_cache=pass_cache, registry=registry, sampling=sampling,
         )
     except SamplingError as exc:
         print(f"repro-sim advise: error: {exc}", file=sys.stderr)

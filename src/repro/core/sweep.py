@@ -17,6 +17,7 @@ the top-level :mod:`repro` package rather than :mod:`repro.core` (whose
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -40,8 +41,8 @@ from ..sim.fastpath import (
     EventStream,
     ReplayOutcome,
     assemble_stats,
+    fast_simulate,
     functional_pass,
-    replay,
 )
 from ..sim.replaykernel import BatchReplayKernel, TimingPoint
 from ..sim.sampling import (
@@ -113,20 +114,8 @@ def _as_trace_list(traces) -> List[Trace]:
     return list(traces)
 
 
-def _pair_map(traces: Sequence[Trace]) -> Dict[str, CoupletStream]:
-    """Prepair couplets once per trace, keyed by content fingerprint.
-
-    Keying by fingerprint (not ``id(trace)``) matters: CPython reuses
-    object ids after garbage collection, so an id-keyed memo could
-    silently pair a *different* trace's couplet stream with a config —
-    a wrong-result bug, not a crash.  Fingerprints are content-derived
-    and immune to object lifetime.
-    """
-    return {t.content_fingerprint(): pair_couplets(t) for t in traces}
-
-
 #: Per-worker trace table installed by :func:`_pool_init`; indexed by
-#: the ``slot`` field of a packed pass job.  Module-level because pool
+#: the ``slot`` field of a pass task.  Module-level because pool
 #: initializers can only reach globals.
 _WORKER_TRACES: List[Trace] = []
 
@@ -134,7 +123,7 @@ _WORKER_TRACES: List[Trace] = []
 def _pool_init(traces: List[Trace]) -> None:
     """Process-pool initializer: receive each unique trace exactly once.
 
-    Shipping traces here instead of inside every job means an
+    Shipping traces here instead of inside every task means an
     N-config x M-trace grid pickles M traces per worker rather than
     N x M — for the paper's 16-size grids that is a 16x cut in
     serialization volume.
@@ -143,12 +132,75 @@ def _pool_init(traces: List[Trace]) -> None:
     _WORKER_TRACES = traces
 
 
-def _pass_job(args):
-    """Module-level functional-pass job (must be picklable for the
-    process pool).  Returns ``(job index, stream)`` so the parent can
-    verify result order against submission order."""
-    index, config, slot, seed = args
-    return index, functional_pass(config, _WORKER_TRACES[slot], seed=seed)
+#: One unit of functional-pass work: ``(walk, trace slot, members)``,
+#: each member a ``(job index, config, seed)``.  A walk task derives
+#: every member from one shared stack walk; otherwise the task holds a
+#: single member that takes the scalar pass.
+PassTask = Tuple[bool, int, List[Tuple[int, SystemConfig, int]]]
+
+
+def _plan_tasks(
+    jobs: Sequence[Tuple[SystemConfig, Trace, int]],
+    pending: Sequence[int],
+) -> Tuple[List[PassTask], List[Trace]]:
+    """Group the pending jobs into pass tasks and dedupe their traces.
+
+    The organization picks the route: every stack-eligible job over one
+    trace joins that trace's walk task (see
+    :func:`~repro.sim.stackpass.stack_supported`), and every other job
+    is a scalar task of its own.  Walk tasks come first, being the
+    heavier ones.  ``unique_traces`` holds one trace per distinct
+    content fingerprint, in first-seen order; the slot indirection is
+    what lets :func:`_pool_init` ship each trace to each worker exactly
+    once.
+    """
+    slot_of: Dict[str, int] = {}
+    unique_traces: List[Trace] = []
+    walks: Dict[int, PassTask] = {}
+    scalar: List[PassTask] = []
+    for k in pending:
+        config, trace, seed = jobs[k]
+        fingerprint = trace.content_fingerprint()
+        slot = slot_of.get(fingerprint)
+        if slot is None:
+            slot = slot_of[fingerprint] = len(unique_traces)
+            unique_traces.append(trace)
+        if stack_supported(config):
+            walks.setdefault(slot, (True, slot, []))[2].append(
+                (k, config, seed)
+            )
+        else:
+            scalar.append((False, slot, [(k, config, seed)]))
+    return list(walks.values()) + scalar, unique_traces
+
+
+def _run_task(
+    task: PassTask,
+    traces: Sequence[Trace],
+    couplets: Optional[CoupletStream],
+    stats: StackPassStats,
+) -> Tuple[List[int], List[EventStream]]:
+    """Run one pass task; returns its job indices and their streams."""
+    walk, slot, members = task
+    trace = traces[slot]
+    if walk:
+        streams = stack_functional_passes(
+            [(config, trace, seed) for _k, config, seed in members],
+            couplets=couplets, stats=stats,
+        )
+    else:
+        _k, config, seed = members[0]
+        streams = [functional_pass(config, trace, couplets=couplets, seed=seed)]
+        stats.fallback_passes += 1
+    return [k for k, _config, _seed in members], streams
+
+
+def _task_job(task: PassTask):
+    """Module-level pass task for the process pool; returns the task's
+    job indices, streams and stack-pass counters."""
+    stats = StackPassStats()
+    indices, streams = _run_task(task, _WORKER_TRACES, None, stats)
+    return indices, streams, stats
 
 
 def run_functional_passes(
@@ -156,7 +208,6 @@ def run_functional_passes(
     n_jobs: int = 1,
     couplets: Optional[Mapping[str, CoupletStream]] = None,
     cache: Optional["PassCache"] = None,
-    strategy: str = "scalar",
     stack_stats: Optional[StackPassStats] = None,
     sampling: Optional[SamplingPlan] = None,
     sampling_stats: Optional[SamplingStats] = None,
@@ -165,10 +216,7 @@ def run_functional_passes(
 
     This is the library's stand-in for the paper's farm of 10–20
     MicroVAX II workstations: the expensive organization passes are
-    independent and distribute perfectly.  ``couplets`` maps a trace's
-    :meth:`~repro.trace.record.Trace.content_fingerprint` to a
-    prepaired stream, used only on the serial and stack paths (child
-    processes re-pair locally — cheaper than pickling streams).
+    independent and distribute perfectly.
 
     ``cache`` is a :class:`~repro.sim.passcache.PassCache`: hits are
     loaded from disk in the parent and only the misses are simulated
@@ -176,39 +224,34 @@ def run_functional_passes(
     organizations performs zero functional passes.  Results always come
     back in job order.
 
-    ``strategy="stack"`` routes the misses through
-    :func:`~repro.sim.stackpass.stack_functional_passes` instead: one
-    shared trace walk per distinct trace covers every stack-eligible
-    organization, and ineligible ones (multi-way FIFO/RANDOM) fall back
-    to per-organization scalar passes, counted in
-    ``stack_stats.fallback_passes``.  The stack path is serial —
-    ``n_jobs`` is ignored — because the shared walk already removes the
-    N-walk cost the pool existed to spread.  Streams are bit-identical
-    to the scalar path's either way, and cache entries written by one
-    strategy are indistinguishable from the other's.
+    Each organization picks its own route.  The stack-eligible misses
+    over one trace (LRU, or direct-mapped under any policy) share one
+    walk of that trace
+    (:func:`~repro.sim.stackpass.stack_functional_passes`); every other
+    miss takes a scalar :func:`~repro.sim.fastpath.functional_pass`,
+    counted in ``stack_stats.fallback_passes``.  Streams are
+    bit-identical to the scalar pass's either way.  With ``n_jobs > 1``
+    the walks and scalar passes run as tasks over a process pool that
+    receives each trace once; otherwise they run in-process, where
+    ``couplets`` (a trace's
+    :meth:`~repro.trace.record.Trace.content_fingerprint` mapped to a
+    prepaired stream) spares re-pairing a trace.
 
     ``sampling`` (a :class:`~repro.sim.sampling.SamplingPlan`) changes
     the return type: each job expands into one functional pass per
     representative interval of its trace and the result list holds
     :class:`~repro.sim.sampling.SampledPassGroup` objects instead of
     single streams.  The representative-interval jobs flow through this
-    same function, so the cache, the pool and the stack strategy all
-    compose — a stack walk of one interval trace covers every
-    stack-eligible organization, and interval streams persist in the
-    pass cache under their own content fingerprints.  With
-    ``sampling.validate``, every ``validate_period``-th job also runs
-    its exact pass and the true miss-ratio error lands in
-    ``sampling_stats``.
+    same function, so the cache, the pool and the stack walk all
+    compose — interval streams persist in the pass cache under their
+    own content fingerprints.  With ``sampling.validate``, every
+    ``validate_period``-th job also runs its exact pass and the true
+    miss-ratio error lands in ``sampling_stats``.
     """
-    if strategy not in ("scalar", "stack"):
-        raise AnalysisError(
-            f"unknown functional-pass strategy {strategy!r}; "
-            "expected 'scalar' or 'stack'"
-        )
     jobs = list(jobs)
     if sampling is not None:
         return _sampled_functional_passes(
-            jobs, sampling, n_jobs=n_jobs, cache=cache, strategy=strategy,
+            jobs, sampling, n_jobs=n_jobs, cache=cache,
             stack_stats=stack_stats, sampling_stats=sampling_stats,
         )
     results: List[Optional[EventStream]] = [None] * len(jobs)
@@ -222,68 +265,48 @@ def run_functional_passes(
                 results[k] = stream
     else:
         pending = list(range(len(jobs)))
-    if pending:
-        if strategy == "stack":
-            pair_memo = dict(couplets) if couplets else {}
-            groups: Dict[str, List[int]] = {}
-            for k in pending:
-                fingerprint = jobs[k][1].content_fingerprint()
-                groups.setdefault(fingerprint, []).append(k)
-            for fingerprint, members in groups.items():
-                stream_in = pair_memo.get(fingerprint)
-                if stream_in is None:
-                    stream_in = pair_couplets(jobs[members[0]][1])
-                    pair_memo[fingerprint] = stream_in
-                shared = [k for k in members if stack_supported(jobs[k][0])]
-                if shared:
-                    streams = stack_functional_passes(
-                        [jobs[k] for k in shared],
-                        couplets=stream_in,
-                        stats=stack_stats,
+    if not pending:
+        return results
+    tasks, traces = _plan_tasks(jobs, pending)
+    stats = stack_stats if stack_stats is not None else StackPassStats()
+    done: List[Tuple[List[int], List[EventStream]]] = []
+    if n_jobs <= 1 or len(tasks) <= 1:
+        pair_memo = dict(couplets) if couplets else {}
+        for task in tasks:
+            trace = traces[task[1]]
+            fingerprint = trace.content_fingerprint()
+            stream_in = pair_memo.get(fingerprint)
+            if stream_in is None:
+                stream_in = pair_memo[fingerprint] = pair_couplets(trace)
+            done.append(_run_task(task, traces, stream_in, stats))
+    else:
+        with ProcessPoolExecutor(
+            max_workers=n_jobs, initializer=_pool_init, initargs=(traces,),
+        ) as pool:
+            for task, (indices, streams, task_stats) in zip(
+                tasks, pool.map(_task_job, tasks)
+            ):
+                expected = [k for k, _config, _seed in task[2]]
+                if indices != expected:
+                    raise AnalysisError(
+                        f"functional-pass results out of order: "
+                        f"expected jobs {expected}, got {indices}"
                     )
-                    for k, stream in zip(shared, streams):
-                        results[k] = stream
-                for k in members:
-                    if results[k] is None:
-                        config, trace, seed = jobs[k]
-                        results[k] = functional_pass(
-                            config, trace, couplets=stream_in, seed=seed
-                        )
-                        if stack_stats is not None:
-                            stack_stats.fallback_passes += 1
-        elif n_jobs <= 1 or len(pending) <= 1:
-            pair_memo: Dict[str, CoupletStream] = (
-                dict(couplets) if couplets else {}
-            )
-            for k in pending:
-                config, trace, seed = jobs[k]
-                fingerprint = trace.content_fingerprint()
-                stream_in = pair_memo.get(fingerprint)
-                if stream_in is None:
-                    stream_in = pair_couplets(trace)
-                    pair_memo[fingerprint] = stream_in
-                results[k] = functional_pass(
-                    config, trace, couplets=stream_in, seed=seed
-                )
-        else:
-            packed, unique_traces = _pack_pass_jobs(jobs, pending)
-            with ProcessPoolExecutor(
-                max_workers=n_jobs,
-                initializer=_pool_init,
-                initargs=(unique_traces,),
-            ) as pool:
-                for job, outcome in zip(packed, pool.map(_pass_job, packed)):
-                    index, stream = outcome
-                    if index != job[0]:
-                        raise AnalysisError(
-                            f"functional-pass results out of order: "
-                            f"expected job {job[0]}, got {index}"
-                        )
-                    results[index] = stream
-        if cache is not None:
-            for k in pending:
-                config, trace, seed = jobs[k]
-                cache.put(config, trace, seed, results[k])
+                for name, value in task_stats.as_dict().items():
+                    setattr(stats, name, getattr(stats, name) + value)
+                done.append((indices, streams))
+    for indices, streams in done:
+        for k, stream in zip(indices, streams):
+            # A task runs on one trace per content; restore the job's
+            # own trace name.
+            name = jobs[k][1].name
+            if stream.trace_name != name:
+                stream = dataclasses.replace(stream, trace_name=name)
+            results[k] = stream
+    if cache is not None:
+        for k in pending:
+            config, trace, seed = jobs[k]
+            cache.put(config, trace, seed, results[k])
     return results
 
 
@@ -292,7 +315,6 @@ def _sampled_functional_passes(
     plan: SamplingPlan,
     n_jobs: int,
     cache: Optional["PassCache"],
-    strategy: str,
     stack_stats: Optional[StackPassStats],
     sampling_stats: Optional[SamplingStats],
 ) -> List[SampledPassGroup]:
@@ -301,7 +323,7 @@ def _sampled_functional_passes(
     Selections are memoized per (trace contents, plan), so an
     N-organization grid over one trace segments and clusters it once.
     The expanded jobs recurse through :func:`run_functional_passes`
-    with ``sampling=None`` — inheriting the cache, pool and strategy.
+    with ``sampling=None`` — inheriting the cache, pool and stack walk.
     """
     selections = [
         select_intervals(trace, plan, stats=sampling_stats)
@@ -314,8 +336,7 @@ def _sampled_functional_passes(
         rep_jobs.extend((config, rep, seed) for rep in selection.rep_traces)
         spans.append((lo, len(rep_jobs)))
     rep_streams = run_functional_passes(
-        rep_jobs, n_jobs=n_jobs, cache=cache, strategy=strategy,
-        stack_stats=stack_stats,
+        rep_jobs, n_jobs=n_jobs, cache=cache, stack_stats=stack_stats,
     )
     if sampling_stats is not None:
         sampling_stats.representatives += len(rep_jobs)
@@ -331,33 +352,6 @@ def _sampled_functional_passes(
                 stats=sampling_stats,
             )
     return groups
-
-
-def _pack_pass_jobs(
-    jobs: Sequence[Tuple[SystemConfig, Trace, int]],
-    pending: Sequence[int],
-) -> Tuple[List[Tuple[int, SystemConfig, int, int]], List[Trace]]:
-    """Deduplicate traces for the pool and pack picklable job tuples.
-
-    Returns ``(packed, unique_traces)`` where each packed job is
-    ``(job index, config, trace slot, seed)`` and ``unique_traces``
-    holds one trace per distinct content fingerprint, in first-seen
-    order.  The slot indirection is what lets :func:`_pool_init` ship
-    each trace to each worker exactly once.
-    """
-    slot_of: Dict[str, int] = {}
-    unique_traces: List[Trace] = []
-    packed: List[Tuple[int, SystemConfig, int, int]] = []
-    for k in pending:
-        config, trace, seed = jobs[k]
-        fingerprint = trace.content_fingerprint()
-        slot = slot_of.get(fingerprint)
-        if slot is None:
-            slot = len(unique_traces)
-            slot_of[fingerprint] = slot
-            unique_traces.append(trace)
-        packed.append((k, config, slot, seed))
-    return packed, unique_traces
 
 
 #: Per-worker event-stream table installed by :func:`_replay_pool_init`;
@@ -453,7 +447,6 @@ def _run_grid(
     seed: int,
     n_jobs: int,
     pass_cache: Optional["PassCache"],
-    functional_strategy: str,
     sampling: Optional[SamplingPlan],
     registry: Optional["MetricsRegistry"],
 ):
@@ -468,11 +461,7 @@ def _run_grid(
     a registry or a plan) collects the estimates the caller still makes
     before it publishes them.
     """
-    stack_stats = (
-        StackPassStats()
-        if registry is not None and functional_strategy == "stack"
-        else None
-    )
+    stack_stats = StackPassStats()
     sampling_stats = (
         SamplingStats()
         if registry is not None and sampling is not None else None
@@ -483,12 +472,11 @@ def _run_grid(
             [(config, trace, seed) for config in configs for trace in traces],
             n_jobs=n_jobs,
             cache=pass_cache,
-            strategy=functional_strategy,
             stack_stats=stack_stats,
             sampling=sampling,
             sampling_stats=sampling_stats,
         )
-    if stack_stats is not None:
+    if registry is not None:
         stack_stats.publish(registry)
     flat_streams, group_spans = _flatten_pass_results(results, sampling)
     with _span(registry, "sweep.price_grid"):
@@ -532,7 +520,7 @@ def run_speed_size_sweep(
     progress: Optional[ProgressFn] = None,
     pass_cache: Optional["PassCache"] = None,
     registry: Optional["MetricsRegistry"] = None,
-    functional_strategy: str = "scalar",
+    functional_strategy: Optional[str] = None,
     sampling: Optional[SamplingPlan] = None,
 ) -> SpeedSizeGrid:
     """Sweep (cache size x cycle time); aggregate over the trace suite.
@@ -544,14 +532,15 @@ def run_speed_size_sweep(
     persisted passes across invocations (see
     :mod:`repro.sim.passcache`).
 
-    Each stream is priced across its whole cycle-time column in one
+    The functional passes go through :func:`run_functional_passes`, so
+    each organization picks its route: stack-eligible ones share one
+    stack walk per trace, the rest take scalar passes.  Each stream is
+    then priced across its whole cycle-time column in one
     :class:`~repro.sim.replaykernel.BatchReplayKernel` invocation.
-    ``n_jobs`` sizes both parallel phases: the functional passes run
-    over a pool of that many processes, then the streams are sharded
-    over as many pricing workers.
-
-    ``functional_strategy="stack"`` collapses the cold passes into one
-    shared stack walk per trace (see :mod:`repro.sim.stackpass`).
+    ``n_jobs`` sizes both parallel phases: the pass tasks run over a
+    pool of that many processes, then the streams are sharded over as
+    many pricing workers.  ``functional_strategy`` is accepted and
+    ignored; the organization picks the route.
 
     ``sampling`` (a :class:`~repro.sim.sampling.SamplingPlan`) runs the
     whole sweep on representative trace intervals: the functional
@@ -559,7 +548,7 @@ def run_speed_size_sweep(
     grid cell is a stratified *estimate* — refused with
     :exc:`~repro.errors.SamplingError` when its confidence interval
     exceeds the plan's bound.  Sampling composes with the cache, the
-    pool and either functional strategy.
+    pool and the stack walk.
 
     ``registry`` (a :class:`~repro.sim.telemetry.MetricsRegistry`) is
     the only way counters leave the sweep: it times the two phases as
@@ -597,8 +586,8 @@ def run_speed_size_sweep(
         for cycle_ns in cycles_ns
     ]
     all_streams, group_spans, outcome_rows, sampling_stats = _run_grid(
-        configs, traces, points, seed, n_jobs, pass_cache,
-        functional_strategy, sampling, registry,
+        configs, traces, points, seed, n_jobs, pass_cache, sampling,
+        registry,
     )
     n_i, n_j = len(sizes), len(cycles_ns)
     exec_gm = np.empty((n_i, n_j))
@@ -722,7 +711,7 @@ def run_blocksize_sweep(
     progress: Optional[ProgressFn] = None,
     pass_cache: Optional["PassCache"] = None,
     registry: Optional["MetricsRegistry"] = None,
-    functional_strategy: str = "scalar",
+    functional_strategy: Optional[str] = None,
     sampling: Optional[SamplingPlan] = None,
 ) -> Dict[Tuple[int, float], BlockSizeCurve]:
     """Sweep block size against memory latency and transfer rate (§5).
@@ -737,8 +726,9 @@ def run_blocksize_sweep(
     simulated memory, so colliding keys are priced once (first
     occurrence wins; the outcomes are identical by construction).  The
     memory grid is priced per stream in one batch-kernel call; see
-    :func:`run_speed_size_sweep` for ``n_jobs``, ``pass_cache``,
-    ``registry``, ``functional_strategy`` and ``sampling``.
+    :func:`run_speed_size_sweep` for the pass routes, ``n_jobs``,
+    ``pass_cache``, ``registry`` and ``sampling``.
+    ``functional_strategy`` is accepted and ignored.
     """
     traces = _as_trace_list(traces)
     if not traces:
@@ -783,8 +773,8 @@ def run_blocksize_sweep(
         for _key, mem in unique_memories
     ]
     all_streams, group_spans, outcome_rows, sampling_stats = _run_grid(
-        configs, traces, points, seed, n_jobs, pass_cache,
-        functional_strategy, sampling, registry,
+        configs, traces, points, seed, n_jobs, pass_cache, sampling,
+        registry,
     )
     curves: Dict[Tuple[int, float], Dict[int, AggregateMetrics]] = {}
     for b_index, block_words in enumerate(block_sizes):
@@ -841,16 +831,10 @@ def run_point(
 ) -> AggregateMetrics:
     """Evaluate one configuration over the suite (fastpath)."""
     traces = _as_trace_list(traces)
-    summaries = []
-    for trace in traces:
-        stream = functional_pass(config, trace, seed=seed)
-        outcome = replay(
-            stream, config.memory, config.cycle_ns,
-            write_buffer_depth=config.l1.write_buffer_depth,
+    streams = run_functional_passes([(config, t, seed) for t in traces])
+    return aggregate([
+        TraceRunSummary.from_stats(
+            fast_simulate(config, trace, seed=seed, stream=stream)
         )
-        summaries.append(
-            TraceRunSummary.from_stats(
-                assemble_stats(stream, outcome, config.cycle_ns)
-            )
-        )
-    return aggregate(summaries)
+        for trace, stream in zip(traces, streams)
+    ])

@@ -74,20 +74,12 @@ def _env_pass_cache() -> str:
     return os.environ.get("REPRO_PASS_CACHE", "")
 
 
-def _env_stack_pass() -> bool:
-    """Set ``REPRO_STACK_PASS=1`` to collapse each sweep's cold
-    functional passes into one shared stack walk per trace (see
-    :mod:`repro.sim.stackpass`).  Results are bit-identical either way.
-    """
-    return os.environ.get("REPRO_STACK_PASS", "") not in ("", "0", "false")
-
-
 def _env_sample() -> str:
     """Set ``REPRO_SAMPLE`` to run every sweep on representative trace
     intervals (see :mod:`repro.sim.sampling`).  The value is a
     :meth:`~repro.sim.sampling.SamplingPlan.parse` spec — ``"1"`` for
-    the defaults, or e.g. ``"interval=20000,k=8"``.  Unlike the stack
-    pass, sampling changes the numbers: every figure becomes a
+    the defaults, or e.g. ``"interval=20000,k=8"``.  Unlike the pass
+    cache, sampling changes the numbers: every figure becomes a
     stratified *estimate* with the plan's confidence bound.
     """
     return os.environ.get("REPRO_SAMPLE", "")
@@ -103,13 +95,9 @@ class ExperimentSettings:
     full: bool = field(default_factory=_env_full)
     n_jobs: int = field(default_factory=_env_jobs)
     pass_cache_dir: str = field(default_factory=_env_pass_cache)
-    stack_pass: bool = field(default_factory=_env_stack_pass)
+    #: Accepted and ignored: the organization picks the pass route.
+    stack_pass: bool = field(default=False, compare=False)
     sample: str = field(default_factory=_env_sample)
-
-    @property
-    def functional_strategy(self) -> str:
-        """The :func:`repro.core.sweep.run_functional_passes` strategy."""
-        return "stack" if self.stack_pass else "scalar"
 
     @property
     def sampling_plan(self):
@@ -223,6 +211,17 @@ def _pass_cache_for(settings: ExperimentSettings):
     return PassCache(settings.pass_cache_dir)
 
 
+def sweep_options(settings: ExperimentSettings) -> Dict[str, object]:
+    """The sweep-driver keywords an experiment takes from its settings:
+    the seed, the worker count, the pass cache and the sampling plan."""
+    return dict(
+        seed=settings.seed,
+        n_jobs=settings.n_jobs,
+        pass_cache=_pass_cache_for(settings),
+        sampling=settings.sampling_plan,
+    )
+
+
 def speed_size_grid(
     settings: ExperimentSettings, assoc: int = 1
 ) -> SpeedSizeGrid:
@@ -236,11 +235,7 @@ def speed_size_grid(
                 sizes_each_bytes=settings.sizes_each_bytes,
                 cycle_times_ns=settings.cycle_times_ns,
                 assoc=assoc,
-                seed=settings.seed,
-                n_jobs=settings.n_jobs,
-                pass_cache=_pass_cache_for(settings),
-                functional_strategy=settings.functional_strategy,
-                sampling=settings.sampling_plan,
+                **sweep_options(settings),
             )
     return _GRID_CACHE[key]
 
@@ -263,11 +258,7 @@ def blocksize_curves(settings: ExperimentSettings) -> Dict:
                 block_sizes_words=settings.block_sizes_words,
                 latencies_ns=settings.latencies_ns,
                 transfer_rates=settings.transfer_rates,
-                seed=settings.seed,
-                n_jobs=settings.n_jobs,
-                pass_cache=_pass_cache_for(settings),
-                functional_strategy=settings.functional_strategy,
-                sampling=settings.sampling_plan,
+                **sweep_options(settings),
             )
     return _BLOCKSIZE_CACHE[settings]
 

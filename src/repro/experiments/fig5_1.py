@@ -20,7 +20,12 @@ from ..core.blocksize import optimal_block_size_words
 from ..core.report import format_table
 from ..core.sweep import run_blocksize_sweep
 from ..units import quantize_ns
-from .common import ExperimentResult, ExperimentSettings, suite_for
+from .common import (
+    ExperimentResult,
+    ExperimentSettings,
+    suite_for,
+    sweep_options,
+)
 
 EXPERIMENT_ID = "fig5_1"
 TITLE = "Block size vs miss ratio and execution time (260ns memory)"
@@ -36,7 +41,7 @@ def run(settings: Optional[ExperimentSettings] = None) -> ExperimentResult:
         block_sizes_words=settings.block_sizes_words,
         latencies_ns=[LATENCY_NS],
         transfer_rates=[1.0],
-        seed=settings.seed,
+        **sweep_options(settings),
     )
     key = (quantize_ns(LATENCY_NS, 40.0), 1.0)
     curve = curves[key]

@@ -26,7 +26,12 @@ from ..core.report import format_table
 from ..core.sweep import run_speed_size_sweep
 from ..memory.buses import scaled_memory
 from ..core.timing import MemoryTiming
-from .common import ExperimentResult, ExperimentSettings, suite_for
+from .common import (
+    ExperimentResult,
+    ExperimentSettings,
+    suite_for,
+    sweep_options,
+)
 
 EXPERIMENT_ID = "scaling"
 TITLE = "Technology scaling of the speed-size tradeoff (§6)"
@@ -48,17 +53,16 @@ def run(settings: Optional[ExperimentSettings] = None) -> ExperimentResult:
     traces = suite_for(settings)
     sizes = settings.sizes_each_bytes[:4]
     base_cycles = [20.0, 28.0, 40.0, 60.0, 80.0]
-    base = run_speed_size_sweep(
-        traces, sizes, base_cycles, seed=settings.seed
-    )
+    options = sweep_options(settings)
+    base = run_speed_size_sweep(traces, sizes, base_cycles, **options)
     # Everything halves: clocks and memory nanoseconds.
     halved = run_speed_size_sweep(
         traces, sizes, [t / 2 for t in base_cycles],
-        memory=scaled_memory(MemoryTiming(), 0.5), seed=settings.seed,
+        memory=scaled_memory(MemoryTiming(), 0.5), **options,
     )
     # Only the CPU halves: memory stays 1988-speed.
     cpu_only = run_speed_size_sweep(
-        traces, sizes, [t / 2 for t in base_cycles], seed=settings.seed
+        traces, sizes, [t / 2 for t in base_cycles], **options
     )
     rows = []
     f_base = _fraction_slopes(base)

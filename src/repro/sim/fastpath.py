@@ -448,10 +448,19 @@ def fast_simulate(
     couplets: Optional[CoupletStream] = None,
     seed: int = 0,
     telemetry: Optional[Telemetry] = None,
+    stream: Optional[EventStream] = None,
 ) -> SimStats:
     """Drop-in equivalent of :func:`repro.sim.engine.simulate` for
-    fastpath-supported configurations."""
-    stream = functional_pass(config, trace, couplets=couplets, seed=seed)
+    fastpath-supported configurations.
+
+    ``stream``, when given, is the functional pass already made for
+    ``(config, trace, seed)`` (e.g. by
+    :func:`repro.core.sweep.run_functional_passes`); only the replay
+    runs.  Without it this is the scalar reference: one
+    :func:`functional_pass`, then one :func:`replay`.
+    """
+    if stream is None:
+        stream = functional_pass(config, trace, couplets=couplets, seed=seed)
     outcome = replay(
         stream, config.memory, config.cycle_ns,
         write_buffer_depth=config.l1.write_buffer_depth,

@@ -58,14 +58,8 @@ from ..cpu.processor import NO_REF, CoupletStream, pair_couplets
 from ..errors import ConfigurationError
 from ..trace.record import RefKind, Trace
 from .config import SystemConfig
-from .fastpath import (
-    EventStream,
-    assemble_stats,
-    check_fastpath_supported,
-    functional_pass,
-    replay,
-)
-from .statistics import CacheCounters, SimStats
+from .fastpath import EventStream, check_fastpath_supported
+from .statistics import CacheCounters
 
 _STORE = int(RefKind.STORE)
 
@@ -84,7 +78,7 @@ _ADDR_MASK = (1 << _PID_SHIFT) - 1
 
 @dataclasses.dataclass
 class StackPassStats:
-    """Counters describing what a stack-strategy pass actually did.
+    """Counters describing how a batch of functional passes was served.
 
     Published to a :class:`~repro.sim.telemetry.MetricsRegistry` under
     ``stackpass.*``.
@@ -99,8 +93,12 @@ class StackPassStats:
         return dataclasses.asdict(self)
 
     def publish(self, registry) -> None:
-        """Mirror the counters into a metrics registry."""
-        for name, value in self.as_dict().items():
+        """Mirror the counters into a metrics registry; stats that saw
+        no pass at all (every stream a cache hit) publish nothing."""
+        counts = self.as_dict()
+        if not any(counts.values()):
+            return
+        for name, value in counts.items():
             registry.count(f"stackpass.{name}", value)
 
 
@@ -435,42 +433,3 @@ def stack_functional_passes(
                 stats.reused_streams += 1
         results.append(stream)
     return results
-
-
-def stack_fast_simulate(
-    config: SystemConfig,
-    trace: Trace,
-    couplets: Optional[CoupletStream] = None,
-    seed: int = 0,
-    cache=None,
-    stats: Optional[StackPassStats] = None,
-    telemetry=None,
-) -> SimStats:
-    """Drop-in :func:`~repro.sim.fastpath.fast_simulate` that derives
-    the functional pass via the stack walk.
-
-    For a single organization the walk saves nothing over the scalar
-    pass — this entry point exists so ``simulate --stack-pass`` runs
-    the exact code path the sweeps share, consults the same
-    :class:`~repro.sim.passcache.PassCache`, and reports fallbacks the
-    same way.  Ineligible organizations take the scalar pass and bump
-    :attr:`StackPassStats.fallback_passes`.
-    """
-    stream = cache.get(config, trace, seed) if cache is not None else None
-    if stream is None:
-        if stack_supported(config):
-            stream = stack_functional_passes(
-                [(config, trace, seed)], couplets=couplets, stats=stats,
-            )[0]
-        else:
-            stream = functional_pass(config, trace, couplets=couplets, seed=seed)
-            if stats is not None:
-                stats.fallback_passes += 1
-        if cache is not None:
-            cache.put(config, trace, seed, stream)
-    outcome = replay(
-        stream, config.memory, config.cycle_ns,
-        write_buffer_depth=config.l1.write_buffer_depth,
-        telemetry=telemetry,
-    )
-    return assemble_stats(stream, outcome, config.cycle_ns)

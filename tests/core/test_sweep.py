@@ -11,10 +11,12 @@ from repro.core.sweep import (
     run_point,
     run_speed_size_sweep,
 )
+from repro.core.metrics import TraceRunSummary, aggregate
 from repro.core.policy import ReplacementKind
 from repro.core.timing import DEFAULT_CYCLE_NS, MemoryTiming
 from repro.errors import AnalysisError
 from repro.sim.config import baseline_config
+from repro.sim.fastpath import fast_simulate
 from repro.sim.passcache import PassCache
 from repro.sim.sampling import SamplingPlan
 from repro.sim.telemetry import MetricsRegistry
@@ -25,6 +27,15 @@ from repro.units import KB, quantize_ns
 @pytest.fixture(scope="module")
 def small_suite():
     return build_suite(length=15_000, names=["mu3", "rd2n4"])
+
+
+def scalar_point(config, suite):
+    """One organization over the suite through the scalar reference:
+    one ``functional_pass`` and one ``replay()`` per trace."""
+    return aggregate([
+        TraceRunSummary.from_stats(fast_simulate(config, trace))
+        for trace in suite.values()
+    ])
 
 
 class TestSpeedSizeSweep:
@@ -98,8 +109,8 @@ class TestSpeedSizeSweep:
         ).all()
 
     def test_replay_kernel_equals_scalar(self, small_suite):
-        """Every grid cell equals the same organization priced by one
-        scalar ``replay()`` per trace (:func:`run_point`)."""
+        """Every grid cell equals the same organization run through the
+        scalar reference (:func:`scalar_point`)."""
         sizes, cycles = [2 * KB, 8 * KB], [20.0, 40.0, 56.0]
         registry = MetricsRegistry()
         grid = run_speed_size_sweep(
@@ -107,7 +118,7 @@ class TestSpeedSizeSweep:
         )
         for i, size in enumerate(sizes):
             for j, cycle_ns in enumerate(cycles):
-                scalar = run_point(
+                scalar = scalar_point(
                     baseline_config(cache_size_bytes=size, cycle_ns=cycle_ns),
                     small_suite,
                 )
@@ -120,6 +131,21 @@ class TestSpeedSizeSweep:
         # 2 traces x 2 sizes, each priced at 3 clocks.
         assert registry.counters["replay.batch_outcomes"] == 12
         assert "replay.scalar_replays" not in registry.counters
+
+
+class TestRunPoint:
+    @pytest.mark.parametrize("assoc,replacement", [
+        (1, ReplacementKind.RANDOM),  # stack walk
+        (2, ReplacementKind.LRU),     # stack walk
+        (2, ReplacementKind.RANDOM),  # scalar pass
+    ])
+    def test_equals_scalar_reference(self, small_suite, assoc, replacement):
+        config = baseline_config(
+            cache_size_bytes=4 * KB, assoc=assoc, replacement=replacement,
+        )
+        assert run_point(config, small_suite) == scalar_point(
+            config, small_suite
+        )
 
 
 class TestAssociativitySweeps:
@@ -156,7 +182,7 @@ class TestBlocksizeSweep:
 
     def test_replay_kernel_equals_scalar(self, small_suite):
         """Every curve point equals the same organization and memory
-        priced by one scalar ``replay()`` per trace (:func:`run_point`)."""
+        run through the scalar reference (:func:`scalar_point`)."""
         blocks = [4, 8]
         curves = run_blocksize_sweep(
             small_suite, block_sizes_words=blocks,
@@ -172,7 +198,7 @@ class TestBlocksizeSweep:
                     .with_transfer_rate(rate)
                 )
                 for b_index, block_words in enumerate(blocks):
-                    scalar = run_point(
+                    scalar = scalar_point(
                         baseline_config(
                             cache_size_bytes=8 * KB,
                             block_words=block_words, memory=memory,
@@ -235,40 +261,62 @@ class TestRunFunctionalPasses:
             assert stream.config_summary == config.describe()
 
     def test_pack_dedupes_traces_by_content(self, small_suite):
-        from repro.core.sweep import _pack_pass_jobs
+        from repro.core.sweep import _plan_tasks
 
         traces = list(small_suite.values())
         config = baseline_config(cache_size_bytes=2 * KB)
+        multiway = baseline_config(cache_size_bytes=2 * KB, assoc=2)
         jobs = [(config, traces[k % 2], k) for k in range(4)]
-        packed, unique = _pack_pass_jobs(jobs, range(4))
+        jobs.append((multiway, traces[1], 0))
+        tasks, unique = _plan_tasks(jobs, range(5))
         # each distinct trace ships to the pool exactly once
         assert len(unique) == 2
-        assert [slot for _, _, slot, _ in packed] == [0, 1, 0, 1]
-        assert [index for index, _, _, _ in packed] == [0, 1, 2, 3]
+        # one walk task per trace, then one scalar task per ineligible job
+        assert [(walk, slot) for walk, slot, _ in tasks] == [
+            (True, 0), (True, 1), (False, 1),
+        ]
+        assert [[k for k, _, _ in members] for _, _, members in tasks] == [
+            [0, 2], [1, 3], [4],
+        ]
 
     def test_couplets_keyed_by_fingerprint_not_identity(self, small_suite):
         """Regression: the couplet memo was once keyed by ``id(trace)``;
         CPython reuses ids, so a recycled id could pair trace A's
-        couplets with trace B.  Keying by content fingerprint means a
-        prepaired stream is only ever applied to its own trace — a map
-        carrying a *wrong* stream under a foreign key must be ignored."""
-        from repro.core.sweep import _pair_map
+        couplets with trace B.  Passes are grouped by content
+        fingerprint instead: two same-content traces under different
+        names share one walk and each stream keeps its own trace's
+        name, and a prepaired stream under a foreign key is ignored."""
         from repro.cpu.processor import pair_couplets
+        from repro.sim.stackpass import StackPassStats
+        from repro.trace.record import Trace
 
-        traces = list(small_suite.values())
-        assert set(_pair_map(traces)) == {
-            t.content_fingerprint() for t in traces
-        }
-
+        original, other = small_suite.values()
+        twin = Trace(
+            original.kinds, original.addrs, original.pids, name="twin",
+            warm_boundary=original.warm_boundary,
+        )
         config = baseline_config(cache_size_bytes=2 * KB)
-        jobs = [(config, traces[0], 0)]
-        baseline = run_functional_passes(jobs)
+        multiway = baseline_config(cache_size_bytes=2 * KB, assoc=2)
+        jobs = [(config, original, 0), (config, twin, 0), (multiway, twin, 0)]
+        for n_jobs in (1, 2):  # a walk task and a scalar task: 2 uses the pool
+            stats = StackPassStats()
+            streams = run_functional_passes(
+                jobs, n_jobs=n_jobs, stack_stats=stats
+            )
+            assert (stats.walks, stats.fallback_passes) == (1, 1)
+            assert [s.trace_name for s in streams] == [
+                original.name, "twin", "twin",
+            ]
+            assert streams[0].ev_gap == streams[1].ev_gap
+
+        baseline = run_functional_passes(jobs[:1])
         # wrong stream, foreign key: must not be picked up
-        decoy = {"0" * 16: pair_couplets(traces[1])}
-        poisoned = run_functional_passes(jobs, couplets=decoy)
+        decoy = {"0" * 16: pair_couplets(other)}
+        poisoned = run_functional_passes(jobs[:1], couplets=decoy)
         # right stream, right key: same answer either way
         prepaired = run_functional_passes(
-            jobs, couplets=_pair_map([traces[0]])
+            jobs[:1],
+            couplets={original.content_fingerprint(): pair_couplets(original)},
         )
         for streams in (poisoned, prepaired):
             assert streams[0].ev_gap == baseline[0].ev_gap
@@ -349,6 +397,10 @@ class TestRegistryCounters:
             "passcache.bytes_written": 556580,
             "passcache.misses": 4,
             "passcache.puts": 4,
+            "stackpass.derived_streams": 4,
+            "stackpass.fallback_passes": 0,
+            "stackpass.reused_streams": 0,
+            "stackpass.walks": 2,
             **self._KERNEL_3_CLOCKS,
         }
         warm, _ = self._dump(run_speed_size_sweep, *args, pass_cache=cache)
@@ -363,7 +415,6 @@ class TestRegistryCounters:
         counters, _ = self._dump(
             run_speed_size_sweep, small_suite, [2 * KB, 8 * KB],
             [20.0, 40.0], assoc=2, replacement=ReplacementKind.LRU,
-            functional_strategy="stack",
         )
         assert counters == {
             "replay.batch_outcomes": 8,
@@ -378,7 +429,7 @@ class TestRegistryCounters:
         # Multi-way RANDOM is not stack-eligible: every pass falls back.
         counters, _ = self._dump(
             run_speed_size_sweep, small_suite, [2 * KB, 8 * KB], [40.0],
-            assoc=2, functional_strategy="stack",
+            assoc=2,
         )
         assert counters["stackpass.fallback_passes"] == 4
         assert counters["stackpass.walks"] == 0
@@ -403,6 +454,10 @@ class TestRegistryCounters:
             "sampling.representatives": 4,
             "sampling.selections": 2,
             "sampling.validations": 1,
+            "stackpass.derived_streams": 4,
+            "stackpass.fallback_passes": 0,
+            "stackpass.reused_streams": 0,
+            "stackpass.walks": 4,
         }
         assert gauges == {"sampling.true_error_max": 0.014359}
 
@@ -410,7 +465,6 @@ class TestRegistryCounters:
         counters, gauges = self._dump(
             run_blocksize_sweep, small_suite, [4, 8], [100.0, 180.0],
             [1.0, 2.0], cache_size_each_bytes=8 * KB,
-            functional_strategy="stack",
             sampling=SamplingPlan.parse("interval=3000,k=2"),
         )
         assert counters == {

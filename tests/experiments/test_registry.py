@@ -61,3 +61,17 @@ def test_scaling_survives_a_zero_base_slope():
     ))
     assert result.ok
     assert 0.0 in result.data["fraction_slopes_base"]
+
+
+@pytest.mark.parametrize("experiment_id", ["scaling", "fig5_1"])
+def test_settings_reach_experiments_that_drive_sweeps(experiment_id, tmp_path):
+    """Experiments that call the sweep drivers themselves honour the
+    settings' sweep options: their passes land in the pass cache."""
+    from repro.sim.passcache import PassCache
+
+    result = run_experiment(experiment_id, ExperimentSettings(
+        trace_length=3000, trace_names=("mu3",), full=False, n_jobs=1,
+        pass_cache_dir=str(tmp_path / "pc"), sample="",
+    ))
+    assert result.ok
+    assert len(PassCache(tmp_path / "pc")) > 0

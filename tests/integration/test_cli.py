@@ -17,6 +17,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("command", [["simulate"], ["advise", "16:40"]])
+    def test_stack_pass_is_not_a_route_selector(self, command, capsys):
+        """The organization picks the functional-pass route; only
+        ``campaign run`` keeps ``--stack-pass`` (precompute in the
+        parent)."""
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--stack-pass"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --stack-pass" in (
+            capsys.readouterr().err
+        )
+
 
 class TestSubcommands:
     def test_traces(self, capsys):

@@ -505,9 +505,11 @@ class TestMatrixEquality:
 
 
 class TestStackPassInterop:
-    """Entries written by the shared stack walk and by per-organization
-    scalar passes must be indistinguishable — same keys, same bytes,
-    interchangeable in either direction."""
+    """Entries derived from the shared stack walk must be
+    indistinguishable from scalar-pass entries: same keys, same bytes,
+    readable by the campaign workers.  (That a partly pre-filled cache
+    serves its hits and walks only the misses is the generated
+    differential test in ``tests/sim/test_routes.py``.)"""
 
     def _grid(self):
         from repro.core.policy import ReplacementKind
@@ -525,58 +527,20 @@ class TestStackPassInterop:
         from repro.core.sweep import run_functional_passes
 
         configs = self._grid()
-        jobs = [(c, tiny_trace, 0) for c in configs]
         scalar_cache = PassCache(tmp_path / "scalar")
-        run_functional_passes(jobs, cache=scalar_cache)
+        for config in configs:
+            scalar_cache.put(
+                config, tiny_trace, 0, functional_pass(config, tiny_trace)
+            )
         stack_cache = PassCache(tmp_path / "stack")
-        run_functional_passes(jobs, cache=stack_cache, strategy="stack")
+        run_functional_passes(
+            [(c, tiny_trace, 0) for c in configs], cache=stack_cache
+        )
         for config in configs:
             key = cache_key(config, tiny_trace, 0)
             a = (scalar_cache.directory / f"{key}.json").read_bytes()
             b = (stack_cache.directory / f"{key}.json").read_bytes()
             assert a == b, config.describe()
-
-    def test_scalar_reads_stack_written_cache(self, tmp_path, tiny_trace):
-        """A cache filled by one stack walk satisfies a scalar-strategy
-        rerun with zero functional passes."""
-        from repro.core.sweep import run_functional_passes
-        from repro.sim.stackpass import StackPassStats
-
-        configs = self._grid()
-        jobs = [(c, tiny_trace, 0) for c in configs]
-        stats = StackPassStats()
-        cache = PassCache(tmp_path / "pc")
-        first = run_functional_passes(
-            jobs, cache=cache, strategy="stack", stack_stats=stats
-        )
-        assert stats.walks == 1
-        rerun_cache = PassCache(tmp_path / "pc")
-        second = run_functional_passes(jobs, cache=rerun_cache)
-        assert rerun_cache.counters.hits == len(jobs)
-        assert rerun_cache.counters.misses == 0
-        for a, b in zip(first, second):
-            assert_streams_equal(a, b)
-
-    def test_stack_reads_scalar_written_cache(self, tmp_path, tiny_trace):
-        """A cache filled by scalar passes satisfies a stack-strategy
-        rerun without walking the trace at all."""
-        from repro.core.sweep import run_functional_passes
-        from repro.sim.stackpass import StackPassStats
-
-        configs = self._grid()
-        jobs = [(c, tiny_trace, 0) for c in configs]
-        cache = PassCache(tmp_path / "pc")
-        first = run_functional_passes(jobs, cache=cache)
-        stats = StackPassStats()
-        rerun_cache = PassCache(tmp_path / "pc")
-        second = run_functional_passes(
-            jobs, cache=rerun_cache, strategy="stack", stack_stats=stats
-        )
-        assert stats.walks == 0
-        assert stats.derived_streams == 0
-        assert rerun_cache.counters.hits == len(jobs)
-        for a, b in zip(first, second):
-            assert_streams_equal(a, b)
 
     def test_worker_path_reads_stack_written_cache(
         self, tmp_path, tiny_trace
@@ -588,9 +552,7 @@ class TestStackPassInterop:
 
         config = self._grid()[0]
         cache = PassCache(tmp_path / "pc")
-        run_functional_passes(
-            [(config, tiny_trace, 0)], cache=cache, strategy="stack"
-        )
+        run_functional_passes([(config, tiny_trace, 0)], cache=cache)
         worker_cache = PassCache(tmp_path / "pc")
         stats = cached_fast_simulate(config, tiny_trace, cache=worker_cache)
         assert worker_cache.counters.hits == 1

@@ -14,7 +14,7 @@ The guarantees under test:
   synthetic suite and carries an honest confidence interval — and when
   the interval exceeds the bound the estimate is *refused*, never
   silently returned;
-* sampling composes with the pass cache, the stack strategy and the
+* sampling composes with the pass cache, the stack walk and the
   sweep drivers without changing any exact-path result.
 """
 
@@ -454,7 +454,7 @@ class TestSamplingStats:
 
 
 # ----------------------------------------------------------------------
-# Composition: pass cache, stack strategy, sweeps, campaign runner
+# Composition: pass cache, stack walk, sweeps, campaign runner
 # ----------------------------------------------------------------------
 class TestComposition:
     def test_pass_cache_round_trip(self, tmp_path):
@@ -488,22 +488,27 @@ class TestComposition:
         )
 
     def test_sampling_composes_with_stack_strategy(self):
+        """Representative streams come from one stack walk per
+        representative interval and equal its scalar pass."""
+        from repro.sim.passcache import stream_to_dict
+        from repro.sim.stackpass import StackPassStats
+
         trace = _trace(length=30_000)
         plan = SamplingPlan(interval_refs=6000, n_clusters=3)
         configs = [baseline_config(4 * KB), baseline_config(16 * KB)]
-        jobs = [(config, trace, 0) for config in configs]
-        scalar = run_functional_passes(jobs, sampling=plan)
-        clear_selection_cache()
-        stack = run_functional_passes(
-            jobs, sampling=plan, strategy="stack"
+        stats = StackPassStats()
+        groups = run_functional_passes(
+            [(config, trace, 0) for config in configs], sampling=plan,
+            stack_stats=stats,
         )
-        # Strategy only changes how representative streams are derived,
-        # never what they contain.
-        for s_group, k_group in zip(scalar, stack):
-            for s, k in zip(s_group.streams, k_group.streams):
-                assert s.icache.read_misses == k.icache.read_misses
-                assert s.dcache.read_misses == k.dcache.read_misses
-                assert s.n_refs_measured == k.n_refs_measured
+        reps = groups[0].selection.rep_traces
+        assert stats.walks == len({r.content_fingerprint() for r in reps})
+        assert stats.fallback_passes == 0
+        for config, group in zip(configs, groups):
+            for rep, stream in zip(group.selection.rep_traces, group.streams):
+                assert stream_to_dict(stream) == stream_to_dict(
+                    functional_pass(config, rep)
+                )
 
     def test_speed_size_sweep_sampled_estimates_track_exact(self):
         suite = build_suite(length=60_000, names=["mu3", "rd2n4"])

@@ -17,7 +17,7 @@ import pytest
 from repro.core.geometry import CacheGeometry
 from repro.core.policy import CachePolicy, ReplacementKind
 from repro.core.sweep import run_functional_passes
-from repro.errors import AnalysisError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.sim.config import baseline_config
 from repro.sim.fastpath import (
     EVENT_FIELDS,
@@ -26,7 +26,6 @@ from repro.sim.fastpath import (
 )
 from repro.sim.stackpass import (
     StackPassStats,
-    stack_fast_simulate,
     stack_functional_passes,
     stack_supported,
 )
@@ -60,6 +59,12 @@ def assert_stats_equal(a, b):
     assert a.memory_writes == b.memory_writes
 
 
+def routed_simulate(config, trace, stats=None):
+    """fast_simulate, with the pass served by run_functional_passes."""
+    stream = run_functional_passes([(config, trace, 0)], stack_stats=stats)[0]
+    return fast_simulate(config, trace, stream=stream)
+
+
 def lru_config(size_bytes, assoc=1, block_words=4, **kwargs):
     return baseline_config(
         cache_size_bytes=size_bytes, assoc=assoc, block_words=block_words,
@@ -80,7 +85,7 @@ class TestGridEquality:
         stats = StackPassStats()
         streams = run_functional_passes(
             [(c, mu3_small, 0) for c in configs],
-            strategy="stack", stack_stats=stats,
+            stack_stats=stats,
         )
         assert stats.walks == 1
         assert stats.fallback_passes == 0
@@ -98,7 +103,7 @@ class TestGridEquality:
             stats = StackPassStats()
             streams = run_functional_passes(
                 [(c, rd2n4_small, seed) for c in configs],
-                strategy="stack", stack_stats=stats,
+                stack_stats=stats,
             )
             assert stats.walks == 1 and stats.fallback_passes == 0
             for config, stream in zip(configs, streams):
@@ -115,7 +120,7 @@ class TestGridEquality:
         stats = StackPassStats()
         streams = run_functional_passes(
             [(c, tiny_trace, 0) for c in configs],
-            strategy="stack", stack_stats=stats,
+            stack_stats=stats,
         )
         assert stats.derived_streams == 1
         assert stats.reused_streams == 2
@@ -131,9 +136,7 @@ class TestGridEquality:
             for config in configs
         ]
         stats = StackPassStats()
-        streams = run_functional_passes(
-            jobs, strategy="stack", stack_stats=stats
-        )
+        streams = run_functional_passes(jobs, stack_stats=stats)
         assert stats.walks == 2  # one per distinct trace
         for (config, trace, _seed), stream in zip(jobs, streams):
             assert_streams_equal(stream, functional_pass(config, trace))
@@ -155,7 +158,7 @@ class TestDegenerateCorners:
         assert config.l1.i_geometry.n_sets == 1
         stats = StackPassStats()
         stream = run_functional_passes(
-            [(config, tiny_trace, 0)], strategy="stack", stack_stats=stats,
+            [(config, tiny_trace, 0)], stack_stats=stats,
         )[0]
         assert_streams_equal(stream, functional_pass(config, tiny_trace))
         if replacement is ReplacementKind.LRU:
@@ -207,21 +210,21 @@ class TestDegenerateCorners:
         assert stack.warm_event_index == stack.n_events  # no measured events
         assert_stats_equal(
             fast_simulate(config, trace),
-            stack_fast_simulate(config, trace),
+            routed_simulate(config, trace),
         )
 
 
 class TestFallback:
     def test_multiway_random_falls_back(self, tiny_trace):
-        """Multi-way RANDOM breaks inclusion; the strategy must run the
-        per-organization scalar pass and count it explicitly."""
+        """Multi-way RANDOM breaks inclusion; the route must be the
+        per-organization scalar pass, counted explicitly."""
         eligible = baseline_config(cache_size_bytes=4 * KB)
         ineligible = baseline_config(cache_size_bytes=4 * KB, assoc=2)
         assert not stack_supported(ineligible)
         stats = StackPassStats()
         streams = run_functional_passes(
             [(eligible, tiny_trace, 5), (ineligible, tiny_trace, 5)],
-            strategy="stack", stack_stats=stats,
+            stack_stats=stats,
         )
         assert stats.walks == 1
         assert stats.fallback_passes == 1
@@ -240,7 +243,7 @@ class TestFallback:
         assert not stack_supported(config)
         stats = StackPassStats()
         stream = run_functional_passes(
-            [(config, tiny_trace, 0)], strategy="stack", stack_stats=stats,
+            [(config, tiny_trace, 0)], stack_stats=stats,
         )[0]
         assert stats.fallback_passes == 1 and stats.walks == 0
         assert_streams_equal(stream, functional_pass(config, tiny_trace))
@@ -257,13 +260,6 @@ class TestFallback:
         config = baseline_config(cache_size_bytes=4 * KB, assoc=2)
         with pytest.raises(ConfigurationError, match="not stack-eligible"):
             stack_functional_passes([(config, tiny_trace, 0)])
-
-    def test_unknown_strategy_rejected(self, tiny_trace):
-        config = baseline_config(cache_size_bytes=4 * KB)
-        with pytest.raises(AnalysisError, match="strategy"):
-            run_functional_passes(
-                [(config, tiny_trace, 0)], strategy="quantum"
-            )
 
 
 class TestRandomizedMatrix:
@@ -289,7 +285,7 @@ class TestRandomizedMatrix:
             stats = StackPassStats()
             streams = run_functional_passes(
                 [(c, trace, seed) for c in configs],
-                strategy="stack", stack_stats=stats,
+                stack_stats=stats,
             )
             expected_fallbacks = sum(
                 1 for c in configs if not stack_supported(c)
@@ -317,7 +313,7 @@ class TestRandomizedMatrix:
             stats = StackPassStats()
             assert_stats_equal(
                 fast_simulate(config, rd2n4_small),
-                stack_fast_simulate(config, rd2n4_small, stats=stats),
+                routed_simulate(config, rd2n4_small, stats=stats),
             )
             assert stats.fallback_passes == 0
 
@@ -357,8 +353,7 @@ class TestStats:
 
         registry = MetricsRegistry()
         run_speed_size_sweep(
-            [tiny_trace], [2 * KB, 4 * KB], [20.0, 40.0],
-            functional_strategy="stack", registry=registry,
+            [tiny_trace], [2 * KB, 4 * KB], [20.0, 40.0], registry=registry,
         )
         counters = registry.as_dict()["counters"]
         assert counters["stackpass.walks"] == 1
@@ -419,7 +414,7 @@ class TestRunReportBlock:
 
 def test_fully_associative_geometry_direct(tiny_trace):
     """An explicitly-built single-set geometry (not via baseline sizing)
-    behaves identically through both pass strategies."""
+    behaves identically through the stack walk and the scalar pass."""
     from repro.core.timing import MemoryTiming
     from repro.sim.config import L1Spec, SystemConfig
 
