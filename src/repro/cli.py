@@ -58,8 +58,8 @@ Main subcommands:
   ``--pass-cache DIR`` to reuse functional passes across invocations.
   Every fastpath pass takes the route its organization allows: LRU and
   direct-mapped organizations are derived from a shared stack walk,
-  the rest take a scalar pass (see ``docs/internals.md``); results are
-  bit-identical either way.
+  the rest take a per-organization inline pass (see
+  ``docs/internals.md``); results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -351,7 +351,10 @@ def _cmd_din(args: argparse.Namespace) -> int:
         assoc=args.assoc,
         cycle_ns=args.cycle_ns,
     )
-    stats = fast_simulate(config, trace)
+    from .core.sweep import run_functional_passes
+
+    stream = run_functional_passes([(config, trace, 0)])[0]
+    stats = fast_simulate(config, trace, stream=stream)
     print(f"trace: {args.path} ({len(trace)} references)")
     print(f"system: {config.describe()}")
     print(f"read miss ratio: {stats.read_miss_ratio:.4f}")

@@ -42,7 +42,6 @@ from ..sim.fastpath import (
     ReplayOutcome,
     assemble_stats,
     fast_simulate,
-    functional_pass,
 )
 from ..sim.replaykernel import BatchReplayKernel, TimingPoint
 from ..sim.sampling import (
@@ -56,6 +55,7 @@ from ..sim.sampling import (
 )
 from ..sim.stackpass import (
     StackPassStats,
+    organization_pass,
     stack_functional_passes,
     stack_supported,
 )
@@ -135,7 +135,8 @@ def _pool_init(traces: List[Trace]) -> None:
 #: One unit of functional-pass work: ``(walk, trace slot, members)``,
 #: each member a ``(job index, config, seed)``.  A walk task derives
 #: every member from one shared stack walk; otherwise the task holds a
-#: single member that takes the scalar pass.
+#: single member that takes its own per-organization pass
+#: (:func:`~repro.sim.stackpass.organization_pass`).
 PassTask = Tuple[bool, int, List[Tuple[int, SystemConfig, int]]]
 
 
@@ -148,16 +149,16 @@ def _plan_tasks(
     The organization picks the route: every stack-eligible job over one
     trace joins that trace's walk task (see
     :func:`~repro.sim.stackpass.stack_supported`), and every other job
-    is a scalar task of its own.  Walk tasks come first, being the
-    heavier ones.  ``unique_traces`` holds one trace per distinct
-    content fingerprint, in first-seen order; the slot indirection is
-    what lets :func:`_pool_init` ship each trace to each worker exactly
-    once.
+    is a per-organization task of its own.  Walk tasks come first,
+    being the heavier ones.  ``unique_traces`` holds one trace per
+    distinct content fingerprint, in first-seen order; the slot
+    indirection is what lets :func:`_pool_init` ship each trace to each
+    worker exactly once.
     """
     slot_of: Dict[str, int] = {}
     unique_traces: List[Trace] = []
     walks: Dict[int, PassTask] = {}
-    scalar: List[PassTask] = []
+    single: List[PassTask] = []
     for k in pending:
         config, trace, seed = jobs[k]
         fingerprint = trace.content_fingerprint()
@@ -170,8 +171,8 @@ def _plan_tasks(
                 (k, config, seed)
             )
         else:
-            scalar.append((False, slot, [(k, config, seed)]))
-    return list(walks.values()) + scalar, unique_traces
+            single.append((False, slot, [(k, config, seed)]))
+    return list(walks.values()) + single, unique_traces
 
 
 def _run_task(
@@ -190,7 +191,9 @@ def _run_task(
         )
     else:
         _k, config, seed = members[0]
-        streams = [functional_pass(config, trace, couplets=couplets, seed=seed)]
+        streams = [
+            organization_pass(config, trace, couplets=couplets, seed=seed)
+        ]
         stats.fallback_passes += 1
     return [k for k, _config, _seed in members], streams
 
@@ -228,12 +231,13 @@ def run_functional_passes(
     over one trace (LRU, or direct-mapped under any policy) share one
     walk of that trace
     (:func:`~repro.sim.stackpass.stack_functional_passes`); every other
-    miss takes a scalar :func:`~repro.sim.fastpath.functional_pass`,
-    counted in ``stack_stats.fallback_passes``.  Streams are
-    bit-identical to the scalar pass's either way.  With ``n_jobs > 1``
-    the walks and scalar passes run as tasks over a process pool that
-    receives each trace once; otherwise they run in-process, where
-    ``couplets`` (a trace's
+    miss (multi-way FIFO or RANDOM) takes its own inline pass
+    (:func:`~repro.sim.stackpass.organization_pass`), counted in
+    ``stack_stats.fallback_passes``.  Streams are bit-identical to the
+    reference :func:`~repro.sim.fastpath.functional_pass` either way.
+    With ``n_jobs > 1`` the walks and per-organization passes run as
+    tasks over a process pool that receives each trace once; otherwise
+    they run in-process, where ``couplets`` (a trace's
     :meth:`~repro.trace.record.Trace.content_fingerprint` mapped to a
     prepaired stream) spares re-pairing a trace.
 
@@ -534,8 +538,8 @@ def run_speed_size_sweep(
 
     The functional passes go through :func:`run_functional_passes`, so
     each organization picks its route: stack-eligible ones share one
-    stack walk per trace, the rest take scalar passes.  Each stream is
-    then priced across its whole cycle-time column in one
+    stack walk per trace, the rest take per-organization passes.  Each
+    stream is then priced across its whole cycle-time column in one
     :class:`~repro.sim.replaykernel.BatchReplayKernel` invocation.
     ``n_jobs`` sizes both parallel phases: the pass tasks run over a
     pool of that many processes, then the streams are sharded over as

@@ -20,6 +20,14 @@ buffer depth.  So:
 ``tests/sim/test_fastpath_vs_engine.py`` asserts cycle-for-cycle equality
 with :class:`~repro.sim.engine.Engine` across organizations and clocks.
 
+:func:`functional_pass` drives the :class:`~repro.cache.cache.Cache`
+objects the engine also uses, which makes it the reference oracle for
+functional passes.  Sweeps do not call it:
+:func:`repro.core.sweep.run_functional_passes` derives every stream
+from a shared stack walk or an inline per-organization pass
+(:mod:`repro.sim.stackpass`), and the tests, CI's stack-pass gates and
+the benchmark's output checks hold those routes bit-identical to it.
+
 When one stream is priced against a whole timing *grid*,
 :class:`repro.sim.replaykernel.BatchReplayKernel` vectorizes the
 uncontended stretches of this replay loop and hands the contended tail

@@ -32,18 +32,24 @@ Three structural facts shape the implementation:
   depth) share one derived stream outright.
 * **Fallback is explicit.**  Only LRU caches obey inclusion; FIFO and
   RANDOM organizations with associativity > 1 take a per-organization
-  scalar pass, counted in :attr:`StackPassStats.fallback_passes`.
+  inline pass (:func:`organization_pass`), counted in
+  :attr:`StackPassStats.fallback_passes`: the same derivation loop fed
+  by an inline I-side set model instead of a walk's column, with each
+  side's replacement policy applied to its key lists (RANDOM draws
+  from the same seeded generator, in the same order, as the
+  :class:`~repro.cache.cache.Cache` objects of the scalar pass).
   Direct-mapped caches are eligible under *any* replacement policy —
   with one way there is never a choice of victim, so the policies
   coincide (and the RANDOM seed cannot influence the outcome).
 
 The produced :class:`~repro.sim.fastpath.EventStream` objects are
-bit-identical to what :func:`functional_pass` emits for the same
-organization (the replication below mirrors its loop line for line), so
-:func:`~repro.sim.fastpath.replay`,
+bit-identical to what :func:`functional_pass` — the reference pass —
+emits for the same organization (the replication below mirrors its
+loop line for line), so :func:`~repro.sim.fastpath.replay`,
 :mod:`~repro.sim.replaykernel`, and :mod:`~repro.sim.passcache`
-consume them unchanged.  ``tests/sim/test_stackpass.py`` pins that
-bit-equality across randomized grids and every degenerate corner.
+consume them unchanged.  ``tests/sim/test_stackpass.py`` and
+``tests/sim/test_routes.py`` pin that bit-equality across randomized
+grids, every replacement policy and every degenerate corner.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cache.cache import _PID_SHIFT
+from ..cache.replacement import make_policy
 from ..core.policy import ReplacementKind
 from ..cpu.processor import NO_REF, CoupletStream, pair_couplets
 from ..errors import ConfigurationError
@@ -87,7 +94,7 @@ class StackPassStats:
     walks: int = 0              #: shared stack walks over a trace
     derived_streams: int = 0    #: streams derived from a walk's columns
     reused_streams: int = 0     #: streams cloned from a same-geometry sibling
-    fallback_passes: int = 0    #: per-organization scalar walks (ineligible)
+    fallback_passes: int = 0    #: per-organization inline passes (ineligible)
 
     def as_dict(self) -> Dict[str, int]:
         return dataclasses.asdict(self)
@@ -172,18 +179,92 @@ def _walk_istacks(
     return columns
 
 
+def _inline_icol(
+    couplets: CoupletStream,
+    config: SystemConfig,
+    seed: int,
+) -> "array[int]":
+    """One organization's I-side miss column from an inline set model.
+
+    Holds one key list per I-set under the organization's own
+    replacement policy (seeded like the scalar pass's I-cache) and
+    marks each I-ref that misses with :data:`_COLD`; hits stay 0.  The
+    column therefore reads like a walk's position column for that one
+    associativity, and :func:`_derive_stream` consumes it unchanged.
+    """
+    l1 = config.l1
+    geometry = l1.i_geometry
+    assert geometry is not None
+    i_addr = couplets.i_addr
+    i_pid = couplets.i_pid
+    col = array("i", bytes(4 * len(i_addr)))
+    offset_bits = geometry.offset_bits
+    index_mask = geometry.n_sets - 1
+    assoc = geometry.assoc
+    lru = l1.policy.replacement is ReplacementKind.LRU
+    evict = make_policy(l1.policy.replacement, seed=seed).victim
+    sets: List[List[int]] = [[] for _ in range(geometry.n_sets)]
+    shift = _PID_SHIFT
+    for k in range(len(i_addr)):
+        ia = i_addr[k]
+        if ia == NO_REF:
+            continue
+        key = (i_pid[k] << shift) | (ia >> offset_bits)
+        lst = sets[key & index_mask]
+        if key in lst:
+            if lru and lst[-1] != key:
+                lst.remove(key)
+                lst.append(key)
+        else:
+            col[k] = _COLD
+            if len(lst) == assoc:
+                evict(lst, assoc)
+            lst.append(key)
+    return col
+
+
+def organization_pass(
+    config: SystemConfig,
+    trace: Trace,
+    couplets: Optional[CoupletStream] = None,
+    seed: int = 0,
+) -> EventStream:
+    """One organization's EventStream from inline per-set models.
+
+    The per-organization route for organizations that cannot share a
+    stack walk (multi-way FIFO and RANDOM): the same signature and the
+    same bit-identical stream as
+    :func:`~repro.sim.fastpath.functional_pass`, which stays as the
+    :class:`~repro.cache.cache.Cache`-object reference it is tested
+    against.  The I-side runs one set model over the couplets (seed
+    ``seed + 101``, as the scalar pass seeds its I-cache), then
+    :func:`_derive_stream` runs the D-side model (seed ``seed``) and
+    emits the events.  Any fastpath-supported organization is accepted.
+    """
+    check_fastpath_supported(config)
+    if couplets is None:
+        couplets = pair_couplets(trace)
+    icol = _inline_icol(couplets, config, seed + 101)
+    return _derive_stream(config, trace, couplets, icol, seed)
+
+
 def _derive_stream(
     config: SystemConfig,
     trace: Trace,
     couplets: CoupletStream,
     icol: Sequence[int],
+    seed: int,
 ) -> EventStream:
-    """Materialize one organization's EventStream from a walk's column.
+    """Materialize one organization's EventStream from an I-side column.
 
     This mirrors :func:`~repro.sim.fastpath.functional_pass` statement
     for statement — same warm snapshotting, same event emission, same
     address masking — with the I-cache replaced by the precomputed
-    position column and the D-cache by an in-line exact LRU model.
+    position column (an I-ref misses when its entry is ``>=`` the
+    I-side associativity) and the D-cache by an in-line exact model of
+    the organization's replacement policy.  ``seed`` seeds the D-side
+    policy exactly as :class:`~repro.cache.cache.Cache` does, so RANDOM
+    victims are drawn from the same generator in the same order.
     """
     l1 = config.l1
     assert l1.i_geometry is not None
@@ -209,9 +290,14 @@ def _derive_stream(
             "warm boundary leaves nothing to measure; shorten it"
         )
     # Whole-block fetch means a resident tag implies every word is
-    # valid, so D-state is one LRU key list per set plus a dirty word
-    # mask per resident block (write-back dirties words; no-allocate
-    # write misses bypass the cache entirely).
+    # valid, so D-state is one key list per set plus a dirty word mask
+    # per resident block (write-back dirties words; no-allocate write
+    # misses bypass the cache entirely).  A key list is in fill order,
+    # or LRU-first under LRU, so its positions are the cache's
+    # order-list positions and the policy's victim choice applies to it
+    # unchanged.
+    lru = l1.policy.replacement is ReplacementKind.LRU
+    evict = make_policy(l1.policy.replacement, seed=seed).victim
     d_sets: List[List[int]] = [[] for _ in range(d_geometry.n_sets)]
     d_dirty: Dict[int, int] = {}
     ev_gap = array("q")
@@ -262,7 +348,7 @@ def _derive_stream(
                 d_writes += 1
                 if key in lst:
                     dtype = _D_WRITE_HIT
-                    if lst[-1] != key:
+                    if lru and lst[-1] != key:
                         lst.remove(key)
                         lst.append(key)
                     d_dirty[key] = d_dirty.get(key, 0) | (1 << (da & d_word_mask))
@@ -272,14 +358,14 @@ def _derive_stream(
             else:
                 d_reads += 1
                 if key in lst:
-                    if lst[-1] != key:
+                    if lru and lst[-1] != key:
                         lst.remove(key)
                         lst.append(key)
                 else:
                     dtype = _D_READ_MISS
                     d_read_misses += 1
                     if len(lst) == d_assoc:
-                        victim = lst.pop(0)
+                        victim = evict(lst, d_assoc)
                         vmask = d_dirty.pop(victim, 0)
                         if vmask:
                             vpid = victim >> shift
@@ -407,14 +493,16 @@ def stack_functional_passes(
         stats.walks += 1
     results: List[EventStream] = []
     memo: Dict[Tuple[int, ...], EventStream] = {}
-    for config, job_trace, _seed in jobs:
+    for config, job_trace, seed in jobs:
         geometry_key = _geometry_key(config)
         cached = memo.get(geometry_key)
         if cached is None:
             i_geometry = config.l1.i_geometry
             assert i_geometry is not None
             icol = columns[(i_geometry.offset_bits, i_geometry.n_sets)]
-            stream = _derive_stream(config, job_trace, couplets, icol)
+            stream = _derive_stream(
+                config, job_trace, couplets, icol, seed
+            )
             memo[geometry_key] = stream
             if stats is not None:
                 stats.derived_streams += 1

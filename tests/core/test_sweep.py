@@ -108,19 +108,23 @@ class TestSpeedSizeSweep:
             serial.cycles_per_reference == sharded.cycles_per_reference
         ).all()
 
-    def test_replay_kernel_equals_scalar(self, small_suite):
-        """Every grid cell equals the same organization run through the
-        scalar reference (:func:`scalar_point`)."""
-        sizes, cycles = [2 * KB, 8 * KB], [20.0, 40.0, 56.0]
-        registry = MetricsRegistry()
+    @staticmethod
+    def _assert_cells_equal_scalar(suite, sizes, cycles, registry,
+                                   **organization):
+        """Sweep ``sizes x cycles`` and hold every grid cell equal to
+        the same organization run through the scalar reference
+        (:func:`scalar_point`)."""
         grid = run_speed_size_sweep(
-            small_suite, sizes, cycles, registry=registry
+            suite, sizes, cycles, registry=registry, **organization
         )
         for i, size in enumerate(sizes):
             for j, cycle_ns in enumerate(cycles):
                 scalar = scalar_point(
-                    baseline_config(cache_size_bytes=size, cycle_ns=cycle_ns),
-                    small_suite,
+                    baseline_config(
+                        cache_size_bytes=size, cycle_ns=cycle_ns,
+                        **organization,
+                    ),
+                    suite,
                 )
                 assert grid.execution_ns[i, j] == scalar.execution_time_ns
                 assert (
@@ -128,16 +132,59 @@ class TestSpeedSizeSweep:
                     == scalar.cycles_per_reference
                 )
                 assert grid.read_miss_ratio[i] == scalar.read_miss_ratio
+
+    def test_replay_kernel_equals_scalar(self, small_suite):
+        """Direct-mapped cells (the stack-walk route) equal the scalar
+        reference."""
+        registry = MetricsRegistry()
+        self._assert_cells_equal_scalar(
+            small_suite, [2 * KB, 8 * KB], [20.0, 40.0, 56.0], registry,
+        )
         # 2 traces x 2 sizes, each priced at 3 clocks.
         assert registry.counters["replay.batch_outcomes"] == 12
         assert "replay.scalar_replays" not in registry.counters
+
+    @pytest.mark.parametrize("replacement", [
+        ReplacementKind.RANDOM, ReplacementKind.FIFO,
+    ])
+    @pytest.mark.parametrize("assoc", [2, 4])
+    def test_per_organization_passes_equal_scalar(self, small_suite, assoc,
+                                                  replacement):
+        """Multi-way FIFO and RANDOM cells (one inline pass per
+        organization) equal the scalar reference."""
+        registry = MetricsRegistry()
+        self._assert_cells_equal_scalar(
+            small_suite, [2 * KB, 8 * KB], [20.0, 56.0], registry,
+            assoc=assoc, replacement=replacement,
+        )
+        assert registry.counters["stackpass.fallback_passes"] == 4
+        assert registry.counters["stackpass.walks"] == 0
+
+    def test_parallel_per_organization_passes_equal_serial(self,
+                                                           small_suite):
+        """A 4-way RANDOM grid's inline passes give the same cells and
+        counters in the pool as in-process."""
+        args = (small_suite, [2 * KB, 8 * KB], [20.0, 40.0])
+        registries = [MetricsRegistry(), MetricsRegistry()]
+        serial, parallel = (
+            run_speed_size_sweep(*args, assoc=4, n_jobs=n_jobs,
+                                 registry=registry)
+            for n_jobs, registry in zip((1, 2), registries)
+        )
+        assert (serial.execution_ns == parallel.execution_ns).all()
+        assert (
+            serial.cycles_per_reference == parallel.cycles_per_reference
+        ).all()
+        assert (serial.read_miss_ratio == parallel.read_miss_ratio).all()
+        assert registries[0].counters == registries[1].counters
+        assert registries[0].counters["stackpass.fallback_passes"] == 4
 
 
 class TestRunPoint:
     @pytest.mark.parametrize("assoc,replacement", [
         (1, ReplacementKind.RANDOM),  # stack walk
         (2, ReplacementKind.LRU),     # stack walk
-        (2, ReplacementKind.RANDOM),  # scalar pass
+        (2, ReplacementKind.RANDOM),  # per-organization pass
     ])
     def test_equals_scalar_reference(self, small_suite, assoc, replacement):
         config = baseline_config(

@@ -87,6 +87,41 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "read miss ratio" in out
 
+    def test_din_routes_like_simulate(self, capsys, tmp_path, monkeypatch):
+        """``din`` takes the organization's route (a 4-way RANDOM cache
+        gets its per-organization pass, never the reference pass) and
+        prints exactly what the reference ``fast_simulate`` computes."""
+        import repro.sim.fastpath as fastpath
+        from repro.sim.config import baseline_config
+        from repro.trace.dinero import read_din
+        from repro.units import KB
+
+        path = str(tmp_path / "t.din")
+        assert main([
+            "din", path, "--export", "mu3", "--length", "6000",
+        ]) == 0
+        capsys.readouterr()
+
+        def reference_pass(*args, **kwargs):
+            raise AssertionError("din ran the reference pass")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(fastpath, "functional_pass", reference_pass)
+            assert main([
+                "din", path, "--size-kb", "4", "--assoc", "4",
+                "--warm-boundary", "1000",
+            ]) == 0
+        out = capsys.readouterr().out.splitlines()
+        trace = read_din(path, name=path, warm_boundary=1000)
+        config = baseline_config(cache_size_bytes=4 * KB, assoc=4)
+        stats = fastpath.fast_simulate(config, trace)
+        assert out[2:] == [
+            f"read miss ratio: {stats.read_miss_ratio:.4f}",
+            f"cycles/reference: {stats.cycles_per_reference:.3f}",
+            f"execution time: {stats.execution_time_ns / 1e6:.3f} ms",
+        ]
+        assert out[1] == f"system: {config.describe()}"
+
 
 class TestSimulateMetrics:
     ARGS = ["simulate", "--trace", "mu3", "--length", "8000",

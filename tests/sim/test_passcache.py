@@ -414,7 +414,8 @@ class TestWarmSweep:
         def boom(*args, **kwargs):
             raise AssertionError("warm sweep ran a functional pass")
 
-        monkeypatch.setattr("repro.core.sweep.functional_pass", boom)
+        monkeypatch.setattr("repro.core.sweep.organization_pass", boom)
+        monkeypatch.setattr("repro.core.sweep.stack_functional_passes", boom)
         monkeypatch.setattr("repro.core.sweep.pair_couplets", boom)
 
         warm_cache = PassCache(tmp_path / "pc")

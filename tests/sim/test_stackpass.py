@@ -217,7 +217,7 @@ class TestDegenerateCorners:
 class TestFallback:
     def test_multiway_random_falls_back(self, tiny_trace):
         """Multi-way RANDOM breaks inclusion; the route must be the
-        per-organization scalar pass, counted explicitly."""
+        per-organization inline pass, counted explicitly."""
         eligible = baseline_config(cache_size_bytes=4 * KB)
         ineligible = baseline_config(cache_size_bytes=4 * KB, assoc=2)
         assert not stack_supported(ineligible)
