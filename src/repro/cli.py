@@ -56,10 +56,9 @@ Main subcommands:
   validates every entry's checksum (``--repair`` quarantines).  The
   ``simulate``, ``advise`` and ``campaign run`` subcommands accept
   ``--pass-cache DIR`` to reuse functional passes across invocations.
-  Every fastpath pass takes the route its organization allows: LRU and
-  direct-mapped organizations are derived from a shared stack walk,
-  the rest take a per-organization inline pass (see
-  ``docs/internals.md``); results are bit-identical either way.
+  Every fastpath pass is one inline per-organization pass, shared by
+  the organization's timing siblings (see ``docs/internals.md``);
+  results are bit-identical to the reference pass.
 """
 
 from __future__ import annotations
@@ -179,18 +178,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             stats = simulate(config, trace, telemetry=telemetry)
         else:
             from .core.sweep import run_functional_passes
-            from .sim.stackpass import StackPassStats
 
-            stack_stats = StackPassStats()
+            # The route's counters ride with --metrics.
             stream = run_functional_passes(
                 [(config, trace, 0)], cache=pass_cache,
-                stack_stats=stack_stats,
+                registry=registry if want_metrics else None,
             )[0]
             stats = fast_simulate(
                 config, trace, telemetry=telemetry, stream=stream
             )
-            if want_metrics:  # the route's counters ride with --metrics
-                stack_stats.publish(registry)
     print(f"trace: {trace.name} ({len(trace)} references, "
           f"{stats.n_refs} measured)")
     print(f"warm-up: {len(trace) - stats.n_refs} reference(s) before the "
@@ -574,8 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
     crun.add_argument("--stack-pass", action="store_true",
                       help="precompute the sweep's functional passes "
                            "in the parent before dispatching workers "
-                           "(one shared stack walk per trace for LRU and "
-                           "direct-mapped organizations; requires "
+                           "(one pass per distinct organization per "
+                           "trace, shared across cycle times; requires "
                            "--pass-cache; incompatible with --engine)")
     crun.add_argument("--sample", default="",
                       help="run every sweep job as a stratified "
@@ -1071,14 +1067,13 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     else:
         simulate_fn = simulate if args.engine else fast_simulate
     if args.stack_pass:
-        # The parent fills the pass cache up front (one shared walk per
-        # trace where the organizations allow it); the workers below
-        # then find every stream already materialized.
+        # The parent fills the pass cache up front (one pass per
+        # distinct organization per trace, shared across cycle times);
+        # the workers below then find every stream already materialized.
         from .core.sweep import run_functional_passes
         from .sim.passcache import PassCache
-        from .sim.stackpass import StackPassStats
 
-        stack_stats = StackPassStats()
+        registry = MetricsRegistry()
         run_functional_passes(
             [
                 (config, trace, args.seed)
@@ -1086,10 +1081,8 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
                 for trace in suite.values()
             ],
             cache=PassCache(args.pass_cache),
-            stack_stats=stack_stats,
+            registry=registry,
         )
-        registry = MetricsRegistry()
-        stack_stats.publish(registry)
         _print_counters(registry)
     jobs = sweep_jobs(
         configs, list(suite.values()), simulate_fn=simulate_fn,

@@ -8,7 +8,9 @@ the containers the analysis modules consume.
 The cost structure mirrors the paper's macro-expansion trick: one
 functional cache pass per *organization* per trace, then cheap timing
 replays for every cycle time / memory speed — see
-:mod:`repro.sim.fastpath`.
+:mod:`repro.sim.fastpath`.  Every functional pass is an inline
+per-organization pass (:mod:`repro.sim.stackpass`), shared by the
+organization's timing siblings.
 
 Import note: this module imports the simulators, so it is exported from
 the top-level :mod:`repro` package rather than :mod:`repro.core` (whose
@@ -53,12 +55,7 @@ from ..sim.sampling import (
     select_intervals,
     validate_group,
 )
-from ..sim.stackpass import (
-    StackPassStats,
-    organization_pass,
-    stack_functional_passes,
-    stack_supported,
-)
+from ..sim.stackpass import pass_key, stack_functional_passes
 from ..trace.record import Trace
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard only
@@ -132,12 +129,11 @@ def _pool_init(traces: List[Trace]) -> None:
     _WORKER_TRACES = traces
 
 
-#: One unit of functional-pass work: ``(walk, trace slot, members)``,
-#: each member a ``(job index, config, seed)``.  A walk task derives
-#: every member from one shared stack walk; otherwise the task holds a
-#: single member that takes its own per-organization pass
-#: (:func:`~repro.sim.stackpass.organization_pass`).
-PassTask = Tuple[bool, int, List[Tuple[int, SystemConfig, int]]]
+#: One unit of functional-pass work: ``(trace slot, members)``, each
+#: member a ``(job index, config, seed)``.  The members are timing
+#: siblings (one :func:`~repro.sim.stackpass.pass_key`), so the task is
+#: one pass plus relabelled copies.
+PassTask = Tuple[int, List[Tuple[int, SystemConfig, int]]]
 
 
 def _plan_tasks(
@@ -146,19 +142,15 @@ def _plan_tasks(
 ) -> Tuple[List[PassTask], List[Trace]]:
     """Group the pending jobs into pass tasks and dedupe their traces.
 
-    The organization picks the route: every stack-eligible job over one
-    trace joins that trace's walk task (see
-    :func:`~repro.sim.stackpass.stack_supported`), and every other job
-    is a per-organization task of its own.  Walk tasks come first,
-    being the heavier ones.  ``unique_traces`` holds one trace per
-    distinct content fingerprint, in first-seen order; the slot
-    indirection is what lets :func:`_pool_init` ship each trace to each
-    worker exactly once.
+    One task per distinct pass, in first-seen order: jobs that differ
+    only in timing parameters join one task.  ``unique_traces`` holds
+    one trace per distinct content fingerprint, in first-seen order;
+    the slot indirection is what lets :func:`_pool_init` ship each
+    trace to each worker exactly once.
     """
     slot_of: Dict[str, int] = {}
     unique_traces: List[Trace] = []
-    walks: Dict[int, PassTask] = {}
-    single: List[PassTask] = []
+    tasks: Dict[Tuple, PassTask] = {}
     for k in pending:
         config, trace, seed = jobs[k]
         fingerprint = trace.content_fingerprint()
@@ -166,44 +158,30 @@ def _plan_tasks(
         if slot is None:
             slot = slot_of[fingerprint] = len(unique_traces)
             unique_traces.append(trace)
-        if stack_supported(config):
-            walks.setdefault(slot, (True, slot, []))[2].append(
-                (k, config, seed)
-            )
-        else:
-            single.append((False, slot, [(k, config, seed)]))
-    return list(walks.values()) + single, unique_traces
+        tasks.setdefault(pass_key(config, trace, seed), (slot, []))[1].append(
+            (k, config, seed)
+        )
+    return list(tasks.values()), unique_traces
 
 
 def _run_task(
     task: PassTask,
     traces: Sequence[Trace],
     couplets: Optional[CoupletStream],
-    stats: StackPassStats,
 ) -> Tuple[List[int], List[EventStream]]:
     """Run one pass task; returns its job indices and their streams."""
-    walk, slot, members = task
+    slot, members = task
     trace = traces[slot]
-    if walk:
-        streams = stack_functional_passes(
-            [(config, trace, seed) for _k, config, seed in members],
-            couplets=couplets, stats=stats,
-        )
-    else:
-        _k, config, seed = members[0]
-        streams = [
-            organization_pass(config, trace, couplets=couplets, seed=seed)
-        ]
-        stats.fallback_passes += 1
+    streams = stack_functional_passes(
+        [(config, trace, seed) for _k, config, seed in members],
+        couplets=couplets,
+    )
     return [k for k, _config, _seed in members], streams
 
 
 def _task_job(task: PassTask):
-    """Module-level pass task for the process pool; returns the task's
-    job indices, streams and stack-pass counters."""
-    stats = StackPassStats()
-    indices, streams = _run_task(task, _WORKER_TRACES, None, stats)
-    return indices, streams, stats
+    """Module-level pass task for the process pool."""
+    return _run_task(task, _WORKER_TRACES, None)
 
 
 def run_functional_passes(
@@ -211,7 +189,7 @@ def run_functional_passes(
     n_jobs: int = 1,
     couplets: Optional[Mapping[str, CoupletStream]] = None,
     cache: Optional["PassCache"] = None,
-    stack_stats: Optional[StackPassStats] = None,
+    registry: Optional["MetricsRegistry"] = None,
     sampling: Optional[SamplingPlan] = None,
     sampling_stats: Optional[SamplingStats] = None,
 ) -> List:
@@ -227,15 +205,13 @@ def run_functional_passes(
     organizations performs zero functional passes.  Results always come
     back in job order.
 
-    Each organization picks its own route.  The stack-eligible misses
-    over one trace (LRU, or direct-mapped under any policy) share one
-    walk of that trace
-    (:func:`~repro.sim.stackpass.stack_functional_passes`); every other
-    miss (multi-way FIFO or RANDOM) takes its own inline pass
-    (:func:`~repro.sim.stackpass.organization_pass`), counted in
-    ``stack_stats.fallback_passes``.  Streams are bit-identical to the
-    reference :func:`~repro.sim.fastpath.functional_pass` either way.
-    With ``n_jobs > 1`` the walks and per-organization passes run as
+    Every miss group of timing siblings (same trace contents,
+    organization, policy and seed) takes one inline pass
+    (:func:`~repro.sim.stackpass.stack_functional_passes`), and the
+    siblings get relabelled copies; streams are bit-identical to the
+    reference :func:`~repro.sim.fastpath.functional_pass`.  With a
+    ``registry`` the passes and reused streams land in it as
+    ``stackpass.*`` counters.  With ``n_jobs > 1`` the passes run as
     tasks over a process pool that receives each trace once; otherwise
     they run in-process, where ``couplets`` (a trace's
     :meth:`~repro.trace.record.Trace.content_fingerprint` mapped to a
@@ -246,7 +222,7 @@ def run_functional_passes(
     representative interval of its trace and the result list holds
     :class:`~repro.sim.sampling.SampledPassGroup` objects instead of
     single streams.  The representative-interval jobs flow through this
-    same function, so the cache, the pool and the stack walk all
+    same function, so the cache, the pool and sibling sharing all
     compose — interval streams persist in the pass cache under their
     own content fingerprints.  With ``sampling.validate``, every
     ``validate_period``-th job also runs its exact pass and the true
@@ -256,7 +232,7 @@ def run_functional_passes(
     if sampling is not None:
         return _sampled_functional_passes(
             jobs, sampling, n_jobs=n_jobs, cache=cache,
-            stack_stats=stack_stats, sampling_stats=sampling_stats,
+            registry=registry, sampling_stats=sampling_stats,
         )
     results: List[Optional[EventStream]] = [None] * len(jobs)
     if cache is not None:
@@ -272,32 +248,29 @@ def run_functional_passes(
     if not pending:
         return results
     tasks, traces = _plan_tasks(jobs, pending)
-    stats = stack_stats if stack_stats is not None else StackPassStats()
     done: List[Tuple[List[int], List[EventStream]]] = []
     if n_jobs <= 1 or len(tasks) <= 1:
         pair_memo = dict(couplets) if couplets else {}
         for task in tasks:
-            trace = traces[task[1]]
+            trace = traces[task[0]]
             fingerprint = trace.content_fingerprint()
             stream_in = pair_memo.get(fingerprint)
             if stream_in is None:
                 stream_in = pair_memo[fingerprint] = pair_couplets(trace)
-            done.append(_run_task(task, traces, stream_in, stats))
+            done.append(_run_task(task, traces, stream_in))
     else:
         with ProcessPoolExecutor(
             max_workers=n_jobs, initializer=_pool_init, initargs=(traces,),
         ) as pool:
-            for task, (indices, streams, task_stats) in zip(
+            for task, (indices, streams) in zip(
                 tasks, pool.map(_task_job, tasks)
             ):
-                expected = [k for k, _config, _seed in task[2]]
+                expected = [k for k, _config, _seed in task[1]]
                 if indices != expected:
                     raise AnalysisError(
                         f"functional-pass results out of order: "
                         f"expected jobs {expected}, got {indices}"
                     )
-                for name, value in task_stats.as_dict().items():
-                    setattr(stats, name, getattr(stats, name) + value)
                 done.append((indices, streams))
     for indices, streams in done:
         for k, stream in zip(indices, streams):
@@ -311,6 +284,9 @@ def run_functional_passes(
         for k in pending:
             config, trace, seed = jobs[k]
             cache.put(config, trace, seed, results[k])
+    if registry is not None:
+        registry.count("stackpass.passes", len(tasks))
+        registry.count("stackpass.reused_streams", len(pending) - len(tasks))
     return results
 
 
@@ -319,7 +295,7 @@ def _sampled_functional_passes(
     plan: SamplingPlan,
     n_jobs: int,
     cache: Optional["PassCache"],
-    stack_stats: Optional[StackPassStats],
+    registry: Optional["MetricsRegistry"],
     sampling_stats: Optional[SamplingStats],
 ) -> List[SampledPassGroup]:
     """Expand jobs into representative-interval passes and regroup.
@@ -327,7 +303,8 @@ def _sampled_functional_passes(
     Selections are memoized per (trace contents, plan), so an
     N-organization grid over one trace segments and clusters it once.
     The expanded jobs recurse through :func:`run_functional_passes`
-    with ``sampling=None`` — inheriting the cache, pool and stack walk.
+    with ``sampling=None`` — inheriting the cache, pool and sibling
+    sharing.
     """
     selections = [
         select_intervals(trace, plan, stats=sampling_stats)
@@ -340,7 +317,7 @@ def _sampled_functional_passes(
         rep_jobs.extend((config, rep, seed) for rep in selection.rep_traces)
         spans.append((lo, len(rep_jobs)))
     rep_streams = run_functional_passes(
-        rep_jobs, n_jobs=n_jobs, cache=cache, stack_stats=stack_stats,
+        rep_jobs, n_jobs=n_jobs, cache=cache, registry=registry,
     )
     if sampling_stats is not None:
         sampling_stats.representatives += len(rep_jobs)
@@ -461,11 +438,10 @@ def _run_grid(
     stats)``; see :func:`_flatten_pass_results` for the first two.  The
     pass results are streams, or :class:`SampledPassGroup` objects under
     ``sampling``.  With a ``registry`` the stack-pass counters land in
-    it here, and the returned :class:`SamplingStats` (``None`` without
+    it, and the returned :class:`SamplingStats` (``None`` without
     a registry or a plan) collects the estimates the caller still makes
     before it publishes them.
     """
-    stack_stats = StackPassStats()
     sampling_stats = (
         SamplingStats()
         if registry is not None and sampling is not None else None
@@ -476,12 +452,10 @@ def _run_grid(
             [(config, trace, seed) for config in configs for trace in traces],
             n_jobs=n_jobs,
             cache=pass_cache,
-            stack_stats=stack_stats,
+            registry=registry,
             sampling=sampling,
             sampling_stats=sampling_stats,
         )
-    if registry is not None:
-        stack_stats.publish(registry)
     flat_streams, group_spans = _flatten_pass_results(results, sampling)
     with _span(registry, "sweep.price_grid"):
         rows = _price_streams(flat_streams, points, n_jobs, registry)
@@ -536,23 +510,22 @@ def run_speed_size_sweep(
     persisted passes across invocations (see
     :mod:`repro.sim.passcache`).
 
-    The functional passes go through :func:`run_functional_passes`, so
-    each organization picks its route: stack-eligible ones share one
-    stack walk per trace, the rest take per-organization passes.  Each
-    stream is then priced across its whole cycle-time column in one
+    The functional passes go through :func:`run_functional_passes`: one
+    inline pass per organization per trace.  Each stream is then priced
+    across its whole cycle-time column in one
     :class:`~repro.sim.replaykernel.BatchReplayKernel` invocation.
     ``n_jobs`` sizes both parallel phases: the pass tasks run over a
     pool of that many processes, then the streams are sharded over as
     many pricing workers.  ``functional_strategy`` is accepted and
-    ignored; the organization picks the route.
+    ignored; every organization takes the same route.
 
     ``sampling`` (a :class:`~repro.sim.sampling.SamplingPlan`) runs the
     whole sweep on representative trace intervals: the functional
     passes cover only each trace's cluster representatives and every
     grid cell is a stratified *estimate* — refused with
     :exc:`~repro.errors.SamplingError` when its confidence interval
-    exceeds the plan's bound.  Sampling composes with the cache, the
-    pool and the stack walk.
+    exceeds the plan's bound.  Sampling composes with the cache and the
+    pool.
 
     ``registry`` (a :class:`~repro.sim.telemetry.MetricsRegistry`) is
     the only way counters leave the sweep: it times the two phases as
@@ -730,7 +703,7 @@ def run_blocksize_sweep(
     simulated memory, so colliding keys are priced once (first
     occurrence wins; the outcomes are identical by construction).  The
     memory grid is priced per stream in one batch-kernel call; see
-    :func:`run_speed_size_sweep` for the pass routes, ``n_jobs``,
+    :func:`run_speed_size_sweep` for the functional passes, ``n_jobs``,
     ``pass_cache``, ``registry`` and ``sampling``.
     ``functional_strategy`` is accepted and ignored.
     """

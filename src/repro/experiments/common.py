@@ -95,7 +95,7 @@ class ExperimentSettings:
     full: bool = field(default_factory=_env_full)
     n_jobs: int = field(default_factory=_env_jobs)
     pass_cache_dir: str = field(default_factory=_env_pass_cache)
-    #: Accepted and ignored: the organization picks the pass route.
+    #: Accepted and ignored: every organization takes the same route.
     stack_pass: bool = field(default=False, compare=False)
     sample: str = field(default_factory=_env_sample)
 

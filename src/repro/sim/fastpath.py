@@ -22,11 +22,14 @@ with :class:`~repro.sim.engine.Engine` across organizations and clocks.
 
 :func:`functional_pass` drives the :class:`~repro.cache.cache.Cache`
 objects the engine also uses, which makes it the reference oracle for
-functional passes.  Sweeps do not call it:
-:func:`repro.core.sweep.run_functional_passes` derives every stream
-from a shared stack walk or an inline per-organization pass
-(:mod:`repro.sim.stackpass`), and the tests, CI's stack-pass gates and
-the benchmark's output checks hold those routes bit-identical to it.
+functional passes.  Production streams come from the inline
+per-organization pass (:func:`repro.sim.stackpass.organization_pass`),
+whether through :func:`repro.core.sweep.run_functional_passes`,
+sampling or :func:`fast_simulate`, and the tests, CI's stack-pass gates
+and the benchmark's output checks hold it bit-identical to the
+reference.  The one production caller left is a miss in
+:meth:`repro.sim.passcache.PassCache.get_or_run`, whose cold/warm
+ratio the ``passcache`` bench suite gates against recorded history.
 
 When one stream is priced against a whole timing *grid*,
 :class:`repro.sim.replaykernel.BatchReplayKernel` vectorizes the
@@ -464,11 +467,15 @@ def fast_simulate(
     ``stream``, when given, is the functional pass already made for
     ``(config, trace, seed)`` (e.g. by
     :func:`repro.core.sweep.run_functional_passes`); only the replay
-    runs.  Without it this is the scalar reference: one
-    :func:`functional_pass`, then one :func:`replay`.
+    runs.  Without it this runs one inline pass
+    (:func:`repro.sim.stackpass.organization_pass`), then one
+    :func:`replay`.
     """
     if stream is None:
-        stream = functional_pass(config, trace, couplets=couplets, seed=seed)
+        # Function-level import: stackpass imports this module.
+        from .stackpass import organization_pass
+
+        stream = organization_pass(config, trace, couplets=couplets, seed=seed)
     outcome = replay(
         stream, config.memory, config.cycle_ns,
         write_buffer_depth=config.l1.write_buffer_depth,

@@ -411,7 +411,13 @@ class PassCache:
         couplets=None,
     ) -> EventStream:
         """Return the cached stream, running the functional pass on a
-        miss and persisting the result."""
+        miss and persisting the result.
+
+        The miss runs the reference ``functional_pass``, not the inline
+        ``organization_pass``: the ``passcache`` bench suite gates the
+        cold/warm ratio of this method against its recorded history, so
+        the switch waits for a change that reworks that suite.
+        """
         stream = self.get(config, trace, seed)
         if stream is not None:
             return stream

@@ -1,11 +1,11 @@
 """Trace-interval sampling with stratified error bounds.
 
-The stack pass (:mod:`repro.sim.stackpass`) removed the per-organization
-walk cost; what remains is trace *length* — every strategy still walks
-every reference.  This module removes that wall for long traces the way
-SimPoint-style interval selection does for CPU simulation: simulate a
-few *representative* intervals and recombine their results into a
-whole-trace estimate with an explicit error bar.
+The inline per-organization pass (:mod:`repro.sim.stackpass`) made each
+functional pass cheap; what remains is trace *length* — every pass
+still visits every reference.  This module removes that wall for long
+traces the way SimPoint-style interval selection does for CPU
+simulation: simulate a few *representative* intervals and recombine
+their results into a whole-trace estimate with an explicit error bar.
 
 The pipeline, all seeded and deterministic:
 
@@ -33,7 +33,7 @@ The pipeline, all seeded and deterministic:
    ``warm_refs`` references preceding the interval primes cache state,
    and the interval body is the measured region.  Interval traces have
    their own content fingerprints, so they flow through the
-   :mod:`~repro.sim.passcache` and the stack pass unchanged.
+   :mod:`~repro.sim.passcache` and the per-organization pass unchanged.
 
 5. **Estimation** — a stratified estimator recombines representative
    results.  Denominators (reads, writes, references per cluster) are
@@ -68,12 +68,8 @@ import numpy as np
 from ..errors import SamplingError
 from ..trace.multiprogram import warm_prefix
 from ..trace.record import RefKind, Trace
-from .fastpath import (
-    EventStream,
-    ReplayOutcome,
-    functional_pass,
-    replay,
-)
+from .fastpath import EventStream, ReplayOutcome, replay
+from .stackpass import organization_pass
 from .statistics import BufferCounters, CacheCounters, SimStats
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard only
@@ -797,7 +793,7 @@ def representative_streams(
         if cache is not None:
             streams.append(cache.get_or_run(config, rep_trace, seed=seed))
         else:
-            streams.append(functional_pass(config, rep_trace, seed=seed))
+            streams.append(organization_pass(config, rep_trace, seed=seed))
     if stats is not None:
         stats.representatives += len(streams)
     return streams
@@ -836,7 +832,7 @@ def sampled_fast_simulate(
         if cache is not None:
             exact_stream = cache.get_or_run(config, trace, seed=seed)
         else:
-            exact_stream = functional_pass(config, trace, seed=seed)
+            exact_stream = organization_pass(config, trace, seed=seed)
         exact_outcome = replay(
             exact_stream, config.memory, config.cycle_ns,
             write_buffer_depth=config.l1.write_buffer_depth,
@@ -899,7 +895,7 @@ def validate_group(
     if cache is not None:
         exact = cache.get_or_run(config, trace, seed=seed)
     else:
-        exact = functional_pass(config, trace, seed=seed)
+        exact = organization_pass(config, trace, seed=seed)
     reads = exact.icache.reads + exact.dcache.reads
     true_ratio = (
         (exact.icache.read_misses + exact.dcache.read_misses) / reads

@@ -563,10 +563,10 @@ def quantization_info(config) -> Dict[str, float]:
 #: dump (named counters, gauges and wall-clock spans) collected across
 #: every subsystem the run touched; empty when no registry was threaded
 #: through the run.
-#: Version 6 adds the ``stack_pass`` counter block (shared stack-walk
-#: activity: trace walks, streams derived/reused, per-organization
-#: fallback passes; see :class:`repro.sim.stackpass.StackPassStats`;
-#: empty when the run used the scalar functional-pass strategy).
+#: Version 6 adds the ``stack_pass`` counter block (the since-retired
+#: shared stack walk's activity: trace walks, streams derived/reused,
+#: per-organization fallback passes; empty when the run used the scalar
+#: functional-pass strategy).
 #: Version 7 adds the ``sampling`` block (trace-interval sampling
 #: counters and, when validation ran, the worst observed true absolute
 #: miss-ratio error; see :class:`repro.sim.sampling.SamplingStats`).
@@ -871,10 +871,8 @@ _COUNTER_LINES = (
         ("scalar_events", "scalar event(s)"),
     )),
     ("stackpass", "stack pass", (
-        ("walks", "shared walk(s)"),
-        ("derived_streams", "stream(s) derived"),
+        ("passes", "pass(es)"),
         ("reused_streams", "reused"),
-        ("fallback_passes", "fallback pass(es)"),
     )),
     ("sampling", "sampling", (
         ("selections", "selection(s)"),

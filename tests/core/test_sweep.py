@@ -16,7 +16,7 @@ from repro.core.policy import ReplacementKind
 from repro.core.timing import DEFAULT_CYCLE_NS, MemoryTiming
 from repro.errors import AnalysisError
 from repro.sim.config import baseline_config
-from repro.sim.fastpath import fast_simulate
+from repro.sim.fastpath import fast_simulate, functional_pass
 from repro.sim.passcache import PassCache
 from repro.sim.sampling import SamplingPlan
 from repro.sim.telemetry import MetricsRegistry
@@ -33,7 +33,9 @@ def scalar_point(config, suite):
     """One organization over the suite through the scalar reference:
     one ``functional_pass`` and one ``replay()`` per trace."""
     return aggregate([
-        TraceRunSummary.from_stats(fast_simulate(config, trace))
+        TraceRunSummary.from_stats(fast_simulate(
+            config, trace, stream=functional_pass(config, trace)
+        ))
         for trace in suite.values()
     ])
 
@@ -134,7 +136,7 @@ class TestSpeedSizeSweep:
                 assert grid.read_miss_ratio[i] == scalar.read_miss_ratio
 
     def test_replay_kernel_equals_scalar(self, small_suite):
-        """Direct-mapped cells (the stack-walk route) equal the scalar
+        """Direct-mapped cells equal the scalar
         reference."""
         registry = MetricsRegistry()
         self._assert_cells_equal_scalar(
@@ -157,8 +159,8 @@ class TestSpeedSizeSweep:
             small_suite, [2 * KB, 8 * KB], [20.0, 56.0], registry,
             assoc=assoc, replacement=replacement,
         )
-        assert registry.counters["stackpass.fallback_passes"] == 4
-        assert registry.counters["stackpass.walks"] == 0
+        assert registry.counters["stackpass.passes"] == 4
+        assert registry.counters["stackpass.reused_streams"] == 0
 
     def test_parallel_per_organization_passes_equal_serial(self,
                                                            small_suite):
@@ -177,14 +179,14 @@ class TestSpeedSizeSweep:
         ).all()
         assert (serial.read_miss_ratio == parallel.read_miss_ratio).all()
         assert registries[0].counters == registries[1].counters
-        assert registries[0].counters["stackpass.fallback_passes"] == 4
+        assert registries[0].counters["stackpass.passes"] == 4
 
 
 class TestRunPoint:
     @pytest.mark.parametrize("assoc,replacement", [
-        (1, ReplacementKind.RANDOM),  # stack walk
-        (2, ReplacementKind.LRU),     # stack walk
-        (2, ReplacementKind.RANDOM),  # per-organization pass
+        (1, ReplacementKind.RANDOM),  # direct-mapped
+        (2, ReplacementKind.LRU),
+        (2, ReplacementKind.RANDOM),  # the paper's §4 policy
     ])
     def test_equals_scalar_reference(self, small_suite, assoc, replacement):
         config = baseline_config(
@@ -312,18 +314,21 @@ class TestRunFunctionalPasses:
 
         traces = list(small_suite.values())
         config = baseline_config(cache_size_bytes=2 * KB)
+        slower = baseline_config(cache_size_bytes=2 * KB, cycle_ns=80.0)
         multiway = baseline_config(cache_size_bytes=2 * KB, assoc=2)
-        jobs = [(config, traces[k % 2], k) for k in range(4)]
-        jobs.append((multiway, traces[1], 0))
-        tasks, unique = _plan_tasks(jobs, range(5))
+        jobs = [
+            (config, traces[0], 0), (config, traces[1], 0),
+            (slower, traces[0], 0), (slower, traces[1], 0),
+            (multiway, traces[1], 0), (config, traces[0], 7),
+        ]
+        tasks, unique = _plan_tasks(jobs, range(6))
         # each distinct trace ships to the pool exactly once
         assert len(unique) == 2
-        # one walk task per trace, then one scalar task per ineligible job
-        assert [(walk, slot) for walk, slot, _ in tasks] == [
-            (True, 0), (True, 1), (False, 1),
-        ]
-        assert [[k for k, _, _ in members] for _, _, members in tasks] == [
-            [0, 2], [1, 3], [4],
+        # one task per distinct pass: timing siblings share one, another
+        # organization or another seed is a task of its own
+        assert [slot for slot, _ in tasks] == [0, 1, 1, 0]
+        assert [[k for k, _, _ in members] for _, members in tasks] == [
+            [0, 2], [1, 3], [4], [5],
         ]
 
     def test_couplets_keyed_by_fingerprint_not_identity(self, small_suite):
@@ -331,10 +336,9 @@ class TestRunFunctionalPasses:
         CPython reuses ids, so a recycled id could pair trace A's
         couplets with trace B.  Passes are grouped by content
         fingerprint instead: two same-content traces under different
-        names share one walk and each stream keeps its own trace's
+        names share one pass and each stream keeps its own trace's
         name, and a prepaired stream under a foreign key is ignored."""
         from repro.cpu.processor import pair_couplets
-        from repro.sim.stackpass import StackPassStats
         from repro.trace.record import Trace
 
         original, other = small_suite.values()
@@ -345,12 +349,14 @@ class TestRunFunctionalPasses:
         config = baseline_config(cache_size_bytes=2 * KB)
         multiway = baseline_config(cache_size_bytes=2 * KB, assoc=2)
         jobs = [(config, original, 0), (config, twin, 0), (multiway, twin, 0)]
-        for n_jobs in (1, 2):  # a walk task and a scalar task: 2 uses the pool
-            stats = StackPassStats()
+        for n_jobs in (1, 2):  # two pass tasks: 2 uses the pool
+            registry = MetricsRegistry()
             streams = run_functional_passes(
-                jobs, n_jobs=n_jobs, stack_stats=stats
+                jobs, n_jobs=n_jobs, registry=registry
             )
-            assert (stats.walks, stats.fallback_passes) == (1, 1)
+            assert registry.counters == {
+                "stackpass.passes": 2, "stackpass.reused_streams": 1,
+            }
             assert [s.trace_name for s in streams] == [
                 original.name, "twin", "twin",
             ]
@@ -444,10 +450,8 @@ class TestRegistryCounters:
             "passcache.bytes_written": 556580,
             "passcache.misses": 4,
             "passcache.puts": 4,
-            "stackpass.derived_streams": 4,
-            "stackpass.fallback_passes": 0,
+            "stackpass.passes": 4,
             "stackpass.reused_streams": 0,
-            "stackpass.walks": 2,
             **self._KERNEL_3_CLOCKS,
         }
         warm, _ = self._dump(run_speed_size_sweep, *args, pass_cache=cache)
@@ -468,18 +472,17 @@ class TestRegistryCounters:
             "replay.contended_runs": 360,
             "replay.scalar_events": 7596,
             "replay.vectorized_events": 3238,
-            "stackpass.derived_streams": 4,
-            "stackpass.fallback_passes": 0,
+            "stackpass.passes": 4,
             "stackpass.reused_streams": 0,
-            "stackpass.walks": 2,
         }
-        # Multi-way RANDOM is not stack-eligible: every pass falls back.
+        # Multi-way RANDOM takes the same route: one pass per
+        # organization per trace.
         counters, _ = self._dump(
             run_speed_size_sweep, small_suite, [2 * KB, 8 * KB], [40.0],
             assoc=2,
         )
-        assert counters["stackpass.fallback_passes"] == 4
-        assert counters["stackpass.walks"] == 0
+        assert counters["stackpass.passes"] == 4
+        assert counters["stackpass.reused_streams"] == 0
 
     def test_sampled_route(self, small_suite):
         plan = SamplingPlan.parse("interval=3000,k=2")
@@ -501,10 +504,8 @@ class TestRegistryCounters:
             "sampling.representatives": 4,
             "sampling.selections": 2,
             "sampling.validations": 1,
-            "stackpass.derived_streams": 4,
-            "stackpass.fallback_passes": 0,
+            "stackpass.passes": 4,
             "stackpass.reused_streams": 0,
-            "stackpass.walks": 4,
         }
         assert gauges == {"sampling.true_error_max": 0.014359}
 
@@ -528,9 +529,7 @@ class TestRegistryCounters:
             "sampling.representatives": 8,
             "sampling.selections": 4,
             "sampling.validations": 0,
-            "stackpass.derived_streams": 8,
-            "stackpass.fallback_passes": 0,
+            "stackpass.passes": 8,
             "stackpass.reused_streams": 0,
-            "stackpass.walks": 4,
         }
         assert gauges == {}

@@ -90,7 +90,8 @@ class TestSubcommands:
     def test_din_routes_like_simulate(self, capsys, tmp_path, monkeypatch):
         """``din`` takes the organization's route (a 4-way RANDOM cache
         gets its per-organization pass, never the reference pass) and
-        prints exactly what the reference ``fast_simulate`` computes."""
+        prints exactly what the reference ``functional_pass`` replays
+        to."""
         import repro.sim.fastpath as fastpath
         from repro.sim.config import baseline_config
         from repro.trace.dinero import read_din
@@ -114,7 +115,9 @@ class TestSubcommands:
         out = capsys.readouterr().out.splitlines()
         trace = read_din(path, name=path, warm_boundary=1000)
         config = baseline_config(cache_size_bytes=4 * KB, assoc=4)
-        stats = fastpath.fast_simulate(config, trace)
+        stats = fastpath.fast_simulate(
+            config, trace, stream=fastpath.functional_pass(config, trace)
+        )
         assert out[2:] == [
             f"read miss ratio: {stats.read_miss_ratio:.4f}",
             f"cycles/reference: {stats.cycles_per_reference:.3f}",

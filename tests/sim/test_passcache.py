@@ -57,6 +57,13 @@ def assert_streams_equal(a, b):
     assert a.dcache == b.dcache
 
 
+def reference_simulate(config, trace, seed=0):
+    """The uncached reference: one ``functional_pass``, one replay."""
+    return fast_simulate(
+        config, trace, stream=functional_pass(config, trace, seed=seed)
+    )
+
+
 def _entry_path(cache, config, trace, seed=0):
     return cache.directory / f"{cache_key(config, trace, seed)}.json"
 
@@ -365,7 +372,7 @@ class TestCachedFastSimulate:
     def test_matches_fast_simulate(self, tmp_path, mu3_small, small_config):
         cache = PassCache(tmp_path / "pc")
         cached = cached_fast_simulate(small_config, mu3_small, cache=cache)
-        assert cached == fast_simulate(small_config, mu3_small)
+        assert cached == reference_simulate(small_config, mu3_small)
         # second call replays from disk, same answer
         again = cached_fast_simulate(small_config, mu3_small, cache=cache)
         assert again == cached
@@ -376,7 +383,7 @@ class TestCachedFastSimulate:
         stats = cached_fast_simulate(
             small_config, mu3_small, cache_dir=tmp_path / "pc"
         )
-        assert stats == fast_simulate(small_config, mu3_small)
+        assert stats == reference_simulate(small_config, mu3_small)
 
     def test_requires_cache_or_dir(self, mu3_small, small_config):
         with pytest.raises(ValueError):
@@ -414,7 +421,6 @@ class TestWarmSweep:
         def boom(*args, **kwargs):
             raise AssertionError("warm sweep ran a functional pass")
 
-        monkeypatch.setattr("repro.core.sweep.organization_pass", boom)
         monkeypatch.setattr("repro.core.sweep.stack_functional_passes", boom)
         monkeypatch.setattr("repro.core.sweep.pair_couplets", boom)
 
@@ -464,7 +470,7 @@ class TestMatrixEquality:
     the same matrix that licenses the fastpath against the engine."""
 
     def _assert_cached_equals_fresh(self, tmp_path, config, trace):
-        fresh = fast_simulate(config, trace)
+        fresh = reference_simulate(config, trace)
         cold = PassCache(tmp_path / "pc")
         assert cached_fast_simulate(config, trace, cache=cold) == fresh
         # a *separate* instance forces the disk round trip
@@ -548,7 +554,7 @@ class TestStackPassInterop:
     ):
         """campaign run --stack-pass precomputes into the cache; the
         workers' cached_fast_simulate must replay those entries to the
-        same stats as an uncached fast_simulate."""
+        same stats as the uncached reference."""
         from repro.core.sweep import run_functional_passes
 
         config = self._grid()[0]
@@ -557,4 +563,4 @@ class TestStackPassInterop:
         worker_cache = PassCache(tmp_path / "pc")
         stats = cached_fast_simulate(config, tiny_trace, cache=worker_cache)
         assert worker_cache.counters.hits == 1
-        assert stats == fast_simulate(config, tiny_trace)
+        assert stats == reference_simulate(config, tiny_trace)

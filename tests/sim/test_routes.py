@@ -1,16 +1,17 @@
 """Generated differential test of the functional-pass routes.
 
-:func:`repro.core.sweep.run_functional_passes` picks each
-organization's route itself: a shared stack walk per trace for LRU and
-direct-mapped organizations, a per-organization inline pass for the
-rest, a pass-cache read for whatever the cache already holds,
-in-process or over a pool.  Whatever it picks, every stream must
-serialize exactly like a direct
+:func:`repro.core.sweep.run_functional_passes` serves each job by a
+pass-cache read when the cache holds it, and otherwise by one inline
+per-organization pass shared with the job's timing siblings (the same
+organization, trace contents and seed under another cycle time, memory
+timing or write-buffer depth), in-process or over a pool.  Whatever the
+route, every stream must serialize exactly like a direct
 :func:`repro.sim.fastpath.functional_pass` (the ``Cache``-object
 reference) of the same job, and a trace whose warm boundary leaves
 nothing to measure must fail the same way on every route.
 """
 
+import dataclasses
 import functools
 import tempfile
 
@@ -20,11 +21,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.geometry import CacheGeometry
 from repro.core.policy import CachePolicy, ReplacementKind
 from repro.core.sweep import run_functional_passes
+from repro.core.timing import MemoryTiming
 from repro.errors import ConfigurationError
 from repro.sim.config import L1Spec, SystemConfig
 from repro.sim.fastpath import functional_pass
 from repro.sim.passcache import PassCache, cache_key, stream_to_dict
-from repro.sim.stackpass import StackPassStats, stack_supported
+from repro.sim.telemetry import MetricsRegistry
 from repro.trace.record import RefKind, Trace
 from repro.trace.suite import build_trace
 
@@ -88,19 +90,51 @@ jobs_strategy = st.lists(
     min_size=1, max_size=6,
 )
 
+#: Copies of drawn jobs: ``(drawn job index, new seed or None,
+#: cycle_ns, memory latency ns, write-buffer depth)``.  Without a new
+#: seed the copy is a timing sibling and shares the job's pass; with
+#: one it is another pass.
+siblings_strategy = st.lists(
+    st.tuples(
+        st.integers(0, 5),
+        st.one_of(st.none(), st.none(), st.integers(0, 2**31 - 1)),
+        st.sampled_from([20.0, 40.0, 56.0]),
+        st.sampled_from([180.0, 260.0]),
+        st.sampled_from([1, 4]),
+    ),
+    max_size=4,
+)
+
+
+def timing_sibling(config, cycle_ns, latency_ns, depth):
+    return dataclasses.replace(
+        config,
+        cycle_ns=cycle_ns,
+        memory=MemoryTiming().with_latency_ns(latency_ns),
+        l1=dataclasses.replace(config.l1, write_buffer_depth=depth),
+    )
+
 
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(
     drawn=jobs_strategy,
+    siblings=siblings_strategy,
     n_jobs=st.sampled_from([1, 2]),
-    prefill=st.lists(st.booleans(), min_size=6, max_size=6),
+    prefill=st.lists(st.booleans(), min_size=10, max_size=10),
     use_cache=st.booleans(),
 )
-def test_every_route_equals_the_scalar_pass(drawn, n_jobs, prefill,
-                                            use_cache):
+def test_every_route_equals_the_scalar_pass(drawn, siblings, n_jobs,
+                                            prefill, use_cache):
     pool = trace_pool()
     jobs = [(config, pool[t], seed) for config, t, seed in drawn]
+    # The organization each job was drawn as, before any timing change.
+    organizations = [config for config, _trace, _seed in jobs]
+    for index, new_seed, *timing in siblings:
+        config, trace, seed = jobs[index % len(drawn)]
+        seed = seed if new_seed is None else new_seed
+        jobs.append((timing_sibling(config, *timing), trace, seed))
+        organizations.append(organizations[index % len(drawn)])
     expected, error = [], None
     for config, trace, seed in jobs:
         try:
@@ -116,28 +150,35 @@ def test_every_route_equals_the_scalar_pass(drawn, n_jobs, prefill,
                 if fill and stream is not None:
                     cache.put(*job, stream)
                     filled.add(cache_key(*job))
-        stats = StackPassStats()
+        registry = MetricsRegistry()
         if error is not None:
             with pytest.raises(ConfigurationError) as raised:
                 run_functional_passes(jobs, n_jobs=n_jobs, cache=cache,
-                                      stack_stats=stats)
+                                      registry=registry)
             assert str(raised.value) == error
             return
         streams = run_functional_passes(jobs, n_jobs=n_jobs, cache=cache,
-                                        stack_stats=stats)
+                                        registry=registry)
         for stream, reference in zip(streams, expected):
             assert stream_to_dict(stream) == stream_to_dict(reference)
-        missed = [job for job in jobs if cache_key(*job) not in filled]
+        missed = [
+            (organization, trace, seed)
+            for organization, (config, trace, seed) in zip(organizations, jobs)
+            if cache_key(config, trace, seed) not in filled
+        ]
         if cache is not None:
             assert cache.counters.hits == len(jobs) - len(missed)
             assert all(cache_key(*job) in cache for job in jobs)
-        # The organization picked the route: one walk per distinct
-        # trace among the eligible misses, an inline pass for the rest.
-        assert stats.fallback_passes == sum(
-            1 for config, _trace, _seed in missed
-            if not stack_supported(config)
-        )
-        assert stats.walks == len({
-            trace.content_fingerprint()
-            for config, trace, _seed in missed if stack_supported(config)
+        # One pass per distinct (organization, trace contents, seed)
+        # among the misses; its timing siblings reuse the stream.
+        passes = len({
+            (organization, trace.content_fingerprint(), seed)
+            for organization, trace, seed in missed
         })
+        assert {
+            name: value for name, value in registry.counters.items()
+            if name.startswith("stackpass.")
+        } == ({
+            "stackpass.passes": passes,
+            "stackpass.reused_streams": len(missed) - passes,
+        } if missed else {})

@@ -488,22 +488,25 @@ class TestComposition:
         )
 
     def test_sampling_composes_with_stack_strategy(self):
-        """Representative streams come from one stack walk per
-        representative interval and equal its scalar pass."""
+        """Representative streams come from one inline pass per
+        organization per representative interval and equal its scalar
+        pass."""
         from repro.sim.passcache import stream_to_dict
-        from repro.sim.stackpass import StackPassStats
+        from repro.sim.telemetry import MetricsRegistry
 
         trace = _trace(length=30_000)
         plan = SamplingPlan(interval_refs=6000, n_clusters=3)
         configs = [baseline_config(4 * KB), baseline_config(16 * KB)]
-        stats = StackPassStats()
+        registry = MetricsRegistry()
         groups = run_functional_passes(
             [(config, trace, 0) for config in configs], sampling=plan,
-            stack_stats=stats,
+            registry=registry,
         )
         reps = groups[0].selection.rep_traces
-        assert stats.walks == len({r.content_fingerprint() for r in reps})
-        assert stats.fallback_passes == 0
+        assert registry.counters["stackpass.passes"] == len(configs) * len(
+            {r.content_fingerprint() for r in reps}
+        )
+        assert registry.counters["stackpass.reused_streams"] == 0
         for config, group in zip(configs, groups):
             for rep, stream in zip(group.selection.rep_traces, group.streams):
                 assert stream_to_dict(stream) == stream_to_dict(

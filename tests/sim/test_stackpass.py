@@ -1,15 +1,16 @@
-"""Stack-pass validation: bit-equality with per-organization passes.
+"""Inline per-organization pass: bit-equality with the reference pass.
 
-The single-walk stack simulator's license to exist is exactness: every
-EventStream it derives must be *bit-identical* to the one
-``functional_pass`` produces for the same organization — scalars, all
-nine event buffers, and warm-measured counters.  These tests pin that
-across LRU grids, the degenerate corners the set-refinement collapses
-onto (direct-mapped, fully-associative, zero-event and exhausted-warm
-streams), randomized ``(size, assoc, block)`` matrices, and the
-explicit fallback path for organizations the walk cannot share.
+The inline pass's license to exist is exactness: every EventStream it
+produces must be *bit-identical* to the one ``functional_pass`` (the
+``Cache``-object reference) produces for the same organization —
+scalars, all nine event buffers, and warm-measured counters.  These
+tests pin that across LRU, FIFO and RANDOM grids, timing siblings that
+share one pass, the degenerate corners (direct-mapped, single-set
+fully associative, zero-event and exhausted-warm streams) and
+randomized ``(size, assoc, block)`` matrices.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from repro.core.geometry import CacheGeometry
 from repro.core.policy import CachePolicy, ReplacementKind
 from repro.core.sweep import run_functional_passes
+from repro.core.timing import MemoryTiming
 from repro.errors import ConfigurationError
 from repro.sim.config import baseline_config
 from repro.sim.fastpath import (
@@ -24,11 +26,8 @@ from repro.sim.fastpath import (
     fast_simulate,
     functional_pass,
 )
-from repro.sim.stackpass import (
-    StackPassStats,
-    stack_functional_passes,
-    stack_supported,
-)
+from repro.sim.stackpass import organization_pass, stack_functional_passes
+from repro.sim.telemetry import MetricsRegistry
 from repro.trace.record import RefKind, Trace
 from repro.units import KB
 
@@ -59,10 +58,27 @@ def assert_stats_equal(a, b):
     assert a.memory_writes == b.memory_writes
 
 
-def routed_simulate(config, trace, stats=None):
+def reference_simulate(config, trace, seed=0):
+    """The scalar reference: one ``functional_pass``, one replay."""
+    return fast_simulate(
+        config, trace, stream=functional_pass(config, trace, seed=seed)
+    )
+
+
+def routed_simulate(config, trace, registry=None):
     """fast_simulate, with the pass served by run_functional_passes."""
-    stream = run_functional_passes([(config, trace, 0)], stack_stats=stats)[0]
+    stream = run_functional_passes(
+        [(config, trace, 0)], registry=registry
+    )[0]
     return fast_simulate(config, trace, stream=stream)
+
+
+def counters(jobs, **kwargs):
+    """Run ``jobs`` through the sweep route; return the streams and the
+    ``stackpass.*`` counters it published."""
+    registry = MetricsRegistry()
+    streams = run_functional_passes(jobs, registry=registry, **kwargs)
+    return streams, registry.counters
 
 
 def lru_config(size_bytes, assoc=1, block_words=4, **kwargs):
@@ -73,107 +89,107 @@ def lru_config(size_bytes, assoc=1, block_words=4, **kwargs):
 
 
 class TestGridEquality:
-    def test_lru_grid_one_walk(self, mu3_small):
-        """A full (size x assoc x block) LRU grid derives from 1 walk,
-        bit-identical to per-organization functional passes."""
+    def test_lru_grid_one_pass_per_organization(self, mu3_small):
+        """A full (size x assoc x block) LRU grid takes one inline pass
+        per organization, bit-identical to the reference passes."""
         configs = [
             lru_config(size * KB, assoc=assoc, block_words=block)
             for size in (2, 8)
             for assoc in (1, 2, 4)
             for block in (2, 8)
         ]
-        stats = StackPassStats()
-        streams = run_functional_passes(
-            [(c, mu3_small, 0) for c in configs],
-            stack_stats=stats,
-        )
-        assert stats.walks == 1
-        assert stats.fallback_passes == 0
-        assert stats.derived_streams + stats.reused_streams == len(configs)
+        streams, counts = counters([(c, mu3_small, 0) for c in configs])
+        assert counts == {
+            "stackpass.passes": len(configs), "stackpass.reused_streams": 0,
+        }
         for config, stream in zip(configs, streams):
             assert_streams_equal(stream, functional_pass(config, mu3_small))
 
-    def test_direct_mapped_random_is_eligible(self, rd2n4_small):
-        """assoc=1 leaves RANDOM replacement no victim choice, so the
-        paper's default sweeps share the walk — and the seed cannot
-        matter, exactly as it cannot for the scalar pass."""
+    def test_direct_mapped_random_any_seed(self, rd2n4_small):
+        """assoc=1 leaves RANDOM replacement no victim choice: the seed
+        cannot change the stream, exactly as it cannot for the
+        reference pass."""
         configs = [baseline_config(cache_size_bytes=s * KB) for s in (2, 4, 8)]
-        assert all(stack_supported(c) for c in configs)
+        by_seed = []
         for seed in (0, 7):
-            stats = StackPassStats()
             streams = run_functional_passes(
-                [(c, rd2n4_small, seed) for c in configs],
-                stack_stats=stats,
+                [(c, rd2n4_small, seed) for c in configs]
             )
-            assert stats.walks == 1 and stats.fallback_passes == 0
             for config, stream in zip(configs, streams):
                 assert_streams_equal(
                     stream, functional_pass(config, rd2n4_small, seed=seed)
                 )
+            by_seed.append(streams)
+        for a, b in zip(*by_seed):
+            assert_streams_equal(a, b)
 
     def test_temporal_variants_share_one_derivation(self, tiny_trace):
-        """Configs differing only in cycle time reuse the derived
-        stream; only the labels are re-stamped."""
+        """Configs differing only in cycle time, memory timing or
+        write-buffer depth share one pass; only the labels and counter
+        identities differ."""
+        base = lru_config(4 * KB)
         configs = [
-            lru_config(4 * KB, cycle_ns=cycle) for cycle in (20.0, 40.0, 80.0)
+            base,
+            base.with_cycle_ns(20.0),
+            dataclasses.replace(
+                base, memory=MemoryTiming().with_latency_ns(260.0)
+            ),
+            dataclasses.replace(
+                base, l1=dataclasses.replace(base.l1, write_buffer_depth=1)
+            ),
         ]
-        stats = StackPassStats()
-        streams = run_functional_passes(
-            [(c, tiny_trace, 0) for c in configs],
-            stack_stats=stats,
-        )
-        assert stats.derived_streams == 1
-        assert stats.reused_streams == 2
+        streams, counts = counters([(c, tiny_trace, 0) for c in configs])
+        assert counts == {
+            "stackpass.passes": 1, "stackpass.reused_streams": 3,
+        }
         for config, stream in zip(configs, streams):
             assert stream.config_summary == config.describe()
             assert_streams_equal(stream, functional_pass(config, tiny_trace))
+        assert streams[0].icache is not streams[1].icache
+        assert streams[0].dcache is not streams[1].dcache
 
-    def test_mixed_traces_one_walk_each(self, mu3_small, rd2n4_small):
+    def test_mixed_traces_one_pass_each(self, mu3_small, rd2n4_small):
+        """The same organization over two traces is two passes."""
         configs = [lru_config(s * KB) for s in (2, 8)]
         jobs = [
             (config, trace, 0)
             for trace in (mu3_small, rd2n4_small)
             for config in configs
         ]
-        stats = StackPassStats()
-        streams = run_functional_passes(jobs, stack_stats=stats)
-        assert stats.walks == 2  # one per distinct trace
+        streams, counts = counters(jobs)
+        assert counts["stackpass.passes"] == 4
         for (config, trace, _seed), stream in zip(jobs, streams):
             assert_streams_equal(stream, functional_pass(config, trace))
 
 
 class TestDegenerateCorners:
-    """Satellite: the corners the set-refinement collapses onto."""
+    """The corners where set models collapse or nothing is measured."""
 
     @pytest.mark.parametrize("replacement", list(ReplacementKind))
     def test_fully_associative_single_set(self, tiny_trace, replacement):
-        """size == block_bytes * assoc gives n_sets == 1; under LRU the
-        whole cache is one stack (multi-way FIFO/RANDOM fall back but
-        must still match their scalar pass)."""
+        """size == block_bytes * assoc gives n_sets == 1: the whole
+        cache is one set under every policy."""
         assoc = 4
         config = baseline_config(
             cache_size_bytes=4 * 4 * assoc, block_words=4, assoc=assoc,
             replacement=replacement,
         )
         assert config.l1.i_geometry.n_sets == 1
-        stats = StackPassStats()
-        stream = run_functional_passes(
-            [(config, tiny_trace, 0)], stack_stats=stats,
-        )[0]
-        assert_streams_equal(stream, functional_pass(config, tiny_trace))
-        if replacement is ReplacementKind.LRU:
-            assert stats.walks == 1 and stats.fallback_passes == 0
-        else:
-            assert stats.walks == 0 and stats.fallback_passes == 1
+        reference = functional_pass(config, tiny_trace)
+        assert_streams_equal(organization_pass(config, tiny_trace), reference)
+        streams, counts = counters([(config, tiny_trace, 0)])
+        assert_streams_equal(streams[0], reference)
+        assert counts["stackpass.passes"] == 1
 
     @pytest.mark.parametrize("replacement", list(ReplacementKind))
     def test_direct_mapped_every_policy(self, tiny_trace, replacement):
         config = baseline_config(
             cache_size_bytes=2 * KB, replacement=replacement
         )
-        assert stack_supported(config)
-        stream = stack_functional_passes([(config, tiny_trace, 0)])[0]
-        assert_streams_equal(stream, functional_pass(config, tiny_trace))
+        assert_streams_equal(
+            organization_pass(config, tiny_trace),
+            functional_pass(config, tiny_trace),
+        )
 
     def test_empty_trace_raises_like_scalar(self):
         empty = Trace([], [], name="empty", warm_boundary=0)
@@ -181,7 +197,7 @@ class TestDegenerateCorners:
         with pytest.raises(ConfigurationError, match="warm boundary"):
             functional_pass(config, empty)
         with pytest.raises(ConfigurationError, match="warm boundary"):
-            stack_functional_passes([(config, empty, 0)])
+            organization_pass(config, empty)
 
     def test_exhausted_warm_boundary_raises_like_scalar(self):
         kinds = [int(RefKind.IFETCH)] * 50
@@ -191,12 +207,12 @@ class TestDegenerateCorners:
         with pytest.raises(ConfigurationError, match="warm boundary"):
             functional_pass(config, full_warm)
         with pytest.raises(ConfigurationError, match="warm boundary"):
-            stack_functional_passes([(config, full_warm, 0)])
+            organization_pass(config, full_warm)
 
     def test_zero_event_measured_region(self):
         """A loop that fits in cache: every post-warm couplet hits, so
         the measured region has zero events — the stream and its replay
-        must still match the scalar pass exactly."""
+        must still match the reference exactly."""
         kinds, addrs = [], []
         for _rep in range(40):
             for word in range(16):
@@ -205,34 +221,31 @@ class TestDegenerateCorners:
         trace = Trace(kinds, addrs, name="resident", warm_boundary=320)
         config = lru_config(4 * KB)
         scalar = functional_pass(config, trace)
-        stack = stack_functional_passes([(config, trace, 0)])[0]
-        assert_streams_equal(stack, scalar)
-        assert stack.warm_event_index == stack.n_events  # no measured events
+        inline = organization_pass(config, trace)
+        assert_streams_equal(inline, scalar)
+        assert inline.warm_event_index == inline.n_events  # none measured
         assert_stats_equal(
-            fast_simulate(config, trace),
+            reference_simulate(config, trace),
             routed_simulate(config, trace),
         )
 
 
 class TestFallback:
+    """Multi-way FIFO and RANDOM, the organizations a shared LRU walk
+    could never serve, take the same inline route as every other."""
+
     def test_multiway_random_falls_back(self, tiny_trace):
-        """Multi-way RANDOM breaks inclusion; the route must be the
-        per-organization inline pass, counted explicitly."""
-        eligible = baseline_config(cache_size_bytes=4 * KB)
-        ineligible = baseline_config(cache_size_bytes=4 * KB, assoc=2)
-        assert not stack_supported(ineligible)
-        stats = StackPassStats()
-        streams = run_functional_passes(
-            [(eligible, tiny_trace, 5), (ineligible, tiny_trace, 5)],
-            stack_stats=stats,
+        direct = baseline_config(cache_size_bytes=4 * KB)
+        multiway = baseline_config(cache_size_bytes=4 * KB, assoc=2)
+        streams, counts = counters(
+            [(direct, tiny_trace, 5), (multiway, tiny_trace, 5)]
         )
-        assert stats.walks == 1
-        assert stats.fallback_passes == 1
+        assert counts["stackpass.passes"] == 2
         assert_streams_equal(
-            streams[0], functional_pass(eligible, tiny_trace, seed=5)
+            streams[0], functional_pass(direct, tiny_trace, seed=5)
         )
         assert_streams_equal(
-            streams[1], functional_pass(ineligible, tiny_trace, seed=5)
+            streams[1], functional_pass(multiway, tiny_trace, seed=5)
         )
 
     def test_multiway_fifo_falls_back(self, tiny_trace):
@@ -240,30 +253,36 @@ class TestFallback:
             cache_size_bytes=4 * KB, assoc=2,
             replacement=ReplacementKind.FIFO,
         )
-        assert not stack_supported(config)
-        stats = StackPassStats()
-        stream = run_functional_passes(
-            [(config, tiny_trace, 0)], stack_stats=stats,
-        )[0]
-        assert stats.fallback_passes == 1 and stats.walks == 0
-        assert_streams_equal(stream, functional_pass(config, tiny_trace))
+        streams, counts = counters([(config, tiny_trace, 0)])
+        assert counts["stackpass.passes"] == 1
+        assert_streams_equal(streams[0], functional_pass(config, tiny_trace))
 
-    def test_engine_only_config_not_supported(self):
+    def test_engine_only_config_not_supported(self, tiny_trace):
         from repro.core.policy import WritePolicy
 
         config = baseline_config(cache_size_bytes=4 * KB).with_policy(
             CachePolicy(write_policy=WritePolicy.WRITE_THROUGH)
         )
-        assert not stack_supported(config)
+        with pytest.raises(ConfigurationError, match="write-back"):
+            organization_pass(config, tiny_trace)
 
-    def test_stack_pass_rejects_ineligible_jobs(self, tiny_trace):
-        config = baseline_config(cache_size_bytes=4 * KB, assoc=2)
-        with pytest.raises(ConfigurationError, match="not stack-eligible"):
-            stack_functional_passes([(config, tiny_trace, 0)])
+    def test_rejects_jobs_that_are_not_timing_siblings(
+        self, tiny_trace, mu3_small
+    ):
+        """One call is one pass: jobs over another organization, seed or
+        trace contents must not be handed a sibling's stream."""
+        config = baseline_config(cache_size_bytes=4 * KB)
+        for other in (
+            (baseline_config(cache_size_bytes=8 * KB), tiny_trace, 0),
+            (config, tiny_trace, 1),
+            (config, mu3_small, 0),
+        ):
+            with pytest.raises(ConfigurationError, match="timing"):
+                stack_functional_passes([(config, tiny_trace, 0), other])
 
 
 class TestRandomizedMatrix:
-    """Satellite: property-style cross-check over random grids."""
+    """Property-style cross-check over random grids."""
 
     def test_random_grids_bit_identical(self, mu3_small, tiny_trace):
         rng = random.Random(1988)
@@ -282,24 +301,16 @@ class TestRandomizedMatrix:
                     replacement=replacement,
                 ))
             seed = rng.randrange(1000)
-            stats = StackPassStats()
-            streams = run_functional_passes(
-                [(c, trace, seed) for c in configs],
-                stack_stats=stats,
-            )
-            expected_fallbacks = sum(
-                1 for c in configs if not stack_supported(c)
-            )
-            assert stats.fallback_passes == expected_fallbacks
-            assert stats.walks == (1 if expected_fallbacks < 4 else 0)
+            streams, counts = counters([(c, trace, seed) for c in configs])
+            assert counts["stackpass.passes"] == len(set(configs))
             for config, stream in zip(configs, streams):
                 assert_streams_equal(
                     stream, functional_pass(config, trace, seed=seed)
                 )
 
     def test_random_points_match_fast_simulate(self, rd2n4_small):
-        """End-to-end: stack-derived runs price identically to
-        fast_simulate, not just stream-equal."""
+        """End-to-end: routed runs price identically to fast_simulate
+        over the reference stream, not just stream-equal."""
         rng = random.Random(42)
         for _ in range(6):
             block = rng.choice((2, 4, 8))
@@ -310,60 +321,65 @@ class TestRandomizedMatrix:
                 cycle_ns=rng.choice((20.0, 40.0, 80.0)),
                 replacement=ReplacementKind.LRU,
             )
-            stats = StackPassStats()
+            registry = MetricsRegistry()
             assert_stats_equal(
-                fast_simulate(config, rd2n4_small),
-                routed_simulate(config, rd2n4_small, stats=stats),
+                reference_simulate(config, rd2n4_small),
+                routed_simulate(config, rd2n4_small, registry=registry),
             )
-            assert stats.fallback_passes == 0
+            assert registry.counters["stackpass.passes"] == 1
 
 
 class TestStats:
-    def test_merge_and_dict(self):
-        """Two walks' stats merge by publishing into one registry."""
-        from repro.sim.telemetry import MetricsRegistry
-
-        a = StackPassStats(walks=1, derived_streams=3, reused_streams=2,
-                           fallback_passes=1)
-        b = StackPassStats(walks=2, derived_streams=1)
-        assert a.as_dict() == {
-            "walks": 1, "derived_streams": 3, "reused_streams": 2,
-            "fallback_passes": 1,
-        }
+    def test_merge_and_dict(self, tiny_trace):
+        """Two batches' counters merge in one registry."""
+        config = baseline_config(cache_size_bytes=4 * KB)
         registry = MetricsRegistry()
-        a.publish(registry)
-        b.publish(registry)
+        siblings = [config, config.with_cycle_ns(20.0)]
+        run_functional_passes(
+            [(c, tiny_trace, 0) for c in siblings], registry=registry,
+        )
+        run_functional_passes(
+            [(baseline_config(cache_size_bytes=8 * KB), tiny_trace, 0)],
+            registry=registry,
+        )
         assert registry.counters == {
-            "stackpass.walks": 3, "stackpass.derived_streams": 4,
-            "stackpass.reused_streams": 2, "stackpass.fallback_passes": 1,
+            "stackpass.passes": 2, "stackpass.reused_streams": 1,
         }
 
-    def test_publish_to_registry(self):
-        from repro.sim.telemetry import MetricsRegistry
+    def test_publish_to_registry(self, tiny_trace, tmp_path):
+        """run_functional_passes publishes its own counters, and nothing
+        when every stream was a cache hit."""
+        from repro.sim.passcache import PassCache
 
-        registry = MetricsRegistry()
-        StackPassStats(walks=2, derived_streams=5).publish(registry)
-        counters = registry.as_dict()["counters"]
-        assert counters["stackpass.walks"] == 2
-        assert counters["stackpass.derived_streams"] == 5
+        config = baseline_config(cache_size_bytes=4 * KB)
+        jobs = [
+            (config, tiny_trace, 0),
+            (config.with_cycle_ns(20.0), tiny_trace, 0),
+        ]
+        cache = PassCache(tmp_path / "pc")
+        _streams, cold = counters(jobs, cache=cache)
+        _streams, warm = counters(jobs, cache=cache)
+        assert cold == {
+            "stackpass.passes": 1, "stackpass.reused_streams": 1,
+        }
+        assert warm == {}
 
     def test_sweep_publishes_registry_counters(self, tiny_trace):
         from repro.core.sweep import run_speed_size_sweep
-        from repro.sim.telemetry import MetricsRegistry
 
         registry = MetricsRegistry()
         run_speed_size_sweep(
             [tiny_trace], [2 * KB, 4 * KB], [20.0, 40.0], registry=registry,
         )
-        counters = registry.as_dict()["counters"]
-        assert counters["stackpass.walks"] == 1
-        assert counters["stackpass.derived_streams"] == 2
+        counts = registry.as_dict()["counters"]
+        assert counts["stackpass.passes"] == 2
+        assert counts["stackpass.reused_streams"] == 0
 
 
 class TestRunReportBlock:
     """Stack-pass counters travel in the RunReport ``metrics`` block."""
 
-    _COUNTERS = {"stackpass.walks": 1, "stackpass.derived_streams": 2}
+    _COUNTERS = {"stackpass.passes": 2, "stackpass.reused_streams": 1}
 
     def test_stack_pass_block_round_trips(self):
         from repro.sim.telemetry import REPORT_SCHEMA, RunReport
@@ -401,21 +417,20 @@ class TestRunReportBlock:
                 simulator="fastpath", n_refs_total=1, n_refs_measured=1,
                 cycles=1, total_cycles=1, warm_cycles=0,
                 metrics={"counters": {
-                    "stackpass.walks": 1, "stackpass.derived_streams": i,
+                    "stackpass.passes": 1, "stackpass.reused_streams": i,
                 }},
             )
             for i in (1, 2)
         ]
         summary = aggregate_reports(reports)
         assert summary["metrics"]["counters"] == {
-            "stackpass.walks": 2, "stackpass.derived_streams": 3,
+            "stackpass.passes": 2, "stackpass.reused_streams": 3,
         }
 
 
 def test_fully_associative_geometry_direct(tiny_trace):
     """An explicitly-built single-set geometry (not via baseline sizing)
-    behaves identically through the stack walk and the scalar pass."""
-    from repro.core.timing import MemoryTiming
+    behaves identically through the inline pass and the reference."""
     from repro.sim.config import L1Spec, SystemConfig
 
     geometry = CacheGeometry(size_bytes=128, block_words=4, assoc=8)
@@ -427,6 +442,5 @@ def test_fully_associative_geometry_direct(tiny_trace):
         ),
         memory=MemoryTiming(),
     )
-    assert stack_supported(config)
-    stack = stack_functional_passes([(config, tiny_trace, 0)])[0]
-    assert_streams_equal(stack, functional_pass(config, tiny_trace))
+    inline = organization_pass(config, tiny_trace)
+    assert_streams_equal(inline, functional_pass(config, tiny_trace))

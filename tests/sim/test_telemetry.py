@@ -558,15 +558,14 @@ class TestMetricsRegistry:
     def test_render_counters_one_line_per_subsystem(self):
         registry = MetricsRegistry()
         registry.count_many("passcache", {"hits": 1, "misses": 2})
-        registry.count("stackpass.walks")
+        registry.count("stackpass.passes")
         registry.count("unlisted.thing", 5)
         # A gauge alone does not make a subsystem present.
         registry.gauge("sampling.true_error_max", 0.5)
         assert render_counters(registry.as_dict()) == [
             "pass cache: 1 hit(s), 2 miss(es), 0 corrupt, 0 B read, "
             "0 B written",
-            "stack pass: 1 shared walk(s), 0 stream(s) derived, 0 reused, "
-            "0 fallback pass(es)",
+            "stack pass: 1 pass(es), 0 reused",
         ]
         assert render_counters({}) == []
 
