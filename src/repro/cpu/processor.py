@@ -10,13 +10,18 @@ CPU can proceed to the next reference or reference pair."
 :func:`pair_couplets` performs exactly that pairing: an instruction
 fetch immediately followed by a data reference forms one couplet; either
 kind alone forms a degenerate couplet.  The result is a set of parallel
-arrays the simulators iterate once per couplet.
+arrays the simulators iterate once per couplet.  Both builders work on
+the numpy-backed :class:`~repro.trace.record.Trace` columns directly and
+keep the int64 columns beside the lists, so columnar consumers never
+convert the lists back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List
+
+import numpy as np
 
 from ..trace.record import RefKind, Trace
 
@@ -32,7 +37,10 @@ class CoupletStream:
     (``NO_REF`` when absent); ``d_kind``/``d_addr``/``d_pid`` its data
     reference, with ``d_kind`` one of ``RefKind.LOAD``/``STORE`` values or
     ``NO_REF``.  ``warm_couplet`` is the first couplet whose references
-    lie at or beyond the trace's warm boundary.
+    lie at or beyond the trace's warm boundary, and ``n_warm_refs``
+    counts the references from that couplet on (the measured part).
+    ``columns`` holds the same five lists as one ``(5, n)`` int64 array,
+    rows in field order.
     """
 
     i_addr: List[int]
@@ -42,62 +50,31 @@ class CoupletStream:
     d_pid: List[int]
     warm_couplet: int
     n_refs: int
+    n_warm_refs: int
+    columns: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.i_addr)
 
-    @property
-    def n_warm_refs(self) -> int:
-        """References at or beyond the warm boundary (the measured part)."""
-        warm_refs = 0
-        for k in range(self.warm_couplet, len(self.i_addr)):
-            if self.i_addr[k] != NO_REF:
-                warm_refs += 1
-            if self.d_kind[k] != NO_REF:
-                warm_refs += 1
-        return warm_refs
 
-
-def pair_couplets(trace: Trace) -> CoupletStream:
-    """Pair a trace into couplets without reordering references."""
-    kinds, addrs, pids = trace.as_lists()
-    n = len(kinds)
-    ifetch = int(RefKind.IFETCH)
-    i_addr: List[int] = []
-    i_pid: List[int] = []
-    d_kind: List[int] = []
-    d_addr: List[int] = []
-    d_pid: List[int] = []
-    warm_couplet = -1
-    warm = trace.warm_boundary
-    pos = 0
-    while pos < n:
-        couplet_start = pos
-        if kinds[pos] == ifetch:
-            ia, ip = addrs[pos], pids[pos]
-            pos += 1
-            if pos < n and kinds[pos] != ifetch:
-                dk, da, dp = kinds[pos], addrs[pos], pids[pos]
-                pos += 1
-            else:
-                dk = da = dp = NO_REF
-        else:
-            ia = ip = NO_REF
-            dk, da, dp = kinds[pos], addrs[pos], pids[pos]
-            pos += 1
-        if warm_couplet < 0 and couplet_start >= warm:
-            warm_couplet = len(i_addr)
-        i_addr.append(ia)
-        i_pid.append(ip)
-        d_kind.append(dk)
-        d_addr.append(da)
-        d_pid.append(dp)
-    if warm_couplet < 0:
-        # The warm boundary falls inside (or at the end of) the last
-        # couplet: nothing is measured, which callers must guard against.
-        warm_couplet = len(i_addr)
-    if warm == 0:
-        warm_couplet = 0
+def _stream(
+    trace: Trace, couplet: np.ndarray, n_couplets: int, warm_couplet: int,
+    n_warm_refs: int,
+) -> CoupletStream:
+    """Scatter every reference of ``trace`` into the couplet numbered
+    ``couplet[ref]``: a fetch into the I half, a data reference into the
+    D half."""
+    is_ifetch = trace.kinds == int(RefKind.IFETCH)
+    is_data = ~is_ifetch
+    columns = np.full((5, n_couplets), NO_REF, dtype=np.int64)
+    i_at = couplet[is_ifetch]
+    columns[0, i_at] = trace.addrs[is_ifetch]
+    columns[1, i_at] = trace.pids[is_ifetch]
+    d_at = couplet[is_data]
+    columns[2, d_at] = trace.kinds[is_data]
+    columns[3, d_at] = trace.addrs[is_data]
+    columns[4, d_at] = trace.pids[is_data]
+    i_addr, i_pid, d_kind, d_addr, d_pid = columns.tolist()
     return CoupletStream(
         i_addr=i_addr,
         i_pid=i_pid,
@@ -105,7 +82,34 @@ def pair_couplets(trace: Trace) -> CoupletStream:
         d_addr=d_addr,
         d_pid=d_pid,
         warm_couplet=warm_couplet,
-        n_refs=n,
+        n_refs=len(trace),
+        n_warm_refs=n_warm_refs,
+        columns=columns,
+    )
+
+
+def pair_couplets(trace: Trace) -> CoupletStream:
+    """Pair a trace into couplets without reordering references.
+
+    Every reference starts a couplet unless it is a data reference right
+    after an instruction fetch, which joins that fetch's couplet.
+    """
+    n = len(trace)
+    is_ifetch = trace.kinds == int(RefKind.IFETCH)
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = is_ifetch[1:] | ~is_ifetch[:-1]
+    start_pos = np.flatnonzero(starts)
+    # The first couplet starting at or beyond the warm boundary; a
+    # boundary inside (or at the end of) the last couplet leaves nothing
+    # to measure, which callers must guard against.
+    warm_couplet = int(np.searchsorted(start_pos, trace.warm_boundary))
+    n_warm_refs = (
+        n - int(start_pos[warm_couplet]) if warm_couplet < len(start_pos)
+        else 0
+    )
+    return _stream(
+        trace, np.cumsum(starts) - 1, len(start_pos), warm_couplet,
+        n_warm_refs,
     )
 
 
@@ -115,29 +119,6 @@ def sequentialize(trace: Trace) -> CoupletStream:
     Used for unified (joint I/D) caches, where the CPU cannot issue the
     pair simultaneously and references are served one at a time.
     """
-    kinds, addrs, pids = trace.as_lists()
-    ifetch = int(RefKind.IFETCH)
-    n = len(kinds)
-    i_addr = [NO_REF] * n
-    i_pid = [NO_REF] * n
-    d_kind = [NO_REF] * n
-    d_addr = [NO_REF] * n
-    d_pid = [NO_REF] * n
-    for pos in range(n):
-        if kinds[pos] == ifetch:
-            i_addr[pos] = addrs[pos]
-            i_pid[pos] = pids[pos]
-        else:
-            d_kind[pos] = kinds[pos]
-            d_addr[pos] = addrs[pos]
-            d_pid[pos] = pids[pos]
+    n = len(trace)
     warm_couplet = min(trace.warm_boundary, n)
-    return CoupletStream(
-        i_addr=i_addr,
-        i_pid=i_pid,
-        d_kind=d_kind,
-        d_addr=d_addr,
-        d_pid=d_pid,
-        warm_couplet=warm_couplet,
-        n_refs=n,
-    )
+    return _stream(trace, np.arange(n), n, warm_couplet, n - warm_couplet)

@@ -9,12 +9,21 @@ route, every stream must serialize exactly like a direct
 :func:`repro.sim.fastpath.functional_pass` (the ``Cache``-object
 reference) of the same job, and a trace whose warm boundary leaves
 nothing to measure must fail the same way on every route.
+
+:func:`repro.sim.stackpass.organization_pass` itself has two routes,
+picked from the organization: a columnar one when both sides are
+direct-mapped, and the inline per-reference loop otherwise.  The
+generator draws direct-mapped organizations about half the time, from
+single-set caches up to 128-word blocks (whose dirty-word counts
+outgrow a 64-bit mask), over traces with no fetches, no stores or no
+loads and over pids and addresses too large to pack into one int64 key.
 """
 
 import dataclasses
 import functools
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -23,6 +32,7 @@ from repro.core.policy import CachePolicy, ReplacementKind
 from repro.core.sweep import run_functional_passes
 from repro.core.timing import MemoryTiming
 from repro.errors import ConfigurationError
+from repro.sim import stackpass
 from repro.sim.config import L1Spec, SystemConfig
 from repro.sim.fastpath import functional_pass
 from repro.sim.passcache import PassCache, cache_key, stream_to_dict
@@ -31,11 +41,49 @@ from repro.trace.record import RefKind, Trace
 from repro.trace.suite import build_trace
 
 
+def dirty_sweep():
+    """Loads and stores that fill 128-word blocks: each block is loaded,
+    then most of its words are stored before the next block, which
+    conflicts with it in any cache of 512 B or less, is loaded."""
+    ifetch, load, store = (int(kind) for kind in RefKind)
+    kinds, addrs = [], []
+    for block in range(8):
+        base = block * 128
+        kinds += [ifetch, load]
+        addrs += [4096 + block, base]
+        for word in range(0, 128, 1 + block % 3):
+            kinds += [ifetch, store]
+            addrs += [4096 + word, base + word]
+    return Trace(kinds, addrs, name="dirty-sweep",
+                 warm_boundary=len(kinds) // 4)
+
+
+def random_trace(name, kinds, length, seed, pids=(0,), high=256):
+    """``length`` references of ``kinds`` over ``high`` words per pid.
+
+    Pid 0's words sit at ``2**48`` and up, past the 44 address bits of
+    a cache block key, so its keys alias other pids' the way the
+    ``Cache`` keys do (``(pid << 44) | block``): at 1, 4 and 8 words per
+    block its blocks share keys with pids 16, 4 and 2.  Pids of 2**20
+    and more do not fit such a key into 64 bits at all."""
+    rng = np.random.default_rng(seed)
+    pid = rng.choice(pids, size=length)
+    return Trace(
+        rng.choice([int(kind) for kind in kinds], size=length),
+        np.where(pid == 0, 1 << 48, 0) + rng.integers(0, high, size=length),
+        pid,
+        name=name,
+        warm_boundary=length // 3,
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def trace_pool():
     """Small traces covering the shapes the routes treat differently:
-    two suite traces, a same-content twin under another name, and two
-    traces with nothing to measure (empty, and warm to the end)."""
+    two suite traces, a same-content twin under another name, two traces
+    with nothing to measure (empty, and warm to the end), and synthetic
+    traces of only stores, only loads, many pids with huge keys, and
+    blocks with many dirty words."""
     mu3 = build_trace("mu3", length=3000, seed=1)
     rd2n4 = build_trace("rd2n4", length=3000, seed=2)
     twin = Trace(mu3.kinds, mu3.addrs, mu3.pids, name="mu3-twin",
@@ -43,7 +91,14 @@ def trace_pool():
     empty = Trace([], [], name="empty", warm_boundary=0)
     warm = Trace([int(RefKind.IFETCH)] * 40, list(range(40)),
                  name="all-warm", warm_boundary=40)
-    return (mu3, rd2n4, twin, empty, warm)
+    stores = random_trace("store-only", [RefKind.STORE], 600, seed=3)
+    loads = random_trace("load-only", [RefKind.LOAD], 600, seed=4)
+    pids = random_trace(
+        "multi-pid", list(RefKind), 1500, seed=5,
+        pids=(0, 2, 4, 16, 1 << 20, (1 << 31) - 1),
+    )
+    return (mu3, rd2n4, twin, empty, warm, stores, loads, pids,
+            dirty_sweep())
 
 
 #: One cache geometry.  128 B caches are drawn most often: with a
@@ -59,6 +114,17 @@ geometries = st.tuples(
     lambda g: CacheGeometry(size_bytes=g[0], block_words=g[1], assoc=g[2])
 )
 
+#: One direct-mapped geometry, from a single set (512 B of 128-word
+#: blocks, 128 B of 32-word ones) up to 512 sets.
+direct_mapped = st.tuples(
+    st.sampled_from([128, 512, 512, 2048]),
+    st.sampled_from([1, 4, 8, 32, 128, 128]),
+).filter(
+    lambda g: g[0] >= 4 * g[1]
+).map(
+    lambda g: CacheGeometry(size_bytes=g[0], block_words=g[1], assoc=1)
+)
+
 
 def split_l1(i_geometry, d_geometry, replacement):
     """A fastpath organization whose I and D sides differ freely and
@@ -70,21 +136,23 @@ def split_l1(i_geometry, d_geometry, replacement):
     ))
 
 
-organizations = st.builds(
-    split_l1,
-    geometries,
-    geometries,
-    st.sampled_from(
-        [ReplacementKind.LRU, ReplacementKind.FIFO, ReplacementKind.RANDOM]
-    ),
+replacements = st.sampled_from(
+    [ReplacementKind.LRU, ReplacementKind.FIFO, ReplacementKind.RANDOM]
 )
 
-#: ``(organization, trace index, seed)``; the three measurable traces
-#: are drawn far more often than the two degenerate ones.
+#: Half the draws are direct-mapped on both sides (the columnar route);
+#: the rest mix geometries freely (mostly the inline loop).
+organizations = st.one_of(
+    st.builds(split_l1, geometries, geometries, replacements),
+    st.builds(split_l1, direct_mapped, direct_mapped, replacements),
+)
+
+#: ``(organization, trace index, seed)``; the measurable traces are
+#: drawn far more often than the two degenerate ones.
 jobs_strategy = st.lists(
     st.tuples(
         organizations,
-        st.sampled_from([0, 0, 1, 1, 2, 2, 0, 1, 3, 4]),
+        st.sampled_from([0, 0, 1, 1, 2, 0, 1, 5, 6, 7, 7, 8, 8, 3, 4]),
         st.integers(0, 2**31 - 1),
     ),
     min_size=1, max_size=6,
@@ -182,3 +250,30 @@ def test_every_route_equals_the_scalar_pass(drawn, siblings, n_jobs,
             "stackpass.passes": passes,
             "stackpass.reused_streams": len(missed) - passes,
         } if missed else {})
+
+
+def test_the_organization_picks_the_pass_route(monkeypatch):
+    """Direct-mapped on both sides takes the columnar route and never
+    the inline loop; one set-associative side takes the inline loop and
+    never the columnar route."""
+    trace = trace_pool()[0]
+    direct = CacheGeometry(size_bytes=1024, block_words=4, assoc=1)
+    two_way = CacheGeometry(size_bytes=1024, block_words=4, assoc=2)
+
+    def wrong_route(*args, **kwargs):
+        raise AssertionError("took the wrong route")
+
+    cases = [
+        (split_l1(direct, direct, ReplacementKind.RANDOM), "_inline_pass"),
+        (split_l1(direct, two_way, ReplacementKind.RANDOM),
+         "_direct_mapped_pass"),
+        (split_l1(two_way, direct, ReplacementKind.LRU),
+         "_direct_mapped_pass"),
+    ]
+    for config, barred in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(stackpass, barred, wrong_route)
+            [stream] = run_functional_passes([(config, trace, 3)])
+            assert stream_to_dict(stream) == stream_to_dict(
+                functional_pass(config, trace, seed=3)
+            )

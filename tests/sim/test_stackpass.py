@@ -1,8 +1,10 @@
-"""Inline per-organization pass: bit-equality with the reference pass.
+"""Per-organization pass: bit-equality with the reference pass.
 
-The inline pass's license to exist is exactness: every EventStream it
-produces must be *bit-identical* to the one ``functional_pass`` (the
-``Cache``-object reference) produces for the same organization —
+Both routes of ``organization_pass`` (columnar for organizations that
+are direct-mapped on both sides, the inline loop otherwise) exist on
+one license, exactness: every EventStream they produce must be
+*bit-identical* to the one ``functional_pass`` (the ``Cache``-object
+reference) produces for the same organization —
 scalars, all nine event buffers, and warm-measured counters.  These
 tests pin that across LRU, FIFO and RANDOM grids, timing siblings that
 share one pass, the degenerate corners (direct-mapped, single-set
