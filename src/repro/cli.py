@@ -1146,7 +1146,7 @@ def _cmd_campaign_worker(args: argparse.Namespace) -> int:
     from .errors import CampaignError
     from .sim.campaign import Campaign
     from .sim.resilience import RetryPolicy
-    from .sim.workqueue import SpoolWorker, WorkQueue
+    from .sim.workqueue import WorkQueue, spool_fleet
 
     campaign = Campaign(args.directory)
     queue = WorkQueue.for_campaign(campaign)
@@ -1155,17 +1155,10 @@ def _cmd_campaign_worker(args: argparse.Namespace) -> int:
     except CampaignError as exc:
         print(f"repro-sim campaign worker: error: {exc}", file=sys.stderr)
         return 2
-    jobs = spec.build_jobs()
-    ids = queue.enqueue_jobs(jobs)  # idempotent: completes the spool
-    jobs_by_id = {
-        identifier: (index, job)
-        for index, (identifier, job) in enumerate(zip(ids, jobs))
-    }
-    worker = SpoolWorker(
-        queue,
+    _ids, (worker,) = spool_fleet(
         campaign,
-        jobs_by_id,
-        name=args.name,
+        spec.build_jobs(),
+        [args.name],
         ttl_s=args.ttl,
         heartbeat_s=args.heartbeat,
         timeout_s=args.timeout,

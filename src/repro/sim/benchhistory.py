@@ -18,10 +18,10 @@ module makes the trajectory durable and *enforceable*:
   (reprolint REPRO003 holds this module to that contract);
 
 * :func:`ingest_raw_bench` converts the raw ``BENCH_*.json`` documents
-  the CI jobs emit (``telemetry_smoke``, ``passcache_warm_vs_cold``,
-  ``replay_kernel_vs_scalar``, ``workqueue_chaos``) into common
-  records, with curated units and directions for the known suites and
-  conservative inference for new ones;
+  the CI jobs emit (``telemetry_smoke``, ``replay_kernel_vs_scalar``,
+  ``workqueue_chaos``) or once emitted (``passcache_warm_vs_cold``)
+  into common records, with curated units and directions for the
+  known suites and conservative inference for new ones;
 
 * :func:`diff_history` is the gate.  For each (suite, metric) the
   baseline is every record from *other* commits; the noise band is
@@ -624,16 +624,19 @@ def render_diff(deltas: Sequence[MetricDelta], commit: str = "") -> str:
 # ----------------------------------------------------------------------
 #: (unit, direction) of every metric the local suites emit.
 _SUITE_METRICS: Dict[str, Dict[str, Tuple[str, str]]] = {
-    "functional_pass": {
-        "wall_s": ("s", "lower"),
-        "refs_per_sec": ("refs/s", "higher"),
+    "pass_route": {
+        f"{grid}_{metric}": unit_direction
+        for grid in ("lru", "random", "columnar")
+        for metric, unit_direction in (
+            ("s", ("s", "lower")), ("speedup", ("ratio", "higher")),
+        )
     },
     "replay_kernel": {
         "scalar_s": ("s", "lower"),
         "batch_s": ("s", "lower"),
         "speedup": ("ratio", "higher"),
     },
-    "passcache": {
+    "passcache_route": {
         "cold_s": ("s", "lower"),
         "warm_s": ("s", "lower"),
         "speedup": ("ratio", "higher"),
@@ -641,35 +644,103 @@ _SUITE_METRICS: Dict[str, Dict[str, Tuple[str, str]]] = {
 }
 
 
-def _bench_functional_pass(length: int, seed: int) -> Dict[str, float]:
-    """Time one functional pass (the organization-dependent cost)."""
+def _bench_pass_route(length: int, seed: int) -> Dict[str, float]:
+    """Cold functional passes: the sweep route against the reference.
+
+    Each grid runs twice from an unpaired trace: a
+    :func:`~repro.sim.fastpath.functional_pass` loop (the Cache-object
+    oracle) and one :func:`~repro.core.sweep.run_functional_passes`
+    call.  The grids are 16 LRU organizations (size x block x assoc),
+    the 8 RANDOM (size x assoc) organizations of the paper's
+    set-associativity figures, which take the inline loop, and 8
+    direct-mapped (size x block) organizations, which take the columnar
+    route; the inline loop is about 5.7x the reference there, so the 6x
+    bound holds the columnar route in place.  Raises unless every
+    stream is bit-identical to its reference, the route takes one pass
+    per organization, and each grid's speedup meets its bound.
+    """
+    from ..core.policy import ReplacementKind
+    from ..core.sweep import run_functional_passes
+    from ..cpu.processor import pair_couplets
     from ..trace.suite import build_trace
     from ..units import KB
     from .config import baseline_config
     from .fastpath import functional_pass
+    from .passcache import stream_to_dict
+    from .telemetry import MetricsRegistry
 
+    lru, rand = ReplacementKind.LRU, ReplacementKind.RANDOM
+    grids = (
+        ("lru", 3.0, [
+            baseline_config(cache_size_bytes=size * KB, block_words=block,
+                            assoc=assoc, replacement=lru)
+            for size in (4, 8, 16, 32)
+            for block in (4, 8)
+            for assoc in (1, 2)
+        ]),
+        ("random", 3.0, [
+            baseline_config(cache_size_bytes=size * KB, assoc=assoc,
+                            replacement=rand)
+            for size in (4, 8, 16, 32)
+            for assoc in (2, 4)
+        ]),
+        ("columnar", 6.0, [
+            baseline_config(cache_size_bytes=size * KB, block_words=block,
+                            assoc=1, replacement=rand)
+            for size in (4, 8, 16, 32)
+            for block in (4, 8)
+        ]),
+    )
     trace = build_trace("mu3", length=length, seed=seed)
-    config = baseline_config(cache_size_bytes=16 * KB)
-    t0 = time.perf_counter()  # reprolint: disable=REPRO001
-    functional_pass(config, trace, seed=seed)
-    wall = time.perf_counter() - t0  # reprolint: disable=REPRO001
-    return {
-        "wall_s": wall,
-        "refs_per_sec": length / wall if wall > 0 else 0.0,
-    }
+    metrics: Dict[str, float] = {}
+    for name, bound, configs in grids:
+        t0 = time.perf_counter()  # reprolint: disable=REPRO001
+        couplets = pair_couplets(trace)
+        reference = [
+            functional_pass(config, trace, couplets=couplets, seed=seed)
+            for config in configs
+        ]
+        reference_s = time.perf_counter() - t0  # reprolint: disable=REPRO001
+        registry = MetricsRegistry()
+        t0 = time.perf_counter()  # reprolint: disable=REPRO001
+        streams = run_functional_passes(
+            [(config, trace, seed) for config in configs],
+            registry=registry,
+        )
+        route_s = time.perf_counter() - t0  # reprolint: disable=REPRO001
+        passes = registry.counters.get("stackpass.passes", 0)
+        if passes != len(configs) or any(
+            stream_to_dict(ref) != stream_to_dict(stream)
+            for ref, stream in zip(reference, streams)
+        ):
+            raise CorruptResultError(
+                f"pass_route bench: {name} grid took {passes} pass(es) "
+                f"for {len(configs)} organizations or diverged from the "
+                f"reference pass"
+            )
+        speedup = reference_s / route_s if route_s > 0 else 0.0
+        if speedup < bound:
+            raise CorruptResultError(
+                f"pass_route bench: {name} grid speedup {speedup:.2f}x "
+                f"is under its {bound:g}x bound"
+            )
+        metrics[f"{name}_s"] = route_s
+        metrics[f"{name}_speedup"] = speedup
+    return metrics
 
 
 def _bench_replay_kernel(length: int, seed: int) -> Dict[str, float]:
     """Scalar vs batch grid pricing over one warm stream."""
+    from ..core.sweep import run_functional_passes
     from ..trace.suite import build_trace
     from ..units import KB
     from .config import baseline_config
-    from .fastpath import functional_pass, replay
+    from .fastpath import replay
     from .replaykernel import BatchReplayKernel, TimingPoint
 
     trace = build_trace("mu3", length=length, seed=seed)
     config = baseline_config(cache_size_bytes=16 * KB)
-    stream = functional_pass(config, trace, seed=seed)
+    stream = run_functional_passes([(config, trace, seed)])[0]
     points = [
         TimingPoint(
             memory=config.memory, cycle_ns=cycle_ns,
@@ -700,40 +771,59 @@ def _bench_replay_kernel(length: int, seed: int) -> Dict[str, float]:
     }
 
 
-def _bench_passcache(length: int, seed: int) -> Dict[str, float]:
-    """Cold-then-warm functional passes against a throwaway cache."""
+def _bench_passcache_route(length: int, seed: int) -> Dict[str, float]:
+    """Cold-then-warm sweep passes against a throwaway pass cache.
+
+    Both sides are one :func:`~repro.core.sweep.run_functional_passes`
+    call with ``cache=`` over the 8 organizations of a 2-trace x 4-size
+    grid.  Raises unless the cold side persists every pass, the warm
+    side hits on every one of them (misses == 0, hits == puts), and the
+    warm streams are bit-identical to the cold ones.
+    """
     import shutil
     import tempfile
 
+    from ..core.sweep import run_functional_passes
     from ..trace.suite import build_trace
     from ..units import KB
     from .config import baseline_config
-    from .passcache import PassCache
+    from .passcache import PassCache, stream_to_dict
 
-    trace = build_trace("mu3", length=length, seed=seed)
-    configs = [
-        baseline_config(cache_size_bytes=size * KB)
-        for size in (4, 8, 16)
+    jobs = [
+        (baseline_config(cache_size_bytes=size * KB), trace, seed)
+        for trace in (
+            build_trace(name, length=length, seed=seed)
+            for name in ("mu3", "rd2n4")
+        )
+        for size in (2, 4, 8, 16)
     ]
     directory = tempfile.mkdtemp(prefix="repro-bench-cache-")
     try:
         cold_cache = PassCache(directory)
         t0 = time.perf_counter()  # reprolint: disable=REPRO001
-        for config in configs:
-            cold_cache.get_or_run(config, trace, seed=seed)
+        cold = run_functional_passes(jobs, cache=cold_cache)
         cold_s = time.perf_counter() - t0  # reprolint: disable=REPRO001
         warm_cache = PassCache(directory)
         t0 = time.perf_counter()  # reprolint: disable=REPRO001
-        for config in configs:
-            warm_cache.get_or_run(config, trace, seed=seed)
+        warm = run_functional_passes(jobs, cache=warm_cache)
         warm_s = time.perf_counter() - t0  # reprolint: disable=REPRO001
-        if warm_cache.counters.misses:
-            raise CorruptResultError(
-                f"passcache bench: warm pass missed "
-                f"{warm_cache.counters.misses} time(s)"
-            )
     finally:
         shutil.rmtree(directory, ignore_errors=True)
+    if (
+        cold_cache.counters.puts != len(jobs)
+        or warm_cache.counters.misses
+        or warm_cache.counters.hits != cold_cache.counters.puts
+    ):
+        raise CorruptResultError(
+            f"passcache_route bench: {len(jobs)} passes, cold "
+            f"{cold_cache.counters}, warm {warm_cache.counters}"
+        )
+    if any(
+        stream_to_dict(a) != stream_to_dict(b) for a, b in zip(cold, warm)
+    ):
+        raise CorruptResultError(
+            "passcache_route bench: warm streams differ from cold ones"
+        )
     return {
         "cold_s": cold_s,
         "warm_s": warm_s,
@@ -744,9 +834,9 @@ def _bench_passcache(length: int, seed: int) -> Dict[str, float]:
 #: The local suites, by name.  Each runner returns ``{metric: value}``
 #: matching its :data:`_SUITE_METRICS` declaration.
 BENCH_SUITES: Dict[str, Callable[[int, int], Dict[str, float]]] = {
-    "functional_pass": _bench_functional_pass,
+    "pass_route": _bench_pass_route,
     "replay_kernel": _bench_replay_kernel,
-    "passcache": _bench_passcache,
+    "passcache_route": _bench_passcache_route,
 }
 
 

@@ -22,14 +22,13 @@ with :class:`~repro.sim.engine.Engine` across organizations and clocks.
 
 :func:`functional_pass` drives the :class:`~repro.cache.cache.Cache`
 objects the engine also uses, which makes it the reference oracle for
-functional passes.  Production streams come from the inline
-per-organization pass (:func:`repro.sim.stackpass.organization_pass`),
-whether through :func:`repro.core.sweep.run_functional_passes`,
-sampling or :func:`fast_simulate`, and the tests, CI's stack-pass gates
-and the benchmark's output checks hold it bit-identical to the
-reference.  The one production caller left is a miss in
-:meth:`repro.sim.passcache.PassCache.get_or_run`, whose cold/warm
-ratio the ``passcache`` bench suite gates against recorded history.
+functional passes; no production code calls it.  Production streams
+come from the inline per-organization pass
+(:func:`repro.sim.stackpass.organization_pass`), through
+:func:`repro.core.sweep.run_functional_passes` (sweeps, sampling, the
+pass cache, campaign workers) or :func:`fast_simulate`.  The tests,
+the ``pass_route`` bench suite and the benchmark's output checks hold
+it bit-identical to the reference.
 
 When one stream is priced against a whole timing *grid*,
 :class:`repro.sim.replaykernel.BatchReplayKernel` vectorizes the

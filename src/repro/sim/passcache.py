@@ -75,13 +75,7 @@ from .campaign import (
     payload_checksum,
 )
 from .config import SystemConfig
-from .fastpath import (
-    EVENT_FIELDS,
-    EventStream,
-    assemble_stats,
-    functional_pass,
-    replay,
-)
+from .fastpath import EVENT_FIELDS, EventStream, fast_simulate
 from .statistics import CacheCounters, SimStats
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
@@ -285,10 +279,13 @@ class PassCacheReport:
 class PassCache:
     """An on-disk, content-addressed store of :class:`EventStream`\\ s.
 
-    ``cache.get_or_run(config, trace, seed)`` returns the stored stream
-    when the key is on disk and validates, and runs (then persists) the
-    functional pass otherwise.  Corrupt entries are quarantined and
-    re-simulated; schema mismatches miss cleanly.
+    ``cache.get(config, trace, seed)`` returns the stored stream when
+    the key is on disk and validates, ``None`` otherwise; ``put``
+    persists one.  Corrupt entries are quarantined and read as misses;
+    schema mismatches miss cleanly.  Callers do not pair the two by
+    hand: :func:`repro.core.sweep.run_functional_passes` with
+    ``cache=`` loads the hits, runs the misses as inline
+    per-organization passes and persists them.
 
     ``writer`` overrides the persistence primitive (default
     :func:`~repro.sim.campaign.atomic_write_text`) so the fault harness
@@ -401,28 +398,6 @@ class PassCache:
         self.counters.bytes_read += n_bytes
         self._note("hits")
         self._note("bytes_read", n_bytes)
-        return stream
-
-    def get_or_run(
-        self,
-        config: SystemConfig,
-        trace: Trace,
-        seed: int = 0,
-        couplets=None,
-    ) -> EventStream:
-        """Return the cached stream, running the functional pass on a
-        miss and persisting the result.
-
-        The miss runs the reference ``functional_pass``, not the inline
-        ``organization_pass``: the ``passcache`` bench suite gates the
-        cold/warm ratio of this method against its recorded history, so
-        the switch waits for a change that reworks that suite.
-        """
-        stream = self.get(config, trace, seed)
-        if stream is not None:
-            return stream
-        stream = functional_pass(config, trace, couplets=couplets, seed=seed)
-        self.put(config, trace, seed, stream)
         return stream
 
     # ------------------------------------------------------------------
@@ -580,6 +555,11 @@ def cached_fast_simulate(
 ) -> SimStats:
     """:func:`repro.sim.fastpath.fast_simulate` with a pass cache.
 
+    The stream comes from the route sweeps use,
+    :func:`repro.core.sweep.run_functional_passes` with ``cache=``: a
+    hit is loaded, a miss takes the inline per-organization pass and is
+    persisted.
+
     Accepts either a live :class:`PassCache` or a ``cache_dir`` path —
     the latter keeps the callable picklable, so campaign workers can
     carry it as ``functools.partial(cached_fast_simulate,
@@ -595,10 +575,8 @@ def cached_fast_simulate(
         cache = PassCache(cache_dir, registry=registry)
     elif registry is not None and cache.registry is None:
         cache.registry = registry
-    stream = cache.get_or_run(config, trace, seed=seed)
-    outcome = replay(
-        stream, config.memory, config.cycle_ns,
-        write_buffer_depth=config.l1.write_buffer_depth,
-        telemetry=telemetry,
-    )
-    return assemble_stats(stream, outcome, config.cycle_ns)
+    # Function-level import: core.sweep is the layer above this one.
+    from ..core.sweep import run_functional_passes
+
+    stream = run_functional_passes([(config, trace, seed)], cache=cache)[0]
+    return fast_simulate(config, trace, telemetry=telemetry, stream=stream)

@@ -34,6 +34,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -502,15 +503,12 @@ class CampaignExecutor:
         try:
             proc.start()
             sender.close()
-            proc.join(
-                None if self.timeout_s is None
-                else self.timeout_s + self.grace_s
-            )
-            # Without a timeout the join above was unbounded, yet
-            # is_alive() can still read true when another thread's
-            # Process.start() reaped the child first; only a bounded
-            # join that ran out means the worker overran.
-            if self.timeout_s is not None and proc.is_alive():
+            # The sentinel closes when the child exits, even when another
+            # thread's Process.start() reaps it (is_alive() can then
+            # still read true).
+            if self.timeout_s is not None and not wait(
+                [proc.sentinel], self.timeout_s + self.grace_s
+            ):
                 proc.terminate()
                 proc.join(5.0)
                 if proc.is_alive():  # pragma: no cover — stuck in kernel
@@ -521,6 +519,7 @@ class CampaignExecutor:
                     f"worker exceeded {self.timeout_s:g}s wall clock; "
                     f"terminated",
                 )
+            proc.join()
             try:
                 # poll() is also true at EOF — a worker that died hard
                 # closed its end without sending; recv then raises.
@@ -715,45 +714,30 @@ class CampaignExecutor:
         All sweep state lives on disk: killing the coordinator loses
         nothing, and re-running resumes past every published job.
         """
-        from .workqueue import SpoolWorker, WorkQueue
+        from .workqueue import run_fleet, spool_fleet
 
         self._abort.clear()
-        queue = WorkQueue.for_campaign(self.campaign, retry=self.retry)
-        ids = queue.enqueue_jobs(jobs)
-        jobs_by_id = {
-            identifier: (index, job)
-            for index, (identifier, job) in enumerate(zip(ids, jobs))
-        }
-        workers = [
-            SpoolWorker(
-                WorkQueue.for_campaign(self.campaign, retry=self.retry),
-                self.campaign,
-                jobs_by_id,
-                name=f"spool:w{n}",
-                timeout_s=self.timeout_s,
-                grace_s=self.grace_s,
-                retry=self.retry,
-                fault_plan=self.fault_plan,
-                keep_going=self.keep_going,
-                collect_metrics=self.collect_metrics,
-                mp_context=self._mp,
-                sleep_fn=self._sleep,
-                journal_fn=self._journal,
-                stop_event=self._abort,
-            )
-            for n in range(self.jobs)
-        ]
-        if len(workers) == 1:
-            workers[0].run()
-        else:
-            threads = [
-                threading.Thread(target=worker.run, daemon=True)
-                for worker in workers
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+        ids, workers = spool_fleet(
+            self.campaign, jobs,
+            [f"spool:w{n}" for n in range(self.jobs)],
+            retry=self.retry,
+            timeout_s=self.timeout_s,
+            grace_s=self.grace_s,
+            fault_plan=self.fault_plan,
+            keep_going=self.keep_going,
+            collect_metrics=self.collect_metrics,
+            mp_context=self._mp,
+            sleep_fn=self._sleep,
+            journal_fn=self._journal,
+            stop_event=self._abort,
+        )
+        # The spool's done records are the source of truth; syncing
+        # folds them (plus any poison quarantines) back into the
+        # manifest, so a resumed or multi-process sweep reports
+        # completions this executor never journaled itself.
+        manifest = run_fleet(self.campaign, workers)
+        with self._manifest_lock:
+            self.manifest = manifest
         fabric: Dict[str, int] = {"workers": len(workers)}
         for worker in workers:
             for name, count in worker.queue.counters.items():
@@ -763,12 +747,6 @@ class CampaignExecutor:
                 + int(worker.lifetime_s * 1000)
             )
         self.fabric = fabric
-        # The spool's done records are the source of truth; fold them
-        # (plus any poison quarantines) back into the manifest so a
-        # resumed or multi-process sweep reports completions this
-        # executor never journaled itself.
-        with self._manifest_lock:
-            self.manifest = queue.sync_manifest(self.campaign)
         records = [
             self.manifest.runs[identifier]
             for identifier in ids

@@ -34,6 +34,9 @@ The pipeline, all seeded and deterministic:
    and the interval body is the measured region.  Interval traces have
    their own content fingerprints, so they flow through the
    :mod:`~repro.sim.passcache` and the per-organization pass unchanged.
+   Every functional pass here, representative or exact, is made by
+   :func:`repro.core.sweep.run_functional_passes`, the route exact
+   sweeps take.
 
 5. **Estimation** — a stratified estimator recombines representative
    results.  Denominators (reads, writes, references per cluster) are
@@ -69,7 +72,6 @@ from ..errors import SamplingError
 from ..trace.multiprogram import warm_prefix
 from ..trace.record import RefKind, Trace
 from .fastpath import EventStream, ReplayOutcome, replay
-from .stackpass import organization_pass
 from .statistics import BufferCounters, CacheCounters, SimStats
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard only
@@ -776,27 +778,17 @@ def estimate_stats(
 # ----------------------------------------------------------------------
 # End-to-end sampled simulation
 # ----------------------------------------------------------------------
-def representative_streams(
+def _exact_stream(
     config: "SystemConfig",
-    selection: SampledSelection,
-    seed: int = 0,
-    cache: Optional["PassCache"] = None,
-    stats: Optional[SamplingStats] = None,
-) -> List[EventStream]:
-    """One functional pass per cluster representative, cache-aware.
+    trace: Trace,
+    seed: int,
+    cache: Optional["PassCache"],
+) -> EventStream:
+    """The exact functional pass of one job, through the sweep route."""
+    # Function-level import: core.sweep imports this module.
+    from ..core.sweep import run_functional_passes
 
-    Interval traces carry their own content fingerprints, so pass-cache
-    entries for them compose exactly like full-trace entries.
-    """
-    streams = []
-    for rep_trace in selection.rep_traces:
-        if cache is not None:
-            streams.append(cache.get_or_run(config, rep_trace, seed=seed))
-        else:
-            streams.append(organization_pass(config, rep_trace, seed=seed))
-    if stats is not None:
-        stats.representatives += len(streams)
-    return streams
+    return run_functional_passes([(config, trace, seed)], cache=cache)[0]
 
 
 def sampled_fast_simulate(
@@ -814,25 +806,29 @@ def sampled_fast_simulate(
     also runs and the estimate carries the true miss ratio and cycle
     count alongside the estimated ones.
     """
-    selection = select_intervals(trace, plan, stats=stats)
-    streams = representative_streams(
-        config, selection, seed=seed, cache=cache, stats=stats
-    )
+    # Function-level import: core.sweep imports this module.
+    from ..core.sweep import run_functional_passes
+
+    # The route validates a batch periodically; this one job validates
+    # below, where the exact stream also prices the true cycle count.
+    group = run_functional_passes(
+        [(config, trace, seed)], cache=cache,
+        sampling=dataclasses.replace(plan, validate=False),
+        sampling_stats=stats,
+    )[0]
     outcomes = [
         replay(
             stream, config.memory, config.cycle_ns,
             write_buffer_depth=config.l1.write_buffer_depth,
         )
-        for stream in streams
+        for stream in group.streams
     ]
     estimate = estimate_stats(
-        selection, streams, outcomes, config.cycle_ns, stats=stats
+        group.selection, group.streams, outcomes, config.cycle_ns,
+        stats=stats,
     )
     if plan.validate:
-        if cache is not None:
-            exact_stream = cache.get_or_run(config, trace, seed=seed)
-        else:
-            exact_stream = organization_pass(config, trace, seed=seed)
+        exact_stream = _exact_stream(config, trace, seed, cache)
         exact_outcome = replay(
             exact_stream, config.memory, config.cycle_ns,
             write_buffer_depth=config.l1.write_buffer_depth,
@@ -892,10 +888,7 @@ def validate_group(
     ``|true − estimated|`` on the read miss ratio, recording it into
     ``stats`` — the periodic ground-truth check batch sampling uses.
     """
-    if cache is not None:
-        exact = cache.get_or_run(config, trace, seed=seed)
-    else:
-        exact = organization_pass(config, trace, seed=seed)
+    exact = _exact_stream(config, trace, seed, cache)
     reads = exact.icache.reads + exact.dcache.reads
     true_ratio = (
         (exact.icache.read_misses + exact.dcache.read_misses) / reads

@@ -59,7 +59,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CampaignError, CorruptResultError, LeaseLostError
 from ..units import KB
@@ -1153,36 +1153,46 @@ class SpoolWorker:
         return self.processed
 
 
-def drain_spool(
+def spool_fleet(
     campaign: Campaign,
-    spec: Optional[SweepSpec] = None,
-    workers: int = 1,
+    jobs: List[RunJob],
+    names: Sequence[str],
+    retry: Optional[RetryPolicy] = None,
     **worker_kwargs,
-) -> CampaignManifest:
-    """Run workers until the spool is empty, then sync the manifest.
+) -> Tuple[List[str], List[SpoolWorker]]:
+    """Spool ``jobs`` and build one :class:`SpoolWorker` per name.
 
-    ``spec`` defaults to the spool's stored manifest.  This is the
-    one-shot coordinator `campaign run`/`campaign drain` use: kill it at
-    any point and nothing is lost — re-invoking resumes from the spool.
+    Enqueueing is idempotent, so this also completes an interrupted
+    spool.  Returns the jobs' run ids, in job order, and the workers,
+    each observing the spool through its own :class:`WorkQueue`.
     """
-    queue = WorkQueue.for_campaign(campaign)
-    spec = spec or queue.load_spec()
-    jobs = spec.build_jobs()
-    ids = queue.enqueue_jobs(jobs)
+    ids = WorkQueue.for_campaign(campaign, retry=retry).enqueue_jobs(jobs)
     jobs_by_id = {
         identifier: (index, job)
         for index, (identifier, job) in enumerate(zip(ids, jobs))
     }
     fleet = [
         SpoolWorker(
-            WorkQueue.for_campaign(campaign),
+            WorkQueue.for_campaign(campaign, retry=retry),
             campaign,
             jobs_by_id,
-            name=f"{_HOST}:{os.getpid()}:w{n}",
+            name=name,
+            retry=retry,
             **worker_kwargs,
         )
-        for n in range(max(1, workers))
+        for name in names
     ]
+    return ids, fleet
+
+
+def run_fleet(
+    campaign: Campaign, fleet: List[SpoolWorker]
+) -> CampaignManifest:
+    """Run the workers until the spool drains, then sync the manifest.
+
+    Several workers run in threads, each claiming through the lease
+    protocol exactly as separate processes would.
+    """
     if len(fleet) == 1:
         fleet[0].run()
     else:
@@ -1194,4 +1204,25 @@ def drain_spool(
             thread.start()
         for thread in threads:
             thread.join()
-    return queue.sync_manifest(campaign)
+    return WorkQueue.for_campaign(campaign).sync_manifest(campaign)
+
+
+def drain_spool(
+    campaign: Campaign,
+    spec: Optional[SweepSpec] = None,
+    workers: int = 1,
+    **worker_kwargs,
+) -> CampaignManifest:
+    """Run workers until the spool is empty, then sync the manifest.
+
+    ``spec`` defaults to the spool's stored manifest.  This is the
+    one-shot coordinator `campaign drain` uses: kill it at any point
+    and nothing is lost — re-invoking resumes from the spool.
+    """
+    spec = spec or WorkQueue.for_campaign(campaign).load_spec()
+    _ids, fleet = spool_fleet(
+        campaign, spec.build_jobs(),
+        [f"{_HOST}:{os.getpid()}:w{n}" for n in range(max(1, workers))],
+        **worker_kwargs,
+    )
+    return run_fleet(campaign, fleet)

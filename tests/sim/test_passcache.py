@@ -21,7 +21,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.sweep import run_speed_size_sweep
+from repro.core.sweep import run_functional_passes, run_speed_size_sweep
 from repro.core.timing import MemoryTiming
 from repro.errors import CorruptResultError
 from repro.sim.config import baseline_config
@@ -141,12 +141,13 @@ class TestRoundTrip:
         assert cache.counters.misses == 1
         assert cache.counters.corrupt == 0
 
-    def test_get_or_run_simulates_once(
+    def test_route_simulates_once(
         self, tmp_path, mu3_small, small_config
     ):
         cache = PassCache(tmp_path / "pc")
-        first = cache.get_or_run(small_config, mu3_small)
-        second = cache.get_or_run(small_config, mu3_small)
+        jobs = [(small_config, mu3_small, 0)]
+        (first,) = run_functional_passes(jobs, cache=cache)
+        (second,) = run_functional_passes(jobs, cache=cache)
         assert_streams_equal(first, second)
         assert cache.counters.misses == 1
         assert cache.counters.hits == 1
@@ -260,14 +261,16 @@ class TestCorruption:
         assert not report.clean
         assert any("key mismatch" in reason for _, reason in report.corrupt)
 
-    def test_get_or_run_recovers_from_corruption(
+    def test_route_recovers_from_corruption(
         self, seeded, tiny_trace, small_config
     ):
         cache, path = seeded
         fresh = functional_pass(small_config, tiny_trace)
         path.write_text("garbage", encoding="utf-8")
 
-        recovered = cache.get_or_run(small_config, tiny_trace)
+        (recovered,) = run_functional_passes(
+            [(small_config, tiny_trace, 0)], cache=cache
+        )
         assert_streams_equal(fresh, recovered)
         # re-persisted: the next lookup is a hit again
         assert cache.get(small_config, tiny_trace) is not None
@@ -277,7 +280,9 @@ class TestCorruption:
     ):
         cache, path = seeded
         _rewrite(path, lambda p: p.update(schema=PASSCACHE_SCHEMA + 1))
-        stream = cache.get_or_run(small_config, tiny_trace)
+        (stream,) = run_functional_passes(
+            [(small_config, tiny_trace, 0)], cache=cache
+        )
         assert stream is not None
         assert cache.get(small_config, tiny_trace) is not None
         assert cache.counters.hits == 1
@@ -531,8 +536,6 @@ class TestStackPassInterop:
         ]
 
     def test_stack_entries_are_byte_identical(self, tmp_path, tiny_trace):
-        from repro.core.sweep import run_functional_passes
-
         configs = self._grid()
         scalar_cache = PassCache(tmp_path / "scalar")
         for config in configs:
@@ -555,8 +558,6 @@ class TestStackPassInterop:
         """campaign run --stack-pass precomputes into the cache; the
         workers' cached_fast_simulate must replay those entries to the
         same stats as the uncached reference."""
-        from repro.core.sweep import run_functional_passes
-
         config = self._grid()[0]
         cache = PassCache(tmp_path / "pc")
         run_functional_passes([(config, tiny_trace, 0)], cache=cache)

@@ -8,7 +8,11 @@ timing or write-buffer depth), in-process or over a pool.  Whatever the
 route, every stream must serialize exactly like a direct
 :func:`repro.sim.fastpath.functional_pass` (the ``Cache``-object
 reference) of the same job, and a trace whose warm boundary leaves
-nothing to measure must fail the same way on every route.
+nothing to measure must fail the same way on every route.  The
+single-job entry points (:func:`repro.sim.passcache.cached_fast_simulate`
+cold and warm, :func:`repro.sim.fastpath.fast_simulate` without a
+stream, and :func:`repro.sim.sampling.sampled_fast_simulate`) must
+return what that route and one replay return.
 
 :func:`repro.sim.stackpass.organization_pass` itself has two routes,
 picked from the organization: a columnar one when both sides are
@@ -21,6 +25,7 @@ loads and over pids and addresses too large to pack into one int64 key.
 
 import dataclasses
 import functools
+import re
 import tempfile
 
 import numpy as np
@@ -34,8 +39,19 @@ from repro.core.timing import MemoryTiming
 from repro.errors import ConfigurationError
 from repro.sim import stackpass
 from repro.sim.config import L1Spec, SystemConfig
-from repro.sim.fastpath import functional_pass
-from repro.sim.passcache import PassCache, cache_key, stream_to_dict
+from repro.sim.fastpath import fast_simulate, functional_pass
+from repro.sim.passcache import (
+    PassCache,
+    cache_key,
+    cached_fast_simulate,
+    stream_to_dict,
+)
+from repro.sim.replaykernel import BatchReplayKernel, TimingPoint
+from repro.sim.sampling import (
+    SamplingPlan,
+    estimate_stats,
+    sampled_fast_simulate,
+)
 from repro.sim.telemetry import MetricsRegistry
 from repro.trace.record import RefKind, Trace
 from repro.trace.suite import build_trace
@@ -250,6 +266,123 @@ def test_every_route_equals_the_scalar_pass(drawn, siblings, n_jobs,
             "stackpass.passes": passes,
             "stackpass.reused_streams": len(missed) - passes,
         } if missed else {})
+
+
+def same_result(call, want):
+    """``call()`` returns ``want``, or raises it when it is an error."""
+    if isinstance(want, str):
+        with pytest.raises(ConfigurationError, match=re.escape(want)):
+            call()
+    else:
+        assert call() == want
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    drawn=jobs_strategy,
+    prefill=st.lists(st.booleans(), min_size=6, max_size=6),
+)
+def test_single_job_routes_equal_the_scalar_pass(drawn, prefill):
+    """``cached_fast_simulate`` against a cache pre-filled on a drawn
+    subset, cold and then warm, and ``fast_simulate`` without a stream
+    return the reference pass's stats.  Cold, each pre-filled job hits
+    and every other job misses, and is put unless it has nothing to
+    measure; warm, every measurable job hits."""
+    pool = trace_pool()
+    jobs = [(config, pool[t], seed) for config, t, seed in drawn]
+    expected = []
+    for config, trace, seed in jobs:
+        try:
+            stream = functional_pass(config, trace, seed=seed)
+        except ConfigurationError as exc:
+            expected.append(str(exc))
+        else:
+            expected.append(fast_simulate(config, trace, stream=stream))
+    with tempfile.TemporaryDirectory() as tmp:
+        stored = set()
+        filler = PassCache(tmp)
+        for (config, trace, seed), want, fill in zip(jobs, expected, prefill):
+            if fill and not isinstance(want, str):
+                filler.put(config, trace, seed,
+                           functional_pass(config, trace, seed=seed))
+                stored.add(cache_key(config, trace, seed))
+        cold = PassCache(tmp)
+        hits = puts = 0
+        for (config, trace, seed), want in zip(jobs, expected):
+            key = cache_key(config, trace, seed)
+            hits += key in stored
+            if key not in stored and not isinstance(want, str):
+                puts += 1
+                stored.add(key)
+            same_result(lambda: cached_fast_simulate(
+                config, trace, cache=cold, seed=seed), want)
+        assert (cold.counters.hits, cold.counters.misses,
+                cold.counters.puts) == (hits, len(jobs) - hits, puts)
+        warm = PassCache(tmp)
+        for (config, trace, seed), want in zip(jobs, expected):
+            same_result(lambda: cached_fast_simulate(
+                config, trace, cache=warm, seed=seed), want)
+        degenerate = sum(isinstance(want, str) for want in expected)
+        assert (warm.counters.hits, warm.counters.misses,
+                warm.counters.puts) == (len(jobs) - degenerate,
+                                        degenerate, 0)
+    for (config, trace, seed), want in zip(jobs, expected):
+        same_result(lambda: fast_simulate(config, trace, seed=seed), want)
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    organization=organizations,
+    trace_index=st.sampled_from([0, 1, 2, 5, 6, 7, 8]),
+    seed=st.integers(0, 2**31 - 1),
+    use_cache=st.booleans(),
+    validate=st.booleans(),
+)
+def test_sampled_simulate_equals_the_sampled_sweep_route(
+    organization, trace_index, seed, use_cache, validate
+):
+    """``sampled_fast_simulate`` returns the estimate the sampled sweep
+    route makes of the same job: representative passes from
+    ``run_functional_passes(sampling=)``, priced by the batch kernel and
+    recombined.  Cold and then warm when a cache is drawn; under
+    validation the true cycle count is the exact pass's."""
+    trace = trace_pool()[trace_index]
+    # The bound admits every estimate; refusals are tested elsewhere.
+    plan = SamplingPlan(interval_refs=300, n_clusters=3, ci_bound=1.0)
+    (group,) = run_functional_passes(
+        [(organization, trace, seed)], sampling=plan
+    )
+    point = TimingPoint(
+        memory=organization.memory, cycle_ns=organization.cycle_ns,
+        write_buffer_depth=organization.l1.write_buffer_depth,
+    )
+    route = estimate_stats(
+        group.selection, group.streams,
+        [BatchReplayKernel(s).replay_grid([point])[0] for s in group.streams],
+        organization.cycle_ns,
+    )
+    exact = fast_simulate(organization, trace, stream=functional_pass(
+        organization, trace, seed=seed))
+    plan = dataclasses.replace(plan, validate=validate)
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = PassCache(tmp) if use_cache else None
+        for _ in range(2 if use_cache else 1):
+            estimate = sampled_fast_simulate(
+                organization, trace, plan, seed=seed, cache=cache
+            )
+            assert estimate.stats == route.stats
+            assert estimate.read_miss_ratio == route.read_miss_ratio
+            assert estimate.ci_half_width == route.ci_half_width
+            assert estimate.true_cycles == (
+                exact.cycles if validate else None
+            )
+        if cache is not None:
+            passes = len(group.streams) + validate
+            assert (cache.counters.puts, cache.counters.hits) == (
+                passes, passes
+            )
 
 
 def test_the_organization_picks_the_pass_route(monkeypatch):

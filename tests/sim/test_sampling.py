@@ -44,7 +44,6 @@ from repro.sim.sampling import (
     estimate_miss_ratio,
     estimate_stats,
     estimate_to_dict,
-    representative_streams,
     sampled_fast_simulate,
     sampled_simulate,
     select_intervals,
@@ -265,11 +264,13 @@ class TestSelection:
         trace = _trace(length=20_000)
         plan = SamplingPlan(interval_refs=4000)
         selection = select_intervals(trace, plan)
-        for size in (2 * KB, 64 * KB):
-            streams = representative_streams(
-                baseline_config(size), selection
-            )
-            assert len(streams) == selection.n_clusters
+        groups = run_functional_passes(
+            [(baseline_config(size), trace, 0) for size in (2 * KB, 64 * KB)],
+            sampling=plan,
+        )
+        for group in groups:
+            assert group.selection is selection
+            assert len(group.streams) == selection.n_clusters
 
 
 # ----------------------------------------------------------------------
@@ -394,9 +395,10 @@ class TestEstimator:
         trace = _trace(length=30_000)
         config = baseline_config(8 * KB)
         plan = SamplingPlan(interval_refs=6000, n_clusters=3)
-        selection = select_intervals(trace, plan)
-        streams = representative_streams(config, selection)
-        group = SampledPassGroup(selection=selection, streams=streams)
+        (group,) = run_functional_passes(
+            [(config, trace, 0)], sampling=plan
+        )
+        selection, streams = group.selection, group.streams
         stats = SamplingStats()
         error = validate_group(config, trace, group, stats=stats)
         exact = functional_pass(config, trace)

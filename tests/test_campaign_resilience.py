@@ -469,6 +469,30 @@ class TestExecutor:
         assert Campaign(tmp_path).load(report.records[0].run_id) == \
             fast_simulate(config, trace)
 
+    def test_bounded_join_reads_exit_from_the_sentinel(self, tmp_path,
+                                                       config, trace):
+        # With a timeout the same race applies: a worker that finished
+        # in time but was reaped by another thread still reads as alive
+        # after its join.  Only the sentinel says whether it overran.
+        context = multiprocessing.get_context()
+
+        class ReapedElsewhere(context.Process):
+            def is_alive(self):
+                return True
+
+        class Context:
+            Pipe = staticmethod(context.Pipe)
+            Process = ReapedElsewhere
+
+        executor, sleeps = make_executor(
+            Campaign(tmp_path), mp_context=Context(), timeout_s=60.0,
+            retry=RetryPolicy(max_attempts=2),
+        )
+        report = executor.run_sweep(sweep_jobs([config], [trace]))
+        assert report.records[0].status == "ok"
+        assert report.records[0].attempts == 1
+        assert sleeps == []
+
 
 # ----------------------------------------------------------------------
 # Cooperative cancellation hook (engine.py)
