@@ -22,7 +22,7 @@ from conftest import run_once
 
 def test_bench_history_ratchet_loop(benchmark, tmp_path):
     records, noise = run_once(
-        benchmark, run_bench_suites, ["functional_pass"], 3, 4_000
+        benchmark, run_bench_suites, ["passcache_route"], 3, 4_000
     )
     assert all(record.value > 0 for record in records)
     assert all(value >= 0.0 for value in noise.values())
@@ -47,14 +47,14 @@ def test_bench_history_ratchet_loop(benchmark, tmp_path):
         "bit-identical rerun must pass the gate"
     )
 
-    # Seed a 10% slowdown on the wall-clock metric and re-diff.
+    # Seed a 10% slowdown on the cold-pass time and re-diff.
     slow = [
         dataclasses.replace(
             record, commit="slowpoke", value=record.value * 1.10
         )
-        for record in records if record.metric == "wall_s"
+        for record in records if record.metric == "cold_s"
     ]
     history.append(slow)
     deltas = diff_history(history.load(), commit="slowpoke", policy=policy)
     flagged = {d.metric: d.status for d in deltas}
-    assert flagged["wall_s"] == "regression"
+    assert flagged["cold_s"] == "regression"
