@@ -45,7 +45,11 @@ from ..sim.fastpath import (
     assemble_stats,
     fast_simulate,
 )
-from ..sim.replaykernel import BatchReplayKernel, TimingPoint
+from ..sim.replaykernel import (
+    BatchReplayKernel,
+    TimingPoint,
+    archive_scope,
+)
 from ..sim.sampling import (
     SampledPassGroup,
     SamplingPlan,
@@ -350,13 +354,15 @@ def _replay_pool_init(streams: List[EventStream]) -> None:
 def _replay_job(args):
     """Module-level batch-replay job (picklable for the process pool).
 
-    Prices one stream against the whole timing grid and returns
-    ``(job index, outcomes, kernel stats)`` so the parent can verify
-    result order and aggregate the kernel counters.
+    Prices one stream at the points the parent could not serve and
+    returns ``(job index, outcomes, kernel stats)`` so the parent can
+    verify result order and record the outcomes.  The worker kernel
+    keeps a private memo: the parent owns any outcome archive.
     """
     index, slot, points = args
-    kernel = BatchReplayKernel(_WORKER_STREAMS[slot])
-    outcomes = kernel.replay_grid(points)
+    with archive_scope(None):
+        kernel = BatchReplayKernel(_WORKER_STREAMS[slot])
+        outcomes = kernel.replay_grid(points)
     return index, outcomes, kernel.stats
 
 
@@ -369,56 +375,76 @@ def _price_streams(
     """Price every stream at every timing point; one outcome row each.
 
     The batch kernel prices a stream's whole grid in one call;
-    ``n_jobs > 1`` shards the streams over processes (worthwhile on
-    warm sweeps, where replay is essentially the entire cost).  Each
+    ``n_jobs > 1`` first prices the points the kernels' memos lack over
+    processes (see :func:`_price_shards`).  Every row is then served by
+    its own kernel's :meth:`~BatchReplayKernel.replay_grid`, and each
     kernel's counters land in ``registry`` as ``replay.*``.
     """
     points = list(points)
-    if n_jobs > 1 and len(streams) > 1:
-        global _WORKER_STREAMS
-        packed = [(k, k, points) for k in range(len(streams))]
-        rows: List[Optional[List[ReplayOutcome]]] = [None] * len(streams)
-        try:
-            fork_ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover — fork-less platform
-            fork_ctx = None
-        if fork_ctx is not None:
-            # Forked workers inherit the parent's stream table, so the
-            # (large) event buffers never cross the process boundary;
-            # only the small outcome lists come back.
-            _WORKER_STREAMS = list(streams)
-            pool_kwargs = dict(mp_context=fork_ctx)
-        else:  # pragma: no cover — spawn platforms ship explicitly
-            pool_kwargs = dict(
-                initializer=_replay_pool_init,
-                initargs=(list(streams),),
-            )
-        try:
-            with ProcessPoolExecutor(
-                max_workers=n_jobs, **pool_kwargs
-            ) as pool:
-                for job, result in zip(
-                    packed, pool.map(_replay_job, packed)
-                ):
-                    index, outcomes, stats = result
-                    if index != job[0]:
-                        raise AnalysisError(
-                            f"batch-replay results out of order: expected "
-                            f"job {job[0]}, got {index}"
-                        )
-                    rows[index] = outcomes
-                    if registry is not None:
-                        stats.publish(registry)
-        finally:
-            _WORKER_STREAMS = []
-        return rows
+    # One kernel at a time, so each one's tables die with its row.
+    kernels = (BatchReplayKernel(stream) for stream in streams)
+    if n_jobs > 1:
+        kernels = list(kernels)
+        _price_shards(kernels, points, n_jobs)
     rows = []
-    for stream in streams:
-        kernel = BatchReplayKernel(stream)
+    for kernel in kernels:
         rows.append(kernel.replay_grid(points))
         if registry is not None:
             kernel.stats.publish(registry)
     return rows
+
+
+def _price_shards(
+    kernels: Sequence[BatchReplayKernel],
+    points: List[TimingPoint],
+    n_jobs: int,
+) -> None:
+    """Price the kernels' unpriced points over a process pool (worthwhile
+    on warm sweeps, where replay is essentially the entire cost).
+
+    The parent resolves what the memos already hold and ships each
+    distinct unpriced point once, with the first kernel that needs it;
+    the outcomes come back into that kernel's memo via
+    :meth:`~BatchReplayKernel.absorb`.  With fewer than two streams to
+    price the pool is not worth starting and nothing happens here.
+    """
+    global _WORKER_STREAMS
+    claims: Dict[int, set] = {}
+    packed = []
+    for k, kernel in enumerate(kernels):
+        todo = kernel.unpriced(points, claims)
+        if todo:
+            packed.append((k, k, todo))
+    if len(packed) <= 1:
+        return
+    streams = [kernel.stream for kernel in kernels]
+    try:
+        fork_ctx = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover — fork-less platform
+        fork_ctx = None
+    if fork_ctx is not None:
+        # Forked workers inherit the parent's stream table, so the
+        # (large) event buffers never cross the process boundary;
+        # only the small outcome lists come back.
+        _WORKER_STREAMS = streams
+        pool_kwargs = dict(mp_context=fork_ctx)
+    else:  # pragma: no cover — spawn platforms ship explicitly
+        pool_kwargs = dict(
+            initializer=_replay_pool_init,
+            initargs=(streams,),
+        )
+    try:
+        with ProcessPoolExecutor(max_workers=n_jobs, **pool_kwargs) as pool:
+            for job, result in zip(packed, pool.map(_replay_job, packed)):
+                index, outcomes, stats = result
+                if index != job[0]:
+                    raise AnalysisError(
+                        f"batch-replay results out of order: expected "
+                        f"job {job[0]}, got {index}"
+                    )
+                kernels[index].absorb(job[2], outcomes, stats)
+    finally:
+        _WORKER_STREAMS = []
 
 
 def _run_grid(

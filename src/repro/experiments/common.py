@@ -7,8 +7,24 @@ environment variable ``REPRO_FULL=1`` — for the paper-scale grids.
 
 The expensive speed–size sweeps are memoized per (settings, assoc) so
 that Figures 3-1 through 3-4, 4-2 through 4-5 and Table 3 share their
-underlying simulations, the way the paper's figures all read from one
-raw-data archive.
+underlying simulations, and the §5 block-size sweep per settings so
+that Figures 5-1 through 5-4 do, the way the paper's figures all read
+from one raw-data archive.
+
+Below the sweeps, priced replay outcomes are shared too: the registry
+runs every experiment inside :func:`shared_outcomes`, which builds each
+batch-replay kernel over this module's process-lifetime
+:class:`~repro.sim.replaykernel.OutcomeArchive`.  A (stream contents,
+quantized timing) cell that one experiment priced is then served to any
+later one from the archive — §6's evenly scaled grid quantizes to the
+base grid's cycle costs, and a large set-associative cache's stream
+equals the direct-mapped one.  Each kernel builds its tables only when
+a point misses, and a sweep's ``replay.archived_outcomes`` counter says
+how many of its ``replay.batch_outcomes`` the archive served.  The
+archive holds outcomes, never streams; :func:`clear_grid_cache` drops
+it with the memoized sweeps.  Sweeps called outside the registry
+(campaigns, the CLI ``sweep`` command, the benches) keep a private memo
+per kernel and never hash a stream.
 """
 
 from __future__ import annotations
@@ -21,6 +37,7 @@ from typing import Dict, List, Tuple
 
 from ..core.metrics import SpeedSizeGrid
 from ..core.sweep import run_speed_size_sweep
+from ..sim.replaykernel import OutcomeArchive, archive_scope
 from ..sim.telemetry import StageTimer, peak_rss_kb
 from ..trace.record import Trace
 from ..trace.suite import ALL_TRACES, build_suite
@@ -263,7 +280,20 @@ def blocksize_curves(settings: ExperimentSettings) -> Dict:
     return _BLOCKSIZE_CACHE[settings]
 
 
+#: Priced replay outcomes of every experiment run in this process.
+_OUTCOME_ARCHIVE = OutcomeArchive()
+
+
+def shared_outcomes():
+    """Context in which every replay kernel prices into, and is served
+    from, the experiment layer's outcome archive (the registry runs
+    each experiment inside it)."""
+    return archive_scope(_OUTCOME_ARCHIVE)
+
+
 def clear_grid_cache() -> None:
-    """Drop memoized sweeps (tests use this to bound memory)."""
+    """Drop memoized sweeps and archived outcomes (tests use this to
+    bound memory)."""
     _GRID_CACHE.clear()
     _BLOCKSIZE_CACHE.clear()
+    _OUTCOME_ARCHIVE.clear()

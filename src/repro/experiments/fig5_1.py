@@ -18,14 +18,8 @@ import numpy as np
 
 from ..core.blocksize import optimal_block_size_words
 from ..core.report import format_table
-from ..core.sweep import run_blocksize_sweep
 from ..units import quantize_ns
-from .common import (
-    ExperimentResult,
-    ExperimentSettings,
-    suite_for,
-    sweep_options,
-)
+from .common import ExperimentResult, ExperimentSettings, blocksize_curves
 
 EXPERIMENT_ID = "fig5_1"
 TITLE = "Block size vs miss ratio and execution time (260ns memory)"
@@ -36,15 +30,8 @@ LATENCY_NS = 260.0
 
 def run(settings: Optional[ExperimentSettings] = None) -> ExperimentResult:
     settings = settings or ExperimentSettings()
-    curves = run_blocksize_sweep(
-        suite_for(settings),
-        block_sizes_words=settings.block_sizes_words,
-        latencies_ns=[LATENCY_NS],
-        transfer_rates=[1.0],
-        **sweep_options(settings),
-    )
-    key = (quantize_ns(LATENCY_NS, 40.0), 1.0)
-    curve = curves[key]
+    # Both grids sweep 260 ns at 1 W/cycle: read the shared §5 sweep.
+    curve = blocksize_curves(settings)[(quantize_ns(LATENCY_NS, 40.0), 1.0)]
     exec_norm = curve.execution_ns / curve.execution_ns.min()
     rows = []
     for k, block in enumerate(curve.block_sizes_words):

@@ -9,7 +9,12 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..errors import ConfigurationError, ReproError
-from .common import ExperimentResult, ExperimentSettings, failed_result
+from .common import (
+    ExperimentResult,
+    ExperimentSettings,
+    failed_result,
+    shared_outcomes,
+)
 from . import (
     fig3_1,
     fig3_2,
@@ -51,13 +56,15 @@ def list_experiments() -> List[str]:
 def run_experiment(
     experiment_id: str, settings: Optional[ExperimentSettings] = None
 ) -> ExperimentResult:
-    """Run one experiment by id."""
+    """Run one experiment by id, pricing through the shared outcome
+    archive (see :func:`~repro.experiments.common.shared_outcomes`)."""
     if experiment_id not in EXPERIMENTS:
         raise ConfigurationError(
             f"unknown experiment {experiment_id!r}; "
             f"available: {', '.join(EXPERIMENTS)}"
         )
-    return EXPERIMENTS[experiment_id](settings)
+    with shared_outcomes():
+        return EXPERIMENTS[experiment_id](settings)
 
 
 def run_all(
@@ -69,12 +76,15 @@ def run_all(
     With ``keep_going=True`` a failing experiment yields a placeholder
     :class:`ExperimentResult` (``ok=False``) flagging the failure, and
     the remaining artifacts still run — a partial report with the
-    missing points marked beats no report at all.
+    missing points marked beats no report at all.  Every experiment
+    prices through the shared outcome archive, as in
+    :func:`run_experiment`.
     """
     results = []
     for experiment_id, run in EXPERIMENTS.items():
         try:
-            results.append(run(settings))
+            with shared_outcomes():
+                results.append(run(settings))
         except ReproError as exc:
             if not keep_going:
                 raise

@@ -34,6 +34,20 @@ sums.  The kernel therefore:
    (write-buffer full/match stalls, busy-port overlap), seeded with the
    stretch-exit state.
 
+Step 1 runs lazily, on the first point a kernel actually prices.  A
+kernel serves each point from its memo of priced outcomes when it can;
+inside :func:`archive_scope` that memo is the row of a shared
+:class:`OutcomeArchive` addressed by :func:`stream_digest` — a digest of
+everything the pricing reads from the stream — so a (stream contents,
+quantized cost) cell priced by any kernel in the scope is served to
+every later one, and a kernel whose every point is archived builds no
+tables.  The archive holds outcomes as immutable tuples, never
+streams, and every caller receives a fresh outcome.  ``KernelStats.archived_outcomes`` (published
+as ``replay.archived_outcomes``) counts the outcomes served that way.
+The experiment registry runs each experiment inside such a scope (see
+:mod:`repro.experiments.common`); everywhere else a kernel keeps a
+private memo and never hashes its stream.
+
 ``tests/sim/test_replaykernel.py`` asserts equality with ``replay()``
 across the fastpath validation matrix, including forced buffer-full and
 stale-read stalls.  Telemetry-enabled replays (cycle ledger / event
@@ -44,9 +58,11 @@ lists are inherently sequential — which is why this module takes no
 
 from __future__ import annotations
 
-import dataclasses
+import hashlib
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -56,6 +72,7 @@ from .fastpath import (
     _D_READ_MISS,
     _D_WRITE_HIT,
     _D_WRITE_MISS,
+    EVENT_FIELDS,
     EventStream,
     ReplayOutcome,
 )
@@ -108,11 +125,16 @@ class KernelStats:
 
     ``vectorized_events``/``scalar_events`` count event-grid cells
     (events x timing points), so their ratio is the fraction of replay
-    work the prefix-sum path absorbed.  Sweeps publish these into their
-    :class:`~repro.sim.telemetry.MetricsRegistry` as ``replay.*``.
+    work the prefix-sum path absorbed.  ``archived_outcomes`` counts the
+    delivered outcomes (a share of ``batch_outcomes``) that another
+    kernel had already priced into the active :class:`OutcomeArchive`;
+    it stays zero outside :func:`archive_scope`.  Sweeps publish these
+    into their :class:`~repro.sim.telemetry.MetricsRegistry` as
+    ``replay.*``.
     """
 
     batch_outcomes: int = 0
+    archived_outcomes: int = 0
     scalar_replays: int = 0
     vectorized_events: int = 0
     scalar_events: int = 0
@@ -121,6 +143,7 @@ class KernelStats:
     def as_dict(self) -> Dict[str, int]:
         return {
             "batch_outcomes": self.batch_outcomes,
+            "archived_outcomes": self.archived_outcomes,
             "scalar_replays": self.scalar_replays,
             "vectorized_events": self.vectorized_events,
             "scalar_events": self.scalar_events,
@@ -136,6 +159,97 @@ class KernelStats:
         vectorized work they displaced.
         """
         registry.count_many("replay", self.as_dict())
+
+
+#: A priced outcome as memos and archives hold it: the
+#: :class:`~repro.sim.fastpath.ReplayOutcome` fields in declaration
+#: order, buffer counters flattened last.  A tuple cannot be mutated, so
+#: no caller can alter a held outcome; each delivery builds a fresh one.
+_Priced = Tuple[int, ...]
+
+
+def _outcome(priced: _Priced) -> ReplayOutcome:
+    return ReplayOutcome(*priced[:6], BufferCounters(*priced[6:]))
+
+
+def _priced(outcome: ReplayOutcome) -> _Priced:
+    buffer = outcome.buffer
+    return (
+        outcome.cycles, outcome.total_cycles, outcome.warm_cycles,
+        outcome.memory_reads, outcome.memory_writes,
+        outcome.memory_busy_cycles, buffer.pushes, buffer.full_stalls,
+        buffer.match_stalls, buffer.max_occupancy,
+    )
+
+
+def stream_digest(stream: EventStream) -> bytes:
+    """Digest of everything :meth:`BatchReplayKernel._price_point` reads
+    from a stream: the nine event buffers, the block sizes and the warm
+    and end offsets.  Streams with equal digests price identically at
+    every timing point, whatever organization or trace produced them.
+    """
+    h = hashlib.sha256(np.array(
+        [stream.i_block_words, stream.d_block_words,
+         stream.warm_event_index, stream.warm_base_offset,
+         stream.end_base],
+        dtype=np.int64,
+    ).tobytes())
+    for name in EVENT_FIELDS:
+        # A view of an array('q') buffer: hashed without a copy.
+        buf = np.ascontiguousarray(getattr(stream, name), dtype=np.int64)
+        h.update(np.int64(len(buf)).tobytes())
+        h.update(buf)
+    return h.digest()
+
+
+class OutcomeArchive:
+    """Priced outcomes addressed by content, shared across kernels.
+
+    One row per distinct :func:`stream_digest`, mapping a quantized cost
+    tuple to the outcome it prices to (held immutable, see
+    :data:`_Priced`); a kernel built inside :func:`archive_scope` uses
+    its stream's row as its memo.  The archive holds outcomes only,
+    never the streams they came from.
+    """
+
+    def __init__(self) -> None:
+        self._rows: Dict[bytes, Dict[tuple, _Priced]] = {}
+
+    def row(self, stream: EventStream) -> Dict[tuple, _Priced]:
+        """The (live, shared) outcome row of ``stream``'s contents."""
+        return self._rows.setdefault(stream_digest(stream), {})
+
+    def __len__(self) -> int:
+        """How many outcomes the archive holds."""
+        return sum(len(row) for row in self._rows.values())
+
+    def clear(self) -> None:
+        self._rows.clear()
+
+
+#: The archive kernels built in this context price into, if any.
+_ACTIVE_ARCHIVE: ContextVar[Optional[OutcomeArchive]] = ContextVar(
+    "replay_outcome_archive", default=None
+)
+
+
+@contextmanager
+def archive_scope(archive: Optional[OutcomeArchive]):
+    """Build every kernel in the block over ``archive``'s rows.
+
+    Outside any scope (or under ``archive_scope(None)``) a kernel keeps
+    a private memo and never hashes its stream.
+    """
+    token = _ACTIVE_ARCHIVE.set(archive)
+    try:
+        yield archive
+    finally:
+        _ACTIVE_ARCHIVE.reset(token)
+
+
+def active_archive() -> Optional[OutcomeArchive]:
+    """The archive of the innermost :func:`archive_scope`, or None."""
+    return _ACTIVE_ARCHIVE.get()
 
 
 def outcome_to_dict(outcome: ReplayOutcome) -> Dict[str, int]:
@@ -217,21 +331,52 @@ class _Costs:
         self.rd_d = self.latency + self.t_dblock
         self.depth = point.write_buffer_depth
 
+    def key(self) -> tuple:
+        """Every cost :meth:`BatchReplayKernel._price_point` reads (the
+        rest derive from these and the stream's block sizes)."""
+        return (
+            self.latency, self.t_iblock, self.t_dblock, self.t_word,
+            self.recovery, self.address, self.write_op, self.depth,
+        )
+
 
 class BatchReplayKernel:
     """Prices one event stream across many timing points in one call.
 
-    Construction classifies the stream's events and builds the shared
-    cumulative tables; :meth:`replay_grid` then prices every point.
-    Build one kernel per stream and reuse it for every grid the stream
-    is priced against — all per-stream precomputation is shared.
+    :meth:`replay_grid` prices every point; the first point that has to
+    be priced classifies the stream's events and builds the shared
+    cumulative tables, so a kernel whose every point is already priced
+    builds none.  Build one kernel per stream and reuse it for every
+    grid the stream is priced against — all per-stream precomputation
+    is shared.
+
+    Priced outcomes live in the kernel's memo, keyed by the quantized
+    cost tuple.  Inside :func:`archive_scope` the memo is the active
+    :class:`OutcomeArchive`'s row for the stream's contents, so every
+    kernel over a content-identical stream shares it; otherwise it is
+    the kernel's own.
     """
 
     def __init__(self, stream: EventStream) -> None:
         self.stream = stream
-        n = stream.n_events
-        self.n_events = n
+        self.n_events = stream.n_events
         self.stats = KernelStats()
+        archive = active_archive()
+        #: Priced outcomes keyed by quantized cost tuple (replay_grid).
+        self._memo: Dict[tuple, _Priced] = (
+            {} if archive is None else archive.row(stream)
+        )
+        #: Memo keys this kernel priced itself; every other hit was
+        #: priced by another kernel and counts as archived.
+        self._own: Set[tuple] = set()
+        #: Event-kind codes; None until :meth:`_build_tables` runs.
+        self._kinds: Optional[List[int]] = None
+
+    # ------------------------------------------------------------------
+    def _build_tables(self) -> None:
+        """Classify the events and build every timing-independent table."""
+        stream = self.stream
+        n = self.n_events
         gap = np.asarray(stream.ev_gap, dtype=np.int64)
         self._gap_np = gap
         dtype = np.asarray(stream.ev_dtype, dtype=np.int64)
@@ -312,8 +457,6 @@ class BatchReplayKernel:
         #: Lazily built per occupancy nb: first index >= e whose reads
         #: overlap one of the nb most recent pushes.
         self._ncf_by_nb: List[Optional[List[int]]] = [None] * (_LOOKBACK + 1)
-        #: Priced outcomes keyed by quantized cost tuple (replay_grid).
-        self._memo: Dict[tuple, ReplayOutcome] = {}
 
         #: Event-kind list with write-hit events re-coded out of the
         #: fast range (3 -> 19), for the rd_i < 2 timing corner where a
@@ -336,12 +479,13 @@ class BatchReplayKernel:
 
         Cycle-for-cycle identical to calling
         ``replay(stream, p.memory, p.cycle_ns, p.write_buffer_depth)``
-        for each point.
+        for each point.  Every outcome is a fresh object built from the
+        memo's immutable record, so mutating it leaves the memo (and any
+        archive behind it) intact.
         """
         points = list(points)
         if not points:
             return []
-        stream = self.stream
         self.stats.batch_outcomes += len(points)
         if self.n_events == 0:
             return [self._empty_outcome() for _ in points]
@@ -352,23 +496,68 @@ class BatchReplayKernel:
         # sees more than one point at a time.
         out: List[ReplayOutcome] = []
         memo = self._memo
+        own = self._own
         for point in points:
-            costs = _Costs(point, stream.i_block_words, stream.d_block_words)
-            key = (
-                costs.latency, costs.t_iblock, costs.t_dblock,
-                costs.t_word, costs.recovery, costs.address,
-                costs.write_op, costs.depth,
-            )
+            costs = self._costs(point)
+            key = costs.key()
             priced = memo.get(key)
             if priced is None:
                 priced = memo[key] = self._price_point(costs)
-            else:
-                # Counters are mutable; every caller gets its own.
-                priced = dataclasses.replace(
-                    priced, buffer=dataclasses.replace(priced.buffer)
-                )
-            out.append(priced)
+                own.add(key)
+            elif key not in own:
+                self.stats.archived_outcomes += 1
+            out.append(_outcome(priced))
         return out
+
+    # ------------------------------------------------------------------
+    def unpriced(
+        self, points: Sequence[TimingPoint], claims: Dict[int, Set[tuple]]
+    ) -> List[TimingPoint]:
+        """The points whose outcome is neither in the memo nor claimed
+        yet, one per distinct cost key; this call claims them.
+
+        ``claims`` maps a memo to the cost keys claimed for it; pass one
+        dict to every kernel of a batch, so kernels sharing an archive
+        row claim each point once between them.  A sharded sweep prices
+        the claimed points elsewhere, hands the outcomes to
+        :meth:`absorb`, and then serves the whole grid from the memo
+        through :meth:`replay_grid`.
+        """
+        if self.n_events == 0:
+            return []
+        claimed = claims.setdefault(id(self._memo), set())
+        todo = []
+        for point in points:
+            key = self._costs(point).key()
+            if key not in self._memo and key not in claimed:
+                claimed.add(key)
+                todo.append(point)
+        return todo
+
+    def absorb(
+        self,
+        points: Sequence[TimingPoint],
+        outcomes: Sequence[ReplayOutcome],
+        priced_by: KernelStats,
+    ) -> None:
+        """Record outcomes another kernel priced for this stream.
+
+        ``priced_by`` is that kernel's stats: its event and run counts
+        fold into this kernel's, which delivers the outcomes; its
+        ``batch_outcomes`` do not, so no cell is counted twice.
+        """
+        for point, outcome in zip(points, outcomes):
+            key = self._costs(point).key()
+            self._memo[key] = _priced(outcome)
+            self._own.add(key)
+        stats = self.stats
+        stats.vectorized_events += priced_by.vectorized_events
+        stats.scalar_events += priced_by.scalar_events
+        stats.contended_runs += priced_by.contended_runs
+
+    def _costs(self, point: TimingPoint) -> "_Costs":
+        stream = self.stream
+        return _Costs(point, stream.i_block_words, stream.d_block_words)
 
     # ------------------------------------------------------------------
     def _empty_outcome(self) -> ReplayOutcome:
@@ -405,7 +594,9 @@ class BatchReplayKernel:
         return tables
 
     # ------------------------------------------------------------------
-    def _price_point(self, costs: _Costs) -> ReplayOutcome:
+    def _price_point(self, costs: _Costs) -> _Priced:
+        if self._kinds is None:
+            self._build_tables()
         stream = self.stream
         n = self.n_events
         widx = stream.warm_event_index
@@ -1032,19 +1223,10 @@ class BatchReplayKernel:
         stats.scalar_events += n - vec_events
         stats.contended_runs += runs
 
-        return ReplayOutcome(
-            cycles=total - warm_now,
-            total_cycles=total,
-            warm_cycles=warm_now,
-            memory_reads=reads - warm_reads,
-            memory_writes=writes - warm_writes,
-            memory_busy_cycles=busy - warm_busy,
-            buffer=BufferCounters(
-                pushes=pushes,
-                full_stalls=full_stalls,
-                match_stalls=match_stalls,
-                max_occupancy=max_occ,
-            ),
+        return (
+            total - warm_now, total, warm_now,
+            reads - warm_reads, writes - warm_writes, busy - warm_busy,
+            pushes, full_stalls, match_stalls, max_occ,
         )
 
 

@@ -30,6 +30,8 @@ import hashlib
 import inspect
 import json
 import multiprocessing
+import os
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -268,6 +270,14 @@ def _worker_main(
     the simulator supports the ``telemetry`` kwarg, plus wall-clock and
     RSS measured *inside* the worker process, where they are honest) and
     ships it alongside the stats as ``("ok", (stats, report_dict))``.
+
+    Once the result is sent the worker ends itself with status 0.
+    Returning instead would leave the exit to ``multiprocessing``, whose
+    ``threading._shutdown()`` raises ``RuntimeError('cannot join
+    current thread')`` in a child forked from a non-main thread (the
+    executor's pool threads at ``jobs > 1``), turning every such exit
+    into status 1.  Only a worker that dies before sending (an injected
+    crash, a signal) exits with another code, which the parent reports.
     """
     try:
         if fault_plan is not None:
@@ -329,6 +339,14 @@ def _worker_main(
             conn.close()
         except (OSError, ValueError):
             pass
+    if multiprocessing.parent_process() is None:
+        return  # called in-process, not as a worker: nothing to end
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, OSError, ValueError):
+            pass
+    os._exit(0)
 
 
 def _best_effort_send(conn, message) -> None:

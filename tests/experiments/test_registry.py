@@ -75,3 +75,42 @@ def test_settings_reach_experiments_that_drive_sweeps(experiment_id, tmp_path):
     ))
     assert result.ok
     assert len(PassCache(tmp_path / "pc")) > 0
+
+
+def test_registry_runs_experiments_inside_the_outcome_archive(monkeypatch):
+    """``run_experiment`` and ``run_all`` price every experiment through
+    the experiment layer's archive; outside them no archive is active,
+    and ``clear_grid_cache`` empties it."""
+    from repro.experiments import common, registry
+    from repro.sim.replaykernel import active_archive
+
+    seen = []
+    for experiment_id in list_experiments():
+        monkeypatch.setitem(
+            registry.EXPERIMENTS, experiment_id,
+            lambda settings: seen.append(active_archive()),
+        )
+    run_experiment("fig3_1")
+    registry.run_all()
+    assert len(seen) == 1 + len(list_experiments())
+    assert all(archive is common._OUTCOME_ARCHIVE for archive in seen)
+    assert active_archive() is None
+
+
+def test_archive_serves_later_experiments_and_clears():
+    """A later sweep is served the cells an earlier one priced (§6's
+    evenly scaled grid quantizes to the base grid's costs), and the
+    archive empties with the memoized sweeps."""
+    from repro.experiments import common
+
+    clear_grid_cache()
+    settings = ExperimentSettings(
+        trace_length=3000, trace_names=("mu3",), full=False, n_jobs=1,
+        pass_cache_dir="", sample="",
+    )
+    run_experiment("scaling", settings)
+    # Three sweeps deliver 4 sizes x 5 clocks x 1 trace = 60 cells, but
+    # the evenly scaled one repeats the base sweep's 20 cost keys.
+    assert 0 < len(common._OUTCOME_ARCHIVE) <= 40
+    clear_grid_cache()
+    assert len(common._OUTCOME_ARCHIVE) == 0

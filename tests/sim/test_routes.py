@@ -21,12 +21,19 @@ generator draws direct-mapped organizations about half the time, from
 single-set caches up to 128-word blocks (whose dirty-word counts
 outgrow a 64-bit mask), over traces with no fetches, no stores or no
 loads and over pids and addresses too large to pack into one int64 key.
+
+Pricing has routes too: a sweep's batch kernels serve a point from an
+:class:`~repro.sim.replaykernel.OutcomeArchive` row inside an archive
+scope, and from a private memo outside one, in-process or sharded.
+Over drawn streams and timing grids every route must return exactly
+what scalar :func:`repro.sim.fastpath.replay` returns.
 """
 
 import dataclasses
 import functools
 import re
 import tempfile
+from array import array
 
 import numpy as np
 import pytest
@@ -34,19 +41,34 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.geometry import CacheGeometry
 from repro.core.policy import CachePolicy, ReplacementKind
-from repro.core.sweep import run_functional_passes
+from repro.core.sweep import (
+    _price_streams,
+    run_functional_passes,
+    run_speed_size_sweep,
+)
 from repro.core.timing import MemoryTiming
 from repro.errors import ConfigurationError
-from repro.sim import stackpass
-from repro.sim.config import L1Spec, SystemConfig
-from repro.sim.fastpath import fast_simulate, functional_pass
+from repro.sim import replaykernel, stackpass
+from repro.sim.config import L1Spec, SystemConfig, baseline_config
+from repro.sim.fastpath import (
+    EVENT_FIELDS,
+    fast_simulate,
+    functional_pass,
+    replay,
+)
 from repro.sim.passcache import (
     PassCache,
     cache_key,
     cached_fast_simulate,
     stream_to_dict,
 )
-from repro.sim.replaykernel import BatchReplayKernel, TimingPoint
+from repro.sim.replaykernel import (
+    BatchReplayKernel,
+    OutcomeArchive,
+    TimingPoint,
+    archive_scope,
+    stream_digest,
+)
 from repro.sim.sampling import (
     SamplingPlan,
     estimate_stats,
@@ -410,3 +432,130 @@ def test_the_organization_picks_the_pass_route(monkeypatch):
             assert stream_to_dict(stream) == stream_to_dict(
                 functional_pass(config, trace, seed=3)
             )
+
+
+#: A timing grid: memory parts, clocks (40 and 41 ns quantize alike
+#: against most parts, so some points share a cost key) and buffer
+#: depths on both sides of the kernel's 8-entry lookback.
+grids = st.lists(
+    st.builds(
+        lambda latency, rate, cycle_ns, depth: TimingPoint(
+            memory=MemoryTiming().with_latency_ns(latency)
+            .with_transfer_rate(rate),
+            cycle_ns=cycle_ns, write_buffer_depth=depth,
+        ),
+        st.sampled_from([100.0, 260.0, 420.0]),
+        st.sampled_from([4.0, 1.0, 0.25]),
+        st.sampled_from([20.0, 40.0, 41.0, 56.0]),
+        st.sampled_from([1, 4, 9]),
+    ),
+    min_size=1, max_size=5,
+)
+
+
+def without_events(stream):
+    """``stream`` with every event removed (a zero-event stream)."""
+    return dataclasses.replace(
+        stream, warm_event_index=0,
+        **{name: array("q") for name in EVENT_FIELDS},
+    )
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(drawn=jobs_strategy, grid=grids, n_jobs=st.sampled_from([1, 2]))
+def test_archived_pricing_equals_every_unarchived_route(drawn, grid, n_jobs):
+    """Inside an archive scope, cold and then fully archived, a sweep's
+    pricing returns what the unscoped kernel and scalar ``replay()``
+    return, in-process or sharded.  The streams include a relabelled
+    twin (content-identical, another organization), near-twins that
+    differ only in the end or warm-up offsets, and a zero-event
+    stream.  Each distinct (stream contents, cost key) cell is priced
+    once; every other non-empty cell counts as archived, and a caller
+    mutating its outcome leaves the archive intact."""
+    pool = trace_pool()
+    streams = []
+    for config, t, seed in drawn:
+        try:
+            streams.append(functional_pass(config, pool[t], seed=seed))
+        except ConfigurationError:
+            pass  # nothing to measure: no stream to price
+    if not streams:
+        return
+    base = streams[0]
+    twin = len(streams)
+    streams += [
+        dataclasses.replace(
+            base, trace_name="twin", config_summary="another organization",
+        ),
+        # The same events with one other priced input changed.
+        dataclasses.replace(base, end_base=base.end_base + 7),
+        dataclasses.replace(base, warm_base_offset=base.warm_base_offset + 3),
+        dataclasses.replace(base, warm_event_index=base.warm_event_index // 2),
+        without_events(base),
+    ]
+    want = [
+        [replay(s, p.memory, p.cycle_ns, p.write_buffer_depth) for p in grid]
+        for s in streams
+    ]
+    assert [BatchReplayKernel(s).replay_grid(grid) for s in streams] == want
+    # Which cells a run prices: the first kernel to meet a (contents,
+    # cost key) pair prices it, every later kernel is served it.
+    first = {}
+    archived = 0
+    for k, stream in enumerate(streams):
+        if stream.n_events == 0:
+            continue
+        digest = stream_digest(stream)
+        for point in grid:
+            owner = first.setdefault(
+                (digest, BatchReplayKernel(stream)._costs(point).key()), k
+            )
+            archived += owner != k
+    archive = OutcomeArchive()
+    measured = sum(s.n_events > 0 for s in streams) * len(grid)
+    for expect_archived in (archived, measured):
+        registry = MetricsRegistry()
+        with archive_scope(archive):
+            rows = _price_streams(streams, grid, n_jobs, registry)
+        assert rows == want
+        assert registry.counters["replay.batch_outcomes"] == \
+            len(streams) * len(grid)
+        assert registry.counters.get("replay.archived_outcomes", 0) == \
+            expect_archived
+        assert len(archive) == len(first)
+        rows[0][0].buffer.pushes += 1000
+        rows[twin][-1].buffer.max_occupancy += 1000
+
+
+def test_direct_sweeps_price_every_point_and_hash_nothing(monkeypatch):
+    """Outside an archive scope a sweep prices every distinct point of
+    every stream, even right after the same sweep ran inside a scope,
+    and never hashes a stream."""
+    traces = trace_pool()[:3]
+    args = (traces, [512, 2048], [20.0, 40.0])
+    with archive_scope(OutcomeArchive()):
+        run_speed_size_sweep(*args)
+        scoped = MetricsRegistry()
+        run_speed_size_sweep(*args, registry=scoped)
+    assert scoped.counters["replay.archived_outcomes"] == \
+        scoped.counters["replay.batch_outcomes"] == 2 * 3 * 2
+
+    def no_hashing(stream):
+        raise AssertionError("hashed a stream outside an archive scope")
+
+    monkeypatch.setattr(replaykernel, "stream_digest", no_hashing)
+    for n_jobs in (1, 2):
+        registry = MetricsRegistry()
+        run_speed_size_sweep(*args, n_jobs=n_jobs, registry=registry)
+        counters = registry.counters
+        assert "replay.archived_outcomes" not in counters
+        assert counters["replay.batch_outcomes"] == 2 * 3 * 2
+        events = sum(
+            s.n_events for s in run_functional_passes([
+                (baseline_config(cache_size_bytes=size), trace, 0)
+                for size in (512, 2048) for trace in traces
+            ])
+        )
+        assert counters["replay.vectorized_events"] \
+            + counters["replay.scalar_events"] == events * 2

@@ -323,6 +323,45 @@ class TestExecutor:
         assert "exit code" in report.records[0].error
         assert report.records[0].attempts == 3
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_workers_exit_with_their_own_status_at_two_jobs(self, tmp_path,
+                                                            trace):
+        # At jobs=2 the workers fork from the executor's pool threads,
+        # where multiprocessing's own exit path fails and exits 1.  A
+        # worker that sent its result exits 0; one that died first
+        # exits with its own code, which the failure message reports.
+        context = multiprocessing.get_context("fork")
+        started = []
+
+        class Recording(context.Process):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        class Context:
+            Pipe = staticmethod(context.Pipe)
+            Process = Recording
+
+        configs = [baseline_config(cache_size_bytes=s)
+                   for s in (2 * KB, 4 * KB, 8 * KB)]
+        plan = faults.FaultPlan({0: faults.always(faults.CRASH)})
+        executor, _ = make_executor(
+            Campaign(tmp_path), jobs=2, mp_context=Context(),
+            fault_plan=plan, retry=RetryPolicy(max_attempts=1),
+        )
+        report = executor.run_sweep(sweep_jobs(configs, [trace]))
+        assert [r.status for r in report.records] == ["failed", "ok", "ok"]
+        assert report.records[0].error == (
+            "worker died without a result "
+            f"(exit code {faults.CRASH_EXIT_CODE})"
+        )
+        assert sorted(proc.exitcode for proc in started) == sorted(
+            [0, 0, faults.CRASH_EXIT_CODE]
+        )
+
     def test_transient_worker_error_is_retried(self, tmp_path, config,
                                                trace):
         campaign = Campaign(tmp_path)
