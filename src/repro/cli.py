@@ -40,15 +40,14 @@ Main subcommands:
   breakdowns, throughput percentiles); ``fsck`` validates every stored
   result's checksum, flags stray temp files and stale leases, and
   optionally quarantines/repairs (``--repair``);
-* ``repro-sim bench run|record|diff|history`` — the continuous
-  performance ratchet (see ``docs/internals.md``): ``run`` executes the
-  local bench suites with ``--repeat`` repetitions and records
-  per-metric medians; ``record`` ingests a raw ``BENCH_*.json``
-  document into the common schema-versioned record and appends it to an
-  append-only JSONL history; ``diff`` gates one commit's records
-  against the baseline's median ± a MAD-derived noise band (exit 1 on
-  regression; identical reruns always pass); ``history`` prints
-  per-metric trajectories;
+* ``repro-sim bench run|diff|history`` — the continuous performance
+  ratchet (see ``docs/internals.md``): ``run`` executes the bench
+  suites with ``--repeat`` repetitions, prints per-metric medians and
+  appends them as schema-versioned records to an append-only JSONL
+  history (exit 1 when a suite's own correctness gate fails); ``diff``
+  gates one commit's records against the baseline's median ± a
+  MAD-derived noise band (exit 1 on regression; identical reruns
+  always pass); ``history`` prints per-metric trajectories;
 * ``repro-sim cache stats|gc|verify <dir>`` — maintain a persistent
   functional-pass cache (see ``docs/internals.md``): ``stats`` prints
   the on-disk footprint, ``gc`` evicts least-recently-modified entries
@@ -727,18 +726,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run, record and ratchet benchmark measurements "
+        help="run and ratchet benchmark suites "
              "(append-only JSONL history with a MAD noise-band gate)",
     )
     benchsub = bench.add_subparsers(dest="bench_command", required=True)
-
-    def _bench_identity_args(p) -> None:
-        p.add_argument("--commit", default="",
-                       help="commit id for new records (default: "
-                            "REPRO_BENCH_COMMIT or git rev-parse)")
-        p.add_argument("--host", default="",
-                       help="host fingerprint override (default: "
-                            "platform-derived)")
 
     brun = benchsub.add_parser(
         "run",
@@ -756,27 +747,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="replacement seed")
     brun.add_argument("--history", default="",
                       help="append records to this JSONL history file")
-    _bench_identity_args(brun)
+    brun.add_argument("--commit", default="",
+                      help="commit id for new records (default: "
+                           "REPRO_BENCH_COMMIT or git rev-parse)")
+    brun.add_argument("--host", default="",
+                      help="host fingerprint override (default: "
+                           "platform-derived)")
     brun.set_defaults(func=_cmd_bench_run)
-
-    brec = benchsub.add_parser(
-        "record",
-        help="ingest one raw BENCH_*.json document into common "
-             "records ('-' reads stdin)",
-    )
-    brec.add_argument("raw", help="raw bench JSON path, or '-'")
-    brec.add_argument("--history", default="",
-                      help="append records to this JSONL history file")
-    brec.add_argument("--out", default="",
-                      help="also write the normalized records to this "
-                           "JSON file (atomic)")
-    brec.add_argument("--suite", default="",
-                      help="suite name override (default: the "
-                           "document's 'bench' key)")
-    brec.add_argument("--repetitions", type=int, default=1,
-                      help="repetitions the raw values summarize")
-    _bench_identity_args(brec)
-    brec.set_defaults(func=_cmd_bench_record)
 
     bdiff = benchsub.add_parser(
         "diff",
@@ -1418,20 +1395,13 @@ def _cmd_cache_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-def _bench_identity(args: argparse.Namespace):
-    """(commit, host) for new bench records, honoring CLI overrides."""
-    from .sim.benchhistory import current_commit, host_fingerprint
-
-    commit = args.commit or current_commit()
-    host = args.host or host_fingerprint()
-    return commit, host
-
-
 def _cmd_bench_run(args: argparse.Namespace) -> int:
-    from .errors import ConfigurationError
+    from .errors import ConfigurationError, ReproError
     from .sim.benchhistory import (
         BENCH_SUITES,
         BenchHistory,
+        current_commit,
+        host_fingerprint,
         run_bench_suites,
     )
 
@@ -1440,15 +1410,18 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
         if args.suites in ("", "all")
         else [s.strip() for s in args.suites.split(",") if s.strip()]
     )
-    commit, host = _bench_identity(args)
+    commit = args.commit or current_commit()
+    host = args.host or host_fingerprint()
     try:
         records, noise = run_bench_suites(
             names, repeat=args.repeat, length=args.length,
             seed=args.seed, commit=commit, host=host,
         )
-    except ConfigurationError as exc:
+    except ReproError as exc:
+        # A bad suite name or count is a usage error (2); any other
+        # error is a suite failing its own checks (1).  Nothing is kept.
         print(f"repro-sim bench run: error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ConfigurationError) else 1
     for record in records:
         spread = noise.get((record.suite, record.metric), 0.0)
         print(f"{record.suite}.{record.metric:<16} "
@@ -1458,59 +1431,6 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
         written = BenchHistory(args.history).append(records)
         print(f"{written} record(s) appended to {args.history} "
               f"@ {commit or '(no commit)'}")
-    return 0
-
-
-def _cmd_bench_record(args: argparse.Namespace) -> int:
-    import json as json_mod
-
-    from .errors import CorruptResultError
-    from .sim.benchhistory import (
-        BenchHistory,
-        ingest_raw_bench,
-        record_to_dict,
-    )
-    from .sim.campaign import atomic_write_text
-
-    if args.raw == "-":
-        raw_text = sys.stdin.read()
-    else:
-        try:
-            with open(args.raw, "r", encoding="utf-8") as handle:
-                raw_text = handle.read()
-        except OSError as exc:
-            print(f"repro-sim bench record: error: {exc}", file=sys.stderr)
-            return 2
-    try:
-        payload = json_mod.loads(raw_text)
-    except json_mod.JSONDecodeError as exc:
-        print(f"repro-sim bench record: error: malformed JSON: {exc}",
-              file=sys.stderr)
-        return 2
-    commit, host = _bench_identity(args)
-    try:
-        records = ingest_raw_bench(
-            payload, commit=commit, host=host,
-            repetitions=args.repetitions, suite=args.suite,
-        )
-    except CorruptResultError as exc:
-        print(f"repro-sim bench record: error: {exc}", file=sys.stderr)
-        return 2
-    if args.out:
-        from pathlib import Path
-
-        doc = [record_to_dict(record) for record in records]
-        atomic_write_text(
-            Path(args.out), json_mod.dumps(doc, indent=2, sort_keys=True)
-        )
-    if args.history:
-        try:
-            BenchHistory(args.history).append(records)
-        except CorruptResultError as exc:
-            print(f"repro-sim bench record: error: {exc}", file=sys.stderr)
-            return 2
-    print(f"{len(records)} record(s) from suite "
-          f"{records[0].suite!r} @ {commit or '(no commit)'}")
     return 0
 
 

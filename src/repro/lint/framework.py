@@ -172,7 +172,7 @@ class LintConfig:
         "repro/sim", "repro/cache", "repro/memory", "repro/cpu", "repro/vm",
     )
     #: Modules whose files must appear atomically — campaign results,
-    #: pass-cache entries, spool leases, bench records: no function
+    #: pass-cache entries, spool leases, benchmark records: no function
     #: here may reach a raw write (REPRO003) or serialize a monotonic
     #: reading (REPRO014).
     write_scoped_modules: Tuple[str, ...] = (

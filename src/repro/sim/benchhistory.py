@@ -1,9 +1,11 @@
 """Benchmark history: the repo's continuous performance ratchet.
 
-CI has measured this reproduction for a while — telemetry throughput,
-pass-cache warm/cold speedup, replay-kernel speedup, work-queue chaos
-outcomes — but every number evaporated with its workflow run.  This
-module makes the trajectory durable and *enforceable*:
+Every benchmark this repository keeps a trajectory for is a local suite
+in :data:`BENCH_SUITES`, run by ``repro-sim bench run``
+(:func:`run_bench_suites`); that is the one way a measurement becomes a
+record.  Each suite checks its own correctness property and bounds and
+raises :exc:`~repro.errors.CorruptResultError` when one fails, so a
+number lands in the history only when the run behind it was right.
 
 * :class:`BenchRecord` is the one common shape every benchmark lands
   in: suite, metric, value, unit, gating direction, the commit and host
@@ -17,12 +19,6 @@ module makes the trajectory durable and *enforceable*:
   either the old history or the new one — never a torn tail line
   (reprolint REPRO003 holds this module to that contract);
 
-* :func:`ingest_raw_bench` converts the raw ``BENCH_*.json`` documents
-  the CI jobs emit (``telemetry_smoke``, ``replay_kernel_vs_scalar``,
-  ``workqueue_chaos``) or once emitted (``passcache_warm_vs_cold``)
-  into common records, with curated units and directions for the
-  known suites and conservative inference for new ones;
-
 * :func:`diff_history` is the gate.  For each (suite, metric) the
   baseline is every record from *other* commits; the noise band is
   ``max(mad_scale * MAD, rel_floor * |median|, abs_floor)`` around the
@@ -31,9 +27,11 @@ module makes the trajectory durable and *enforceable*:
   direction is a regression; a bit-identical rerun sits exactly on the
   median and always passes;
 
-* :data:`BENCH_SUITES` are small local suites ``repro-sim bench run``
-  executes with N repetitions, recording the per-metric median (the
+* :data:`BENCH_SUITES` are the suites ``repro-sim bench run`` executes
+  with N repetitions, recording the per-metric median (the
   per-repetition MAD is reported alongside as the local noise floor).
+  Their metrics' units and directions are declared in
+  :data:`_SUITE_METRICS`.
 
 Wall-clock reads here measure the *simulator*, never the simulation:
 they land only in benchmark records, not in simulated state, which is
@@ -82,7 +80,7 @@ class BenchRecord:
     def __post_init__(self):
         if not self.suite or not self.metric:
             raise ConfigurationError(
-                f"bench record needs a suite and a metric: "
+                f"benchmark record needs a suite and a metric: "
                 f"suite={self.suite!r} metric={self.metric!r}"
             )
         if self.direction not in DIRECTIONS:
@@ -130,11 +128,11 @@ def record_from_dict(payload: Dict) -> BenchRecord:
     """
     if not isinstance(payload, dict):
         raise CorruptResultError(
-            f"bench record is {type(payload).__name__}, expected object"
+            f"benchmark record is {type(payload).__name__}, expected object"
         )
     if payload.get("schema") != BENCH_SCHEMA:
         raise CorruptResultError(
-            f"bench record schema {payload.get('schema')!r} is not "
+            f"benchmark record schema {payload.get('schema')!r} is not "
             f"the supported version {BENCH_SCHEMA}"
         )
     stored = payload.get("checksum")
@@ -143,18 +141,18 @@ def record_from_dict(payload: Dict) -> BenchRecord:
     )
     if stored != expected:
         raise CorruptResultError(
-            f"bench record checksum mismatch (stored "
+            f"benchmark record checksum mismatch (stored "
             f"{str(stored)[:12]}…, computed {expected[:12]}…)"
         )
     value = payload.get("value")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CorruptResultError(
-            f"bench record value {value!r} is not a number"
+            f"benchmark record value {value!r} is not a number"
         )
     repetitions = payload.get("repetitions", 1)
     if isinstance(repetitions, bool) or not isinstance(repetitions, int):
         raise CorruptResultError(
-            f"bench record repetitions {repetitions!r} is not an integer"
+            f"benchmark record repetitions {repetitions!r} is not an integer"
         )
     try:
         return BenchRecord(
@@ -168,7 +166,7 @@ def record_from_dict(payload: Dict) -> BenchRecord:
             repetitions=repetitions,
         )
     except ConfigurationError as exc:
-        raise CorruptResultError(f"bench record is malformed: {exc}") \
+        raise CorruptResultError(f"benchmark record is malformed: {exc}") \
             from exc
 
 
@@ -290,134 +288,6 @@ class BenchHistory:
         for record in self.load():
             grouped.setdefault(record.key, []).append(record)
         return grouped
-
-
-# ----------------------------------------------------------------------
-# Ingestion of the raw CI bench documents
-# ----------------------------------------------------------------------
-#: Curated (unit, direction) per metric of the known raw bench shapes —
-#: the ``BENCH_*.json`` documents CI has emitted since PR 2.
-_BENCH_SHAPES: Dict[str, Dict[str, Tuple[str, str]]] = {
-    "telemetry_smoke": {
-        "runs": ("count", "info"),
-        "refs_per_sec_p10": ("refs/s", "higher"),
-        "refs_per_sec_p50": ("refs/s", "higher"),
-        "refs_per_sec_p90": ("refs/s", "higher"),
-        "total_wall_s": ("s", "lower"),
-    },
-    "passcache_warm_vs_cold": {
-        "passes": ("count", "info"),
-        "cold_s": ("s", "lower"),
-        "warm_s": ("s", "lower"),
-        "speedup": ("ratio", "higher"),
-        "hits": ("count", "info"),
-        "bytes_on_disk": ("bytes", "info"),
-    },
-    "replay_kernel_vs_scalar": {
-        "streams": ("count", "info"),
-        "scalar_s": ("s", "lower"),
-        "batch_serial_s": ("s", "lower"),
-        "batch_s": ("s", "lower"),
-        "speedup_serial": ("ratio", "higher"),
-        "speedup": ("ratio", "higher"),
-        "vectorized_events": ("count", "info"),
-        "scalar_events": ("count", "info"),
-    },
-    "workqueue_chaos": {
-        "jobs": ("count", "info"),
-        "workers_killed": ("count", "info"),
-        "leases_reclaimed": ("count", "info"),
-        "max_lease_epoch": ("count", "info"),
-    },
-    "reprolint": {
-        "files": ("count", "info"),
-        "lint_wall_s": ("s", "lower"),
-        "graph_modules": ("count", "info"),
-        "graph_functions": ("count", "info"),
-        "graph_call_edges": ("count", "info"),
-    },
-    "sampling": {
-        "refs_exact": ("count", "info"),
-        "refs_sampled": ("count", "info"),
-        "refs_reduction": ("ratio", "higher"),
-        "cold_exact_s": ("s", "lower"),
-        "cold_sampled_s": ("s", "lower"),
-        "speedup": ("ratio", "higher"),
-        "abs_miss_error": ("", "lower"),
-        "ci_half_width": ("", "lower"),
-        "deterministic": ("count", "info"),
-    },
-}
-
-#: Raw-document keys that describe the measurement, not a metric.
-_RAW_META_KEYS = ("bench", "python")
-
-
-def _infer_metric(name: str) -> Tuple[str, str]:
-    """Conservative (unit, direction) for a metric no shape curates.
-
-    Only unmistakable naming conventions gate (`*_s` wall times lower,
-    throughput/speedup higher); everything else records as ``info`` so
-    an unknown metric can never fail a build by accident.
-    """
-    if name.endswith("_s") or name.endswith("_wall_s"):
-        return ("s", "lower")
-    if "per_sec" in name:
-        return ("refs/s", "higher")
-    if "speedup" in name:
-        return ("ratio", "higher")
-    return ("", "info")
-
-
-def ingest_raw_bench(
-    payload: Dict,
-    commit: str = "",
-    host: str = "",
-    repetitions: int = 1,
-    suite: str = "",
-) -> List[BenchRecord]:
-    """Convert one raw ``BENCH_*.json`` document into common records.
-
-    The suite name comes from the document's ``bench`` key (or the
-    ``suite`` override).  Numeric scalars become records — booleans as
-    0/1 ``info`` flags — and non-numeric values (version strings, grid
-    shapes) are skipped.  Known suites get curated units and gating
-    directions; unknown suites fall back to :func:`_infer_metric`.
-    """
-    if not isinstance(payload, dict):
-        raise CorruptResultError(
-            f"raw bench document is {type(payload).__name__}, "
-            f"expected object"
-        )
-    name = suite or str(payload.get("bench") or "")
-    if not name:
-        raise CorruptResultError(
-            "raw bench document has no 'bench' key (and no --suite "
-            "override was given)"
-        )
-    shape = _BENCH_SHAPES.get(name, {})
-    records = []
-    for key in sorted(payload):
-        if key in _RAW_META_KEYS:
-            continue
-        value = payload[key]
-        if isinstance(value, bool):
-            unit, direction = ("flag", "info")
-            value = 1.0 if value else 0.0
-        elif isinstance(value, (int, float)):
-            unit, direction = shape.get(key) or _infer_metric(key)
-        else:
-            continue
-        records.append(BenchRecord(
-            suite=name, metric=key, value=float(value), unit=unit,
-            direction=direction, commit=commit, host=host,
-            repetitions=repetitions,
-        ))
-    if not records:
-        raise CorruptResultError(
-            f"raw bench document {name!r} holds no numeric metrics"
-        )
-    return records
 
 
 # ----------------------------------------------------------------------
@@ -641,6 +511,25 @@ _SUITE_METRICS: Dict[str, Dict[str, Tuple[str, str]]] = {
         "warm_s": ("s", "lower"),
         "speedup": ("ratio", "higher"),
     },
+    "sampling": {
+        "refs_reduction": ("ratio", "higher"),
+        "cold_exact_s": ("s", "lower"),
+        "cold_sampled_s": ("s", "lower"),
+        "speedup": ("ratio", "higher"),
+        "abs_miss_error": ("", "lower"),
+        "ci_half_width": ("", "lower"),
+    },
+    "telemetry": {
+        "runs": ("count", "info"),
+        "refs_per_sec_p10": ("refs/s", "higher"),
+        "refs_per_sec_p50": ("refs/s", "higher"),
+        "refs_per_sec_p90": ("refs/s", "higher"),
+        "total_wall_s": ("s", "lower"),
+    },
+    "reprolint": {
+        "lint_wall_s": ("s", "lower"),
+        "files": ("count", "info"),
+    },
 }
 
 
@@ -831,12 +720,146 @@ def _bench_passcache_route(length: int, seed: int) -> Dict[str, float]:
     }
 
 
+def _bench_sampling(length: int, seed: int) -> Dict[str, float]:
+    """Cold exact run against a stratified interval-sampling estimate.
+
+    One mu3 trace of ``10 * length`` references at 16 KB, priced by
+    :func:`~repro.sim.fastpath.fast_simulate` and by
+    :func:`~repro.sim.sampling.sampled_fast_simulate` with 50 intervals
+    and 6 clusters.  Raises unless the estimate simulates at least 5x
+    fewer references, its read miss ratio is within the plan's 2% bound
+    of the exact one, and a recompute after
+    :func:`~repro.sim.sampling.clear_selection_cache` is bit-identical.
+    """
+    from ..trace.suite import build_trace
+    from ..units import KB
+    from .config import baseline_config
+    from .fastpath import fast_simulate
+    from .sampling import (
+        SamplingPlan,
+        clear_selection_cache,
+        estimate_to_dict,
+        sampled_fast_simulate,
+    )
+
+    trace = build_trace("mu3", length=10 * length, seed=seed)
+    config = baseline_config(cache_size_bytes=16 * KB)
+    plan = SamplingPlan(interval_refs=len(trace) // 50, n_clusters=6)
+    t0 = time.perf_counter()  # reprolint: disable=REPRO001
+    exact = fast_simulate(config, trace, seed=seed)
+    cold_exact_s = time.perf_counter() - t0  # reprolint: disable=REPRO001
+    clear_selection_cache()
+    t0 = time.perf_counter()  # reprolint: disable=REPRO001
+    estimate = sampled_fast_simulate(config, trace, plan, seed=seed)
+    cold_sampled_s = time.perf_counter() - t0  # reprolint: disable=REPRO001
+    clear_selection_cache()
+    rerun = sampled_fast_simulate(config, trace, plan, seed=seed)
+    error = abs(estimate.read_miss_ratio - exact.read_miss_ratio)
+    if estimate.refs_reduction < 5.0 or error > 0.02:
+        raise CorruptResultError(
+            f"sampling bench: {estimate.refs_reduction:.2f}x fewer "
+            f"references (bound 5x), read-miss error {error:.4f} "
+            f"(bound 0.02)"
+        )
+    if estimate_to_dict(rerun) != estimate_to_dict(estimate):
+        raise CorruptResultError(
+            "sampling bench: a recomputed selection changed the estimate"
+        )
+    return {
+        "refs_reduction": estimate.refs_reduction,
+        "cold_exact_s": cold_exact_s,
+        "cold_sampled_s": cold_sampled_s,
+        "speedup": (
+            cold_exact_s / cold_sampled_s if cold_sampled_s > 0 else 0.0
+        ),
+        "abs_miss_error": error,
+        "ci_half_width": estimate.ci_half_width,
+    }
+
+
+def _bench_telemetry(length: int, seed: int) -> Dict[str, float]:
+    """A metered campaign sweep: per-run throughput and conservation.
+
+    A :class:`~repro.sim.resilience.CampaignExecutor` with
+    ``collect_metrics=True`` and 2 jobs runs mu3 and rd2n4 at 4 and
+    16 KB and 20 and 40 ns into a throwaway campaign directory.  Raises
+    unless every run completes and the sweep summary shows every
+    RunReport's cycle buckets adding up to its cycle count.
+    """
+    import tempfile
+
+    from ..trace.suite import build_suite
+    from ..units import KB
+    from .campaign import Campaign
+    from .config import baseline_config
+    from .resilience import CampaignExecutor, sweep_jobs
+
+    traces = build_suite(length=length, seed=seed, names=["mu3", "rd2n4"])
+    configs = [
+        baseline_config(cache_size_bytes=size * KB, cycle_ns=cycle_ns)
+        for size in (4, 16)
+        for cycle_ns in (20.0, 40.0)
+    ]
+    jobs = sweep_jobs(configs, list(traces.values()), seed=seed)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-campaign-") as tmp:
+        campaign = Campaign(tmp)
+        report = CampaignExecutor(
+            campaign, jobs=2, collect_metrics=True
+        ).run_sweep(jobs)
+        summary = (
+            json.loads(campaign.summary_path.read_text(encoding="utf-8"))
+            if campaign.summary_path.is_file() else {}
+        )
+    if not report.all_ok or summary.get("runs") != len(jobs):
+        raise CorruptResultError(
+            f"telemetry bench: {report.render()}; "
+            f"{summary.get('runs', 0)} RunReport(s) summarized"
+        )
+    if not summary["all_conserved"]:
+        raise CorruptResultError(
+            f"telemetry bench: cycle conservation violated by "
+            f"{', '.join(summary['violations'])}"
+        )
+    return {
+        name: float(summary[name])
+        for name in _SUITE_METRICS["telemetry"]
+    }
+
+
+def _bench_reprolint(length: int, seed: int) -> Dict[str, float]:
+    """One timed, uncached lint of the package's own source tree.
+
+    Lints the ``src/`` directory holding this package with the baseline
+    and configuration ``repro-sim lint src/ --no-cache`` applies, and
+    raises with the rendered violations unless the lint is clean.
+    ``length`` and ``seed`` do not apply.
+    """
+    from ..lint import lint_paths
+
+    src = Path(__file__).resolve().parents[2]
+    root = src.parent
+    if not (root / "pyproject.toml").is_file():
+        raise ConfigurationError(
+            f"reprolint bench: {src} is not a source checkout (no "
+            f"pyproject.toml beside it)"
+        )
+    t0 = time.perf_counter()  # reprolint: disable=REPRO001
+    result = lint_paths([src], root=root, use_cache=False)
+    lint_wall_s = time.perf_counter() - t0  # reprolint: disable=REPRO001
+    if not result.clean:
+        raise CorruptResultError(f"reprolint bench:\n{result.render()}")
+    return {"lint_wall_s": lint_wall_s, "files": result.files_checked}
+
+
 #: The local suites, by name.  Each runner returns ``{metric: value}``
 #: matching its :data:`_SUITE_METRICS` declaration.
 BENCH_SUITES: Dict[str, Callable[[int, int], Dict[str, float]]] = {
     "pass_route": _bench_pass_route,
     "replay_kernel": _bench_replay_kernel,
     "passcache_route": _bench_passcache_route,
+    "sampling": _bench_sampling,
+    "telemetry": _bench_telemetry,
+    "reprolint": _bench_reprolint,
 }
 
 

@@ -7,9 +7,8 @@ The load-bearing guarantees under test:
   :exc:`CorruptResultError`, never as a silently different record;
 * the JSONL store appends atomically, loads in order, and names the
   offending line on corruption;
-* all four raw CI ``BENCH_*.json`` shapes ingest into common records
-  with curated gating directions, and unknown suites gate only on
-  unmistakable naming conventions;
+* every registered bench suite runs, and each one's own gate raises
+  when its correctness property or bound fails;
 * the diff gate flags a 10% slowdown on a quiet baseline (the issue's
   acceptance bar), tolerates bit-identical reruns, never gates ``info``
   metrics or metrics without a baseline, and credits improvements;
@@ -29,7 +28,6 @@ from repro.sim.benchhistory import (
     DiffPolicy,
     diff_history,
     host_fingerprint,
-    ingest_raw_bench,
     mad,
     median,
     record_from_dict,
@@ -164,78 +162,6 @@ class TestBenchHistory:
         history = BenchHistory(tmp_path / "hist.jsonl", writer=spy)
         history.append([_rec(1.0, "a")])
         assert calls == [history.path]
-
-
-# ----------------------------------------------------------------------
-# Raw-document ingestion
-# ----------------------------------------------------------------------
-class TestIngestRawBench:
-    def test_all_four_ci_shapes(self):
-        raws = {
-            "telemetry_smoke": {
-                "bench": "telemetry_smoke", "python": "3.12",
-                "runs": 8, "refs_per_sec_p10": 1e5,
-                "refs_per_sec_p50": 2e5, "refs_per_sec_p90": 3e5,
-                "total_wall_s": 2.0,
-            },
-            "passcache_warm_vs_cold": {
-                "bench": "passcache_warm_vs_cold", "python": "3.12",
-                "passes": 8, "cold_s": 4.0, "warm_s": 0.4,
-                "speedup": 10.0, "hits": 8, "bytes_on_disk": 123456,
-            },
-            "replay_kernel_vs_scalar": {
-                "bench": "replay_kernel_vs_scalar", "python": "3.12",
-                "grid": [16, 8], "streams": 32, "replay_jobs": 4,
-                "scalar_s": 9.0, "batch_serial_s": 3.0, "batch_s": 1.0,
-                "speedup_serial": 3.0, "speedup": 9.0,
-                "vectorized_events": 1000, "scalar_events": 100,
-            },
-            "workqueue_chaos": {
-                "bench": "workqueue_chaos", "python": "3.12",
-                "jobs": 24, "workers_killed": 2, "leases_reclaimed": 2,
-                "max_lease_epoch": 2, "bit_identical": True,
-            },
-        }
-        for name, raw in raws.items():
-            records = ingest_raw_bench(raw, commit="c", host="h")
-            assert records, name
-            assert all(r.suite == name for r in records)
-            by_metric = {r.metric: r for r in records}
-            # meta keys and non-numerics never become records
-            assert "bench" not in by_metric
-            assert "python" not in by_metric
-            assert "grid" not in by_metric
-        # curated directions gate the right way
-        tele = {r.metric: r for r in ingest_raw_bench(
-            raws["telemetry_smoke"], commit="c")}
-        assert tele["total_wall_s"].direction == "lower"
-        assert tele["refs_per_sec_p50"].direction == "higher"
-        assert tele["runs"].direction == "info"
-        fabric = {r.metric: r for r in ingest_raw_bench(
-            raws["workqueue_chaos"], commit="c")}
-        assert fabric["bit_identical"].value == 1.0
-        assert fabric["bit_identical"].direction == "info"
-
-    def test_unknown_suite_gates_conservatively(self):
-        records = {r.metric: r for r in ingest_raw_bench(
-            {"bench": "novel", "wall_s": 1.0, "refs_per_sec": 2.0,
-             "speedup": 3.0, "widget_count": 7},
-            commit="c",
-        )}
-        assert records["wall_s"].direction == "lower"
-        assert records["refs_per_sec"].direction == "higher"
-        assert records["speedup"].direction == "higher"
-        assert records["widget_count"].direction == "info"
-
-    def test_suite_override_and_missing_name(self):
-        records = ingest_raw_bench({"x_s": 1.0}, suite="forced")
-        assert records[0].suite == "forced"
-        with pytest.raises(CorruptResultError, match="'bench'"):
-            ingest_raw_bench({"x_s": 1.0})
-
-    def test_no_numeric_metrics_rejected(self):
-        with pytest.raises(CorruptResultError, match="no numeric"):
-            ingest_raw_bench({"bench": "empty", "python": "3.12"})
 
 
 # ----------------------------------------------------------------------
@@ -400,6 +326,74 @@ class TestRunBenchSuites:
         with pytest.raises(CorruptResultError, match="passcache_route bench"):
             run_bench_suites(["passcache_route"], repeat=1, length=1_000)
 
+    @pytest.mark.parametrize("error, fires", [(0.0199, False), (0.0201, True)])
+    def test_sampling_suite_raises_past_the_error_bound(
+        self, monkeypatch, error, fires
+    ):
+        from repro.sim import sampling
+        from repro.sim.config import baseline_config
+        from repro.sim.fastpath import fast_simulate
+        from repro.trace.suite import build_trace
+        from repro.units import KB
+
+        # The suite's own trace: 10x the length, mu3, 16 KB.
+        exact = fast_simulate(
+            baseline_config(cache_size_bytes=16 * KB),
+            build_trace("mu3", length=100_000, seed=0),
+        ).read_miss_ratio
+        real = sampling.sampled_fast_simulate
+
+        def off_by(config, trace, plan, seed=0):
+            estimate = real(config, trace, plan, seed=seed)
+            estimate.read_miss_ratio = exact + error
+            return estimate
+
+        monkeypatch.setattr(sampling, "sampled_fast_simulate", off_by)
+        if fires:
+            with pytest.raises(CorruptResultError, match="sampling bench"):
+                run_bench_suites(["sampling"], repeat=1, length=10_000)
+        else:
+            records, _ = run_bench_suites(
+                ["sampling"], repeat=1, length=10_000
+            )
+            by_metric = {r.metric: r.value for r in records}
+            assert by_metric["abs_miss_error"] == pytest.approx(error)
+
+    def test_telemetry_suite_raises_on_a_non_conserving_report(
+        self, monkeypatch
+    ):
+        import dataclasses
+
+        from repro.sim import telemetry
+
+        real = telemetry.build_run_report
+
+        def unconserved(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), conserved=False)
+
+        # The sweep's workers are forked, so they inherit the patch.
+        monkeypatch.setattr(telemetry, "build_run_report", unconserved)
+        with pytest.raises(CorruptResultError, match="conservation"):
+            run_bench_suites(["telemetry"], repeat=1, length=2_000)
+
+    def test_reprolint_suite_raises_on_a_violation(
+        self, monkeypatch, tmp_path
+    ):
+        import repro.lint
+
+        dirty = tmp_path / "src" / "repro" / "sim" / "engine.py"
+        dirty.parent.mkdir(parents=True)
+        dirty.write_text("import time\n\n\ndef _t():\n"
+                         "    return time.time()\n")
+        real = repro.lint.lint_paths
+
+        def lint_the_dirty_tree(paths, **kwargs):
+            return real([tmp_path / "src"], root=tmp_path, use_cache=False)
+
+        monkeypatch.setattr(repro.lint, "lint_paths", lint_the_dirty_tree)
+        with pytest.raises(CorruptResultError, match="REPRO001"):
+            run_bench_suites(["reprolint"], repeat=1, length=1_000)
+
     def test_all_registered_suites_run(self):
         records, _ = run_bench_suites(
             sorted(BENCH_SUITES), repeat=1, length=10_000
@@ -449,24 +443,21 @@ class TestSparkline:
 # CLI end-to-end
 # ----------------------------------------------------------------------
 class TestBenchCli:
-    def _record(self, raw_path, history, commit, extra=()):
-        return main([
-            "bench", "record", str(raw_path),
-            "--history", str(history), "--commit", commit, *extra,
+    def _append(self, history, walls):
+        """One wall-time record per (commit, value), from this host."""
+        BenchHistory(history).append([
+            BenchRecord(
+                suite="telemetry", metric="total_wall_s", value=wall,
+                unit="s", direction="lower", commit=commit,
+                host=host_fingerprint(),
+            )
+            for commit, wall in walls
         ])
 
     def test_record_then_diff_gates(self, tmp_path, capsys):
         history = tmp_path / "hist.jsonl"
-        raw = tmp_path / "raw.json"
-        for commit, wall in (("a", 1.0), ("b", 1.0), ("c", 1.0)):
-            raw.write_text(json.dumps(
-                {"bench": "telemetry_smoke", "total_wall_s": wall}
-            ))
-            assert self._record(raw, history, commit) == 0
-        raw.write_text(json.dumps(
-            {"bench": "telemetry_smoke", "total_wall_s": 1.10}
-        ))
-        assert self._record(raw, history, "cand") == 0
+        self._append(history, (("a", 1.0), ("b", 1.0), ("c", 1.0)))
+        self._append(history, (("cand", 1.10),))
         code = main([
             "bench", "diff", "--history", str(history),
             "--commit", "cand",
@@ -477,39 +468,12 @@ class TestBenchCli:
 
     def test_identical_rerun_passes_diff(self, tmp_path, capsys):
         history = tmp_path / "hist.jsonl"
-        raw = tmp_path / "raw.json"
-        raw.write_text(json.dumps(
-            {"bench": "telemetry_smoke", "total_wall_s": 1.0}
-        ))
-        assert self._record(raw, history, "a") == 0
-        assert self._record(raw, history, "cand") == 0
+        self._append(history, (("a", 1.0), ("cand", 1.0)))
         assert main([
             "bench", "diff", "--history", str(history),
             "--commit", "cand",
         ]) == 0
         assert "1 ok" in capsys.readouterr().out
-
-    def test_record_out_writes_normalized_document(self, tmp_path):
-        history = tmp_path / "hist.jsonl"
-        raw = tmp_path / "raw.json"
-        out = tmp_path / "BENCH_norm.json"
-        raw.write_text(json.dumps(
-            {"bench": "workqueue_chaos", "jobs": 3, "bit_identical": True}
-        ))
-        assert self._record(raw, history, "a",
-                            extra=("--out", str(out))) == 0
-        docs = json.loads(out.read_text())
-        assert {d["metric"] for d in docs} == {"jobs", "bit_identical"}
-        assert all(record_from_dict(d).commit == "a" for d in docs)
-
-    def test_record_rejects_malformed_input(self, tmp_path, capsys):
-        raw = tmp_path / "raw.json"
-        raw.write_text("{nope")
-        assert self._record(raw, tmp_path / "h.jsonl", "a") == 2
-        assert "malformed" in capsys.readouterr().err
-        assert main([
-            "bench", "record", str(tmp_path / "missing.json"),
-        ]) == 2
 
     def test_run_appends_and_history_lists(self, tmp_path, capsys):
         history = tmp_path / "hist.jsonl"
@@ -555,6 +519,23 @@ class TestBenchCli:
         out = capsys.readouterr().out
         assert "▁▅█" in out
         assert "100" not in out  # the truncated record is not listed
+
+    def test_run_reports_a_failed_suite_gate(self, tmp_path, capsys,
+                                             monkeypatch):
+        def broken(length, seed):
+            raise CorruptResultError("broken bench: 1.0x under its 2x bound")
+
+        monkeypatch.setitem(BENCH_SUITES, "broken", broken)
+        history = tmp_path / "hist.jsonl"
+        assert main([
+            "bench", "run", "--suites", "broken", "--repeat", "1",
+            "--history", str(history),
+        ]) == 1
+        assert capsys.readouterr().err == (
+            "repro-sim bench run: error: broken bench: 1.0x under its "
+            "2x bound\n"
+        )
+        assert not history.exists()
 
     def test_run_unknown_suite_errors(self, tmp_path, capsys):
         assert main(["bench", "run", "--suites", "nope"]) == 2
@@ -617,19 +598,11 @@ class TestBenchCli:
         assert "regression" in capsys.readouterr().out
 
     def test_diff_current_host_records_still_gate(self, tmp_path, capsys):
-        # Records written by this machine (bench record's default host)
+        # Records written by this machine (bench run's default host)
         # pass through the default filter unchanged.
         history = tmp_path / "hist.jsonl"
-        raw = tmp_path / "raw.json"
-        for commit, wall in (("a", 1.0), ("b", 1.0), ("c", 1.0)):
-            raw.write_text(json.dumps(
-                {"bench": "telemetry_smoke", "total_wall_s": wall}
-            ))
-            assert self._record(raw, history, commit) == 0
-        raw.write_text(json.dumps(
-            {"bench": "telemetry_smoke", "total_wall_s": 1.10}
-        ))
-        assert self._record(raw, history, "cand") == 0
+        self._append(history, (("a", 1.0), ("b", 1.0), ("c", 1.0)))
+        self._append(history, (("cand", 1.10),))
         assert main([
             "bench", "diff", "--history", str(history),
             "--commit", "cand",

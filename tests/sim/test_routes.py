@@ -37,7 +37,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from repro.core.geometry import CacheGeometry
 from repro.core.policy import CachePolicy, ReplacementKind
@@ -221,17 +221,40 @@ def timing_sibling(config, cycle_ns, latency_ns, depth):
     )
 
 
-@settings(max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(
+#: Settings of the generated tests that run a route over a process
+#: pool.  Every shrink step would start a pool again, so these tests
+#: report the example they drew without shrinking it; their in-process
+#: twins draw from the same strategies and do the shrinking.
+POOLED = dict(
+    deadline=None, suppress_health_check=[HealthCheck.too_slow],
+    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target],
+)
+
+route_draws = dict(
     drawn=jobs_strategy,
     siblings=siblings_strategy,
-    n_jobs=st.sampled_from([1, 2]),
     prefill=st.lists(st.booleans(), min_size=10, max_size=10),
     use_cache=st.booleans(),
 )
-def test_every_route_equals_the_scalar_pass(drawn, siblings, n_jobs,
-                                            prefill, use_cache):
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(**route_draws)
+def test_every_route_equals_the_scalar_pass(drawn, siblings, prefill,
+                                            use_cache):
+    check_every_route(drawn, siblings, prefill, use_cache, n_jobs=1)
+
+
+@settings(max_examples=15, **POOLED)
+@given(**route_draws)
+def test_every_route_equals_the_scalar_pass_over_a_pool(
+    drawn, siblings, prefill, use_cache
+):
+    check_every_route(drawn, siblings, prefill, use_cache, n_jobs=2)
+
+
+def check_every_route(drawn, siblings, prefill, use_cache, n_jobs):
     pool = trace_pool()
     jobs = [(config, pool[t], seed) for config, t, seed in drawn]
     # The organization each job was drawn as, before any timing change.
@@ -461,10 +484,20 @@ def without_events(stream):
     )
 
 
-@settings(max_examples=10, deadline=None,
+@settings(max_examples=5, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(drawn=jobs_strategy, grid=grids, n_jobs=st.sampled_from([1, 2]))
-def test_archived_pricing_equals_every_unarchived_route(drawn, grid, n_jobs):
+@given(drawn=jobs_strategy, grid=grids)
+def test_archived_pricing_equals_every_unarchived_route(drawn, grid):
+    check_archived_pricing(drawn, grid, n_jobs=1)
+
+
+@settings(max_examples=5, **POOLED)
+@given(drawn=jobs_strategy, grid=grids)
+def test_archived_pricing_equals_every_unarchived_route_sharded(drawn, grid):
+    check_archived_pricing(drawn, grid, n_jobs=2)
+
+
+def check_archived_pricing(drawn, grid, n_jobs):
     """Inside an archive scope, cold and then fully archived, a sweep's
     pricing returns what the unscoped kernel and scalar ``replay()``
     return, in-process or sharded.  The streams include a relabelled
