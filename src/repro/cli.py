@@ -510,12 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--update-fingerprints", action="store_true",
                       help="regenerate the REPRO008 schema fingerprint "
                            "file after a deliberate schema change")
-    lint.add_argument("--no-cache", action="store_true",
-                      help="disable the per-file content-hash result "
-                           "cache (.reprolint-cache.json)")
     lint.add_argument("--graph-stats", action="store_true",
                       help="print project-graph statistics (modules, "
-                           "call edges, summary counts, cache reuse) "
+                           "functions, call edges, summary counts) "
                            "after the run")
     lint.add_argument("--why", default="",
                       metavar="RULE[:PATH]",
@@ -889,7 +886,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     try:
         result = lint_paths(
             paths, root=root, config=config, rules=rules,
-            use_cache=not args.no_cache,
             baseline_path=baseline_path,
         )
     except LintInputError as exc:
@@ -1396,7 +1392,7 @@ def _cmd_cache_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_run(args: argparse.Namespace) -> int:
-    from .errors import ConfigurationError, ReproError
+    from .errors import ConfigurationError, CorruptResultError, ReproError
     from .sim.benchhistory import (
         BENCH_SUITES,
         BenchHistory,
@@ -1405,6 +1401,14 @@ def _cmd_bench_run(args: argparse.Namespace) -> int:
         run_bench_suites,
     )
 
+    if args.history:
+        # Reject a corrupt history before any suite runs, so no
+        # measurement is taken only to be lost at append time.
+        try:
+            BenchHistory(args.history).load()
+        except CorruptResultError as exc:
+            print(f"repro-sim bench run: error: {exc}", file=sys.stderr)
+            return 2
     names = (
         sorted(BENCH_SUITES)
         if args.suites in ("", "all")

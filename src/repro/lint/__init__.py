@@ -18,7 +18,6 @@ documented in ``docs/invariants.md``.
 
 from .framework import (  # noqa: F401
     Baseline,
-    LintCache,
     LintConfig,
     LintInputError,
     LintResult,
@@ -41,7 +40,6 @@ __all__ = [
     "ProjectGraph",
     "build_project_graph",
     "Baseline",
-    "LintCache",
     "LintConfig",
     "LintInputError",
     "LintResult",

@@ -9,7 +9,7 @@ introduce floats into integer cycle arithmetic.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 # ----------------------------------------------------------------------
@@ -64,7 +64,9 @@ def _resolve_relative(package: str, level: int, module: str) -> str:
 
 
 def import_aliases(
-    tree: ast.AST, package: Optional[str] = None
+    tree: ast.AST,
+    package: Optional[str] = None,
+    nodes: Optional[Iterable[ast.AST]] = None,
 ) -> Dict[str, str]:
     """Map local names to the dotted path they were imported as.
 
@@ -83,10 +85,13 @@ def import_aliases(
     rebinds an imported name *after* the import shadows it — the alias
     is dropped so ``time = FakeClock()`` stops ``time.time()`` from
     resolving to the real clock.
+
+    ``nodes``, when given, is ``tree``'s :func:`ast.walk` order already
+    in hand, and spares a second walk.
     """
     aliases: Dict[str, str] = {}
     import_lines: Dict[str, int] = {}
-    for node in ast.walk(tree):
+    for node in ast.walk(tree) if nodes is None else nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 local = alias.asname or alias.name.split(".")[0]

@@ -1,4 +1,4 @@
-"""reprolint framework: rules, suppression, caching, baseline, runner.
+"""reprolint framework: rules, suppression, baseline, runner.
 
 The simulator's correctness story rests on invariants that are cheap to
 *state* and expensive to *discover broken at runtime*: byte-identical
@@ -20,13 +20,15 @@ Pieces:
 * suppression — ``# reprolint: disable=REPRO001`` on the offending
   line, or ``# reprolint: disable-file=REPRO001`` anywhere in the first
   :data:`FILE_SUPPRESS_WINDOW` lines;
-* :class:`LintCache` — per-file result cache keyed on content hash, so
-  repeated runs re-analyze only what changed;
 * baseline — pre-existing violations recorded in ``lint-baseline.json``
   are reported separately and do not fail the run, so new rules can be
   ratcheted in without a flag-day fix;
 * :func:`lint_paths` / :func:`lint_sources` — the runner, over disk
   paths or in-memory sources (fixtures, tests).
+
+A run is one read-only pass: every file is parsed and walked once, and
+nothing persists between runs.  The linter writes a file only when
+asked to (``--write-baseline``, ``--update-fingerprints``).
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ from typing import (
     Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
 )
 
-#: Bumped whenever rule behaviour changes; invalidates stale caches.
-LINT_VERSION = 4
+from .astutil import import_aliases
 
 #: ``disable-file=`` comments are honoured only this early in a file,
 #: so a whole-file opt-out is visible at the top where reviewers look.
@@ -122,12 +123,6 @@ DEFAULT_SCHEMAS = (
         locator=("assign", "stream_to_dict", "doc"),
     ),
     SchemaSpec(
-        name="replay_outcome",
-        module="repro/sim/replaykernel.py",
-        constant="REPLAY_SCHEMA",
-        locator=("assign", "outcome_to_dict", "doc"),
-    ),
-    SchemaSpec(
         name="spool_manifest",
         module="repro/sim/workqueue.py",
         constant="SPOOL_SCHEMA",
@@ -202,9 +197,6 @@ class LintConfig:
     schemas: Tuple[SchemaSpec, ...] = DEFAULT_SCHEMAS
     #: Direct fingerprint injection (tests/self-test); wins over file.
     fingerprints_data: Optional[Mapping] = None
-    #: On-disk project-graph cache (set by lint_paths with the cache
-    #: enabled; None keeps the graph purely in-memory).
-    graph_cache_path: Optional[str] = None
 
 
 class LintInputError(ValueError):
@@ -295,7 +287,12 @@ def path_matches(rel: str, prefix: str) -> bool:
 # Parsed sources
 # ----------------------------------------------------------------------
 class SourceFile:
-    """One parsed module: text, AST, and its suppression comments."""
+    """One parsed module: text, AST, and its suppression comments.
+
+    The AST, its :func:`ast.walk` node list and its import aliases are
+    each computed on first use and shared by every rule, so a lint run
+    parses and walks each module once.
+    """
 
     def __init__(self, rel: str, text: str) -> None:
         self.rel = rel.replace("\\", "/")
@@ -304,6 +301,8 @@ class SourceFile:
         self.content_hash = hashlib.sha256(text.encode()).hexdigest()
         self._tree: Optional[ast.AST] = None
         self._syntax_error: Optional[SyntaxError] = None
+        self._nodes: Optional[List[ast.AST]] = None
+        self._aliases: Dict[Optional[str], Dict[str, str]] = {}
         self._line_suppress: Optional[Dict[int, set]] = None
         self._file_suppress: Optional[set] = None
 
@@ -322,6 +321,26 @@ class SourceFile:
     def syntax_error(self) -> Optional[SyntaxError]:
         self.tree  # noqa: B018 — force the parse attempt
         return self._syntax_error
+
+    @property
+    def nodes(self) -> List[ast.AST]:
+        """Every node of :attr:`tree` in :func:`ast.walk` order (empty
+        on a syntax error)."""
+        if self._nodes is None:
+            tree = self.tree
+            self._nodes = list(ast.walk(tree)) if tree is not None else []
+        return self._nodes
+
+    def import_aliases(
+        self, package: Optional[str] = None
+    ) -> Dict[str, str]:
+        """:func:`~.astutil.import_aliases` of :attr:`tree`; callers
+        must not mutate the shared result."""
+        if package not in self._aliases:
+            self._aliases[package] = import_aliases(
+                self.tree, package=package, nodes=self.nodes
+            )
+        return self._aliases[package]
 
     def source_line(self, line: int) -> str:
         if 1 <= line <= len(self.lines):
@@ -398,93 +417,6 @@ class Rule:
         judged: Set[str],
     ) -> List[Violation]:
         return []
-
-
-# ----------------------------------------------------------------------
-# Per-file result cache
-# ----------------------------------------------------------------------
-class LintCache:
-    """File-scope results keyed on content hash, persisted as JSON.
-
-    Every entry key carries the run's *signature* — lint version,
-    enabled rule set and effective ``[tool.reprolint]`` config (see
-    :func:`cache_signature`) — so editing pyproject or switching
-    ``--rule`` selections can never serve a stale result.  Entries for
-    a bounded number of recent signatures coexist, so alternating
-    between (say) a full run and a ``--rule REPRO002`` run does not
-    thrash the cache.  Entries hold raw (pre-suppression) findings.
-    Project-scope rules are never cached — they are cross-file by
-    definition.
-    """
-
-    #: How many distinct (version, rules, config) generations keep
-    #: their entries; older ones are evicted on save.
-    KEEP_GENERATIONS = 4
-
-    def __init__(self, path: Optional[Path], signature: str) -> None:
-        self.path = path
-        self.signature = signature
-        self.hits = 0
-        self.misses = 0
-        self._entries: Dict[str, Dict] = {}
-        self._generations: List[str] = []
-        self._dirty = False
-        if path is not None and path.is_file():
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                payload = {}
-            generations = payload.get("generations")
-            entries = payload.get("files", {})
-            # Legacy single-signature payloads (no generation list)
-            # are discarded wholesale: their keys carry no signature.
-            if isinstance(generations, list) and \
-                    isinstance(entries, dict):
-                self._generations = [str(g) for g in generations]
-                self._entries = entries
-
-    def _key(self, rel: str) -> str:
-        return f"{self.signature}|{rel}"
-
-    def get(self, src: SourceFile) -> Optional[List[Violation]]:
-        entry = self._entries.get(self._key(src.rel))
-        if not entry or entry.get("hash") != src.content_hash:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return [Violation(**v) for v in entry.get("violations", [])]
-
-    def put(self, src: SourceFile, violations: List[Violation]) -> None:
-        self._entries[self._key(src.rel)] = {
-            "hash": src.content_hash,
-            "violations": [v.to_dict() for v in violations],
-        }
-        self._dirty = True
-
-    def save(self) -> None:
-        if self.path is None or not self._dirty:
-            return
-        generations = [
-            g for g in self._generations if g != self.signature
-        ]
-        generations.append(self.signature)  # most recent last
-        generations = generations[-self.KEEP_GENERATIONS:]
-        kept = set(generations)
-        entries = {
-            key: value for key, value in self._entries.items()
-            if key.partition("|")[0] in kept
-        }
-        payload = {
-            "version": LINT_VERSION,
-            "generations": generations,
-            "files": entries,
-        }
-        try:
-            self.path.write_text(
-                json.dumps(payload, indent=1), encoding="utf-8"
-            )
-        except OSError:  # cache is best-effort; never fail the lint
-            pass
 
 
 # ----------------------------------------------------------------------
@@ -570,8 +502,6 @@ class LintResult:
     violations: List[Violation]
     baselined: List[Violation]
     files_checked: int
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def clean(self) -> bool:
@@ -674,7 +604,6 @@ def lint_sources(
     sources: Sequence[SourceFile],
     config: Optional[LintConfig] = None,
     rules: Optional[Sequence[Rule]] = None,
-    cache: Optional[LintCache] = None,
     baseline: Optional[Baseline] = None,
 ) -> LintResult:
     """Lint already-loaded sources (fixtures, tests, editor buffers).
@@ -694,12 +623,7 @@ def lint_sources(
     ]
     raw: Dict[str, List[Violation]] = {}
     for src in sources:
-        found = cache.get(src) if cache is not None else None
-        if found is None:
-            found = _check_one(src, judged, config)
-            if cache is not None:
-                cache.put(src, found)
-        raw[src.rel] = list(found)
+        raw[src.rel] = _check_one(src, judged, config)
     for rule in judged:
         if rule.scope == "project":
             for violation in rule.check_project(list(sources), config):
@@ -728,34 +652,9 @@ def lint_sources(
         new, accepted = baseline.partition(pairs)
     else:
         new, accepted = [v for v, _ in pairs], []
-    result = LintResult(
-        violations=new,
-        baselined=accepted,
-        files_checked=len(sources),
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
+    return LintResult(
+        violations=new, baselined=accepted, files_checked=len(sources)
     )
-    if cache is not None:
-        cache.save()
-    return result
-
-
-def cache_signature(config: LintConfig, rules: Sequence[Rule]) -> str:
-    """Fingerprint of everything that can change a file's findings:
-    lint version, the enabled rule set, and the effective config.
-    ``fingerprints_data`` and the graph-cache location are excluded —
-    they only feed project-scope rules, which are never cached."""
-    ids = ",".join(sorted(r.rule_id for r in rules))
-    cfg = json.dumps(
-        dataclasses.asdict(
-            dataclasses.replace(
-                config, fingerprints_data=None, graph_cache_path=None
-            )
-        ),
-        sort_keys=True, default=str,
-    )
-    key = f"v{LINT_VERSION}|{ids}|{cfg}"
-    return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
 def lint_paths(
@@ -763,14 +662,12 @@ def lint_paths(
     root: Optional[Path] = None,
     config: Optional[LintConfig] = None,
     rules: Optional[Sequence[Rule]] = None,
-    use_cache: bool = False,
     baseline_path: Optional[Path] = None,
 ) -> LintResult:
     """Lint files/directories on disk; the importable API entry point.
 
     ``root`` (auto-detected from the first path when omitted) anchors
-    repo-relative paths, the pyproject config, the cache file and the
-    baseline file.
+    repo-relative paths, the pyproject config and the baseline file.
     """
     paths = [Path(p) for p in paths]
     if not paths:
@@ -789,19 +686,6 @@ def lint_paths(
                     config, fingerprints_data=data
                 )
     rules = list(rules) if rules is not None else all_rules(config)
-    cache = None
-    if use_cache:
-        cache = LintCache(
-            root / ".reprolint-cache.json",
-            cache_signature(config, rules),
-        )
-        if config.graph_cache_path is None:
-            config = dataclasses.replace(
-                config,
-                graph_cache_path=str(
-                    root / ".reprolint-graph-cache.json"
-                ),
-            )
     baseline = None
     if baseline_path is None:
         baseline_path = root / "lint-baseline.json"
@@ -809,6 +693,5 @@ def lint_paths(
         baseline = Baseline.load(baseline_path)
     sources = collect_sources(paths, root)
     return lint_sources(
-        sources, config=config, rules=rules, cache=cache,
-        baseline=baseline,
+        sources, config=config, rules=rules, baseline=baseline,
     )

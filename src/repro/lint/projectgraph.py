@@ -1,11 +1,12 @@
-"""Whole-project import/call graph with bottom-up function summaries.
+"""Whole-project call graph with bottom-up function summaries.
 
 Every rule about *what a function can reach* — REPRO001 (wall clock and
 entropy in simulation code), REPRO003 (raw writes in persistence code),
 REPRO014 (monotonic readings in documents) — is judged here, on one
 graph.  This module parses every source handed to the linter and builds
 
-* a **module-import graph** (who imports whom, project modules only),
+* a **module table** per module (its functions, classes with their
+  methods, and import aliases),
 * an **alias-resolved call graph** (``from .campaign import save as s``
   and re-exports through ``__init__`` both resolve to the defining
   function), and
@@ -23,10 +24,9 @@ the call edge it was inherited through, so ``lint --why`` can print the
 full chain from an entry point down to ``time.time()``.  A direct fact
 is a zero-hop chain.
 
-Results are cached on disk (``.reprolint-graph-cache.json``), keyed
-per-module on a fingerprint of the module's **transitive import
-closure** contents: editing ``campaign.py`` invalidates the summaries
-of every module that can reach it through imports, and nothing else.
+The graph is rebuilt from the sources on every lint run and never
+written to disk; a one-slot in-process memo lets the graph rules,
+``--why`` and ``--graph-stats`` share one build per run.
 
 Known over-approximations (deliberate — this is a linter, not a
 verifier): code inside nested functions and lambdas is attributed to
@@ -39,22 +39,11 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import hashlib
 import json
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .astutil import (
-    _resolve_relative,
-    dotted_name,
-    import_aliases,
-    module_dotted,
-    module_package,
-)
+from .astutil import dotted_name, module_dotted, module_package
 from .framework import LintConfig, SourceFile
-
-#: Bumped whenever summary semantics change; invalidates graph caches.
-GRAPH_VERSION = 2
 
 # The summary lattice: one monotone boolean per property.
 PROP_WALLCLOCK = "wallclock"    # reaches a wall-clock/entropy source
@@ -140,13 +129,6 @@ class Hop:
     line: int
     detail: str
 
-    def to_list(self) -> List:
-        return [self.kind, self.rel, self.line, self.detail]
-
-    @classmethod
-    def from_list(cls, row: Sequence) -> "Hop":
-        return cls(str(row[0]), str(row[1]), int(row[2]), str(row[3]))
-
 
 @dataclasses.dataclass
 class ModuleTable:
@@ -181,8 +163,6 @@ class GraphStats:
     modules: int = 0
     functions: int = 0
     call_edges: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     prop_counts: Dict[str, int] = dataclasses.field(default_factory=dict)
 
     def to_dict(self) -> Dict:
@@ -196,9 +176,7 @@ class GraphStats:
             f"project graph: {self.modules} module(s), "
             f"{self.functions} function(s), "
             f"{self.call_edges} call edge(s)\n"
-            f"summaries: {props}\n"
-            f"graph cache: {self.cache_hits} module(s) reused, "
-            f"{self.cache_misses} rescanned"
+            f"summaries: {props}"
         )
 
 
@@ -371,17 +349,10 @@ class ProjectGraph:
 # Construction
 # ----------------------------------------------------------------------
 def _config_key(config: LintConfig) -> str:
-    cfg = dataclasses.replace(
-        config, fingerprints_data=None, graph_cache_path=None
-    )
+    cfg = dataclasses.replace(config, fingerprints_data=None)
     return json.dumps(
         dataclasses.asdict(cfg), sort_keys=True, default=str
     )
-
-
-def _graph_signature(config: LintConfig) -> str:
-    key = f"g{GRAPH_VERSION}|{_config_key(config)}"
-    return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
 #: One-slot memo: the graph rules (and --why) all build
@@ -416,51 +387,6 @@ def build_project_graph(
     return graph
 
 
-def _load_disk_cache(path: Optional[Path], signature: str) -> Dict:
-    if path is None or not path.is_file():
-        return {}
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return {}
-    if payload.get("signature") != signature:
-        return {}
-    modules = payload.get("modules", {})
-    return modules if isinstance(modules, dict) else {}
-
-
-def _module_imports(
-    src: SourceFile, dotted_to_rel: Dict[str, str]
-) -> Tuple[str, ...]:
-    """Repo-relative paths of the project modules ``src`` imports."""
-    package = module_package(src.rel)
-    deps: Set[str] = set()
-
-    def add(dotted: str) -> None:
-        parts = dotted.split(".")
-        for i in range(len(parts), 0, -1):
-            rel = dotted_to_rel.get(".".join(parts[:i]))
-            if rel is not None:
-                if rel != src.rel:
-                    deps.add(rel)
-                return
-
-    for node in ast.walk(src.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                add(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            if node.level:
-                base = _resolve_relative(package, node.level, base)
-            for alias in node.names:
-                if alias.name == "*" or not base:
-                    add(base or alias.name)
-                else:
-                    add(f"{base}.{alias.name}")
-    return tuple(sorted(deps))
-
-
 def _module_table(src: SourceFile) -> ModuleTable:
     functions: Set[str] = set()
     classes: Dict[str, Set[str]] = {}
@@ -473,9 +399,9 @@ def _module_table(src: SourceFile) -> ModuleTable:
                 if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
             }
             classes[node.name] = methods
-    aliases = import_aliases(src.tree, package=module_package(src.rel))
     return ModuleTable(
-        functions=functions, classes=classes, aliases=aliases
+        functions=functions, classes=classes,
+        aliases=src.import_aliases(module_package(src.rel)),
     )
 
 
@@ -501,8 +427,13 @@ def _scan_module(
         else:
             module_stmts.append(node)
     units.append(("<module>", 1, module_stmts, None))
+    return_call_ids = {
+        id(node.value) for node in src.nodes
+        if isinstance(node, ast.Return) and isinstance(node.value, ast.Call)
+    }
     return [
-        _scan_unit(src, resolver, config, qual, lineno, stmts, cls)
+        _scan_unit(src, resolver, config, qual, lineno, stmts, cls,
+                   return_call_ids)
         for qual, lineno, stmts, cls in units
     ]
 
@@ -515,17 +446,12 @@ def _scan_unit(
     lineno: int,
     stmts: List[ast.stmt],
     enclosing_class: Optional[str],
+    return_call_ids: Set[int],
 ) -> FunctionNode:
     node_fn = FunctionNode(
         key=fkey(src.rel, qualname), rel=src.rel, qualname=qualname,
         lineno=lineno,
     )
-    return_call_ids: Set[int] = set()
-    for stmt in stmts:
-        for sub in ast.walk(stmt):
-            if isinstance(sub, ast.Return) and \
-                    isinstance(sub.value, ast.Call):
-                return_call_ids.add(id(sub.value))
 
     def add_direct(prop: str, line: int, desc: str) -> None:
         hop = Hop("direct", src.rel, line, desc)
@@ -620,108 +546,33 @@ def _open_write_mode(node: ast.Call) -> Optional[str]:
 def _build(
     files: Sequence[SourceFile], config: LintConfig
 ) -> ProjectGraph:
-    by_rel = {s.rel: s for s in files}
     dotted_to_rel: Dict[str, str] = {}
     for s in files:
         dotted_to_rel.setdefault(module_dotted(s.rel), s.rel)
 
-    signature = _graph_signature(config)
-    cache_path = (
-        Path(config.graph_cache_path)
-        if config.graph_cache_path else None
-    )
-    disk = _load_disk_cache(cache_path, signature)
+    tables = {s.rel: _module_table(s) for s in files}
 
-    # Phase 1: the import graph (cached entries avoid re-parsing only
-    # when the module's own content is unchanged).
-    imports: Dict[str, Tuple[str, ...]] = {}
-    for s in files:
-        entry = disk.get(s.rel)
-        if entry and entry.get("self_hash") == s.content_hash:
-            imports[s.rel] = tuple(
-                r for r in entry.get("imports", ()) if r in by_rel
-            )
-        else:
-            imports[s.rel] = _module_imports(s, dotted_to_rel)
-
-    # Phase 2: per-module dependency fingerprints over the transitive
-    # import closure — the cache key that makes cross-file
-    # invalidation sound.
-    dep_fp: Dict[str, str] = {}
-    for s in files:
-        closure = {s.rel}
-        stack = [s.rel]
-        while stack:
-            for dep in imports.get(stack.pop(), ()):
-                if dep not in closure:
-                    closure.add(dep)
-                    stack.append(dep)
-        blob = "|".join(
-            f"{rel}:{by_rel[rel].content_hash}"
-            for rel in sorted(closure)
-        )
-        dep_fp[s.rel] = hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    # Phase 3: split into cache-valid (frozen) and to-scan modules.
-    tables: Dict[str, ModuleTable] = {}
+    # Scan: resolve call sites, collect direct facts.
+    nodes: Dict[str, FunctionNode] = {}
     facts: Dict[str, Dict[str, List[Hop]]] = {}
     summaries: Dict[str, Dict[str, Hop]] = {}
     functions_by_module: Dict[str, List[Tuple[str, int]]] = {}
-    frozen: Set[str] = set()
     edge_count = 0
     for s in files:
-        entry = disk.get(s.rel)
-        if not (entry and entry.get("self_hash") == s.content_hash
-                and entry.get("dep_fp") == dep_fp[s.rel]):
-            continue
-        frozen.add(s.rel)
-        table = entry.get("table", {})
-        tables[s.rel] = ModuleTable(
-            functions=set(table.get("functions", ())),
-            classes={
-                k: set(v) for k, v in table.get("classes", {}).items()
-            },
-            aliases=dict(table.get("aliases", {})),
-        )
-        funcs = entry.get("funcs", {})
-        functions_by_module[s.rel] = sorted(
-            (q, int(info.get("lineno", 1)))
-            for q, info in funcs.items()
-        )
-        for q, info in funcs.items():
-            facts[fkey(s.rel, q)] = {
-                prop: [Hop.from_list(row) for row in rows]
-                for prop, rows in info.get("facts", {}).items()
-            }
-            summaries[fkey(s.rel, q)] = {
-                prop: Hop.from_list(row)
-                for prop, row in info.get("summary", {}).items()
-            }
-        edge_count += int(entry.get("nedges", 0))
-
-    scanned = [s for s in files if s.rel not in frozen]
-    for s in scanned:
-        tables[s.rel] = _module_table(s)
-
-    # Phase 4: scan — resolve call sites, collect direct facts.
-    nodes: Dict[str, FunctionNode] = {}
-    module_edges: Dict[str, int] = {}
-    for s in scanned:
         resolver = CallResolver(s.rel, tables, dotted_to_rel)
         mod_nodes = _scan_module(s, resolver, config)
         functions_by_module[s.rel] = sorted(
             (n.qualname, n.lineno) for n in mod_nodes
         )
-        module_edges[s.rel] = sum(len(n.calls) for n in mod_nodes)
-        edge_count += module_edges[s.rel]
+        edge_count += sum(len(n.calls) for n in mod_nodes)
         for n in mod_nodes:
             nodes[n.key] = n
             facts[n.key] = n.facts
             summaries[n.key] = dict(n.direct)
 
-    # Phase 5: fixed point — propagate properties bottom-up.  Each
-    # property only ever turns on, so the loop terminates; sorted
-    # iteration keeps the chosen chains deterministic.
+    # Fixed point: propagate properties bottom-up.  Each property only
+    # ever turns on, so the loop terminates; sorted iteration keeps the
+    # chosen chains deterministic.
     atomic = set(config.atomic_writers)
     ordered = sorted(nodes)
     changed = True
@@ -758,18 +609,8 @@ def _build(
         modules=len(files),
         functions=len(summaries),
         call_edges=edge_count,
-        cache_hits=len(frozen),
-        cache_misses=len(scanned),
         prop_counts=prop_counts,
     )
-
-    if cache_path is not None and scanned:
-        _save_disk_cache(
-            cache_path, signature, files, disk, frozen, imports,
-            dep_fp, tables, functions_by_module, facts, summaries,
-            module_edges,
-        )
-
     return ProjectGraph(
         tables=tables,
         dotted_to_rel=dotted_to_rel,
@@ -778,67 +619,3 @@ def _build(
         functions_by_module=functions_by_module,
         stats=stats,
     )
-
-
-def _save_disk_cache(
-    path: Path,
-    signature: str,
-    files: Sequence[SourceFile],
-    disk: Dict,
-    frozen: Set[str],
-    imports: Dict[str, Tuple[str, ...]],
-    dep_fp: Dict[str, str],
-    tables: Dict[str, ModuleTable],
-    functions_by_module: Dict[str, List[Tuple[str, int]]],
-    facts: Dict[str, Dict[str, List[Hop]]],
-    summaries: Dict[str, Dict[str, Hop]],
-    module_edges: Dict[str, int],
-) -> None:
-    modules: Dict[str, Dict] = {}
-    for s in files:
-        if s.rel in frozen:
-            modules[s.rel] = disk[s.rel]
-            continue
-        table = tables[s.rel]
-        funcs = {}
-        for qualname, lineno in functions_by_module.get(s.rel, []):
-            key = fkey(s.rel, qualname)
-            summary = summaries.get(key, {})
-            funcs[qualname] = {
-                "lineno": lineno,
-                "facts": {
-                    prop: [hop.to_list() for hop in hops]
-                    for prop, hops in sorted(facts.get(key, {}).items())
-                },
-                "summary": {
-                    prop: hop.to_list()
-                    for prop, hop in sorted(summary.items())
-                },
-            }
-        modules[s.rel] = {
-            "self_hash": s.content_hash,
-            "dep_fp": dep_fp[s.rel],
-            "imports": sorted(imports[s.rel]),
-            "table": {
-                "functions": sorted(table.functions),
-                "classes": {
-                    k: sorted(v)
-                    for k, v in sorted(table.classes.items())
-                },
-                "aliases": dict(sorted(table.aliases.items())),
-            },
-            "funcs": funcs,
-            "nedges": module_edges.get(s.rel, 0),
-        }
-    payload = {
-        "signature": signature,
-        "version": GRAPH_VERSION,
-        "modules": modules,
-    }
-    try:
-        path.write_text(
-            json.dumps(payload, indent=1, sort_keys=True),
-            encoding="utf-8",
-        )
-    except OSError:  # best-effort, like the per-file lint cache
-        pass

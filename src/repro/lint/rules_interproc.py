@@ -179,7 +179,7 @@ class ClockDisciplineRule(Rule):
                     src.tree is None:
                 continue
             resolver = graph.resolver_for(src.rel)
-            for funcdef, cls in _function_defs(src.tree):
+            for funcdef, cls in _function_defs(src):
                 found.extend(self._check_function(
                     src, funcdef, cls, resolver, graph
                 ))
@@ -279,18 +279,18 @@ class ClockDisciplineRule(Rule):
 
 
 def _function_defs(
-    tree: ast.AST,
+    src: SourceFile,
 ) -> List[Tuple[ast.AST, Optional[str]]]:
     """Every function def with its directly-enclosing class (if any)."""
     out: List[Tuple[ast.AST, Optional[str]]] = []
     class_of: Dict[int, str] = {}
-    for node in ast.walk(tree):
+    for node in src.nodes:
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, (ast.FunctionDef,
                                     ast.AsyncFunctionDef)):
                     class_of[id(sub)] = node.name
-    for node in ast.walk(tree):
+    for node in src.nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             out.append((node, class_of.get(id(node))))
     return out

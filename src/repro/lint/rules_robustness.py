@@ -22,7 +22,6 @@ from typing import List
 
 from .astutil import (
     canonical_call_name,
-    import_aliases,
     is_cycle_counter_name,
     is_floaty,
     terminal_name,
@@ -52,10 +51,7 @@ class IntegerCycleRule(Rule):
     def check_file(
         self, src: SourceFile, config: LintConfig
     ) -> List[Violation]:
-        tree = src.tree
-        if tree is None:
-            return []
-        aliases = import_aliases(tree)
+        aliases = src.import_aliases()
         found: List[Violation] = []
 
         def report(node: ast.AST, name: str, detail: str) -> None:
@@ -83,7 +79,7 @@ class IntegerCycleRule(Rule):
                     detail = "float() conversion"
                 report(node, name or "?", detail)
 
-        for node in ast.walk(tree):
+        for node in src.nodes:
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     targets = (
@@ -209,11 +205,8 @@ class SilentSwallowRule(Rule):
     def check_file(
         self, src: SourceFile, config: LintConfig
     ) -> List[Violation]:
-        tree = src.tree
-        if tree is None:
-            return []
         found: List[Violation] = []
-        for node in ast.walk(tree):
+        for node in src.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if not _is_broad_handler(node):
@@ -268,12 +261,9 @@ class MutableDefaultRule(Rule):
     def check_file(
         self, src: SourceFile, config: LintConfig
     ) -> List[Violation]:
-        tree = src.tree
-        if tree is None:
-            return []
-        aliases = import_aliases(tree)
+        aliases = src.import_aliases()
         found: List[Violation] = []
-        for node in ast.walk(tree):
+        for node in src.nodes:
             if not isinstance(node, (ast.FunctionDef,
                                      ast.AsyncFunctionDef)):
                 continue

@@ -120,7 +120,7 @@ class RegistryClosureRule(Rule):
         assert registry.tree is not None
         imported: Dict[str, int] = {}
         iterated: Dict[str, int] = {}
-        for node in ast.walk(registry.tree):
+        for node in registry.nodes:
             # `from . import fig3_1, ...` — sibling-module imports only;
             # `from .common import X` pulls names, not modules.
             if isinstance(node, ast.ImportFrom) and node.level >= 1 \
@@ -231,11 +231,8 @@ class ConfigValidationRule(Rule):
     def check_file(
         self, src: SourceFile, config: LintConfig
     ) -> List[Violation]:
-        tree = src.tree
-        if tree is None:
-            return []
         found: List[Violation] = []
-        for node in ast.walk(tree):
+        for node in src.nodes:
             if isinstance(node, ast.ClassDef) and _is_dataclass(node):
                 found.extend(self._check_class(node, src))
         return found
@@ -298,12 +295,12 @@ def _find_constant(tree: ast.AST, name: str) -> Tuple[Optional[int],
 
 
 def _locate_fields(
-    tree: ast.AST, locator: Tuple[str, str, str]
+    src: SourceFile, locator: Tuple[str, str, str]
 ) -> Optional[List[str]]:
     """Keys of the dict literal a :class:`SchemaSpec` locator names."""
     kind, scope_name, member = locator
     if kind == "assign":
-        for node in ast.walk(tree):
+        for node in src.nodes:
             if isinstance(node, ast.FunctionDef) and \
                     node.name == scope_name:
                 for inner in ast.walk(node):
@@ -316,7 +313,7 @@ def _locate_fields(
                                     return keys
         return None
     if kind == "return":
-        for node in ast.walk(tree):
+        for node in src.nodes:
             if not (isinstance(node, ast.ClassDef) and
                     node.name == scope_name):
                 continue
@@ -350,7 +347,7 @@ def extract_schemas(
         if src is None or src.tree is None:
             continue
         version, line = _find_constant(src.tree, spec.constant)
-        fields = _locate_fields(src.tree, spec.locator)
+        fields = _locate_fields(src, spec.locator)
         entry: Dict = {"module": src.rel, "line": line or 1}
         if version is None:
             entry["error"] = (

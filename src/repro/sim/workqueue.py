@@ -649,16 +649,6 @@ class WorkQueue:
             f"{s['lost_leases']} lost lease(s) archived"
         )
 
-    def publish_metrics(self, registry, prefix: str = "fabric") -> None:
-        """Fold this observer's fabric counters into a metrics registry.
-
-        Counters are observer-local (a fresh process starts at zero);
-        each nonzero one lands as ``{prefix}.*`` on the
-        :class:`~repro.sim.telemetry.MetricsRegistry`, so lease losses
-        and claim races surface next to the simulation metrics.
-        """
-        registry.count_many(prefix, self.counters)
-
     # -- lease lifecycle ------------------------------------------------
     def _read_lease(self, path: Path) -> Optional[Lease]:
         """Load one lease, or None when absent; corrupt files are moved

@@ -1,5 +1,5 @@
-"""Framework behaviour: suppression, baseline ratchet, caching, config
-loading, fingerprint regeneration — and the repo itself lints clean."""
+"""Framework behaviour: suppression, baseline ratchet, config loading,
+fingerprint regeneration — and the repo itself lints clean, read-only."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ import pytest
 
 from repro.lint import (
     Baseline,
-    LintCache,
     LintConfig,
     SourceFile,
     all_rules,
@@ -22,7 +21,7 @@ from repro.lint import (
     load_config,
     run_self_test,
 )
-from repro.lint.framework import cache_signature, collect_sources
+from repro.lint.framework import collect_sources
 from repro.lint.rules_structure import extract_schemas, write_fingerprints
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -44,9 +43,7 @@ def _rule(rule_id):
 # ----------------------------------------------------------------------
 def test_repo_at_head_lints_clean():
     """`repro-sim lint src/` must exit clean on the committed tree."""
-    result = lint_paths(
-        [REPO_ROOT / "src"], root=REPO_ROOT, use_cache=False
-    )
+    result = lint_paths([REPO_ROOT / "src"], root=REPO_ROOT)
     assert result.violations == [], "\n" + result.render()
 
 
@@ -126,8 +123,7 @@ def _lint_cli_in(root, *argv):
     (root / "src").mkdir(exist_ok=True)
     (root / "src" / "mod.py").write_text("X = 1\n", encoding="utf-8")
     return subprocess.run(
-        [sys.executable, "-m", "repro.cli", "lint", "src", "--no-cache",
-         *argv],
+        [sys.executable, "-m", "repro.cli", "lint", "src", *argv],
         cwd=root, capture_output=True, text=True,
         env={"PYTHONPATH": str(REPO_ROOT / "src"),
              "PATH": "/usr/bin:/bin"},
@@ -143,6 +139,35 @@ def test_cli_lint_malformed_config_exits_2(tmp_path, case):
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert message in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+
+
+# ----------------------------------------------------------------------
+# One walk per module
+# ----------------------------------------------------------------------
+def test_source_file_walks_and_resolves_aliases_once():
+    import ast
+
+    from repro.lint.astutil import import_aliases
+
+    src = SourceFile(
+        "src/repro/sim/helper.py",
+        "import time as t\nfrom . import engine\n" + _VIOLATING,
+    )
+    assert [type(n) for n in src.nodes] == \
+        [type(n) for n in ast.walk(src.tree)]
+    assert src.nodes is src.nodes
+    for package in (None, "repro.sim"):
+        assert src.import_aliases(package) == \
+            import_aliases(src.tree, package=package)
+        assert src.import_aliases(package) is src.import_aliases(package)
+    assert src.import_aliases()["engine"] == "engine"
+    assert src.import_aliases("repro.sim")["engine"] == "repro.sim.engine"
+
+
+def test_source_file_with_a_syntax_error_has_no_nodes():
+    src = SourceFile("src/repro/sim/broken.py", "def (:\n")
+    assert src.tree is None and src.nodes == []
+    assert src.import_aliases() == {}
 
 
 # ----------------------------------------------------------------------
@@ -253,46 +278,6 @@ def test_baseline_round_trips_through_disk(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Content-hash cache
-# ----------------------------------------------------------------------
-def test_cache_hits_on_unchanged_content_and_misses_on_edit(tmp_path):
-    config = LintConfig()
-    rules = _rule("REPRO001")
-    signature = cache_signature(config, rules)
-    cache_path = tmp_path / "cache.json"
-    src = SourceFile("src/repro/sim/helper.py", _VIOLATING)
-
-    cache = LintCache(cache_path, signature)
-    first = lint_sources([src], config=config, rules=rules, cache=cache)
-    assert (cache.hits, cache.misses) == (0, 1)
-    assert len(first.violations) == 1
-
-    cache = LintCache(cache_path, signature)
-    second = lint_sources([src], config=config, rules=rules, cache=cache)
-    assert (cache.hits, cache.misses) == (1, 0)
-    assert [v.to_dict() for v in second.violations] == \
-        [v.to_dict() for v in first.violations]
-
-    edited = SourceFile("src/repro/sim/helper.py",
-                        _VIOLATING + "\nX = 1\n")
-    cache = LintCache(cache_path, signature)
-    lint_sources([edited], config=config, rules=rules, cache=cache)
-    assert cache.misses == 1
-
-
-def test_cache_invalidated_by_signature_change(tmp_path):
-    config = LintConfig()
-    rules = _rule("REPRO001")
-    cache_path = tmp_path / "cache.json"
-    src = SourceFile("src/repro/sim/helper.py", _VIOLATING)
-    cache = LintCache(cache_path, cache_signature(config, rules))
-    lint_sources([src], config=config, rules=rules, cache=cache)
-
-    other = LintCache(cache_path, "different-signature")
-    assert other.get(src) is None
-
-
-# ----------------------------------------------------------------------
 # Fingerprint regeneration
 # ----------------------------------------------------------------------
 def test_write_fingerprints_round_trip(tmp_path):
@@ -303,7 +288,7 @@ def test_write_fingerprints_round_trip(tmp_path):
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["schemas"] == schemas
     assert {
-        "campaign_result", "run_report", "replay_outcome"
+        "campaign_result", "run_report", "pass_cache_entry"
     } <= set(schemas)
 
 
@@ -319,16 +304,52 @@ def _run_cli(*argv):
 
 
 def test_cli_lint_src_exits_zero():
-    proc = _run_cli("lint", "src", "--no-cache")
+    proc = _run_cli("lint", "src")
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_cli_lint_json_format():
-    proc = _run_cli("lint", "src", "--no-cache", "--format", "json")
+    proc = _run_cli("lint", "src", "--format", "json")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["clean"] is True
     assert payload["violations"] == []
+
+
+def test_cli_lint_leaves_the_checkout_unchanged(tmp_path):
+    """A lint run is read-only: with or without ``--graph-stats`` it
+    adds, removes and rewrites no file in the checkout it lints."""
+    (tmp_path / "pyproject.toml").write_text(
+        '[project]\nname = "demo"\n', encoding="utf-8"
+    )
+    package = tmp_path / "src" / "repro" / "sim"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("", encoding="utf-8")
+    (package / "engine.py").write_text(
+        "from .util import step\n\n\ndef run(n):\n"
+        "    return step(n)\n",
+        encoding="utf-8",
+    )
+    (package / "util.py").write_text(
+        "def step(n):\n    return n + 1\n", encoding="utf-8"
+    )
+
+    def listing():
+        return sorted(
+            (path.relative_to(tmp_path).as_posix(), path.stat().st_mtime_ns)
+            for path in tmp_path.rglob("*")
+        )
+
+    before = listing()
+    for argv in ((), ("--graph-stats",)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "lint", "src", *argv],
+            cwd=tmp_path, capture_output=True, text=True,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"),
+                 "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert listing() == before, argv
 
 
 def test_cli_lint_self_test():
@@ -362,8 +383,7 @@ def test_cli_lint_detects_sabotage(tmp_path):
         encoding="utf-8",
     )
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.cli", "lint", "src",
-         "--no-cache"],
+        [sys.executable, "-m", "repro.cli", "lint", "src"],
         cwd=workdir, capture_output=True, text=True,
         env={"PYTHONPATH": str(REPO_ROOT / "src"),
              "PATH": "/usr/bin:/bin"},

@@ -1,7 +1,6 @@
 """The graph rules (REPRO001 determinism, REPRO003 atomic writes,
 REPRO014 monotonic clock discipline), the dead-suppression audit
-(REPRO015), the generation-keyed lint cache, and the CLI surface
-(``--graph-stats``, ``--why``).
+(REPRO015), and the CLI surface (``--graph-stats``, ``--why``).
 
 The ``test_repro012_*`` / ``test_repro013_*`` cases keep their names
 from the cross-module chain rules that REPRO001 and REPRO003 absorbed;
@@ -18,13 +17,11 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
-    LintCache,
     LintConfig,
     SourceFile,
     all_rules,
     lint_sources,
 )
-from repro.lint.framework import cache_signature
 from repro.lint.rules_interproc import explain_why
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -444,66 +441,6 @@ def test_repro015_keeps_suppression_of_a_chain_finding():
 
 
 # ----------------------------------------------------------------------
-# LintCache: generation keying (satellite a)
-# ----------------------------------------------------------------------
-_VIOLATING = SourceFile(
-    "src/repro/sim/helper.py",
-    "import time\n\n"
-    "def stamp(stats):\n"
-    "    stats['at'] = time.time()\n"
-    "    return stats\n",
-)
-
-
-def test_alternating_rule_selections_both_stay_cached(tmp_path):
-    """The pre-v2 cache stored one signature for the whole file: two
-    interleaved ``--rule`` selections evicted each other every run."""
-    config = LintConfig()
-    cache_path = tmp_path / "cache.json"
-    sig1 = cache_signature(config, _rule("REPRO001"))
-    sig2 = cache_signature(config, _rule("REPRO002"))
-    assert sig1 != sig2
-
-    for sig, rules in ((sig1, _rule("REPRO001")),
-                       (sig2, _rule("REPRO002"))):
-        cache = LintCache(cache_path, sig)
-        lint_sources([_VIOLATING], config=config, rules=rules,
-                     cache=cache)
-        assert cache.misses == 1
-
-    # Second round: both selections hit.
-    for sig, rules in ((sig1, _rule("REPRO001")),
-                       (sig2, _rule("REPRO002"))):
-        cache = LintCache(cache_path, sig)
-        lint_sources([_VIOLATING], config=config, rules=rules,
-                     cache=cache)
-        assert (cache.hits, cache.misses) == (1, 0), sig
-
-
-def test_cache_generations_are_bounded(tmp_path):
-    config = LintConfig()
-    cache_path = tmp_path / "cache.json"
-    for i in range(6):
-        cache = LintCache(cache_path, f"signature-{i}")
-        lint_sources([_VIOLATING], config=config,
-                     rules=_rule("REPRO001"), cache=cache)
-    payload = json.loads(cache_path.read_text(encoding="utf-8"))
-    assert len(payload["generations"]) == 4
-    # Most recent generations survive; the oldest were evicted.
-    assert "signature-5" in payload["generations"]
-    assert "signature-0" not in payload["generations"]
-
-
-def test_legacy_single_signature_payload_is_discarded(tmp_path):
-    cache_path = tmp_path / "cache.json"
-    cache_path.write_text(json.dumps({
-        "version": 2, "signature": "old", "files": {"x.py": []},
-    }), encoding="utf-8")
-    cache = LintCache(cache_path, "old")
-    assert cache.get(_VIOLATING) is None
-
-
-# ----------------------------------------------------------------------
 # explain_why (the --why engine)
 # ----------------------------------------------------------------------
 def test_explain_why_renders_full_chain():
@@ -553,14 +490,14 @@ def _run_cli(*argv):
 
 
 def test_cli_graph_stats_text():
-    proc = _run_cli("lint", "src", "--no-cache", "--graph-stats")
+    proc = _run_cli("lint", "src", "--graph-stats")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "project graph:" in proc.stdout
     assert "call edge(s)" in proc.stdout
 
 
 def test_cli_graph_stats_json():
-    proc = _run_cli("lint", "src", "--no-cache", "--graph-stats",
+    proc = _run_cli("lint", "src", "--graph-stats",
                     "--format", "json")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     payload = json.loads(proc.stdout)
@@ -572,19 +509,19 @@ def test_cli_graph_stats_json():
 
 def test_cli_why_clean_tree_reports_no_chains():
     for rule_id in ("REPRO001", "REPRO003"):
-        proc = _run_cli("lint", "src", "--no-cache", "--why", rule_id)
+        proc = _run_cli("lint", "src", "--why", rule_id)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert f"no {rule_id} chains" in proc.stdout
 
 
 def test_cli_why_unknown_rule_is_usage_error():
-    proc = _run_cli("lint", "src", "--no-cache", "--why", "REPRO002")
+    proc = _run_cli("lint", "src", "--why", "REPRO002")
     assert proc.returncode == 2
 
 
 @pytest.mark.parametrize("flag", ["--why", "--rule"])
 @pytest.mark.parametrize("retired", ["REPRO012", "REPRO013"])
 def test_cli_retired_rule_ids_are_usage_errors(flag, retired):
-    proc = _run_cli("lint", "src", "--no-cache", flag, retired)
+    proc = _run_cli("lint", "src", flag, retired)
     assert proc.returncode == 2
     assert retired in proc.stderr

@@ -1,11 +1,9 @@
 """The cross-module analysis engine: call resolution (aliases,
 relative imports, re-exports through ``__init__``), bottom-up summary
-propagation with recursion, hop chains, and the closure-fingerprinted
-disk cache."""
+propagation with recursion, hop chains, and the in-process memo that
+lets one lint run share one build."""
 
 from __future__ import annotations
-
-import json
 
 from repro.lint import LintConfig, SourceFile, build_project_graph
 from repro.lint.projectgraph import (
@@ -256,18 +254,9 @@ def test_module_level_code_is_a_pseudo_function():
 
 
 # ----------------------------------------------------------------------
-# Disk cache: reuse and transitive invalidation
+# In-process memo
 # ----------------------------------------------------------------------
-def _fresh_graph(files, **config_kwargs):
-    """Build bypassing the in-process memo, so the disk cache (which
-    separate lint processes rely on) is what gets exercised."""
-    from repro.lint import projectgraph
-
-    projectgraph._MEMO.clear()
-    return _graph(files, **config_kwargs)
-
-
-_CACHED_FILES = [
+_MEMO_FILES = [
     _HELPER,
     (
         "src/repro/sim/engine.py",
@@ -283,76 +272,26 @@ _CACHED_FILES = [
 ]
 
 
-def test_disk_cache_reuses_unchanged_modules(tmp_path):
-    cache = tmp_path / "graph-cache.json"
-    g1 = _fresh_graph(_CACHED_FILES, graph_cache_path=str(cache))
-    assert (g1.stats.cache_hits, g1.stats.cache_misses) == (0, 3)
-    assert cache.is_file()
-
-    g2 = _fresh_graph(_CACHED_FILES, graph_cache_path=str(cache))
-    assert (g2.stats.cache_hits, g2.stats.cache_misses) == (3, 0)
-    # Cached summaries are bit-identical to scanned ones.
-    key = fkey("src/repro/sim/engine.py", "step")
-    assert g2.summary(key)[PROP_WALLCLOCK] == \
-        g1.summary(key)[PROP_WALLCLOCK]
-    helper = fkey("src/repro/trace/stamputil.py", "now_tag")
-    assert g2.direct_facts(helper, PROP_WALLCLOCK) == \
-        g1.direct_facts(helper, PROP_WALLCLOCK) != []
-
-
-def test_disk_cache_invalidates_importers_transitively(tmp_path):
-    cache = tmp_path / "graph-cache.json"
-    _fresh_graph(_CACHED_FILES, graph_cache_path=str(cache))
-
-    edited = [
-        (
-            _HELPER[0],
-            "def now_tag():\n"
-            "    return 0\n",
-        ),
-    ] + _CACHED_FILES[1:]
-    g2 = _fresh_graph(edited, graph_cache_path=str(cache))
-    # stamputil changed, engine imports it (rescan both); other.py is
-    # untouched and stays frozen.
-    assert g2.stats.cache_hits == 1
-    assert g2.stats.cache_misses == 2
-    key = fkey("src/repro/sim/engine.py", "step")
-    assert PROP_WALLCLOCK not in g2.summary(key)
-
-
-def test_disk_cache_ignored_on_config_change(tmp_path):
-    cache = tmp_path / "graph-cache.json"
-    _fresh_graph(_CACHED_FILES, graph_cache_path=str(cache))
-    g2 = _fresh_graph(
-        _CACHED_FILES,
-        graph_cache_path=str(cache),
-        atomic_writers=("atomic_write_text",),
-    )
-    assert g2.stats.cache_hits == 0
-
-
-def test_corrupt_disk_cache_is_rebuilt(tmp_path):
-    cache = tmp_path / "graph-cache.json"
-    cache.write_text("{not json", encoding="utf-8")
-    g = _fresh_graph(_CACHED_FILES, graph_cache_path=str(cache))
-    assert g.stats.cache_misses == 3
-    # And the rebuild leaves a valid cache behind.
-    payload = json.loads(cache.read_text(encoding="utf-8"))
-    assert set(payload["modules"]) == {rel for rel, _ in _CACHED_FILES}
-
-
-# ----------------------------------------------------------------------
-# In-process memo
-# ----------------------------------------------------------------------
 def test_same_sources_and_config_share_one_build():
-    sources = [SourceFile(rel, text) for rel, text in _CACHED_FILES]
+    sources = [SourceFile(rel, text) for rel, text in _MEMO_FILES]
     config = LintConfig()
     g1 = build_project_graph(sources, config)
     g2 = build_project_graph(
-        [SourceFile(rel, text) for rel, text in _CACHED_FILES],
+        [SourceFile(rel, text) for rel, text in _MEMO_FILES],
         LintConfig(),
     )
     assert g1 is g2
     edited = [SourceFile(_HELPER[0], "def now_tag():\n    return 0\n")]
     g3 = build_project_graph(edited, config)
     assert g3 is not g1
+
+
+def test_memo_rebuilds_when_an_imported_module_changes():
+    """The memo keys on every file's content, so an edit to a helper
+    reaches its importers' summaries on the next build."""
+    g1 = _graph(_MEMO_FILES)
+    key = fkey("src/repro/sim/engine.py", "step")
+    assert PROP_WALLCLOCK in g1.summary(key)
+    edited = [(_HELPER[0], "def now_tag():\n    return 0\n")]
+    g2 = _graph(edited + _MEMO_FILES[1:])
+    assert PROP_WALLCLOCK not in g2.summary(key)

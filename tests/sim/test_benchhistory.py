@@ -388,7 +388,7 @@ class TestRunBenchSuites:
         real = repro.lint.lint_paths
 
         def lint_the_dirty_tree(paths, **kwargs):
-            return real([tmp_path / "src"], root=tmp_path, use_cache=False)
+            return real([tmp_path / "src"], root=tmp_path)
 
         monkeypatch.setattr(repro.lint, "lint_paths", lint_the_dirty_tree)
         with pytest.raises(CorruptResultError, match="REPRO001"):
@@ -536,6 +536,29 @@ class TestBenchCli:
             "2x bound\n"
         )
         assert not history.exists()
+
+    def test_run_rejects_a_torn_history_before_any_suite(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        ran = []
+
+        def counted(length, seed):
+            ran.append(length)
+            return {}
+
+        monkeypatch.setitem(BENCH_SUITES, "counted", counted)
+        history = tmp_path / "hist.jsonl"
+        history.write_text("torn\n")
+        assert main([
+            "bench", "run", "--suites", "counted", "--repeat", "1",
+            "--history", str(history),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-sim bench run: error: hist.jsonl:1: ")
+        assert "malformed JSON" in err
+        assert err.count("\n") == 1
+        assert ran == []
+        assert history.read_text() == "torn\n"
 
     def test_run_unknown_suite_errors(self, tmp_path, capsys):
         assert main(["bench", "run", "--suites", "nope"]) == 2

@@ -15,13 +15,7 @@ from repro.core.timing import MemoryTiming
 from repro.errors import ConfigurationError
 from repro.sim.config import baseline_config
 from repro.sim.fastpath import EventStream, functional_pass, replay
-from repro.sim.replaykernel import (
-    REPLAY_SCHEMA,
-    BatchReplayKernel,
-    TimingPoint,
-    outcome_from_dict,
-    outcome_to_dict,
-)
+from repro.sim.replaykernel import BatchReplayKernel, TimingPoint
 from repro.sim.statistics import CacheCounters
 from repro.units import KB
 
@@ -255,49 +249,3 @@ def test_timing_point_validation():
     with pytest.raises(ConfigurationError):
         TimingPoint(memory=MemoryTiming(), cycle_ns=40.0,
                     write_buffer_depth=0)
-
-
-# ----------------------------------------------------------------------
-# Outcome serialization (the REPRO008-fingerprinted schema surface)
-# ----------------------------------------------------------------------
-def test_outcome_round_trip(mu3_small):
-    config = baseline_config(cache_size_bytes=2 * KB)
-    stream = functional_pass(config, mu3_small)
-    outcome = replay(stream, config.memory, 20.0, 1)
-    payload = outcome_to_dict(outcome)
-    assert payload["schema"] == REPLAY_SCHEMA
-    restored = outcome_from_dict(payload)
-    assert restored == outcome
-
-
-def test_outcome_dict_covers_every_field(mu3_small):
-    """Key-drift guard: the serialized document must mention every
-    ReplayOutcome field (buffer counters flattened with a ``buffer_``
-    prefix), so a new field cannot ship without a schema bump."""
-    import dataclasses
-
-    from repro.sim.fastpath import ReplayOutcome
-    from repro.sim.statistics import BufferCounters
-
-    config = baseline_config(cache_size_bytes=8 * KB)
-    stream = functional_pass(config, mu3_small)
-    outcome = replay(stream, config.memory, 40.0)
-    keys = set(outcome_to_dict(outcome))
-    expected = {"schema"}
-    for field in dataclasses.fields(ReplayOutcome):
-        if field.name == "buffer":
-            expected.update(
-                f"buffer_{f.name}" for f in dataclasses.fields(BufferCounters)
-            )
-        else:
-            expected.add(field.name)
-    assert keys == expected
-
-
-def test_outcome_schema_mismatch_rejected(mu3_small):
-    config = baseline_config(cache_size_bytes=8 * KB)
-    stream = functional_pass(config, mu3_small)
-    payload = outcome_to_dict(replay(stream, config.memory, 40.0))
-    payload["schema"] = REPLAY_SCHEMA + 1
-    with pytest.raises(ConfigurationError):
-        outcome_from_dict(payload)
