@@ -528,20 +528,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     csub = camp.add_subparsers(dest="campaign_command", required=True)
 
+    # What `run` and `enqueue` share: the sweep they describe.
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("directory", help="campaign results directory")
+    sweep.add_argument("--sizes-kb", default="4,16,64",
+                       help="comma-separated per-cache sizes in KB")
+    sweep.add_argument("--cycles-ns", default="20,40,80",
+                       help="comma-separated cycle times in ns")
+    sweep.add_argument("--assoc", type=int, default=1)
+    sweep.add_argument("--block-words", type=int, default=4)
+    sweep.add_argument("--traces", default="",
+                       help="comma-separated subset of trace names")
+    sweep.add_argument("--length", type=int, default=120_000)
+    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--engine", action="store_true",
+                       help="use the reference engine (supports "
+                            "cooperative timeout cancellation)")
+    sweep.add_argument("--pass-cache", default="",
+                       help="directory of a persistent functional-pass "
+                            "cache shared by the sweep's workers "
+                            "(incompatible with --engine)")
+    # What `worker` and `drain` share: how a spool worker runs a job.
+    worker = argparse.ArgumentParser(add_help=False)
+    worker.add_argument("--ttl", type=float, default=30.0,
+                        help="lease time-to-live in seconds; a heartbeat "
+                             "stalled this long forfeits the lease")
+    worker.add_argument("--heartbeat", type=float, default=None,
+                        help="renew the lease every N seconds from a "
+                             "background thread while a job runs")
+    worker.add_argument("--timeout", type=float, default=None,
+                        help="per-run wall-clock timeout in seconds")
+    worker.add_argument("--retries", type=int, default=2,
+                        help="retries after a failed attempt "
+                             "(max attempts = retries + 1)")
+    worker.add_argument("--metrics", action="store_true",
+                        help="persist per-run telemetry RunReports")
+
     crun = csub.add_parser(
-        "run", help="execute a (size x cycle time) sweep resiliently"
+        "run", parents=[sweep],
+        help="execute a (size x cycle time) sweep resiliently",
     )
-    crun.add_argument("directory", help="campaign results directory")
-    crun.add_argument("--sizes-kb", default="4,16,64",
-                      help="comma-separated per-cache sizes in KB")
-    crun.add_argument("--cycles-ns", default="20,40,80",
-                      help="comma-separated cycle times in ns")
-    crun.add_argument("--assoc", type=int, default=1)
-    crun.add_argument("--block-words", type=int, default=4)
-    crun.add_argument("--traces", default="",
-                      help="comma-separated subset of trace names")
-    crun.add_argument("--length", type=int, default=120_000)
-    crun.add_argument("--seed", type=int, default=0)
     crun.add_argument("--jobs", type=int, default=1,
                       help="concurrent isolated worker processes")
     crun.add_argument("--timeout", type=float, default=None,
@@ -553,16 +579,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="finish the sweep even when runs exhaust "
                            "their retries; failures stay journaled in "
                            "the manifest")
-    crun.add_argument("--engine", action="store_true",
-                      help="use the reference engine (supports "
-                           "cooperative timeout cancellation)")
     crun.add_argument("--metrics", action="store_true",
                       help="collect per-run telemetry RunReports under "
                            "<dir>/metrics/ and write a sweep summary")
-    crun.add_argument("--pass-cache", default="",
-                      help="directory of a persistent functional-pass "
-                           "cache shared by the sweep's workers "
-                           "(incompatible with --engine)")
     crun.add_argument("--stack-pass", action="store_true",
                       help="precompute the sweep's functional passes "
                            "in the parent before dispatching workers "
@@ -572,9 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
     crun.add_argument("--sample", default="",
                       help="run every sweep job as a stratified "
                            "interval-sampling estimate: a sampling-plan "
-                           "spec, '1' for defaults (fastpath pool "
-                           "backend only; incompatible with --engine, "
-                           "--metrics and --backend spool)")
+                           "spec, '1' for defaults (fastpath only, on "
+                           "either backend; incompatible with --engine "
+                           "and --metrics)")
     crun.add_argument("--sample-validate", action="store_true",
                       help="with --sample: every job also runs the "
                            "exact pass and refuses estimates whose "
@@ -589,30 +608,13 @@ def build_parser() -> argparse.ArgumentParser:
     crun.set_defaults(func=_cmd_campaign_run)
 
     cenq = csub.add_parser(
-        "enqueue",
+        "enqueue", parents=[sweep],
         help="materialize a sweep into <dir>/spool/ without running it",
     )
-    cenq.add_argument("directory", help="campaign results directory")
-    cenq.add_argument("--sizes-kb", default="4,16,64",
-                      help="comma-separated per-cache sizes in KB")
-    cenq.add_argument("--cycles-ns", default="20,40,80",
-                      help="comma-separated cycle times in ns")
-    cenq.add_argument("--assoc", type=int, default=1)
-    cenq.add_argument("--block-words", type=int, default=4)
-    cenq.add_argument("--traces", default="",
-                      help="comma-separated subset of trace names")
-    cenq.add_argument("--length", type=int, default=120_000)
-    cenq.add_argument("--seed", type=int, default=0)
-    cenq.add_argument("--engine", action="store_true",
-                      help="workers will use the reference engine")
-    cenq.add_argument("--pass-cache", default="",
-                      help="workers will share this functional-pass "
-                           "cache directory (incompatible with "
-                           "--engine)")
     cenq.set_defaults(func=_cmd_campaign_enqueue)
 
     cwork = csub.add_parser(
-        "worker",
+        "worker", parents=[worker],
         help="run one persistent lease-holding worker against an "
              "enqueued spool (SIGTERM drains gracefully)",
     )
@@ -620,42 +622,18 @@ def build_parser() -> argparse.ArgumentParser:
     cwork.add_argument("--name", default="",
                        help="worker identity recorded in leases "
                             "(default: host:pid)")
-    cwork.add_argument("--ttl", type=float, default=30.0,
-                       help="lease time-to-live in seconds; a heartbeat "
-                            "stalled this long forfeits the lease")
-    cwork.add_argument("--heartbeat", type=float, default=None,
-                       help="renew the lease every N seconds from a "
-                            "background thread while a job runs")
     cwork.add_argument("--max-jobs", type=int, default=None,
                        help="exit after publishing this many jobs")
-    cwork.add_argument("--timeout", type=float, default=None,
-                       help="per-run wall-clock timeout in seconds")
-    cwork.add_argument("--retries", type=int, default=2,
-                       help="retries after a failed attempt "
-                            "(max attempts = retries + 1)")
-    cwork.add_argument("--metrics", action="store_true",
-                       help="persist per-run telemetry RunReports")
     cwork.set_defaults(func=_cmd_campaign_worker)
 
     cdrain = csub.add_parser(
-        "drain",
+        "drain", parents=[worker],
         help="run workers until the spool empties; fold completions "
              "into the manifest",
     )
     cdrain.add_argument("directory", help="campaign results directory")
     cdrain.add_argument("--jobs", type=int, default=1,
                         help="concurrent workers draining the spool")
-    cdrain.add_argument("--ttl", type=float, default=30.0,
-                        help="lease time-to-live in seconds")
-    cdrain.add_argument("--heartbeat", type=float, default=None,
-                        help="background lease renewal period in "
-                             "seconds")
-    cdrain.add_argument("--timeout", type=float, default=None,
-                        help="per-run wall-clock timeout in seconds")
-    cdrain.add_argument("--retries", type=int, default=2,
-                        help="retries after a failed attempt")
-    cdrain.add_argument("--metrics", action="store_true",
-                        help="persist per-run telemetry RunReports")
     cdrain.set_defaults(func=_cmd_campaign_drain)
 
     cstat = csub.add_parser(
@@ -892,7 +870,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print(f"repro-sim lint: error: {exc}", file=sys.stderr)
         return 2
     if args.write_baseline:
-        sources = {s.rel: s for s in collect_sources(paths, root)}
+        sources = {s.rel: s for s in result.sources}
         pairs = [
             (v, sources[v.path].source_line(v.line)
              if v.path in sources else "")
@@ -901,14 +879,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         Baseline.from_violations(pairs).save(baseline_path)
         print(f"{len(pairs)} violation(s) baselined to {baseline_path}")
         return 0
-    graph_stats = None
-    if args.graph_stats:
-        from .lint.projectgraph import build_project_graph
-
-        graph = build_project_graph(
-            collect_sources(paths, root), config
-        )
-        graph_stats = graph.stats
+    graph_stats = result.graph_stats() if args.graph_stats else None
     if args.format == "json":
         payload = result.to_dict()
         if graph_stats is not None:
@@ -921,20 +892,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if result.clean else 1
 
 
-def _spool_spec_from_args(args: argparse.Namespace):
-    """Build the durable SweepSpec the spool subcommands share."""
+def _sweep_spec_from_args(args: argparse.Namespace, **sampling):
+    """Build the SweepSpec of ``campaign run`` or ``enqueue``; ``run``
+    passes its sampling fields."""
     from .sim.workqueue import SweepSpec
 
-    if args.pass_cache and args.engine:
-        from .errors import ConfigurationError
-
-        raise ConfigurationError(
-            "--pass-cache caches fastpath functional passes and cannot "
-            "be combined with --engine"
-        )
-    simulator = "engine" if args.engine else (
-        "cached" if args.pass_cache else "fastpath"
-    )
     return SweepSpec(
         sizes_kb=tuple(_parse_float_list(args.sizes_kb, "--sizes-kb")),
         cycles_ns=tuple(_parse_float_list(args.cycles_ns, "--cycles-ns")),
@@ -945,100 +907,60 @@ def _spool_spec_from_args(args: argparse.Namespace):
         ) if args.traces else (),
         length=args.length,
         seed=args.seed,
-        simulator=simulator,
+        simulator="engine" if args.engine else (
+            "cached" if args.pass_cache else "fastpath"
+        ),
         pass_cache_dir=args.pass_cache,
+        **sampling,
     )
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     from .errors import CampaignError, ConfigurationError
     from .sim.campaign import Campaign
-    from .sim.resilience import CampaignExecutor, RetryPolicy, sweep_jobs
+    from .sim.resilience import CampaignExecutor, RetryPolicy
     from .sim.telemetry import MetricsRegistry
 
+    def usage_error(message) -> int:
+        print(f"repro-sim campaign run: error: {message}", file=sys.stderr)
+        return 2
+
     try:
-        names = tuple(
-            t.strip() for t in args.traces.split(",")
-        ) if args.traces else ALL_TRACES
-        suite = build_suite(length=args.length, names=names, seed=args.seed)
-        configs = [
-            baseline_config(
-                cache_size_bytes=int(size_kb * KB),
-                block_words=args.block_words,
-                assoc=args.assoc,
-                cycle_ns=cycle_ns,
-            )
-            for size_kb in _parse_float_list(args.sizes_kb, "--sizes-kb")
-            for cycle_ns in _parse_float_list(args.cycles_ns, "--cycles-ns")
-        ]
-    except ConfigurationError as exc:
-        print(f"repro-sim campaign run: error: {exc}", file=sys.stderr)
-        return 2
-    if args.pass_cache and args.engine:
-        print("repro-sim campaign run: error: --pass-cache caches "
-              "fastpath functional passes and cannot be combined with "
-              "--engine", file=sys.stderr)
-        return 2
-    if args.stack_pass:
-        if args.engine:
-            print("repro-sim campaign run: error: --stack-pass "
-                  "precomputes fastpath functional passes and cannot "
-                  "be combined with --engine", file=sys.stderr)
-            return 2
-        if not args.pass_cache:
-            print("repro-sim campaign run: error: --stack-pass needs "
-                  "--pass-cache to hand the precomputed streams to the "
-                  "sweep's workers", file=sys.stderr)
-            return 2
-    sample_spec = args.sample or ("1" if args.sample_validate else "")
-    if sample_spec:
-        if args.engine:
-            print("repro-sim campaign run: error: --sample estimates "
-                  "through the fastpath and cannot be combined with "
-                  "--engine", file=sys.stderr)
-            return 2
-        if args.backend == "spool":
-            print("repro-sim campaign run: error: --sample is not "
-                  "supported on the spool backend yet; use the pool "
-                  "backend", file=sys.stderr)
-            return 2
+        spec = _sweep_spec_from_args(
+            args,
+            sample=args.sample or ("1" if args.sample_validate else ""),
+            sample_validate=args.sample_validate,
+        )
+        jobs = spec.build_jobs()
+    except (CampaignError, ConfigurationError) as exc:
+        return usage_error(exc)
+    if args.stack_pass and not args.pass_cache:
+        return usage_error(
+            "--stack-pass needs --pass-cache to hand the precomputed "
+            "streams to the sweep's workers"
+        )
+    if spec.sample:
         if args.metrics:
-            print("repro-sim campaign run: error: --sample produces "
-                  "estimates with no cycle ledger; per-run --metrics "
-                  "RunReports cannot check conservation on them",
-                  file=sys.stderr)
-            return 2
-        from .errors import SamplingError
+            return usage_error(
+                "--sample produces estimates with no cycle ledger; "
+                "per-run --metrics RunReports cannot check conservation "
+                "on them"
+            )
         from .sim.sampling import SamplingPlan
 
-        try:
-            plan = SamplingPlan.parse(sample_spec)
-        except SamplingError as exc:
-            print(f"repro-sim campaign run: error: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(f"sampling: {plan.describe()}"
+        print(f"sampling: {SamplingPlan.parse(spec.sample).describe()}"
               + (" (validating every run)" if args.sample_validate
                  else ""))
-    if sample_spec:
-        import functools
+    campaign = Campaign(args.directory)
+    if args.backend == "spool":
+        # Persist the sweep description so independently-launched
+        # `campaign worker` processes can rebuild the same job list.
+        from .sim.workqueue import WorkQueue
 
-        from .sim.sampling import sampled_simulate
-
-        simulate_fn = functools.partial(
-            sampled_simulate, plan_spec=sample_spec,
-            cache_dir=args.pass_cache, validate=args.sample_validate,
-        )
-    elif args.pass_cache:
-        import functools
-
-        from .sim.passcache import cached_fast_simulate
-
-        simulate_fn = functools.partial(
-            cached_fast_simulate, cache_dir=args.pass_cache,
-        )
-    else:
-        simulate_fn = simulate if args.engine else fast_simulate
+        try:
+            WorkQueue.for_campaign(campaign).save_spec(spec)
+        except CampaignError as exc:
+            return usage_error(exc)
     if args.stack_pass:
         # The parent fills the pass cache up front (one pass per
         # distinct organization per trace, shared across cycle times);
@@ -1048,32 +970,11 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
         registry = MetricsRegistry()
         run_functional_passes(
-            [
-                (config, trace, args.seed)
-                for config in configs
-                for trace in suite.values()
-            ],
+            [(job.config, job.trace, job.seed) for job in jobs],
             cache=PassCache(args.pass_cache),
             registry=registry,
         )
         _print_counters(registry)
-    jobs = sweep_jobs(
-        configs, list(suite.values()), simulate_fn=simulate_fn,
-        seed=args.seed,
-    )
-    campaign = Campaign(args.directory)
-    if args.backend == "spool":
-        # Persist the sweep description so independently-launched
-        # `campaign worker` processes can rebuild the same job list.
-        from .sim.workqueue import WorkQueue
-
-        try:
-            WorkQueue.for_campaign(campaign).save_spec(
-                _spool_spec_from_args(args)
-            )
-        except (CampaignError, ConfigurationError) as exc:
-            print(f"repro-sim campaign run: error: {exc}", file=sys.stderr)
-            return 2
     executor = CampaignExecutor(
         campaign,
         jobs=args.jobs,
@@ -1105,7 +1006,7 @@ def _cmd_campaign_enqueue(args: argparse.Namespace) -> int:
     campaign = Campaign(args.directory)
     queue = WorkQueue.for_campaign(campaign)
     try:
-        ids = queue.enqueue(_spool_spec_from_args(args))
+        ids = queue.enqueue(_sweep_spec_from_args(args))
     except (CampaignError, ConfigurationError) as exc:
         print(f"repro-sim campaign enqueue: error: {exc}",
               file=sys.stderr)
@@ -1115,10 +1016,20 @@ def _cmd_campaign_enqueue(args: argparse.Namespace) -> int:
     return 0
 
 
+def _worker_settings(args: argparse.Namespace) -> dict:
+    """The spool-worker keywords `worker` and `drain` share."""
+    from .sim.resilience import RetryPolicy
+
+    return dict(
+        ttl_s=args.ttl, heartbeat_s=args.heartbeat, timeout_s=args.timeout,
+        retry=RetryPolicy(max_attempts=args.retries + 1),
+        collect_metrics=args.metrics,
+    )
+
+
 def _cmd_campaign_worker(args: argparse.Namespace) -> int:
     from .errors import CampaignError
     from .sim.campaign import Campaign
-    from .sim.resilience import RetryPolicy
     from .sim.workqueue import WorkQueue, spool_fleet
 
     campaign = Campaign(args.directory)
@@ -1129,14 +1040,7 @@ def _cmd_campaign_worker(args: argparse.Namespace) -> int:
         print(f"repro-sim campaign worker: error: {exc}", file=sys.stderr)
         return 2
     _ids, (worker,) = spool_fleet(
-        campaign,
-        spec.build_jobs(),
-        [args.name],
-        ttl_s=args.ttl,
-        heartbeat_s=args.heartbeat,
-        timeout_s=args.timeout,
-        retry=RetryPolicy(max_attempts=args.retries + 1),
-        collect_metrics=args.metrics,
+        campaign, spec.build_jobs(), [args.name], **_worker_settings(args)
     )
     worker.install_signal_handlers()
     processed = worker.run(max_jobs=args.max_jobs)
@@ -1150,19 +1054,12 @@ def _cmd_campaign_worker(args: argparse.Namespace) -> int:
 def _cmd_campaign_drain(args: argparse.Namespace) -> int:
     from .errors import CampaignError
     from .sim.campaign import Campaign
-    from .sim.resilience import RetryPolicy
     from .sim.workqueue import WorkQueue, drain_spool
 
     campaign = Campaign(args.directory)
     try:
         manifest = drain_spool(
-            campaign,
-            workers=args.jobs,
-            ttl_s=args.ttl,
-            heartbeat_s=args.heartbeat,
-            timeout_s=args.timeout,
-            retry=RetryPolicy(max_attempts=args.retries + 1),
-            collect_metrics=args.metrics,
+            campaign, workers=args.jobs, **_worker_settings(args)
         )
     except CampaignError as exc:
         print(f"repro-sim campaign drain: error: {exc}", file=sys.stderr)

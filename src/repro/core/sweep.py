@@ -25,7 +25,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from typing import (
     TYPE_CHECKING,
-    Callable,
     Dict,
     List,
     Mapping,
@@ -77,10 +76,6 @@ from .metrics import (
 )
 from .policy import ReplacementKind
 from .timing import DEFAULT_CYCLE_NS, MemoryTiming
-
-#: Optional progress callback: called with a human-readable step label.
-ProgressFn = Callable[[str], None]
-
 
 def _span(registry: Optional["MetricsRegistry"], name: str):
     """The registry's span context when metrics are on; no-op otherwise."""
@@ -191,7 +186,6 @@ def _task_job(task: PassTask):
 def run_functional_passes(
     jobs: Sequence[Tuple[SystemConfig, Trace, int]],
     n_jobs: int = 1,
-    couplets: Optional[Mapping[str, CoupletStream]] = None,
     cache: Optional["PassCache"] = None,
     registry: Optional["MetricsRegistry"] = None,
     sampling: Optional[SamplingPlan] = None,
@@ -217,9 +211,7 @@ def run_functional_passes(
     ``registry`` the passes and reused streams land in it as
     ``stackpass.*`` counters.  With ``n_jobs > 1`` the passes run as
     tasks over a process pool that receives each trace once; otherwise
-    they run in-process, where ``couplets`` (a trace's
-    :meth:`~repro.trace.record.Trace.content_fingerprint` mapped to a
-    prepaired stream) spares re-pairing a trace.
+    they run in-process and pair each distinct trace content once.
 
     ``sampling`` (a :class:`~repro.sim.sampling.SamplingPlan`) changes
     the return type: each job expands into one functional pass per
@@ -254,7 +246,7 @@ def run_functional_passes(
     tasks, traces = _plan_tasks(jobs, pending)
     done: List[Tuple[List[int], List[EventStream]]] = []
     if n_jobs <= 1 or len(tasks) <= 1:
-        pair_memo = dict(couplets) if couplets else {}
+        pair_memo: Dict[str, CoupletStream] = {}
         for task in tasks:
             trace = traces[task[0]]
             fingerprint = trace.content_fingerprint()
@@ -521,7 +513,6 @@ def run_speed_size_sweep(
     write_buffer_depth: int = 4,
     seed: int = 0,
     n_jobs: int = 1,
-    progress: Optional[ProgressFn] = None,
     pass_cache: Optional["PassCache"] = None,
     registry: Optional["MetricsRegistry"] = None,
     functional_strategy: Optional[str] = None,
@@ -576,11 +567,6 @@ def run_speed_size_sweep(
         )
         for size in sizes
     ]
-    if progress:
-        progress(
-            f"{len(configs)} organizations x {len(traces)} traces, "
-            f"n_jobs={n_jobs}"
-        )
     points = [
         TimingPoint(
             memory=memory, cycle_ns=cycle_ns,
@@ -711,7 +697,6 @@ def run_blocksize_sweep(
     write_buffer_depth: int = 4,
     seed: int = 0,
     n_jobs: int = 1,
-    progress: Optional[ProgressFn] = None,
     pass_cache: Optional["PassCache"] = None,
     registry: Optional["MetricsRegistry"] = None,
     functional_strategy: Optional[str] = None,
@@ -746,11 +731,6 @@ def run_blocksize_sweep(
         )
         for block_words in block_sizes
     ]
-    if progress:
-        progress(
-            f"{len(configs)} block sizes x {len(traces)} traces, "
-            f"n_jobs={n_jobs}"
-        )
     # One functional pass per (block size, trace); the memory grid is
     # built once — not per block size — and deduplicated by quantized
     # key before any replay runs.

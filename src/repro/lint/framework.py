@@ -146,12 +146,6 @@ DEFAULT_SCHEMAS = (
         constant="DONE_SCHEMA",
         locator=("assign", "done_to_dict", "doc"),
     ),
-    SchemaSpec(
-        name="sampling_report",
-        module="repro/sim/sampling.py",
-        constant="SAMPLING_SCHEMA",
-        locator=("assign", "estimate_to_dict", "doc"),
-    ),
 )
 
 
@@ -502,6 +496,13 @@ class LintResult:
     violations: List[Violation]
     baselined: List[Violation]
     files_checked: int
+    #: The files and the resolved configuration the lint ran over.
+    sources: Sequence[SourceFile] = dataclasses.field(
+        default=(), repr=False, compare=False
+    )
+    config: Optional[LintConfig] = dataclasses.field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def clean(self) -> bool:
@@ -519,6 +520,16 @@ class LintResult:
             summary += f", {len(self.baselined)} baselined"
         lines.append(summary)
         return "\n".join(lines)
+
+    def graph_stats(self):
+        """The project graph's counts over this lint's files and config.
+
+        The graph rules built that graph during the lint, so this reads
+        the memoized build rather than reading and parsing again.
+        """
+        from .projectgraph import build_project_graph
+
+        return build_project_graph(self.sources, self.config).stats
 
     def to_dict(self) -> Dict:
         return {
@@ -653,7 +664,8 @@ def lint_sources(
     else:
         new, accepted = [v for v, _ in pairs], []
     return LintResult(
-        violations=new, baselined=accepted, files_checked=len(sources)
+        violations=new, baselined=accepted, files_checked=len(sources),
+        sources=sources, config=config,
     )
 
 

@@ -741,7 +741,6 @@ def _bench_sampling(length: int, seed: int) -> Dict[str, float]:
     from .sampling import (
         SamplingPlan,
         clear_selection_cache,
-        estimate_to_dict,
         sampled_fast_simulate,
     )
 
@@ -764,7 +763,7 @@ def _bench_sampling(length: int, seed: int) -> Dict[str, float]:
             f"references (bound 5x), read-miss error {error:.4f} "
             f"(bound 0.02)"
         )
-    if estimate_to_dict(rerun) != estimate_to_dict(estimate):
+    if rerun != estimate:
         raise CorruptResultError(
             "sampling bench: a recomputed selection changed the estimate"
         )
@@ -839,8 +838,7 @@ def _bench_reprolint(length: int, seed: int) -> Dict[str, float]:
     memoized, so reading its counts does not rebuild it.  ``length``
     and ``seed`` do not apply.
     """
-    from ..lint import build_project_graph, lint_paths, load_config
-    from ..lint.framework import collect_sources
+    from ..lint import lint_paths
 
     src = Path(__file__).resolve().parents[2]
     root = src.parent
@@ -854,9 +852,7 @@ def _bench_reprolint(length: int, seed: int) -> Dict[str, float]:
     lint_wall_s = time.perf_counter() - t0  # reprolint: disable=REPRO001
     if not result.clean:
         raise CorruptResultError(f"reprolint bench:\n{result.render()}")
-    graph = build_project_graph(
-        collect_sources([src], root), load_config(root)
-    ).stats
+    graph = result.graph_stats()
     return {
         "lint_wall_s": lint_wall_s,
         "files": result.files_checked,

@@ -78,10 +78,6 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard only
     from .config import SystemConfig
     from .passcache import PassCache
 
-#: Version of one serialized sampled-estimate document (see
-#: :func:`estimate_to_dict`; ratcheted by reprolint REPRO008).
-SAMPLING_SCHEMA = 1
-
 #: Reuse-distance histogram buckets (log2-spaced; the last absorbs the
 #: tail) and the fixed feature-extraction block granularity in words.
 _RD_BUCKETS = 16
@@ -317,32 +313,6 @@ class SampledEstimate:
         if self.true_read_miss_ratio is None:
             return None
         return abs(self.true_read_miss_ratio - self.read_miss_ratio)
-
-
-def estimate_to_dict(estimate: SampledEstimate) -> Dict:
-    """Serialize one estimate as a schema-versioned document."""
-    doc = {
-        "schema": SAMPLING_SCHEMA,
-        "trace": estimate.stats.trace_name,
-        "config": estimate.stats.config_summary,
-        "plan": estimate.plan_spec,
-        "trace_fingerprint": estimate.trace_fingerprint,
-        "n_intervals": estimate.n_intervals,
-        "n_clusters": estimate.n_clusters,
-        "refs_full": estimate.refs_full,
-        "refs_sampled": estimate.refs_sampled,
-        "refs_reduction": estimate.refs_reduction,
-        "read_miss_ratio": estimate.read_miss_ratio,
-        "ci_half_width": estimate.ci_half_width,
-        "ci_bound": estimate.ci_bound,
-        "confidence_z": estimate.confidence_z,
-        "cycles": estimate.stats.cycles,
-        "cycles_per_reference": estimate.stats.cycles_per_reference,
-        "true_read_miss_ratio": estimate.true_read_miss_ratio,
-        "true_cycles": estimate.true_cycles,
-        "abs_error": estimate.abs_error,
-    }
-    return doc
 
 
 # ----------------------------------------------------------------------

@@ -51,6 +51,7 @@ functional pass even across processes or hosts.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -61,7 +62,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..errors import CampaignError, CorruptResultError, LeaseLostError
+from ..errors import (
+    CampaignError, CorruptResultError, LeaseLostError, SamplingError,
+)
 from ..units import KB
 from .campaign import (
     _TMP_PREFIX, Campaign, SPOOL_DIRNAME, atomic_write_text,
@@ -73,8 +76,9 @@ from .resilience import (
 )
 from .telemetry import MetricsRegistry
 
-#: Version of the spool manifest (``spool.json``) document.
-SPOOL_SCHEMA = 1
+#: Version of the spool manifest (``spool.json``) document.  Schema 2
+#: added the sampling fields.
+SPOOL_SCHEMA = 2
 
 #: Version of the lease document a claim creates and heartbeats renew.
 LEASE_SCHEMA = 1
@@ -202,14 +206,15 @@ def _load_doc(path: Path, kind: str) -> Dict:
 @dataclass(frozen=True)
 class SweepSpec:
     """JSON-able sweep parameters from which any process can rebuild
-    the exact job list.
+    the exact job list: the one description of a campaign sweep.
 
     The spool stays light — no pickled traces or configs on disk — by
     relying on the suite and configuration builders being deterministic:
-    a coordinator and an independently-launched worker both call
-    :meth:`build_jobs` and materialize identical
-    :class:`~repro.sim.resilience.RunJob` lists, in the same order,
-    with the same run ids.
+    ``campaign run`` (on either backend), a coordinator and an
+    independently-launched worker all call :meth:`build_jobs` and
+    materialize identical :class:`~repro.sim.resilience.RunJob` lists,
+    in the same order, with the same run ids.  An invalid spec raises
+    :exc:`~repro.errors.CampaignError` before any job runs.
     """
 
     sizes_kb: Tuple[float, ...] = (4.0, 16.0, 64.0)
@@ -221,6 +226,12 @@ class SweepSpec:
     seed: int = 0
     simulator: str = "fastpath"  # "fastpath" | "engine" | "cached"
     pass_cache_dir: str = ""
+    #: A :meth:`~repro.sim.sampling.SamplingPlan.parse` spec; when set,
+    #: every job is a stratified interval-sampling estimate.
+    sample: str = ""
+    #: With ``sample``: every job also runs the exact pass and refuses
+    #: an estimate whose error exceeds its bound.
+    sample_validate: bool = False
 
     def __post_init__(self) -> None:
         if self.simulator not in ("fastpath", "engine", "cached"):
@@ -232,17 +243,43 @@ class SweepSpec:
             raise CampaignError(
                 "simulator 'cached' requires pass_cache_dir"
             )
+        if self.simulator == "engine" and (
+            self.pass_cache_dir or self.sample
+        ):
+            raise CampaignError(
+                "a pass cache and sampling work on fastpath functional "
+                "passes and cannot be combined with the engine"
+            )
+        if self.sample_validate and not self.sample:
+            raise CampaignError("sample_validate needs a sampling plan")
+        if self.sample:
+            from .sampling import SamplingPlan
+
+            try:
+                SamplingPlan.parse(self.sample)
+            except SamplingError as exc:
+                raise CampaignError(str(exc)) from exc
 
     def build_jobs(self) -> List[RunJob]:
-        """Materialize the deterministic job list this spec describes."""
+        """Materialize the deterministic job list this spec describes.
+
+        The simulate function is imported here, at call time, so that a
+        rebinding of its name (a profiler's tracer) reaches the jobs.
+        """
         from ..trace.suite import ALL_TRACES, build_suite
         from .config import baseline_config
 
-        if self.simulator == "engine":
+        if self.sample:
+            from .sampling import sampled_simulate
+
+            simulate_fn = functools.partial(
+                sampled_simulate, plan_spec=self.sample,
+                cache_dir=self.pass_cache_dir,
+                validate=self.sample_validate,
+            )
+        elif self.simulator == "engine":
             from .engine import simulate as simulate_fn
         elif self.simulator == "cached":
-            import functools
-
             from .passcache import cached_fast_simulate
 
             simulate_fn = functools.partial(
@@ -281,12 +318,15 @@ def spec_to_dict(spec: SweepSpec) -> Dict:
         "seed": spec.seed,
         "simulator": spec.simulator,
         "pass_cache_dir": spec.pass_cache_dir,
+        "sample": spec.sample,
+        "sample_validate": spec.sample_validate,
         "checksum": "",
     }
     return _seal(doc)
 
 
 def spec_from_dict(payload: Dict) -> SweepSpec:
+    """Rebuild a :class:`SweepSpec`; schema 1 reads as an exact sweep."""
     try:
         return SweepSpec(
             sizes_kb=tuple(payload["sizes_kb"]),
@@ -298,6 +338,8 @@ def spec_from_dict(payload: Dict) -> SweepSpec:
             seed=payload["seed"],
             simulator=payload["simulator"],
             pass_cache_dir=payload.get("pass_cache_dir", ""),
+            sample=payload.get("sample", ""),
+            sample_validate=payload.get("sample_validate", False),
         )
     except (KeyError, TypeError) as exc:
         raise CorruptResultError(
@@ -558,17 +600,15 @@ class WorkQueue:
         A spool already initialized with a *different* sweep raises
         :exc:`~repro.errors.CampaignError` — one spool, one sweep.
         """
-        doc = spec_to_dict(spec)
         if self.spec_path.exists():
-            current = _load_doc(self.spec_path, "spool manifest")
-            if current.get("checksum") != doc["checksum"]:
+            # Compared as specs, not checksums: a manifest written at an
+            # older schema still describes the same sweep.
+            if self.load_spec() != spec:
                 raise CampaignError(
-                    f"{self.directory} already holds a different sweep "
-                    f"(spool checksum {str(current.get('checksum'))[:12]}… "
-                    f"vs {doc['checksum'][:12]}…)"
+                    f"{self.directory} already holds a different sweep"
                 )
             return
-        atomic_write_text(self.spec_path, _dump(doc))
+        atomic_write_text(self.spec_path, _dump(spec_to_dict(spec)))
 
     def load_spec(self) -> SweepSpec:
         if not self.spec_path.exists():
@@ -604,9 +644,11 @@ class WorkQueue:
         return ids
 
     def enqueue(self, spec: SweepSpec) -> List[str]:
-        """Spool a whole sweep: manifest plus every job record."""
+        """Spool a whole sweep: manifest plus every job record; a sweep
+        whose jobs cannot be built leaves no manifest behind."""
+        jobs = spec.build_jobs()
         self.save_spec(spec)
-        return self.enqueue_jobs(spec.build_jobs())
+        return self.enqueue_jobs(jobs)
 
     # -- queries --------------------------------------------------------
     def job_ids(self) -> List[str]:

@@ -337,11 +337,10 @@ class TestRunFunctionalPasses:
         couplets with trace B.  Passes are grouped by content
         fingerprint instead: two same-content traces under different
         names share one pass and each stream keeps its own trace's
-        name, and a prepaired stream under a foreign key is ignored."""
-        from repro.cpu.processor import pair_couplets
+        name."""
         from repro.trace.record import Trace
 
-        original, other = small_suite.values()
+        original, _other = small_suite.values()
         twin = Trace(
             original.kinds, original.addrs, original.pids, name="twin",
             warm_boundary=original.warm_boundary,
@@ -361,20 +360,6 @@ class TestRunFunctionalPasses:
                 original.name, "twin", "twin",
             ]
             assert streams[0].ev_gap == streams[1].ev_gap
-
-        baseline = run_functional_passes(jobs[:1])
-        # wrong stream, foreign key: must not be picked up
-        decoy = {"0" * 16: pair_couplets(other)}
-        poisoned = run_functional_passes(jobs[:1], couplets=decoy)
-        # right stream, right key: same answer either way
-        prepaired = run_functional_passes(
-            jobs[:1],
-            couplets={original.content_fingerprint(): pair_couplets(original)},
-        )
-        for streams in (poisoned, prepaired):
-            assert streams[0].ev_gap == baseline[0].ev_gap
-            assert streams[0].icache == baseline[0].icache
-            assert streams[0].dcache == baseline[0].dcache
 
     def test_cache_hits_skip_simulation(self, tmp_path, small_suite):
         from repro.sim.passcache import PassCache

@@ -53,6 +53,18 @@ class TestSubcommands:
         engine_out = capsys.readouterr().out
         assert fast_out.split("cycles:")[1] == engine_out.split("cycles:")[1]
 
+    @pytest.mark.parametrize("extra, needle", [
+        (["--traces", "bogus"], "unknown trace"),
+        (["--engine", "--pass-cache", "pc"], "engine"),
+    ])
+    def test_campaign_run_bad_sweep_is_usage_error(self, capsys, tmp_path,
+                                                   extra, needle):
+        directory = tmp_path / "camp"
+        assert main(["campaign", "run", str(directory), "--length", "2000",
+                     *extra]) == 2
+        assert needle in capsys.readouterr().err
+        assert not directory.exists()
+
     def test_experiment_table2(self, capsys):
         assert main(["experiment", "table2"]) == 0
         out = capsys.readouterr().out
@@ -367,7 +379,8 @@ class TestSamplingCLI:
 
     @pytest.mark.parametrize("extra, needle", [
         (["--engine"], "fastpath"),
-        (["--backend", "spool"], "spool"),
+        (["--backend", "spool", "--sample", "nope=1"],
+         "unknown sampling spec key"),
         (["--metrics"], "cycle ledger"),
     ])
     def test_campaign_run_sample_incompatibilities(
@@ -380,3 +393,46 @@ class TestSamplingCLI:
             "--sample", "1", *extra,
         ]) == 2
         assert needle in capsys.readouterr().err
+        # Refused before any job ran: not even the directory exists.
+        assert not (tmp_path / "camp").exists()
+
+    _SAMPLED_SWEEP = [
+        "--sizes-kb", "4,16", "--cycles-ns", "40", "--traces", "mu3",
+        "--length", "20000", "--sample", "interval=4000,k=3",
+        "--sample-validate",
+    ]
+
+    @staticmethod
+    def _result_bytes(directory):
+        from repro.sim.campaign import Campaign
+
+        return {
+            path.name: path.read_bytes()
+            for path in Campaign(directory)._result_paths()
+        }
+
+    def test_campaign_run_sample_spool_matches_pool(self, capsys,
+                                                    tmp_path):
+        """A sampled sweep stores the same bytes on either backend, and
+        the spool manifest `run` writes carries the sampling plan: a
+        `drain` from that manifest alone stores them too."""
+        pool, spool, drained, exact = (
+            tmp_path / n for n in ("p", "s", "d", "e")
+        )
+        assert main(["campaign", "run", str(pool),
+                     *self._SAMPLED_SWEEP]) == 0
+        assert main(["campaign", "run", str(exact),
+                     *self._SAMPLED_SWEEP[:-3]]) == 0
+        assert main(["campaign", "run", str(spool), "--backend", "spool",
+                     "--jobs", "2", *self._SAMPLED_SWEEP]) == 0
+        (drained / "spool").mkdir(parents=True)
+        (drained / "spool" / "spool.json").write_bytes(
+            (spool / "spool" / "spool.json").read_bytes()
+        )
+        assert main(["campaign", "drain", str(drained)]) == 0
+        assert "2 ok" in capsys.readouterr().out
+        expected = self._result_bytes(pool)
+        assert len(expected) == 2
+        assert expected != self._result_bytes(exact)  # really sampled
+        assert self._result_bytes(spool) == expected
+        assert self._result_bytes(drained) == expected

@@ -36,14 +36,12 @@ from repro.sim.config import baseline_config
 from repro.sim.fastpath import fast_simulate, functional_pass, replay
 from repro.sim.passcache import PassCache
 from repro.sim.sampling import (
-    SAMPLING_SCHEMA,
     SampledPassGroup,
     SamplingPlan,
     SamplingStats,
     clear_selection_cache,
     estimate_miss_ratio,
     estimate_stats,
-    estimate_to_dict,
     sampled_fast_simulate,
     sampled_simulate,
     select_intervals,
@@ -375,21 +373,6 @@ class TestEstimator:
         )
         assert stats.validations == 1
         assert stats.true_error_max == pytest.approx(est.abs_error)
-
-    def test_estimate_to_dict_schema(self):
-        trace = _trace(length=20_000)
-        est = sampled_fast_simulate(
-            baseline_config(8 * KB), trace,
-            SamplingPlan(interval_refs=4000, n_clusters=3),
-        )
-        doc = estimate_to_dict(est)
-        assert doc["schema"] == SAMPLING_SCHEMA
-        assert doc["trace"] == trace.name
-        assert doc["refs_full"] == len(trace)
-        assert doc["refs_reduction"] == pytest.approx(
-            est.refs_full / est.refs_sampled
-        )
-        assert doc["true_read_miss_ratio"] is None
 
     def test_validate_group_matches_exact_pass(self):
         trace = _trace(length=30_000)

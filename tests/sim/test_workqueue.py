@@ -26,7 +26,7 @@ from repro.errors import (
     LeaseLostError,
 )
 from repro.sim import faults
-from repro.sim.campaign import Campaign, run_id
+from repro.sim.campaign import Campaign, payload_checksum, run_id
 from repro.sim.config import baseline_config
 from repro.sim.fastpath import fast_simulate
 from repro.sim.resilience import (
@@ -75,6 +75,17 @@ def make_queue(directory, clock=None, **kwargs):
         "retry", RetryPolicy(backoff_base_s=0.01, jitter=0.0)
     )
     return WorkQueue(directory, clock=clock, **kwargs), clock
+
+
+def _schema_1_manifest():
+    """A ``spool.json`` as written before the sampling fields existed."""
+    doc = {
+        "schema": 1, "sizes_kb": [2.0], "cycles_ns": [40.0], "assoc": 1,
+        "block_words": 4, "trace_names": ["mu3"], "length": 2000,
+        "seed": 0, "simulator": "fastpath", "pass_cache_dir": "",
+    }
+    doc["checksum"] = payload_checksum(doc)
+    return doc
 
 
 def spool_with_job(tmp_path, jobs):
@@ -157,6 +168,25 @@ class TestDocuments:
         spec = SweepSpec(sizes_kb=(4.0,), cycles_ns=(40.0,),
                          trace_names=("mu3",), length=2_000)
         assert spec_from_dict(spec_to_dict(spec)) == spec
+        sampled = SweepSpec(sizes_kb=(4.0,), sample="interval=4000,k=3",
+                            sample_validate=True)
+        assert spec_from_dict(spec_to_dict(sampled)) == sampled
+
+    def test_schema_1_manifest_reads_as_an_exact_sweep(self):
+        assert spec_from_dict(_schema_1_manifest()) == SweepSpec(
+            sizes_kb=(2.0,), cycles_ns=(40.0,), trace_names=("mu3",),
+            length=2_000,
+        )
+
+    @pytest.mark.parametrize("fields", [
+        {"simulator": "engine", "pass_cache_dir": "pc"},
+        {"simulator": "engine", "sample": "1"},
+        {"sample": "nope=1"},
+        {"sample_validate": True},
+    ])
+    def test_spec_refuses_incompatible_fields(self, fields):
+        with pytest.raises(CampaignError):
+            SweepSpec(**fields)
 
     def test_spec_rejects_unknown_simulator(self):
         with pytest.raises(CampaignError):
@@ -755,6 +785,21 @@ class TestCli:
         assert main(argv) == 0
         assert "0 lease(s) issued" in capsys.readouterr().out
 
+    def test_run_resumes_a_schema_1_spool(self, tmp_path, capsys):
+        from repro.cli import main
+
+        directory = tmp_path / "camp"
+        (directory / "spool").mkdir(parents=True)
+        (directory / "spool" / "spool.json").write_text(
+            json.dumps(_schema_1_manifest())
+        )
+        assert main([
+            "campaign", "run", str(directory), "--backend", "spool",
+            "--sizes-kb", "2", "--cycles-ns", "40",
+            "--traces", "mu3", "--length", "2000",
+        ]) == 0
+        assert "1 ok" in capsys.readouterr().out
+
     def test_worker_without_spool_is_usage_error(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -762,6 +807,17 @@ class TestCli:
             "campaign", "worker", str(tmp_path / "empty"),
         ]) == 2
         assert "no spool manifest" in capsys.readouterr().err
+
+    def test_failed_enqueue_leaves_no_manifest(self, tmp_path, capsys):
+        from repro.cli import main
+
+        directory = str(tmp_path / "camp")
+        base = ["--length", "2000", "--sizes-kb", "2", "--cycles-ns", "40"]
+        assert main(["campaign", "enqueue", directory,
+                     "--traces", "bogus", *base]) == 2
+        assert "unknown trace" in capsys.readouterr().err
+        assert main(["campaign", "enqueue", directory,
+                     "--traces", "mu3", *base]) == 0
 
     def test_enqueue_conflicting_sweep_is_error(self, tmp_path, capsys):
         from repro.cli import main
