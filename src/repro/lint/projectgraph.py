@@ -387,6 +387,11 @@ def build_project_graph(
     return graph
 
 
+def clear_graph_memo() -> None:
+    """Forget the memoized graph, so the next build starts cold."""
+    _MEMO.clear()
+
+
 def _module_table(src: SourceFile) -> ModuleTable:
     functions: Set[str] = set()
     classes: Dict[str, Set[str]] = {}

@@ -30,7 +30,8 @@ Design:
 * **Crash safety.**  Writes go through
   :func:`repro.sim.campaign.atomic_write_text` (enforced statically by
   reprolint REPRO003) and every payload carries a schema version and a
-  SHA-256 checksum (:func:`repro.sim.campaign.payload_checksum`).  A
+  SHA-256 checksum (:func:`stream_checksum`, over the decoded event
+  buffers, so a read decodes each buffer once and re-encodes none).  A
   truncated, bit-flipped or foreign file is *quarantined* and treated
   as a miss — a corrupt cache degrades to extra simulation, never to a
   crash or a silently wrong replay.  A schema-version mismatch is a
@@ -50,6 +51,7 @@ from __future__ import annotations
 import base64
 import binascii
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -72,7 +74,6 @@ from .campaign import (
     _config_fingerprint,
     _known_fields,
     atomic_write_text,
-    payload_checksum,
 )
 from .config import SystemConfig
 from .fastpath import EVENT_FIELDS, EventStream, fast_simulate
@@ -86,7 +87,9 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard
 #: re-simulated and overwritten.  Tracked by reprolint REPRO008 via
 #: ``lint/schema_fingerprints.json`` — changing the serialized field
 #: set of :func:`stream_to_dict` without bumping this constant fails CI.
-PASSCACHE_SCHEMA = 1
+#: Version 2 checksums the decoded buffers (:func:`stream_checksum`);
+#: version 1 checksummed the canonical JSON of the whole document.
+PASSCACHE_SCHEMA = 2
 
 #: Subdirectory corrupt cache entries are moved into.
 QUARANTINE_DIRNAME = "quarantine"
@@ -113,8 +116,9 @@ def _encode_array(values) -> str:
     return base64.b64encode(buf.tobytes()).decode("ascii")
 
 
-def _decode_array(text, field: str) -> array:
-    """Inverse of :func:`_encode_array`; raises on malformed input."""
+def _decode_raw(text, field: str) -> bytes:
+    """Inverse of :func:`_encode_array`, as raw little-endian bytes;
+    raises on malformed input."""
     if not isinstance(text, str):
         raise CorruptResultError(
             f"event buffer {field!r} is {type(text).__name__}, "
@@ -131,11 +135,37 @@ def _decode_array(text, field: str) -> array:
             f"event buffer {field!r} has {len(raw)} bytes, "
             f"not a multiple of 8"
         )
+    return raw
+
+
+def _array_from_raw(raw: bytes) -> array:
     buf = array("q")
     buf.frombytes(raw)
     if sys.byteorder == "big":  # pragma: no cover — no LE host divergence
         buf.byteswap()
     return buf
+
+
+def stream_checksum(doc: Dict, raw: Dict[str, bytes]) -> str:
+    """SHA-256 of a :func:`stream_to_dict` document.
+
+    Hashes the canonical JSON of the document's non-buffer fields, then
+    each event buffer's name, byte length and raw little-endian bytes
+    (``raw``, by field) in :data:`~repro.sim.fastpath.EVENT_FIELDS`
+    order.  :meth:`PassCache.put`, :meth:`PassCache.get` and
+    :meth:`PassCache.verify` share this one definition, so a read
+    base64-decodes each buffer once and never re-serializes it.
+    """
+    h = hashlib.sha256(json.dumps(
+        {k: v for k, v in doc.items() if k not in EVENT_FIELDS},
+        sort_keys=True, separators=(",", ":"),
+    ).encode())
+    for field in EVENT_FIELDS:
+        data = raw[field]
+        h.update(field.encode())
+        h.update(len(data).to_bytes(8, "little"))
+        h.update(data)
+    return h.hexdigest()
 
 
 def stream_to_dict(stream: EventStream) -> Dict:
@@ -179,15 +209,27 @@ def stream_from_dict(payload: Dict) -> EventStream:
     wrongly-shaped field — callers turn that into a quarantine-and-miss,
     never a crash or a garbage replay.
     """
+    return _build_stream(payload, _raw_buffers(payload))
+
+
+def _raw_buffers(payload) -> Dict[str, bytes]:
+    """Each event buffer of a stream document, decoded to raw bytes."""
     if not isinstance(payload, dict):
         raise CorruptResultError(
             f"stream payload is {type(payload).__name__}, expected object"
         )
-    buffers: Dict[str, array] = {}
+    raw: Dict[str, bytes] = {}
     for field in EVENT_FIELDS:
         if field not in payload:
             raise CorruptResultError(f"stream payload missing {field!r}")
-        buffers[field] = _decode_array(payload[field], field)
+        raw[field] = _decode_raw(payload[field], field)
+    return raw
+
+
+def _build_stream(payload: Dict, raw: Dict[str, bytes]) -> EventStream:
+    """The stream of a document whose buffers :func:`_raw_buffers`
+    decoded; raises on a ragged buffer or a malformed field."""
+    buffers = {field: _array_from_raw(data) for field, data in raw.items()}
     n_events = payload.get("n_events")
     lengths = {field: len(buf) for field, buf in buffers.items()}
     if len(set(lengths.values())) != 1 or (
@@ -346,7 +388,9 @@ class PassCache:
         payload = {
             "schema": PASSCACHE_SCHEMA,
             "key": key,
-            "checksum": payload_checksum(stream_doc),
+            "checksum": stream_checksum(
+                stream_doc, _raw_buffers(stream_doc)
+            ),
             "stream": stream_doc,
         }
         text = json.dumps(payload, separators=(",", ":"))
@@ -373,7 +417,7 @@ class PassCache:
             self._note("misses")
             return None
         try:
-            payload, n_bytes = self._read_payload(path)
+            stream, n_bytes = self._read_entry(path)
         except CorruptResultError:
             self.counters.corrupt += 1
             self.counters.misses += 1
@@ -381,18 +425,9 @@ class PassCache:
             self._note("misses")
             self._quarantine(path)
             return None
-        if payload is None:  # schema mismatch: clean miss
+        if stream is None:  # schema mismatch: clean miss
             self.counters.misses += 1
             self._note("misses")
-            return None
-        try:
-            stream = stream_from_dict(payload["stream"])
-        except CorruptResultError:
-            self.counters.corrupt += 1
-            self.counters.misses += 1
-            self._note("corrupt")
-            self._note("misses")
-            self._quarantine(path)
             return None
         self.counters.hits += 1
         self.counters.bytes_read += n_bytes
@@ -403,8 +438,8 @@ class PassCache:
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
-    def _read_payload(self, path: Path) -> Tuple[Optional[Dict], int]:
-        """(validated envelope, byte count); ``(None, n)`` on a schema
+    def _read_entry(self, path: Path) -> Tuple[Optional[EventStream], int]:
+        """(validated stream, byte count); ``(None, n)`` on a schema
         mismatch; raises :exc:`CorruptResultError` on corruption."""
         try:
             raw = path.read_text(encoding="utf-8")
@@ -431,15 +466,17 @@ class PassCache:
                 f"{path.name}: key mismatch (stored {stored_key!r})",
                 path=path,
             )
+        stream_doc = payload["stream"]
+        buffers = _raw_buffers(stream_doc)
         stored = payload.get("checksum")
-        actual = payload_checksum(payload["stream"])
+        actual = stream_checksum(stream_doc, buffers)
         if stored != actual:
             raise CorruptResultError(
                 f"{path.name}: checksum mismatch "
                 f"(stored {str(stored)[:12]}…, computed {actual[:12]}…)",
                 path=path,
             )
-        return payload, len(raw)
+        return _build_stream(stream_doc, buffers), len(raw)
 
     def _quarantine(self, path: Path) -> Path:
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
@@ -464,9 +501,7 @@ class PassCache:
         quarantined: List[Path] = []
         for path in list(self._entry_paths()):
             try:
-                payload, _ = self._read_payload(path)
-                if payload is not None:
-                    stream_from_dict(payload["stream"])
+                self._read_entry(path)
                 ok.append(path.stem)
             except CorruptResultError as exc:
                 corrupt.append((path, str(exc)))

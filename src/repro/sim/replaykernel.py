@@ -28,7 +28,15 @@ sums.  The kernel therefore:
 2. precomputes the quantized per-event-class memory costs (read-block,
    writeback, write-op, recovery) once per timing point;
 3. prices maximal buffer-free stretches in O(1) each from the tables;
-4. walks the remaining events — write misses, dirty-victim pushes, and
+4. prices saturated write-miss bursts in O(min(run, depth)) arithmetic
+   each (plus a one-comparison-per-event scan for the run's end): with
+   the buffer full and the port exactly one drain (``op_rec = write_op
+   + recovery`` > 0) behind the previous end, a pure write miss whose
+   gap is below ``op_rec`` forces the head out and ends ``op_rec +
+   address + tc_head`` later, restoring that state — so a run of them,
+   up to the first other event, long gap, warm boundary or stream end,
+   advances by a sum over the drained entries;
+5. walks the remaining events — write misses, dirty-victim pushes, and
    their aftermath until the buffer drains and the port re-enters the
    end+recovery invariant — with an exact inlined scalar state machine
    (write-buffer full/match stalls, busy-port overlap), seeded with the
@@ -50,10 +58,11 @@ private memo and never hashes its stream.
 
 ``tests/sim/test_replaykernel.py`` asserts equality with ``replay()``
 across the fastpath validation matrix, including forced buffer-full and
-stale-read stalls.  Telemetry-enabled replays (cycle ledger / event
-tracer) always use the scalar path — the ledger's per-couplet segment
-lists are inherently sequential — which is why this module takes no
-``telemetry`` argument; see ``docs/internals.md``.
+stale-read stalls, and over drawn store runs.  Telemetry-enabled
+replays (cycle ledger / event tracer) always use the scalar path — the
+ledger's per-couplet segment lists are inherently sequential — which is
+why this module takes no ``telemetry`` argument; see
+``docs/internals.md``.
 """
 
 from __future__ import annotations
@@ -119,10 +128,11 @@ class KernelStats:
 
     ``vectorized_events``/``scalar_events`` count event-grid cells
     (events x timing points), so their ratio is the fraction of replay
-    work the prefix-sum path absorbed.  ``archived_outcomes`` counts the
-    delivered outcomes (a share of ``batch_outcomes``) that another
-    kernel had already priced into the active :class:`OutcomeArchive`;
-    it stays zero outside :func:`archive_scope`.  Sweeps publish these
+    work the closed forms (stretches and write-miss bursts) absorbed.
+    ``archived_outcomes`` counts the delivered outcomes (a share of
+    ``batch_outcomes``) that another kernel had already priced into the
+    active :class:`OutcomeArchive`; it stays zero outside
+    :func:`archive_scope`.  Sweeps publish these
     into their :class:`~repro.sim.telemetry.MetricsRegistry` as
     ``replay.*``.
     """
@@ -791,6 +801,50 @@ class BatchReplayKernel:
                         continue
                     # deep buffer (> _LOOKBACK): exact scalar scan.
                 elif k == 8:
+                    if nb == depth and op_rec and free_at - end_prev == op_rec:
+                        # ---- saturated write-miss burst ----------------
+                        # Full buffer, port one drain behind the last
+                        # end: while gaps stay below op_rec nothing
+                        # drains on its own, so each write miss forces
+                        # the head out and ends op_rec + address + its
+                        # tc after the previous event, leaving the port
+                        # one drain behind again.  Every entry's ready
+                        # is at or before end_prev, hence before the
+                        # port horizon.  The run ends at the first other
+                        # event, long gap or stop.  Scanning for it costs
+                        # a comparison per event; a jump table would cost
+                        # a build per stream and op_rec, also on streams
+                        # with almost no bursts.
+                        j = e
+                        while j < stop and kinds[j] == 8 \
+                                and gaps[j] < op_rec:
+                            j += 1
+                        if j > e:
+                            n_burst = j - e
+                            # The first m drains are the old entries;
+                            # the last m pushes survive (nb == depth).
+                            m = n_burst if n_burst < nb else nb
+                            step = op_rec + address
+                            tc_sum = (n_burst - m) * t_word
+                            for i in range(m):
+                                tc_sum += buf[i][1]
+                            end_prev += n_burst * step + tc_sum
+                            survivors = []
+                            t = end_prev
+                            for i in range(n_burst - 1, n_burst - m - 1, -1):
+                                survivors.append((t, t_word, e + i))
+                                t -= step + (buf[i][1] if i < nb else t_word)
+                            del buf[:m]
+                            buf.extend(reversed(survivors))
+                            free_at = end_prev + op_rec
+                            writes += n_burst
+                            pushes += n_burst
+                            full_stalls += n_burst
+                            busy += n_burst * addr_op + tc_sum
+                            vec_events += n_burst
+                            in_run = False
+                            e = j
+                            continue
                     # ---- pure write miss --------------------------------
                     # No reads; the push is the whole event.  Exact for
                     # any occupancy short of a forced (buffer-full)

@@ -414,9 +414,9 @@ class TestRegistryCounters:
 
     _KERNEL_3_CLOCKS = {
         "replay.batch_outcomes": 12,
-        "replay.contended_runs": 519,
-        "replay.scalar_events": 12281,
-        "replay.vectorized_events": 4993,
+        "replay.contended_runs": 531,
+        "replay.scalar_events": 12211,
+        "replay.vectorized_events": 5063,
     }
 
     @staticmethod
@@ -424,6 +424,13 @@ class TestRegistryCounters:
         registry = MetricsRegistry()
         fn(*args, registry=registry, **kwargs)
         return registry.counters, registry.gauges
+
+    @staticmethod
+    def _assert_priced(counters, cells):
+        """A pricing change may move (event, point) cells between the
+        kernel's vectorized and scalar paths, never add or drop one."""
+        assert counters["replay.vectorized_events"] \
+            + counters["replay.scalar_events"] == cells
 
     def test_exact_route_with_pass_cache(self, small_suite, tmp_path):
         cache = PassCache(tmp_path / "pc")
@@ -439,6 +446,7 @@ class TestRegistryCounters:
             "stackpass.reused_streams": 0,
             **self._KERNEL_3_CLOCKS,
         }
+        self._assert_priced(cold, 17274)
         warm, _ = self._dump(run_speed_size_sweep, *args, pass_cache=cache)
         assert warm == {
             "passcache.bytes_read": 556580,
@@ -454,12 +462,13 @@ class TestRegistryCounters:
         )
         assert counters == {
             "replay.batch_outcomes": 8,
-            "replay.contended_runs": 360,
-            "replay.scalar_events": 7596,
-            "replay.vectorized_events": 3238,
+            "replay.contended_runs": 368,
+            "replay.scalar_events": 7540,
+            "replay.vectorized_events": 3294,
             "stackpass.passes": 4,
             "stackpass.reused_streams": 0,
         }
+        self._assert_priced(counters, 10834)
         # Multi-way RANDOM takes the same route: one pass per
         # organization per trace.
         counters, _ = self._dump(
@@ -477,9 +486,9 @@ class TestRegistryCounters:
         )
         assert counters == {
             "replay.batch_outcomes": 8,
-            "replay.contended_runs": 99,
-            "replay.scalar_events": 1571,
-            "replay.vectorized_events": 1573,
+            "replay.contended_runs": 98,
+            "replay.scalar_events": 1539,
+            "replay.vectorized_events": 1605,
             "sampling.clusters": 4,
             "sampling.estimates": 2,
             "sampling.intervals": 9,
@@ -493,6 +502,7 @@ class TestRegistryCounters:
             "stackpass.reused_streams": 0,
         }
         assert gauges == {"sampling.true_error_max": 0.014359}
+        self._assert_priced(counters, 3144)
 
     def test_blocksize_stack_sampled_route(self, small_suite):
         counters, gauges = self._dump(
@@ -502,9 +512,9 @@ class TestRegistryCounters:
         )
         assert counters == {
             "replay.batch_outcomes": 32,
-            "replay.contended_runs": 275,
-            "replay.scalar_events": 5697,
-            "replay.vectorized_events": 5131,
+            "replay.contended_runs": 271,
+            "replay.scalar_events": 5613,
+            "replay.vectorized_events": 5215,
             "sampling.clusters": 8,
             "sampling.estimates": 16,
             "sampling.intervals": 18,
@@ -518,3 +528,4 @@ class TestRegistryCounters:
             "stackpass.reused_streams": 0,
         }
         assert gauges == {}
+        self._assert_priced(counters, 10828)

@@ -394,6 +394,41 @@ class TestRunBenchSuites:
         with pytest.raises(CorruptResultError, match="REPRO001"):
             run_bench_suites(["reprolint"], repeat=1, length=1_000)
 
+    def test_reprolint_suite_builds_the_graph_on_every_run(
+        self, monkeypatch
+    ):
+        from repro.lint import projectgraph
+
+        real = projectgraph._build
+        builds = []
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(projectgraph, "_build", counted)
+        run_bench_suites(["reprolint"], repeat=2, length=1_000)
+        assert len(builds) == 2
+
+    def test_replay_kernel_suite_raises_on_a_diverging_outcome(
+        self, monkeypatch
+    ):
+        import dataclasses
+
+        from repro.sim import fastpath
+
+        real = fastpath.replay
+
+        def off_by_one_write(*args, **kwargs):
+            outcome = real(*args, **kwargs)
+            return dataclasses.replace(
+                outcome, memory_writes=outcome.memory_writes + 1
+            )
+
+        monkeypatch.setattr(fastpath, "replay", off_by_one_write)
+        with pytest.raises(CorruptResultError, match="diverged"):
+            run_bench_suites(["replay_kernel"], repeat=1, length=2_000)
+
     def test_all_registered_suites_run(self):
         records, _ = run_bench_suites(
             sorted(BENCH_SUITES), repeat=1, length=10_000

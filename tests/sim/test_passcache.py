@@ -240,6 +240,51 @@ class TestCorruption:
         assert cache.counters.corrupt == 1
         assert (cache.quarantine_dir / path.name).exists()
 
+    def test_flipped_buffer_bit_fails_checksum(
+        self, seeded, tiny_trace, small_config
+    ):
+        """A flipped bit inside an event buffer still decodes; the
+        checksum over the decoded bytes catches it."""
+        import base64
+
+        cache, path = seeded
+
+        def flip(payload):
+            raw = bytearray(base64.b64decode(payload["stream"]["ev_gap"]))
+            raw[0] ^= 1
+            payload["stream"]["ev_gap"] = base64.b64encode(raw).decode()
+
+        _rewrite(path, flip)
+        assert cache.get(small_config, tiny_trace) is None
+        assert cache.counters.corrupt == 1
+        assert (cache.quarantine_dir / path.name).exists()
+
+    def test_foreign_file_quarantines(self, seeded, tiny_trace, small_config):
+        """Another sealed document (a campaign result's shape) under an
+        entry's name is corruption, not a schema miss."""
+        cache, path = seeded
+        path.write_text(json.dumps({
+            "schema": PASSCACHE_SCHEMA, "run_id": "r", "checksum": "0",
+            "stats": {},
+        }), encoding="utf-8")
+        assert cache.get(small_config, tiny_trace) is None
+        assert cache.counters.corrupt == 1
+        assert (cache.quarantine_dir / path.name).exists()
+
+    def test_schema_1_entry_misses_and_is_overwritten(
+        self, seeded, tiny_trace, small_config
+    ):
+        """Entries written before the checksum covered decoded buffers
+        (schema 1) miss cleanly, and the next put replaces them."""
+        cache, path = seeded
+        _rewrite(path, lambda p: p.update(schema=1))
+        assert cache.get(small_config, tiny_trace) is None
+        assert cache.counters.corrupt == 0
+        assert not cache.quarantine_dir.exists()
+        run_functional_passes([(small_config, tiny_trace, 0)], cache=cache)
+        assert json.loads(path.read_text(encoding="utf-8"))["schema"] == 2
+        assert cache.get(small_config, tiny_trace) is not None
+
     def test_schema_bump_is_clean_miss(
         self, seeded, tiny_trace, small_config
     ):
