@@ -146,6 +146,18 @@ DEFAULT_SCHEMAS = (
         constant="DONE_SCHEMA",
         locator=("assign", "done_to_dict", "doc"),
     ),
+    SchemaSpec(
+        name="job_record",
+        module="repro/sim/workqueue.py",
+        constant="JOB_SCHEMA",
+        locator=("assign", "job_to_dict", "doc"),
+    ),
+    SchemaSpec(
+        name="poison_record",
+        module="repro/sim/workqueue.py",
+        constant="POISON_SCHEMA",
+        locator=("assign", "poison_to_dict", "doc"),
+    ),
 )
 
 

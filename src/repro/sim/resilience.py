@@ -7,10 +7,11 @@ truncated file, a full disk — and a single one must not lose or poison
 the campaign.  This module is the orchestration half of the resilience
 story (the persistence half lives in :mod:`repro.sim.campaign`):
 
-* :class:`CampaignExecutor` runs each (config, trace) job in its own
-  worker *process* with a wall-clock timeout, so a crash or hang is
-  contained to that run; failed runs are retried with exponential
-  backoff and deterministic jitter (:class:`RetryPolicy`);
+* :class:`CampaignExecutor` runs each (config, trace) job on a
+  long-lived worker *process* with a wall-clock timeout, so a crash or
+  hang is contained to that run (the worker is replaced); failed runs
+  are retried with exponential backoff and deterministic jitter
+  (:class:`RetryPolicy`);
 * :class:`CampaignManifest` journals per-run status
   (``ok | failed | timeout | quarantined``) to ``manifest.json`` after
   every run, atomically, so an interrupted sweep reports exactly what it
@@ -20,8 +21,9 @@ story (the persistence half lives in :mod:`repro.sim.campaign`):
   manifest is backed by a validated, byte-deterministic result file.
 
 Fault injection hooks (``fault_plan``) are consulted at each seam —
-worker start, save, post-save — so the whole layer is testable without
-real crashes, clock time, or flaky sleeps; see :mod:`repro.sim.faults`.
+attempt start in the worker, save, post-save — so the whole layer is
+testable without real crashes, clock time, or flaky sleeps; see
+:mod:`repro.sim.faults`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import inspect
 import json
 import multiprocessing
 import os
+import signal
 import sys
 import threading
 import time
@@ -251,96 +254,120 @@ def _supports_kwarg(fn: Callable, name: str) -> bool:
         return False
 
 
-def _worker_main(
-    conn,
-    config: SystemConfig,
-    trace: Trace,
-    simulate_fn: Callable,
-    seed: int,
-    fault_plan,
+def _attempt_result(
+    job: RunJob,
     job_index: int,
     attempt: int,
+    fault_plan,
     timeout_s: Optional[float],
-    collect_metrics: bool = False,
-) -> None:
-    """Entry point of one isolated simulation worker process.
+    collect_metrics: bool,
+) -> Tuple[str, object]:
+    """Run one attempt inside a worker; return its message for the parent.
 
-    With ``collect_metrics`` the worker also assembles a
-    :class:`~repro.sim.telemetry.RunReport` (cycle-attribution ledger if
-    the simulator supports the ``telemetry`` kwarg, plus wall-clock and
-    RSS measured *inside* the worker process, where they are honest) and
-    ships it alongside the stats as ``("ok", (stats, report_dict))``.
-
-    Once the result is sent the worker ends itself with status 0.
-    Returning instead would leave the exit to ``multiprocessing``, whose
-    ``threading._shutdown()`` raises ``RuntimeError('cannot join
-    current thread')`` in a child forked from a non-main thread (the
-    executor's pool threads at ``jobs > 1``), turning every such exit
-    into status 1.  Only a worker that dies before sending (an injected
-    crash, a signal) exits with another code, which the parent reports.
+    The message is ``("ok", stats)``, ``("timeout", text)`` or
+    ``("failed", text)``.  With ``collect_metrics`` the worker also
+    assembles a :class:`~repro.sim.telemetry.RunReport` (cycle-attribution
+    ledger if the simulator supports the ``telemetry`` kwarg, plus
+    wall-clock and RSS measured *inside* the worker process, where they
+    are honest) and ships it alongside the stats as
+    ``("ok", (stats, report_dict))``.
     """
+    config, trace, simulate_fn = job.config, job.trace, job.simulate_fn
     try:
         if fault_plan is not None:
             fault_plan.worker_faults(job_index, attempt)
         kwargs = {}
-        if seed and _supports_kwarg(simulate_fn, "seed"):
-            kwargs["seed"] = seed
+        if job.seed and _supports_kwarg(simulate_fn, "seed"):
+            kwargs["seed"] = job.seed
         if timeout_s and _supports_kwarg(simulate_fn, "cancel_check"):
             kwargs["cancel_check"] = make_deadline_check(timeout_s)
         if not collect_metrics:
-            stats = simulate_fn(config, trace, **kwargs)
-            conn.send(("ok", stats))
-        else:
-            from .telemetry import (
-                CycleLedger, MetricsRegistry, StageTimer, Telemetry,
-                build_run_report,
-            )
+            return (STATUS_OK, simulate_fn(config, trace, **kwargs))
+        from .telemetry import (
+            CycleLedger, MetricsRegistry, StageTimer, Telemetry,
+            build_run_report,
+        )
 
-            ledger = None
-            if _supports_kwarg(simulate_fn, "telemetry"):
-                ledger = CycleLedger()
-                kwargs["telemetry"] = Telemetry(ledger=ledger)
-            registry = MetricsRegistry()
-            if _supports_kwarg(simulate_fn, "registry"):
-                kwargs["registry"] = registry
-            timer = StageTimer()
-            with timer.stage("simulate"), registry.span("worker.simulate"):
-                stats = simulate_fn(config, trace, **kwargs)
-            simulator = (
-                "engine"
-                if getattr(simulate_fn, "__name__", "") == "simulate"
-                else "fastpath"
-            )
-            if simulator == "fastpath" and ledger is not None:
-                # Telemetry-enabled replays always price through the
-                # scalar path (the batch kernel takes no telemetry
-                # handle), so metrics-collecting campaign runs record
-                # one scalar replay apiece.
-                registry.count("replay.scalar_replays")
-            report = build_run_report(
-                stats, ledger, timer,
-                run_identifier=run_id(config, trace),
-                simulator=simulator,
-                n_refs_total=len(trace),
-                config=config,
-                registry=registry,
-            )
-            conn.send(("ok", (stats, report.to_dict())))
+        ledger = None
+        if _supports_kwarg(simulate_fn, "telemetry"):
+            ledger = CycleLedger()
+            kwargs["telemetry"] = Telemetry(ledger=ledger)
+        registry = MetricsRegistry()
+        if _supports_kwarg(simulate_fn, "registry"):
+            kwargs["registry"] = registry
+        timer = StageTimer()
+        with timer.stage("simulate"), registry.span("worker.simulate"):
+            stats = simulate_fn(config, trace, **kwargs)
+        simulator = (
+            "engine"
+            if getattr(simulate_fn, "__name__", "") == "simulate"
+            else "fastpath"
+        )
+        if simulator == "fastpath" and ledger is not None:
+            # Telemetry-enabled replays always price through the scalar
+            # path (the batch kernel takes no telemetry handle), so
+            # metrics-collecting campaign runs record one scalar replay
+            # apiece.
+            registry.count("replay.scalar_replays")
+        report = build_run_report(
+            stats, ledger, timer,
+            run_identifier=run_id(config, trace),
+            simulator=simulator,
+            n_refs_total=len(trace),
+            config=config,
+            registry=registry,
+        )
+        return (STATUS_OK, (stats, report.to_dict()))
     except RunTimeoutError as exc:
-        _best_effort_send(conn, ("timeout", str(exc)))
+        return (STATUS_TIMEOUT, str(exc))
     except BaseException as exc:  # noqa: BLE001 — full containment
-        _best_effort_send(conn, ("failed", f"{type(exc).__name__}: {exc}"))
-    finally:
-        # Closing a pipe the parent already tore down raises OSError (or
-        # ValueError on an already-closed handle); the worker is exiting
-        # either way, so swallowing those two — and only those two — is
-        # safe.  Anything else here is a real bug and must surface.
+        return (STATUS_FAILED, f"{type(exc).__name__}: {exc}")
+
+
+def _worker_main(
+    conn,
+    parent_end,
+    fault_plan,
+    timeout_s: Optional[float],
+    collect_metrics: bool,
+) -> None:
+    """Entry point of one long-lived simulation worker process.
+
+    Serves attempts until told to stop: receive ``(job, job_index,
+    attempt)``, send back :func:`_attempt_result`'s message, wait for the
+    next.  A ``None`` request is the stop message.  The worker first
+    closes its inherited copy of the parent's end of the pipe, so it
+    reads EOF once the parent is gone (and every worker forked after it,
+    each of which holds a copy, has exited); it also takes the default
+    SIGTERM action, so the parent's ``terminate()`` ends it even when the
+    forking process installed a handler (``campaign worker`` drains on
+    SIGTERM).
+
+    The worker ends itself with status 0 on a stop message, on EOF and
+    on a failed send.  Returning instead would leave the exit to
+    ``multiprocessing``, whose ``threading._shutdown()`` raises
+    ``RuntimeError('cannot join current thread')`` in a child forked
+    from a non-main thread (the executor's pool threads at
+    ``jobs > 1``), turning every such exit into status 1.  Only a worker
+    that dies mid-attempt (an injected crash, a signal) exits with
+    another code, which the parent reports.
+    """
+    parent_end.close()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    while True:
         try:
-            conn.close()
+            request = conn.recv()
+        except (EOFError, OSError):
+            break  # the parent is gone
+        if request is None:
+            break
+        message = _attempt_result(
+            *request, fault_plan, timeout_s, collect_metrics
+        )
+        try:
+            conn.send(message)
         except (OSError, ValueError):
-            pass
-    if multiprocessing.parent_process() is None:
-        return  # called in-process, not as a worker: nothing to end
+            break  # the parent tore the pipe down
     for stream in (sys.stdout, sys.stderr):
         try:
             stream.flush()
@@ -352,17 +379,64 @@ def _worker_main(
 def _best_effort_send(conn, message) -> None:
     """Send on a pipe whose far end may already be gone.
 
-    The parent kills workers on timeout, so a send can hit a closed or
+    A worker can die between attempts, so a send can hit a closed or
     broken pipe (OSError/BrokenPipeError, or ValueError on a closed
-    handle).  Those specific failures are expected and dropped — the
-    parent's journal records the run's fate regardless; any other
-    exception propagates to the containment boundary in
-    :func:`_worker_main`, which reports it as a failed run.
+    handle).  Those specific failures are expected and dropped: the
+    caller learns the worker's fate from its process sentinel.
     """
     try:
         conn.send(message)
     except (OSError, ValueError):
         pass
+
+
+#: Serializes worker starts across every executor in the process, pipe
+#: creation included.  A fork taken while another thread's new pipe (or
+#: ``Process.start()``'s sentinel pipe) is still open at both ends would
+#: copy that pipe's child end into a long-lived worker, and the other
+#: worker's death would then close neither its pipe nor its sentinel.
+_START_LOCK = threading.Lock()
+
+#: How long a stopped worker may take to exit before it is terminated,
+#: and a terminated one before it is killed.
+_STOP_JOIN_S = 5.0
+
+
+class _Worker:
+    """One long-lived worker process and the parent's end of its pipe."""
+
+    def __init__(
+        self, mp_context, fault_plan, timeout_s, collect_metrics
+    ) -> None:
+        with _START_LOCK:
+            self.conn, child_end = mp_context.Pipe()
+            self.proc = mp_context.Process(
+                target=_worker_main,
+                args=(
+                    child_end, self.conn, fault_plan, timeout_s,
+                    collect_metrics,
+                ),
+                daemon=True,
+            )
+            try:
+                self.proc.start()
+            finally:
+                child_end.close()
+
+    def end(self, grace_s: float) -> None:
+        """Give the process ``grace_s`` to exit, then terminate it, then
+        kill it; reap it and close the pipe.
+
+        Exit is read from the sentinel, which closes when the child
+        exits even when another thread's ``Process.start()`` reaped it
+        (``is_alive()`` can then still read true).
+        """
+        if not wait([self.proc.sentinel], grace_s):
+            self.proc.terminate()
+            if not wait([self.proc.sentinel], _STOP_JOIN_S):
+                self.proc.kill()  # pragma: no cover — stuck in kernel
+        self.proc.join()
+        self.conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -427,12 +501,24 @@ class CampaignReport:
 class CampaignExecutor:
     """Run a sweep with worker isolation, timeouts and bounded retries.
 
-    Each job runs in a dedicated worker process (fork/spawn per the
-    platform default), so a segfault, OOM kill or runaway loop is
-    contained to that run: the parent records ``failed`` or ``timeout``
-    in the manifest and the sweep continues (``keep_going=True``) or
-    stops scheduling further work and raises
-    :exc:`~repro.errors.CampaignError` (``keep_going=False``).
+    Attempts run on worker processes (fork/spawn per the platform
+    default) that live for the whole sweep: a worker is forked by the
+    first attempt that finds none idle, then serves attempts over its
+    pipe, each shipped as a pickled :class:`RunJob`.  Containment is per
+    run: a segfault, OOM kill or runaway loop fails only its own run —
+    the parent reaps that worker (terminating one that overran
+    ``timeout_s + grace_s``), records ``failed`` with the worker's exit
+    code or ``timeout`` in the manifest, and later attempts get a fresh
+    worker.  The sweep then continues (``keep_going=True``) or stops
+    scheduling further work and raises
+    :exc:`~repro.errors.CampaignError` (``keep_going=False``).  Only the
+    address space is shared across a worker's runs; no module-level
+    state feeds a result, so results are deterministic per run.
+
+    At ``jobs > 1`` idle workers wait in a lock-guarded list.
+    :meth:`run_sweep` stops every worker when it finishes, whether it
+    returns or raises; a caller that drives :meth:`run_record` directly
+    (the spool backend's workers) calls :meth:`close` itself.
 
     ``sleep_fn`` injects the backoff sleep (tests pass a recorder, so no
     test ever waits on a real clock); ``fault_plan`` injects
@@ -498,65 +584,74 @@ class CampaignExecutor:
         self.manifest = CampaignManifest.for_campaign(campaign)
         self._manifest_lock = threading.Lock()
         self._abort = threading.Event()
+        self._idle: List[_Worker] = []
+        self._idle_lock = threading.Lock()
+
+    # -- workers -------------------------------------------------------
+    def _checkout(self) -> _Worker:
+        """An idle worker, or a new one when none is idle."""
+        with self._idle_lock:
+            if self._idle:
+                return self._idle.pop()
+        return _Worker(
+            self._mp, self.fault_plan, self.timeout_s, self.collect_metrics
+        )
+
+    def close(self) -> None:
+        """Stop every worker: a stop message, a bounded join, then
+        terminate.  EOF alone would not do: a worker forked later holds
+        copies of the parent's ends of earlier workers' pipes."""
+        with self._idle_lock:
+            workers, self._idle = self._idle, []
+        for worker in workers:
+            _best_effort_send(worker.conn, None)
+        for worker in workers:
+            worker.end(_STOP_JOIN_S)
 
     # -- one isolated attempt ------------------------------------------
     def _execute_attempt(
         self, job: RunJob, job_index: int, attempt: int
     ) -> Tuple[str, object]:
-        """Run one attempt in a worker process.
+        """Run one attempt on a worker process.
 
         Returns ``("ok", stats)``, ``("timeout", message)`` or
-        ``("failed", message)``; never raises for worker-side faults.
+        ``("failed", message)``; never raises for worker-side faults.  A
+        worker that answered goes back to the idle list; one that died
+        or overran is reaped, and the next attempt forks a fresh one.
         """
-        receiver, sender = self._mp.Pipe(duplex=False)
-        proc = self._mp.Process(
-            target=_worker_main,
-            args=(
-                sender, job.config, job.trace, job.simulate_fn, job.seed,
-                self.fault_plan, job_index, attempt, self.timeout_s,
-                self.collect_metrics,
-            ),
-            daemon=True,
-        )
+        worker = self._checkout()
+        message = None
         try:
-            proc.start()
-            sender.close()
-            # The sentinel closes when the child exits, even when another
-            # thread's Process.start() reaps it (is_alive() can then
-            # still read true).
-            if self.timeout_s is not None and not wait(
-                [proc.sentinel], self.timeout_s + self.grace_s
-            ):
-                proc.terminate()
-                proc.join(5.0)
-                if proc.is_alive():  # pragma: no cover — stuck in kernel
-                    proc.kill()
-                    proc.join()
+            _best_effort_send(worker.conn, (job, job_index, attempt))
+            limit = (
+                None if self.timeout_s is None
+                else self.timeout_s + self.grace_s
+            )
+            if not wait([worker.conn, worker.proc.sentinel], limit):
                 return (
                     STATUS_TIMEOUT,
                     f"worker exceeded {self.timeout_s:g}s wall clock; "
                     f"terminated",
                 )
-            proc.join()
             try:
                 # poll() is also true at EOF — a worker that died hard
                 # closed its end without sending; recv then raises.
-                message = receiver.recv() if receiver.poll() else None
+                message = worker.conn.recv() if worker.conn.poll() else None
             except (EOFError, OSError):
-                message = None
+                pass
         finally:
-            receiver.close()
+            if message is None:
+                worker.end(0.0)
+            else:
+                with self._idle_lock:
+                    self._idle.append(worker)
         if message is None:
             return (
                 STATUS_FAILED,
-                f"worker died without a result (exit code {proc.exitcode})",
+                "worker died without a result "
+                f"(exit code {worker.proc.exitcode})",
             )
-        kind, payload = message
-        if kind == "ok":
-            return (STATUS_OK, payload)
-        if kind == "timeout":
-            return (STATUS_TIMEOUT, payload)
-        return (STATUS_FAILED, payload)
+        return message
 
     # -- one run with retries ------------------------------------------
     def run_record(self, job_index: int, job: RunJob) -> RunRecord:
@@ -696,17 +791,20 @@ class CampaignExecutor:
                 return None
             return self._run_one(index, job)
 
-        if self.jobs <= 1 or len(jobs) <= 1:
-            for index, job in enumerate(jobs):
-                slots[index] = guarded(index, job)
-        else:
-            with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                futures = [
-                    pool.submit(guarded, index, job)
-                    for index, job in enumerate(jobs)
-                ]
-                for index, future in enumerate(futures):
-                    slots[index] = future.result()
+        try:
+            if self.jobs <= 1 or len(jobs) <= 1:
+                for index, job in enumerate(jobs):
+                    slots[index] = guarded(index, job)
+            else:
+                with ThreadPoolExecutor(max_workers=self.jobs) as pool:
+                    futures = [
+                        pool.submit(guarded, index, job)
+                        for index, job in enumerate(jobs)
+                    ]
+                    for index, future in enumerate(futures):
+                        slots[index] = future.result()
+        finally:
+            self.close()
         report = CampaignReport(
             records=[record for record in slots if record is not None]
         )

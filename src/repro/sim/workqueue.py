@@ -86,6 +86,15 @@ LEASE_SCHEMA = 1
 #: Version of the completion record published into ``done/``.
 DONE_SCHEMA = 1
 
+#: Version of the per-run job record ``enqueue`` writes into ``jobs/``.
+#: It starts at 2: the records carried the manifest's version when that
+#: moved to 2, so every spool written since says 2.
+JOB_SCHEMA = 2
+
+#: Version of the quarantine record ``poison`` writes into ``poison/``
+#: (2 for the same reason as :data:`JOB_SCHEMA`).
+POISON_SCHEMA = 2
+
 #: Default lease time-to-live: how long a heartbeat may stall before any
 #: observer is entitled to expire and reclaim the lease.
 DEFAULT_LEASE_TTL_S = 30.0
@@ -453,6 +462,31 @@ def done_from_dict(payload: Dict) -> DoneRecord:
         ) from exc
 
 
+def job_to_dict(job_id: str, job_index: int, job: RunJob) -> Dict:
+    """Serialize one spooled run as its ``jobs/`` record."""
+    doc = {
+        "schema": JOB_SCHEMA,
+        "job_id": job_id,
+        "job_index": job_index,
+        "trace": job.trace.name,
+        "config": job.config.describe(),
+        "checksum": "",
+    }
+    return _seal(doc)
+
+
+def poison_to_dict(job_id: str, losses: int, reason: str) -> Dict:
+    """Serialize a quarantined job as its ``poison/`` record."""
+    doc = {
+        "schema": POISON_SCHEMA,
+        "job_id": job_id,
+        "losses": losses,
+        "reason": reason,
+        "checksum": "",
+    }
+    return _seal(doc)
+
+
 # ----------------------------------------------------------------------
 # Lease expiry by observation
 # ----------------------------------------------------------------------
@@ -632,14 +666,7 @@ class WorkQueue:
             path = self.job_path(identifier)
             if path.exists():
                 continue
-            doc = _seal({
-                "schema": SPOOL_SCHEMA,
-                "job_id": identifier,
-                "job_index": index,
-                "trace": job.trace.name,
-                "config": job.config.describe(),
-                "checksum": "",
-            })
+            doc = job_to_dict(identifier, index, job)
             atomic_write_text(path, _dump(doc))
         return ids
 
@@ -871,13 +898,7 @@ class WorkQueue:
         self, job_id: str, reason: str = "", losses: int = 0
     ) -> bool:
         """Quarantine a job that keeps killing its owners."""
-        doc = _seal({
-            "schema": SPOOL_SCHEMA,
-            "job_id": job_id,
-            "losses": losses,
-            "reason": reason,
-            "checksum": "",
-        })
+        doc = poison_to_dict(job_id, losses, reason)
         try:
             atomic_claim_text(self.poison_path(job_id), _dump(doc))
         except FileExistsError:
@@ -1181,6 +1202,7 @@ class SpoolWorker:
                 if self._process(lease) is not None:
                     self.processed += 1
         finally:
+            self._executor.close()
             self.lifetime_s = self._clock() - started
         return self.processed
 

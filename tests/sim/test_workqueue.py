@@ -35,6 +35,8 @@ from repro.sim.resilience import (
     sweep_jobs,
 )
 from repro.sim.workqueue import (
+    JOB_SCHEMA,
+    POISON_SCHEMA,
     DoneRecord,
     Lease,
     SpoolWorker,
@@ -44,8 +46,10 @@ from repro.sim.workqueue import (
     done_from_dict,
     done_to_dict,
     drain_spool,
+    job_to_dict,
     lease_from_dict,
     lease_to_dict,
+    poison_to_dict,
     spec_from_dict,
     spec_to_dict,
 )
@@ -195,6 +199,21 @@ class TestDocuments:
     def test_spec_cached_requires_cache_dir(self):
         with pytest.raises(CampaignError):
             SweepSpec(simulator="cached")
+
+    def test_job_and_poison_records_carry_their_own_schemas(self, tmp_path,
+                                                            jobs):
+        # Each record kind is versioned by its own constant (REPRO008
+        # fingerprints each one), at the 2 that existing spools carry.
+        assert (JOB_SCHEMA, POISON_SCHEMA) == (2, 2)
+        queue, _ = make_queue(tmp_path)
+        (job_id,) = queue.enqueue_jobs(jobs)
+        assert queue.poison(job_id, reason="lost thrice", losses=3)
+        job_doc = json.loads(queue.job_path(job_id).read_text())
+        poison_doc = json.loads(queue.poison_path(job_id).read_text())
+        assert job_doc == job_to_dict(job_id, 0, jobs[0])
+        assert poison_doc == poison_to_dict(job_id, 3, "lost thrice")
+        assert job_doc["schema"] == JOB_SCHEMA
+        assert poison_doc["schema"] == POISON_SCHEMA
 
     def test_lease_round_trips_and_carries_no_timestamps(self):
         lease = Lease(job_id="j", owner="w", pid=42, epoch=3, beat=7)

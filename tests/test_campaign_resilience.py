@@ -13,6 +13,7 @@ results byte-identical to a fault-free sweep.
 
 import json
 import multiprocessing
+import signal
 
 import pytest
 
@@ -22,7 +23,7 @@ from repro.errors import (
     CorruptResultError,
     RunTimeoutError,
 )
-from repro.sim import faults
+from repro.sim import faults, resilience
 from repro.sim.campaign import (
     Campaign,
     payload_checksum,
@@ -68,6 +69,41 @@ def config():
 @pytest.fixture()
 def stats(config, trace):
     return fast_simulate(config, trace)
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+
+
+def recording_context(reaped_elsewhere=False):
+    """A fork context that records every worker it starts.
+
+    With ``reaped_elsewhere`` its processes read as alive forever and
+    refuse to be terminated — the state a worker is in when another
+    thread's ``Process.start()`` reaped it.
+    """
+    context = multiprocessing.get_context("fork")
+    started = []
+
+    class Recording(context.Process):
+        def start(self):
+            started.append(self)
+            super().start()
+
+        if reaped_elsewhere:
+            def is_alive(self):
+                return True
+
+            def terminate(self):
+                raise AssertionError("terminated a finished worker")
+
+    class Context:
+        Pipe = staticmethod(context.Pipe)
+        Process = Recording
+
+    return Context(), started
 
 
 def make_executor(campaign, **kwargs):
@@ -323,33 +359,20 @@ class TestExecutor:
         assert "exit code" in report.records[0].error
         assert report.records[0].attempts == 3
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="needs the fork start method",
-    )
+    @needs_fork
     def test_workers_exit_with_their_own_status_at_two_jobs(self, tmp_path,
                                                             trace):
         # At jobs=2 the workers fork from the executor's pool threads,
         # where multiprocessing's own exit path fails and exits 1.  A
-        # worker that sent its result exits 0; one that died first
-        # exits with its own code, which the failure message reports.
-        context = multiprocessing.get_context("fork")
-        started = []
-
-        class Recording(context.Process):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        class Context:
-            Pipe = staticmethod(context.Pipe)
-            Process = Recording
-
+        # worker stopped at the end of the sweep exits 0; one that died
+        # mid-attempt exits with its own code, which the failure
+        # message reports.
+        context, started = recording_context()
         configs = [baseline_config(cache_size_bytes=s)
                    for s in (2 * KB, 4 * KB, 8 * KB)]
         plan = faults.FaultPlan({0: faults.always(faults.CRASH)})
         executor, _ = make_executor(
-            Campaign(tmp_path), jobs=2, mp_context=Context(),
+            Campaign(tmp_path), jobs=2, mp_context=context,
             fault_plan=plan, retry=RetryPolicy(max_attempts=1),
         )
         report = executor.run_sweep(sweep_jobs(configs, [trace]))
@@ -358,9 +381,8 @@ class TestExecutor:
             "worker died without a result "
             f"(exit code {faults.CRASH_EXIT_CODE})"
         )
-        assert sorted(proc.exitcode for proc in started) == sorted(
-            [0, 0, faults.CRASH_EXIT_CODE]
-        )
+        codes = sorted(proc.exitcode for proc in started)
+        assert codes == [0] * (len(codes) - 1) + [faults.CRASH_EXIT_CODE]
 
     def test_transient_worker_error_is_retried(self, tmp_path, config,
                                                trace):
@@ -471,66 +493,160 @@ class TestExecutor:
         assert report.records[0].status == "timeout"
         assert "cooperative" in report.records[0].error
 
+    @needs_fork
     def test_unbounded_join_never_reads_as_timeout(self, tmp_path, config,
                                                    trace):
-        # Without a timeout the join is unbounded, yet is_alive() can
-        # still read true when another thread's Process.start() reaped
-        # the child first.  That must not take the timeout branch (and
-        # format a None deadline).
-        class ReapedElsewhere:
-            exitcode = 0
-
-            def __init__(self, target, args, daemon):
-                self._run = lambda: target(*args)
-
-            def start(self):
-                self._run()  # the worker finishes and sends inline
-
-            def join(self, timeout=None):
-                pass
-
-            def is_alive(self):
-                return True
-
-            def terminate(self):
-                raise AssertionError("terminated a finished worker")
-
-        class Context:
-            Pipe = staticmethod(multiprocessing.Pipe)
-            Process = ReapedElsewhere
-
+        # Without a timeout the wait for a result is unbounded, yet
+        # is_alive() can still read true when another thread's
+        # Process.start() reaped the worker first.  Neither the attempt
+        # nor the stop at the end of the sweep may read that as an
+        # overrun (and format a None deadline) or terminate the worker.
+        context, started = recording_context(reaped_elsewhere=True)
         executor, _ = make_executor(
-            Campaign(tmp_path), mp_context=Context(),
+            Campaign(tmp_path), mp_context=context,
             retry=RetryPolicy(max_attempts=1),
         )
         report = executor.run_sweep(sweep_jobs([config], [trace]))
         assert report.records[0].status == "ok"
         assert Campaign(tmp_path).load(report.records[0].run_id) == \
             fast_simulate(config, trace)
+        assert [proc.exitcode for proc in started] == [0]
 
+    @needs_fork
     def test_bounded_join_reads_exit_from_the_sentinel(self, tmp_path,
                                                        config, trace):
-        # With a timeout the same race applies: a worker that finished
-        # in time but was reaped by another thread still reads as alive
-        # after its join.  Only the sentinel says whether it overran.
-        context = multiprocessing.get_context()
-
-        class ReapedElsewhere(context.Process):
-            def is_alive(self):
-                return True
-
-        class Context:
-            Pipe = staticmethod(context.Pipe)
-            Process = ReapedElsewhere
-
+        # With a timeout the same race applies: a worker that answered
+        # in time, or exited on its stop message, but was reaped by
+        # another thread still reads as alive.  Only the pipe and the
+        # sentinel say whether it overran.
+        context, started = recording_context(reaped_elsewhere=True)
         executor, sleeps = make_executor(
-            Campaign(tmp_path), mp_context=Context(), timeout_s=60.0,
+            Campaign(tmp_path), mp_context=context, timeout_s=60.0,
             retry=RetryPolicy(max_attempts=2),
         )
         report = executor.run_sweep(sweep_jobs([config], [trace]))
         assert report.records[0].status == "ok"
         assert report.records[0].attempts == 1
         assert sleeps == []
+        assert [proc.exitcode for proc in started] == [0]
+
+
+# ----------------------------------------------------------------------
+# Long-lived workers: one per sweep slot, replaced only when they fail
+# ----------------------------------------------------------------------
+@needs_fork
+class TestWorkerLifecycle:
+    @pytest.fixture()
+    def configs(self):
+        return [baseline_config(cache_size_bytes=s)
+                for s in (2 * KB, 4 * KB, 8 * KB)]
+
+    def test_one_worker_serves_a_whole_sweep(self, tmp_path, configs,
+                                             trace, trace_b):
+        context, started = recording_context()
+        executor, _ = make_executor(Campaign(tmp_path), mp_context=context)
+        jobs = sweep_jobs(configs, [trace, trace_b])
+        report = executor.run_sweep(jobs)
+        assert report.all_ok and len(report.records) == 6
+        assert len(started) == 1
+        assert started[0].exitcode == 0
+        for job, record in zip(jobs, report.records):
+            assert Campaign(tmp_path).load(record.run_id) == \
+                fast_simulate(job.config, job.trace)
+
+    def test_error_fault_leaves_the_worker_serving(self, tmp_path, configs,
+                                                   trace):
+        context, started = recording_context()
+        plan = faults.FaultPlan({0: faults.FaultSpec(faults.ERROR)})
+        executor, _ = make_executor(
+            Campaign(tmp_path), mp_context=context, fault_plan=plan,
+        )
+        report = executor.run_sweep(sweep_jobs(configs, [trace]))
+        assert [r.attempts for r in report.records] == [2, 1, 1]
+        assert report.all_ok
+        assert len(started) == 1
+
+    def test_crash_fails_only_its_run_and_the_next_gets_a_new_worker(
+        self, tmp_path, configs, trace
+    ):
+        context, started = recording_context()
+        plan = faults.FaultPlan({0: faults.always(faults.CRASH)})
+        executor, _ = make_executor(
+            Campaign(tmp_path), mp_context=context, fault_plan=plan,
+            retry=RetryPolicy(max_attempts=1),
+        )
+        report = executor.run_sweep(sweep_jobs(configs, [trace]))
+        assert [r.status for r in report.records] == ["failed", "ok", "ok"]
+        assert f"exit code {faults.CRASH_EXIT_CODE}" in \
+            report.records[0].error
+        assert [proc.exitcode for proc in started] == [
+            faults.CRASH_EXIT_CODE, 0,
+        ]
+
+    def test_overrun_worker_is_terminated_and_replaced(self, tmp_path,
+                                                       configs, trace):
+        # Real wall time: the sleeping worker is terminated at 0.3 s.
+        context, started = recording_context()
+        plan = faults.FaultPlan({0: faults.always(faults.SLEEP)})
+        executor, _ = make_executor(
+            Campaign(tmp_path), mp_context=context, fault_plan=plan,
+            timeout_s=0.3, grace_s=0.0, retry=RetryPolicy(max_attempts=1),
+        )
+        report = executor.run_sweep(sweep_jobs(configs, [trace]))
+        assert [r.status for r in report.records] == [
+            "timeout", "ok", "ok",
+        ]
+        assert [proc.exitcode for proc in started] == [-signal.SIGTERM, 0]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_no_worker_outlives_the_sweep(self, tmp_path, configs, trace,
+                                          jobs):
+        executor, _ = make_executor(Campaign(tmp_path / "ok"), jobs=jobs)
+        assert executor.run_sweep(sweep_jobs(configs, [trace])).all_ok
+        assert multiprocessing.active_children() == []
+
+        plan = faults.FaultPlan({0: faults.always(faults.ERROR)})
+        executor, _ = make_executor(
+            Campaign(tmp_path / "raises"), jobs=jobs, fault_plan=plan,
+            keep_going=False,
+        )
+        with pytest.raises(CampaignError):
+            executor.run_sweep(sweep_jobs(configs, [trace]))
+        assert multiprocessing.active_children() == []
+
+    def test_spawn_workers_store_the_fork_results(self, tmp_path, configs,
+                                                  trace):
+        jobs = sweep_jobs(configs[:2], [trace])
+        stored = {}
+        for method in ("fork", "spawn"):
+            campaign = Campaign(tmp_path / method)
+            executor, _ = make_executor(
+                campaign, mp_context=multiprocessing.get_context(method),
+            )
+            assert executor.run_sweep(jobs).all_ok
+            stored[method] = {
+                path.name: path.read_bytes()
+                for path in campaign._result_paths()
+            }
+        assert len(stored["fork"]) == 2
+        assert stored["spawn"] == stored["fork"]
+
+    def test_worker_exits_0_when_the_parent_end_closes(self, config,
+                                                       trace):
+        context = multiprocessing.get_context("fork")
+        conn, child_end = context.Pipe()
+        proc = context.Process(
+            target=resilience._worker_main,
+            args=(child_end, conn, None, None, False),
+            daemon=True,
+        )
+        proc.start()
+        child_end.close()
+        conn.send((sweep_jobs([config], [trace])[0], 0, 1))
+        assert conn.recv() == ("ok", fast_simulate(config, trace))
+        conn.close()
+        proc.join(10.0)
+        assert proc.exitcode == 0
 
 
 # ----------------------------------------------------------------------
