@@ -3,17 +3,19 @@
 "Designing a second cache between the CPU/cache and main memory poses
 the same set of questions as the first level of caching, but with a
 different set of parameters, constraints and goals."  This bench runs a
-small L2 design sweep on the engine — size and access latency — with a
-fixed small L1 at a fast clock, and checks the §6 structure: bigger L2s
-help with diminishing returns, slower L2 arrays eat their own benefit,
-and even a slow L2 beats none.
+small L2 design sweep — size and access latency — with a fixed small L1
+at a fast clock, and checks the §6 structure: bigger L2s help with
+diminishing returns, slower L2 arrays eat their own benefit, and even a
+slow L2 beats none.  Every variant shares the L1's event stream, so the
+sweep is one functional pass per trace and one replay per variant.
 """
 
 from repro.core.geometry import CacheGeometry
 from repro.core.metrics import geometric_mean
+from repro.core.sweep import run_functional_passes
 from repro.core.timing import MemoryTiming
 from repro.sim.config import LowerLevelSpec, baseline_config
-from repro.sim.engine import simulate
+from repro.sim.fastpath import fast_simulate
 from repro.trace.suite import build_suite
 from repro.units import KB
 
@@ -37,19 +39,26 @@ def test_l2_design_space(benchmark, settings):
         names=settings.trace_names[:2], seed=settings.seed,
     )
     base = baseline_config(cache_size_bytes=2 * KB, cycle_ns=20.0)
+    variants = {"none": base}
+    for size_kb in L2_SIZES_KB:
+        for latency_ns in L2_LATENCIES_NS:
+            variants[(size_kb, latency_ns)] = base.with_levels(
+                (l2_spec(size_kb, latency_ns),)
+            )
+    traces = list(suite.values())
 
     def sweep():
-        results = {"none": geometric_mean(
-            simulate(base, t).execution_time_ns for t in suite.values()
-        )}
-        for size_kb in L2_SIZES_KB:
-            for latency_ns in L2_LATENCIES_NS:
-                config = base.with_levels((l2_spec(size_kb, latency_ns),))
-                results[(size_kb, latency_ns)] = geometric_mean(
-                    simulate(config, t).execution_time_ns
-                    for t in suite.values()
-                )
-        return results
+        jobs = [(key, config, t) for key, config in variants.items()
+                for t in traces]
+        # The variants are timing siblings: one pass per trace.
+        streams = run_functional_passes(
+            [(config, t, 0) for _key, config, t in jobs]
+        )
+        execs = {}
+        for (key, config, t), stream in zip(jobs, streams):
+            stats = fast_simulate(config, t, stream=stream)
+            execs.setdefault(key, []).append(stats.execution_time_ns)
+        return {key: geometric_mean(values) for key, values in execs.items()}
 
     results = run_once(benchmark, sweep)
     print("\nL2 design sweep (4KB total L1 at 20ns):")

@@ -1,4 +1,4 @@
-"""Bench: Section 6's multilevel-hierarchy study (engine-driven)."""
+"""Bench: Section 6's multilevel-hierarchy study (passes plus replays)."""
 
 from repro.experiments.registry import run_experiment
 

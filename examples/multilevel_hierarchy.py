@@ -5,11 +5,13 @@ At a 20 ns clock the fixed-nanosecond main memory costs 14 cycles per
 miss; no affordable L1 keeps up.  Inserting a 256 KB second-level cache
 slashes the L1 miss penalty, which (a) restores performance and (b)
 *shrinks* the optimal L1 — small, fast first-level caches become viable
-again.  This example runs the full engine on both organizations.
+again.  Both organizations share one L1 event stream: the example makes
+one functional pass per L1 size and replays it with and without the L2.
 """
 
-from repro import build_trace, simulate
+from repro import build_trace, fast_simulate
 from repro.core.geometry import CacheGeometry
+from repro.core.sweep import run_functional_passes
 from repro.core.timing import MemoryTiming
 from repro.sim.config import LowerLevelSpec, baseline_config
 from repro.units import KB
@@ -32,8 +34,13 @@ def main() -> None:
     results = {}
     for size_each in (2 * KB, 8 * KB, 32 * KB):
         base = baseline_config(cache_size_bytes=size_each, cycle_ns=cycle_ns)
-        flat = simulate(base, trace)
-        deep = simulate(base.with_levels((l2(),)), trace)
+        machine = base.with_levels((l2(),))
+        # Timing siblings: one pass serves both.
+        flat_stream, deep_stream = run_functional_passes(
+            [(base, trace, 0), (machine, trace, 0)]
+        )
+        flat = fast_simulate(base, trace, stream=flat_stream)
+        deep = fast_simulate(machine, trace, stream=deep_stream)
         results[size_each] = (flat, deep)
         gain = flat.execution_time_ns / deep.execution_time_ns - 1
         print(f"{2 * size_each // 1024:>7}KB "

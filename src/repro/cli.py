@@ -138,15 +138,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             cycle_ns=args.cycle_ns,
         )
     use_engine = args.engine
+    sampled = args.sample or args.sample_validate
     if not use_engine:
         from .errors import ConfigurationError
         from .sim.fastpath import check_fastpath_supported
+        from .sim.sampling import check_sampling_supported
 
         try:
-            check_fastpath_supported(config)
+            if sampled:
+                check_sampling_supported(config)
+            else:
+                check_fastpath_supported(config)
         except ConfigurationError:
             use_engine = True  # spec needs engine features
-    if (args.sample or args.sample_validate) and use_engine:
+    if sampled and use_engine:
         print("error: --sample requires the fastpath; it is incompatible "
               "with --engine and with spec files that need engine "
               "features", file=sys.stderr)
@@ -161,7 +166,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         else:
             print("note: --pass-cache applies to fastpath runs only; "
                   "this engine run bypasses it", file=sys.stderr)
-    if args.sample or args.sample_validate:
+    if sampled:
         return _simulate_sampled(
             args, config, trace, timer, pass_cache, registry
         )

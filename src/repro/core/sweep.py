@@ -53,6 +53,7 @@ from ..sim.sampling import (
     SampledPassGroup,
     SamplingPlan,
     SamplingStats,
+    check_sampling_supported,
     estimate_cycles,
     estimate_stats,
     select_intervals,
@@ -302,6 +303,8 @@ def _sampled_functional_passes(
     with ``sampling=None`` — inheriting the cache, pool and sibling
     sharing.
     """
+    for config, _trace, _seed in jobs:
+        check_sampling_supported(config)
     selections = [
         select_intervals(trace, plan, stats=sampling_stats)
         for _config, trace, _seed in jobs
@@ -460,6 +463,11 @@ def _run_grid(
     a registry or a plan) collects the estimates the caller still makes
     before it publishes them.
     """
+    # The batch kernel prices memory-direct organizations only; every
+    # sweep builds its configs from baseline_config.
+    assert not any(config.levels for config in configs), (
+        "sweep organizations must have no lower cache levels"
+    )
     sampling_stats = (
         SamplingStats()
         if registry is not None and sampling is not None else None

@@ -1,4 +1,4 @@
-"""Section 6: the multilevel-hierarchy argument, run on the engine.
+"""Section 6: the multilevel-hierarchy argument, as passes and replays.
 
 §6 concludes that "as the disparity between main memory times and CPU
 cycle time continues to grow, the only way to deliver a consistent
@@ -8,13 +8,20 @@ cache modifies the speed–size tradeoff for the first level cache by
 reducing the cost of first-level cache misses, making small, fast caches
 a viable alternative."
 
-This experiment runs the full engine (the fastpath is single-level) on a
-ladder of L1 sizes at a fast clock, with and without a 256 KB unified
-second-level cache, and reports:
+This experiment prices a ladder of L1 sizes at a fast clock, with and
+without a 256 KB unified second-level cache, and reports:
 
 * the speedup the L2 delivers at each L1 size (largest for small L1s);
 * the L1 size at which performance peaks in each scenario — with an L2
   the optimum shifts toward smaller, faster first-level caches.
+
+An L1 event stream depends on nothing below L1, so each L1 organization
+takes one functional pass (:func:`repro.core.sweep.run_functional_passes`,
+with the settings' workers and pass cache) and its with-L2 and
+without-L2 cells are two scalar replays of that stream: memory-direct,
+and through the L2 (:func:`repro.sim.fastpath.replay`).  The cells are
+bit-identical to the reference engine's.  §6 is always exact: the
+settings' sampling plan does not apply.
 """
 
 from __future__ import annotations
@@ -26,16 +33,21 @@ from ..core.geometry import CacheGeometry
 from ..core.metrics import geometric_mean
 from ..core.report import format_table
 from ..core.timing import MemoryTiming
+from ..core.sweep import run_functional_passes
 from ..sim.config import LowerLevelSpec, baseline_config
-from ..sim.engine import simulate
+from ..sim.fastpath import fast_simulate
 from ..units import KB
-from .common import ExperimentResult, ExperimentSettings, suite_for
+from .common import (
+    ExperimentResult,
+    ExperimentSettings,
+    suite_for,
+    sweep_options,
+)
 
 EXPERIMENT_ID = "sec6"
-TITLE = "Multilevel cache hierarchies (engine study)"
+TITLE = "Multilevel cache hierarchies"
 
-#: The engine is ~5x slower per reference than a fastpath replay, so this
-#: experiment uses a subset of the suite by default.
+#: The two traces §6 runs on by default.
 DEFAULT_TRACE_SUBSET = ("mu3", "rd2n4")
 
 
@@ -64,28 +76,24 @@ def run(settings: Optional[ExperimentSettings] = None) -> ExperimentResult:
     if settings.full:
         l1_sizes = [2 * KB, 4 * KB, 8 * KB, 16 * KB, 32 * KB, 64 * KB]
     rows: List[List[object]] = []
-    exec_by: Dict[Tuple[int, bool], float] = {}
+    cells = []
     for size in l1_sizes:
-        for with_l2 in (False, True):
-            config = baseline_config(
-                cache_size_bytes=size, cycle_ns=cycle_ns
-            )
-            if with_l2:
-                config = config.with_levels((l2_spec(),))
-            execs = []
-            penalties = []
-            for trace in traces:
-                stats = simulate(config, trace, seed=settings.seed)
-                execs.append(stats.execution_time_ns)
-                misses = stats.read_misses
-                if misses:
-                    # Mean observed stall per L1 read miss, in cycles:
-                    # total cycles beyond the one-per-couplet baseline,
-                    # attributed to misses.
-                    penalties.append(
-                        (stats.cycles - stats.n_couplets) / misses
-                    )
-            exec_by[(size, with_l2)] = geometric_mean(execs)
+        config = baseline_config(cache_size_bytes=size, cycle_ns=cycle_ns)
+        cells.append(((size, False), config))
+        cells.append(((size, True), config.with_levels((l2_spec(),))))
+    jobs = [(key, config, trace) for key, config in cells for trace in traces]
+    options = sweep_options(settings)
+    # The with-L2 and without-L2 cells of one L1 organization are
+    # timing siblings: they share one pass.
+    streams = run_functional_passes(
+        [(config, trace, settings.seed) for _key, config, trace in jobs],
+        n_jobs=options["n_jobs"], cache=options["pass_cache"],
+    )
+    execs: Dict[Tuple[int, bool], List[float]] = {}
+    for (key, config, trace), stream in zip(jobs, streams):
+        stats = fast_simulate(config, trace, seed=settings.seed, stream=stream)
+        execs.setdefault(key, []).append(stats.execution_time_ns)
+    exec_by = {key: geometric_mean(values) for key, values in execs.items()}
     for size in l1_sizes:
         base = exec_by[(size, False)]
         l2 = exec_by[(size, True)]

@@ -32,11 +32,12 @@ for single-word bypass writes, whose effect on timing is negligible.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..cache.cache import Cache, key_block_addr, key_pid
 from ..cache.writebuffer import TimedWriteBuffer
 from ..core.policy import MissHandling
+from ..core.timing import MemoryTiming
 from ..cpu.processor import NO_REF, CoupletStream, pair_couplets, sequentialize
 from ..errors import ConfigurationError
 from ..memory.mainmemory import MainMemory
@@ -185,6 +186,33 @@ class LowerCacheLevel:
         if res.victim_key is not None:
             self._push_victim(res.victim_key, res.victim_dirty_words, handoff)
         return handoff
+
+
+def build_hierarchy(
+    memory: MemoryTiming,
+    cycle_ns: float,
+    levels: Sequence[LowerLevelSpec] = (),
+    seed: int = 0,
+) -> Tuple[MainMemory, object, List[LowerCacheLevel]]:
+    """Build the memory side of a machine: main memory, then each lower
+    cache level on top of the one below it.
+
+    Returns ``(memory, below, lower_levels)``: ``below`` is what the L1
+    write buffer and L1 misses talk to (the first lower level, or memory
+    itself), and ``lower_levels`` lists the levels from L2 down.  Every
+    level draws replacement victims from ``seed + 7``.  The engine and
+    :func:`repro.sim.fastpath.replay` both build their hierarchy here,
+    which is what keeps an L1 event stream's replay through lower
+    levels identical to the engine's run.
+    """
+    main = MainMemory(memory, cycle_ns)
+    below = main
+    lower_levels: List[LowerCacheLevel] = []
+    for spec in reversed(levels):
+        level = LowerCacheLevel(spec, cycle_ns, below, seed=seed + 7)
+        lower_levels.insert(0, level)
+        below = level
+    return main, below, lower_levels
 
 
 class L1Port:
@@ -361,14 +389,9 @@ class Engine:
 
     def __init__(self, config: SystemConfig, seed: int = 0) -> None:
         self.config = config
-        cycle_ns = config.cycle_ns
-        self.memory = MainMemory(config.memory, cycle_ns)
-        below = self.memory
-        self.lower_levels: List[LowerCacheLevel] = []
-        for spec in reversed(config.levels):
-            level = LowerCacheLevel(spec, cycle_ns, below, seed=seed + 7)
-            self.lower_levels.insert(0, level)
-            below = level
+        self.memory, below, self.lower_levels = build_hierarchy(
+            config.memory, config.cycle_ns, config.levels, seed=seed
+        )
         l1 = config.l1
         self.wb = TimedWriteBuffer(l1.write_buffer_depth, below)
         self.translator = (

@@ -12,10 +12,14 @@ buffer depth.  So:
    and records a compact event stream plus warm-start hit/miss counters;
 2. :func:`replay` re-prices that event stream for any timing in
    O(events) rather than O(references), reusing the *same*
-   :class:`~repro.memory.mainmemory.MainMemory` and
+   :class:`~repro.memory.mainmemory.MainMemory`,
+   :class:`~repro.sim.engine.LowerCacheLevel` and
    :class:`~repro.cache.writebuffer.TimedWriteBuffer` classes the engine
-   uses, so contention, recovery, stale-read stalls and buffer-full
-   stalls are modeled identically.
+   uses, built by the engine's own
+   :func:`~repro.sim.engine.build_hierarchy`, so contention, recovery,
+   stale-read stalls, buffer-full stalls and lower-level hits and misses
+   are modeled identically.  An L1 event stream depends on nothing below
+   L1, so lower cache levels are part of the timing, not of the pass.
 
 ``tests/sim/test_fastpath_vs_engine.py`` asserts cycle-for-cycle equality
 with :class:`~repro.sim.engine.Engine` across organizations and clocks.
@@ -36,11 +40,13 @@ uncontended stretches of this replay loop and hands the contended tail
 to an exact scalar state machine — bit-identical outcomes, one kernel
 call per stream (see ``docs/internals.md``, "The batch replay
 kernel").  Telemetry-enabled replays stay on :func:`replay`: the
-kernel takes no ``telemetry`` handle.
+kernel takes no ``telemetry`` handle.  The kernel prices memory-direct
+organizations only; machines with lower cache levels (§6) take scalar
+:func:`replay`.
 
 The fastpath supports the configuration family all the paper's sweeps
 use: split L1, write-back, no fetch on write miss, whole-block fetch,
-blocking misses, no lower cache levels.  Everything else goes through
+blocking misses, any lower cache levels.  Everything else goes through
 the engine.
 """
 
@@ -58,7 +64,8 @@ from ..cpu.processor import NO_REF, CoupletStream, pair_couplets
 from ..errors import ConfigurationError
 from ..memory.mainmemory import MainMemory
 from ..trace.record import RefKind, Trace
-from .config import SystemConfig
+from .config import LowerLevelSpec, SystemConfig
+from .engine import build_hierarchy
 from .statistics import BufferCounters, CacheCounters, SimStats
 from .telemetry import Telemetry
 
@@ -128,6 +135,9 @@ class ReplayOutcome:
     memory_writes: int
     memory_busy_cycles: int
     buffer: BufferCounters
+    #: The first lower level's counters over the whole run (the engine's
+    #: ``SimStats.lower`` semantics), or ``None`` memory-direct.
+    lower: Optional[CacheCounters] = None
 
 
 def check_fastpath_supported(config: SystemConfig) -> None:
@@ -135,8 +145,6 @@ def check_fastpath_supported(config: SystemConfig) -> None:
     l1 = config.l1
     if l1.unified:
         raise ConfigurationError("fastpath requires a split L1")
-    if config.levels:
-        raise ConfigurationError("fastpath supports single-level systems only")
     if l1.policy.write_policy is not WritePolicy.WRITE_BACK:
         raise ConfigurationError("fastpath requires a write-back D-cache")
     if l1.policy.write_miss is not WriteMissPolicy.NO_ALLOCATE:
@@ -303,8 +311,16 @@ def replay(
     cycle_ns: float,
     write_buffer_depth: int = 4,
     telemetry: Optional[Telemetry] = None,
+    levels: Sequence[LowerLevelSpec] = (),
+    seed: int = 0,
 ) -> ReplayOutcome:
     """Re-price an event stream under one temporal parameter set.
+
+    ``levels`` are the machine's lower cache levels; the L1 write buffer
+    and every miss go to the first of them, built with the engine's own
+    :func:`~repro.sim.engine.build_hierarchy` from the replacement
+    ``seed``.  An L1 event stream depends on nothing below L1, so one
+    stream serves the organization with and without them.
 
     ``telemetry`` enables the cycle-attribution ledger / event tracer.
     Gap cycles between events are pure L1 service; eventful couplets
@@ -313,8 +329,10 @@ def replay(
     <repro.sim.telemetry.CycleLedger.charge_couplet>`, so the two
     simulators' attributions are identical, not merely close.
     """
-    mem = MainMemory(memory, cycle_ns)
-    wb = TimedWriteBuffer(write_buffer_depth, mem)
+    mem, below, lower_levels = build_hierarchy(
+        memory, cycle_ns, levels, seed=seed
+    )
+    wb = TimedWriteBuffer(write_buffer_depth, below)
     tel = telemetry
     if tel is not None and tel.ledger is None and tel.tracer is None:
         tel = None
@@ -337,7 +355,7 @@ def replay(
     ev_dpid = stream.ev_dpid
     ev_vaddr = stream.ev_vaddr
     ev_vpid = stream.ev_vpid
-    read_block = mem.read_block
+    read_block = below.read_block
     drain = wb.background_drain
     match = wb.resolve_read_match
     push = wb.push
@@ -364,7 +382,7 @@ def replay(
                 end = done
             if tel is not None:
                 i_segs = [("wb_match_stall", t - start)] if t > start else []
-                i_segs.extend(mem.last_read_segments)
+                i_segs.extend(_fetch_segments(below, mem, t, done))
         dt = ev_dtype[e]
         if dt == _D_WRITE_HIT:
             if start + 2 > end:
@@ -384,7 +402,7 @@ def replay(
                 end = done
             if tel is not None:
                 d_segs = [("wb_match_stall", t - start)] if t > start else []
-                d_segs.extend(mem.last_read_segments)
+                d_segs.extend(_fetch_segments(below, mem, t, done))
         elif dt == _D_WRITE_MISS:
             release = push(ev_dpid[e], ev_daddr[e], 1, start + 1)
             tail = start + 2
@@ -424,7 +442,17 @@ def replay(
             match_stalls=wb.match_stalls,
             max_occupancy=wb.max_occupancy,
         ),
+        lower=lower_levels[0].counters.snapshot() if lower_levels else None,
     )
+
+
+def _fetch_segments(below, mem: MainMemory, t: int, done: int):
+    """Attribution of a fetch issued at ``t`` that completed at ``done``,
+    as the engine's :meth:`~repro.sim.engine.L1Port._miss_segments`
+    charges it: memory's own breakdown, or one ``lower_fetch`` span."""
+    if below is mem:
+        return mem.last_read_segments
+    return [("lower_fetch", done - t)]
 
 
 def assemble_stats(
@@ -444,7 +472,7 @@ def assemble_stats(
         n_couplets=stream.n_couplets_measured,
         icache=stream.icache,
         dcache=stream.dcache,
-        lower=None,
+        lower=outcome.lower,
         buffer=outcome.buffer,
         memory_reads=outcome.memory_reads,
         memory_writes=outcome.memory_writes,
@@ -478,6 +506,6 @@ def fast_simulate(
     outcome = replay(
         stream, config.memory, config.cycle_ns,
         write_buffer_depth=config.l1.write_buffer_depth,
-        telemetry=telemetry,
+        telemetry=telemetry, levels=config.levels, seed=seed,
     )
     return assemble_stats(stream, outcome, config.cycle_ns)

@@ -614,4 +614,6 @@ def cached_fast_simulate(
     from ..core.sweep import run_functional_passes
 
     stream = run_functional_passes([(config, trace, seed)], cache=cache)[0]
-    return fast_simulate(config, trace, telemetry=telemetry, stream=stream)
+    return fast_simulate(
+        config, trace, seed=seed, telemetry=telemetry, stream=stream
+    )

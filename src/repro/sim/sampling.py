@@ -68,10 +68,15 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import SamplingError
+from ..errors import ConfigurationError, SamplingError
 from ..trace.multiprogram import warm_prefix
 from ..trace.record import RefKind, Trace
-from .fastpath import EventStream, ReplayOutcome, replay
+from .fastpath import (
+    EventStream,
+    ReplayOutcome,
+    check_fastpath_supported,
+    replay,
+)
 from .statistics import BufferCounters, CacheCounters, SimStats
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard only
@@ -748,6 +753,22 @@ def estimate_stats(
 # ----------------------------------------------------------------------
 # End-to-end sampled simulation
 # ----------------------------------------------------------------------
+def check_sampling_supported(config: "SystemConfig") -> None:
+    """Raise :class:`ConfigurationError` if the sampled route cannot
+    price ``config``.
+
+    Representative intervals are priced memory-direct (the estimator
+    scales memory-side counters only), so a machine with lower cache
+    levels is refused rather than estimated without them.
+    """
+    check_fastpath_supported(config)
+    if config.levels:
+        raise ConfigurationError(
+            "sampling supports single-level systems only; price lower "
+            "cache levels exactly"
+        )
+
+
 def _exact_stream(
     config: "SystemConfig",
     trace: Trace,

@@ -331,6 +331,26 @@ class TestSamplingCLI:
         assert main(self._SAMPLE_ARGS + ["--engine"]) == 2
         assert "fastpath" in capsys.readouterr().err
 
+    def test_simulate_sample_rejects_lower_levels(self, capsys, tmp_path):
+        from repro.core.geometry import CacheGeometry
+        from repro.sim.config import LowerLevelSpec, baseline_config
+        from repro.sim.specfiles import save_spec
+        from repro.units import KB
+
+        spec = tmp_path / "two_level.json"
+        save_spec(baseline_config(cache_size_bytes=4 * KB).with_levels((
+            LowerLevelSpec(
+                geometry=CacheGeometry(size_bytes=64 * KB, block_words=16)
+            ),
+        )), spec)
+        assert main([
+            "simulate", "--trace", "mu3", "--length", "20000",
+            "--spec", str(spec), "--sample", "interval=4000,k=3",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert "--sample requires the fastpath" in captured.err
+        assert "estimated" not in captured.out
+
     def test_simulate_sample_rejects_bad_spec(self, capsys):
         assert main([
             "simulate", "--trace", "mu3", "--length", "8000",

@@ -7,11 +7,18 @@ traffic, buffer stalls and memory operation counts — across cache
 organizations, clocks, memory speeds and buffer depths.
 """
 
-import pytest
+import dataclasses
+import functools
+import tempfile
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core.geometry import CacheGeometry
+from repro.core.policy import ReplacementKind
 from repro.core.timing import MemoryTiming
 from repro.errors import ConfigurationError
-from repro.sim.config import baseline_config
+from repro.sim.config import LowerLevelSpec, baseline_config
 from repro.sim.engine import simulate
 from repro.sim.fastpath import (
     assemble_stats,
@@ -20,6 +27,8 @@ from repro.sim.fastpath import (
     functional_pass,
     replay,
 )
+from repro.sim.passcache import cached_fast_simulate
+from repro.trace.suite import build_trace
 from repro.units import KB
 
 
@@ -98,6 +107,80 @@ def test_one_pass_replays_to_many_clocks(mu3_small):
         assert_stats_equal(engine, fast)
 
 
+@functools.lru_cache(maxsize=None)
+def short_traces():
+    """One VAX-family and one RISC-family trace, short enough to run
+    both simulators per drawn machine."""
+    return (
+        build_trace("mu3", length=2500, seed=5),
+        build_trace("rd2n4", length=2500, seed=6),
+    )
+
+
+replacements = st.sampled_from(list(ReplacementKind))
+
+
+@st.composite
+def machines(draw):
+    """A fastpath L1 with one or two lower levels below it.
+
+    Each level's blocks are at least as large as the blocks of the level
+    above, and multi-way levels draw every replacement policy, so the
+    levels' own seeded RANDOM victims are exercised."""
+    l1_block = draw(st.sampled_from([1, 2, 4, 8]))
+    config = baseline_config(
+        cache_size_bytes=draw(st.sampled_from([256, 1 * KB, 4 * KB])),
+        block_words=l1_block,
+        assoc=draw(st.sampled_from([1, 2])),
+        replacement=draw(replacements),
+        write_buffer_depth=draw(st.sampled_from([1, 2, 4])),
+        cycle_ns=draw(st.sampled_from([20.0, 40.0])),
+    )
+    levels = []
+    block = l1_block
+    for _ in range(draw(st.integers(1, 2))):
+        block = draw(st.sampled_from([b for b in (2, 4, 8, 16) if b >= block]))
+        assoc = draw(st.sampled_from([1, 2, 4]))
+        spec = LowerLevelSpec(
+            geometry=CacheGeometry(
+                size_bytes=draw(st.sampled_from([1 * KB, 4 * KB, 16 * KB])),
+                block_words=block, assoc=assoc,
+            ),
+            port=MemoryTiming(
+                latency_ns=draw(st.sampled_from([20.0, 60.0, 100.0])),
+                transfer_rate=1.0, write_op_ns=0.0, recovery_ns=0.0,
+            ),
+            write_buffer_depth=draw(st.sampled_from([1, 4])),
+        )
+        levels.append(dataclasses.replace(spec, policy=dataclasses.replace(
+            spec.policy, replacement=draw(replacements),
+        )))
+    return config.with_levels(tuple(levels))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config=machines(), trace_index=st.integers(0, 1),
+       seed=st.integers(0, 2**31 - 1))
+def test_lower_levels_equal_the_engine(config, trace_index, seed):
+    """Replaying an L1 event stream through drawn lower levels equals
+    the engine: cycles, L1, memory, buffer and first-lower-level
+    counters.  The pass-cache entry campaign workers take must carry
+    the seed to the lower levels too."""
+    trace = short_traces()[trace_index]
+    engine = simulate(config, trace, seed=seed)
+    fast = fast_simulate(config, trace, seed=seed)
+    assert_stats_equal(engine, fast)
+    assert engine.memory_busy_cycles == fast.memory_busy_cycles
+    assert engine.lower is not None
+    assert engine.lower == fast.lower
+    with tempfile.TemporaryDirectory() as directory:
+        cached = cached_fast_simulate(
+            config, trace, cache_dir=directory, seed=seed
+        )
+    assert cached == fast
+
+
 class TestSupportChecks:
     def test_unified_rejected(self):
         from repro.core.geometry import CacheGeometry
@@ -109,15 +192,23 @@ class TestSupportChecks:
         with pytest.raises(ConfigurationError):
             check_fastpath_supported(config)
 
-    def test_multilevel_rejected(self):
+    def test_multilevel_accepted(self, tiny_trace):
+        """Lower levels change nothing above L1: a machine with an L2
+        passes the check and shares the single-level machine's pass."""
         from repro.core.geometry import CacheGeometry
         from repro.sim.config import LowerLevelSpec
+        from repro.sim.stackpass import pass_key
 
-        config = baseline_config(cache_size_bytes=4 * KB).with_levels(
+        single = baseline_config(cache_size_bytes=4 * KB)
+        config = single.with_levels(
             (LowerLevelSpec(geometry=CacheGeometry(size_bytes=64 * KB, block_words=4)),)
         )
-        with pytest.raises(ConfigurationError):
-            check_fastpath_supported(config)
+        check_fastpath_supported(config)
+        assert pass_key(config, tiny_trace, 0) == pass_key(single, tiny_trace, 0)
+        assert functional_pass(config, tiny_trace) == dataclasses.replace(
+            functional_pass(single, tiny_trace),
+            config_summary=config.describe(),
+        )
 
     def test_write_through_rejected(self):
         from repro.core.policy import CachePolicy, WritePolicy

@@ -31,8 +31,9 @@ from repro.core.sweep import (
     run_functional_passes,
     run_speed_size_sweep,
 )
-from repro.errors import SamplingError
-from repro.sim.config import baseline_config
+from repro.core.geometry import CacheGeometry
+from repro.errors import ConfigurationError, SamplingError
+from repro.sim.config import LowerLevelSpec, baseline_config
 from repro.sim.fastpath import fast_simulate, functional_pass, replay
 from repro.sim.passcache import PassCache
 from repro.sim.sampling import (
@@ -579,3 +580,16 @@ class TestComposition:
             plan_spec="interval=6000,k=3", validate=True,
         )
         assert stats.n_refs == len(trace) - trace.warm_boundary
+
+    def test_lower_levels_are_refused_not_dropped(self):
+        """The sampled route prices memory-direct; a machine with an L2
+        must be refused, never estimated as if the L2 were absent."""
+        config = baseline_config(8 * KB).with_levels((LowerLevelSpec(
+            geometry=CacheGeometry(size_bytes=64 * KB, block_words=16)
+        ),))
+        trace = _trace(length=30_000)
+        plan = SamplingPlan.parse("interval=6000,k=3")
+        with pytest.raises(ConfigurationError, match="single-level"):
+            sampled_simulate(config, trace, plan_spec="interval=6000,k=3")
+        with pytest.raises(ConfigurationError, match="single-level"):
+            run_functional_passes([(config, trace, 0)], sampling=plan)

@@ -215,6 +215,18 @@ class TestConservationAndAgreement:
         _, fast_ledger = _ledger_run(fast_simulate, small_config, rd2n4_small)
         assert engine_ledger.as_dict() == fast_ledger.as_dict()
 
+    def test_two_level_buckets_are_identical(self, mu3_small):
+        """A replay through a lower level charges each L1 miss as the
+        engine does: match stall, then one ``lower_fetch`` span."""
+        config = next(
+            c for n, c in _engine_only_configs() if n == "two_level"
+        )
+        _, engine_ledger = _ledger_run(simulate, config, mu3_small)
+        _, fast_ledger = _ledger_run(fast_simulate, config, mu3_small)
+        assert engine_ledger.as_dict() == fast_ledger.as_dict()
+        assert engine_ledger.measured() == fast_ledger.measured()
+        assert fast_ledger.as_dict()["lower_fetch"] > 0
+
     def test_buckets_cover_the_interesting_cycles(self, mu3_small):
         config = baseline_config(cache_size_bytes=4 * KB)
         _, ledger = _ledger_run(simulate, config, mu3_small)
@@ -249,6 +261,8 @@ def _engine_only_configs():
         base,
         l1=L1Spec(d_geometry=CacheGeometry(size_bytes=8 * KB), unified=True),
     )
+    # The fastpath prices this one too; the engine's own conservation
+    # is what this family checks.
     yield "two_level", dataclasses.replace(
         base,
         levels=(
