@@ -55,7 +55,7 @@ Main subcommands:
   validates every entry's checksum (``--repair`` quarantines).  The
   ``simulate``, ``advise`` and ``campaign run`` subcommands accept
   ``--pass-cache DIR`` to reuse functional passes across invocations.
-  Every fastpath pass is one inline per-organization pass, shared by
+  Every fastpath pass is one filtered per-organization pass, shared by
   the organization's timing siblings (see ``docs/internals.md``);
   results are bit-identical to the reference pass.
 """

@@ -8,7 +8,7 @@ the containers the analysis modules consume.
 The cost structure mirrors the paper's macro-expansion trick: one
 functional cache pass per *organization* per trace, then cheap timing
 replays for every cycle time / memory speed — see
-:mod:`repro.sim.fastpath`.  Every functional pass is an inline
+:mod:`repro.sim.fastpath`.  Every functional pass is a filtered
 per-organization pass (:mod:`repro.sim.stackpass`), shared by the
 organization's timing siblings.
 
@@ -205,7 +205,7 @@ def run_functional_passes(
     back in job order.
 
     Every miss group of timing siblings (same trace contents,
-    organization, policy and seed) takes one inline pass
+    organization, policy and seed) takes one pass
     (:func:`~repro.sim.stackpass.stack_functional_passes`), and the
     siblings get relabelled copies; streams are bit-identical to the
     reference :func:`~repro.sim.fastpath.functional_pass`.  With a
@@ -536,7 +536,7 @@ def run_speed_size_sweep(
     :mod:`repro.sim.passcache`).
 
     The functional passes go through :func:`run_functional_passes`: one
-    inline pass per organization per trace.  Each stream is then priced
+    pass per organization per trace.  Each stream is then priced
     across its whole cycle-time column in one
     :class:`~repro.sim.replaykernel.BatchReplayKernel` invocation.
     ``n_jobs`` sizes both parallel phases: the pass tasks run over a

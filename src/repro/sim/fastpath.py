@@ -27,7 +27,7 @@ with :class:`~repro.sim.engine.Engine` across organizations and clocks.
 :func:`functional_pass` drives the :class:`~repro.cache.cache.Cache`
 objects the engine also uses, which makes it the reference oracle for
 functional passes; no production code calls it.  Production streams
-come from the inline per-organization pass
+come from the filtered per-organization pass
 (:func:`repro.sim.stackpass.organization_pass`), through
 :func:`repro.core.sweep.run_functional_passes` (sweeps, sampling, the
 pass cache, campaign workers) or :func:`fast_simulate`.  The tests,
@@ -494,7 +494,7 @@ def fast_simulate(
     ``stream``, when given, is the functional pass already made for
     ``(config, trace, seed)`` (e.g. by
     :func:`repro.core.sweep.run_functional_passes`); only the replay
-    runs.  Without it this runs one inline pass
+    runs.  Without it this runs one per-organization pass
     (:func:`repro.sim.stackpass.organization_pass`), then one
     :func:`replay`.
     """

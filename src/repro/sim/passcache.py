@@ -202,16 +202,6 @@ def stream_to_dict(stream: EventStream) -> Dict:
     return doc
 
 
-def stream_from_dict(payload: Dict) -> EventStream:
-    """Inverse of :func:`stream_to_dict`.
-
-    Raises :exc:`~repro.errors.CorruptResultError` on any missing or
-    wrongly-shaped field — callers turn that into a quarantine-and-miss,
-    never a crash or a garbage replay.
-    """
-    return _build_stream(payload, _raw_buffers(payload))
-
-
 def _raw_buffers(payload) -> Dict[str, bytes]:
     """Each event buffer of a stream document, decoded to raw bytes."""
     if not isinstance(payload, dict):
@@ -326,8 +316,8 @@ class PassCache:
     persists one.  Corrupt entries are quarantined and read as misses;
     schema mismatches miss cleanly.  Callers do not pair the two by
     hand: :func:`repro.core.sweep.run_functional_passes` with
-    ``cache=`` loads the hits, runs the misses as inline
-    per-organization passes and persists them.
+    ``cache=`` loads the hits, runs the misses as per-organization
+    passes and persists them.
 
     ``writer`` overrides the persistence primitive (default
     :func:`~repro.sim.campaign.atomic_write_text`) so the fault harness
@@ -592,7 +582,7 @@ def cached_fast_simulate(
 
     The stream comes from the route sweeps use,
     :func:`repro.core.sweep.run_functional_passes` with ``cache=``: a
-    hit is loaded, a miss takes the inline per-organization pass and is
+    hit is loaded, a miss takes the per-organization pass and is
     persisted.
 
     Accepts either a live :class:`PassCache` or a ``cache_dir`` path —

@@ -1,6 +1,6 @@
 """Trace-interval sampling with stratified error bounds.
 
-The inline per-organization pass (:mod:`repro.sim.stackpass`) made each
+The filtered per-organization pass (:mod:`repro.sim.stackpass`) made each
 functional pass cheap; what remains is trace *length* — every pass
 still visits every reference.  This module removes that wall for long
 traces the way SimPoint-style interval selection does for CPU

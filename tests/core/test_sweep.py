@@ -152,7 +152,7 @@ class TestSpeedSizeSweep:
     @pytest.mark.parametrize("assoc", [2, 4])
     def test_per_organization_passes_equal_scalar(self, small_suite, assoc,
                                                   replacement):
-        """Multi-way FIFO and RANDOM cells (one inline pass per
+        """Multi-way FIFO and RANDOM cells (one pass per
         organization) equal the scalar reference."""
         registry = MetricsRegistry()
         self._assert_cells_equal_scalar(
@@ -164,7 +164,7 @@ class TestSpeedSizeSweep:
 
     def test_parallel_per_organization_passes_equal_serial(self,
                                                            small_suite):
-        """A 4-way RANDOM grid's inline passes give the same cells and
+        """A 4-way RANDOM grid's passes give the same cells and
         counters in the pool as in-process."""
         args = (small_suite, [2 * KB, 8 * KB], [20.0, 40.0])
         registries = [MetricsRegistry(), MetricsRegistry()]

@@ -13,6 +13,7 @@ The load-bearing guarantees under test:
   wrong replay.
 """
 
+import base64
 import functools
 import json
 import os
@@ -35,7 +36,7 @@ from repro.sim.passcache import (
     PassCache,
     cache_key,
     cached_fast_simulate,
-    stream_from_dict,
+    stream_checksum,
     stream_to_dict,
 )
 from repro.trace.suite import build_trace
@@ -77,6 +78,22 @@ def _rewrite(path, mutate):
     )
 
 
+def _reseal(payload):
+    """Re-checksum an entry's stream document with ``stream_checksum``
+    where its event buffers still decode, so that only the stream's own
+    validation can refuse it; an undecodable buffer fails before the
+    checksum is read."""
+    doc = payload["stream"]
+    try:
+        raw = {
+            field: base64.b64decode(doc[field], validate=True)
+            for field in EVENT_FIELDS
+        }
+    except (KeyError, TypeError, ValueError):
+        return
+    payload["checksum"] = stream_checksum(doc, raw)
+
+
 class TestCacheKey:
     def test_deterministic(self, mu3_small, small_config):
         assert cache_key(small_config, mu3_small) == cache_key(
@@ -109,12 +126,16 @@ class TestCacheKey:
 
 
 class TestRoundTrip:
-    def test_dict_round_trip(self, mu3_small, small_config):
+    def test_dict_round_trip(self, tmp_path, mu3_small, small_config):
+        """A stream document written through JSON and re-sealed reads
+        back as the same stream."""
         stream = functional_pass(small_config, mu3_small)
-        back = stream_from_dict(
-            json.loads(json.dumps(stream_to_dict(stream)))
-        )
-        assert_streams_equal(stream, back)
+        cache = PassCache(tmp_path / "pc")
+        cache.put(small_config, mu3_small, 0, stream)
+        path = _entry_path(cache, small_config, mu3_small)
+        _rewrite(path, _reseal)
+        assert_streams_equal(stream, cache.get(small_config, mu3_small))
+        assert cache.counters.corrupt == 0
 
     def test_put_then_get_across_instances(
         self, tmp_path, mu3_small, small_config
@@ -156,52 +177,64 @@ class TestRoundTrip:
 
 
 class TestStreamFromDictValidation:
+    """A malformed stream document under a valid checksum must still
+    miss cleanly: ``PassCache.get`` validates every buffer and scalar
+    after the checksum, and quarantines the entry."""
+
     @pytest.fixture()
-    def doc(self, tiny_trace, small_config):
-        return stream_to_dict(functional_pass(small_config, tiny_trace))
+    def refused(self, tmp_path, tiny_trace, small_config):
+        """``refused(edit)`` replaces a written entry's stream document
+        with ``edit(document)``, re-seals it, and asserts that the entry
+        is refused for its shape, not its checksum: ``get`` misses,
+        counts it corrupt and quarantines it."""
+        cache = PassCache(tmp_path / "pc")
+        cache.put(small_config, tiny_trace, 0,
+                  functional_pass(small_config, tiny_trace))
+        path = _entry_path(cache, small_config, tiny_trace)
 
-    def test_non_object_payload_rejected(self):
-        with pytest.raises(CorruptResultError):
-            stream_from_dict([1, 2, 3])
+        def refused(edit):
+            def doctor(payload):
+                payload["stream"] = edit(payload["stream"])
+                _reseal(payload)
 
-    def test_missing_buffer_rejected(self, doc):
-        del doc["ev_gap"]
-        with pytest.raises(CorruptResultError):
-            stream_from_dict(doc)
+            _rewrite(path, doctor)
+            [(_path, reason)] = cache.verify().corrupt
+            assert "checksum" not in reason
+            assert cache.get(small_config, tiny_trace) is None
+            assert (cache.counters.corrupt, cache.counters.misses) == (1, 1)
+            assert not path.exists()
+            assert (cache.quarantine_dir / path.name).exists()
 
-    def test_bad_base64_rejected(self, doc):
-        doc["ev_gap"] = "!!! not base64 !!!"
-        with pytest.raises(CorruptResultError):
-            stream_from_dict(doc)
+        return refused
 
-    def test_non_string_buffer_rejected(self, doc):
-        doc["ev_gap"] = [1, 2, 3]
-        with pytest.raises(CorruptResultError):
-            stream_from_dict(doc)
+    def test_non_object_payload_rejected(self, refused):
+        refused(lambda doc: [1, 2, 3])
 
-    def test_ragged_buffers_rejected(self, doc):
-        # chop one buffer to a different (still 8-byte-aligned) length
-        raw = doc["ev_imiss"]
-        doc["ev_imiss"] = raw[: len(raw) // 2 // 4 * 4]
-        with pytest.raises(CorruptResultError):
-            stream_from_dict(doc)
+    def test_missing_buffer_rejected(self, refused):
+        refused(lambda doc: {k: v for k, v in doc.items() if k != "ev_gap"})
 
-    def test_misaligned_bytes_rejected(self, doc):
-        import base64
+    def test_bad_base64_rejected(self, refused):
+        refused(lambda doc: {**doc, "ev_gap": "!!! not base64 !!!"})
 
-        doc["ev_gap"] = base64.b64encode(b"12345").decode("ascii")
-        with pytest.raises(CorruptResultError):
-            stream_from_dict(doc)
+    def test_non_string_buffer_rejected(self, refused):
+        refused(lambda doc: {**doc, "ev_gap": [1, 2, 3]})
 
-    def test_non_integer_scalar_rejected(self, doc):
-        doc["end_base"] = "not-a-number"
-        with pytest.raises(CorruptResultError):
-            stream_from_dict(doc)
+    def test_ragged_buffers_rejected(self, refused):
+        # cut one buffer to two events: still 8-byte aligned
+        refused(lambda doc: {**doc, "ev_imiss": base64.b64encode(
+            base64.b64decode(doc["ev_imiss"])[:16]
+        ).decode("ascii")})
 
-    def test_n_events_mismatch_rejected(self, doc):
-        doc["n_events"] = doc["n_events"] + 1
-        with pytest.raises(CorruptResultError):
-            stream_from_dict(doc)
+    def test_misaligned_bytes_rejected(self, refused):
+        refused(lambda doc: {
+            **doc, "ev_gap": base64.b64encode(b"12345").decode("ascii"),
+        })
+
+    def test_non_integer_scalar_rejected(self, refused):
+        refused(lambda doc: {**doc, "end_base": "not-a-number"})
+
+    def test_n_events_mismatch_rejected(self, refused):
+        refused(lambda doc: {**doc, "n_events": doc["n_events"] + 1})
 
 
 class TestCorruption:

@@ -14,13 +14,15 @@ cold and warm, :func:`repro.sim.fastpath.fast_simulate` without a
 stream, and :func:`repro.sim.sampling.sampled_fast_simulate`) must
 return what that route and one replay return.
 
-:func:`repro.sim.stackpass.organization_pass` itself has two routes,
-picked from the organization: a columnar one when both sides are
-direct-mapped, and the inline per-reference loop otherwise.  The
-generator draws direct-mapped organizations about half the time, from
-single-set caches up to 128-word blocks (whose dirty-word counts
-outgrow a 64-bit mask), over traces with no fetches, no stores or no
-loads and over pids and addresses too large to pack into one int64 key.
+:func:`repro.sim.stackpass.organization_pass` is one filtered pass: a
+reference with the key of the previous access to its set skips the
+per-set loop, which direct-mapped sides leave empty.  The generator
+draws organizations direct-mapped on both sides about half the time,
+from single-set caches up to 128-word blocks (whose dirty-word counts
+outgrow a 64-bit mask) on either kind of side, over traces with no
+fetches, no stores or no loads, same-key store runs before and after
+their block's first load, and pids and addresses too large to pack
+into one int64 key.
 
 Pricing has routes too: a sweep's batch kernels serve a point from an
 :class:`~repro.sim.replaykernel.OutcomeArchive` row inside an archive
@@ -96,6 +98,33 @@ def dirty_sweep():
                  warm_boundary=len(kinds) // 4)
 
 
+def store_runs():
+    """Same-key data runs that open with stores.  A block's first run
+    stores before any load (each store misses and bypasses), its block
+    is then loaded, and stored again; later runs of the block may hit
+    or find it evicted.  One run is cut by the warm boundary between
+    its stores and its load.  A fetch precedes each run, so a run's
+    head shares its couplet."""
+    ifetch, load, store = (int(kind) for kind in RefKind)
+    rng = np.random.default_rng(6)
+    kinds, addrs = [], []
+    warm = 0
+    for run in range(160):
+        shape = (
+            [store] * int(rng.integers(1, 4))
+            + [load] * int(rng.integers(0, 3))
+            + [store] * int(rng.integers(0, 3))
+        )
+        if run == 80:
+            shape = [store, store, load, store]
+            warm = len(kinds) + 3
+        base = 1024 + 4 * int(rng.integers(0, 40))
+        kinds += [ifetch] + shape
+        words = rng.integers(0, 4, size=len(shape))
+        addrs += [run % 64] + [base + int(word) for word in words]
+    return Trace(kinds, addrs, name="store-runs", warm_boundary=warm)
+
+
 def random_trace(name, kinds, length, seed, pids=(0,), high=256):
     """``length`` references of ``kinds`` over ``high`` words per pid.
 
@@ -120,8 +149,8 @@ def trace_pool():
     """Small traces covering the shapes the routes treat differently:
     two suite traces, a same-content twin under another name, two traces
     with nothing to measure (empty, and warm to the end), and synthetic
-    traces of only stores, only loads, many pids with huge keys, and
-    blocks with many dirty words."""
+    traces of only stores, only loads, many pids with huge keys, blocks
+    with many dirty words, and store-headed same-key runs."""
     mu3 = build_trace("mu3", length=3000, seed=1)
     rd2n4 = build_trace("rd2n4", length=3000, seed=2)
     twin = Trace(mu3.kinds, mu3.addrs, mu3.pids, name="mu3-twin",
@@ -136,15 +165,16 @@ def trace_pool():
         pids=(0, 2, 4, 16, 1 << 20, (1 << 31) - 1),
     )
     return (mu3, rd2n4, twin, empty, warm, stores, loads, pids,
-            dirty_sweep())
+            dirty_sweep(), store_runs())
 
 
 #: One cache geometry.  128 B caches are drawn most often: with a
 #: handful of blocks per set, nearly every miss evicts, so RANDOM's
-#: victim draws decide the stream.
+#: victim draws decide the stream.  Blocks of 32 and 128 words hold
+#: more dirty words than a 64-bit mask.
 geometries = st.tuples(
     st.sampled_from([128, 128, 512, 2048, 8192]),
-    st.sampled_from([1, 2, 4, 8]),
+    st.sampled_from([1, 2, 4, 8, 32, 128]),
     st.sampled_from([1, 2, 4, 8]),
 ).filter(
     lambda g: g[0] >= 4 * g[1] * g[2]
@@ -178,8 +208,8 @@ replacements = st.sampled_from(
     [ReplacementKind.LRU, ReplacementKind.FIFO, ReplacementKind.RANDOM]
 )
 
-#: Half the draws are direct-mapped on both sides (the columnar route);
-#: the rest mix geometries freely (mostly the inline loop).
+#: Half the draws are direct-mapped on both sides (an empty residual
+#: loop); the rest mix geometries freely (mostly set-associative).
 organizations = st.one_of(
     st.builds(split_l1, geometries, geometries, replacements),
     st.builds(split_l1, direct_mapped, direct_mapped, replacements),
@@ -190,7 +220,7 @@ organizations = st.one_of(
 jobs_strategy = st.lists(
     st.tuples(
         organizations,
-        st.sampled_from([0, 0, 1, 1, 2, 0, 1, 5, 6, 7, 7, 8, 8, 3, 4]),
+        st.sampled_from([0, 0, 1, 1, 2, 0, 1, 5, 6, 7, 7, 8, 8, 9, 9, 3, 4]),
         st.integers(0, 2**31 - 1),
     ),
     min_size=1, max_size=6,
@@ -380,7 +410,7 @@ def test_single_job_routes_equal_the_scalar_pass(drawn, prefill):
           suppress_health_check=[HealthCheck.too_slow])
 @given(
     organization=organizations,
-    trace_index=st.sampled_from([0, 1, 2, 5, 6, 7, 8]),
+    trace_index=st.sampled_from([0, 1, 2, 5, 6, 7, 8, 9]),
     seed=st.integers(0, 2**31 - 1),
     use_cache=st.booleans(),
     validate=st.booleans(),
@@ -431,30 +461,34 @@ def test_sampled_simulate_equals_the_sampled_sweep_route(
 
 
 def test_the_organization_picks_the_pass_route(monkeypatch):
-    """Direct-mapped on both sides takes the columnar route and never
-    the inline loop; one set-associative side takes the inline loop and
-    never the columnar route."""
+    """Direct-mapped on both sides leaves the residual loop empty and
+    never builds a replacement policy; a set-associative side builds
+    its own, seeded as the reference seeds that side's cache."""
     trace = trace_pool()[0]
     direct = CacheGeometry(size_bytes=1024, block_words=4, assoc=1)
     two_way = CacheGeometry(size_bytes=1024, block_words=4, assoc=2)
-
-    def wrong_route(*args, **kwargs):
-        raise AssertionError("took the wrong route")
-
+    make_policy = stackpass.make_policy
     cases = [
-        (split_l1(direct, direct, ReplacementKind.RANDOM), "_inline_pass"),
-        (split_l1(direct, two_way, ReplacementKind.RANDOM),
-         "_direct_mapped_pass"),
-        (split_l1(two_way, direct, ReplacementKind.LRU),
-         "_direct_mapped_pass"),
+        (split_l1(direct, direct, ReplacementKind.RANDOM), None),
+        (split_l1(direct, two_way, ReplacementKind.RANDOM), [3]),
+        (split_l1(two_way, direct, ReplacementKind.LRU), [3 + 101]),
     ]
-    for config, barred in cases:
+    for config, seeds in cases:
+        built = []
+
+        def recording(kind, seed=None):
+            if seeds is None:
+                raise AssertionError("built a replacement policy")
+            built.append(seed)
+            return make_policy(kind, seed=seed)
+
         with monkeypatch.context() as patch:
-            patch.setattr(stackpass, barred, wrong_route)
+            patch.setattr(stackpass, "make_policy", recording)
             [stream] = run_functional_passes([(config, trace, 3)])
-            assert stream_to_dict(stream) == stream_to_dict(
-                functional_pass(config, trace, seed=3)
-            )
+        assert stream_to_dict(stream) == stream_to_dict(
+            functional_pass(config, trace, seed=3)
+        )
+        assert built == (seeds or [])
 
 
 #: A timing grid: memory parts, clocks (40 and 41 ns quantize alike

@@ -474,7 +474,7 @@ class TestComposition:
         )
 
     def test_sampling_composes_with_stack_strategy(self):
-        """Representative streams come from one inline pass per
+        """Representative streams come from one pass per
         organization per representative interval and equal its scalar
         pass."""
         from repro.sim.passcache import stream_to_dict

@@ -1,15 +1,14 @@
 """Per-organization pass: bit-equality with the reference pass.
 
-Both routes of ``organization_pass`` (columnar for organizations that
-are direct-mapped on both sides, the inline loop otherwise) exist on
-one license, exactness: every EventStream they produce must be
-*bit-identical* to the one ``functional_pass`` (the ``Cache``-object
-reference) produces for the same organization —
-scalars, all nine event buffers, and warm-measured counters.  These
-tests pin that across LRU, FIFO and RANDOM grids, timing siblings that
-share one pass, the degenerate corners (direct-mapped, single-set
-fully associative, zero-event and exhausted-warm streams) and
-randomized ``(size, assoc, block)`` matrices.
+``organization_pass`` exists on one license, exactness: every
+EventStream it produces must be *bit-identical* to the one
+``functional_pass`` (the ``Cache``-object reference) produces for the
+same organization — scalars, all nine event buffers, and
+warm-measured counters.  These tests pin that across LRU, FIFO and
+RANDOM grids, timing siblings that share one pass, the degenerate
+corners (direct-mapped, single-set fully associative, store-headed
+same-key runs, keys past 64 bits, zero-event and exhausted-warm
+streams) and randomized ``(size, assoc, block)`` matrices.
 """
 
 import dataclasses
@@ -83,6 +82,40 @@ def counters(jobs, **kwargs):
     return streams, registry.counters
 
 
+def store_headed_runs(pids):
+    """Data runs of one block each, most opening with stores, each after
+    a fetch, over ``pids``.  A store before its block's first load
+    misses and bypasses.  Pid 0's words sit at ``2**48``, so at 4-word
+    blocks its keys alias pid 4's as the ``Cache`` keys
+    ``(pid << 44) | block`` do; pids ``2**20 - 1`` and ``2**31 - 1``
+    make keys that agree in their low 64 bits."""
+    rng = random.Random(27)
+    ifetch, load, store = (int(kind) for kind in RefKind)
+    kinds, addrs, run_pids = [], [], []
+    for run in range(300):
+        pid = rng.choice(pids)
+        base = (1 << 48 if pid == 0 else 0) + 4 * rng.randrange(12)
+        shape = (
+            [store] * rng.randint(0, 3) + [load] * rng.randint(0, 2)
+            + [store] * rng.randint(0, 2)
+        )
+        kinds += [ifetch] + shape
+        addrs += [run % 32] + [base + rng.randrange(4) for _ in shape]
+        run_pids += [pid] * (1 + len(shape))
+    return Trace(kinds, addrs, run_pids, name="store-runs",
+                 warm_boundary=len(kinds) // 3)
+
+
+def split_config(geometry, replacement):
+    """Both sides of one geometry under ``replacement``."""
+    from repro.sim.config import L1Spec, SystemConfig
+
+    return SystemConfig(l1=L1Spec(
+        d_geometry=geometry, i_geometry=geometry,
+        policy=CachePolicy(replacement=replacement),
+    ))
+
+
 def lru_config(size_bytes, assoc=1, block_words=4, **kwargs):
     return baseline_config(
         cache_size_bytes=size_bytes, assoc=assoc, block_words=block_words,
@@ -92,7 +125,7 @@ def lru_config(size_bytes, assoc=1, block_words=4, **kwargs):
 
 class TestGridEquality:
     def test_lru_grid_one_pass_per_organization(self, mu3_small):
-        """A full (size x assoc x block) LRU grid takes one inline pass
+        """A full (size x assoc x block) LRU grid takes one pass
         per organization, bit-identical to the reference passes."""
         configs = [
             lru_config(size * KB, assoc=assoc, block_words=block)
@@ -184,6 +217,36 @@ class TestDegenerateCorners:
         assert counts["stackpass.passes"] == 1
 
     @pytest.mark.parametrize("replacement", list(ReplacementKind))
+    def test_fully_associative_store_runs(self, replacement):
+        """One set of four ways under every policy, over store-headed
+        runs of three pids: the filter must keep a run's stores until
+        its first load."""
+        geometry = CacheGeometry(size_bytes=64, block_words=4, assoc=4)
+        assert geometry.n_sets == 1
+        config = split_config(geometry, replacement)
+        trace = store_headed_runs(pids=(1, 2, 3))
+        for seed in (0, 9):
+            assert_streams_equal(
+                organization_pass(config, trace, seed=seed),
+                functional_pass(config, trace, seed=seed),
+            )
+
+    @pytest.mark.parametrize("replacement", list(ReplacementKind))
+    def test_huge_pid_keys_two_way(self, replacement):
+        """Keys of pids up to 2**31 - 1 and of aliasing addresses stay
+        exact in the two-way per-set loop: no key is packed into 64
+        bits."""
+        config = split_config(
+            CacheGeometry(size_bytes=256, block_words=4, assoc=2),
+            replacement,
+        )
+        trace = store_headed_runs(pids=(0, 4, (1 << 20) - 1, (1 << 31) - 1))
+        assert_streams_equal(
+            organization_pass(config, trace, seed=5),
+            functional_pass(config, trace, seed=5),
+        )
+
+    @pytest.mark.parametrize("replacement", list(ReplacementKind))
     def test_direct_mapped_every_policy(self, tiny_trace, replacement):
         config = baseline_config(
             cache_size_bytes=2 * KB, replacement=replacement
@@ -234,7 +297,7 @@ class TestDegenerateCorners:
 
 class TestFallback:
     """Multi-way FIFO and RANDOM, the organizations a shared LRU walk
-    could never serve, take the same inline route as every other."""
+    could never serve, take the same pass as every other."""
 
     def test_multiway_random_falls_back(self, tiny_trace):
         direct = baseline_config(cache_size_bytes=4 * KB)
@@ -432,7 +495,7 @@ class TestRunReportBlock:
 
 def test_fully_associative_geometry_direct(tiny_trace):
     """An explicitly-built single-set geometry (not via baseline sizing)
-    behaves identically through the inline pass and the reference."""
+    behaves identically through the pass and the reference."""
     from repro.sim.config import L1Spec, SystemConfig
 
     geometry = CacheGeometry(size_bytes=128, block_words=4, assoc=8)
