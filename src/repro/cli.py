@@ -118,13 +118,14 @@ def _print_counters(registry) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .sim.passcache import PassCache, cache_metrics
     from .sim.telemetry import (
-        CycleLedger, EventTracer, MetricsRegistry, StageTimer, Telemetry,
+        CycleLedger, EventTracer, MetricsRegistry, Telemetry,
         build_run_report,
     )
 
-    timer = StageTimer()
-    with timer.stage("trace"):
+    registry = MetricsRegistry()
+    with registry.span("trace"):
         trace = build_trace(args.trace, length=args.length, seed=args.seed)
     if args.spec:
         from .sim.specfiles import load_spec
@@ -156,20 +157,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
               "with --engine and with spec files that need engine "
               "features", file=sys.stderr)
         return 2
-    registry = MetricsRegistry()
     pass_cache = None
     if args.pass_cache:
         if not use_engine:
-            from .sim.passcache import PassCache
-
-            pass_cache = PassCache(args.pass_cache, registry=registry)
+            pass_cache = PassCache(args.pass_cache)
         else:
             print("note: --pass-cache applies to fastpath runs only; "
                   "this engine run bypasses it", file=sys.stderr)
     if sampled:
-        return _simulate_sampled(
-            args, config, trace, timer, pass_cache, registry
-        )
+        return _simulate_sampled(args, config, trace, pass_cache, registry)
     want_metrics = args.metrics or args.metrics_out
     telemetry = None
     if want_metrics or args.trace_out:
@@ -177,7 +173,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             ledger=CycleLedger() if want_metrics else None,
             tracer=EventTracer() if args.trace_out else None,
         )
-    with timer.stage("simulate"):
+    with registry.span("simulate"), cache_metrics(pass_cache, registry):
         if use_engine:
             stats = simulate(config, trace, telemetry=telemetry)
         else:
@@ -211,7 +207,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _print_counters(registry)
     if telemetry is not None and telemetry.ledger is not None:
         report = build_run_report(
-            stats, telemetry.ledger, timer,
+            stats, telemetry.ledger,
             run_identifier=f"{trace.name}-cli",
             simulator="engine" if use_engine else "fastpath",
             n_refs_total=len(trace), config=config, registry=registry,
@@ -240,7 +236,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _simulate_sampled(
-    args: argparse.Namespace, config, trace, timer, pass_cache, registry,
+    args: argparse.Namespace, config, trace, pass_cache, registry,
 ) -> int:
     """The ``simulate --sample`` path: a stratified estimate, not an
     exact run.  Shares the printed statistics shape with the exact path
@@ -249,9 +245,8 @@ def _simulate_sampled(
     import dataclasses as _dc
 
     from .errors import SamplingError
-    from .sim.sampling import (
-        SamplingPlan, SamplingStats, sampled_fast_simulate,
-    )
+    from .sim.passcache import cache_metrics
+    from .sim.sampling import SamplingPlan, sampled_fast_simulate
     from .sim.telemetry import build_run_report
 
     try:
@@ -264,12 +259,10 @@ def _simulate_sampled(
     if args.trace_out:
         print("note: --trace-out needs an exact replay; the sampled run "
               "skips it", file=sys.stderr)
-    sampling_stats = SamplingStats()
-    with timer.stage("simulate"):
+    with registry.span("simulate"), cache_metrics(pass_cache, registry):
         try:
             estimate = sampled_fast_simulate(
-                config, trace, plan, cache=pass_cache,
-                stats=sampling_stats,
+                config, trace, plan, cache=pass_cache, registry=registry,
             )
         except SamplingError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -298,7 +291,6 @@ def _simulate_sampled(
               f"{estimate.true_read_miss_ratio:.4f}, "
               f"abs error {estimate.abs_error:.4f}; "
               f"true cycles {estimate.true_cycles}")
-    sampling_stats.publish(registry)
     _print_counters(registry)
     if args.metrics or args.metrics_out:
         registry.gauge(
@@ -312,7 +304,7 @@ def _simulate_sampled(
                 "sampling.abs_error", round(estimate.abs_error, 6)
             )
         report = build_run_report(
-            stats, None, timer,
+            stats, None,
             run_identifier=f"{trace.name}-cli-sampled",
             simulator="fastpath",
             n_refs_total=len(trace), config=config, registry=registry,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -52,18 +52,17 @@ from ..sim.replaykernel import (
 from ..sim.sampling import (
     SampledPassGroup,
     SamplingPlan,
-    SamplingStats,
     check_sampling_supported,
     estimate_cycles,
     estimate_stats,
     select_intervals,
     validate_group,
 )
+from ..sim.passcache import PassCache, cache_metrics
 from ..sim.stackpass import pass_key, stack_functional_passes
 from ..trace.record import Trace
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard only
-    from ..sim.passcache import PassCache
     from ..sim.telemetry import MetricsRegistry
 from ..units import quantize_ns
 from .metrics import (
@@ -81,28 +80,6 @@ from .timing import DEFAULT_CYCLE_NS, MemoryTiming
 def _span(registry: Optional["MetricsRegistry"], name: str):
     """The registry's span context when metrics are on; no-op otherwise."""
     return registry.span(name) if registry is not None else nullcontext()
-
-
-@contextmanager
-def _cache_metrics(
-    registry: Optional["MetricsRegistry"],
-    pass_cache: Optional["PassCache"],
-):
-    """Point the pass cache at this sweep's registry, then restore.
-
-    Scoped (rather than a permanent attach) so two sweeps sharing one
-    cache each collect their own ``passcache.*`` counts, and a registry
-    the cache owner wired up beforehand comes back untouched.
-    """
-    if registry is None or pass_cache is None:
-        yield
-        return
-    prior = pass_cache.registry
-    pass_cache.registry = registry
-    try:
-        yield
-    finally:
-        pass_cache.registry = prior
 
 
 def _as_trace_list(traces) -> List[Trace]:
@@ -190,7 +167,6 @@ def run_functional_passes(
     cache: Optional["PassCache"] = None,
     registry: Optional["MetricsRegistry"] = None,
     sampling: Optional[SamplingPlan] = None,
-    sampling_stats: Optional[SamplingStats] = None,
 ) -> List:
     """Run many functional passes, optionally across processes.
 
@@ -222,14 +198,13 @@ def run_functional_passes(
     same function, so the cache, the pool and sibling sharing all
     compose — interval streams persist in the pass cache under their
     own content fingerprints.  With ``sampling.validate``, every
-    ``validate_period``-th job also runs its exact pass and the true
-    miss-ratio error lands in ``sampling_stats``.
+    ``validate_period``-th job also runs its exact pass.  The
+    ``sampling.*`` counters land in ``registry`` beside ``stackpass.*``.
     """
     jobs = list(jobs)
     if sampling is not None:
         return _sampled_functional_passes(
-            jobs, sampling, n_jobs=n_jobs, cache=cache,
-            registry=registry, sampling_stats=sampling_stats,
+            jobs, sampling, n_jobs=n_jobs, cache=cache, registry=registry,
         )
     results: List[Optional[EventStream]] = [None] * len(jobs)
     if cache is not None:
@@ -293,7 +268,6 @@ def _sampled_functional_passes(
     n_jobs: int,
     cache: Optional["PassCache"],
     registry: Optional["MetricsRegistry"],
-    sampling_stats: Optional[SamplingStats],
 ) -> List[SampledPassGroup]:
     """Expand jobs into representative-interval passes and regroup.
 
@@ -306,7 +280,7 @@ def _sampled_functional_passes(
     for config, _trace, _seed in jobs:
         check_sampling_supported(config)
     selections = [
-        select_intervals(trace, plan, stats=sampling_stats)
+        select_intervals(trace, plan, registry=registry)
         for _config, trace, _seed in jobs
     ]
     rep_jobs: List[Tuple[SystemConfig, Trace, int]] = []
@@ -318,8 +292,6 @@ def _sampled_functional_passes(
     rep_streams = run_functional_passes(
         rep_jobs, n_jobs=n_jobs, cache=cache, registry=registry,
     )
-    if sampling_stats is not None:
-        sampling_stats.representatives += len(rep_jobs)
     groups = [
         SampledPassGroup(selection, rep_streams[lo:hi])
         for selection, (lo, hi) in zip(selections, spans)
@@ -329,7 +301,7 @@ def _sampled_functional_passes(
             config, trace, seed = jobs[k]
             validate_group(
                 config, trace, groups[k], seed=seed, cache=cache,
-                stats=sampling_stats,
+                registry=registry,
             )
     return groups
 
@@ -385,7 +357,7 @@ def _price_streams(
     for kernel in kernels:
         rows.append(kernel.replay_grid(points))
         if registry is not None:
-            kernel.stats.publish(registry)
+            registry.count_many("replay", kernel.stats.as_dict())
     return rows
 
 
@@ -455,24 +427,19 @@ def _run_grid(
     """Both phases of a sweep: one functional pass per (organization,
     trace), then every resulting stream priced at every timing point.
 
-    Returns ``(pass results, group spans, outcome rows, sampling
-    stats)``; see :func:`_flatten_pass_results` for the first two.  The
-    pass results are streams, or :class:`SampledPassGroup` objects under
-    ``sampling``.  With a ``registry`` the stack-pass counters land in
-    it, and the returned :class:`SamplingStats` (``None`` without
-    a registry or a plan) collects the estimates the caller still makes
-    before it publishes them.
+    Returns ``(pass results, group spans, outcome rows)``; see
+    :func:`_flatten_pass_results` for the first two.  The pass results
+    are streams, or :class:`SampledPassGroup` objects under
+    ``sampling``.  With a ``registry`` the pass-cache, stack-pass,
+    sampling and replay counters land in it; the pass cache's are the
+    delta of its counters over the functional passes.
     """
     # The batch kernel prices memory-direct organizations only; every
     # sweep builds its configs from baseline_config.
     assert not any(config.levels for config in configs), (
         "sweep organizations must have no lower cache levels"
     )
-    sampling_stats = (
-        SamplingStats()
-        if registry is not None and sampling is not None else None
-    )
-    with _cache_metrics(registry, pass_cache), \
+    with cache_metrics(pass_cache, registry), \
             _span(registry, "sweep.functional_passes"):
         results = run_functional_passes(
             [(config, trace, seed) for config in configs for trace in traces],
@@ -480,12 +447,11 @@ def _run_grid(
             cache=pass_cache,
             registry=registry,
             sampling=sampling,
-            sampling_stats=sampling_stats,
         )
     flat_streams, group_spans = _flatten_pass_results(results, sampling)
     with _span(registry, "sweep.price_grid"):
         rows = _price_streams(flat_streams, points, n_jobs, registry)
-    return results, group_spans, rows, sampling_stats
+    return results, group_spans, rows
 
 
 def _flatten_pass_results(
@@ -582,7 +548,7 @@ def run_speed_size_sweep(
         )
         for cycle_ns in cycles_ns
     ]
-    all_streams, group_spans, outcome_rows, sampling_stats = _run_grid(
+    all_streams, group_spans, outcome_rows = _run_grid(
         configs, traces, points, seed, n_jobs, pass_cache, sampling,
         registry,
     )
@@ -628,7 +594,7 @@ def run_speed_size_sweep(
             est = estimate_stats(
                 group.selection, group.streams,
                 [row[0] for row in rows], cycles_ns[0],
-                stats=sampling_stats,
+                registry=registry,
             )
             size_summaries.append(TraceRunSummary.from_stats(est.stats))
             cycle_rows.append([
@@ -645,8 +611,6 @@ def run_speed_size_sweep(
                 max(cycles[j] / refs if refs else 0.0, GM_FLOOR)
                 for cycles, refs in zip(cycle_rows, n_refs)
             )
-    if sampling_stats is not None:
-        sampling_stats.publish(registry)
     return SpeedSizeGrid(
         total_sizes=[2 * s for s in sizes],
         cycle_times_ns=list(cycles_ns),
@@ -763,7 +727,7 @@ def run_blocksize_sweep(
         )
         for _key, mem in unique_memories
     ]
-    all_streams, group_spans, outcome_rows, sampling_stats = _run_grid(
+    all_streams, group_spans, outcome_rows = _run_grid(
         configs, traces, points, seed, n_jobs, pass_cache, sampling,
         registry,
     )
@@ -790,12 +754,10 @@ def run_blocksize_sweep(
                     est = estimate_stats(
                         group.selection, group.streams,
                         [row[p_index] for row in rows], cycle_ns,
-                        stats=sampling_stats,
+                        registry=registry,
                     )
                     summaries.append(TraceRunSummary.from_stats(est.stats))
             curves.setdefault(key, {})[block_words] = aggregate(summaries)
-    if sampling_stats is not None:
-        sampling_stats.publish(registry)
     result: Dict[Tuple[int, float], BlockSizeCurve] = {}
     for (latency_cycles, transfer_rate), by_block in curves.items():
         result[(latency_cycles, transfer_rate)] = BlockSizeCurve(

@@ -30,15 +30,12 @@ per kernel and never hash a stream.
 from __future__ import annotations
 
 import os
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
 from ..core.metrics import SpeedSizeGrid
 from ..core.sweep import run_speed_size_sweep
 from ..sim.replaykernel import OutcomeArchive, archive_scope
-from ..sim.telemetry import StageTimer, peak_rss_kb
 from ..trace.record import Trace
 from ..trace.suite import ALL_TRACES, build_suite
 from ..units import KB
@@ -46,33 +43,6 @@ from ..units import KB
 
 def _env_full() -> bool:
     return os.environ.get("REPRO_FULL", "") not in ("", "0", "false")
-
-
-def _env_profile() -> bool:
-    return os.environ.get("REPRO_PROFILE", "") not in ("", "0", "false")
-
-
-#: Process-wide wall-clock accounting of the experiment pipeline's
-#: expensive stages (trace generation, the memoized sweeps).  Always
-#: accumulated — reading a perf_counter twice per *sweep* is free —
-#: but only narrated to stderr when ``REPRO_PROFILE=1``.
-PROFILE = StageTimer()
-
-
-@contextmanager
-def profile_stage(name: str):
-    """Time one pipeline stage; narrate it under ``REPRO_PROFILE=1``."""
-    before = PROFILE.stages.get(name, 0.0)
-    with PROFILE.stage(name):
-        yield
-    if _env_profile():
-        elapsed = PROFILE.stages[name] - before
-        rss = peak_rss_kb()
-        print(
-            f"[profile] {name}: {elapsed:.3f}s"
-            + (f", peak RSS {rss} KiB" if rss is not None else ""),
-            file=sys.stderr,
-        )
 
 
 def _env_jobs() -> int:
@@ -206,12 +176,11 @@ def failed_result(
 
 def suite_for(settings: ExperimentSettings) -> Dict[str, Trace]:
     """The trace suite for a settings bundle (memoized by the suite)."""
-    with profile_stage("build_suite"):
-        return build_suite(
-            length=settings.trace_length,
-            names=settings.trace_names,
-            seed=settings.seed,
-        )
+    return build_suite(
+        length=settings.trace_length,
+        names=settings.trace_names,
+        seed=settings.seed,
+    )
 
 
 # Cache of speed-size grids keyed by (settings, assoc).  The settings
@@ -246,14 +215,13 @@ def speed_size_grid(
     key = (settings, assoc)
     if key not in _GRID_CACHE:
         suite = suite_for(settings)
-        with profile_stage(f"speed_size_sweep(assoc={assoc})"):
-            _GRID_CACHE[key] = run_speed_size_sweep(
-                suite,
-                sizes_each_bytes=settings.sizes_each_bytes,
-                cycle_times_ns=settings.cycle_times_ns,
-                assoc=assoc,
-                **sweep_options(settings),
-            )
+        _GRID_CACHE[key] = run_speed_size_sweep(
+            suite,
+            sizes_each_bytes=settings.sizes_each_bytes,
+            cycle_times_ns=settings.cycle_times_ns,
+            assoc=assoc,
+            **sweep_options(settings),
+        )
     return _GRID_CACHE[key]
 
 
@@ -269,14 +237,13 @@ def blocksize_curves(settings: ExperimentSettings) -> Dict:
 
     if settings not in _BLOCKSIZE_CACHE:
         suite = suite_for(settings)
-        with profile_stage("blocksize_sweep"):
-            _BLOCKSIZE_CACHE[settings] = run_blocksize_sweep(
-                suite,
-                block_sizes_words=settings.block_sizes_words,
-                latencies_ns=settings.latencies_ns,
-                transfer_rates=settings.transfer_rates,
-                **sweep_options(settings),
-            )
+        _BLOCKSIZE_CACHE[settings] = run_blocksize_sweep(
+            suite,
+            block_sizes_words=settings.block_sizes_words,
+            latencies_ns=settings.latencies_ns,
+            transfer_rates=settings.transfer_rates,
+            **sweep_options(settings),
+        )
     return _BLOCKSIZE_CACHE[settings]
 
 

@@ -91,8 +91,9 @@ _WRITE_MODES = ("w", "a", "x", "+")
 
 #: A direct fact still counts as a raw finding when its line carries a
 #: suppression for this rule id, but it does not enter the summary: an
-#: accepted, documented exception (StageTimer's host profiling, the
-#: torn-write fault helpers) must not taint every caller upstream.
+#: accepted, documented exception (``MetricsRegistry.span``'s host
+#: profiling, the torn-write fault helpers) must not taint every caller
+#: upstream.
 _PROP_SUPPRESS: Dict[str, Tuple[str, ...]] = {
     PROP_WALLCLOCK: ("REPRO001",),
     PROP_RAWWRITE: ("REPRO003",),

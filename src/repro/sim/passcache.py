@@ -41,9 +41,11 @@ Design:
   :meth:`PassCache.verify` is the fsck analogue.  The CLI exposes both
   (``repro-sim cache stats|gc|verify``).
 
-Hit/miss/byte counters accumulate on :attr:`PassCache.counters` and are
-surfaced through :class:`repro.sim.telemetry.RunReport` so a sweep's
-metrics show what the cache saved.
+Hit/miss/byte counters accumulate on :attr:`PassCache.counters`.  A
+layer that runs work against a cache for a caller with a
+:class:`~repro.sim.telemetry.MetricsRegistry` publishes the counters'
+delta over that work as ``passcache.*`` (:func:`cache_metrics`), so a
+sweep's metrics show what the cache saved.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ import json
 import os
 import sys
 from array import array
+from contextlib import contextmanager
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -329,19 +332,11 @@ class PassCache:
         self,
         directory: Union[str, Path],
         writer: Optional[WriterFn] = None,
-        registry: Optional["MetricsRegistry"] = None,
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._writer: WriterFn = writer or atomic_write_text
         self.counters = PassCacheCounters()
-        #: Optional live :class:`~repro.sim.telemetry.MetricsRegistry`
-        #: mirroring every counter bump as a ``passcache.*`` metric.
-        self.registry = registry
-
-    def _note(self, name: str, delta: int = 1) -> None:
-        if self.registry is not None and delta:
-            self.registry.count(f"passcache.{name}", delta)
 
     # ------------------------------------------------------------------
     # Layout
@@ -387,8 +382,6 @@ class PassCache:
         self._writer(self._path(key), text)
         self.counters.puts += 1
         self.counters.bytes_written += len(text)
-        self._note("puts")
-        self._note("bytes_written", len(text))
         return key
 
     def get(
@@ -404,25 +397,19 @@ class PassCache:
         path = self._path(cache_key(config, trace, seed))
         if not path.exists():
             self.counters.misses += 1
-            self._note("misses")
             return None
         try:
             stream, n_bytes = self._read_entry(path)
         except CorruptResultError:
             self.counters.corrupt += 1
             self.counters.misses += 1
-            self._note("corrupt")
-            self._note("misses")
             self._quarantine(path)
             return None
         if stream is None:  # schema mismatch: clean miss
             self.counters.misses += 1
-            self._note("misses")
             return None
         self.counters.hits += 1
         self.counters.bytes_read += n_bytes
-        self._note("hits")
-        self._note("bytes_read", n_bytes)
         return stream
 
     # ------------------------------------------------------------------
@@ -569,6 +556,30 @@ class PassCache:
         return removed
 
 
+@contextmanager
+def cache_metrics(
+    cache: Optional[PassCache], registry: Optional["MetricsRegistry"]
+) -> Iterator[None]:
+    """Count ``cache``'s activity inside the block into ``registry``.
+
+    The delta of :attr:`PassCache.counters` over the block lands as
+    ``passcache.*`` counters (zeros skipped), so callers sharing one
+    cache each count exactly their own work.  A no-op without a cache
+    or a registry.
+    """
+    if cache is None or registry is None:
+        yield
+        return
+    before = cache.counters.as_dict()
+    try:
+        yield
+    finally:
+        registry.count_many("passcache", {
+            name: value - before[name]
+            for name, value in cache.counters.as_dict().items()
+        })
+
+
 def cached_fast_simulate(
     config: SystemConfig,
     trace: Trace,
@@ -576,7 +587,7 @@ def cached_fast_simulate(
     cache_dir: Optional[Union[str, Path]] = None,
     seed: int = 0,
     telemetry=None,
-    registry=None,
+    registry: Optional["MetricsRegistry"] = None,
 ) -> SimStats:
     """:func:`repro.sim.fastpath.fast_simulate` with a pass cache.
 
@@ -589,21 +600,22 @@ def cached_fast_simulate(
     the latter keeps the callable picklable, so campaign workers can
     carry it as ``functools.partial(cached_fast_simulate,
     cache_dir=...)`` across the process boundary.  A ``registry``
-    (:class:`~repro.sim.telemetry.MetricsRegistry`) captures the
-    cache's hit/miss counters as live ``passcache.*`` metrics.
+    (:class:`~repro.sim.telemetry.MetricsRegistry`) receives this call's
+    ``passcache.*`` counts.
     """
     if cache is None:
         if cache_dir is None:
             raise ValueError(
                 "cached_fast_simulate needs a cache or a cache_dir"
             )
-        cache = PassCache(cache_dir, registry=registry)
-    elif registry is not None and cache.registry is None:
-        cache.registry = registry
+        cache = PassCache(cache_dir)
     # Function-level import: core.sweep is the layer above this one.
     from ..core.sweep import run_functional_passes
 
-    stream = run_functional_passes([(config, trace, seed)], cache=cache)[0]
+    with cache_metrics(cache, registry):
+        stream = run_functional_passes(
+            [(config, trace, seed)], cache=cache
+        )[0]
     return fast_simulate(
         config, trace, seed=seed, telemetry=telemetry, stream=stream
     )

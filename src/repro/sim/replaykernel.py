@@ -132,9 +132,11 @@ class KernelStats:
     ``archived_outcomes`` counts the delivered outcomes (a share of
     ``batch_outcomes``) that another kernel had already priced into the
     active :class:`OutcomeArchive`; it stays zero outside
-    :func:`archive_scope`.  Sweeps publish these
-    into their :class:`~repro.sim.telemetry.MetricsRegistry` as
-    ``replay.*``.
+    :func:`archive_scope`.  Sweeps fold each kernel's counters into
+    their :class:`~repro.sim.telemetry.MetricsRegistry` as ``replay.*``
+    (nonzero ones only), so kernel fallbacks
+    (``replay.scalar_replays``) show next to the vectorized work they
+    displaced.
     """
 
     batch_outcomes: int = 0
@@ -153,16 +155,6 @@ class KernelStats:
             "scalar_events": self.scalar_events,
             "contended_runs": self.contended_runs,
         }
-
-    def publish(self, registry) -> None:
-        """Fold these counters into a live metrics registry.
-
-        Each nonzero counter lands as a ``replay.*`` counter on the
-        :class:`~repro.sim.telemetry.MetricsRegistry`, so kernel
-        fallbacks (``replay.scalar_replays``) are visible next to the
-        vectorized work they displaced.
-        """
-        registry.count_many("replay", self.as_dict())
 
 
 #: A priced outcome as memos and archives hold it: the

@@ -284,8 +284,7 @@ def _attempt_result(
         if not collect_metrics:
             return (STATUS_OK, simulate_fn(config, trace, **kwargs))
         from .telemetry import (
-            CycleLedger, MetricsRegistry, StageTimer, Telemetry,
-            build_run_report,
+            CycleLedger, MetricsRegistry, Telemetry, build_run_report,
         )
 
         ledger = None
@@ -295,8 +294,7 @@ def _attempt_result(
         registry = MetricsRegistry()
         if _supports_kwarg(simulate_fn, "registry"):
             kwargs["registry"] = registry
-        timer = StageTimer()
-        with timer.stage("simulate"), registry.span("worker.simulate"):
+        with registry.span("simulate"):
             stats = simulate_fn(config, trace, **kwargs)
         simulator = (
             "engine"
@@ -310,7 +308,7 @@ def _attempt_result(
             # apiece.
             registry.count("replay.scalar_replays")
         report = build_run_report(
-            stats, ledger, timer,
+            stats, ledger,
             run_identifier=run_id(config, trace),
             simulator=simulator,
             n_refs_total=len(trace),

@@ -53,10 +53,13 @@ The pipeline, all seeded and deterministic:
    returns a number with an error bar wider than the caller tolerates.
 
 Validation mode (``plan.validate``) periodically runs the exact
-fastpath alongside the estimate and records the true absolute error in
-:class:`SamplingStats` (surfaced as ``sampling.*`` metrics and the
-RunReport schema-7 ``sampling`` block).  Sampling is strictly opt-in:
-nothing in the exact pipeline changes unless a plan is passed.
+fastpath alongside the estimate and records the true absolute error.
+Every step counts into the :class:`~repro.sim.telemetry.MetricsRegistry`
+its caller passes as ``registry=``, under ``sampling.*``: selections,
+intervals, clusters, representatives, reference totals, estimates,
+refusals and validations, with the worst true error as the gauge
+``sampling.true_error_max``.  Sampling is strictly opt-in: nothing in
+the exact pipeline changes unless a plan is passed.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ from .statistics import BufferCounters, CacheCounters, SimStats
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard only
     from .config import SystemConfig
     from .passcache import PassCache
+    from .telemetry import MetricsRegistry
 
 #: Reuse-distance histogram buckets (log2-spaced; the last absorbs the
 #: tail) and the fixed feature-extraction block granularity in words.
@@ -188,44 +192,6 @@ class SamplingPlan:
             f"warm={self.warm_window} seed={self.seed} "
             f"ci={self.ci_bound:g}"
         )
-
-
-@dataclasses.dataclass
-class SamplingStats:
-    """Counters describing what sampled runs actually did.
-
-    Published to a :class:`~repro.sim.telemetry.MetricsRegistry` under
-    ``sampling.*``.
-    """
-
-    selections: int = 0         #: jobs expanded through a selection
-    intervals: int = 0          #: intervals segmented across selections
-    clusters: int = 0           #: clusters formed across selections
-    representatives: int = 0    #: representative streams requested
-    refs_full: int = 0          #: references an exact walk would touch
-    refs_sampled: int = 0       #: references actually simulated
-    estimates: int = 0          #: stratified estimates produced
-    refusals: int = 0           #: estimates refused (CI over bound)
-    validations: int = 0        #: exact runs measured for true error
-    true_error_max: float = 0.0  #: worst observed |true − estimated| miss ratio
-
-    def as_dict(self) -> Dict:
-        doc = dataclasses.asdict(self)
-        doc["true_error_max"] = round(self.true_error_max, 6)
-        return doc
-
-    def publish(self, registry) -> None:
-        """Mirror the counters into a metrics registry."""
-        for name, value in self.as_dict().items():
-            if name == "true_error_max":
-                if self.validations:
-                    registry.gauge(f"sampling.{name}", float(value))
-            else:
-                registry.count(f"sampling.{name}", int(value))
-
-    def note_error(self, error: float) -> None:
-        self.validations += 1
-        self.true_error_max = max(self.true_error_max, abs(error))
 
 
 @dataclasses.dataclass
@@ -448,13 +414,16 @@ def _kmeans(
 def select_intervals(
     trace: Trace,
     plan: SamplingPlan,
-    stats: Optional[SamplingStats] = None,
+    registry: Optional["MetricsRegistry"] = None,
 ) -> SampledSelection:
     """Segment, featurize and cluster one trace; memoized by content.
 
     The selection depends only on the trace contents and the plan —
     never on the cache configuration — so one selection serves every
-    organization in a sweep.
+    organization in a sweep.  Each use counts into ``registry`` (built
+    or memoized alike): one selection, its intervals, clusters and
+    representatives, and the references an exact walk would touch
+    against those its representatives simulate.
     """
     key = (trace.content_fingerprint(), plan.interval_refs,
            plan.n_clusters, plan.warm_window, plan.seed)
@@ -462,12 +431,15 @@ def select_intervals(
     if selection is None:
         selection = _build_selection(trace, plan)
         _SELECTION_CACHE[key] = selection
-    if stats is not None:
-        stats.selections += 1
-        stats.intervals += selection.n_intervals
-        stats.clusters += selection.n_clusters
-        stats.refs_full += selection.n_refs_full
-        stats.refs_sampled += selection.refs_sampled
+    if registry is not None:
+        registry.count_many("sampling", {
+            "selections": 1,
+            "intervals": selection.n_intervals,
+            "clusters": selection.n_clusters,
+            "representatives": len(selection.rep_traces),
+            "refs_full": selection.n_refs_full,
+            "refs_sampled": selection.refs_sampled,
+        })
     return selection
 
 
@@ -646,19 +618,20 @@ def estimate_stats(
     streams: Sequence[EventStream],
     outcomes: Sequence[ReplayOutcome],
     cycle_ns: float,
-    stats: Optional[SamplingStats] = None,
+    registry: Optional["MetricsRegistry"] = None,
 ) -> SampledEstimate:
     """Recombine representative results into a whole-trace estimate.
 
     ``streams`` and ``outcomes`` are parallel to
     ``selection.clusters``.  Raises :exc:`SamplingError` when the
-    confidence half-width exceeds the plan's ``ci_bound``.
+    confidence half-width exceeds the plan's ``ci_bound``.  Counts
+    ``sampling.estimates`` or ``sampling.refusals`` into ``registry``.
     """
     plan = selection.plan
     half = _ci_half_width(selection, streams, plan.confidence_z)
     if half > plan.ci_bound:
-        if stats is not None:
-            stats.refusals += 1
+        if registry is not None:
+            registry.count("sampling.refusals")
         raise SamplingError(
             f"sampled estimate for {selection.trace_name!r} refused: "
             f"{plan.confidence_z:g}-sigma half-width {half:.4f} exceeds "
@@ -733,8 +706,8 @@ def estimate_stats(
         memory_writes=int(round(total_mem_writes)),
         memory_busy_cycles=int(round(total_mem_busy)),
     )
-    if stats is not None:
-        stats.estimates += 1
+    if registry is not None:
+        registry.count("sampling.estimates")
     return SampledEstimate(
         stats=est_stats,
         read_miss_ratio=estimate_miss_ratio(selection, streams),
@@ -769,6 +742,18 @@ def check_sampling_supported(config: "SystemConfig") -> None:
         )
 
 
+def _count_validation(
+    registry: Optional["MetricsRegistry"], error: float
+) -> None:
+    """Count one validation; ``sampling.true_error_max`` keeps the worst
+    true error seen."""
+    if registry is None:
+        return
+    registry.count("sampling.validations")
+    worst = registry.gauges.get("sampling.true_error_max", 0.0)
+    registry.gauge("sampling.true_error_max", max(worst, round(error, 6)))
+
+
 def _exact_stream(
     config: "SystemConfig",
     trace: Trace,
@@ -788,35 +773,33 @@ def sampled_fast_simulate(
     plan: SamplingPlan,
     seed: int = 0,
     cache: Optional["PassCache"] = None,
-    stats: Optional[SamplingStats] = None,
+    registry: Optional["MetricsRegistry"] = None,
 ) -> SampledEstimate:
     """Sampled drop-in for :func:`repro.sim.fastpath.fast_simulate`.
 
     Simulates only the representative intervals (with warm prefixes)
     and recombines them.  With ``plan.validate`` the exact fastpath
     also runs and the estimate carries the true miss ratio and cycle
-    count alongside the estimated ones.
+    count alongside the estimated ones.  The ``sampling.*`` counters
+    land in ``registry``.
     """
     # Function-level import: core.sweep imports this module.
     from ..core.sweep import run_functional_passes
 
-    # The route validates a batch periodically; this one job validates
-    # below, where the exact stream also prices the true cycle count.
-    group = run_functional_passes(
-        [(config, trace, seed)], cache=cache,
-        sampling=dataclasses.replace(plan, validate=False),
-        sampling_stats=stats,
-    )[0]
+    check_sampling_supported(config)
+    selection = select_intervals(trace, plan, registry=registry)
+    streams = run_functional_passes(
+        [(config, rep, seed) for rep in selection.rep_traces], cache=cache,
+    )
     outcomes = [
         replay(
             stream, config.memory, config.cycle_ns,
             write_buffer_depth=config.l1.write_buffer_depth,
         )
-        for stream in group.streams
+        for stream in streams
     ]
     estimate = estimate_stats(
-        group.selection, group.streams, outcomes, config.cycle_ns,
-        stats=stats,
+        selection, streams, outcomes, config.cycle_ns, registry=registry,
     )
     if plan.validate:
         exact_stream = _exact_stream(config, trace, seed, cache)
@@ -832,8 +815,7 @@ def sampled_fast_simulate(
             exact_misses / exact_reads if exact_reads else 0.0
         )
         estimate.true_cycles = exact_outcome.cycles
-        if stats is not None:
-            stats.note_error(estimate.abs_error or 0.0)
+        _count_validation(registry, estimate.abs_error or 0.0)
     return estimate
 
 
@@ -871,13 +853,13 @@ def validate_group(
     group: SampledPassGroup,
     seed: int = 0,
     cache: Optional["PassCache"] = None,
-    stats: Optional[SamplingStats] = None,
+    registry: Optional["MetricsRegistry"] = None,
 ) -> float:
     """Measure one job's true functional miss-ratio error.
 
     Runs the exact functional pass (cache-aware) and returns
-    ``|true − estimated|`` on the read miss ratio, recording it into
-    ``stats`` — the periodic ground-truth check batch sampling uses.
+    ``|true − estimated|`` on the read miss ratio, counting it into
+    ``registry`` — the periodic ground-truth check batch sampling uses.
     """
     exact = _exact_stream(config, trace, seed, cache)
     reads = exact.icache.reads + exact.dcache.reads
@@ -886,6 +868,5 @@ def validate_group(
         if reads else 0.0
     )
     error = abs(true_ratio - estimate_miss_ratio(group.selection, group.streams))
-    if stats is not None:
-        stats.note_error(error)
+    _count_validation(registry, error)
     return error

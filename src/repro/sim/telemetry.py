@@ -20,10 +20,10 @@ first-class, always-verifiable artifact:
   Chrome ``trace_event`` JSON (load in ``chrome://tracing`` or Perfetto;
   one trace microsecond renders one simulated cycle);
 
-* :class:`StageTimer`, :func:`peak_rss_kb` and :class:`RunReport` are
-  the host-side half: wall-clock per stage via ``perf_counter``,
-  references simulated per second, peak RSS, and a JSON metrics document
-  campaigns persist next to their results
+* :class:`MetricsRegistry`, :func:`peak_rss_kb` and :class:`RunReport`
+  are the host-side half: named counters, gauges and wall-clock spans
+  via ``perf_counter``, references simulated per second, peak RSS, and a
+  JSON metrics document campaigns persist next to their results
   (:func:`aggregate_reports` folds a sweep's reports into one summary).
 
 Telemetry is off by default and costs nothing but a handful of ``is not
@@ -376,47 +376,26 @@ class Telemetry:
 # ----------------------------------------------------------------------
 # Host-side profiling
 # ----------------------------------------------------------------------
-class StageTimer:
-    """Wall-clock accounting per named stage, via ``perf_counter``."""
-
-    def __init__(self) -> None:
-        self.stages: Dict[str, float] = {}
-
-    @contextmanager
-    def stage(self, name: str):
-        # Host-side profiling measures the *simulator*, not the
-        # simulation: wall-clock readings land only in advisory wall_s
-        # metrics, never in simulated state or cycle counts.
-        start = time.perf_counter()  # reprolint: disable=REPRO001
-        try:
-            yield
-        finally:
-            self.stages[name] = (
-                self.stages.get(name, 0.0)
-                + time.perf_counter() - start  # reprolint: disable=REPRO001
-            )
-
-    @property
-    def total_s(self) -> float:
-        return sum(self.stages.values())
-
-
 class MetricsRegistry:
-    """Named counters, gauges and wall-clock spans, in one place.
+    """The one collector of counters, gauges and wall-clock spans.
 
-    The perf-bearing subsystems (sweep, pass cache, replay kernel,
-    resilience, work queue) each keep their own counter structures; the
-    registry is the thin layer that lets one run — or one bench suite —
-    collect them all under dotted names (``passcache.hits``,
-    ``replay.batch_outcomes``, ``fabric.leases_reclaimed``) without the
-    subsystems knowing about each other.  A registry dump
-    (:meth:`as_dict`) is the ``metrics`` block of a RunReport,
-    and ``repro-sim bench`` flattens the same dump into benchmark
-    records.
+    Every subsystem's counters reach a run — or a bench suite — through
+    the registry its caller passes, under dotted names
+    (``passcache.hits``, ``replay.batch_outcomes``,
+    ``fabric.leases_reclaimed``).  Code counts straight into it.  A
+    subsystem keeps a plain counter holder only where a hot loop or an
+    outside reader needs plain attributes (the replay kernel's
+    ``KernelStats``, ``PassCache.counters``, the work queue's counters);
+    such a holder reaches a registry once, at its layer boundary, with
+    :meth:`count_many` — its counts, or their delta over the work done
+    there.  A registry dump (:meth:`as_dict`) is the ``metrics`` block
+    of a RunReport, and ``repro-sim bench`` flattens the same dump into
+    benchmark records.
 
-    Spans measure the *simulator* on the host clock, exactly like
-    :class:`StageTimer`: wall-clock readings land only in advisory
-    metrics, never in simulated state or cycle counts.
+    Spans measure the *simulator* on the host clock: wall-clock
+    readings land only in advisory metrics (a RunReport's ``wall_s``
+    reads its ``trace`` and ``simulate`` spans), never in simulated
+    state or cycle counts.
     """
 
     def __init__(self) -> None:
@@ -569,7 +548,7 @@ def quantization_info(config) -> Dict[str, float]:
 #: functional-pass strategy).
 #: Version 7 adds the ``sampling`` block (trace-interval sampling
 #: counters and, when validation ran, the worst observed true absolute
-#: miss-ratio error; see :class:`repro.sim.sampling.SamplingStats`).
+#: miss-ratio error; see :mod:`repro.sim.sampling`).
 #: Version 8 folds the five per-subsystem blocks into ``metrics``:
 #: their integers become counters and their floats gauges, under the
 #: prefixes of :data:`_FOLDED_BLOCKS`.  :meth:`RunReport.from_dict`
@@ -730,10 +709,15 @@ def _fold_legacy_blocks(payload: Dict) -> Dict:
     return {} if registry.empty() else registry.as_dict()
 
 
+#: The spans of a run's registry that are its top-level stages: a
+#: RunReport's ``wall_s`` holds their totals, and its throughput is
+#: references per second of their sum.
+_RUN_STAGES = ("trace", "simulate")
+
+
 def build_run_report(
     stats,
     ledger: Optional[CycleLedger],
-    timer: StageTimer,
     run_identifier: str = "",
     simulator: str = "fastpath",
     n_refs_total: int = 0,
@@ -744,11 +728,12 @@ def build_run_report(
 
     ``stats`` is the run's :class:`~repro.sim.statistics.SimStats`;
     ``ledger`` may be ``None`` when only host metrics were collected.
-    ``registry`` is the run's :class:`MetricsRegistry` — the pass-cache,
-    replay-kernel, fabric, stack-pass and sampling counters the run
-    published into it — dumped into the ``metrics`` block when it
-    collected anything.  Conservation is *checked* here (never
-    trusted): ``conserved`` is the outcome of :meth:`CycleLedger.verify`.
+    ``registry`` is the run's :class:`MetricsRegistry`: ``wall_s`` reads
+    its ``trace`` and ``simulate`` spans, and its whole dump — the
+    pass-cache, replay-kernel, fabric, stack-pass and sampling counters
+    and the spans — is the ``metrics`` block when it collected anything.
+    Conservation is *checked* here (never trusted): ``conserved`` is
+    the outcome of :meth:`CycleLedger.verify`.
     """
     buckets: Dict[str, int] = {}
     buckets_measured: Dict[str, int] = {}
@@ -761,7 +746,11 @@ def build_run_report(
             conserved = True
         except SimulationError:
             conserved = False
-    total_wall = timer.total_s
+    spans = registry.spans if registry is not None else {}
+    wall_s = {
+        name: spans[name]["total_s"] for name in _RUN_STAGES if name in spans
+    }
+    total_wall = sum(wall_s.values())
     refs = n_refs_total or stats.n_refs
     return RunReport(
         run_id=run_identifier,
@@ -776,7 +765,7 @@ def build_run_report(
         buckets=buckets,
         buckets_measured=buckets_measured,
         conserved=conserved,
-        wall_s=dict(timer.stages),
+        wall_s=wall_s,
         refs_per_sec=refs / total_wall if total_wall > 0 else 0.0,
         peak_rss_kb=peak_rss_kb(),
         quantization=quantization_info(config) if config is not None else {},

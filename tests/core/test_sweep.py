@@ -494,7 +494,6 @@ class TestRegistryCounters:
             "sampling.intervals": 9,
             "sampling.refs_full": 31407,
             "sampling.refs_sampled": 11947,
-            "sampling.refusals": 0,
             "sampling.representatives": 4,
             "sampling.selections": 2,
             "sampling.validations": 1,
@@ -503,6 +502,41 @@ class TestRegistryCounters:
         }
         assert gauges == {"sampling.true_error_max": 0.014359}
         self._assert_priced(counters, 3144)
+
+    def test_sampled_validating_route_counts_cache_delta_once(
+        self, small_suite, tmp_path
+    ):
+        """Representative and validation passes read and fill one
+        cache; the registry holds the delta of its counters over the
+        sweep, each access counted once, and a second sweep's registry
+        only the second sweep's."""
+        cache = PassCache(tmp_path / "pc")
+        plan = SamplingPlan(
+            interval_refs=3000, n_clusters=2, validate=True,
+            validate_period=1,
+        )
+        run_functional_passes(  # activity before the sweeps
+            [(baseline_config(2 * KB), small_suite["mu3"], 0)], cache=cache,
+        )
+        for want in ({"misses": 6, "puts": 6}, {"hits": 6}):
+            before = cache.counters.as_dict()
+            counters, _ = self._dump(
+                run_speed_size_sweep, small_suite, [8 * KB], [40.0],
+                pass_cache=cache, sampling=plan,
+            )
+            delta = {
+                name: value - before[name]
+                for name, value in cache.counters.as_dict().items()
+                if value != before[name]
+            }
+            # 4 representative passes and 2 validation passes.
+            assert {name: delta[name] for name in want} == want
+            assert {
+                name[len("passcache."):]: value
+                for name, value in counters.items()
+                if name.startswith("passcache.")
+            } == delta
+            assert counters["sampling.validations"] == 2
 
     def test_blocksize_stack_sampled_route(self, small_suite):
         counters, gauges = self._dump(
@@ -520,10 +554,8 @@ class TestRegistryCounters:
             "sampling.intervals": 18,
             "sampling.refs_full": 62814,
             "sampling.refs_sampled": 23894,
-            "sampling.refusals": 0,
             "sampling.representatives": 8,
             "sampling.selections": 4,
-            "sampling.validations": 0,
             "stackpass.passes": 8,
             "stackpass.reused_streams": 0,
         }

@@ -366,24 +366,23 @@ def test_repro015_ignores_suppression_text_in_strings():
     assert result.violations == []
 
 
-# Fixture copies of two real waivers: StageTimer's host profiling in
-# telemetry.py (REPRO001) and the torn-write fault in faults.py
-# (REPRO003).  Each is live as written and dead once the waived call
-# is gone.
+# Fixture copies of two real waivers: MetricsRegistry.span's host
+# profiling in telemetry.py (REPRO001) and the torn-write fault in
+# faults.py (REPRO003).  Each is live as written and dead once the
+# waived call is gone.
 _TELEMETRY_WAIVER = (
     "src/repro/sim/telemetry.py", "REPRO001",
     "import time\n"
     "from contextlib import contextmanager\n\n"
-    "class Telemetry:\n"
+    "class MetricsRegistry:\n"
     "    @contextmanager\n"
-    "    def stage(self, name):\n"
+    "    def span(self, name):\n"
     "        start = time.perf_counter()  # reprolint: disable=REPRO001\n"
     "        try:\n"
     "            yield\n"
     "        finally:\n"
-    "            self.stages[name] = (\n"
-    "                self.stages.get(name, 0.0)\n"
-    "                + time.perf_counter() - start"
+    "            self.spans[name] = (\n"
+    "                time.perf_counter() - start"
     "  # reprolint: disable=REPRO001\n"
     "            )\n",
     "time.perf_counter()  # reprolint: disable=REPRO001\n        try",

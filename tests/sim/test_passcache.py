@@ -39,6 +39,7 @@ from repro.sim.passcache import (
     stream_checksum,
     stream_to_dict,
 )
+from repro.sim.telemetry import MetricsRegistry
 from repro.trace.suite import build_trace
 from repro.units import KB
 
@@ -471,6 +472,29 @@ class TestCachedFastSimulate:
     def test_requires_cache_or_dir(self, mu3_small, small_config):
         with pytest.raises(ValueError):
             cached_fast_simulate(small_config, mu3_small)
+
+    def test_each_registry_counts_its_own_call(
+        self, tmp_path, mu3_small, small_config
+    ):
+        """Two calls on one cache with two registries: each registry
+        holds exactly its own call's ``passcache.*`` counts, whichever
+        registry the cache saw first."""
+        cache = PassCache(tmp_path / "pc")
+        cold, warm = MetricsRegistry(), MetricsRegistry()
+        cached_fast_simulate(
+            small_config, mu3_small, cache=cache, registry=cold
+        )
+        written = cache.counters.bytes_written
+        cached_fast_simulate(
+            small_config, mu3_small, cache=cache, registry=warm
+        )
+        assert cold.counters == {
+            "passcache.misses": 1, "passcache.puts": 1,
+            "passcache.bytes_written": written,
+        }
+        assert warm.counters == {
+            "passcache.hits": 1, "passcache.bytes_read": written,
+        }
 
     def test_partial_is_picklable(self, tmp_path):
         # campaign workers carry the simulate_fn across the process

@@ -251,11 +251,11 @@ def timing_sibling(config, cycle_ns, latency_ns, depth):
     )
 
 
-#: Settings of the generated tests that run a route over a process
-#: pool.  Every shrink step would start a pool again, so these tests
-#: report the example they drew without shrinking it; their in-process
-#: twins draw from the same strategies and do the shrinking.
-POOLED = dict(
+#: Settings of every generated test here.  A failing example is
+#: reported as drawn, without shrinking it: each shrink step reruns the
+#: routes (and, over a process pool, starts the pool again), so a
+#: shrinking regression ran for minutes of CPU instead of failing.
+GENERATED = dict(
     deadline=None, suppress_health_check=[HealthCheck.too_slow],
     phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target],
 )
@@ -268,15 +268,14 @@ route_draws = dict(
 )
 
 
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=15, **GENERATED)
 @given(**route_draws)
 def test_every_route_equals_the_scalar_pass(drawn, siblings, prefill,
                                             use_cache):
     check_every_route(drawn, siblings, prefill, use_cache, n_jobs=1)
 
 
-@settings(max_examples=15, **POOLED)
+@settings(max_examples=15, **GENERATED)
 @given(**route_draws)
 def test_every_route_equals_the_scalar_pass_over_a_pool(
     drawn, siblings, prefill, use_cache
@@ -352,8 +351,7 @@ def same_result(call, want):
         assert call() == want
 
 
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=25, **GENERATED)
 @given(
     drawn=jobs_strategy,
     prefill=st.lists(st.booleans(), min_size=6, max_size=6),
@@ -406,8 +404,7 @@ def test_single_job_routes_equal_the_scalar_pass(drawn, prefill):
         same_result(lambda: fast_simulate(config, trace, seed=seed), want)
 
 
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=15, **GENERATED)
 @given(
     organization=organizations,
     trace_index=st.sampled_from([0, 1, 2, 5, 6, 7, 8, 9]),
@@ -518,14 +515,13 @@ def without_events(stream):
     )
 
 
-@settings(max_examples=5, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=5, **GENERATED)
 @given(drawn=jobs_strategy, grid=grids)
 def test_archived_pricing_equals_every_unarchived_route(drawn, grid):
     check_archived_pricing(drawn, grid, n_jobs=1)
 
 
-@settings(max_examples=5, **POOLED)
+@settings(max_examples=5, **GENERATED)
 @given(drawn=jobs_strategy, grid=grids)
 def test_archived_pricing_equals_every_unarchived_route_sharded(drawn, grid):
     check_archived_pricing(drawn, grid, n_jobs=2)

@@ -39,7 +39,6 @@ from repro.sim.passcache import PassCache
 from repro.sim.sampling import (
     SampledPassGroup,
     SamplingPlan,
-    SamplingStats,
     clear_selection_cache,
     estimate_miss_ratio,
     estimate_stats,
@@ -251,11 +250,12 @@ class TestSelection:
     def test_selection_is_memoized_by_content(self):
         trace = _trace(length=20_000)
         plan = SamplingPlan(interval_refs=4000)
-        stats = SamplingStats()
-        first = select_intervals(trace, plan, stats=stats)
-        second = select_intervals(trace, plan, stats=stats)
+        registry = MetricsRegistry()
+        first = select_intervals(trace, plan, registry=registry)
+        second = select_intervals(trace, plan, registry=registry)
         assert first is second
-        assert stats.selections == 2  # counted per use, built once
+        # counted per use, built once
+        assert registry.counters["sampling.selections"] == 2
 
     def test_selection_ignores_cache_configuration(self):
         # The selection must depend on the trace and plan alone so one
@@ -350,30 +350,31 @@ class TestEstimator:
         plan = SamplingPlan(
             interval_refs=2000, n_clusters=2, ci_bound=1e-9
         )
-        stats = SamplingStats()
+        registry = MetricsRegistry()
         with pytest.raises(SamplingError, match="refused"):
             sampled_fast_simulate(
-                baseline_config(8 * KB), trace, plan, stats=stats
+                baseline_config(8 * KB), trace, plan, registry=registry
             )
-        assert stats.refusals == 1
-        assert stats.estimates == 0
+        assert registry.counters["sampling.refusals"] == 1
+        assert "sampling.estimates" not in registry.counters
 
     def test_validation_measures_true_error(self):
         trace = _trace(length=60_000)
         plan = SamplingPlan(
             interval_refs=6000, n_clusters=4, validate=True
         )
-        stats = SamplingStats()
+        registry = MetricsRegistry()
         est = sampled_fast_simulate(
-            baseline_config(8 * KB), trace, plan, stats=stats
+            baseline_config(8 * KB), trace, plan, registry=registry
         )
         assert est.true_read_miss_ratio is not None
         assert est.true_cycles is not None
         assert est.abs_error == pytest.approx(
             abs(est.true_read_miss_ratio - est.read_miss_ratio)
         )
-        assert stats.validations == 1
-        assert stats.true_error_max == pytest.approx(est.abs_error)
+        assert registry.counters["sampling.validations"] == 1
+        assert registry.gauges["sampling.true_error_max"] == \
+            round(est.abs_error, 6)
 
     def test_validate_group_matches_exact_pass(self):
         trace = _trace(length=30_000)
@@ -383,8 +384,8 @@ class TestEstimator:
             [(config, trace, 0)], sampling=plan
         )
         selection, streams = group.selection, group.streams
-        stats = SamplingStats()
-        error = validate_group(config, trace, group, stats=stats)
+        registry = MetricsRegistry()
+        error = validate_group(config, trace, group, registry=registry)
         exact = functional_pass(config, trace)
         reads = exact.icache.reads + exact.dcache.reads
         true_ratio = (
@@ -393,50 +394,74 @@ class TestEstimator:
         assert error == pytest.approx(abs(
             true_ratio - estimate_miss_ratio(selection, streams)
         ))
-        assert stats.validations == 1
+        assert registry.counters["sampling.validations"] == 1
 
 
 # ----------------------------------------------------------------------
-# Stats plumbing
+# The sampling.* counters a caller's registry receives
 # ----------------------------------------------------------------------
 class TestSamplingStats:
     def test_merge_sums_counters_and_maxes_error(self):
-        """Two runs' published stats merge into one registry view:
-        counters sum and the error gauge keeps the worst run."""
+        """Two validated runs' registries merge into one view: counters
+        sum and the error gauge keeps the worst run."""
+        trace = _trace(length=30_000)
         merged = MetricsRegistry()
-        for stats in (
-            SamplingStats(selections=1, refs_sampled=10,
-                          validations=1, true_error_max=0.03),
-            SamplingStats(selections=2, refs_sampled=5,
-                          validations=1, true_error_max=0.01),
-        ):
+        errors = []
+        for k in (2, 3):
+            plan = SamplingPlan(interval_refs=6000, n_clusters=k,
+                                validate=True)
             registry = MetricsRegistry()
-            stats.publish(registry)
+            est = sampled_fast_simulate(
+                baseline_config(8 * KB), trace, plan, registry=registry
+            )
+            errors.append(round(est.abs_error, 6))
             merged.merge(registry.as_dict())
-        assert merged.counters["sampling.selections"] == 3
-        assert merged.counters["sampling.refs_sampled"] == 15
+        selection = select_intervals(trace, SamplingPlan(interval_refs=6000))
+        assert merged.counters["sampling.selections"] == 2
+        assert merged.counters["sampling.refs_full"] == \
+            2 * selection.n_refs_full
         assert merged.counters["sampling.validations"] == 2
-        assert merged.gauges["sampling.true_error_max"] == 0.03
+        assert merged.gauges["sampling.true_error_max"] == max(errors)
 
     def test_publish_mirrors_counters(self):
+        """A run without validation counts its selection and estimate;
+        counters it never bumped, and the error gauge, stay absent
+        rather than reading a misleading 0."""
+        trace = _trace(length=30_000)
+        plan = SamplingPlan(interval_refs=6000, n_clusters=3)
         registry = MetricsRegistry()
-        stats = SamplingStats(selections=2, representatives=6,
-                              refs_full=100, refs_sampled=40,
-                              estimates=2)
-        stats.publish(registry)
-        assert registry.counters["sampling.selections"] == 2
-        assert registry.counters["sampling.refs_sampled"] == 40
-        # No validations ran: the error gauge must stay unset rather
-        # than publishing a misleading 0.0.
-        assert "sampling.true_error_max" not in registry.gauges
+        est = sampled_fast_simulate(
+            baseline_config(8 * KB), trace, plan, registry=registry
+        )
+        assert registry.counters == {
+            "sampling.selections": 1,
+            "sampling.intervals": est.n_intervals,
+            "sampling.clusters": est.n_clusters,
+            "sampling.representatives": est.n_clusters,
+            "sampling.refs_full": est.refs_full,
+            "sampling.refs_sampled": est.refs_sampled,
+            "sampling.estimates": 1,
+        }
+        assert registry.gauges == {}
 
     def test_publish_gauges_error_after_validation(self):
+        """Validations into one registry keep the worst error."""
+        trace = _trace(length=30_000)
+        plan = SamplingPlan(interval_refs=6000, n_clusters=3)
         registry = MetricsRegistry()
-        stats = SamplingStats()
-        stats.note_error(0.004)
-        stats.publish(registry)
-        assert registry.gauges["sampling.true_error_max"] == \
-            pytest.approx(0.004)
+        errors = []
+        for size in (2 * KB, 32 * KB):
+            config = baseline_config(size)
+            (group,) = run_functional_passes(
+                [(config, trace, 0)], sampling=plan
+            )
+            errors.append(validate_group(
+                config, trace, group, registry=registry
+            ))
+        assert registry.counters == {"sampling.validations": 2}
+        assert registry.gauges == {
+            "sampling.true_error_max": round(max(errors), 6)
+        }
 
 
 # ----------------------------------------------------------------------
@@ -459,17 +484,17 @@ class TestComposition:
         trace = _trace(length=30_000)
         plan = SamplingPlan(interval_refs=6000, n_clusters=3)
         configs = [baseline_config(4 * KB), baseline_config(16 * KB)]
-        stats = SamplingStats()
+        registry = MetricsRegistry()
         groups = run_functional_passes(
             [(config, trace, 0) for config in configs],
-            sampling=plan, sampling_stats=stats,
+            sampling=plan, registry=registry,
         )
         assert len(groups) == 2
         for group in groups:
             assert isinstance(group, SampledPassGroup)
             assert len(group.streams) == group.selection.n_clusters
-        assert stats.selections == 2
-        assert stats.representatives == sum(
+        assert registry.counters["sampling.selections"] == 2
+        assert registry.counters["sampling.representatives"] == sum(
             g.selection.n_clusters for g in groups
         )
 

@@ -28,14 +28,12 @@ from repro.sim.config import (
 )
 from repro.sim.engine import simulate
 from repro.sim.fastpath import fast_simulate
-from repro.sim.sampling import SamplingStats
 from repro.sim.telemetry import (
     BUCKETS,
     CycleLedger,
     EventTracer,
     MetricsRegistry,
     RunReport,
-    StageTimer,
     Telemetry,
     aggregate_reports,
     build_run_report,
@@ -378,19 +376,6 @@ class TestMatchStallAttribution:
 # Host-side profiling and RunReport
 # ----------------------------------------------------------------------
 class TestHostProfiling:
-    def test_stage_timer_accumulates(self):
-        timer = StageTimer()
-        with timer.stage("a"):
-            pass
-        with timer.stage("a"):
-            pass
-        with timer.stage("b"):
-            pass
-        assert set(timer.stages) == {"a", "b"}
-        assert timer.total_s == pytest.approx(
-            timer.stages["a"] + timer.stages["b"]
-        )
-
     def test_peak_rss_is_positive_here(self):
         rss = peak_rss_kb()
         assert rss is not None and rss > 0
@@ -405,13 +390,13 @@ class TestHostProfiling:
 class TestRunReport:
     def _report(self, trace, config):
         telemetry = Telemetry(ledger=CycleLedger())
-        timer = StageTimer()
-        with timer.stage("simulate"):
+        registry = MetricsRegistry()
+        with registry.span("simulate"):
             stats = fast_simulate(config, trace, telemetry=telemetry)
         return build_run_report(
-            stats, telemetry.ledger, timer,
+            stats, telemetry.ledger,
             run_identifier="test-run", simulator="fastpath",
-            n_refs_total=len(trace), config=config,
+            n_refs_total=len(trace), config=config, registry=registry,
         )
 
     def test_build_checks_conservation(self, mu3_small, small_config):
@@ -425,6 +410,36 @@ class TestRunReport:
         assert 0.0 < report.stall_fraction < 1.0
         assert report.quantization["latency_cycles"] > 0
 
+    def test_wall_s_reads_the_stage_spans(self, mu3_small, small_config):
+        """``wall_s`` holds the run's ``trace`` and ``simulate`` spans;
+        a nested span is in the metrics dump but not counted twice."""
+        telemetry = Telemetry(ledger=CycleLedger())
+        registry = MetricsRegistry()
+        with registry.span("trace"):
+            pass
+        with registry.span("simulate"), registry.span("sweep.price_grid"):
+            stats = fast_simulate(
+                small_config, mu3_small, telemetry=telemetry
+            )
+        report = build_run_report(
+            stats, telemetry.ledger, config=small_config, registry=registry,
+        )
+        spans = registry.spans
+        assert report.wall_s == {
+            "trace": spans["trace"]["total_s"],
+            "simulate": spans["simulate"]["total_s"],
+        }
+        assert report.total_wall_s > 0
+        assert report.refs_per_sec == pytest.approx(
+            stats.n_refs / report.total_wall_s
+        )
+        assert set(report.metrics["spans"]) == {
+            "trace", "simulate", "sweep.price_grid",
+        }
+        # Without a registry there are no stages to read.
+        bare = build_run_report(stats, telemetry.ledger, config=small_config)
+        assert (bare.wall_s, bare.refs_per_sec, bare.metrics) == ({}, 0.0, {})
+
     def test_unconserved_ledger_is_flagged_not_raised(
         self, mu3_small, small_config
     ):
@@ -432,7 +447,7 @@ class TestRunReport:
         stats = fast_simulate(small_config, mu3_small, telemetry=telemetry)
         telemetry.ledger.charge("l1_service", 1)  # corrupt it
         report = build_run_report(
-            stats, telemetry.ledger, StageTimer(), config=small_config
+            stats, telemetry.ledger, config=small_config
         )
         assert not report.conserved
 
@@ -460,7 +475,7 @@ class TestRunReport:
         registry = MetricsRegistry()
         registry.count("replay.scalar_replays")
         report = build_run_report(
-            stats, telemetry.ledger, StageTimer(), config=small_config,
+            stats, telemetry.ledger, config=small_config,
             registry=registry,
         )
         payload = report.to_dict()
@@ -480,12 +495,13 @@ class TestRunReport:
         telemetry = Telemetry(ledger=CycleLedger())
         stats = fast_simulate(small_config, mu3_small, telemetry=telemetry)
         registry = MetricsRegistry()
-        SamplingStats(
-            selections=1, representatives=4, refs_full=1000,
-            refs_sampled=200, validations=1, true_error_max=0.004,
-        ).publish(registry)
+        registry.count_many("sampling", {
+            "selections": 1, "representatives": 4, "refs_full": 1000,
+            "refs_sampled": 200, "validations": 1,
+        })
+        registry.gauge("sampling.true_error_max", 0.004)
         report = build_run_report(
-            stats, telemetry.ledger, StageTimer(), config=small_config,
+            stats, telemetry.ledger, config=small_config,
             registry=registry,
         )
         payload = report.to_dict()
@@ -541,9 +557,9 @@ class TestMetricsRegistry:
     def test_span_records_even_on_exception(self):
         registry = MetricsRegistry()
         with pytest.raises(ValueError):
-            with registry.span("worker.simulate"):
+            with registry.span("simulate"):
                 raise ValueError("boom")
-        assert registry.spans["worker.simulate"]["count"] == 1
+        assert registry.spans["simulate"]["count"] == 1
 
     def test_dump_round_trips_through_merge(self):
         source = MetricsRegistry()
@@ -603,7 +619,7 @@ class TestRunReportSchemaDrift:
         telemetry = Telemetry(ledger=CycleLedger())
         stats = fast_simulate(small_config, mu3_small, telemetry=telemetry)
         report = build_run_report(
-            stats, telemetry.ledger, StageTimer(), config=small_config
+            stats, telemetry.ledger, config=small_config
         )
         return report.to_dict()
 
@@ -692,12 +708,12 @@ class TestRunReportSchemaDrift:
     def test_metrics_block_round_trips(self, mu3_small, small_config):
         registry = MetricsRegistry()
         registry.count("passcache.hits", 2)
-        with registry.span("worker.simulate"):
+        with registry.span("simulate"):
             pass
         telemetry = Telemetry(ledger=CycleLedger())
         stats = fast_simulate(small_config, mu3_small, telemetry=telemetry)
         report = build_run_report(
-            stats, telemetry.ledger, StageTimer(), config=small_config,
+            stats, telemetry.ledger, config=small_config,
             registry=registry,
         )
         payload = json.loads(json.dumps(report.to_dict()))
@@ -705,16 +721,16 @@ class TestRunReportSchemaDrift:
         assert restored.metrics["counters"] == {"passcache.hits": 2}
         summary = aggregate_reports([restored, restored])
         assert summary["metrics"]["counters"] == {"passcache.hits": 4}
-        assert summary["metrics"]["spans"]["worker.simulate"]["count"] == 2
+        assert summary["metrics"]["spans"]["simulate"]["count"] == 2
         text = render_summary(summary)
         assert "stage spans across the sweep:" in text
-        assert "worker.simulate" in text
+        assert "  simulate " in text
 
     def test_empty_registry_leaves_no_block(self, mu3_small, small_config):
         telemetry = Telemetry(ledger=CycleLedger())
         stats = fast_simulate(small_config, mu3_small, telemetry=telemetry)
         report = build_run_report(
-            stats, telemetry.ledger, StageTimer(), config=small_config,
+            stats, telemetry.ledger, config=small_config,
             registry=MetricsRegistry(),
         )
         assert report.metrics == {}
@@ -727,14 +743,15 @@ class TestAggregation:
         reports = []
         for trace in (mu3_small, rd2n4_small):
             telemetry = Telemetry(ledger=CycleLedger())
-            timer = StageTimer()
-            with timer.stage("simulate"):
+            registry = MetricsRegistry()
+            with registry.span("simulate"):
                 stats = fast_simulate(
                     small_config, trace, telemetry=telemetry
                 )
             reports.append(build_run_report(
-                stats, telemetry.ledger, timer,
+                stats, telemetry.ledger,
                 run_identifier=trace.name, config=small_config,
+                registry=registry,
             ))
         summary = aggregate_reports(reports, slowest=1)
         assert summary["runs"] == 2
