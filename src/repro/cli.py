@@ -26,13 +26,14 @@ Main subcommands:
   directory: ``run`` executes a (size x cycle-time) sweep with worker
   isolation, per-run timeouts and retries
   (``--jobs/--timeout/--retries/--keep-going``; add ``--metrics`` to
-  persist per-run telemetry RunReports; ``--backend spool`` drives the
-  sweep through the durable on-disk work queue so a killed coordinator
-  loses nothing); ``enqueue`` only materializes the sweep into
-  ``<dir>/spool/`` without executing it; ``worker`` runs one persistent
-  lease-holding worker against an enqueued spool (launch any number, on
-  any schedule; SIGTERM drains gracefully); ``drain`` runs workers until
-  the spool empties and folds completions into the manifest; ``status``
+  persist per-run telemetry RunReports) on an in-process worker pool;
+  ``enqueue`` materializes the same sweep into the durable on-disk work
+  queue ``<dir>/spool/`` without executing it, so a killed coordinator
+  loses nothing; ``worker`` runs one persistent lease-holding worker
+  against an enqueued spool (launch any number, on any schedule;
+  SIGTERM drains gracefully); ``drain`` runs workers until the spool
+  empties, folds completions into the manifest and prints the fleet's
+  ``fabric`` counters; ``status``
   prints the manifest journal (plus spool occupancy when one exists;
   ``--json`` emits a machine-readable document with manifest counts and
   spool/fabric blocks);
@@ -63,6 +64,8 @@ Main subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
 import sys
 from typing import List, Optional
 
@@ -545,63 +548,53 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory of a persistent functional-pass "
                             "cache shared by the sweep's workers "
                             "(incompatible with --engine)")
-    # What `worker` and `drain` share: how a spool worker runs a job.
-    worker = argparse.ArgumentParser(add_help=False)
-    worker.add_argument("--ttl", type=float, default=30.0,
-                        help="lease time-to-live in seconds; a heartbeat "
-                             "stalled this long forfeits the lease")
-    worker.add_argument("--heartbeat", type=float, default=None,
-                        help="renew the lease every N seconds from a "
-                             "background thread while a job runs")
-    worker.add_argument("--timeout", type=float, default=None,
-                        help="per-run wall-clock timeout in seconds")
-    worker.add_argument("--retries", type=int, default=2,
-                        help="retries after a failed attempt "
-                             "(max attempts = retries + 1)")
-    worker.add_argument("--metrics", action="store_true",
-                        help="persist per-run telemetry RunReports")
+    sweep.add_argument("--stack-pass", action="store_true",
+                       help="precompute the sweep's functional passes "
+                            "into the pass cache before any job runs "
+                            "(one pass per distinct organization per "
+                            "trace, shared across cycle times; requires "
+                            "--pass-cache; incompatible with --engine)")
+    sweep.add_argument("--sample", default="",
+                       help="run every sweep job as a stratified "
+                            "interval-sampling estimate: a sampling-plan "
+                            "spec, '1' for defaults (fastpath only; "
+                            "incompatible with --engine and --metrics)")
+    sweep.add_argument("--sample-validate", action="store_true",
+                       help="with --sample: every job also runs the "
+                            "exact pass and refuses estimates whose "
+                            "error bound is exceeded")
+    # What `run`, `worker` and `drain` share: how each job executes.
+    execution = argparse.ArgumentParser(add_help=False)
+    execution.add_argument("--timeout", type=_positive_seconds,
+                           default=None,
+                           help="per-run wall-clock timeout in seconds")
+    execution.add_argument("--retries", type=_int_at_least(0), default=2,
+                           help="retries after a failed attempt "
+                                "(max attempts = retries + 1)")
+    execution.add_argument("--metrics", action="store_true",
+                           help="persist per-run telemetry RunReports "
+                                "under <dir>/metrics/; `run` and "
+                                "`drain` also write a sweep summary")
+    # What `worker` and `drain` share: the lease a spool job runs under.
+    lease = argparse.ArgumentParser(add_help=False)
+    lease.add_argument("--ttl", type=_positive_seconds, default=30.0,
+                       help="lease time-to-live in seconds; a heartbeat "
+                            "stalled this long forfeits the lease")
+    lease.add_argument("--heartbeat", type=_positive_seconds,
+                       default=None,
+                       help="renew the lease every N seconds from a "
+                            "background thread while a job runs")
 
     crun = csub.add_parser(
-        "run", parents=[sweep],
+        "run", parents=[sweep, execution],
         help="execute a (size x cycle time) sweep resiliently",
     )
-    crun.add_argument("--jobs", type=int, default=1,
+    crun.add_argument("--jobs", type=_int_at_least(1), default=1,
                       help="concurrent isolated worker processes")
-    crun.add_argument("--timeout", type=float, default=None,
-                      help="per-run wall-clock timeout in seconds")
-    crun.add_argument("--retries", type=int, default=2,
-                      help="retries after a failed attempt "
-                           "(max attempts = retries + 1)")
     crun.add_argument("--keep-going", action="store_true",
                       help="finish the sweep even when runs exhaust "
                            "their retries; failures stay journaled in "
                            "the manifest")
-    crun.add_argument("--metrics", action="store_true",
-                      help="collect per-run telemetry RunReports under "
-                           "<dir>/metrics/ and write a sweep summary")
-    crun.add_argument("--stack-pass", action="store_true",
-                      help="precompute the sweep's functional passes "
-                           "in the parent before dispatching workers "
-                           "(one pass per distinct organization per "
-                           "trace, shared across cycle times; requires "
-                           "--pass-cache; incompatible with --engine)")
-    crun.add_argument("--sample", default="",
-                      help="run every sweep job as a stratified "
-                           "interval-sampling estimate: a sampling-plan "
-                           "spec, '1' for defaults (fastpath only, on "
-                           "either backend; incompatible with --engine "
-                           "and --metrics)")
-    crun.add_argument("--sample-validate", action="store_true",
-                      help="with --sample: every job also runs the "
-                           "exact pass and refuses estimates whose "
-                           "error bound is exceeded")
-    crun.add_argument("--backend", choices=("pool", "spool"),
-                      default="pool",
-                      help="execution fabric: 'pool' (in-process worker "
-                           "pool) or 'spool' (durable on-disk work "
-                           "queue under <dir>/spool/; killing the "
-                           "coordinator loses nothing and re-running "
-                           "resumes)")
     crun.set_defaults(func=_cmd_campaign_run)
 
     cenq = csub.add_parser(
@@ -611,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     cenq.set_defaults(func=_cmd_campaign_enqueue)
 
     cwork = csub.add_parser(
-        "worker", parents=[worker],
+        "worker", parents=[execution, lease],
         help="run one persistent lease-holding worker against an "
              "enqueued spool (SIGTERM drains gracefully)",
     )
@@ -624,12 +617,12 @@ def build_parser() -> argparse.ArgumentParser:
     cwork.set_defaults(func=_cmd_campaign_worker)
 
     cdrain = csub.add_parser(
-        "drain", parents=[worker],
+        "drain", parents=[execution, lease],
         help="run workers until the spool empties; fold completions "
              "into the manifest",
     )
     cdrain.add_argument("directory", help="campaign results directory")
-    cdrain.add_argument("--jobs", type=int, default=1,
+    cdrain.add_argument("--jobs", type=_int_at_least(1), default=1,
                         help="concurrent workers draining the spool")
     cdrain.set_defaults(func=_cmd_campaign_drain)
 
@@ -767,6 +760,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _int_at_least(low: int):
+    """An argparse ``type=``: an integer no smaller than ``low``."""
+    def parse(raw: str) -> int:
+        with contextlib.suppress(ValueError):
+            if int(raw) >= low:
+                return int(raw)
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= {low}, got {raw!r}"
+        )
+
+    return parse
+
+
+def _positive_seconds(raw: str) -> float:
+    """An argparse ``type=``: a finite number of seconds above zero."""
+    with contextlib.suppress(ValueError):
+        if 0 < float(raw) < math.inf:
+            return float(raw)
+    raise argparse.ArgumentTypeError(
+        f"must be a positive number of seconds, got {raw!r}"
+    )
+
+
 def _parse_float_list(raw: str, flag: str) -> List[float]:
     from .errors import ConfigurationError
 
@@ -889,12 +905,33 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if result.clean else 1
 
 
-def _sweep_spec_from_args(args: argparse.Namespace, **sampling):
-    """Build the SweepSpec of ``campaign run`` or ``enqueue``; ``run``
-    passes its sampling fields."""
+#: Why `campaign run`, `worker` and `drain` refuse --metrics on a
+#: sampled sweep.
+_SAMPLED_METRICS = (
+    "--sample produces estimates with no cycle ledger; per-run "
+    "--metrics RunReports cannot check conservation on them"
+)
+
+
+def _campaign_sweep(args: argparse.Namespace):
+    """The ``(SweepSpec, jobs)`` that `campaign run` or `enqueue`
+    describes.
+
+    A bad sweep raises :exc:`~repro.errors.CampaignError` or
+    :exc:`~repro.errors.ConfigurationError` before anything is written;
+    with ``--stack-pass`` the sweep's functional passes then fill the
+    pass cache (one pass per distinct organization per trace, shared
+    across cycle times), so every job finds its stream materialized.
+    """
+    from .errors import CampaignError
     from .sim.workqueue import SweepSpec
 
-    return SweepSpec(
+    if args.stack_pass and not args.pass_cache:
+        raise CampaignError(
+            "--stack-pass needs --pass-cache to hand the precomputed "
+            "streams to the sweep's workers"
+        )
+    spec = SweepSpec(
         sizes_kb=tuple(_parse_float_list(args.sizes_kb, "--sizes-kb")),
         cycles_ns=tuple(_parse_float_list(args.cycles_ns, "--cycles-ns")),
         assoc=args.assoc,
@@ -908,62 +945,20 @@ def _sweep_spec_from_args(args: argparse.Namespace, **sampling):
             "cached" if args.pass_cache else "fastpath"
         ),
         pass_cache_dir=args.pass_cache,
-        **sampling,
+        sample=args.sample or ("1" if args.sample_validate else ""),
+        sample_validate=args.sample_validate,
     )
-
-
-def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    from .errors import CampaignError, ConfigurationError
-    from .sim.campaign import Campaign
-    from .sim.resilience import CampaignExecutor, RetryPolicy
-    from .sim.telemetry import MetricsRegistry
-
-    def usage_error(message) -> int:
-        print(f"repro-sim campaign run: error: {message}", file=sys.stderr)
-        return 2
-
-    try:
-        spec = _sweep_spec_from_args(
-            args,
-            sample=args.sample or ("1" if args.sample_validate else ""),
-            sample_validate=args.sample_validate,
-        )
-        jobs = spec.build_jobs()
-    except (CampaignError, ConfigurationError) as exc:
-        return usage_error(exc)
-    if args.stack_pass and not args.pass_cache:
-        return usage_error(
-            "--stack-pass needs --pass-cache to hand the precomputed "
-            "streams to the sweep's workers"
-        )
+    jobs = spec.build_jobs()
     if spec.sample:
-        if args.metrics:
-            return usage_error(
-                "--sample produces estimates with no cycle ledger; "
-                "per-run --metrics RunReports cannot check conservation "
-                "on them"
-            )
         from .sim.sampling import SamplingPlan
 
         print(f"sampling: {SamplingPlan.parse(spec.sample).describe()}"
               + (" (validating every run)" if args.sample_validate
                  else ""))
-    campaign = Campaign(args.directory)
-    if args.backend == "spool":
-        # Persist the sweep description so independently-launched
-        # `campaign worker` processes can rebuild the same job list.
-        from .sim.workqueue import WorkQueue
-
-        try:
-            WorkQueue.for_campaign(campaign).save_spec(spec)
-        except CampaignError as exc:
-            return usage_error(exc)
     if args.stack_pass:
-        # The parent fills the pass cache up front (one pass per
-        # distinct organization per trace, shared across cycle times);
-        # the workers below then find every stream already materialized.
         from .core.sweep import run_functional_passes
         from .sim.passcache import PassCache
+        from .sim.telemetry import MetricsRegistry
 
         registry = MetricsRegistry()
         run_functional_passes(
@@ -972,14 +967,31 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             registry=registry,
         )
         _print_counters(registry)
+    return spec, jobs
+
+
+def _cmd_campaign_run(args: argparse.Namespace) -> int:
+    from .errors import CampaignError, ConfigurationError
+    from .sim.campaign import Campaign
+    from .sim.resilience import CampaignExecutor, RetryPolicy
+
+    def usage_error(message) -> int:
+        print(f"repro-sim campaign run: error: {message}", file=sys.stderr)
+        return 2
+
+    if args.metrics and (args.sample or args.sample_validate):
+        return usage_error(_SAMPLED_METRICS)
+    try:
+        _spec, jobs = _campaign_sweep(args)
+    except (CampaignError, ConfigurationError) as exc:
+        return usage_error(exc)
     executor = CampaignExecutor(
-        campaign,
+        Campaign(args.directory),
         jobs=args.jobs,
         timeout_s=args.timeout,
         retry=RetryPolicy(max_attempts=args.retries + 1),
         keep_going=args.keep_going,
         collect_metrics=args.metrics,
-        backend=args.backend,
     )
     try:
         report = executor.run_sweep(jobs)
@@ -988,10 +1000,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         print(f"campaign aborted: {exc}")
         return 1
     print(report.render())
-    if executor.fabric:
-        registry = MetricsRegistry()
-        registry.count_many("fabric", executor.fabric)
-        _print_counters(registry)
     return 0 if report.all_ok else 1
 
 
@@ -1000,14 +1008,15 @@ def _cmd_campaign_enqueue(args: argparse.Namespace) -> int:
     from .sim.campaign import Campaign
     from .sim.workqueue import WorkQueue
 
-    campaign = Campaign(args.directory)
-    queue = WorkQueue.for_campaign(campaign)
     try:
-        ids = queue.enqueue(_sweep_spec_from_args(args))
+        spec, jobs = _campaign_sweep(args)
+        queue = WorkQueue.for_campaign(Campaign(args.directory))
+        queue.save_spec(spec)
     except (CampaignError, ConfigurationError) as exc:
         print(f"repro-sim campaign enqueue: error: {exc}",
               file=sys.stderr)
         return 2
+    ids = queue.enqueue_jobs(jobs)
     print(f"spooled {len(ids)} job(s) into {queue.directory}")
     print(queue.render_status())
     return 0
@@ -1024,6 +1033,17 @@ def _worker_settings(args: argparse.Namespace) -> dict:
     )
 
 
+def _spool_spec(queue, args: argparse.Namespace):
+    """The sweep ``queue`` holds, for `worker` and `drain`; like `run`,
+    they refuse --metrics on a sampled sweep."""
+    from .errors import CampaignError
+
+    spec = queue.load_spec()
+    if args.metrics and spec.sample:
+        raise CampaignError(_SAMPLED_METRICS)
+    return spec
+
+
 def _cmd_campaign_worker(args: argparse.Namespace) -> int:
     from .errors import CampaignError
     from .sim.campaign import Campaign
@@ -1032,7 +1052,7 @@ def _cmd_campaign_worker(args: argparse.Namespace) -> int:
     campaign = Campaign(args.directory)
     queue = WorkQueue.for_campaign(campaign)
     try:
-        spec = queue.load_spec()
+        spec = _spool_spec(queue, args)
     except CampaignError as exc:
         print(f"repro-sim campaign worker: error: {exc}", file=sys.stderr)
         return 2
@@ -1051,18 +1071,24 @@ def _cmd_campaign_worker(args: argparse.Namespace) -> int:
 def _cmd_campaign_drain(args: argparse.Namespace) -> int:
     from .errors import CampaignError
     from .sim.campaign import Campaign
+    from .sim.telemetry import MetricsRegistry
     from .sim.workqueue import WorkQueue, drain_spool
 
     campaign = Campaign(args.directory)
+    queue = WorkQueue.for_campaign(campaign)
     try:
-        manifest = drain_spool(
-            campaign, workers=args.jobs, **_worker_settings(args)
+        manifest, fabric = drain_spool(
+            campaign, spec=_spool_spec(queue, args), workers=args.jobs,
+            **_worker_settings(args)
         )
     except CampaignError as exc:
         print(f"repro-sim campaign drain: error: {exc}", file=sys.stderr)
         return 2
     print(manifest.render())
-    print(WorkQueue.for_campaign(campaign).render_status())
+    print(queue.render_status())
+    registry = MetricsRegistry()
+    registry.count_many("fabric", fabric)
+    _print_counters(registry)
     return 0 if not manifest.incomplete() else 1
 
 

@@ -516,18 +516,12 @@ class CampaignExecutor:
     At ``jobs > 1`` idle workers wait in a lock-guarded list.
     :meth:`run_sweep` stops every worker when it finishes, whether it
     returns or raises; a caller that drives :meth:`run_record` directly
-    (the spool backend's workers) calls :meth:`close` itself.
+    (the spool workers of :mod:`repro.sim.workqueue`) calls
+    :meth:`close` itself.
 
     ``sleep_fn`` injects the backoff sleep (tests pass a recorder, so no
     test ever waits on a real clock); ``fault_plan`` injects
     deterministic failures (see :mod:`repro.sim.faults`).
-
-    ``backend`` selects the execution fabric: ``"pool"`` (default) is
-    the in-process fork pool above; ``"spool"`` drives the same jobs
-    through the durable on-disk work queue of
-    :mod:`repro.sim.workqueue` — identical results and journal, but the
-    sweep's state lives entirely on disk, so killing this coordinator
-    at any point loses nothing and re-running resumes from the spool.
     """
 
     def __init__(
@@ -542,16 +536,11 @@ class CampaignExecutor:
         mp_context: Optional[multiprocessing.context.BaseContext] = None,
         grace_s: float = 5.0,
         collect_metrics: bool = False,
-        backend: str = "pool",
     ) -> None:
         if jobs < 1:
             raise CampaignError(f"jobs must be >= 1, got {jobs}")
         if timeout_s is not None and timeout_s <= 0:
             raise CampaignError(f"timeout must be positive, got {timeout_s}")
-        if backend not in ("pool", "spool"):
-            raise CampaignError(
-                f"backend must be pool|spool, got {backend!r}"
-            )
         self.campaign = campaign
         self.jobs = jobs
         self.timeout_s = timeout_s
@@ -567,16 +556,11 @@ class CampaignExecutor:
         self.retry = retry or RetryPolicy()
         self.keep_going = keep_going
         self.fault_plan = fault_plan
-        self.backend = backend
         #: Optional per-attempt hook, called with the 1-based attempt
         #: number just before each execution attempt.  The spool worker
         #: uses it to renew its lease; a raised
         #: :exc:`~repro.errors.LeaseLostError` abandons the job.
         self.on_attempt: Optional[Callable[[int], None]] = None
-        #: Fabric counter totals of the last spool-backend sweep
-        #: (leases issued/expired/reclaimed, heartbeats, worker
-        #: lifetimes); empty for the pool backend.
-        self.fabric: Dict[str, int] = {}
         self._sleep = sleep_fn
         self._mp = mp_context or multiprocessing.get_context()
         self.manifest = CampaignManifest.for_campaign(campaign)
@@ -656,7 +640,7 @@ class CampaignExecutor:
         """Execute one job (cache check, retries, save, verify) and
         return its finished :class:`RunRecord` *without* journaling it.
 
-        This is the execution core shared by the pool backend (which
+        This is the execution core shared by the worker pool (which
         journals via :meth:`_run_one`) and the spool workers of
         :mod:`repro.sim.workqueue` (which publish durable done records
         instead).  The optional :attr:`on_attempt` hook fires before
@@ -747,29 +731,6 @@ class CampaignExecutor:
         with self._manifest_lock:
             self.manifest.record(record)
 
-    def _write_summary(self, fabric: Optional[Dict] = None) -> None:
-        """Aggregate every stored RunReport into ``metrics/summary.json``.
-
-        Per-run reports are advisory, so one that fails schema
-        validation (a truncated write, a foreign document) is skipped
-        rather than sinking the whole summary.
-        """
-        from .telemetry import RunReport, aggregate_reports
-
-        reports = []
-        for payload in self.campaign.load_reports():
-            try:
-                reports.append(RunReport.from_dict(payload))
-            except CorruptResultError:
-                continue
-        if reports:
-            try:
-                self.campaign.save_summary(
-                    aggregate_reports(reports, fabric=fabric)
-                )
-            except OSError:
-                pass  # advisory, like the per-run documents
-
     # -- the sweep ------------------------------------------------------
     def run_sweep(self, jobs: Sequence[RunJob]) -> CampaignReport:
         """Execute every job; return the per-run journal.
@@ -778,8 +739,6 @@ class CampaignExecutor:
         from being scheduled and the sweep raises
         :exc:`~repro.errors.CampaignError` once in-flight work settles.
         """
-        if self.backend == "spool":
-            return self._run_sweep_spool(list(jobs))
         jobs = list(jobs)
         self._abort.clear()
         slots: List[Optional[RunRecord]] = [None] * len(jobs)
@@ -807,7 +766,7 @@ class CampaignExecutor:
             records=[record for record in slots if record is not None]
         )
         if self.collect_metrics:
-            self._write_summary()
+            write_summary(self.campaign)
         if not self.keep_going and not report.all_ok:
             bad = [r for r in report.records if r.status != STATUS_OK]
             skipped = len(jobs) - len(report.records)
@@ -818,63 +777,27 @@ class CampaignExecutor:
             )
         return report
 
-    def _run_sweep_spool(self, jobs: List[RunJob]) -> CampaignReport:
-        """Run the sweep through the durable on-disk work queue.
 
-        Jobs are materialized into ``<campaign>/spool/`` and drained by
-        ``self.jobs`` persistent workers, each with its own
-        :class:`~repro.sim.workqueue.WorkQueue` observer over the same
-        directory — exactly the multi-process protocol, in threads.
-        All sweep state lives on disk: killing the coordinator loses
-        nothing, and re-running resumes past every published job.
-        """
-        from .workqueue import run_fleet, spool_fleet
+def write_summary(campaign: Campaign, fabric: Optional[Dict] = None) -> None:
+    """Aggregate every stored RunReport into ``metrics/summary.json``.
 
-        self._abort.clear()
-        ids, workers = spool_fleet(
-            self.campaign, jobs,
-            [f"spool:w{n}" for n in range(self.jobs)],
-            retry=self.retry,
-            timeout_s=self.timeout_s,
-            grace_s=self.grace_s,
-            fault_plan=self.fault_plan,
-            keep_going=self.keep_going,
-            collect_metrics=self.collect_metrics,
-            mp_context=self._mp,
-            sleep_fn=self._sleep,
-            journal_fn=self._journal,
-            stop_event=self._abort,
-        )
-        # The spool's done records are the source of truth; syncing
-        # folds them (plus any poison quarantines) back into the
-        # manifest, so a resumed or multi-process sweep reports
-        # completions this executor never journaled itself.
-        manifest = run_fleet(self.campaign, workers)
-        with self._manifest_lock:
-            self.manifest = manifest
-        fabric: Dict[str, int] = {"workers": len(workers)}
-        for worker in workers:
-            for name, count in worker.queue.counters.items():
-                fabric[name] = fabric.get(name, 0) + count
-            fabric["worker_lifetime_ms"] = (
-                fabric.get("worker_lifetime_ms", 0)
-                + int(worker.lifetime_s * 1000)
+    ``fabric`` is a spool fleet's counter totals (see
+    :func:`repro.sim.workqueue.run_fleet`).  Per-run reports are
+    advisory, so one that fails schema validation (a truncated write, a
+    foreign document) is skipped rather than sinking the whole summary.
+    """
+    from .telemetry import RunReport, aggregate_reports
+
+    reports = []
+    for payload in campaign.load_reports():
+        try:
+            reports.append(RunReport.from_dict(payload))
+        except CorruptResultError:
+            continue
+    if reports:
+        try:
+            campaign.save_summary(
+                aggregate_reports(reports, fabric=fabric)
             )
-        self.fabric = fabric
-        records = [
-            self.manifest.runs[identifier]
-            for identifier in ids
-            if identifier in self.manifest.runs
-        ]
-        report = CampaignReport(records=records)
-        if self.collect_metrics:
-            self._write_summary(fabric=fabric)
-        if not self.keep_going and not report.all_ok:
-            bad = [r for r in report.records if r.status != STATUS_OK]
-            skipped = len(jobs) - len(report.records)
-            raise CampaignError(
-                f"{len(bad)} run(s) did not complete "
-                f"({skipped} never scheduled); first: "
-                f"{bad[0].run_id}: {bad[0].status}: {bad[0].error}"
-            )
-        return report
+        except OSError:
+            pass  # advisory, like the per-run documents

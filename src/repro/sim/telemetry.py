@@ -536,8 +536,8 @@ def quantization_info(config) -> Dict[str, float]:
 #: so a run with a ledger reports ``scalar_replays`` only.
 #: Version 4 adds the ``fabric`` counter block (work-queue lease
 #: activity for the run: leases issued/lost, heartbeats; see
-#: :mod:`repro.sim.workqueue`; empty when the run did not execute
-#: through the spool backend).
+#: :mod:`repro.sim.workqueue`; empty when no spool worker executed
+#: the run).
 #: Version 5 adds the ``metrics`` block — a :class:`MetricsRegistry`
 #: dump (named counters, gauges and wall-clock spans) collected across
 #: every subsystem the run touched; empty when no registry was threaded

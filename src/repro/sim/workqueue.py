@@ -72,7 +72,7 @@ from .campaign import (
 )
 from .resilience import (
     CampaignExecutor, CampaignManifest, RetryPolicy, RunJob, RunRecord,
-    STATUS_FAILED, STATUS_OK, sweep_jobs,
+    STATUS_FAILED, STATUS_OK, sweep_jobs, write_summary,
 )
 from .telemetry import MetricsRegistry
 
@@ -131,7 +131,7 @@ def atomic_claim_text(path: Union[str, Path], text: str) -> None:
     """
     path = Path(path)
     # Unique per call, not just per process: same-process workers (the
-    # threaded spool backend) racing for one claim must stage to
+    # threads of one `run_fleet`) racing for one claim must stage to
     # different temp files, or the loser's cleanup unlinks the winner's
     # staged bytes out from under its os.link.
     tmp = path.parent / (
@@ -219,8 +219,8 @@ class SweepSpec:
 
     The spool stays light — no pickled traces or configs on disk — by
     relying on the suite and configuration builders being deterministic:
-    ``campaign run`` (on either backend), a coordinator and an
-    independently-launched worker all call :meth:`build_jobs` and
+    ``campaign run``, ``campaign enqueue`` and every independently
+    launched worker or drain all call :meth:`build_jobs` and
     materialize identical :class:`~repro.sim.resilience.RunJob` lists,
     in the same order, with the same run ids.  An invalid spec raises
     :exc:`~repro.errors.CampaignError` before any job runs.
@@ -670,13 +670,6 @@ class WorkQueue:
             atomic_write_text(path, _dump(doc))
         return ids
 
-    def enqueue(self, spec: SweepSpec) -> List[str]:
-        """Spool a whole sweep: manifest plus every job record; a sweep
-        whose jobs cannot be built leaves no manifest behind."""
-        jobs = spec.build_jobs()
-        self.save_spec(spec)
-        return self.enqueue_jobs(jobs)
-
     # -- queries --------------------------------------------------------
     def job_ids(self) -> List[str]:
         return sorted(p.stem for p in self.jobs_dir.glob("*.json"))
@@ -962,17 +955,19 @@ class WorkQueue:
         and analyses keep working unchanged.  Idempotent.
         """
         manifest = CampaignManifest.for_campaign(campaign)
-        for done in self.done_records():
-            trace, config = "", ""
-            prior = manifest.runs.get(done.job_id)
+
+        def described(job_id: str) -> Tuple[str, str]:
+            """A job's (trace, config): journaled, else its job record."""
+            prior = manifest.runs.get(job_id)
             if prior is not None:
-                trace, config = prior.trace, prior.config
-            elif self.job_path(done.job_id).exists():
-                job_doc = _load_doc(
-                    self.job_path(done.job_id), "job record"
-                )
-                trace = job_doc.get("trace", "")
-                config = job_doc.get("config", "")
+                return prior.trace, prior.config
+            if self.job_path(job_id).exists():
+                job_doc = _load_doc(self.job_path(job_id), "job record")
+                return job_doc.get("trace", ""), job_doc.get("config", "")
+            return "", ""
+
+        for done in self.done_records():
+            trace, config = described(done.job_id)
             manifest.runs[done.job_id] = RunRecord(
                 run_id=done.job_id,
                 status=done.status,
@@ -986,9 +981,12 @@ class WorkQueue:
         for path in sorted(self.poison_dir.glob("*.json")):
             doc = _load_doc(path, "poison record")
             job_id = doc.get("job_id", path.stem)
+            trace, config = described(job_id)
             manifest.runs[job_id] = RunRecord(
                 run_id=job_id,
                 status=STATUS_FAILED,
+                trace=trace,
+                config=config,
                 attempts=0,
                 error=f"poisoned: {doc.get('reason', '')}",
             )
@@ -1030,13 +1028,10 @@ class SpoolWorker:
         grace_s: float = 5.0,
         retry: Optional[RetryPolicy] = None,
         fault_plan=None,
-        keep_going: bool = True,
         collect_metrics: bool = False,
         mp_context=None,
         sleep_fn: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
-        journal_fn: Optional[Callable[[RunRecord], None]] = None,
-        stop_event: Optional[threading.Event] = None,
         poll_s: float = 0.05,
     ) -> None:
         self.queue = queue
@@ -1046,9 +1041,6 @@ class SpoolWorker:
         self.ttl_s = ttl_s
         self.heartbeat_s = heartbeat_s
         self.fault_plan = fault_plan
-        self.keep_going = keep_going
-        self.journal_fn = journal_fn
-        self.stop_event = stop_event
         self.poll_s = poll_s
         self._sleep = sleep_fn
         self._clock = clock
@@ -1143,14 +1135,6 @@ class SpoolWorker:
             return None
         if self._executor.collect_metrics:
             self._attach_fabric(lease)
-        if self.journal_fn is not None:
-            self.journal_fn(record)
-        if (
-            record.status != STATUS_OK
-            and not self.keep_going
-            and self.stop_event is not None
-        ):
-            self.stop_event.set()
         return record
 
     def _attach_fabric(self, lease: Lease) -> None:
@@ -1181,15 +1165,12 @@ class SpoolWorker:
 
         Returns the number of jobs this worker published.  The loop
         exits when the spool has no pending work, ``max_jobs`` is
-        reached, a drain was requested, or (with ``keep_going=False``)
-        the shared stop event fires.
+        reached, or a drain was requested.
         """
         started = self._clock()
         try:
             while True:
                 if self._drain.is_set():
-                    break
-                if self.stop_event is not None and self.stop_event.is_set():
                     break
                 if max_jobs is not None and self.processed >= max_jobs:
                     break
@@ -1241,11 +1222,15 @@ def spool_fleet(
 
 def run_fleet(
     campaign: Campaign, fleet: List[SpoolWorker]
-) -> CampaignManifest:
+) -> Tuple[CampaignManifest, Dict[str, int]]:
     """Run the workers until the spool drains, then sync the manifest.
 
     Several workers run in threads, each claiming through the lease
-    protocol exactly as separate processes would.
+    protocol exactly as separate processes would.  Returns the synced
+    manifest and the fleet's ``fabric`` counter totals: its queues'
+    counters, summed, plus ``workers`` and ``worker_lifetime_ms``.  A
+    fleet that collects metrics also writes the sweep summary, with
+    those totals as its fabric block.
     """
     if len(fleet) == 1:
         fleet[0].run()
@@ -1258,7 +1243,18 @@ def run_fleet(
             thread.start()
         for thread in threads:
             thread.join()
-    return WorkQueue.for_campaign(campaign).sync_manifest(campaign)
+    manifest = WorkQueue.for_campaign(campaign).sync_manifest(campaign)
+    fabric: Dict[str, int] = {"workers": len(fleet)}
+    for worker in fleet:
+        for name, count in worker.queue.counters.items():
+            fabric[name] = fabric.get(name, 0) + count
+        fabric["worker_lifetime_ms"] = (
+            fabric.get("worker_lifetime_ms", 0)
+            + int(worker.lifetime_s * 1000)
+        )
+    if fleet[0]._executor.collect_metrics:
+        write_summary(campaign, fabric=fabric)
+    return manifest, fabric
 
 
 def drain_spool(
@@ -1266,8 +1262,9 @@ def drain_spool(
     spec: Optional[SweepSpec] = None,
     workers: int = 1,
     **worker_kwargs,
-) -> CampaignManifest:
-    """Run workers until the spool is empty, then sync the manifest.
+) -> Tuple[CampaignManifest, Dict[str, int]]:
+    """Run workers until the spool is empty; return what
+    :func:`run_fleet` returns.
 
     ``spec`` defaults to the spool's stored manifest.  This is the
     one-shot coordinator `campaign drain` uses: kill it at any point

@@ -20,14 +20,37 @@ class TestParser:
     @pytest.mark.parametrize("command", [["simulate"], ["advise", "16:40"]])
     def test_stack_pass_is_not_a_route_selector(self, command, capsys):
         """The organization picks the functional-pass route; only
-        ``campaign run`` keeps ``--stack-pass`` (precompute in the
-        parent)."""
+        ``campaign run`` and ``enqueue`` keep ``--stack-pass``
+        (precompute before any job runs)."""
         with pytest.raises(SystemExit) as exc:
             main(command + ["--stack-pass"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --stack-pass" in (
             capsys.readouterr().err
         )
+
+
+    @pytest.mark.parametrize("command, extra", [
+        ("run", ["--jobs", "0"]),
+        ("run", ["--timeout", "0"]),
+        ("run", ["--retries", "-1"]),
+        ("run", ["--stack-pass", "--pass-cache", "pc", "--jobs", "0"]),
+        ("drain", ["--jobs", "0"]),
+        ("drain", ["--ttl", "0"]),
+        ("worker", ["--heartbeat", "-1"]),
+    ])
+    def test_out_of_range_campaign_number_touches_nothing(
+        self, capsys, tmp_path, monkeypatch, command, extra
+    ):
+        monkeypatch.chdir(tmp_path)
+        sweep = ["--sizes-kb", "2", "--cycles-ns", "40", "--traces", "mu3",
+                 "--length", "2000"] if command == "run" else []
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", command, "camp", *sweep, *extra])
+        assert exc.value.code == 2
+        assert "must be" in capsys.readouterr().err
+        # No campaign directory, manifest or pass cache was created.
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSubcommands:
@@ -397,62 +420,21 @@ class TestSamplingCLI:
         assert "sampling: interval=4000" in out
         assert "2 ok" in out
 
+    # Each ``extra`` is the subcommand, then the flags that clash.
     @pytest.mark.parametrize("extra, needle", [
-        (["--engine"], "fastpath"),
-        (["--backend", "spool", "--sample", "nope=1"],
-         "unknown sampling spec key"),
-        (["--metrics"], "cycle ledger"),
+        (["run", "--engine"], "fastpath"),
+        (["enqueue", "--sample", "nope=1"], "unknown sampling spec key"),
+        (["run", "--metrics"], "cycle ledger"),
     ])
     def test_campaign_run_sample_incompatibilities(
         self, capsys, tmp_path, extra, needle
     ):
         assert main([
-            "campaign", "run", str(tmp_path / "camp"),
+            "campaign", extra[0], str(tmp_path / "camp"),
             "--sizes-kb", "4", "--cycles-ns", "40",
             "--traces", "mu3", "--length", "8000",
-            "--sample", "1", *extra,
+            "--sample", "1", *extra[1:],
         ]) == 2
         assert needle in capsys.readouterr().err
         # Refused before any job ran: not even the directory exists.
         assert not (tmp_path / "camp").exists()
-
-    _SAMPLED_SWEEP = [
-        "--sizes-kb", "4,16", "--cycles-ns", "40", "--traces", "mu3",
-        "--length", "20000", "--sample", "interval=4000,k=3",
-        "--sample-validate",
-    ]
-
-    @staticmethod
-    def _result_bytes(directory):
-        from repro.sim.campaign import Campaign
-
-        return {
-            path.name: path.read_bytes()
-            for path in Campaign(directory)._result_paths()
-        }
-
-    def test_campaign_run_sample_spool_matches_pool(self, capsys,
-                                                    tmp_path):
-        """A sampled sweep stores the same bytes on either backend, and
-        the spool manifest `run` writes carries the sampling plan: a
-        `drain` from that manifest alone stores them too."""
-        pool, spool, drained, exact = (
-            tmp_path / n for n in ("p", "s", "d", "e")
-        )
-        assert main(["campaign", "run", str(pool),
-                     *self._SAMPLED_SWEEP]) == 0
-        assert main(["campaign", "run", str(exact),
-                     *self._SAMPLED_SWEEP[:-3]]) == 0
-        assert main(["campaign", "run", str(spool), "--backend", "spool",
-                     "--jobs", "2", *self._SAMPLED_SWEEP]) == 0
-        (drained / "spool").mkdir(parents=True)
-        (drained / "spool" / "spool.json").write_bytes(
-            (spool / "spool" / "spool.json").read_bytes()
-        )
-        assert main(["campaign", "drain", str(drained)]) == 0
-        assert "2 ok" in capsys.readouterr().out
-        expected = self._result_bytes(pool)
-        assert len(expected) == 2
-        assert expected != self._result_bytes(exact)  # really sampled
-        assert self._result_bytes(spool) == expected
-        assert self._result_bytes(drained) == expected

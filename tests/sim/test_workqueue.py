@@ -8,17 +8,20 @@ clock-step chaos is a no-op by construction), reclaim has a single
 winner and monotonically increasing epochs, repeat-offender jobs poison
 instead of crash-looping, and a crash at any point mid-write leaves at
 worst a stray temp file that ``fsck`` sweeps — never a torn lease or a
-visible half-result.  The flagship tests run whole sweeps through the
-spool backend under chaos and require bit-identical results to an
+visible half-result.  The flagship tests run whole sweeps through a
+spool fleet under chaos and require bit-identical results to an
 undisturbed run with zero lost and zero duplicated jobs.
 """
 
 import json
 import subprocess
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from repro.errors import (
     CampaignError,
@@ -31,6 +34,8 @@ from repro.sim.config import baseline_config
 from repro.sim.fastpath import fast_simulate
 from repro.sim.resilience import (
     CampaignExecutor,
+    CampaignManifest,
+    CampaignReport,
     RetryPolicy,
     sweep_jobs,
 )
@@ -50,10 +55,12 @@ from repro.sim.workqueue import (
     lease_from_dict,
     lease_to_dict,
     poison_to_dict,
+    run_fleet,
     spec_from_dict,
     spec_to_dict,
+    spool_fleet,
 )
-from repro.trace.suite import build_trace
+from repro.trace.suite import ALL_TRACES, build_trace
 from repro.units import KB
 
 
@@ -90,6 +97,16 @@ def _schema_1_manifest():
     }
     doc["checksum"] = payload_checksum(doc)
     return doc
+
+
+def spool_sweep(campaign, sweep, workers=1, **worker_kwargs):
+    """Run ``sweep`` through a spool fleet of ``workers`` threads; return
+    its journal, in sweep order, and the fleet's fabric totals."""
+    ids, fleet = spool_fleet(
+        campaign, sweep, [f"w{n}" for n in range(workers)], **worker_kwargs
+    )
+    manifest, fabric = run_fleet(campaign, fleet)
+    return CampaignReport(records=[manifest.runs[i] for i in ids]), fabric
 
 
 def spool_with_job(tmp_path, jobs):
@@ -437,6 +454,22 @@ class TestPoison:
         assert record.error.startswith("poisoned:")
         assert "crashy" in record.error
 
+    def test_poisoned_job_keeps_trace_and_config_in_manifest(
+        self, tmp_path, jobs, config, trace
+    ):
+        campaign = Campaign(tmp_path)
+        queue, clock = make_queue(campaign.spool_dir, poison_losses=1)
+        (job_id,) = queue.enqueue_jobs(jobs)
+        queue.claim("crashy", ttl_s=1.0)
+        clock.advance(1.1)
+        queue.claim("x")
+        queue.sync_manifest(campaign)
+        record = CampaignManifest.for_campaign(campaign).runs[job_id]
+        assert record.status == "failed"
+        assert (record.trace, record.config) == (
+            trace.name, config.describe()
+        )
+
     def test_poison_render_status(self, tmp_path, jobs):
         queue, clock = make_queue(tmp_path / "spool", poison_losses=1)
         queue.enqueue_jobs(jobs)
@@ -544,7 +577,7 @@ class TestSpoolWorker:
     def test_worker_drains_spool_and_publishes(self, tmp_path, jobs,
                                                config, trace):
         campaign = Campaign(tmp_path)
-        manifest = drain_spool(
+        manifest, _fabric = drain_spool(
             campaign,
             spec=SweepSpec(
                 sizes_kb=(4.0,), cycles_ns=(40.0,),
@@ -578,9 +611,10 @@ class TestSpoolWorker:
                          trace_names=("mu3",), length=2_000, seed=1)
         campaign = Campaign(tmp_path)
         queue = WorkQueue.for_campaign(campaign)
-        ids = queue.enqueue(spec)
-        assert len(ids) == 2
         all_jobs = spec.build_jobs()
+        queue.save_spec(spec)
+        ids = queue.enqueue_jobs(all_jobs)
+        assert len(ids) == 2
         jobs_by_id = {
             identifier: (index, job)
             for index, (identifier, job) in enumerate(zip(ids, all_jobs))
@@ -594,7 +628,7 @@ class TestSpoolWorker:
         }
         assert len(done_before) == 1
         # A brand-new process resumes from the spool alone.
-        manifest = drain_spool(campaign)
+        manifest, _fabric = drain_spool(campaign)
         assert len(manifest.runs) == 2
         assert all(r.status == "ok" for r in manifest.runs.values())
         # The completed job's done record was not touched or re-won.
@@ -671,7 +705,7 @@ class TestStallBeatChaos:
 
 
 # ----------------------------------------------------------------------
-# The spool backend: chaos-ridden sweeps stay bit-identical
+# Spool fleets: chaos-ridden sweeps stay bit-identical
 # ----------------------------------------------------------------------
 class TestSpoolBackendAcceptance:
     @pytest.fixture(scope="class")
@@ -686,7 +720,7 @@ class TestSpoolBackendAcceptance:
 
     @pytest.fixture(scope="class")
     def baseline(self, sweep, tmp_path_factory):
-        """An undisturbed pool-backend sweep's files, keyed by run id."""
+        """An undisturbed worker-pool sweep's files, keyed by run id."""
         campaign = Campaign(tmp_path_factory.mktemp("clean"))
         executor = CampaignExecutor(campaign)
         report = executor.run_sweep(sweep)
@@ -695,18 +729,6 @@ class TestSpoolBackendAcceptance:
             path.stem: path.read_bytes()
             for path in campaign._result_paths()
         }
-
-    def test_spool_backend_matches_pool_backend(self, sweep, baseline,
-                                                tmp_path_factory):
-        campaign = Campaign(tmp_path_factory.mktemp("spool"))
-        executor = CampaignExecutor(campaign, jobs=3, backend="spool")
-        report = executor.run_sweep(sweep)
-        assert report.all_ok and len(report.records) == len(sweep)
-        stored = {path.stem: path.read_bytes()
-                  for path in campaign._result_paths()}
-        assert stored == baseline
-        assert executor.fabric["workers"] == 3
-        assert executor.fabric["jobs_published"] == len(sweep)
 
     def test_chaos_sweep_is_bit_identical_zero_lost_zero_dup(
         self, sweep, baseline, tmp_path_factory
@@ -722,11 +744,10 @@ class TestSpoolBackendAcceptance:
         })
         campaign = Campaign(tmp_path_factory.mktemp("chaos"))
         sleeps = []
-        executor = CampaignExecutor(
-            campaign, jobs=2, backend="spool", fault_plan=plan,
+        report, fabric = spool_sweep(
+            campaign, sweep, workers=2, fault_plan=plan,
             retry=RetryPolicy(max_attempts=4), sleep_fn=sleeps.append,
         )
-        report = executor.run_sweep(sweep)
         assert report.all_ok and len(report.records) == len(sweep)
         # Zero lost: every sweep cell has exactly one done record.
         queue = WorkQueue.for_campaign(campaign)
@@ -735,9 +756,9 @@ class TestSpoolBackendAcceptance:
             run_id(job.config, job.trace) for job in sweep
         )
         # Zero duplicated: no done record was contested and dropped...
-        assert executor.fabric["duplicate_publishes"] == 0
+        assert fabric["duplicate_publishes"] == 0
         # ...and nothing was poisoned or left leased.
-        assert executor.fabric["jobs_poisoned"] == 0
+        assert fabric["jobs_poisoned"] == 0
         assert not list(queue.leases_dir.glob("*.json"))
         # Bit-identical to the undisturbed sweep.
         stored = {path.stem: path.read_bytes()
@@ -747,16 +768,75 @@ class TestSpoolBackendAcceptance:
     def test_resumed_spool_sweep_reuses_everything(self, sweep, baseline,
                                                    tmp_path_factory):
         campaign = Campaign(tmp_path_factory.mktemp("resume"))
-        first = CampaignExecutor(campaign, backend="spool")
-        assert first.run_sweep(sweep).all_ok
-        published = first.fabric["jobs_published"]
+        first, first_fabric = spool_sweep(campaign, sweep)
+        assert first.all_ok
+        published = first_fabric["jobs_published"]
         assert published == len(sweep)
-        second = CampaignExecutor(campaign, backend="spool")
-        report = second.run_sweep(sweep)
+        report, second_fabric = spool_sweep(campaign, sweep)
         assert report.all_ok and len(report.records) == len(sweep)
         # Nothing re-executed: the spool's done records short-circuit.
-        assert second.fabric["jobs_published"] == 0
-        assert second.fabric["leases_issued"] == 0
+        assert second_fabric["jobs_published"] == 0
+        assert second_fabric["leases_issued"] == 0
+
+
+# ----------------------------------------------------------------------
+# Generated oracle: a spooled sweep stores what `campaign run` stores
+# ----------------------------------------------------------------------
+@st.composite
+def tiny_sweeps(draw):
+    """`campaign` sweep flags: a few organizations over 1-2 short
+    traces, sampled or exact.  The sampled sweep comes first, so the
+    simplest example, which Hypothesis always tries, is sampled; its CI
+    bound is one no estimate exceeds."""
+    def some(values):
+        return ",".join(str(v) for v in draw(st.lists(
+            st.sampled_from(values), min_size=1, max_size=2, unique=True
+        )))
+
+    return [
+        "--sizes-kb", some([1, 2, 4, 8]),
+        "--cycles-ns", some([20, 30, 40, 60]),
+        "--assoc", str(draw(st.integers(1, 2))),
+        "--block-words", str(draw(st.sampled_from([2, 4, 8]))),
+        "--traces", some(ALL_TRACES),
+        "--length", str(draw(st.integers(500, 2_000))),
+        "--seed", str(draw(st.integers(0, 3))),
+        *draw(st.sampled_from([
+            ["--sample", "interval=250,k=2,ci=1"], [],
+        ])),
+    ]
+
+
+def _campaign_state(directory):
+    """Stored result bytes and journaled statuses, by run id."""
+    campaign = Campaign(directory)
+    files = {p.name: p.read_bytes() for p in campaign._result_paths()}
+    statuses = {
+        identifier: record.status for identifier, record
+        in CampaignManifest.for_campaign(campaign).runs.items()
+    }
+    return files, statuses
+
+
+# Each example runs three campaigns, so there are few of them, and a
+# failing one is reported as drawn, without shrinking.
+@settings(max_examples=2, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(sweep=tiny_sweeps())
+def test_spooled_sweep_stores_what_run_stores(sweep):
+    from repro.cli import main
+
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        assert main(["campaign", "run", str(root / "run"), *sweep]) == 0
+        expected = _campaign_state(root / "run")
+        assert expected[0]
+        for workers in ("1", "2"):
+            directory = str(root / f"spool{workers}")
+            assert main(["campaign", "enqueue", directory, *sweep]) == 0
+            assert main(["campaign", "drain", directory,
+                         "--jobs", workers]) == 0
+            assert _campaign_state(directory) == expected
 
 
 # ----------------------------------------------------------------------
@@ -788,23 +868,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "spool:" in out and "0 pending" in out
 
-    def test_run_spool_backend_end_to_end(self, tmp_path, capsys):
+    def test_drain_spool_end_to_end(self, tmp_path, capsys):
         from repro.cli import main
 
         directory = str(tmp_path / "camp")
-        argv = [
-            "campaign", "run", directory, "--backend", "spool",
+        assert main([
+            "campaign", "enqueue", directory,
             "--sizes-kb", "2", "--cycles-ns", "40",
-            "--traces", "mu3", "--length", "2000", "--jobs", "2",
-        ]
+            "--traces", "mu3", "--length", "2000",
+        ]) == 0
+        argv = ["campaign", "drain", directory, "--jobs", "2", "--metrics"]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "1 ok" in out and "fabric:" in out
-        # Re-running resumes from the spool: still ok, nothing redone.
+        summary = json.loads(
+            (tmp_path / "camp" / "metrics" / "summary.json").read_text()
+        )
+        assert summary["metrics"]["counters"]["fabric.workers"] == 2
+        # Re-draining resumes from the spool: still ok, nothing redone.
         assert main(argv) == 0
         assert "0 lease(s) issued" in capsys.readouterr().out
 
-    def test_run_resumes_a_schema_1_spool(self, tmp_path, capsys):
+    def test_enqueue_resumes_a_schema_1_spool(self, tmp_path, capsys):
         from repro.cli import main
 
         directory = tmp_path / "camp"
@@ -813,10 +898,11 @@ class TestCli:
             json.dumps(_schema_1_manifest())
         )
         assert main([
-            "campaign", "run", str(directory), "--backend", "spool",
+            "campaign", "enqueue", str(directory),
             "--sizes-kb", "2", "--cycles-ns", "40",
             "--traces", "mu3", "--length", "2000",
         ]) == 0
+        assert main(["campaign", "drain", str(directory)]) == 0
         assert "1 ok" in capsys.readouterr().out
 
     def test_worker_without_spool_is_usage_error(self, tmp_path, capsys):
