@@ -1033,29 +1033,35 @@ def _worker_settings(args: argparse.Namespace) -> dict:
     )
 
 
-def _spool_spec(queue, args: argparse.Namespace):
-    """The sweep ``queue`` holds, for `worker` and `drain`; like `run`,
-    they refuse --metrics on a sampled sweep."""
-    from .errors import CampaignError
+def _spool_spec(args: argparse.Namespace):
+    """The spool in ``args.directory`` and the sweep it holds, for
+    `worker` and `drain`; like `run`, they refuse --metrics on a sampled
+    sweep.  Raises before anything is created, so a directory with no
+    spool stays as it was."""
+    from pathlib import Path
 
+    from .errors import CampaignError
+    from .sim.campaign import SPOOL_DIRNAME
+    from .sim.workqueue import WorkQueue
+
+    queue = WorkQueue(Path(args.directory) / SPOOL_DIRNAME)
     spec = queue.load_spec()
     if args.metrics and spec.sample:
         raise CampaignError(_SAMPLED_METRICS)
-    return spec
+    return queue, spec
 
 
 def _cmd_campaign_worker(args: argparse.Namespace) -> int:
     from .errors import CampaignError
     from .sim.campaign import Campaign
-    from .sim.workqueue import WorkQueue, spool_fleet
+    from .sim.workqueue import spool_fleet
 
-    campaign = Campaign(args.directory)
-    queue = WorkQueue.for_campaign(campaign)
     try:
-        spec = _spool_spec(queue, args)
+        queue, spec = _spool_spec(args)
     except CampaignError as exc:
         print(f"repro-sim campaign worker: error: {exc}", file=sys.stderr)
         return 2
+    campaign = Campaign(args.directory)
     _ids, (worker,) = spool_fleet(
         campaign, spec.build_jobs(), [args.name], **_worker_settings(args)
     )
@@ -1072,13 +1078,12 @@ def _cmd_campaign_drain(args: argparse.Namespace) -> int:
     from .errors import CampaignError
     from .sim.campaign import Campaign
     from .sim.telemetry import MetricsRegistry
-    from .sim.workqueue import WorkQueue, drain_spool
+    from .sim.workqueue import drain_spool
 
-    campaign = Campaign(args.directory)
-    queue = WorkQueue.for_campaign(campaign)
     try:
+        queue, spec = _spool_spec(args)
         manifest, fabric = drain_spool(
-            campaign, spec=_spool_spec(queue, args), workers=args.jobs,
+            Campaign(args.directory), spec=spec, workers=args.jobs,
             **_worker_settings(args)
         )
     except CampaignError as exc:
@@ -1157,7 +1162,9 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 def _cmd_campaign_report(args: argparse.Namespace) -> int:
     from .errors import CorruptResultError
     from .sim.campaign import Campaign
-    from .sim.telemetry import RunReport, aggregate_reports, render_summary
+    from .sim.telemetry import (
+        RunReport, aggregate_reports, render_summary, stored_fabric,
+    )
 
     campaign = Campaign(args.directory)
     reports = []
@@ -1176,7 +1183,10 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
     if skipped:
         print(f"note: {skipped} invalid run report(s) skipped",
               file=sys.stderr)
-    summary = aggregate_reports(reports, slowest=args.slowest)
+    summary = aggregate_reports(
+        reports, slowest=args.slowest,
+        fabric=stored_fabric(campaign.load_summary()),
+    )
     print(render_summary(summary))
     return 0 if summary["all_conserved"] else 1
 

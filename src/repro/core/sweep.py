@@ -176,9 +176,9 @@ def run_functional_passes(
 
     ``cache`` is a :class:`~repro.sim.passcache.PassCache`: hits are
     loaded from disk in the parent and only the misses are simulated
-    (and then persisted), so a repeated sweep over the same
-    organizations performs zero functional passes.  Results always come
-    back in job order.
+    (and then persisted, one entry per pass), so a repeated sweep over
+    the same organizations performs zero functional passes.  Results
+    always come back in job order.
 
     Every miss group of timing siblings (same trace contents,
     organization, policy and seed) takes one pass
@@ -253,7 +253,9 @@ def run_functional_passes(
                 stream = dataclasses.replace(stream, trace_name=name)
             results[k] = stream
     if cache is not None:
-        for k in pending:
+        # Timing siblings share one cache key: persist each pass once.
+        for _slot, members in tasks:
+            k = members[0][0]
             config, trace, seed = jobs[k]
             cache.put(config, trace, seed, results[k])
     if registry is not None:

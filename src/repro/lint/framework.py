@@ -186,9 +186,10 @@ class LintConfig:
         "repro/sim/benchhistory.py",
     )
     #: Functions allowed to perform raw writes (the atomic primitives:
-    #: staged rename, and the exclusive hard-link claim).
+    #: staged rename and the exclusive hard-link claim, plus the journal
+    #: append, whose torn tail readers set aside).
     atomic_writers: Tuple[str, ...] = (
-        "atomic_write_text", "atomic_claim_text",
+        "atomic_write_text", "atomic_claim_text", "append_journal_line",
     )
     #: Packages where silent exception swallowing is forbidden
     #: (REPRO004; the faults harness depends on BaseException flow).

@@ -13,7 +13,9 @@ defensive throughout:
 
 * every write goes through :func:`atomic_write_text` — write to a
   temporary file in the same directory, fsync, then ``os.replace`` — so
-  a crash mid-save never leaves a partial ``*.json`` visible;
+  a crash mid-save never leaves a partial ``*.json`` visible; the one
+  exception is the manifest journal's :func:`append_journal_line`, whose
+  only possible damage is a torn final line its reader sets aside;
 * payloads carry a schema version and a SHA-256 checksum of the
   canonicalized statistics, so bitrot, truncation and foreign files are
   detected on load (:exc:`~repro.errors.CorruptResultError`) rather than
@@ -106,13 +108,38 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
         os.close(dir_fd)
 
 
+def _no_create(path: str, flags: int) -> int:
+    return os.open(path, flags & ~os.O_CREAT)
+
+
+def append_journal_line(path: Union[str, Path], line: str) -> None:
+    """Append ``line`` and a newline to the existing file ``path``.
+
+    The one raw write besides the two atomic primitives, for append-only
+    journals.  Its contract is weaker, and readers rely on exactly this
+    much: every byte before the file's last newline is complete, and a
+    crash mid-append can leave only a *torn tail* — a final line with no
+    newline.  A reader sets that tail aside and rewrites the journal
+    with :func:`atomic_write_text` before anything appends again.  The
+    line is one ``write`` in append mode, fsynced before returning.
+    The file is never created here (:exc:`FileNotFoundError`), so a
+    journal always starts with the header its creator wrote atomically.
+    """
+    with open(path, "ab", opener=_no_create) as handle:
+        handle.write(line.encode("utf-8") + b"\n")
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
 #: Signature of the writer hook :class:`Campaign` persists through.
 #: Injectable so the fault harness can simulate ENOSPC and kill-9.
 WriterFn = Callable[[Path, str], None]
 
 
-def _config_fingerprint(config: SystemConfig) -> str:
-    """Stable hash of every parameter in a system configuration."""
+def _fingerprint(value: object) -> str:
+    """Stable hash of every parameter in a configuration value: a
+    :class:`SystemConfig`, or any nesting of dataclasses, enums and
+    lists."""
 
     def encode(value):
         if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -126,7 +153,7 @@ def _config_fingerprint(config: SystemConfig) -> str:
             return value.value
         return value
 
-    payload = json.dumps(encode(config), sort_keys=True)
+    payload = json.dumps(encode(value), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -137,7 +164,7 @@ def _trace_fingerprint(trace: Trace) -> str:
 def run_id(config: SystemConfig, trace: Trace) -> str:
     """Deterministic identifier of one (configuration, trace) run."""
     return f"{trace.name}-{_trace_fingerprint(trace)}-" \
-           f"{_config_fingerprint(config)}"
+           f"{_fingerprint(config)}"
 
 
 def stats_to_dict(stats: SimStats) -> Dict:
@@ -367,6 +394,15 @@ class Campaign:
         """Persist the sweep-level aggregation as ``metrics/summary.json``."""
         self.metrics_dir.mkdir(parents=True, exist_ok=True)
         self._writer(self.summary_path, json.dumps(summary, indent=1))
+
+    def load_summary(self) -> Dict:
+        """The stored ``metrics/summary.json``, or ``{}`` when there is
+        none or it does not read (it is advisory, like the reports)."""
+        try:
+            payload = json.loads(self.summary_path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            return {}
+        return payload if isinstance(payload, dict) else {}
 
     def load_reports(self) -> List[Dict]:
         """Every stored per-run metrics document, sorted by run id.

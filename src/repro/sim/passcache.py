@@ -12,16 +12,16 @@ preprocessed-shard cache.
 
 Design:
 
-* **Content-addressed keys.**  An entry is keyed by
-  ``(trace name, trace content fingerprint, config fingerprint, seed)``
-  using the same fingerprint machinery campaign run ids are built from
-  (:func:`repro.sim.campaign._config_fingerprint`,
-  :meth:`repro.trace.record.Trace.content_fingerprint`).  Any change to
-  the trace contents, the warm boundary, any organizational *or*
-  temporal configuration field, or the replacement seed produces a new
-  key — invalidation is automatic and conservative (temporal parameters
-  do not affect the event stream, so a cycle-time change misses where it
-  could in principle hit; correctness over cleverness).
+* **Content-addressed keys.**  An entry is keyed by what
+  :func:`repro.sim.stackpass.pass_key` says a functional pass depends
+  on — the trace content fingerprint
+  (:meth:`repro.trace.record.Trace.content_fingerprint`, which covers
+  the warm boundary), the I/D geometry, the cache policy and the
+  replacement seed (:func:`cache_key`).  Any change to those is a new
+  key; temporal parameters (cycle time, memory timing, write-buffer
+  depth) and the trace's name do not affect the event stream, so
+  timing siblings share one entry and :meth:`PassCache.get` relabels
+  the stream with each caller's trace name and configuration.
 * **Compact encoding.**  The nine per-event buffers travel as
   ``array('q')`` in memory (:data:`repro.sim.fastpath.EVENT_FIELDS`)
   and are serialized as base64 of their little-endian 8-byte raw form,
@@ -74,12 +74,13 @@ from ..errors import CorruptResultError
 from ..trace.record import Trace
 from .campaign import (
     WriterFn,
-    _config_fingerprint,
+    _fingerprint,
     _known_fields,
     atomic_write_text,
 )
 from .config import SystemConfig
 from .fastpath import EVENT_FIELDS, EventStream, fast_simulate
+from .stackpass import pass_key
 from .statistics import CacheCounters, SimStats
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard
@@ -258,14 +259,15 @@ def _build_stream(payload: Dict, raw: Dict[str, bytes]) -> EventStream:
 def cache_key(config: SystemConfig, trace: Trace, seed: int = 0) -> str:
     """Deterministic identifier of one functional pass.
 
-    Mirrors :func:`repro.sim.campaign.run_id` with the replacement seed
-    appended — the functional pass (unlike a timing replay) depends on
-    it through the caches' replacement RNGs.
+    Names exactly what :func:`~repro.sim.stackpass.pass_key` says a pass
+    depends on: the trace contents (warm boundary included), the I/D
+    geometry, the cache policy and the replacement seed.  Timing
+    siblings — another cycle time, memory timing or write-buffer depth,
+    or another trace name over the same contents — share one entry,
+    which :meth:`PassCache.get` relabels for each caller.
     """
-    return (
-        f"{trace.name}-{trace.content_fingerprint()}-"
-        f"{_config_fingerprint(config)}-s{seed}"
-    )
+    content, *organization, seed = pass_key(config, trace, seed)
+    return f"{content}-{_fingerprint(organization)}-s{seed}"
 
 
 @dataclasses.dataclass
@@ -314,13 +316,15 @@ class PassCacheReport:
 class PassCache:
     """An on-disk, content-addressed store of :class:`EventStream`\\ s.
 
-    ``cache.get(config, trace, seed)`` returns the stored stream when
-    the key is on disk and validates, ``None`` otherwise; ``put``
-    persists one.  Corrupt entries are quarantined and read as misses;
-    schema mismatches miss cleanly.  Callers do not pair the two by
-    hand: :func:`repro.core.sweep.run_functional_passes` with
-    ``cache=`` loads the hits, runs the misses as per-organization
-    passes and persists them.
+    ``cache.get(config, trace, seed)`` returns the stored stream, with
+    the caller's trace name and configuration summary, when the key is
+    on disk and validates, ``None`` otherwise; ``put`` persists one,
+    once for a whole group of timing siblings.  Corrupt entries are
+    quarantined and read as misses; schema mismatches miss cleanly.
+    Callers do not pair the two by hand:
+    :func:`repro.core.sweep.run_functional_passes` with ``cache=`` loads
+    the hits, runs the misses as per-organization passes and persists
+    them.
 
     ``writer`` overrides the persistence primitive (default
     :func:`~repro.sim.campaign.atomic_write_text`) so the fault harness
@@ -410,7 +414,9 @@ class PassCache:
             return None
         self.counters.hits += 1
         self.counters.bytes_read += n_bytes
-        return stream
+        return dataclasses.replace(
+            stream, trace_name=trace.name, config_summary=config.describe(),
+        )
 
     # ------------------------------------------------------------------
     # Validation

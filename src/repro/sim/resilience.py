@@ -14,8 +14,9 @@ story (the persistence half lives in :mod:`repro.sim.campaign`):
   (:class:`RetryPolicy`);
 * :class:`CampaignManifest` journals per-run status
   (``ok | failed | timeout | quarantined``) to ``manifest.json`` after
-  every run, atomically, so an interrupted sweep reports exactly what it
-  has and analysis can flag missing points instead of aborting;
+  every run, one fsynced line apiece, so an interrupted sweep reports
+  exactly what it has and analysis can flag missing points instead of
+  aborting;
 * results are verified immediately after saving; a corrupt file is
   quarantined and the run re-simulated, so every ``ok`` entry in the
   manifest is backed by a validated, byte-deterministic result file.
@@ -45,7 +46,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CampaignError, CorruptResultError, RunTimeoutError
 from ..trace.record import Trace
-from .campaign import Campaign, atomic_write_text, run_id
+from .campaign import (
+    Campaign, append_journal_line, atomic_write_text, run_id,
+)
 from .config import SystemConfig
 from .fastpath import fast_simulate
 from .statistics import SimStats
@@ -127,16 +130,41 @@ class RunRecord:
         return record
 
 
-class CampaignManifest:
-    """Per-run status journal, persisted atomically after every update.
+def _compact(payload: Dict) -> str:
+    return json.dumps(payload, separators=(",", ":"))
 
-    Loading is tolerant by design: a missing manifest starts empty and a
-    corrupt one is moved aside (``manifest.json.corrupt``) and rebuilt —
-    the journal exists to survive crashes, so it must never be the thing
-    that crashes a resumed sweep.
+
+def _journal_line(record: RunRecord) -> str:
+    return _compact({"run_id": record.run_id, **record.to_dict()})
+
+
+def _json_or_none(text: str):
+    try:
+        return json.loads(text)
+    except ValueError:
+        return None
+
+
+class CampaignManifest:
+    """Per-run status journal, one line appended and fsynced per update.
+
+    ``manifest.json`` is a header line, ``{"schema": 2}``, then one
+    compact JSON record per journaled run, appended through
+    :func:`~repro.sim.campaign.append_journal_line`; the last record of
+    a run id wins, so a retried or resumed run simply appends again.
+    Recording a run costs one line, not a rewrite of the journal.
+    :meth:`save` is the atomic compaction: one record per run id, sorted.
+
+    Loading is tolerant by design: a missing manifest starts empty, a
+    schema-1 document (the whole journal as one JSON object) is read
+    and compacted to a journal, and a corrupt file or one with a torn
+    or unreadable line is moved aside (``manifest.json.corrupt``) and
+    compacted from every record that still reads, so the next append
+    starts on a fresh line.  The journal exists to survive crashes, so
+    it must never be the thing that crashes a resumed sweep.
     """
 
-    SCHEMA = 1
+    SCHEMA = 2
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
@@ -149,14 +177,20 @@ class CampaignManifest:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "CampaignManifest":
         manifest = cls(path)
-        if not manifest.path.exists():
-            return manifest
         try:
-            payload = json.loads(manifest.path.read_text(encoding="utf-8"))
-            runs = payload["runs"]
-            if not isinstance(runs, dict):
-                raise TypeError("runs is not an object")
-        except (OSError, ValueError, KeyError, TypeError):
+            text = manifest.path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            return manifest
+        except (OSError, ValueError):
+            text = ""
+        head, _, body = text.partition("\n")
+        if _json_or_none(head) == {"schema": cls.SCHEMA}:
+            if manifest._read_journal(body) and text.endswith("\n"):
+                return manifest
+            torn = True
+        else:
+            torn = not manifest._read_document(text)
+        if torn:
             aside = manifest.path.with_name(manifest.path.name + ".corrupt")
             serial = 0
             while aside.exists():
@@ -165,28 +199,56 @@ class CampaignManifest:
                     f"{manifest.path.name}.corrupt.{serial}"
                 )
             manifest.path.replace(aside)
-            return manifest
-        for identifier, entry in runs.items():
-            if isinstance(entry, dict):
-                manifest.runs[identifier] = RunRecord.from_dict(
-                    identifier, entry
-                )
+        manifest.save()
         return manifest
 
+    def _read_journal(self, body: str) -> bool:
+        """Replay the records of a journal's body, last record winning;
+        False if any line does not read as a record."""
+        intact = True
+        for line in body.split("\n"):
+            if not line:
+                continue
+            entry = _json_or_none(line)
+            if isinstance(entry, dict) and isinstance(
+                entry.get("run_id"), str
+            ):
+                self.runs[entry["run_id"]] = RunRecord.from_dict(
+                    entry["run_id"], entry
+                )
+            else:
+                intact = False
+        return intact
+
+    def _read_document(self, text: str) -> bool:
+        """Read a schema-1 whole-document manifest; False if it is not
+        one."""
+        payload = _json_or_none(text)
+        runs = payload.get("runs") if isinstance(payload, dict) else None
+        if not isinstance(runs, dict):
+            return False
+        for identifier, entry in runs.items():
+            if isinstance(entry, dict):
+                self.runs[identifier] = RunRecord.from_dict(
+                    identifier, entry
+                )
+        return True
+
     def save(self) -> None:
-        payload = {
-            "schema": self.SCHEMA,
-            "runs": {
-                identifier: record.to_dict()
-                for identifier, record in sorted(self.runs.items())
-            },
-        }
-        atomic_write_text(self.path, json.dumps(payload, indent=1))
+        """Rewrite the journal atomically, one record per run."""
+        lines = [_compact({"schema": self.SCHEMA})] + [
+            _journal_line(record)
+            for _, record in sorted(self.runs.items())
+        ]
+        atomic_write_text(self.path, "\n".join(lines) + "\n")
 
     def record(self, record: RunRecord) -> None:
         """Journal one run's (latest) outcome and persist immediately."""
         self.runs[record.run_id] = record
-        self.save()
+        try:
+            append_journal_line(self.path, _journal_line(record))
+        except FileNotFoundError:
+            self.save()
 
     def counts(self) -> Dict[str, int]:
         tally = {status: 0 for status in STATUSES}

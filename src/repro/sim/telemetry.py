@@ -845,6 +845,27 @@ def aggregate_reports(
     }
 
 
+def stored_fabric(summary: Dict) -> Dict[str, int]:
+    """The ``fabric.*`` counters of a stored :func:`aggregate_reports`
+    document, without the prefix.
+
+    A drained spool's fleet totals (workers, their lifetimes, expired
+    and reclaimed leases) live only in the summary that `campaign drain
+    --metrics` wrote; the per-run reports carry each job's own lease
+    counts.  Passing these back as ``fabric=`` keeps a re-aggregation
+    of the reports from losing them.  ``{}`` for a summary with none.
+    """
+    metrics = summary.get("metrics")
+    counters = metrics.get("counters") if isinstance(metrics, dict) else None
+    if not isinstance(counters, dict):
+        return {}
+    return {
+        name[len("fabric."):]: count
+        for name, count in counters.items()
+        if name.startswith("fabric.")
+    }
+
+
 #: The terminal line :func:`render_counters` prints per counter prefix:
 #: its label, then each counter's name under the prefix with the words
 #: that follow its value.

@@ -582,10 +582,6 @@ class WorkQueue:
         self.lost_dir = self.leases_dir / _LOST_DIRNAME
         self.done_dir = self.directory / _DONE_DIRNAME
         self.poison_dir = self.directory / _POISON_DIRNAME
-        for sub in (
-            self.jobs_dir, self.lost_dir, self.done_dir, self.poison_dir,
-        ):
-            sub.mkdir(parents=True, exist_ok=True)
         self._clock = clock
         self.retry = retry or RetryPolicy()
         self.poison_losses = poison_losses
@@ -628,12 +624,22 @@ class WorkQueue:
         return self.poison_dir / f"{job_id}.json"
 
     # -- enqueue --------------------------------------------------------
+    def _make_layout(self) -> None:
+        """Create the spool's directories.  Only enqueueing does this:
+        an observer or a worker pointed at a directory with no spool
+        leaves it as it was."""
+        for sub in (
+            self.jobs_dir, self.lost_dir, self.done_dir, self.poison_dir,
+        ):
+            sub.mkdir(parents=True, exist_ok=True)
+
     def save_spec(self, spec: SweepSpec) -> None:
         """Persist the spool manifest; idempotent for the same sweep.
 
         A spool already initialized with a *different* sweep raises
         :exc:`~repro.errors.CampaignError` — one spool, one sweep.
         """
+        self._make_layout()
         if self.spec_path.exists():
             # Compared as specs, not checksums: a manifest written at an
             # older schema still describes the same sweep.
@@ -659,6 +665,7 @@ class WorkQueue:
         re-running an interrupted ``enqueue`` (or resuming a campaign)
         completes the spool without disturbing claimed or done jobs.
         """
+        self._make_layout()
         ids = []
         for index, job in enumerate(jobs):
             identifier = run_id(job.config, job.trace)

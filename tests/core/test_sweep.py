@@ -439,7 +439,7 @@ class TestRegistryCounters:
             run_speed_size_sweep, *args, pass_cache=cache
         )
         assert cold == {
-            "passcache.bytes_written": 556580,
+            "passcache.bytes_written": 556560,
             "passcache.misses": 4,
             "passcache.puts": 4,
             "stackpass.passes": 4,
@@ -449,7 +449,7 @@ class TestRegistryCounters:
         self._assert_priced(cold, 17274)
         warm, _ = self._dump(run_speed_size_sweep, *args, pass_cache=cache)
         assert warm == {
-            "passcache.bytes_read": 556580,
+            "passcache.bytes_read": 556560,
             "passcache.hits": 4,
             **self._KERNEL_3_CLOCKS,
         }

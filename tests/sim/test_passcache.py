@@ -111,13 +111,20 @@ class TestCacheKey:
         b = baseline_config(cache_size_bytes=8 * KB)
         assert cache_key(a, mu3_small) != cache_key(b, mu3_small)
 
-    def test_temporal_change_invalidates_conservatively(self, mu3_small):
-        # cycle time does not affect the event stream, but the key is
-        # shared with campaign run ids — a timing change must miss.
+    def test_timing_siblings_share_one_key(self, mu3_small):
+        # Cycle time, memory timing, write-buffer depth and the trace's
+        # name do not affect the event stream: one entry serves them all.
         config = baseline_config(cache_size_bytes=4 * KB)
-        assert cache_key(config, mu3_small) != cache_key(
-            config.with_cycle_ns(20.0), mu3_small
-        )
+        siblings = [
+            config.with_cycle_ns(20.0),
+            baseline_config(cache_size_bytes=4 * KB, write_buffer_depth=1),
+            baseline_config(
+                cache_size_bytes=4 * KB, memory=MemoryTiming(latency_ns=300.0)
+            ),
+        ]
+        key = cache_key(config, mu3_small)
+        assert {cache_key(c, mu3_small) for c in siblings} == {key}
+        assert cache_key(config, mu3_small.with_name("other")) == key
 
     def test_trace_content_changes_key(self, mu3_small, small_config):
         other = build_trace("mu3", length=10_000, seed=3)

@@ -51,6 +51,7 @@ from repro.core.sweep import (
 from repro.core.timing import MemoryTiming
 from repro.errors import ConfigurationError
 from repro.sim import replaykernel, stackpass
+from repro.sim.campaign import stats_to_dict
 from repro.sim.config import L1Spec, SystemConfig, baseline_config
 from repro.sim.fastpath import (
     EVENT_FIELDS,
@@ -402,6 +403,48 @@ def test_single_job_routes_equal_the_scalar_pass(drawn, prefill):
                                         degenerate, 0)
     for (config, trace, seed), want in zip(jobs, expected):
         same_result(lambda: fast_simulate(config, trace, seed=seed), want)
+
+
+@settings(max_examples=15, **GENERATED)
+@given(
+    organization=organizations,
+    trace_index=st.sampled_from([0, 1, 5, 6, 7, 8, 9]),
+    seed=st.integers(0, 2**31 - 1),
+    timing=st.tuples(
+        st.sampled_from([20.0, 40.0, 56.0]),
+        st.sampled_from([180.0, 260.0]),
+        st.sampled_from([1, 4]),
+    ),
+    rename=st.booleans(),
+)
+def test_cached_sibling_equals_the_uncached_run(
+    organization, trace_index, seed, timing, rename
+):
+    """One pass-cache entry serves an organization's timing siblings.
+    After ``cached_fast_simulate`` puts a job's pass, the same call at
+    another cycle time, memory latency or write-buffer depth, or over
+    the same trace contents under another name, reads that entry and
+    returns exactly what uncached ``fast_simulate`` returns, trace name
+    and ``config_summary`` included."""
+    trace = trace_pool()[trace_index]
+    sibling = timing_sibling(organization, *timing)
+    sibling_trace = trace.with_name(trace.name + "-renamed") \
+        if rename else trace
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = PassCache(tmp)
+        first = cached_fast_simulate(organization, trace, cache=cache,
+                                     seed=seed)
+        got = cached_fast_simulate(sibling, sibling_trace, cache=cache,
+                                   seed=seed)
+        assert (len(cache), cache.counters.puts, cache.counters.hits) == (
+            1, 1, 1
+        )
+    assert first == fast_simulate(organization, trace, seed=seed)
+    want = fast_simulate(sibling, sibling_trace, seed=seed)
+    assert stats_to_dict(got) == stats_to_dict(want)
+    assert (got.trace_name, got.config_summary) == (
+        sibling_trace.name, sibling.describe()
+    )
 
 
 @settings(max_examples=15, **GENERATED)

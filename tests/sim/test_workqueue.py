@@ -37,6 +37,7 @@ from repro.sim.resilience import (
     CampaignManifest,
     CampaignReport,
     RetryPolicy,
+    RunRecord,
     sweep_jobs,
 )
 from repro.sim.workqueue import (
@@ -469,6 +470,29 @@ class TestPoison:
         assert (record.trace, record.config) == (
             trace.name, config.describe()
         )
+
+    def test_sync_manifest_compacts_the_journal(self, tmp_path, jobs):
+        """The rebuild is an atomic compaction: one record per run, however
+        many lines the journal had appended for it."""
+        campaign = Campaign(tmp_path)
+        journal = CampaignManifest.for_campaign(campaign)
+        for status in ("failed", "timeout", "ok"):
+            journal.record(RunRecord(run_id="earlier", status=status))
+        queue, clock = make_queue(campaign.spool_dir, poison_losses=1)
+        (job_id,) = queue.enqueue_jobs(jobs)
+        queue.claim("crashy", ttl_s=1.0)
+        clock.advance(1.1)
+        queue.claim("x")
+        queue.sync_manifest(campaign)
+        lines = campaign.manifest_path.read_text().splitlines()
+        assert json.loads(lines[0]) == {"schema": 2}
+        records = [json.loads(line) for line in lines[1:]]
+        assert sorted(r["run_id"] for r in records) == sorted(
+            ["earlier", job_id]
+        )
+        assert {r["run_id"]: r["status"] for r in records} == {
+            "earlier": "ok", job_id: "failed",
+        }
 
     def test_poison_render_status(self, tmp_path, jobs):
         queue, clock = make_queue(tmp_path / "spool", poison_losses=1)
@@ -912,6 +936,43 @@ class TestCli:
             "campaign", "worker", str(tmp_path / "empty"),
         ]) == 2
         assert "no spool manifest" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["worker", "drain"])
+    def test_no_spool_leaves_the_directory_as_it_was(
+        self, tmp_path, capsys, command
+    ):
+        from repro.cli import main
+
+        missing = tmp_path / "missing"
+        assert main(["campaign", command, str(missing)]) == 2
+        assert "no spool manifest" in capsys.readouterr().err
+        assert not missing.exists()
+        directory = tmp_path / "camp"
+        directory.mkdir()
+        (directory / "note.txt").write_text("kept")
+        assert main(["campaign", command, str(directory)]) == 2
+        assert [p.name for p in directory.rglob("*")] == ["note.txt"]
+        capsys.readouterr()
+        assert main(["campaign", "status", str(directory)]) == 0
+        assert "spool:" not in capsys.readouterr().out
+
+    def test_report_reads_the_fleet_totals_of_a_drain(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        directory = str(tmp_path / "camp")
+        assert main([
+            "campaign", "enqueue", directory,
+            "--sizes-kb", "2,4", "--cycles-ns", "40",
+            "--traces", "mu3", "--length", "2000",
+        ]) == 0
+        assert main([
+            "campaign", "drain", directory, "--jobs", "2", "--metrics",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "report", directory]) == 0
+        assert "fabric: 2 worker(s)" in capsys.readouterr().out
 
     def test_failed_enqueue_leaves_no_manifest(self, tmp_path, capsys):
         from repro.cli import main

@@ -750,6 +750,99 @@ class TestManifest:
         assert "failed" in manifest.render()
 
 
+class TestManifestJournal:
+    """``manifest.json`` is a header line and one appended record per
+    journaled run, last record winning; a crash can tear only its final
+    line."""
+
+    def test_record_appends_one_line(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        manifest = CampaignManifest.load(path)
+        manifest.record(RunRecord(run_id="a", status="ok", attempts=1))
+        before = path.read_bytes()
+        manifest.record(RunRecord(run_id="b", status="ok", attempts=1))
+        after = path.read_bytes()
+        assert after.startswith(before)
+        (line,) = after[len(before):].decode().splitlines()
+        assert json.loads(line)["run_id"] == "b"
+        header = json.loads(after.decode().splitlines()[0])
+        assert header == {"schema": CampaignManifest.SCHEMA} == {"schema": 2}
+
+    def test_retried_run_reads_last_record_wins(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        manifest = CampaignManifest.load(path)
+        manifest.record(RunRecord(run_id="a", status="failed", attempts=1,
+                                  error="boom"))
+        manifest.record(RunRecord(run_id="b", status="timeout", attempts=3))
+        manifest.record(RunRecord(run_id="a", status="ok", attempts=2))
+        assert len(path.read_text().splitlines()) == 4
+        back = CampaignManifest.load(path)
+        assert (back.runs["a"].status, back.runs["a"].attempts,
+                back.runs["a"].error) == ("ok", 2, "")
+        assert back.counts() == {
+            "ok": 1, "failed": 0, "timeout": 1, "quarantined": 0,
+        }
+        # A clean journal loads without being rewritten.
+        assert len(path.read_text().splitlines()) == 4
+        assert not list(tmp_path.glob("manifest.json.corrupt*"))
+
+    def test_torn_final_line_is_set_aside(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        manifest = CampaignManifest.load(path)
+        for name in ("a", "b", "c"):
+            manifest.record(RunRecord(run_id=name, status="ok"))
+        torn = path.read_bytes() + b'{"run_id":"d","status":"o'
+        path.write_bytes(torn)
+        back = CampaignManifest.load(path)
+        assert sorted(back.runs) == ["a", "b", "c"]
+        assert (tmp_path / "manifest.json.corrupt").read_bytes() == torn
+        # Compacted: the next append starts on a fresh line.
+        assert path.read_text().endswith("\n")
+        back.record(RunRecord(run_id="d", status="ok"))
+        assert CampaignManifest.load(path).counts()["ok"] == 4
+        assert len(list(tmp_path.glob("manifest.json.corrupt*"))) == 1
+
+    def test_unreadable_middle_line_keeps_the_others(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        manifest = CampaignManifest.load(path)
+        manifest.record(RunRecord(run_id="a", status="ok"))
+        manifest.record(RunRecord(run_id="b", status="ok"))
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1][:-3] + "\x00\x00\x00"
+        path.write_text("\n".join(lines) + "\n")
+        back = CampaignManifest.load(path)
+        assert sorted(back.runs) == ["b"]
+        assert (tmp_path / "manifest.json.corrupt").exists()
+
+    def test_schema_1_document_is_resumed_and_appended_to(
+        self, tmp_path, config, trace
+    ):
+        campaign = Campaign(tmp_path)
+        job = sweep_jobs([config], [trace])
+        identifier = run_id(config, trace)
+        campaign.manifest_path.write_text(json.dumps({
+            "schema": 1,
+            "runs": {
+                "earlier": RunRecord(run_id="earlier", status="ok",
+                                     attempts=1).to_dict(),
+                identifier: RunRecord(run_id=identifier, status="failed",
+                                      attempts=3, error="boom").to_dict(),
+            },
+        }, indent=1))
+        executor, _ = make_executor(campaign)
+        executor.run_sweep(job)
+        lines = campaign.manifest_path.read_text().splitlines()
+        assert json.loads(lines[0]) == {"schema": 2}
+        back = CampaignManifest.for_campaign(campaign)
+        assert back.runs["earlier"].status == "ok"
+        assert back.runs[identifier].status == "ok"
+        # Compacted to two records, then one line appended for the run.
+        assert [json.loads(line)["run_id"] for line in lines[1:]] == sorted(
+            ["earlier", identifier]
+        ) + [identifier]
+        assert not list(tmp_path.glob("manifest.json.corrupt*"))
+
+
 # ----------------------------------------------------------------------
 # The acceptance sweep: 30 runs, >=20% sabotaged
 # ----------------------------------------------------------------------
