@@ -142,24 +142,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             cycle_ns=args.cycle_ns,
         )
     use_engine = args.engine
-    sampled = args.sample or args.sample_validate
     if not use_engine:
         from .errors import ConfigurationError
         from .sim.fastpath import check_fastpath_supported
-        from .sim.sampling import check_sampling_supported
 
         try:
-            if sampled:
-                check_sampling_supported(config)
-            else:
-                check_fastpath_supported(config)
+            check_fastpath_supported(config)
         except ConfigurationError:
             use_engine = True  # spec needs engine features
-    if sampled and use_engine:
-        print("error: --sample requires the fastpath; it is incompatible "
-              "with --engine and with spec files that need engine "
-              "features", file=sys.stderr)
-        return 2
     pass_cache = None
     if args.pass_cache:
         if not use_engine:
@@ -167,8 +157,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         else:
             print("note: --pass-cache applies to fastpath runs only; "
                   "this engine run bypasses it", file=sys.stderr)
-    if sampled:
-        return _simulate_sampled(args, config, trace, pass_cache, registry)
     want_metrics = args.metrics or args.metrics_out
     telemetry = None
     if want_metrics or args.trace_out:
@@ -235,92 +223,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"event trace written to {args.trace_out} "
               f"({len(telemetry.tracer)} event(s), "
               f"{telemetry.tracer.dropped} dropped)")
-    return 0
-
-
-def _simulate_sampled(
-    args: argparse.Namespace, config, trace, pass_cache, registry,
-) -> int:
-    """The ``simulate --sample`` path: a stratified estimate, not an
-    exact run.  Shares the printed statistics shape with the exact path
-    and adds the estimate's confidence interval and, under
-    ``--sample-validate``, the true error."""
-    import dataclasses as _dc
-
-    from .errors import SamplingError
-    from .sim.passcache import cache_metrics
-    from .sim.sampling import SamplingPlan, sampled_fast_simulate
-    from .sim.telemetry import build_run_report
-
-    try:
-        plan = SamplingPlan.parse(args.sample)
-        if args.sample_validate:
-            plan = _dc.replace(plan, validate=True)
-    except SamplingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.trace_out:
-        print("note: --trace-out needs an exact replay; the sampled run "
-              "skips it", file=sys.stderr)
-    with registry.span("simulate"), cache_metrics(pass_cache, registry):
-        try:
-            estimate = sampled_fast_simulate(
-                config, trace, plan, cache=pass_cache, registry=registry,
-            )
-        except SamplingError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    stats = estimate.stats
-    print(f"trace: {trace.name} ({len(trace)} references, "
-          f"{stats.n_refs} measured)")
-    print(f"system: {config.describe()}")
-    print(f"sampling: {plan.describe()}; {estimate.n_clusters} cluster(s) "
-          f"over {estimate.n_intervals} interval(s)")
-    print(f"sampling: {estimate.refs_sampled:,} of "
-          f"{estimate.refs_full:,} refs simulated "
-          f"({estimate.refs_reduction:.1f}x fewer)")
-    print(f"cycles (estimated): {stats.cycles}  "
-          f"({stats.cycles_per_reference:.3f}/ref)")
-    print(f"execution time (estimated): "
-          f"{stats.execution_time_ns / 1e6:.3f} ms")
-    print(f"read miss ratio (estimated): {estimate.read_miss_ratio:.4f} "
-          f"± {estimate.ci_half_width:.4f} "
-          f"(z={plan.confidence_z:g}, bound {plan.ci_bound:g})")
-    print(f"traffic (estimated): read {stats.read_traffic_ratio:.3f} "
-          f"W/read, write {stats.write_traffic_ratio_full:.3f}/"
-          f"{stats.write_traffic_ratio_dirty:.3f} W/ref (full/dirty)")
-    if estimate.true_read_miss_ratio is not None:
-        print(f"validation: true read miss ratio "
-              f"{estimate.true_read_miss_ratio:.4f}, "
-              f"abs error {estimate.abs_error:.4f}; "
-              f"true cycles {estimate.true_cycles}")
-    _print_counters(registry)
-    if args.metrics or args.metrics_out:
-        registry.gauge(
-            "sampling.ci_half_width", round(estimate.ci_half_width, 6)
-        )
-        registry.gauge(
-            "sampling.refs_reduction", round(estimate.refs_reduction, 3)
-        )
-        if estimate.abs_error is not None:
-            registry.gauge(
-                "sampling.abs_error", round(estimate.abs_error, 6)
-            )
-        report = build_run_report(
-            stats, None,
-            run_identifier=f"{trace.name}-cli-sampled",
-            simulator="fastpath",
-            n_refs_total=len(trace), config=config, registry=registry,
-        )
-        print(f"host: {report.total_wall_s:.3f}s wall "
-              f"({report.refs_per_sec:,.0f} refs/s), "
-              f"peak RSS {report.peak_rss_kb or 0} KiB")
-        if args.metrics_out:
-            import json as _json
-
-            with open(args.metrics_out, "w", encoding="utf-8") as handle:
-                _json.dump(report.to_dict(), handle, indent=1)
-            print(f"metrics written to {args.metrics_out}")
     return 0
 
 
@@ -416,16 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="directory of a persistent functional-pass "
                            "cache to reuse across invocations "
                            "(fastpath runs only)")
-    simp.add_argument("--sample", default="",
-                      help="estimate from representative trace "
-                           "intervals instead of an exact run: a "
-                           "sampling-plan spec ('1' for defaults, or "
-                           "e.g. 'interval=20000,k=8,ci=0.02'); "
-                           "fastpath only")
-    simp.add_argument("--sample-validate", action="store_true",
-                      help="with --sample: also run the exact pass and "
-                           "report the estimate's true absolute "
-                           "miss-ratio error")
     simp.set_defaults(func=_cmd_simulate)
 
     tr = sub.add_parser("traces", help="describe the synthetic trace suite")
@@ -466,15 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     adv.add_argument("--jobs", type=int, default=1,
                      help="worker processes for the sweep's functional "
                           "passes and then its grid pricing")
-    adv.add_argument("--sample", default="",
-                     help="price the advisor's sweep on representative "
-                          "trace intervals (stratified estimates with "
-                          "confidence bounds): a sampling-plan spec, "
-                          "'1' for defaults")
-    adv.add_argument("--sample-validate", action="store_true",
-                     help="with --sample: periodically re-run exact "
-                          "passes and report the worst true "
-                          "miss-ratio error")
     adv.set_defaults(func=_cmd_advise)
 
     rep = sub.add_parser(
@@ -554,15 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(one pass per distinct organization per "
                             "trace, shared across cycle times; requires "
                             "--pass-cache; incompatible with --engine)")
-    sweep.add_argument("--sample", default="",
-                       help="run every sweep job as a stratified "
-                            "interval-sampling estimate: a sampling-plan "
-                            "spec, '1' for defaults (fastpath only; "
-                            "incompatible with --engine and --metrics)")
-    sweep.add_argument("--sample-validate", action="store_true",
-                       help="with --sample: every job also runs the "
-                            "exact pass and refuses estimates whose "
-                            "error bound is exceeded")
     # What `run`, `worker` and `drain` share: how each job executes.
     execution = argparse.ArgumentParser(add_help=False)
     execution.add_argument("--timeout", type=_positive_seconds,
@@ -905,14 +779,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if result.clean else 1
 
 
-#: Why `campaign run`, `worker` and `drain` refuse --metrics on a
-#: sampled sweep.
-_SAMPLED_METRICS = (
-    "--sample produces estimates with no cycle ledger; per-run "
-    "--metrics RunReports cannot check conservation on them"
-)
-
-
 def _campaign_sweep(args: argparse.Namespace):
     """The ``(SweepSpec, jobs)`` that `campaign run` or `enqueue`
     describes.
@@ -945,16 +811,8 @@ def _campaign_sweep(args: argparse.Namespace):
             "cached" if args.pass_cache else "fastpath"
         ),
         pass_cache_dir=args.pass_cache,
-        sample=args.sample or ("1" if args.sample_validate else ""),
-        sample_validate=args.sample_validate,
     )
     jobs = spec.build_jobs()
-    if spec.sample:
-        from .sim.sampling import SamplingPlan
-
-        print(f"sampling: {SamplingPlan.parse(spec.sample).describe()}"
-              + (" (validating every run)" if args.sample_validate
-                 else ""))
     if args.stack_pass:
         from .core.sweep import run_functional_passes
         from .sim.passcache import PassCache
@@ -979,8 +837,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         print(f"repro-sim campaign run: error: {message}", file=sys.stderr)
         return 2
 
-    if args.metrics and (args.sample or args.sample_validate):
-        return usage_error(_SAMPLED_METRICS)
     try:
         _spec, jobs = _campaign_sweep(args)
     except (CampaignError, ConfigurationError) as exc:
@@ -1035,20 +891,16 @@ def _worker_settings(args: argparse.Namespace) -> dict:
 
 def _spool_spec(args: argparse.Namespace):
     """The spool in ``args.directory`` and the sweep it holds, for
-    `worker` and `drain`; like `run`, they refuse --metrics on a sampled
-    sweep.  Raises before anything is created, so a directory with no
-    spool stays as it was."""
+    `worker` and `drain`.  Raises before anything is created, so a
+    directory with no spool (or a spool this version cannot run) stays
+    as it was."""
     from pathlib import Path
 
-    from .errors import CampaignError
     from .sim.campaign import SPOOL_DIRNAME
     from .sim.workqueue import WorkQueue
 
     queue = WorkQueue(Path(args.directory) / SPOOL_DIRNAME)
-    spec = queue.load_spec()
-    if args.metrics and spec.sample:
-        raise CampaignError(_SAMPLED_METRICS)
-    return queue, spec
+    return queue, queue.load_spec()
 
 
 def _cmd_campaign_worker(args: argparse.Namespace) -> int:
@@ -1130,10 +982,22 @@ def _campaign_status_doc(campaign, manifest) -> dict:
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
     import json as json_mod
 
+    from .errors import CampaignError
     from .sim.campaign import Campaign
     from .sim.resilience import CampaignManifest
+    from .sim.workqueue import WorkQueue
 
     campaign = Campaign(args.directory)
+    queue = WorkQueue.for_campaign(campaign)
+    if queue.spec_path.exists():
+        # Checked before the manifest loads (a load may repair it), so
+        # a spool this version cannot run leaves the directory as it was.
+        try:
+            queue.load_spec()
+        except CampaignError as exc:
+            print(f"repro-sim campaign status: error: {exc}",
+                  file=sys.stderr)
+            return 2
     manifest = CampaignManifest.for_campaign(campaign)
     if args.json:
         doc = _campaign_status_doc(campaign, manifest)
@@ -1151,9 +1015,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
             print(f"note: {stored} result file(s) on disk vs "
                   f"{len(manifest.runs)} journaled run(s)")
     if campaign.spool_dir.is_dir():
-        from .sim.workqueue import WorkQueue
-
-        print(WorkQueue.for_campaign(campaign).render_status())
+        print(queue.render_status())
     if not manifest.runs:
         return 0
     return 0 if not manifest.incomplete() else 1
@@ -1231,7 +1093,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_advise(args: argparse.Namespace) -> int:
     from .core.advisor import LadderRung, advisor_table, recommend_design
     from .core.sweep import run_speed_size_sweep
-    from .errors import SamplingError
     from .sim.telemetry import MetricsRegistry
 
     rungs = []
@@ -1255,28 +1116,10 @@ def _cmd_advise(args: argparse.Namespace) -> int:
         from .sim.passcache import PassCache
 
         pass_cache = PassCache(args.pass_cache)
-    sampling = None
-    if args.sample or args.sample_validate:
-        import dataclasses
-
-        from .sim.sampling import SamplingPlan
-
-        try:
-            sampling = SamplingPlan.parse(args.sample or "1")
-        except SamplingError as exc:
-            print(f"repro-sim advise: error: {exc}", file=sys.stderr)
-            return 2
-        if args.sample_validate:
-            sampling = dataclasses.replace(sampling, validate=True)
-        print(f"sampling: {sampling.describe()}")
-    try:
-        grid = run_speed_size_sweep(
-            suite, extended, cycles, seed=args.seed, n_jobs=args.jobs,
-            pass_cache=pass_cache, registry=registry, sampling=sampling,
-        )
-    except SamplingError as exc:
-        print(f"repro-sim advise: error: {exc}", file=sys.stderr)
-        return 1
+    grid = run_speed_size_sweep(
+        suite, extended, cycles, seed=args.seed, n_jobs=args.jobs,
+        pass_cache=pass_cache, registry=registry,
+    )
     print(advisor_table(recommend_design(grid, rungs)))
     _print_counters(registry)
     return 0

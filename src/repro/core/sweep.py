@@ -49,15 +49,6 @@ from ..sim.replaykernel import (
     TimingPoint,
     archive_scope,
 )
-from ..sim.sampling import (
-    SampledPassGroup,
-    SamplingPlan,
-    check_sampling_supported,
-    estimate_cycles,
-    estimate_stats,
-    select_intervals,
-    validate_group,
-)
 from ..sim.passcache import PassCache, cache_metrics
 from ..sim.stackpass import pass_key, stack_functional_passes
 from ..trace.record import Trace
@@ -166,8 +157,7 @@ def run_functional_passes(
     n_jobs: int = 1,
     cache: Optional["PassCache"] = None,
     registry: Optional["MetricsRegistry"] = None,
-    sampling: Optional[SamplingPlan] = None,
-) -> List:
+) -> List[EventStream]:
     """Run many functional passes, optionally across processes.
 
     This is the library's stand-in for the paper's farm of 10–20
@@ -189,23 +179,8 @@ def run_functional_passes(
     ``stackpass.*`` counters.  With ``n_jobs > 1`` the passes run as
     tasks over a process pool that receives each trace once; otherwise
     they run in-process and pair each distinct trace content once.
-
-    ``sampling`` (a :class:`~repro.sim.sampling.SamplingPlan`) changes
-    the return type: each job expands into one functional pass per
-    representative interval of its trace and the result list holds
-    :class:`~repro.sim.sampling.SampledPassGroup` objects instead of
-    single streams.  The representative-interval jobs flow through this
-    same function, so the cache, the pool and sibling sharing all
-    compose — interval streams persist in the pass cache under their
-    own content fingerprints.  With ``sampling.validate``, every
-    ``validate_period``-th job also runs its exact pass.  The
-    ``sampling.*`` counters land in ``registry`` beside ``stackpass.*``.
     """
     jobs = list(jobs)
-    if sampling is not None:
-        return _sampled_functional_passes(
-            jobs, sampling, n_jobs=n_jobs, cache=cache, registry=registry,
-        )
     results: List[Optional[EventStream]] = [None] * len(jobs)
     if cache is not None:
         pending = []
@@ -262,50 +237,6 @@ def run_functional_passes(
         registry.count("stackpass.passes", len(tasks))
         registry.count("stackpass.reused_streams", len(pending) - len(tasks))
     return results
-
-
-def _sampled_functional_passes(
-    jobs: Sequence[Tuple[SystemConfig, Trace, int]],
-    plan: SamplingPlan,
-    n_jobs: int,
-    cache: Optional["PassCache"],
-    registry: Optional["MetricsRegistry"],
-) -> List[SampledPassGroup]:
-    """Expand jobs into representative-interval passes and regroup.
-
-    Selections are memoized per (trace contents, plan), so an
-    N-organization grid over one trace segments and clusters it once.
-    The expanded jobs recurse through :func:`run_functional_passes`
-    with ``sampling=None`` — inheriting the cache, pool and sibling
-    sharing.
-    """
-    for config, _trace, _seed in jobs:
-        check_sampling_supported(config)
-    selections = [
-        select_intervals(trace, plan, registry=registry)
-        for _config, trace, _seed in jobs
-    ]
-    rep_jobs: List[Tuple[SystemConfig, Trace, int]] = []
-    spans: List[Tuple[int, int]] = []
-    for (config, _trace, seed), selection in zip(jobs, selections):
-        lo = len(rep_jobs)
-        rep_jobs.extend((config, rep, seed) for rep in selection.rep_traces)
-        spans.append((lo, len(rep_jobs)))
-    rep_streams = run_functional_passes(
-        rep_jobs, n_jobs=n_jobs, cache=cache, registry=registry,
-    )
-    groups = [
-        SampledPassGroup(selection, rep_streams[lo:hi])
-        for selection, (lo, hi) in zip(selections, spans)
-    ]
-    if plan.validate:
-        for k in range(0, len(jobs), plan.validate_period):
-            config, trace, seed = jobs[k]
-            validate_group(
-                config, trace, groups[k], seed=seed, cache=cache,
-                registry=registry,
-            )
-    return groups
 
 
 #: Per-worker event-stream table installed by :func:`_replay_pool_init`;
@@ -423,18 +354,15 @@ def _run_grid(
     seed: int,
     n_jobs: int,
     pass_cache: Optional["PassCache"],
-    sampling: Optional[SamplingPlan],
     registry: Optional["MetricsRegistry"],
-):
+) -> Tuple[List[EventStream], List[List[ReplayOutcome]]]:
     """Both phases of a sweep: one functional pass per (organization,
     trace), then every resulting stream priced at every timing point.
 
-    Returns ``(pass results, group spans, outcome rows)``; see
-    :func:`_flatten_pass_results` for the first two.  The pass results
-    are streams, or :class:`SampledPassGroup` objects under
-    ``sampling``.  With a ``registry`` the pass-cache, stack-pass,
-    sampling and replay counters land in it; the pass cache's are the
-    delta of its counters over the functional passes.
+    Returns ``(streams, outcome rows)``, in (organization, trace)
+    order.  With a ``registry`` the pass-cache, stack-pass and replay
+    counters land in it; the pass cache's are the delta of its counters
+    over the functional passes.
     """
     # The batch kernel prices memory-direct organizations only; every
     # sweep builds its configs from baseline_config.
@@ -443,39 +371,15 @@ def _run_grid(
     )
     with cache_metrics(pass_cache, registry), \
             _span(registry, "sweep.functional_passes"):
-        results = run_functional_passes(
+        streams = run_functional_passes(
             [(config, trace, seed) for config in configs for trace in traces],
             n_jobs=n_jobs,
             cache=pass_cache,
             registry=registry,
-            sampling=sampling,
         )
-    flat_streams, group_spans = _flatten_pass_results(results, sampling)
     with _span(registry, "sweep.price_grid"):
-        rows = _price_streams(flat_streams, points, n_jobs, registry)
-    return results, group_spans, rows
-
-
-def _flatten_pass_results(
-    results: Sequence, sampling: Optional[SamplingPlan]
-) -> Tuple[List[EventStream], Optional[List[Tuple[int, int]]]]:
-    """Flatten pass results for pricing.
-
-    Without sampling the results already are streams and pass through
-    unchanged.  With sampling each result is a
-    :class:`SampledPassGroup`; its representative streams are
-    concatenated and ``spans[k]`` records the flat ``[lo, hi)`` window
-    belonging to job ``k``.
-    """
-    if sampling is None:
-        return list(results), None
-    flat: List[EventStream] = []
-    spans: List[Tuple[int, int]] = []
-    for group in results:
-        lo = len(flat)
-        flat.extend(group.streams)
-        spans.append((lo, len(flat)))
-    return flat, spans
+        rows = _price_streams(streams, points, n_jobs, registry)
+    return streams, rows
 
 
 def run_speed_size_sweep(
@@ -492,7 +396,6 @@ def run_speed_size_sweep(
     pass_cache: Optional["PassCache"] = None,
     registry: Optional["MetricsRegistry"] = None,
     functional_strategy: Optional[str] = None,
-    sampling: Optional[SamplingPlan] = None,
 ) -> SpeedSizeGrid:
     """Sweep (cache size x cycle time); aggregate over the trace suite.
 
@@ -512,19 +415,11 @@ def run_speed_size_sweep(
     many pricing workers.  ``functional_strategy`` is accepted and
     ignored; every organization takes the same route.
 
-    ``sampling`` (a :class:`~repro.sim.sampling.SamplingPlan`) runs the
-    whole sweep on representative trace intervals: the functional
-    passes cover only each trace's cluster representatives and every
-    grid cell is a stratified *estimate* — refused with
-    :exc:`~repro.errors.SamplingError` when its confidence interval
-    exceeds the plan's bound.  Sampling composes with the cache and the
-    pool.
-
     ``registry`` (a :class:`~repro.sim.telemetry.MetricsRegistry`) is
     the only way counters leave the sweep: it times the two phases as
     ``sweep.functional_passes`` / ``sweep.price_grid`` spans and
-    collects the ``passcache.*``, ``stackpass.*``, ``replay.*`` and
-    ``sampling.*`` counters.  Without one the sweep keeps no counters.
+    collects the ``passcache.*``, ``stackpass.*`` and ``replay.*``
+    counters.  Without one the sweep keeps no counters.
     """
     traces = _as_trace_list(traces)
     if not traces:
@@ -550,9 +445,8 @@ def run_speed_size_sweep(
         )
         for cycle_ns in cycles_ns
     ]
-    all_streams, group_spans, outcome_rows = _run_grid(
-        configs, traces, points, seed, n_jobs, pass_cache, sampling,
-        registry,
+    all_streams, outcome_rows = _run_grid(
+        configs, traces, points, seed, n_jobs, pass_cache, registry,
     )
     n_i, n_j = len(sizes), len(cycles_ns)
     exec_gm = np.empty((n_i, n_j))
@@ -560,58 +454,27 @@ def run_speed_size_sweep(
     per_size_metrics: List[AggregateMetrics] = []
     for i, size in enumerate(sizes):
         lo = i * len(traces)
-        if sampling is None:
-            streams = all_streams[lo: lo + len(traces)]
-            rows = outcome_rows[lo: lo + len(traces)]
-            # The miss and traffic ratios depend on the organization
-            # only, so one summary per (size, trace) — built from the
-            # first cycle-time column — covers them; the per-column
-            # reduction needs nothing beyond each outcome's cycle count.
-            size_summaries = [
-                TraceRunSummary.from_stats(
-                    assemble_stats(stream, row[0], cycles_ns[0])
-                )
-                for stream, row in zip(streams, rows)
-            ]
-            per_size_metrics.append(aggregate(size_summaries))
-            n_refs = [stream.n_refs_measured for stream in streams]
-            for j, cycle_ns in enumerate(cycles_ns):
-                exec_gm[i, j] = geometric_mean(
-                    max(row[j].cycles * cycle_ns, GM_FLOOR) for row in rows
-                )
-                cpr_gm[i, j] = geometric_mean(
-                    max(row[j].cycles / refs if refs else 0.0, GM_FLOOR)
-                    for row, refs in zip(rows, n_refs)
-                )
-            continue
-        # Sampled path: each (size, trace) cell is a stratified estimate
-        # recombining one outcome row per cluster representative.
-        size_summaries = []
-        cycle_rows: List[List[float]] = []
-        n_refs = []
-        for t in range(len(traces)):
-            group = all_streams[lo + t]
-            a, b = group_spans[lo + t]
-            rows = outcome_rows[a:b]
-            est = estimate_stats(
-                group.selection, group.streams,
-                [row[0] for row in rows], cycles_ns[0],
-                registry=registry,
+        streams = all_streams[lo: lo + len(traces)]
+        rows = outcome_rows[lo: lo + len(traces)]
+        # The miss and traffic ratios depend on the organization only,
+        # so one summary per (size, trace) — built from the first
+        # cycle-time column — covers them; the per-column reduction
+        # needs nothing beyond each outcome's cycle count.
+        size_summaries = [
+            TraceRunSummary.from_stats(
+                assemble_stats(stream, row[0], cycles_ns[0])
             )
-            size_summaries.append(TraceRunSummary.from_stats(est.stats))
-            cycle_rows.append([
-                estimate_cycles(group.selection, [row[j] for row in rows])
-                for j in range(n_j)
-            ])
-            n_refs.append(group.selection.measured_refs)
+            for stream, row in zip(streams, rows)
+        ]
         per_size_metrics.append(aggregate(size_summaries))
+        n_refs = [stream.n_refs_measured for stream in streams]
         for j, cycle_ns in enumerate(cycles_ns):
             exec_gm[i, j] = geometric_mean(
-                max(cycles[j] * cycle_ns, GM_FLOOR) for cycles in cycle_rows
+                max(row[j].cycles * cycle_ns, GM_FLOOR) for row in rows
             )
             cpr_gm[i, j] = geometric_mean(
-                max(cycles[j] / refs if refs else 0.0, GM_FLOOR)
-                for cycles, refs in zip(cycle_rows, n_refs)
+                max(row[j].cycles / refs if refs else 0.0, GM_FLOOR)
+                for row, refs in zip(rows, n_refs)
             )
     return SpeedSizeGrid(
         total_sizes=[2 * s for s in sizes],
@@ -674,7 +537,6 @@ def run_blocksize_sweep(
     pass_cache: Optional["PassCache"] = None,
     registry: Optional["MetricsRegistry"] = None,
     functional_strategy: Optional[str] = None,
-    sampling: Optional[SamplingPlan] = None,
 ) -> Dict[Tuple[int, float], BlockSizeCurve]:
     """Sweep block size against memory latency and transfer rate (§5).
 
@@ -689,7 +551,7 @@ def run_blocksize_sweep(
     occurrence wins; the outcomes are identical by construction).  The
     memory grid is priced per stream in one batch-kernel call; see
     :func:`run_speed_size_sweep` for the functional passes, ``n_jobs``,
-    ``pass_cache``, ``registry`` and ``sampling``.
+    ``pass_cache`` and ``registry``.
     ``functional_strategy`` is accepted and ignored.
     """
     traces = _as_trace_list(traces)
@@ -729,36 +591,22 @@ def run_blocksize_sweep(
         )
         for _key, mem in unique_memories
     ]
-    all_streams, group_spans, outcome_rows = _run_grid(
-        configs, traces, points, seed, n_jobs, pass_cache, sampling,
-        registry,
+    all_streams, outcome_rows = _run_grid(
+        configs, traces, points, seed, n_jobs, pass_cache, registry,
     )
     curves: Dict[Tuple[int, float], Dict[int, AggregateMetrics]] = {}
     for b_index, block_words in enumerate(block_sizes):
         lo = b_index * len(traces)
         for p_index, (key, _mem) in enumerate(unique_memories):
-            if sampling is None:
-                summaries = [
-                    TraceRunSummary.from_stats(
-                        assemble_stats(stream, row[p_index], cycle_ns)
-                    )
-                    for stream, row in zip(
-                        all_streams[lo: lo + len(traces)],
-                        outcome_rows[lo: lo + len(traces)],
-                    )
-                ]
-            else:
-                summaries = []
-                for t in range(len(traces)):
-                    group = all_streams[lo + t]
-                    a, b = group_spans[lo + t]
-                    rows = outcome_rows[a:b]
-                    est = estimate_stats(
-                        group.selection, group.streams,
-                        [row[p_index] for row in rows], cycle_ns,
-                        registry=registry,
-                    )
-                    summaries.append(TraceRunSummary.from_stats(est.stats))
+            summaries = [
+                TraceRunSummary.from_stats(
+                    assemble_stats(stream, row[p_index], cycle_ns)
+                )
+                for stream, row in zip(
+                    all_streams[lo: lo + len(traces)],
+                    outcome_rows[lo: lo + len(traces)],
+                )
+            ]
             curves.setdefault(key, {})[block_words] = aggregate(summaries)
     result: Dict[Tuple[int, float], BlockSizeCurve] = {}
     for (latency_cycles, transfer_rate), by_block in curves.items():

@@ -41,16 +41,6 @@ class AnalysisError(ReproError):
     """
 
 
-class SamplingError(AnalysisError):
-    """A sampled estimate cannot be produced or cannot be trusted.
-
-    Raised when a trace has no measured region to sample, or when a
-    stratified estimate's confidence interval exceeds the plan's
-    ``ci_bound`` — sampling refuses rather than silently returning a
-    number whose error bar is wider than the caller tolerates.
-    """
-
-
 class CampaignError(ReproError):
     """A campaign-level failure: a sweep aborted, a manifest could not be
     journaled, or a run exhausted its retry budget with ``keep_going``

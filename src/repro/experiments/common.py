@@ -61,17 +61,6 @@ def _env_pass_cache() -> str:
     return os.environ.get("REPRO_PASS_CACHE", "")
 
 
-def _env_sample() -> str:
-    """Set ``REPRO_SAMPLE`` to run every sweep on representative trace
-    intervals (see :mod:`repro.sim.sampling`).  The value is a
-    :meth:`~repro.sim.sampling.SamplingPlan.parse` spec — ``"1"`` for
-    the defaults, or e.g. ``"interval=20000,k=8"``.  Unlike the pass
-    cache, sampling changes the numbers: every figure becomes a
-    stratified *estimate* with the plan's confidence bound.
-    """
-    return os.environ.get("REPRO_SAMPLE", "")
-
-
 @dataclass(frozen=True)
 class ExperimentSettings:
     """Knobs shared by every experiment."""
@@ -84,17 +73,8 @@ class ExperimentSettings:
     pass_cache_dir: str = field(default_factory=_env_pass_cache)
     #: Accepted and ignored: every organization takes the same route.
     stack_pass: bool = field(default=False, compare=False)
-    sample: str = field(default_factory=_env_sample)
-
-    @property
-    def sampling_plan(self):
-        """The :class:`~repro.sim.sampling.SamplingPlan` behind the
-        ``sample`` spec, or ``None`` when sampling is off."""
-        if not self.sample:
-            return None
-        from ..sim.sampling import SamplingPlan
-
-        return SamplingPlan.parse(self.sample)
+    #: Accepted and ignored: every sweep is exact.
+    sample: str = field(default="", compare=False)
 
     # ------------------------------------------------------------------
     # Grid definitions (reduced vs full)
@@ -199,12 +179,11 @@ def _pass_cache_for(settings: ExperimentSettings):
 
 def sweep_options(settings: ExperimentSettings) -> Dict[str, object]:
     """The sweep-driver keywords an experiment takes from its settings:
-    the seed, the worker count, the pass cache and the sampling plan."""
+    the seed, the worker count and the pass cache."""
     return dict(
         seed=settings.seed,
         n_jobs=settings.n_jobs,
         pass_cache=_pass_cache_for(settings),
-        sampling=settings.sampling_plan,
     )
 
 

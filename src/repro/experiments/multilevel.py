@@ -20,8 +20,7 @@ takes one functional pass (:func:`repro.core.sweep.run_functional_passes`,
 with the settings' workers and pass cache) and its with-L2 and
 without-L2 cells are two scalar replays of that stream: memory-direct,
 and through the L2 (:func:`repro.sim.fastpath.replay`).  The cells are
-bit-identical to the reference engine's.  §6 is always exact: the
-settings' sampling plan does not apply.
+bit-identical to the reference engine's.
 """
 
 from __future__ import annotations

@@ -158,6 +158,12 @@ DEFAULT_SCHEMAS = (
         constant="POISON_SCHEMA",
         locator=("assign", "poison_to_dict", "doc"),
     ),
+    SchemaSpec(
+        name="campaign_manifest",
+        module="repro/sim/resilience.py",
+        constant="MANIFEST_SCHEMA",
+        locator=("return", "RunRecord", "to_dict"),
+    ),
 )
 
 

@@ -392,7 +392,9 @@ def diff_history(
     the candidate commit (default: the commit of the last record in
     the history); the baseline is every record of the same metric from
     other commits.  ``info`` metrics and metrics with no baseline
-    never gate — they report ``info`` / ``new``.
+    never gate — they report ``info`` / ``new``.  A metric with no
+    candidate record (one of a retired suite, still in an old history)
+    is not reported at all.
     """
     policy = policy or DiffPolicy()
     records = list(records)
@@ -514,14 +516,6 @@ _SUITE_METRICS: Dict[str, Dict[str, Tuple[str, str]]] = {
         "cold_s": ("s", "lower"),
         "warm_s": ("s", "lower"),
         "speedup": ("ratio", "higher"),
-    },
-    "sampling": {
-        "refs_reduction": ("ratio", "higher"),
-        "cold_exact_s": ("s", "lower"),
-        "cold_sampled_s": ("s", "lower"),
-        "speedup": ("ratio", "higher"),
-        "abs_miss_error": ("", "lower"),
-        "ci_half_width": ("", "lower"),
     },
     "telemetry": {
         "runs": ("count", "info"),
@@ -763,62 +757,6 @@ def _bench_passcache_route(length: int, seed: int) -> Dict[str, float]:
     }
 
 
-def _bench_sampling(length: int, seed: int) -> Dict[str, float]:
-    """Cold exact run against a stratified interval-sampling estimate.
-
-    One mu3 trace of ``10 * length`` references at 16 KB, priced by
-    :func:`~repro.sim.fastpath.fast_simulate` and by
-    :func:`~repro.sim.sampling.sampled_fast_simulate` with 50 intervals
-    and 6 clusters.  Raises unless the estimate simulates at least 5x
-    fewer references, its read miss ratio is within the plan's 2% bound
-    of the exact one, and a recompute after
-    :func:`~repro.sim.sampling.clear_selection_cache` is bit-identical.
-    """
-    from ..trace.suite import build_trace
-    from ..units import KB
-    from .config import baseline_config
-    from .fastpath import fast_simulate
-    from .sampling import (
-        SamplingPlan,
-        clear_selection_cache,
-        sampled_fast_simulate,
-    )
-
-    trace = build_trace("mu3", length=10 * length, seed=seed)
-    config = baseline_config(cache_size_bytes=16 * KB)
-    plan = SamplingPlan(interval_refs=len(trace) // 50, n_clusters=6)
-    t0 = time.perf_counter()  # reprolint: disable=REPRO001
-    exact = fast_simulate(config, trace, seed=seed)
-    cold_exact_s = time.perf_counter() - t0  # reprolint: disable=REPRO001
-    clear_selection_cache()
-    t0 = time.perf_counter()  # reprolint: disable=REPRO001
-    estimate = sampled_fast_simulate(config, trace, plan, seed=seed)
-    cold_sampled_s = time.perf_counter() - t0  # reprolint: disable=REPRO001
-    clear_selection_cache()
-    rerun = sampled_fast_simulate(config, trace, plan, seed=seed)
-    error = abs(estimate.read_miss_ratio - exact.read_miss_ratio)
-    if estimate.refs_reduction < 5.0 or error > 0.02:
-        raise CorruptResultError(
-            f"sampling bench: {estimate.refs_reduction:.2f}x fewer "
-            f"references (bound 5x), read-miss error {error:.4f} "
-            f"(bound 0.02)"
-        )
-    if rerun != estimate:
-        raise CorruptResultError(
-            "sampling bench: a recomputed selection changed the estimate"
-        )
-    return {
-        "refs_reduction": estimate.refs_reduction,
-        "cold_exact_s": cold_exact_s,
-        "cold_sampled_s": cold_sampled_s,
-        "speedup": (
-            cold_exact_s / cold_sampled_s if cold_sampled_s > 0 else 0.0
-        ),
-        "abs_miss_error": error,
-        "ci_half_width": estimate.ci_half_width,
-    }
-
-
 def _bench_telemetry(length: int, seed: int) -> Dict[str, float]:
     """A metered campaign sweep: per-run throughput and conservation.
 
@@ -912,7 +850,6 @@ BENCH_SUITES: Dict[str, Callable[[int, int], Dict[str, float]]] = {
     "pass_route": _bench_pass_route,
     "replay_kernel": _bench_replay_kernel,
     "passcache_route": _bench_passcache_route,
-    "sampling": _bench_sampling,
     "telemetry": _bench_telemetry,
     "reprolint": _bench_reprolint,
 }

@@ -29,7 +29,7 @@ objects the engine also uses, which makes it the reference oracle for
 functional passes; no production code calls it.  Production streams
 come from the filtered per-organization pass
 (:func:`repro.sim.stackpass.organization_pass`), through
-:func:`repro.core.sweep.run_functional_passes` (sweeps, sampling, the
+:func:`repro.core.sweep.run_functional_passes` (sweeps, the
 pass cache, campaign workers) or :func:`fast_simulate`.  The tests,
 the ``pass_route`` bench suite and the benchmark's output checks hold
 it bit-identical to the reference.

@@ -63,6 +63,12 @@ STATUSES = (STATUS_OK, STATUS_FAILED, STATUS_TIMEOUT, STATUS_QUARANTINED)
 #: Exit code a deliberately crashed worker dies with (fault injection).
 CRASH_EXIT_CODE = 113
 
+#: Version of the campaign manifest journal (``manifest.json``): its
+#: header line and the :meth:`RunRecord.to_dict` record on every other
+#: line.  Schema 2 made the whole-document manifest of schema 1 an
+#: append-only journal.
+MANIFEST_SCHEMA = 2
+
 
 # ----------------------------------------------------------------------
 # Retry policy
@@ -164,7 +170,7 @@ class CampaignManifest:
     it must never be the thing that crashes a resumed sweep.
     """
 
-    SCHEMA = 2
+    SCHEMA = MANIFEST_SCHEMA
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)

@@ -546,9 +546,9 @@ def quantization_info(config) -> Dict[str, float]:
 #: shared stack walk's activity: trace walks, streams derived/reused,
 #: per-organization fallback passes; empty when the run used the scalar
 #: functional-pass strategy).
-#: Version 7 adds the ``sampling`` block (trace-interval sampling
-#: counters and, when validation ran, the worst observed true absolute
-#: miss-ratio error; see :mod:`repro.sim.sampling`).
+#: Version 7 adds the ``sampling`` block (counters of the since-removed
+#: trace-interval sampling route and, when validation ran, the worst
+#: observed true absolute miss-ratio error).
 #: Version 8 folds the five per-subsystem blocks into ``metrics``:
 #: their integers become counters and their floats gauges, under the
 #: prefixes of :data:`_FOLDED_BLOCKS`.  :meth:`RunReport.from_dict`
@@ -556,7 +556,8 @@ def quantization_info(config) -> Dict[str, float]:
 REPORT_SCHEMA = 8
 
 #: The per-subsystem blocks of schemas 2–7, each with the ``metrics``
-#: prefix its values move under at schema 8.
+#: prefix its values move under at schema 8.  Retired subsystems keep
+#: their entry so that their old documents still upgrade.
 _FOLDED_BLOCKS = (
     ("pass_cache", "passcache"),
     ("replay", "replay"),
@@ -593,9 +594,8 @@ class RunReport:
     quantization: Dict[str, float] = field(default_factory=dict)
     #: A :class:`MetricsRegistry` dump (``{"counters": ..., "gauges":
     #: ..., "spans": ...}``) holding every subsystem's counters —
-    #: ``passcache.*``, ``replay.*``, ``fabric.*``, ``stackpass.*``,
-    #: ``sampling.*`` — and the run's spans; empty when no registry
-    #: collected anything.
+    #: ``passcache.*``, ``replay.*``, ``fabric.*``, ``stackpass.*`` — and
+    #: the run's spans; empty when no registry collected anything.
     metrics: Dict = field(default_factory=dict)
 
     @property
@@ -730,8 +730,8 @@ def build_run_report(
     ``ledger`` may be ``None`` when only host metrics were collected.
     ``registry`` is the run's :class:`MetricsRegistry`: ``wall_s`` reads
     its ``trace`` and ``simulate`` spans, and its whole dump — the
-    pass-cache, replay-kernel, fabric, stack-pass and sampling counters
-    and the spans — is the ``metrics`` block when it collected anything.
+    pass-cache, replay-kernel, fabric and stack-pass counters and the
+    spans — is the ``metrics`` block when it collected anything.
     Conservation is *checked* here (never trusted): ``conserved`` is
     the outcome of :meth:`CycleLedger.verify`.
     """
@@ -884,14 +884,6 @@ _COUNTER_LINES = (
         ("passes", "pass(es)"),
         ("reused_streams", "reused"),
     )),
-    ("sampling", "sampling", (
-        ("selections", "selection(s)"),
-        ("representatives", "representative(s)"),
-        ("refs_sampled", "refs simulated"),
-        ("refs_full", "refs in full"),
-        ("refusals", "refusal(s)"),
-        ("validations", "validation(s)"),
-    )),
     ("fabric", "fabric", (
         ("workers", "worker(s)"),
         ("leases_issued", "lease(s) issued"),
@@ -907,8 +899,9 @@ def render_counters(metrics: Dict) -> List[str]:
     """One terminal line per subsystem present in a registry dump.
 
     A subsystem is present when the dump holds any counter under its
-    prefix; its gauges (such as ``sampling.true_error_max``) follow its
-    counters on the same line.
+    prefix; its gauges follow its counters on the same line.  Counters
+    under any other prefix (a retired subsystem's, in an old document)
+    print nothing.
     """
     counters = metrics.get("counters") or {}
     gauges = metrics.get("gauges") or {}

@@ -62,9 +62,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..errors import (
-    CampaignError, CorruptResultError, LeaseLostError, SamplingError,
-)
+from ..errors import CampaignError, CorruptResultError, LeaseLostError
 from ..units import KB
 from .campaign import (
     _TMP_PREFIX, Campaign, SPOOL_DIRNAME, atomic_write_text,
@@ -77,8 +75,9 @@ from .resilience import (
 from .telemetry import MetricsRegistry
 
 #: Version of the spool manifest (``spool.json``) document.  Schema 2
-#: added the sampling fields.
-SPOOL_SCHEMA = 2
+#: added the sampling fields; schema 3 dropped them with the sampled
+#: route.  :func:`spec_from_dict` reads every version.
+SPOOL_SCHEMA = 3
 
 #: Version of the lease document a claim creates and heartbeats renew.
 LEASE_SCHEMA = 1
@@ -235,12 +234,6 @@ class SweepSpec:
     seed: int = 0
     simulator: str = "fastpath"  # "fastpath" | "engine" | "cached"
     pass_cache_dir: str = ""
-    #: A :meth:`~repro.sim.sampling.SamplingPlan.parse` spec; when set,
-    #: every job is a stratified interval-sampling estimate.
-    sample: str = ""
-    #: With ``sample``: every job also runs the exact pass and refuses
-    #: an estimate whose error exceeds its bound.
-    sample_validate: bool = False
 
     def __post_init__(self) -> None:
         if self.simulator not in ("fastpath", "engine", "cached"):
@@ -252,22 +245,11 @@ class SweepSpec:
             raise CampaignError(
                 "simulator 'cached' requires pass_cache_dir"
             )
-        if self.simulator == "engine" and (
-            self.pass_cache_dir or self.sample
-        ):
+        if self.simulator == "engine" and self.pass_cache_dir:
             raise CampaignError(
-                "a pass cache and sampling work on fastpath functional "
-                "passes and cannot be combined with the engine"
+                "a pass cache works on fastpath functional passes and "
+                "cannot be combined with the engine"
             )
-        if self.sample_validate and not self.sample:
-            raise CampaignError("sample_validate needs a sampling plan")
-        if self.sample:
-            from .sampling import SamplingPlan
-
-            try:
-                SamplingPlan.parse(self.sample)
-            except SamplingError as exc:
-                raise CampaignError(str(exc)) from exc
 
     def build_jobs(self) -> List[RunJob]:
         """Materialize the deterministic job list this spec describes.
@@ -278,15 +260,7 @@ class SweepSpec:
         from ..trace.suite import ALL_TRACES, build_suite
         from .config import baseline_config
 
-        if self.sample:
-            from .sampling import sampled_simulate
-
-            simulate_fn = functools.partial(
-                sampled_simulate, plan_spec=self.sample,
-                cache_dir=self.pass_cache_dir,
-                validate=self.sample_validate,
-            )
-        elif self.simulator == "engine":
+        if self.simulator == "engine":
             from .engine import simulate as simulate_fn
         elif self.simulator == "cached":
             from .passcache import cached_fast_simulate
@@ -327,15 +301,26 @@ def spec_to_dict(spec: SweepSpec) -> Dict:
         "seed": spec.seed,
         "simulator": spec.simulator,
         "pass_cache_dir": spec.pass_cache_dir,
-        "sample": spec.sample,
-        "sample_validate": spec.sample_validate,
         "checksum": "",
     }
     return _seal(doc)
 
 
 def spec_from_dict(payload: Dict) -> SweepSpec:
-    """Rebuild a :class:`SweepSpec`; schema 1 reads as an exact sweep."""
+    """Rebuild a :class:`SweepSpec` from any schema.
+
+    Schemas 1 and 2 read as an exact sweep when their ``sample`` is
+    empty.  A schema-2 spool of the removed interval-sampling route
+    raises :exc:`~repro.errors.CampaignError`: its jobs were estimates,
+    and running them exactly would store different results under the
+    same run ids.
+    """
+    if payload.get("sample"):
+        raise CampaignError(
+            f"spool manifest describes an interval-sampling sweep "
+            f"(sample={payload['sample']!r}); the sampled route was "
+            f"removed, so this spool cannot run"
+        )
     try:
         return SweepSpec(
             sizes_kb=tuple(payload["sizes_kb"]),
@@ -347,8 +332,6 @@ def spec_from_dict(payload: Dict) -> SweepSpec:
             seed=payload["seed"],
             simulator=payload["simulator"],
             pass_cache_dir=payload.get("pass_cache_dir", ""),
-            sample=payload.get("sample", ""),
-            sample_validate=payload.get("sample_validate", False),
         )
     except (KeyError, TypeError) as exc:
         raise CorruptResultError(

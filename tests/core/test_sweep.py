@@ -1,7 +1,5 @@
 """Sweep drivers: structure, determinism, and parallel equivalence."""
 
-import dataclasses
-
 import pytest
 
 from repro.core.sweep import (
@@ -18,7 +16,6 @@ from repro.errors import AnalysisError
 from repro.sim.config import baseline_config
 from repro.sim.fastpath import fast_simulate, functional_pass
 from repro.sim.passcache import PassCache
-from repro.sim.sampling import SamplingPlan
 from repro.sim.telemetry import MetricsRegistry
 from repro.trace.suite import build_suite
 from repro.units import KB, quantize_ns
@@ -478,86 +475,18 @@ class TestRegistryCounters:
         assert counters["stackpass.passes"] == 4
         assert counters["stackpass.reused_streams"] == 0
 
-    def test_sampled_route(self, small_suite):
-        plan = SamplingPlan.parse("interval=3000,k=2")
-        counters, gauges = self._dump(
-            run_speed_size_sweep, small_suite, [8 * KB], [20.0, 40.0],
-            sampling=dataclasses.replace(plan, validate=True),
-        )
-        assert counters == {
-            "replay.batch_outcomes": 8,
-            "replay.contended_runs": 98,
-            "replay.scalar_events": 1539,
-            "replay.vectorized_events": 1605,
-            "sampling.clusters": 4,
-            "sampling.estimates": 2,
-            "sampling.intervals": 9,
-            "sampling.refs_full": 31407,
-            "sampling.refs_sampled": 11947,
-            "sampling.representatives": 4,
-            "sampling.selections": 2,
-            "sampling.validations": 1,
-            "stackpass.passes": 4,
-            "stackpass.reused_streams": 0,
-        }
-        assert gauges == {"sampling.true_error_max": 0.014359}
-        self._assert_priced(counters, 3144)
-
-    def test_sampled_validating_route_counts_cache_delta_once(
-        self, small_suite, tmp_path
-    ):
-        """Representative and validation passes read and fill one
-        cache; the registry holds the delta of its counters over the
-        sweep, each access counted once, and a second sweep's registry
-        only the second sweep's."""
-        cache = PassCache(tmp_path / "pc")
-        plan = SamplingPlan(
-            interval_refs=3000, n_clusters=2, validate=True,
-            validate_period=1,
-        )
-        run_functional_passes(  # activity before the sweeps
-            [(baseline_config(2 * KB), small_suite["mu3"], 0)], cache=cache,
-        )
-        for want in ({"misses": 6, "puts": 6}, {"hits": 6}):
-            before = cache.counters.as_dict()
-            counters, _ = self._dump(
-                run_speed_size_sweep, small_suite, [8 * KB], [40.0],
-                pass_cache=cache, sampling=plan,
-            )
-            delta = {
-                name: value - before[name]
-                for name, value in cache.counters.as_dict().items()
-                if value != before[name]
-            }
-            # 4 representative passes and 2 validation passes.
-            assert {name: delta[name] for name in want} == want
-            assert {
-                name[len("passcache."):]: value
-                for name, value in counters.items()
-                if name.startswith("passcache.")
-            } == delta
-            assert counters["sampling.validations"] == 2
-
-    def test_blocksize_stack_sampled_route(self, small_suite):
+    def test_blocksize_exact_route(self, small_suite):
         counters, gauges = self._dump(
             run_blocksize_sweep, small_suite, [4, 8], [100.0, 180.0],
             [1.0, 2.0], cache_size_each_bytes=8 * KB,
-            sampling=SamplingPlan.parse("interval=3000,k=2"),
         )
         assert counters == {
-            "replay.batch_outcomes": 32,
-            "replay.contended_runs": 271,
-            "replay.scalar_events": 5613,
-            "replay.vectorized_events": 5215,
-            "sampling.clusters": 8,
-            "sampling.estimates": 16,
-            "sampling.intervals": 18,
-            "sampling.refs_full": 62814,
-            "sampling.refs_sampled": 23894,
-            "sampling.representatives": 8,
-            "sampling.selections": 4,
-            "stackpass.passes": 8,
+            "replay.batch_outcomes": 16,
+            "replay.contended_runs": 364,
+            "replay.scalar_events": 11377,
+            "replay.vectorized_events": 5039,
+            "stackpass.passes": 4,
             "stackpass.reused_streams": 0,
         }
         assert gauges == {}
-        self._assert_priced(counters, 10828)
+        self._assert_priced(counters, 16416)

@@ -320,121 +320,3 @@ class TestPassCacheCLI:
         assert "corrupt" in capsys.readouterr().out
         assert main(["cache", "verify", str(directory), "--repair"]) == 0
         assert main(["cache", "verify", str(directory)]) == 0
-
-
-class TestSamplingCLI:
-    _SAMPLE_ARGS = [
-        "simulate", "--trace", "mu3", "--length", "20000",
-        "--size-kb", "4", "--sample", "interval=4000,k=3",
-    ]
-
-    def test_simulate_sample_prints_estimate_with_ci(self, capsys):
-        assert main(self._SAMPLE_ARGS) == 0
-        out = capsys.readouterr().out
-        assert "read miss ratio (estimated):" in out
-        assert "±" in out
-        assert "refs simulated" in out
-        # Estimates are labeled as such everywhere, never passed off
-        # as exact results.
-        assert "cycles (estimated):" in out
-
-    def test_simulate_sample_is_deterministic(self, capsys):
-        assert main(self._SAMPLE_ARGS) == 0
-        first = capsys.readouterr().out
-        assert main(self._SAMPLE_ARGS) == 0
-        assert capsys.readouterr().out == first
-
-    def test_simulate_sample_validate_reports_true_error(self, capsys):
-        assert main(self._SAMPLE_ARGS + ["--sample-validate"]) == 0
-        out = capsys.readouterr().out
-        assert "validation: true read miss ratio" in out
-        assert "abs error" in out
-
-    def test_simulate_sample_rejects_engine(self, capsys):
-        assert main(self._SAMPLE_ARGS + ["--engine"]) == 2
-        assert "fastpath" in capsys.readouterr().err
-
-    def test_simulate_sample_rejects_lower_levels(self, capsys, tmp_path):
-        from repro.core.geometry import CacheGeometry
-        from repro.sim.config import LowerLevelSpec, baseline_config
-        from repro.sim.specfiles import save_spec
-        from repro.units import KB
-
-        spec = tmp_path / "two_level.json"
-        save_spec(baseline_config(cache_size_bytes=4 * KB).with_levels((
-            LowerLevelSpec(
-                geometry=CacheGeometry(size_bytes=64 * KB, block_words=16)
-            ),
-        )), spec)
-        assert main([
-            "simulate", "--trace", "mu3", "--length", "20000",
-            "--spec", str(spec), "--sample", "interval=4000,k=3",
-        ]) == 2
-        captured = capsys.readouterr()
-        assert "--sample requires the fastpath" in captured.err
-        assert "estimated" not in captured.out
-
-    def test_simulate_sample_rejects_bad_spec(self, capsys):
-        assert main([
-            "simulate", "--trace", "mu3", "--length", "8000",
-            "--size-kb", "4", "--sample", "nope=1",
-        ]) == 2
-        assert "unknown sampling spec key" in capsys.readouterr().err
-
-    def test_simulate_sample_metrics_carry_sampling_block(
-        self, capsys, tmp_path
-    ):
-        out_path = tmp_path / "report.json"
-        assert main(self._SAMPLE_ARGS + [
-            "--sample-validate", "--metrics-out", str(out_path),
-        ]) == 0
-        capsys.readouterr()
-        payload = json.loads(out_path.read_text())
-        assert payload["schema"] == REPORT_SCHEMA
-        counters = payload["metrics"]["counters"]
-        gauges = payload["metrics"]["gauges"]
-        assert counters["sampling.estimates"] == 1
-        assert counters["sampling.validations"] == 1
-        assert counters["sampling.refs_sampled"] < counters["sampling.refs_full"]
-        assert gauges["sampling.ci_half_width"] >= 0.0
-        assert gauges["sampling.true_error_max"] >= 0.0
-
-    def test_advise_sample_prints_summary_line(self, capsys):
-        assert main([
-            "advise", "16:40", "--length", "20000", "--traces", "mu3",
-            "--sample", "interval=4000,k=3",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "RAM-ladder recommendation" in out
-        assert "sampling:" in out
-        assert "refs simulated" in out
-
-    def test_campaign_run_sample(self, capsys, tmp_path):
-        assert main([
-            "campaign", "run", str(tmp_path / "camp"),
-            "--sizes-kb", "4,16", "--cycles-ns", "40",
-            "--traces", "mu3", "--length", "20000",
-            "--sample", "interval=4000,k=3",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "sampling: interval=4000" in out
-        assert "2 ok" in out
-
-    # Each ``extra`` is the subcommand, then the flags that clash.
-    @pytest.mark.parametrize("extra, needle", [
-        (["run", "--engine"], "fastpath"),
-        (["enqueue", "--sample", "nope=1"], "unknown sampling spec key"),
-        (["run", "--metrics"], "cycle ledger"),
-    ])
-    def test_campaign_run_sample_incompatibilities(
-        self, capsys, tmp_path, extra, needle
-    ):
-        assert main([
-            "campaign", extra[0], str(tmp_path / "camp"),
-            "--sizes-kb", "4", "--cycles-ns", "40",
-            "--traces", "mu3", "--length", "8000",
-            "--sample", "1", *extra[1:],
-        ]) == 2
-        assert needle in capsys.readouterr().err
-        # Refused before any job ran: not even the directory exists.
-        assert not (tmp_path / "camp").exists()

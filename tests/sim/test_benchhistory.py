@@ -327,39 +327,6 @@ class TestRunBenchSuites:
         with pytest.raises(CorruptResultError, match="passcache_route bench"):
             run_bench_suites(["passcache_route"], repeat=1, length=1_000)
 
-    @pytest.mark.parametrize("error, fires", [(0.0199, False), (0.0201, True)])
-    def test_sampling_suite_raises_past_the_error_bound(
-        self, monkeypatch, error, fires
-    ):
-        from repro.sim import sampling
-        from repro.sim.config import baseline_config
-        from repro.sim.fastpath import fast_simulate
-        from repro.trace.suite import build_trace
-        from repro.units import KB
-
-        # The suite's own trace: 10x the length, mu3, 16 KB.
-        exact = fast_simulate(
-            baseline_config(cache_size_bytes=16 * KB),
-            build_trace("mu3", length=100_000, seed=0),
-        ).read_miss_ratio
-        real = sampling.sampled_fast_simulate
-
-        def off_by(config, trace, plan, seed=0):
-            estimate = real(config, trace, plan, seed=seed)
-            estimate.read_miss_ratio = exact + error
-            return estimate
-
-        monkeypatch.setattr(sampling, "sampled_fast_simulate", off_by)
-        if fires:
-            with pytest.raises(CorruptResultError, match="sampling bench"):
-                run_bench_suites(["sampling"], repeat=1, length=10_000)
-        else:
-            records, _ = run_bench_suites(
-                ["sampling"], repeat=1, length=10_000
-            )
-            by_metric = {r.metric: r.value for r in records}
-            assert by_metric["abs_miss_error"] == pytest.approx(error)
-
     def test_telemetry_suite_raises_on_a_non_conserving_report(
         self, monkeypatch
     ):
@@ -599,6 +566,54 @@ class TestBenchCli:
     def test_run_unknown_suite_errors(self, tmp_path, capsys):
         assert main(["bench", "run", "--suites", "nope"]) == 2
         assert "unknown" in capsys.readouterr().err
+
+    def test_run_refuses_the_retired_sampling_suite(self, capsys):
+        assert main(["bench", "run", "--suites", "sampling"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown bench suite(s) sampling" in err
+        assert f"available: {', '.join(sorted(BENCH_SUITES))}" in err
+
+    #: The metrics of the retired ``sampling`` suite, as its records in
+    #: histories written before its removal carry them.
+    _RETIRED_SAMPLING = (
+        ("refs_reduction", "ratio", "higher", 5.6),
+        ("cold_exact_s", "s", "lower", 0.9),
+        ("cold_sampled_s", "s", "lower", 0.2),
+        ("speedup", "ratio", "higher", 4.5),
+        ("abs_miss_error", "", "lower", 0.011),
+        ("ci_half_width", "", "lower", 0.0012),
+    )
+
+    def test_history_with_retired_suite_records_gates_nothing_retired(
+        self, tmp_path, capsys
+    ):
+        # Three commits wrote the retired suite beside a live one; the
+        # candidate commit, run after the removal, wrote the live one.
+        history = tmp_path / "hist.jsonl"
+        BenchHistory(history).append([
+            BenchRecord(
+                suite="sampling", metric=metric, value=value, unit=unit,
+                direction=direction, commit=commit,
+                host=host_fingerprint(), repetitions=5,
+            )
+            for commit in ("a", "b", "c")
+            for metric, unit, direction, value in self._RETIRED_SAMPLING
+        ])
+        self._append(history, (("a", 1.0), ("b", 1.0), ("c", 1.0)))
+        self._append(history, (("cand", 1.02),))
+        assert main([
+            "bench", "diff", "--history", str(history),
+            "--commit", "cand", "--min-baseline", "3",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("bench diff @ cand: 1 ok\n")
+        assert "sampling." not in out
+        assert main([
+            "bench", "history", "--history", str(history), "--last", "5",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "telemetry.total_wall_s" in out
+        assert "sampling.refs_reduction" in out
 
     def test_diff_empty_history_is_clean(self, tmp_path, capsys):
         assert main([

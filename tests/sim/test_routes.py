@@ -10,9 +10,8 @@ route, every stream must serialize exactly like a direct
 reference) of the same job, and a trace whose warm boundary leaves
 nothing to measure must fail the same way on every route.  The
 single-job entry points (:func:`repro.sim.passcache.cached_fast_simulate`
-cold and warm, :func:`repro.sim.fastpath.fast_simulate` without a
-stream, and :func:`repro.sim.sampling.sampled_fast_simulate`) must
-return what that route and one replay return.
+cold and warm, and :func:`repro.sim.fastpath.fast_simulate` without a
+stream) must return what that route and one replay return.
 
 :func:`repro.sim.stackpass.organization_pass` is one filtered pass: a
 reference with the key of the previous access to its set skips the
@@ -71,11 +70,6 @@ from repro.sim.replaykernel import (
     TimingPoint,
     archive_scope,
     stream_digest,
-)
-from repro.sim.sampling import (
-    SamplingPlan,
-    estimate_stats,
-    sampled_fast_simulate,
 )
 from repro.sim.telemetry import MetricsRegistry
 from repro.trace.record import RefKind, Trace
@@ -445,59 +439,6 @@ def test_cached_sibling_equals_the_uncached_run(
     assert (got.trace_name, got.config_summary) == (
         sibling_trace.name, sibling.describe()
     )
-
-
-@settings(max_examples=15, **GENERATED)
-@given(
-    organization=organizations,
-    trace_index=st.sampled_from([0, 1, 2, 5, 6, 7, 8, 9]),
-    seed=st.integers(0, 2**31 - 1),
-    use_cache=st.booleans(),
-    validate=st.booleans(),
-)
-def test_sampled_simulate_equals_the_sampled_sweep_route(
-    organization, trace_index, seed, use_cache, validate
-):
-    """``sampled_fast_simulate`` returns the estimate the sampled sweep
-    route makes of the same job: representative passes from
-    ``run_functional_passes(sampling=)``, priced by the batch kernel and
-    recombined.  Cold and then warm when a cache is drawn; under
-    validation the true cycle count is the exact pass's."""
-    trace = trace_pool()[trace_index]
-    # The bound admits every estimate; refusals are tested elsewhere.
-    plan = SamplingPlan(interval_refs=300, n_clusters=3, ci_bound=1.0)
-    (group,) = run_functional_passes(
-        [(organization, trace, seed)], sampling=plan
-    )
-    point = TimingPoint(
-        memory=organization.memory, cycle_ns=organization.cycle_ns,
-        write_buffer_depth=organization.l1.write_buffer_depth,
-    )
-    route = estimate_stats(
-        group.selection, group.streams,
-        [BatchReplayKernel(s).replay_grid([point])[0] for s in group.streams],
-        organization.cycle_ns,
-    )
-    exact = fast_simulate(organization, trace, stream=functional_pass(
-        organization, trace, seed=seed))
-    plan = dataclasses.replace(plan, validate=validate)
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = PassCache(tmp) if use_cache else None
-        for _ in range(2 if use_cache else 1):
-            estimate = sampled_fast_simulate(
-                organization, trace, plan, seed=seed, cache=cache
-            )
-            assert estimate.stats == route.stats
-            assert estimate.read_miss_ratio == route.read_miss_ratio
-            assert estimate.ci_half_width == route.ci_half_width
-            assert estimate.true_cycles == (
-                exact.cycles if validate else None
-            )
-        if cache is not None:
-            passes = len(group.streams) + validate
-            assert (cache.counters.puts, cache.counters.hits) == (
-                passes, passes
-            )
 
 
 def test_the_organization_picks_the_pass_route(monkeypatch):

@@ -14,6 +14,7 @@ The load-bearing guarantees under test:
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,7 @@ from repro.sim.telemetry import (
     CycleLedger,
     EventTracer,
     MetricsRegistry,
+    REPORT_SCHEMA,
     RunReport,
     Telemetry,
     aggregate_reports,
@@ -47,6 +49,13 @@ from repro.trace.record import RefKind, Trace
 from repro.units import KB
 
 L, S = int(RefKind.LOAD), int(RefKind.STORE)
+
+#: A RunReport that ``simulate`` stored at schema 7 for a validated
+#: interval-sampling estimate, before that route was removed: its
+#: counters sit in a top-level ``sampling`` block.
+SAMPLED_SCHEMA7 = (
+    Path(__file__).parent / "data" / "runreport_schema7_sampled.json"
+)
 
 
 def _trace_of(refs, warm=0):
@@ -487,38 +496,48 @@ class TestRunReport:
         assert "replay: 0 batch outcome(s), 2 scalar replay(s)" in \
             render_summary(summary)
 
-    def test_sampling_block_round_trips_and_aggregates(
-        self, mu3_small, small_config
-    ):
-        """Sampling counters ride in ``metrics`` as ``sampling.*``; the
-        worst true error is a gauge."""
-        telemetry = Telemetry(ledger=CycleLedger())
-        stats = fast_simulate(small_config, mu3_small, telemetry=telemetry)
-        registry = MetricsRegistry()
-        registry.count_many("sampling", {
-            "selections": 1, "representatives": 4, "refs_full": 1000,
-            "refs_sampled": 200, "validations": 1,
-        })
-        registry.gauge("sampling.true_error_max", 0.004)
-        report = build_run_report(
-            stats, telemetry.ledger, config=small_config,
-            registry=registry,
-        )
-        payload = report.to_dict()
-        assert "sampling" not in payload
-        assert payload["metrics"]["counters"]["sampling.refs_sampled"] == 200
-        assert payload["metrics"]["gauges"] == {
-            "sampling.true_error_max": 0.004
-        }
-        assert RunReport.from_dict(payload) == report
+    def test_sampling_block_round_trips_and_aggregates(self):
+        """A stored schema-7 report of the removed sampled route still
+        loads: its ``sampling`` block folds into ``metrics`` (integers
+        as counters, floats as gauges), round-trips at the current
+        schema, aggregates across runs and renders with no line for the
+        retired subsystem."""
+        payload = json.loads(SAMPLED_SCHEMA7.read_text())
+        assert payload["schema"] == 7
+        unknown = []
+        report = RunReport.from_dict(payload, unknown=unknown)
+        assert unknown == []
+        assert report.metrics["counters"]["sampling.refs_sampled"] == 6798
+        assert report.metrics["gauges"]["sampling.true_error_max"] == \
+            0.013858
+        upgraded = report.to_dict()
+        assert upgraded["schema"] == REPORT_SCHEMA
+        assert "sampling" not in upgraded
+        assert RunReport.from_dict(upgraded) == report
         summary = aggregate_reports([report, report])
         # Counters sum across runs; the gauge keeps the worst value.
         metrics = summary["metrics"]
-        assert metrics["counters"]["sampling.refs_sampled"] == 400
-        assert metrics["gauges"]["sampling.true_error_max"] == 0.004
+        assert metrics["counters"]["sampling.refs_sampled"] == 2 * 6798
+        assert metrics["gauges"]["sampling.true_error_max"] == 0.013858
         text = render_summary(summary)
-        assert "sampling:" in text
-        assert "true error max 0.0040" in text
+        assert text.startswith("2 run(s)")
+        assert "sampling:" not in text
+
+    def test_campaign_report_renders_a_stored_sampled_report(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+        from repro.sim.campaign import Campaign
+
+        payload = json.loads(SAMPLED_SCHEMA7.read_text())
+        Campaign(tmp_path).save_report(payload)
+        # An estimate carried no cycle ledger, so its report never
+        # showed conservation: the command renders it and exits 1.
+        assert main(["campaign", "report", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("1 run(s)")
+        assert "cycle conservation: VIOLATED (1 run(s))" in captured.out
+        assert "skipping" not in captured.err
 
     def test_sampling_line_omitted_without_sampling(
         self, mu3_small, small_config
@@ -591,7 +610,7 @@ class TestMetricsRegistry:
         registry.count("stackpass.passes")
         registry.count("unlisted.thing", 5)
         # A gauge alone does not make a subsystem present.
-        registry.gauge("sampling.true_error_max", 0.5)
+        registry.gauge("replay.vectorized_frac", 0.5)
         assert render_counters(registry.as_dict()) == [
             "pass cache: 1 hit(s), 2 miss(es), 0 corrupt, 0 B read, "
             "0 B written",

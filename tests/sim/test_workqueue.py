@@ -100,6 +100,25 @@ def _schema_1_manifest():
     return doc
 
 
+def _schema_2_manifest(sample="", sample_validate=False):
+    """A ``spool.json`` as written while the sampled route existed."""
+    doc = {
+        key: value for key, value in _schema_1_manifest().items()
+        if key != "checksum"
+    }
+    doc.update(schema=2, sample=sample, sample_validate=sample_validate)
+    doc["checksum"] = payload_checksum(doc)
+    return doc
+
+
+def _tree(directory):
+    """Every path under ``directory`` with its bytes (None for dirs)."""
+    return {
+        path: None if path.is_dir() else path.read_bytes()
+        for path in sorted(Path(directory).rglob("*"))
+    }
+
+
 def spool_sweep(campaign, sweep, workers=1, **worker_kwargs):
     """Run ``sweep`` through a spool fleet of ``workers`` threads; return
     its journal, in sweep order, and the fleet's fabric totals."""
@@ -190,9 +209,6 @@ class TestDocuments:
         spec = SweepSpec(sizes_kb=(4.0,), cycles_ns=(40.0,),
                          trace_names=("mu3",), length=2_000)
         assert spec_from_dict(spec_to_dict(spec)) == spec
-        sampled = SweepSpec(sizes_kb=(4.0,), sample="interval=4000,k=3",
-                            sample_validate=True)
-        assert spec_from_dict(spec_to_dict(sampled)) == sampled
 
     def test_schema_1_manifest_reads_as_an_exact_sweep(self):
         assert spec_from_dict(_schema_1_manifest()) == SweepSpec(
@@ -200,11 +216,18 @@ class TestDocuments:
             length=2_000,
         )
 
+    def test_schema_2_manifest_without_a_sample_is_an_exact_sweep(self):
+        assert spec_from_dict(_schema_2_manifest()) == spec_from_dict(
+            _schema_1_manifest()
+        )
+
+    def test_schema_2_sampled_manifest_names_the_removed_route(self):
+        with pytest.raises(CampaignError, match="interval-sampling") as exc:
+            spec_from_dict(_schema_2_manifest("interval=4000,k=3", True))
+        assert not isinstance(exc.value, CorruptResultError)
+
     @pytest.mark.parametrize("fields", [
         {"simulator": "engine", "pass_cache_dir": "pc"},
-        {"simulator": "engine", "sample": "1"},
-        {"sample": "nope=1"},
-        {"sample_validate": True},
     ])
     def test_spec_refuses_incompatible_fields(self, fields):
         with pytest.raises(CampaignError):
@@ -809,9 +832,7 @@ class TestSpoolBackendAcceptance:
 @st.composite
 def tiny_sweeps(draw):
     """`campaign` sweep flags: a few organizations over 1-2 short
-    traces, sampled or exact.  The sampled sweep comes first, so the
-    simplest example, which Hypothesis always tries, is sampled; its CI
-    bound is one no estimate exceeds."""
+    traces."""
     def some(values):
         return ",".join(str(v) for v in draw(st.lists(
             st.sampled_from(values), min_size=1, max_size=2, unique=True
@@ -825,9 +846,6 @@ def tiny_sweeps(draw):
         "--traces", some(ALL_TRACES),
         "--length", str(draw(st.integers(500, 2_000))),
         "--seed", str(draw(st.integers(0, 3))),
-        *draw(st.sampled_from([
-            ["--sample", "interval=250,k=2,ci=1"], [],
-        ])),
     ]
 
 
@@ -928,6 +946,31 @@ class TestCli:
         ]) == 0
         assert main(["campaign", "drain", str(directory)]) == 0
         assert "1 ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["worker", "drain", "status"])
+    def test_sampled_spool_is_refused_untouched(
+        self, tmp_path, capsys, command
+    ):
+        """A spool enqueued for the removed interval-sampling route
+        exits 2, naming the route, and leaves every byte as it was."""
+        from repro.cli import main
+
+        directory = tmp_path / "camp"
+        assert main([
+            "campaign", "enqueue", str(directory),
+            "--sizes-kb", "2", "--cycles-ns", "40",
+            "--traces", "mu3", "--length", "2000",
+        ]) == 0
+        (directory / "spool" / "spool.json").write_text(json.dumps(
+            _schema_2_manifest("interval=4000,k=3", True)
+        ))
+        before = _tree(directory)
+        capsys.readouterr()
+        assert main(["campaign", command, str(directory)]) == 2
+        err = capsys.readouterr().err
+        assert f"campaign {command}: error:" in err
+        assert "interval-sampling" in err
+        assert _tree(directory) == before
 
     def test_worker_without_spool_is_usage_error(self, tmp_path, capsys):
         from repro.cli import main
