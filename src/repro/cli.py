@@ -432,11 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "cache shared by the sweep's workers "
                             "(incompatible with --engine)")
     sweep.add_argument("--stack-pass", action="store_true",
-                       help="precompute the sweep's functional passes "
-                            "into the pass cache before any job runs "
-                            "(one pass per distinct organization per "
-                            "trace, shared across cycle times; requires "
-                            "--pass-cache; incompatible with --engine)")
+                       help="no effect, accepted for old scripts: "
+                            "every worker takes one pass per "
+                            "organization and trace for all of its "
+                            "cycle times")
     # What `run`, `worker` and `drain` share: how each job executes.
     execution = argparse.ArgumentParser(add_help=False)
     execution.add_argument("--timeout", type=_positive_seconds,
@@ -784,19 +783,10 @@ def _campaign_sweep(args: argparse.Namespace):
     describes.
 
     A bad sweep raises :exc:`~repro.errors.CampaignError` or
-    :exc:`~repro.errors.ConfigurationError` before anything is written;
-    with ``--stack-pass`` the sweep's functional passes then fill the
-    pass cache (one pass per distinct organization per trace, shared
-    across cycle times), so every job finds its stream materialized.
+    :exc:`~repro.errors.ConfigurationError` before anything is written.
     """
-    from .errors import CampaignError
     from .sim.workqueue import SweepSpec
 
-    if args.stack_pass and not args.pass_cache:
-        raise CampaignError(
-            "--stack-pass needs --pass-cache to hand the precomputed "
-            "streams to the sweep's workers"
-        )
     spec = SweepSpec(
         sizes_kb=tuple(_parse_float_list(args.sizes_kb, "--sizes-kb")),
         cycles_ns=tuple(_parse_float_list(args.cycles_ns, "--cycles-ns")),
@@ -812,20 +802,7 @@ def _campaign_sweep(args: argparse.Namespace):
         ),
         pass_cache_dir=args.pass_cache,
     )
-    jobs = spec.build_jobs()
-    if args.stack_pass:
-        from .core.sweep import run_functional_passes
-        from .sim.passcache import PassCache
-        from .sim.telemetry import MetricsRegistry
-
-        registry = MetricsRegistry()
-        run_functional_passes(
-            [(job.config, job.trace, job.seed) for job in jobs],
-            cache=PassCache(args.pass_cache),
-            registry=registry,
-        )
-        _print_counters(registry)
-    return spec, jobs
+    return spec, spec.build_jobs()
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
@@ -1050,7 +1027,7 @@ def _cmd_campaign_report(args: argparse.Namespace) -> int:
         fabric=stored_fabric(campaign.load_summary()),
     )
     print(render_summary(summary))
-    return 0 if summary["all_conserved"] else 1
+    return 1 if summary["violations"] else 0
 
 
 def _cmd_campaign_fsck(args: argparse.Namespace) -> int:

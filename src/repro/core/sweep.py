@@ -36,7 +36,7 @@ from typing import (
 import numpy as np
 
 from ..cpu.processor import CoupletStream, pair_couplets
-from ..errors import AnalysisError
+from ..errors import AnalysisError, ConfigurationError
 from ..sim.config import SystemConfig, baseline_config
 from ..sim.fastpath import (
     EventStream,
@@ -50,7 +50,12 @@ from ..sim.replaykernel import (
     archive_scope,
 )
 from ..sim.passcache import PassCache, cache_metrics
-from ..sim.stackpass import pass_key, stack_functional_passes
+from ..sim.stackpass import (
+    pass_key,
+    sibling_stream,
+    stack_functional_passes,
+)
+from ..sim.statistics import SimStats
 from ..trace.record import Trace
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard only
@@ -237,6 +242,64 @@ def run_functional_passes(
         registry.count("stackpass.passes", len(tasks))
         registry.count("stackpass.reused_streams", len(pending) - len(tasks))
     return results
+
+
+def sibling_passes(
+    jobs: Sequence[Tuple[SystemConfig, Trace, int]],
+    cache: Optional["PassCache"] = None,
+) -> List[EventStream]:
+    """One functional pass for a group of timing siblings.
+
+    Every job is a ``(config, trace, seed)`` triple, and all of them
+    must share one :func:`~repro.sim.stackpass.pass_key`: they differ
+    only in cycle time, memory timing, write-buffer depth or trace name.
+    The first job takes its pass through :func:`run_functional_passes`
+    — with a ``cache``, one get and, on a miss, one put — and every
+    other job gets a copy relabelled with its own trace name and
+    configuration (:func:`~repro.sim.stackpass.sibling_stream`).
+    """
+    jobs = list(jobs)
+    key = pass_key(*jobs[0])
+    if any(pass_key(*job) != key for job in jobs[1:]):
+        raise ConfigurationError(
+            "sibling jobs must share one trace and one organization up "
+            "to timing"
+        )
+    stream = run_functional_passes(jobs[:1], cache=cache)[0]
+    return [stream] + [
+        sibling_stream(stream, config, trace)
+        for config, trace, _seed in jobs[1:]
+    ]
+
+
+def simulate_siblings(
+    jobs: Sequence[Tuple[SystemConfig, Trace, int]],
+    cache: Optional["PassCache"] = None,
+) -> List[SimStats]:
+    """:func:`~repro.sim.fastpath.fast_simulate` for a group of timing
+    siblings: one pass (:func:`sibling_passes`), then one
+    :class:`~repro.sim.replaykernel.BatchReplayKernel` grid over every
+    job's timing.  Each :class:`SimStats` carries its own job's labels
+    and equals that job's ``fast_simulate``.  Memory-direct
+    organizations only: the kernel prices no lower levels.
+    """
+    jobs = list(jobs)
+    assert not any(config.levels for config, _trace, _seed in jobs), (
+        "the batch kernel prices memory-direct organizations only"
+    )
+    streams = sibling_passes(jobs, cache)
+    outcomes = BatchReplayKernel(streams[0]).replay_grid([
+        TimingPoint(
+            memory=config.memory, cycle_ns=config.cycle_ns,
+            write_buffer_depth=config.l1.write_buffer_depth,
+        )
+        for config, _trace, _seed in jobs
+    ])
+    return [
+        assemble_stats(stream, outcome, config.cycle_ns)
+        for stream, outcome, (config, _trace, _seed)
+        in zip(streams, outcomes, jobs)
+    ]
 
 
 #: Per-worker event-stream table installed by :func:`_replay_pool_init`;

@@ -7,9 +7,10 @@ truncated file, a full disk — and a single one must not lose or poison
 the campaign.  This module is the orchestration half of the resilience
 story (the persistence half lives in :mod:`repro.sim.campaign`):
 
-* :class:`CampaignExecutor` runs each (config, trace) job on a
-  long-lived worker *process* with a wall-clock timeout, so a crash or
-  hang is contained to that run (the worker is replaced); failed runs
+* :class:`CampaignExecutor` runs each group of timing siblings (the
+  (config, trace) jobs that share one functional pass) on a long-lived
+  worker *process* with a wall-clock timeout, so a crash or hang is
+  contained to that group (the worker is replaced); failed attempts
   are retried with exponential backoff and deterministic jitter
   (:class:`RetryPolicy`);
 * :class:`CampaignManifest` journals per-run status
@@ -29,6 +30,7 @@ testable without real crashes, clock time, or flaky sleeps; see
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -51,6 +53,8 @@ from .campaign import (
 )
 from .config import SystemConfig
 from .fastpath import fast_simulate
+from .passcache import PassCache, cache_metrics, cached_fast_simulate
+from .stackpass import pass_key
 from .statistics import SimStats
 
 #: Final statuses a run can journal.
@@ -322,68 +326,170 @@ def _supports_kwarg(fn: Callable, name: str) -> bool:
         return False
 
 
+def shared_pass_cache(job: RunJob) -> Optional[str]:
+    """How ``job`` takes a functional pass it can share with its timing
+    siblings: ``""`` on the fastpath, the pass-cache directory of a
+    cached fastpath job (``functools.partial(cached_fast_simulate,
+    cache_dir=...)``), or ``None`` for a job that cannot share one (the
+    engine, an organization with lower levels, any other simulate
+    function)."""
+    if job.config.levels:
+        return None
+    fn = job.simulate_fn
+    if fn is fast_simulate:
+        return ""
+    if (
+        isinstance(fn, functools.partial)
+        and fn.func is cached_fast_simulate
+        and not fn.args
+        and set(fn.keywords) == {"cache_dir"}
+        and fn.keywords["cache_dir"]
+    ):
+        return str(fn.keywords["cache_dir"])
+    return None
+
+
+def sibling_groups(jobs: Sequence[RunJob]) -> List[List[int]]:
+    """The job indices in groups of timing siblings, in first-seen order.
+
+    Jobs that can share a pass (:func:`shared_pass_cache`) and have one
+    :func:`~repro.sim.stackpass.pass_key` and one pass cache form a
+    group; every other job is a group of one.
+    """
+    groups: Dict[Tuple, List[int]] = {}
+    for index, job in enumerate(jobs):
+        cache_dir = shared_pass_cache(job)
+        key = (index,) if cache_dir is None else (
+            pass_key(job.config, job.trace, job.seed), cache_dir,
+        )
+        groups.setdefault(key, []).append(index)
+    return list(groups.values())
+
+
+def _simulate_alone(
+    job: RunJob, timeout_s: Optional[float], collect_metrics: bool
+) -> object:
+    """One job through its own simulate function: its stats, or with
+    ``collect_metrics`` ``(stats, report_dict)``."""
+    config, trace, simulate_fn = job.config, job.trace, job.simulate_fn
+    kwargs = {}
+    if job.seed and _supports_kwarg(simulate_fn, "seed"):
+        kwargs["seed"] = job.seed
+    if timeout_s and _supports_kwarg(simulate_fn, "cancel_check"):
+        kwargs["cancel_check"] = make_deadline_check(timeout_s)
+    if not collect_metrics:
+        return simulate_fn(config, trace, **kwargs)
+    from .telemetry import (
+        CycleLedger, MetricsRegistry, Telemetry, build_run_report,
+    )
+
+    ledger = None
+    if _supports_kwarg(simulate_fn, "telemetry"):
+        ledger = CycleLedger()
+        kwargs["telemetry"] = Telemetry(ledger=ledger)
+    registry = MetricsRegistry()
+    if _supports_kwarg(simulate_fn, "registry"):
+        kwargs["registry"] = registry
+    with registry.span("simulate"):
+        stats = simulate_fn(config, trace, **kwargs)
+    simulator = (
+        "engine"
+        if getattr(simulate_fn, "__name__", "") == "simulate"
+        else "fastpath"
+    )
+    if simulator == "fastpath" and ledger is not None:
+        # Telemetry-enabled replays always price through the scalar
+        # path (the batch kernel takes no telemetry handle).
+        registry.count("replay.scalar_replays")
+    report = build_run_report(
+        stats, ledger,
+        run_identifier=run_id(config, trace),
+        simulator=simulator,
+        n_refs_total=len(trace),
+        config=config,
+        registry=registry,
+    )
+    return (stats, report.to_dict())
+
+
+def _simulate_group(jobs: Sequence[RunJob], collect_metrics: bool) -> List:
+    """A group of timing siblings from one functional pass.
+
+    Without metrics one batch-kernel grid prices every sibling
+    (:func:`~repro.core.sweep.simulate_siblings`).  With
+    ``collect_metrics`` each sibling is priced by a scalar ``replay()``
+    with a cycle ledger of its own (the kernel takes no telemetry
+    handle), and the pass's time and ``passcache.*`` counts land once,
+    in the first sibling's report.
+    """
+    from ..core.sweep import sibling_passes, simulate_siblings
+
+    cache_dir = shared_pass_cache(jobs[0])
+    cache = PassCache(cache_dir) if cache_dir else None
+    triples = [(job.config, job.trace, job.seed) for job in jobs]
+    if not collect_metrics:
+        return simulate_siblings(triples, cache)
+    from .telemetry import (
+        CycleLedger, MetricsRegistry, Telemetry, build_run_report,
+    )
+
+    streams = None
+    payloads = []
+    for k, job in enumerate(jobs):
+        ledger = CycleLedger()
+        registry = MetricsRegistry()
+        with registry.span("simulate"):
+            if streams is None:
+                with cache_metrics(cache, registry):
+                    streams = sibling_passes(triples, cache)
+            stats = fast_simulate(
+                job.config, job.trace, seed=job.seed,
+                telemetry=Telemetry(ledger=ledger), stream=streams[k],
+            )
+        registry.count("replay.scalar_replays")
+        report = build_run_report(
+            stats, ledger,
+            run_identifier=run_id(job.config, job.trace),
+            n_refs_total=len(job.trace),
+            config=job.config,
+            registry=registry,
+        )
+        payloads.append((stats, report.to_dict()))
+    return payloads
+
+
 def _attempt_result(
-    job: RunJob,
-    job_index: int,
+    jobs: Sequence[RunJob],
+    job_indices: Sequence[int],
     attempt: int,
     fault_plan,
     timeout_s: Optional[float],
     collect_metrics: bool,
 ) -> Tuple[str, object]:
-    """Run one attempt inside a worker; return its message for the parent.
+    """Run one attempt of a group inside a worker; return its message
+    for the parent.
 
-    The message is ``("ok", stats)``, ``("timeout", text)`` or
-    ``("failed", text)``.  With ``collect_metrics`` the worker also
-    assembles a :class:`~repro.sim.telemetry.RunReport` (cycle-attribution
-    ledger if the simulator supports the ``telemetry`` kwarg, plus
+    The message is ``("ok", payloads)``, one payload per job in group
+    order, or ``("timeout", text)`` / ``("failed", text)`` for the whole
+    group: a fault injected for any member fails every member's
+    attempt.  A payload is the job's stats or, with ``collect_metrics``,
+    ``(stats, report_dict)``: a
+    :class:`~repro.sim.telemetry.RunReport` with a cycle-attribution
+    ledger (when the simulator takes the ``telemetry`` kwarg) and
     wall-clock and RSS measured *inside* the worker process, where they
-    are honest) and ships it alongside the stats as
-    ``("ok", (stats, report_dict))``.
+    are honest.  A group of one job that cannot share a pass runs its
+    own simulate function, with the cooperative deadline when it takes
+    ``cancel_check``.
     """
-    config, trace, simulate_fn = job.config, job.trace, job.simulate_fn
     try:
         if fault_plan is not None:
-            fault_plan.worker_faults(job_index, attempt)
-        kwargs = {}
-        if job.seed and _supports_kwarg(simulate_fn, "seed"):
-            kwargs["seed"] = job.seed
-        if timeout_s and _supports_kwarg(simulate_fn, "cancel_check"):
-            kwargs["cancel_check"] = make_deadline_check(timeout_s)
-        if not collect_metrics:
-            return (STATUS_OK, simulate_fn(config, trace, **kwargs))
-        from .telemetry import (
-            CycleLedger, MetricsRegistry, Telemetry, build_run_report,
-        )
-
-        ledger = None
-        if _supports_kwarg(simulate_fn, "telemetry"):
-            ledger = CycleLedger()
-            kwargs["telemetry"] = Telemetry(ledger=ledger)
-        registry = MetricsRegistry()
-        if _supports_kwarg(simulate_fn, "registry"):
-            kwargs["registry"] = registry
-        with registry.span("simulate"):
-            stats = simulate_fn(config, trace, **kwargs)
-        simulator = (
-            "engine"
-            if getattr(simulate_fn, "__name__", "") == "simulate"
-            else "fastpath"
-        )
-        if simulator == "fastpath" and ledger is not None:
-            # Telemetry-enabled replays always price through the scalar
-            # path (the batch kernel takes no telemetry handle), so
-            # metrics-collecting campaign runs record one scalar replay
-            # apiece.
-            registry.count("replay.scalar_replays")
-        report = build_run_report(
-            stats, ledger,
-            run_identifier=run_id(config, trace),
-            simulator=simulator,
-            n_refs_total=len(trace),
-            config=config,
-            registry=registry,
-        )
-        return (STATUS_OK, (stats, report.to_dict()))
+            for job_index in job_indices:
+                fault_plan.worker_faults(job_index, attempt)
+        if shared_pass_cache(jobs[0]) is None:
+            (job,) = jobs
+            return (STATUS_OK, [_simulate_alone(job, timeout_s,
+                                                collect_metrics)])
+        return (STATUS_OK, _simulate_group(jobs, collect_metrics))
     except RunTimeoutError as exc:
         return (STATUS_TIMEOUT, str(exc))
     except BaseException as exc:  # noqa: BLE001 — full containment
@@ -399,10 +505,11 @@ def _worker_main(
 ) -> None:
     """Entry point of one long-lived simulation worker process.
 
-    Serves attempts until told to stop: receive ``(job, job_index,
-    attempt)``, send back :func:`_attempt_result`'s message, wait for the
-    next.  A ``None`` request is the stop message.  The worker first
-    closes its inherited copy of the parent's end of the pipe, so it
+    Serves attempts until told to stop: receive ``(jobs, job_indices,
+    attempt)`` for one group of timing siblings, send back
+    :func:`_attempt_result`'s message, wait for the next.  A ``None``
+    request is the stop message.  The worker first closes its inherited
+    copy of the parent's end of the pipe, so it
     reads EOF once the parent is gone (and every worker forked after it,
     each of which holds a copy, has exited); it also takes the default
     SIGTERM action, so the parent's ``terminate()`` ends it even when the
@@ -567,23 +674,32 @@ class CampaignReport:
 class CampaignExecutor:
     """Run a sweep with worker isolation, timeouts and bounded retries.
 
+    The unit of work is a group of timing siblings
+    (:func:`sibling_groups`): the runs that share one functional pass.
+    A worker takes that pass once and prices every sibling in one
+    batch-kernel grid; jobs that cannot share a pass are groups of one.
+    Each run is still saved, verified and journaled on its own.
+
     Attempts run on worker processes (fork/spawn per the platform
     default) that live for the whole sweep: a worker is forked by the
     first attempt that finds none idle, then serves attempts over its
-    pipe, each shipped as a pickled :class:`RunJob`.  Containment is per
-    run: a segfault, OOM kill or runaway loop fails only its own run —
-    the parent reaps that worker (terminating one that overran
-    ``timeout_s + grace_s``), records ``failed`` with the worker's exit
-    code or ``timeout`` in the manifest, and later attempts get a fresh
-    worker.  The sweep then continues (``keep_going=True``) or stops
-    scheduling further work and raises
-    :exc:`~repro.errors.CampaignError` (``keep_going=False``).  Only the
-    address space is shared across a worker's runs; no module-level
-    state feeds a result, so results are deterministic per run.
+    pipe, each one group's pickled :class:`RunJob`\\ s, which share
+    their trace, so it crosses the pipe once.  Containment is per
+    group: a segfault, OOM kill or runaway loop fails only its own
+    group's attempt — the parent reaps that worker (terminating one
+    that overran ``timeout_s`` per member plus ``grace_s``), charges
+    each member the failed attempt, records ``failed`` with the
+    worker's exit code or ``timeout`` in the manifest once the retries
+    are spent, and later attempts get a fresh worker.  The sweep then
+    continues (``keep_going=True``) or stops scheduling further work
+    and raises :exc:`~repro.errors.CampaignError`
+    (``keep_going=False``).  Only the address space is shared across a
+    worker's groups; no module-level state feeds a result, so results
+    are deterministic per run.
 
     At ``jobs > 1`` idle workers wait in a lock-guarded list.
     :meth:`run_sweep` stops every worker when it finishes, whether it
-    returns or raises; a caller that drives :meth:`run_record` directly
+    returns or raises; a caller that drives :meth:`run_group` directly
     (the spool workers of :mod:`repro.sim.workqueue`) calls
     :meth:`close` itself.
 
@@ -660,28 +776,35 @@ class CampaignExecutor:
 
     # -- one isolated attempt ------------------------------------------
     def _execute_attempt(
-        self, job: RunJob, job_index: int, attempt: int
+        self, members: Sequence[Tuple[int, RunJob]], attempt: int
     ) -> Tuple[str, object]:
-        """Run one attempt on a worker process.
+        """Run one attempt of a group of ``(job_index, job)`` members on
+        a worker process.
 
-        Returns ``("ok", stats)``, ``("timeout", message)`` or
-        ``("failed", message)``; never raises for worker-side faults.  A
-        worker that answered goes back to the idle list; one that died
-        or overran is reaped, and the next attempt forks a fresh one.
+        Returns ``("ok", payloads)`` (one per member), ``("timeout",
+        message)`` or ``("failed", message)``; never raises for
+        worker-side faults.  The group's wall-clock budget is
+        ``timeout_s`` per member.  A worker that answered goes back to
+        the idle list; one that died or overran is reaped, and the next
+        attempt forks a fresh one.
         """
         worker = self._checkout()
         message = None
+        budget = (
+            None if self.timeout_s is None
+            else self.timeout_s * len(members)
+        )
         try:
-            _best_effort_send(worker.conn, (job, job_index, attempt))
-            limit = (
-                None if self.timeout_s is None
-                else self.timeout_s + self.grace_s
-            )
+            _best_effort_send(worker.conn, (
+                tuple(job for _index, job in members),
+                tuple(index for index, _job in members),
+                attempt,
+            ))
+            limit = None if budget is None else budget + self.grace_s
             if not wait([worker.conn, worker.proc.sentinel], limit):
                 return (
                     STATUS_TIMEOUT,
-                    f"worker exceeded {self.timeout_s:g}s wall clock; "
-                    f"terminated",
+                    f"worker exceeded {budget:g}s wall clock; terminated",
                 )
             try:
                 # poll() is also true at EOF — a worker that died hard
@@ -703,97 +826,132 @@ class CampaignExecutor:
             )
         return message
 
-    # -- one run with retries ------------------------------------------
-    def run_record(self, job_index: int, job: RunJob) -> RunRecord:
-        """Execute one job (cache check, retries, save, verify) and
-        return its finished :class:`RunRecord` *without* journaling it.
+    # -- one group with retries ----------------------------------------
+    def run_group(
+        self, members: Sequence[Tuple[int, RunJob]]
+    ) -> List[RunRecord]:
+        """Execute a group of timing siblings (cache check, retries,
+        save, verify) and return their finished :class:`RunRecord`\\ s,
+        in member order, *without* journaling them: :meth:`run_sweep`
+        journals them, and the spool workers of
+        :mod:`repro.sim.workqueue`, which run each claimed job as a
+        group of one, publish durable done records instead.
 
-        This is the execution core shared by the worker pool (which
-        journals via :meth:`_run_one`) and the spool workers of
-        :mod:`repro.sim.workqueue` (which publish durable done records
-        instead).  The optional :attr:`on_attempt` hook fires before
-        every attempt; an exception it raises propagates (the spool
-        worker's lease renewal raises
-        :exc:`~repro.errors.LeaseLostError` there to abandon a
-        reclaimed job).
+        A member whose result is already stored and validates is
+        ``cached`` and not re-run.  Every attempt prices the members
+        not yet saved in one worker request; a simulation fault (worker
+        crash, hang or timeout, an injected hang) fails the attempt of
+        each of them, and each is charged it.  Saving, verifying and
+        quarantining stay per run, so a retry re-prices only the
+        members whose results are not yet saved.  The optional
+        :attr:`on_attempt` hook fires before every attempt; an
+        exception it raises propagates (the spool worker's lease
+        renewal raises :exc:`~repro.errors.LeaseLostError` there to
+        abandon a reclaimed job).
         """
-        identifier = run_id(job.config, job.trace)
-        record = RunRecord(
-            run_id=identifier,
-            trace=job.trace.name,
-            config=job.config.describe(),
-        )
+        records = [
+            RunRecord(
+                run_id=run_id(job.config, job.trace),
+                trace=job.trace.name,
+                config=job.config.describe(),
+            )
+            for _index, job in members
+        ]
+        pending = [
+            position for position, record in enumerate(records)
+            if not self._cached(record)
+        ]
         plan = self.fault_plan
-
-        # Cached result: trust it only after validation.
-        if identifier in self.campaign:
-            try:
-                self.campaign.verify(identifier)
-                record.status = STATUS_OK
-                record.cached = True
-                return record
-            except CorruptResultError:
-                self.campaign.quarantine(identifier)
-                record.quarantines += 1
-
-        last_status, last_error = STATUS_FAILED, "never attempted"
+        last: Dict[int, Tuple[str, str]] = {}
         for attempt in range(1, self.retry.max_attempts + 1):
-            record.attempts = attempt
+            if not pending:
+                break
+            for position in pending:
+                records[position].attempts = attempt
             if attempt > 1:
-                self._sleep(self.retry.delay_s(identifier, attempt - 1))
+                self._sleep(self.retry.delay_s(
+                    records[pending[0]].run_id, attempt - 1
+                ))
             if self.on_attempt is not None:
                 self.on_attempt(attempt)
-            if plan is not None and plan.is_simulated_hang(job_index, attempt):
-                last_status = STATUS_TIMEOUT
-                last_error = "injected hang (simulated timeout)"
-                continue
-            status, payload = self._execute_attempt(job, job_index, attempt)
+            running = [members[position] for position in pending]
+            if plan is not None and any(
+                plan.is_simulated_hang(index, attempt)
+                for index, _job in running
+            ):
+                status, payload = (
+                    STATUS_TIMEOUT, "injected hang (simulated timeout)"
+                )
+            else:
+                status, payload = self._execute_attempt(running, attempt)
             if status != STATUS_OK:
-                last_status, last_error = status, str(payload)
+                for position in pending:
+                    last[position] = (status, str(payload))
                 continue
-            report_payload = None
-            if self.collect_metrics and isinstance(payload, tuple):
-                payload, report_payload = payload
+            unsaved = []
+            for position, result in zip(pending, payload):
+                failure = self._persist(
+                    members[position][0], attempt, records[position], result
+                )
+                if failure is not None:
+                    last[position] = failure
+                    unsaved.append(position)
+            pending = unsaved
+        for position in pending:
+            records[position].status, records[position].error = last.get(
+                position, (STATUS_FAILED, "never attempted")
+            )
+        return records
+
+    def _cached(self, record: RunRecord) -> bool:
+        """Whether the run's stored result validates (then the record
+        reads ``ok``, cached); a corrupt one is quarantined."""
+        if record.run_id not in self.campaign:
+            return False
+        try:
+            self.campaign.verify(record.run_id)
+        except CorruptResultError:
+            self.campaign.quarantine(record.run_id)
+            record.quarantines += 1
+            return False
+        record.status = STATUS_OK
+        record.cached = True
+        return True
+
+    def _persist(
+        self, job_index: int, attempt: int, record: RunRecord, result
+    ) -> Optional[Tuple[str, str]]:
+        """Save and verify one run's result (and its RunReport, if any);
+        ``None`` once the record reads ``ok``, else the failure's
+        ``(status, error)``."""
+        plan = self.fault_plan
+        report_payload = None
+        if self.collect_metrics and isinstance(result, tuple):
+            result, report_payload = result
+        identifier = record.run_id
+        try:
+            if plan is not None:
+                plan.save_faults(job_index, attempt)
+            self.campaign.save(identifier, result)
+            if plan is not None:
+                plan.post_save_faults(
+                    job_index, attempt, self.campaign._path(identifier)
+                )
+            self.campaign.verify(identifier)
+        except OSError as exc:
+            return (STATUS_FAILED, f"save failed: {exc}")
+        except CorruptResultError as exc:
+            self.campaign.quarantine(identifier)
+            record.quarantines += 1
+            return (STATUS_QUARANTINED, str(exc))
+        if report_payload is not None:
             try:
-                if plan is not None:
-                    plan.save_faults(job_index, attempt)
-                self.campaign.save(identifier, payload)
-                if plan is not None:
-                    plan.post_save_faults(
-                        job_index, attempt, self.campaign._path(identifier)
-                    )
-                self.campaign.verify(identifier)
-            except OSError as exc:
-                last_status = STATUS_FAILED
-                last_error = f"save failed: {exc}"
-                continue
-            except CorruptResultError as exc:
-                self.campaign.quarantine(identifier)
-                record.quarantines += 1
-                last_status = STATUS_QUARANTINED
-                last_error = str(exc)
-                continue
-            if report_payload is not None:
-                try:
-                    self.campaign.save_report(report_payload)
-                except OSError:
-                    pass  # metrics are advisory; never fail the run
-            record.status = STATUS_OK
-            record.error = ""
-            return record
-
-        record.status = (
-            STATUS_TIMEOUT if last_status == STATUS_TIMEOUT else last_status
-        )
-        record.error = last_error
-        return record
-
-    def _run_one(self, job_index: int, job: RunJob) -> RunRecord:
-        record = self.run_record(job_index, job)
-        self._journal(record)
-        if record.status != STATUS_OK and not self.keep_going:
-            self._abort.set()
-        return record
+                self.campaign.save_report(report_payload)
+            except OSError:
+                pass  # metrics are advisory; never fail the run
+        record.status = STATUS_OK
+        record.error = ""
+        return None
 
     def _journal(self, record: RunRecord) -> None:
         with self._manifest_lock:
@@ -801,35 +959,43 @@ class CampaignExecutor:
 
     # -- the sweep ------------------------------------------------------
     def run_sweep(self, jobs: Sequence[RunJob]) -> CampaignReport:
-        """Execute every job; return the per-run journal.
+        """Execute every job; return the per-run journal, in job order.
 
-        With ``keep_going=False`` the first exhausted run stops new jobs
-        from being scheduled and the sweep raises
-        :exc:`~repro.errors.CampaignError` once in-flight work settles.
+        The jobs run as groups of timing siblings (:func:`sibling_groups`),
+        one worker request per group attempt; each run is still saved,
+        verified and journaled on its own.  With ``keep_going=False``
+        the first exhausted run stops new groups from being scheduled
+        and the sweep raises :exc:`~repro.errors.CampaignError` once
+        in-flight work settles.
         """
         jobs = list(jobs)
         self._abort.clear()
-        slots: List[Optional[RunRecord]] = [None] * len(jobs)
+        groups = sibling_groups(jobs)
 
-        def guarded(index: int, job: RunJob) -> Optional[RunRecord]:
+        def guarded(indices: List[int]) -> List[RunRecord]:
             if self._abort.is_set():
-                return None
-            return self._run_one(index, job)
+                return []
+            records = self.run_group(
+                [(index, jobs[index]) for index in indices]
+            )
+            for record in records:
+                self._journal(record)
+                if record.status != STATUS_OK and not self.keep_going:
+                    self._abort.set()
+            return records
 
         try:
-            if self.jobs <= 1 or len(jobs) <= 1:
-                for index, job in enumerate(jobs):
-                    slots[index] = guarded(index, job)
+            if self.jobs <= 1 or len(groups) <= 1:
+                done = [guarded(indices) for indices in groups]
             else:
                 with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-                    futures = [
-                        pool.submit(guarded, index, job)
-                        for index, job in enumerate(jobs)
-                    ]
-                    for index, future in enumerate(futures):
-                        slots[index] = future.result()
+                    done = list(pool.map(guarded, groups))
         finally:
             self.close()
+        slots: List[Optional[RunRecord]] = [None] * len(jobs)
+        for indices, records in zip(groups, done):
+            for index, record in zip(indices, records):
+                slots[index] = record
         report = CampaignReport(
             records=[record for record in slots if record is not None]
         )

@@ -408,12 +408,20 @@ def stack_functional_passes(
         )
     stream = organization_pass(config, trace, couplets=couplets, seed=seed)
     return [stream] + [
-        dataclasses.replace(
-            stream,
-            trace_name=job_trace.name,
-            config_summary=job_config.describe(),
-            icache=stream.icache.snapshot(),
-            dcache=stream.dcache.snapshot(),
-        )
+        sibling_stream(stream, job_config, job_trace)
         for job_config, job_trace, _seed in jobs[1:]
     ]
+
+
+def sibling_stream(
+    stream: EventStream, config: SystemConfig, trace: Trace
+) -> EventStream:
+    """A timing sibling's copy of ``stream``: relabelled with its own
+    trace name and configuration, with counters of its own."""
+    return dataclasses.replace(
+        stream,
+        trace_name=trace.name,
+        config_summary=config.describe(),
+        icache=stream.icache.snapshot(),
+        dcache=stream.dcache.snapshot(),
+    )

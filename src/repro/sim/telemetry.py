@@ -797,13 +797,17 @@ def aggregate_reports(
     The summary answers the questions a campaign post-mortem starts
     with: how fast was the sweep (throughput percentiles), which runs
     dominated it (slowest list), where did the simulated cycles go
-    (aggregate bucket breakdown), and did every run conserve.  The
-    per-run ``metrics`` dumps merge into one (counters sum, gauges keep
-    the worst value).  ``fabric`` overlays sweep-level work-queue
-    counters (worker count and lifetimes, leases expired/reclaimed) as
-    ``fabric.*`` over the per-run lease sums — the sweep-level view
-    wins where both exist, because it also counts leases whose jobs
-    never produced a report (crashed owners).
+    (aggregate bucket breakdown), and did every run conserve.  A run
+    whose report carries no cycle ledger (empty ``buckets``: a
+    simulator without the ``telemetry`` hook) was never checked, so it
+    is listed as ``unchecked``, not among the ``violations``;
+    ``all_conserved`` holds only when every run was checked and
+    conserved.  The per-run ``metrics`` dumps merge into one (counters
+    sum, gauges keep the worst value).  ``fabric`` overlays sweep-level
+    work-queue counters (worker count and lifetimes, leases
+    expired/reclaimed) as ``fabric.*`` over the per-run lease sums — the
+    sweep-level view wins where both exist, because it also counts
+    leases whose jobs never produced a report (crashed owners).
     """
     throughputs = sorted(r.refs_per_sec for r in reports)
     walls = sorted(r.total_wall_s for r in reports)
@@ -818,11 +822,14 @@ def aggregate_reports(
     ranked = sorted(
         reports, key=lambda r: r.total_wall_s, reverse=True
     )[:slowest]
+    violations = [r.run_id for r in reports if r.buckets and not r.conserved]
+    unchecked = [r.run_id for r in reports if not r.buckets]
     return {
         "schema": REPORT_SCHEMA,
         "runs": len(reports),
-        "all_conserved": all(r.conserved for r in reports),
-        "violations": [r.run_id for r in reports if not r.conserved],
+        "all_conserved": not (violations or unchecked),
+        "violations": violations,
+        "unchecked": unchecked,
         "total_wall_s": sum(walls),
         "wall_s_p50": _percentile(walls, 0.50),
         "wall_s_p90": _percentile(walls, 0.90),
@@ -925,12 +932,17 @@ def render_counters(metrics: Dict) -> List[str]:
 
 def render_summary(summary: Dict) -> str:
     """Terminal rendering of an :func:`aggregate_reports` document."""
+    conservation = [
+        f"{label} ({len(summary.get(key, []))} run(s))"
+        for key, label in (("violations", "VIOLATED"),
+                           ("unchecked", "unchecked"))
+        if summary.get(key)
+    ]
     lines = [
         f"{summary['runs']} run(s), "
         f"{summary['total_wall_s']:.2f}s total wall clock; "
         f"cycle conservation: "
-        + ("ok" if summary["all_conserved"] else
-           f"VIOLATED ({len(summary['violations'])} run(s))"),
+        + ("ok" if summary["all_conserved"] else ", ".join(conservation)),
         f"throughput refs/s: p10 {summary['refs_per_sec_p10']:,.0f}  "
         f"p50 {summary['refs_per_sec_p50']:,.0f}  "
         f"p90 {summary['refs_per_sec_p90']:,.0f}",

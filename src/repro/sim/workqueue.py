@@ -1111,7 +1111,7 @@ class SpoolWorker:
         self._executor.on_attempt = on_attempt
         stop, thread = self._start_beater(lease, 1)
         try:
-            record = self._executor.run_record(job_index, job)
+            (record,) = self._executor.run_group([(job_index, job)])
         except LeaseLostError:
             return None  # reclaimed from under us; the job lives on
         finally:

@@ -20,8 +20,8 @@ class TestParser:
     @pytest.mark.parametrize("command", [["simulate"], ["advise", "16:40"]])
     def test_stack_pass_is_not_a_route_selector(self, command, capsys):
         """The organization picks the functional-pass route; only
-        ``campaign run`` and ``enqueue`` keep ``--stack-pass``
-        (precompute before any job runs)."""
+        ``campaign run`` and ``enqueue`` keep ``--stack-pass``, which
+        has no effect there."""
         with pytest.raises(SystemExit) as exc:
             main(command + ["--stack-pass"])
         assert exc.value.code == 2

@@ -664,9 +664,9 @@ class TestStackPassInterop:
     def test_worker_path_reads_stack_written_cache(
         self, tmp_path, tiny_trace
     ):
-        """campaign run --stack-pass precomputes into the cache; the
-        workers' cached_fast_simulate must replay those entries to the
-        same stats as the uncached reference."""
+        """A pass an earlier sweep put into the cache serves a later
+        cached_fast_simulate, which replays it to the same stats as the
+        uncached reference."""
         config = self._grid()[0]
         cache = PassCache(tmp_path / "pc")
         run_functional_passes([(config, tiny_trace, 0)], cache=cache)

@@ -46,6 +46,7 @@ from repro.core.sweep import (
     _price_streams,
     run_functional_passes,
     run_speed_size_sweep,
+    simulate_siblings,
 )
 from repro.core.timing import MemoryTiming
 from repro.errors import ConfigurationError
@@ -439,6 +440,45 @@ def test_cached_sibling_equals_the_uncached_run(
     assert (got.trace_name, got.config_summary) == (
         sibling_trace.name, sibling.describe()
     )
+
+
+@settings(max_examples=15, **GENERATED)
+@given(
+    organization=organizations,
+    trace_index=st.sampled_from([0, 1, 5, 6, 7, 8, 9]),
+    seed=st.integers(0, 2**31 - 1),
+    timings=st.lists(st.tuples(
+        st.sampled_from([20.0, 40.0, 56.0]),
+        st.sampled_from([180.0, 260.0]),
+        st.sampled_from([1, 4]),
+    ), min_size=1, max_size=3),
+    rename=st.booleans(),
+    use_cache=st.booleans(),
+)
+def test_simulated_siblings_equal_each_fast_simulate(
+    organization, trace_index, seed, timings, rename, use_cache
+):
+    """A group of timing siblings priced from one pass and one kernel
+    grid (the campaign workers' route) returns each sibling's own
+    ``fast_simulate``, labels included, and reads or writes the pass
+    cache once.  A job whose pass differs (another seed) is refused."""
+    trace = trace_pool()[trace_index]
+    jobs = [(organization, trace, seed)] + [
+        (timing_sibling(organization, *timing),
+         trace.with_name(f"{trace.name}-{k}") if rename else trace, seed)
+        for k, timing in enumerate(timings)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = PassCache(tmp) if use_cache else None
+        got = simulate_siblings(jobs, cache)
+        if cache is not None:
+            counters = cache.counters
+            assert (counters.hits + counters.misses, counters.puts) == (1, 1)
+    for stats, (config, job_trace, job_seed) in zip(got, jobs):
+        want = fast_simulate(config, job_trace, seed=job_seed)
+        assert stats_to_dict(stats) == stats_to_dict(want)
+    with pytest.raises(ConfigurationError, match="up to timing"):
+        simulate_siblings(jobs + [(organization, trace, seed + 1)])
 
 
 def test_the_organization_picks_the_pass_route(monkeypatch):

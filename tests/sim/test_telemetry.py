@@ -531,12 +531,14 @@ class TestRunReport:
 
         payload = json.loads(SAMPLED_SCHEMA7.read_text())
         Campaign(tmp_path).save_report(payload)
-        # An estimate carried no cycle ledger, so its report never
-        # showed conservation: the command renders it and exits 1.
-        assert main(["campaign", "report", str(tmp_path)]) == 1
+        # An estimate carried no cycle ledger, so its run was never
+        # checked, not violated: the command renders it as unchecked
+        # and exits 0.
+        assert main(["campaign", "report", str(tmp_path)]) == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("1 run(s)")
-        assert "cycle conservation: VIOLATED (1 run(s))" in captured.out
+        assert "cycle conservation: unchecked (1 run(s))" in captured.out
+        assert "VIOLATED" not in captured.out
         assert "skipping" not in captured.err
 
     def test_sampling_line_omitted_without_sampling(
@@ -808,15 +810,43 @@ class TestAggregation:
             render_summary(summary)
 
     def test_violations_are_named(self):
+        # A ledger whose buckets do not add up to the cycle count.
         bad = RunReport(
             run_id="bad-run", trace="t", config="c", simulator="fastpath",
             n_refs_total=1, n_refs_measured=1, cycles=1,
-            total_cycles=1, warm_cycles=0, conserved=False,
+            total_cycles=1, warm_cycles=0, buckets={"l1_service": 2},
+            conserved=False,
         )
         summary = aggregate_reports([bad])
         assert not summary["all_conserved"]
         assert summary["violations"] == ["bad-run"]
-        assert "VIOLATED" in render_summary(summary)
+        assert summary["unchecked"] == []
+        assert "VIOLATED (1 run(s))" in render_summary(summary)
+
+    def test_reports_without_a_ledger_are_unchecked(self):
+        """A run with no cycle ledger was never checked: it is listed as
+        unchecked, next to (not among) the violations."""
+        def report(name, **fields):
+            return RunReport(
+                run_id=name, trace="t", config="c", simulator="fastpath",
+                n_refs_total=1, n_refs_measured=1, cycles=1,
+                total_cycles=1, warm_cycles=0, **fields,
+            )
+
+        unchecked = report("no-ledger")
+        good = report("good", buckets={"l1_service": 1}, conserved=True)
+        bad = report("bad", buckets={"l1_service": 2})
+        summary = aggregate_reports([unchecked, good])
+        assert not summary["all_conserved"]
+        assert summary["violations"] == []
+        assert summary["unchecked"] == ["no-ledger"]
+        assert "cycle conservation: unchecked (1 run(s))" in \
+            render_summary(summary)
+        summary = aggregate_reports([unchecked, good, bad])
+        assert summary["violations"] == ["bad"]
+        assert ("cycle conservation: VIOLATED (1 run(s)), "
+                "unchecked (1 run(s))") in render_summary(summary)
+        assert aggregate_reports([good])["all_conserved"]
 
 
 # ----------------------------------------------------------------------

@@ -11,11 +11,16 @@ file, account for every run in the manifest, and leave all ``ok``
 results byte-identical to a fault-free sweep.
 """
 
+import functools
 import json
 import multiprocessing
+import os
 import signal
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from repro.errors import (
     CampaignError,
@@ -42,7 +47,7 @@ from repro.sim.resilience import (
     make_deadline_check,
     sweep_jobs,
 )
-from repro.trace.suite import build_trace
+from repro.trace.suite import ALL_TRACES, build_trace
 from repro.units import KB
 
 
@@ -642,11 +647,276 @@ class TestWorkerLifecycle:
         )
         proc.start()
         child_end.close()
-        conn.send((sweep_jobs([config], [trace])[0], 0, 1))
-        assert conn.recv() == ("ok", fast_simulate(config, trace))
+        # One request is one group: its jobs, their indices, the attempt.
+        conn.send(((sweep_jobs([config], [trace])[0],), (0,), 1))
+        assert conn.recv() == ("ok", [fast_simulate(config, trace)])
         conn.close()
         proc.join(10.0)
         assert proc.exitcode == 0
+
+
+# ----------------------------------------------------------------------
+# Groups of timing siblings: one pass and one worker request per group
+# ----------------------------------------------------------------------
+class TestSiblingGroups:
+    @pytest.fixture()
+    def grid(self, trace):
+        """Two organizations at two cycle times: jobs (0, 1) and (2, 3)
+        are timing siblings."""
+        configs = [
+            baseline_config(cache_size_bytes=size, cycle_ns=cycle_ns)
+            for size in (2 * KB, 4 * KB)
+            for cycle_ns in (20.0, 40.0)
+        ]
+        return sweep_jobs(configs, [trace])
+
+    def test_groups_share_one_pass_key_and_simulate_function(
+        self, tmp_path, grid, trace
+    ):
+        from repro.core.geometry import CacheGeometry
+        from repro.sim.config import LowerLevelSpec
+        from repro.sim.passcache import cached_fast_simulate
+        from repro.trace.record import Trace
+
+        twin = Trace(
+            trace.kinds, trace.addrs, trace.pids, name="twin",
+            warm_boundary=trace.warm_boundary,
+        )
+        cached = functools.partial(
+            cached_fast_simulate, cache_dir=str(tmp_path)
+        )
+        config = grid[0].config
+        l2 = config.with_levels((LowerLevelSpec(
+            geometry=CacheGeometry(size_bytes=64 * KB, block_words=4),
+        ),))
+        jobs = grid + [
+            resilience.RunJob(config.with_cycle_ns(60.0), twin),
+            resilience.RunJob(config, trace, simulate_fn=cached),
+            resilience.RunJob(config.with_cycle_ns(60.0), trace,
+                              simulate_fn=cached),
+            resilience.RunJob(config, trace, seed=1),
+            resilience.RunJob(config, trace, simulate_fn=simulate),
+            resilience.RunJob(config, trace, simulate_fn=simulate),
+            resilience.RunJob(l2, trace),
+            resilience.RunJob(l2.with_cycle_ns(20.0), trace),
+        ]
+        # Same contents under another name share the pass; a pass
+        # cache, a seed, the engine or lower levels do not.
+        assert resilience.sibling_groups(jobs) == [
+            [0, 1, 4], [2, 3], [5, 6], [7], [8], [9], [10], [11],
+        ]
+        assert [resilience.shared_pass_cache(job) for job in jobs[4:]] == [
+            "", str(tmp_path), str(tmp_path), "", None, None, None, None,
+        ]
+
+    @needs_fork
+    def test_a_crash_fails_every_run_of_its_group_only(self, tmp_path,
+                                                        grid):
+        context, started = recording_context()
+        plan = faults.FaultPlan({1: faults.always(faults.CRASH)})
+        campaign = Campaign(tmp_path)
+        executor, sleeps = make_executor(
+            campaign, mp_context=context, fault_plan=plan,
+            retry=RetryPolicy(max_attempts=2),
+        )
+        report = executor.run_sweep(grid)
+        journal = CampaignManifest.for_campaign(campaign).runs
+        # Job 1's crash is job 0's too: both journaled as failed, each
+        # charged both of the group's attempts.  The other group ran
+        # once on the worker that replaced the crashed one.
+        for record in report.records[:2]:
+            assert record.status == "failed"
+            assert record.attempts == 2
+            assert f"exit code {faults.CRASH_EXIT_CODE}" in record.error
+            assert journal[record.run_id].to_dict() == record.to_dict()
+        for record in report.records[2:]:
+            assert (record.status, record.attempts) == ("ok", 1)
+            assert journal[record.run_id].status == "ok"
+            assert journal[record.run_id].attempts == 1
+        assert len(sleeps) == 1
+        assert sleeps[0] == executor.retry.delay_s(
+            report.records[0].run_id, 1
+        )
+        assert [proc.exitcode for proc in started] == [
+            faults.CRASH_EXIT_CODE, faults.CRASH_EXIT_CODE, 0,
+        ]
+        assert len(campaign) == 2
+
+    def test_a_save_fault_retries_only_its_own_run(self, tmp_path, grid):
+        plan = faults.FaultPlan({
+            0: faults.FaultSpec(faults.ENOSPC),
+            3: faults.FaultSpec(faults.CORRUPT),
+        })
+        campaign = Campaign(tmp_path)
+        executor, sleeps = make_executor(campaign, fault_plan=plan)
+        sent = []
+        execute = executor._execute_attempt
+
+        def recording(members, attempt):
+            sent.append(([index for index, _job in members], attempt))
+            return execute(members, attempt)
+
+        executor._execute_attempt = recording
+        report = executor.run_sweep(grid)
+        assert report.all_ok
+        assert [r.attempts for r in report.records] == [2, 1, 1, 2]
+        assert [r.quarantines for r in report.records] == [0, 0, 0, 1]
+        # A retried group re-prices only the members not yet saved.
+        assert sent == [([0, 1], 1), ([0], 2), ([2, 3], 1), ([3], 2)]
+        assert len(sleeps) == 2
+        for job, record in zip(grid, report.records):
+            assert campaign.load(record.run_id) == fast_simulate(
+                job.config, job.trace
+            )
+
+    def test_a_group_skips_its_stored_runs(self, tmp_path, grid):
+        campaign = Campaign(tmp_path)
+        campaign.run(grid[1].config, grid[1].trace, fast_simulate)
+        executor, _ = make_executor(campaign)
+        sent = []
+        execute = executor._execute_attempt
+
+        def recording(members, attempt):
+            sent.append([index for index, _job in members])
+            return execute(members, attempt)
+
+        executor._execute_attempt = recording
+        report = executor.run_sweep(grid)
+        assert [r.cached for r in report.records] == [
+            False, True, False, False,
+        ]
+        assert sent == [[0], [2, 3]]
+
+    def test_a_group_has_a_budget_per_run(self, tmp_path, grid):
+        # Real wall time: the group of two sleeps past 2 x 0.3 s.
+        plan = faults.FaultPlan({0: faults.always(faults.SLEEP)})
+        executor, _ = make_executor(
+            Campaign(tmp_path), fault_plan=plan, timeout_s=0.3,
+            grace_s=0.0, retry=RetryPolicy(max_attempts=1),
+        )
+        records = executor.run_group([(0, grid[0]), (1, grid[1])])
+        assert [r.status for r in records] == ["timeout", "timeout"]
+        assert records[0].error == (
+            "worker exceeded 0.6s wall clock; terminated"
+        )
+
+    def test_metrics_keep_a_ledger_per_run_and_one_get_per_group(
+        self, tmp_path, grid
+    ):
+        from repro.sim.passcache import cached_fast_simulate
+        from repro.sim.telemetry import RunReport
+
+        cached = functools.partial(
+            cached_fast_simulate, cache_dir=str(tmp_path / "pc")
+        )
+        jobs = [
+            resilience.RunJob(job.config, job.trace, simulate_fn=cached)
+            for job in grid
+        ]
+        campaign = Campaign(tmp_path / "campaign")
+        executor, _ = make_executor(campaign, collect_metrics=True)
+        assert executor.run_sweep(jobs).all_ok
+        reports = [RunReport.from_dict(p) for p in campaign.load_reports()]
+        assert len(reports) == 4
+        for report in reports:
+            assert report.conserved and report.buckets
+        summary = json.loads(campaign.summary_path.read_text())
+        assert summary["all_conserved"]
+        counters = summary["metrics"]["counters"]
+        # The pass cache saw one get per group, each a miss and a put.
+        assert counters["passcache.misses"] == 2
+        assert "passcache.hits" not in counters
+        assert counters["replay.scalar_replays"] == 4
+        by_id = {report.run_id: report for report in reports}
+        for job in jobs:
+            identifier = run_id(job.config, job.trace)
+            stats = campaign.load(identifier)
+            assert stats == fast_simulate(job.config, job.trace)
+            assert by_id[identifier].cycles == stats.cycles
+
+
+@st.composite
+def grouped_sweeps(draw):
+    """`campaign run` sweep flags with 1-3 cycle times per organization,
+    and a worker count."""
+    def some(values, most):
+        return ",".join(str(v) for v in draw(st.lists(
+            st.sampled_from(values), min_size=1, max_size=most, unique=True
+        )))
+
+    flags = [
+        "--sizes-kb", some([1, 2, 4, 8], 2),
+        "--cycles-ns", some([20, 30, 40, 60, 80], 3),
+        "--assoc", str(draw(st.integers(1, 2))),
+        "--traces", some(ALL_TRACES, 2),
+        "--length", str(draw(st.integers(500, 1_500))),
+        "--seed", str(draw(st.integers(0, 3))),
+    ]
+    return flags, draw(st.sampled_from(["1", "2"]))
+
+
+def _result_files(directory):
+    return {
+        path.name: path.read_bytes()
+        for path in Campaign(directory)._result_paths()
+    }
+
+
+# Each example runs two campaigns, so there are few of them, and a
+# failing one is reported as drawn, without shrinking.  Counting the
+# workers' pass-cache gets needs workers forked from this process.
+@pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="counts calls made in forked workers",
+)
+@settings(max_examples=5, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(drawn=grouped_sweeps())
+def test_grouped_campaign_stores_what_fast_simulate_stores(drawn):
+    """Grouped `campaign run`, with and without a pass cache, stores
+    each run's per-run ``fast_simulate`` bytes, and its workers read
+    the pass cache once per group of timing siblings."""
+    from unittest import mock
+
+    from repro.cli import _campaign_sweep, build_parser, main
+    from repro.sim.passcache import PassCache
+
+    flags, workers = drawn
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch)
+        _spec, jobs = _campaign_sweep(build_parser().parse_args(
+            ["campaign", "run", str(root / "unused"), *flags]
+        ))
+        reference = Campaign(root / "reference")
+        for job in jobs:
+            reference.save(
+                run_id(job.config, job.trace),
+                fast_simulate(job.config, job.trace, seed=job.seed),
+            )
+        expected = _result_files(root / "reference")
+        assert len(expected) == len(jobs)
+        assert main(["campaign", "run", str(root / "plain"), *flags,
+                     "--jobs", workers]) == 0
+        assert _result_files(root / "plain") == expected
+
+        gets = root / "gets"
+        get = PassCache.get
+
+        def counted(cache, *args, **kwargs):
+            with open(gets, "a", encoding="utf-8") as log:
+                log.write("get\n")
+            return get(cache, *args, **kwargs)
+
+        with mock.patch.object(PassCache, "get", counted):
+            assert main(["campaign", "run", str(root / "cached"), *flags,
+                         "--jobs", workers,
+                         "--pass-cache", str(root / "pc")]) == 0
+        assert _result_files(root / "cached") == expected
+        groups = len(resilience.sibling_groups(jobs))
+        assert groups == len({
+            (job.config.l1, job.trace.name) for job in jobs
+        })
+        assert gets.read_text().count("get") == groups
 
 
 # ----------------------------------------------------------------------
@@ -872,6 +1142,10 @@ class TestFaultySweepAcceptance:
         self, sweep, baseline, tmp_path_factory
     ):
         assert len(sweep) == 30
+        # Jobs i and i + 3 (one size, 20 and 40 ns, one trace) are timing
+        # siblings, so each pair of faulted jobs below is one group.
+        assert [len(group) for group in resilience.sibling_groups(sweep)] \
+            == [2] * 15
         plan = faults.FaultPlan({
             1: faults.FaultSpec(faults.CRASH),          # dies, retried
             4: faults.FaultSpec(faults.ERROR),          # raises, retried
@@ -900,23 +1174,35 @@ class TestFaultySweepAcceptance:
         assert len(report.records) == 30
         counts = report.counts()
         assert counts["ok"] + counts["failed"] + counts["timeout"] == 30
-        assert counts == {"ok": 28, "failed": 1, "timeout": 1,
+        assert counts == {"ok": 26, "failed": 2, "timeout": 2,
                           "quarantined": 0}
 
-        # Transient faults were retried to success...
+        # Transient faults were retried to success; a simulation fault
+        # fails its whole group's attempt, so both siblings took two...
         by_index = {record.run_id: record for record in report.records}
         ids = [run_id(job.config, job.trace) for job in sweep]
-        for index in (1, 4, 10, 19):
+        for index in (1, 4):
             assert by_index[ids[index]].status == "ok"
             assert by_index[ids[index]].attempts == 2
-        # ...corruption was quarantined, every damaged file preserved...
+        # ...corruption was quarantined per run, every damaged file
+        # preserved, and the retry re-priced both unsaved siblings...
         for index in (13, 16):
             assert by_index[ids[index]].status == "ok"
+            assert by_index[ids[index]].attempts == 2
             assert by_index[ids[index]].quarantines == 1
         assert len(list(campaign.quarantine_dir.glob("*"))) == 2
-        # ...and permanent faults were contained, not fatal.
-        assert by_index[ids[7]].status == "timeout"
-        assert by_index[ids[22]].status == "failed"
+        # ...and permanent faults were contained to their groups, not
+        # fatal: a hang or crash on every attempt fails each sibling,
+        # also the one whose own fault fired once (10, 19).
+        for index, status in ((7, "timeout"), (10, "timeout"),
+                              (19, "failed"), (22, "failed")):
+            assert by_index[ids[index]].status == status
+            assert by_index[ids[index]].attempts == 3
+        # Every group without a fault ran once.
+        faulted = {ids[index] for index in (1, 4, 7, 10, 13, 16, 19, 22)}
+        for record in report.records:
+            if record.run_id not in faulted:
+                assert (record.status, record.attempts) == ("ok", 1)
 
         # The manifest journals the same accounting, durably.
         manifest = CampaignManifest.for_campaign(campaign)
@@ -924,9 +1210,9 @@ class TestFaultySweepAcceptance:
         assert manifest.counts() == counts
 
         # Backoff went through the injected sleeper only — and was
-        # consulted once per retry (4 transient x1 + 2 corrupt x1 +
-        # permanent hang x2 + permanent crash x2).
-        assert len(sleeps) == 10
+        # consulted once per group retry (crash/error group x1 +
+        # corrupt/truncate group x1 + hang group x2 + crash group x2).
+        assert len(sleeps) == 6
 
         # Every ok result is byte-identical to the fault-free sweep.
         stored = {path.stem: path.read_bytes()
@@ -939,7 +1225,7 @@ class TestFaultySweepAcceptance:
 
         # And the degraded archive still renders: results() yields every
         # ok point, fsck finds nothing left to complain about.
-        assert len(list(campaign.results())) == 28
+        assert len(list(campaign.results())) == 26
         assert campaign.fsck().clean
 
 
@@ -974,6 +1260,39 @@ class TestCli:
         assert main(["campaign", "fsck", directory, "--repair"]) == 0
         assert main(["campaign", "fsck", directory]) == 0
         assert main(["campaign", "status", directory]) == 0
+
+    def test_stack_pass_is_inert_and_the_parent_takes_no_pass(
+        self, tmp_path, monkeypatch
+    ):
+        # The workers take every pass: the parent would fail here.
+        from repro.cli import main
+        from repro.sim import stackpass
+
+        parent = os.getpid()
+        organization_pass = stackpass.organization_pass
+
+        def in_workers_only(*args, **kwargs):
+            assert os.getpid() != parent, "the parent took a pass"
+            return organization_pass(*args, **kwargs)
+
+        monkeypatch.setattr(stackpass, "organization_pass", in_workers_only)
+        sweep = ["--sizes-kb", "2,4", "--cycles-ns", "20,40",
+                 "--traces", "mu3", "--length", "1000"]
+        pass_cache = ["--pass-cache", str(tmp_path / "pc")]
+        for name, extra in (
+            ("plain", []),
+            ("flag", ["--stack-pass"]),
+            ("cached", ["--stack-pass", *pass_cache]),
+        ):
+            assert main(["campaign", "run", str(tmp_path / name), *sweep,
+                         *extra]) == 0
+        files = [
+            {path.name: path.read_bytes()
+             for path in Campaign(tmp_path / name)._result_paths()}
+            for name in ("plain", "flag", "cached")
+        ]
+        assert len(files[0]) == 4
+        assert files[1] == files[0] and files[2] == files[0]
 
     def test_experiment_keep_going_renders_failure(self, capsys,
                                                    monkeypatch):
