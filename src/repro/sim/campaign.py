@@ -22,7 +22,8 @@ defensive throughout:
   surfacing as :exc:`json.JSONDecodeError` or :exc:`KeyError`;
 * corrupt files are *quarantined* (moved to ``<dir>/quarantine/``) and
   re-simulated instead of poisoning or aborting the campaign
-  (:meth:`Campaign.run`, :meth:`Campaign.results`, :meth:`Campaign.fsck`).
+  (:meth:`Campaign.results`, :meth:`Campaign.fsck`, and the executor of
+  :mod:`repro.sim.resilience`, which re-simulates what it quarantines).
 
 The orchestration side — worker isolation, timeouts, retries, the
 campaign manifest — lives in :mod:`repro.sim.resilience`.
@@ -309,10 +310,12 @@ class FsckReport:
 class Campaign:
     """A directory of persisted simulation results.
 
-    ``campaign.run(config, trace, simulate_fn)`` returns the cached
-    result when the run id is already on disk — after validating it —
-    and simulates (then persists) otherwise.  A stored file that fails
-    validation is quarantined and transparently re-simulated.
+    :meth:`save` persists a run's statistics under its :func:`run_id`;
+    :meth:`verify` and :meth:`load` validate a stored file, and
+    :meth:`quarantine` moves one that fails validation aside.  Serving
+    a stored run, or simulating, saving and verifying a missing one, is
+    the campaign executor's job
+    (:class:`~repro.sim.resilience.CampaignExecutor`).
 
     ``writer`` overrides the persistence primitive (default
     :func:`atomic_write_text`); the fault-injection harness uses this to
@@ -500,28 +503,6 @@ class Campaign:
             target = self.quarantine_dir / f"{path.name}.{serial}"
         os.replace(path, target)
         return target
-
-    def run(
-        self,
-        config: SystemConfig,
-        trace: Trace,
-        simulate_fn: Callable[[SystemConfig, Trace], SimStats],
-    ) -> SimStats:
-        """Return the stored result for this run, simulating on a miss.
-
-        A stored file that fails validation is quarantined and the run
-        re-simulated — a corrupt archive degrades to extra work, never to
-        a crash or a silently wrong result.
-        """
-        identifier = run_id(config, trace)
-        if identifier in self:
-            try:
-                return self.load(identifier)
-            except CorruptResultError:
-                self.quarantine(identifier)
-        stats = simulate_fn(config, trace)
-        self.save(identifier, stats)
-        return stats
 
     def results(self, on_corrupt: str = "quarantine") -> Iterator[SimStats]:
         """Iterate every stored result (sorted by run id).

@@ -589,8 +589,7 @@ def cache_metrics(
 def cached_fast_simulate(
     config: SystemConfig,
     trace: Trace,
-    cache: Optional[PassCache] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
+    cache: PassCache,
     seed: int = 0,
     telemetry=None,
     registry: Optional["MetricsRegistry"] = None,
@@ -600,21 +599,10 @@ def cached_fast_simulate(
     The stream comes from the route sweeps use,
     :func:`repro.core.sweep.run_functional_passes` with ``cache=``: a
     hit is loaded, a miss takes the per-organization pass and is
-    persisted.
-
-    Accepts either a live :class:`PassCache` or a ``cache_dir`` path —
-    the latter keeps the callable picklable, so campaign workers can
-    carry it as ``functools.partial(cached_fast_simulate,
-    cache_dir=...)`` across the process boundary.  A ``registry``
+    persisted.  A ``registry``
     (:class:`~repro.sim.telemetry.MetricsRegistry`) receives this call's
     ``passcache.*`` counts.
     """
-    if cache is None:
-        if cache_dir is None:
-            raise ValueError(
-                "cached_fast_simulate needs a cache or a cache_dir"
-            )
-        cache = PassCache(cache_dir)
     # Function-level import: core.sweep is the layer above this one.
     from ..core.sweep import run_functional_passes
 

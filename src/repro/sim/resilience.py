@@ -30,9 +30,7 @@ testable without real crashes, clock time, or flaky sleeps; see
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import inspect
 import json
 import multiprocessing
 import os
@@ -52,10 +50,12 @@ from .campaign import (
     Campaign, append_journal_line, atomic_write_text, run_id,
 )
 from .config import SystemConfig
+from .engine import simulate as engine_simulate
 from .fastpath import fast_simulate
-from .passcache import PassCache, cache_metrics, cached_fast_simulate
+from .passcache import PassCache, cache_metrics
 from .stackpass import pass_key
 from .statistics import SimStats
+from .telemetry import CycleLedger, MetricsRegistry, Telemetry
 
 #: Final statuses a run can journal.
 STATUS_OK = "ok"
@@ -319,120 +319,87 @@ def make_deadline_check(
     return check
 
 
-def _supports_kwarg(fn: Callable, name: str) -> bool:
-    try:
-        return name in inspect.signature(fn).parameters
-    except (TypeError, ValueError):
-        return False
-
-
-def shared_pass_cache(job: RunJob) -> Optional[str]:
-    """How ``job`` takes a functional pass it can share with its timing
-    siblings: ``""`` on the fastpath, the pass-cache directory of a
-    cached fastpath job (``functools.partial(cached_fast_simulate,
-    cache_dir=...)``), or ``None`` for a job that cannot share one (the
-    engine, an organization with lower levels, any other simulate
-    function)."""
-    if job.config.levels:
-        return None
-    fn = job.simulate_fn
-    if fn is fast_simulate:
-        return ""
-    if (
-        isinstance(fn, functools.partial)
-        and fn.func is cached_fast_simulate
-        and not fn.args
-        and set(fn.keywords) == {"cache_dir"}
-        and fn.keywords["cache_dir"]
-    ):
-        return str(fn.keywords["cache_dir"])
-    return None
-
-
 def sibling_groups(jobs: Sequence[RunJob]) -> List[List[int]]:
     """The job indices in groups of timing siblings, in first-seen order.
 
-    Jobs that can share a pass (:func:`shared_pass_cache`) and have one
-    :func:`~repro.sim.stackpass.pass_key` and one pass cache form a
-    group; every other job is a group of one.
+    Fastpath jobs with one :func:`~repro.sim.stackpass.pass_key`, one
+    pass cache and one set of lower levels form a group; every engine
+    job is a group of one.
     """
     groups: Dict[Tuple, List[int]] = {}
     for index, job in enumerate(jobs):
-        cache_dir = shared_pass_cache(job)
-        key = (index,) if cache_dir is None else (
-            pass_key(job.config, job.trace, job.seed), cache_dir,
+        key = (index,) if job.simulator == "engine" else (
+            pass_key(job.config, job.trace, job.seed), job.pass_cache_dir,
+            job.config.levels,
         )
         groups.setdefault(key, []).append(index)
     return list(groups.values())
 
 
-def _simulate_alone(
-    job: RunJob, timeout_s: Optional[float], collect_metrics: bool
-) -> object:
-    """One job through its own simulate function: its stats, or with
-    ``collect_metrics`` ``(stats, report_dict)``."""
-    config, trace, simulate_fn = job.config, job.trace, job.simulate_fn
-    kwargs = {}
-    if job.seed and _supports_kwarg(simulate_fn, "seed"):
-        kwargs["seed"] = job.seed
-    if timeout_s and _supports_kwarg(simulate_fn, "cancel_check"):
-        kwargs["cancel_check"] = make_deadline_check(timeout_s)
-    if not collect_metrics:
-        return simulate_fn(config, trace, **kwargs)
-    from .telemetry import (
-        CycleLedger, MetricsRegistry, Telemetry, build_run_report,
-    )
+def _with_report(
+    job: RunJob, stats: SimStats, ledger: CycleLedger,
+    registry: MetricsRegistry,
+) -> Tuple[SimStats, Dict]:
+    """``(stats, report_dict)``: the job's stats and its RunReport."""
+    # Looked up at call time, so a rebinding of the module's name (a
+    # patched builder) reaches forked workers.
+    from .telemetry import build_run_report
 
-    ledger = None
-    if _supports_kwarg(simulate_fn, "telemetry"):
-        ledger = CycleLedger()
-        kwargs["telemetry"] = Telemetry(ledger=ledger)
-    registry = MetricsRegistry()
-    if _supports_kwarg(simulate_fn, "registry"):
-        kwargs["registry"] = registry
-    with registry.span("simulate"):
-        stats = simulate_fn(config, trace, **kwargs)
-    simulator = (
-        "engine"
-        if getattr(simulate_fn, "__name__", "") == "simulate"
-        else "fastpath"
-    )
-    if simulator == "fastpath" and ledger is not None:
-        # Telemetry-enabled replays always price through the scalar
-        # path (the batch kernel takes no telemetry handle).
-        registry.count("replay.scalar_replays")
     report = build_run_report(
         stats, ledger,
-        run_identifier=run_id(config, trace),
-        simulator=simulator,
-        n_refs_total=len(trace),
-        config=config,
+        run_identifier=run_id(job.config, job.trace),
+        simulator=job.simulator,
+        n_refs_total=len(job.trace),
+        config=job.config,
         registry=registry,
     )
     return (stats, report.to_dict())
 
 
-def _simulate_group(jobs: Sequence[RunJob], collect_metrics: bool) -> List:
-    """A group of timing siblings from one functional pass.
+def _simulate_engine(
+    job: RunJob, timeout_s: Optional[float], collect_metrics: bool
+) -> object:
+    """One job on the reference engine, with the cooperative deadline
+    when ``timeout_s`` is set: its stats, or with ``collect_metrics``
+    ``(stats, report_dict)``."""
+    cancel_check = make_deadline_check(timeout_s) if timeout_s else None
+    if not collect_metrics:
+        return engine_simulate(
+            job.config, job.trace, seed=job.seed, cancel_check=cancel_check
+        )
+    ledger = CycleLedger()
+    registry = MetricsRegistry()
+    with registry.span("simulate"):
+        stats = engine_simulate(
+            job.config, job.trace, seed=job.seed, cancel_check=cancel_check,
+            telemetry=Telemetry(ledger=ledger),
+        )
+    return _with_report(job, stats, ledger, registry)
 
-    Without metrics one batch-kernel grid prices every sibling
-    (:func:`~repro.core.sweep.simulate_siblings`).  With
-    ``collect_metrics`` each sibling is priced by a scalar ``replay()``
-    with a cycle ledger of its own (the kernel takes no telemetry
-    handle), and the pass's time and ``passcache.*`` counts land once,
-    in the first sibling's report.
+
+def _simulate_group(jobs: Sequence[RunJob], collect_metrics: bool) -> List:
+    """A group of fastpath timing siblings from one functional pass.
+
+    A memory-direct group without metrics is priced by one batch-kernel
+    grid (:func:`~repro.core.sweep.simulate_siblings`).  The kernel
+    prices no lower levels and takes no telemetry handle, so otherwise
+    each sibling is priced by a scalar ``replay()`` of the shared pass;
+    with ``collect_metrics`` each has a cycle ledger of its own, and the
+    pass's time and ``passcache.*`` counts land once, in the first
+    sibling's report.
     """
     from ..core.sweep import sibling_passes, simulate_siblings
 
-    cache_dir = shared_pass_cache(jobs[0])
+    cache_dir = jobs[0].pass_cache_dir
     cache = PassCache(cache_dir) if cache_dir else None
     triples = [(job.config, job.trace, job.seed) for job in jobs]
     if not collect_metrics:
-        return simulate_siblings(triples, cache)
-    from .telemetry import (
-        CycleLedger, MetricsRegistry, Telemetry, build_run_report,
-    )
-
+        if not jobs[0].config.levels:
+            return simulate_siblings(triples, cache)
+        return [
+            fast_simulate(job.config, job.trace, seed=job.seed, stream=stream)
+            for job, stream in zip(jobs, sibling_passes(triples, cache))
+        ]
     streams = None
     payloads = []
     for k, job in enumerate(jobs):
@@ -447,14 +414,7 @@ def _simulate_group(jobs: Sequence[RunJob], collect_metrics: bool) -> List:
                 telemetry=Telemetry(ledger=ledger), stream=streams[k],
             )
         registry.count("replay.scalar_replays")
-        report = build_run_report(
-            stats, ledger,
-            run_identifier=run_id(job.config, job.trace),
-            n_refs_total=len(job.trace),
-            config=job.config,
-            registry=registry,
-        )
-        payloads.append((stats, report.to_dict()))
+        payloads.append(_with_report(job, stats, ledger, registry))
     return payloads
 
 
@@ -475,20 +435,19 @@ def _attempt_result(
     attempt.  A payload is the job's stats or, with ``collect_metrics``,
     ``(stats, report_dict)``: a
     :class:`~repro.sim.telemetry.RunReport` with a cycle-attribution
-    ledger (when the simulator takes the ``telemetry`` kwarg) and
-    wall-clock and RSS measured *inside* the worker process, where they
-    are honest.  A group of one job that cannot share a pass runs its
-    own simulate function, with the cooperative deadline when it takes
-    ``cancel_check``.
+    ledger and wall-clock and RSS measured *inside* the worker process,
+    where they are honest.  The group's route is its first job's
+    ``simulator``: an engine job runs alone (:func:`_simulate_engine`),
+    fastpath siblings share one pass (:func:`_simulate_group`).
     """
     try:
         if fault_plan is not None:
             for job_index in job_indices:
                 fault_plan.worker_faults(job_index, attempt)
-        if shared_pass_cache(jobs[0]) is None:
+        if jobs[0].simulator == "engine":
             (job,) = jobs
-            return (STATUS_OK, [_simulate_alone(job, timeout_s,
-                                                collect_metrics)])
+            return (STATUS_OK, [_simulate_engine(job, timeout_s,
+                                                 collect_metrics)])
         return (STATUS_OK, _simulate_group(jobs, collect_metrics))
     except RunTimeoutError as exc:
         return (STATUS_TIMEOUT, str(exc))
@@ -617,23 +576,37 @@ class _Worker:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RunJob:
-    """One (configuration, trace) cell of a sweep."""
+    """One (configuration, trace) cell of a sweep and the route it
+    takes: ``simulator`` is ``"fastpath"`` or ``"engine"``, and
+    ``pass_cache_dir`` names the pass cache a fastpath job's functional
+    pass goes through (``""`` for none)."""
 
     config: SystemConfig
     trace: Trace
-    simulate_fn: Callable[..., SimStats] = fast_simulate
+    simulator: str = "fastpath"
+    pass_cache_dir: str = ""
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.simulator not in ("fastpath", "engine"):
+            raise CampaignError(
+                f"simulator must be fastpath|engine, got {self.simulator!r}"
+            )
 
 
 def sweep_jobs(
     configs: Sequence[SystemConfig],
     traces: Sequence[Trace],
-    simulate_fn: Callable[..., SimStats] = fast_simulate,
+    simulator: str = "fastpath",
+    pass_cache_dir: str = "",
     seed: int = 0,
 ) -> List[RunJob]:
     """The cartesian (config x trace) job list of a campaign sweep."""
     return [
-        RunJob(config=config, trace=trace, simulate_fn=simulate_fn, seed=seed)
+        RunJob(
+            config=config, trace=trace, simulator=simulator,
+            pass_cache_dir=pass_cache_dir, seed=seed,
+        )
         for config in configs
         for trace in traces
     ]
@@ -675,10 +648,11 @@ class CampaignExecutor:
     """Run a sweep with worker isolation, timeouts and bounded retries.
 
     The unit of work is a group of timing siblings
-    (:func:`sibling_groups`): the runs that share one functional pass.
-    A worker takes that pass once and prices every sibling in one
-    batch-kernel grid; jobs that cannot share a pass are groups of one.
-    Each run is still saved, verified and journaled on its own.
+    (:func:`sibling_groups`): the fastpath runs that share one
+    functional pass.  A worker takes that pass once and prices every
+    sibling from it (one batch-kernel grid for a memory-direct group);
+    each engine job, named by its :attr:`RunJob.simulator`, is a group
+    of one.  Each run is still saved, verified and journaled on its own.
 
     Attempts run on worker processes (fork/spawn per the platform
     default) that live for the whole sweep: a worker is forked by the

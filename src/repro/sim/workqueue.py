@@ -51,7 +51,6 @@ functional pass even across processes or hosts.
 from __future__ import annotations
 
 import contextlib
-import functools
 import itertools
 import json
 import os
@@ -252,24 +251,12 @@ class SweepSpec:
             )
 
     def build_jobs(self) -> List[RunJob]:
-        """Materialize the deterministic job list this spec describes.
-
-        The simulate function is imported here, at call time, so that a
-        rebinding of its name (a profiler's tracer) reaches the jobs.
-        """
+        """Materialize the deterministic job list this spec describes,
+        each job carrying the spec's route: the ``engine`` or the
+        fastpath, through ``pass_cache_dir`` when it names one."""
         from ..trace.suite import ALL_TRACES, build_suite
         from .config import baseline_config
 
-        if self.simulator == "engine":
-            from .engine import simulate as simulate_fn
-        elif self.simulator == "cached":
-            from .passcache import cached_fast_simulate
-
-            simulate_fn = functools.partial(
-                cached_fast_simulate, cache_dir=self.pass_cache_dir
-            )
-        else:
-            from .fastpath import fast_simulate as simulate_fn
         names = tuple(self.trace_names) or ALL_TRACES
         suite = build_suite(length=self.length, names=names, seed=self.seed)
         configs = [
@@ -283,8 +270,9 @@ class SweepSpec:
             for cycle_ns in self.cycles_ns
         ]
         return sweep_jobs(
-            configs, list(suite.values()), simulate_fn=simulate_fn,
-            seed=self.seed,
+            configs, list(suite.values()),
+            simulator="engine" if self.simulator == "engine" else "fastpath",
+            pass_cache_dir=self.pass_cache_dir, seed=self.seed,
         )
 
 
@@ -1069,7 +1057,7 @@ class SpoolWorker:
     def _beat(self, lease: Lease, attempt: int) -> None:
         """Renew the lease unless a chaos plan says this worker wedged."""
         plan = self.fault_plan
-        if plan is not None and hasattr(plan, "should_stall_heartbeat"):
+        if plan is not None:
             index = self.jobs_by_id[lease.job_id][0]
             if plan.should_stall_heartbeat(index, attempt):
                 return  # chaos: the worker is "wedged" — no renewals

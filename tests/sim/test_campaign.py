@@ -66,7 +66,9 @@ class TestFsckSchemaDrift:
 
         campaign = Campaign(tmp_path / "runs")
         config = baseline_config(cache_size_bytes=4 * KB)
-        campaign.run(config, mu3_small, fast_simulate)
+        campaign.save(
+            run_id(config, mu3_small), fast_simulate(config, mu3_small)
+        )
         path = campaign.directory / f"{run_id(config, mu3_small)}.json"
 
         # emulate a result written by a newer schema: extra keys, with
@@ -86,26 +88,25 @@ class TestFsckSchemaDrift:
 
 class TestCampaign:
     def test_run_simulates_then_caches(self, tmp_path, mu3_small):
+        from repro.sim.resilience import CampaignExecutor, sweep_jobs
+
         campaign = Campaign(tmp_path / "runs")
         config = baseline_config(cache_size_bytes=4 * KB)
-        calls = []
-
-        def simulate_fn(cfg, trace):
-            calls.append(1)
-            return fast_simulate(cfg, trace)
-
-        first = campaign.run(config, mu3_small, simulate_fn)
-        second = campaign.run(config, mu3_small, simulate_fn)
-        assert len(calls) == 1
-        assert first == second
+        jobs = sweep_jobs([config], [mu3_small])
+        first = CampaignExecutor(campaign).run_sweep(jobs).records
+        second = CampaignExecutor(campaign).run_sweep(jobs).records
+        assert [r.cached for r in first + second] == [False, True]
+        assert campaign.load(run_id(config, mu3_small)) == fast_simulate(
+            config, mu3_small
+        )
         assert len(campaign) == 1
 
     def test_results_iterates_everything(self, tmp_path, mu3_small):
         campaign = Campaign(tmp_path / "runs")
         for size in (4 * KB, 8 * KB):
-            campaign.run(
-                baseline_config(cache_size_bytes=size), mu3_small,
-                fast_simulate,
+            config = baseline_config(cache_size_bytes=size)
+            campaign.save(
+                run_id(config, mu3_small), fast_simulate(config, mu3_small)
             )
         assert len(list(campaign.results())) == 2
 
@@ -115,9 +116,8 @@ class TestCampaign:
 
     def test_survives_reopen(self, tmp_path, mu3_small):
         config = baseline_config(cache_size_bytes=4 * KB)
-        stats = Campaign(tmp_path / "runs").run(
-            config, mu3_small, fast_simulate
-        )
+        stats = fast_simulate(config, mu3_small)
+        Campaign(tmp_path / "runs").save(run_id(config, mu3_small), stats)
         reopened = Campaign(tmp_path / "runs")
         identifier = run_id(config, mu3_small)
         assert identifier in reopened

@@ -27,7 +27,7 @@ from repro.sim.fastpath import (
     functional_pass,
     replay,
 )
-from repro.sim.passcache import cached_fast_simulate
+from repro.sim.passcache import PassCache, cached_fast_simulate
 from repro.trace.suite import build_trace
 from repro.units import KB
 
@@ -165,8 +165,8 @@ def machines(draw):
 def test_lower_levels_equal_the_engine(config, trace_index, seed):
     """Replaying an L1 event stream through drawn lower levels equals
     the engine: cycles, L1, memory, buffer and first-lower-level
-    counters.  The pass-cache entry campaign workers take must carry
-    the seed to the lower levels too."""
+    counters.  A pass served through the pass cache must carry the
+    seed to the lower levels too."""
     trace = short_traces()[trace_index]
     engine = simulate(config, trace, seed=seed)
     fast = fast_simulate(config, trace, seed=seed)
@@ -176,7 +176,7 @@ def test_lower_levels_equal_the_engine(config, trace_index, seed):
     assert engine.lower == fast.lower
     with tempfile.TemporaryDirectory() as directory:
         cached = cached_fast_simulate(
-            config, trace, cache_dir=directory, seed=seed
+            config, trace, PassCache(directory), seed=seed
         )
     assert cached == fast
 

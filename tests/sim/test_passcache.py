@@ -14,10 +14,8 @@ The load-bearing guarantees under test:
 """
 
 import base64
-import functools
 import json
 import os
-import pickle
 
 import numpy as np
 import pytest
@@ -470,16 +468,6 @@ class TestCachedFastSimulate:
         assert cache.counters.hits == 1
         assert cache.counters.misses == 1
 
-    def test_cache_dir_form_matches(self, tmp_path, mu3_small, small_config):
-        stats = cached_fast_simulate(
-            small_config, mu3_small, cache_dir=tmp_path / "pc"
-        )
-        assert stats == reference_simulate(small_config, mu3_small)
-
-    def test_requires_cache_or_dir(self, mu3_small, small_config):
-        with pytest.raises(ValueError):
-            cached_fast_simulate(small_config, mu3_small)
-
     def test_each_registry_counts_its_own_call(
         self, tmp_path, mu3_small, small_config
     ):
@@ -502,14 +490,6 @@ class TestCachedFastSimulate:
         assert warm.counters == {
             "passcache.hits": 1, "passcache.bytes_read": written,
         }
-
-    def test_partial_is_picklable(self, tmp_path):
-        # campaign workers carry the simulate_fn across the process
-        # boundary as a partial over cache_dir
-        fn = functools.partial(
-            cached_fast_simulate, cache_dir=str(tmp_path / "pc")
-        )
-        assert pickle.loads(pickle.dumps(fn)).keywords["cache_dir"]
 
 
 class TestWarmSweep:

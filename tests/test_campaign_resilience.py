@@ -11,7 +11,6 @@ file, account for every run in the manifest, and leave all ``ok``
 results byte-identical to a fault-free sweep.
 """
 
-import functools
 import json
 import multiprocessing
 import os
@@ -109,6 +108,23 @@ def recording_context(reaped_elsewhere=False):
         Process = Recording
 
     return Context(), started
+
+
+def save_run(campaign, config, trace):
+    """Store the run's ``fast_simulate`` result; return its run id."""
+    identifier = run_id(config, trace)
+    campaign.save(identifier, fast_simulate(config, trace))
+    return identifier
+
+
+def with_l2(config):
+    """``config`` with one 64 KB lower level (an L2)."""
+    from repro.core.geometry import CacheGeometry
+    from repro.sim.config import LowerLevelSpec
+
+    return config.with_levels((LowerLevelSpec(
+        geometry=CacheGeometry(size_bytes=64 * KB, block_words=4),
+    ),))
 
 
 def make_executor(campaign, **kwargs):
@@ -252,28 +268,23 @@ class TestAtomicSave:
 class TestQuarantine:
     def test_run_resimulates_corrupt_file(self, tmp_path, config, trace):
         campaign = Campaign(tmp_path)
-        identifier = run_id(config, trace)
-        campaign.run(config, trace, fast_simulate)
+        identifier = save_run(campaign, config, trace)
         clean = campaign._path(identifier).read_bytes()
         faults.truncate_file(campaign._path(identifier))
-        calls = []
-
-        def counting(cfg, tr):
-            calls.append(1)
-            return fast_simulate(cfg, tr)
-
-        stats = campaign.run(config, trace, counting)
-        assert calls, "corrupt cache entry must be re-simulated"
-        assert stats == fast_simulate(config, trace)
+        executor, _ = make_executor(campaign)
+        (record,) = executor.run_sweep(sweep_jobs([config], [trace])).records
+        # The corrupt file is not served: the run is simulated again and
+        # stores the bytes the clean file held.
+        assert (record.status, record.cached, record.attempts) == (
+            "ok", False, 1,
+        )
         assert campaign._path(identifier).read_bytes() == clean
         assert len(list(campaign.quarantine_dir.glob("*.json"))) == 1
 
     def test_results_quarantines_and_continues(self, tmp_path, trace):
         campaign = Campaign(tmp_path)
         for size in (2 * KB, 4 * KB, 8 * KB):
-            campaign.run(
-                baseline_config(cache_size_bytes=size), trace, fast_simulate
-            )
+            save_run(campaign, baseline_config(cache_size_bytes=size), trace)
         victim = next(iter(campaign._result_paths()))
         faults.corrupt_file(victim)
         assert len(list(campaign.results())) == 2  # default: quarantine
@@ -282,7 +293,7 @@ class TestQuarantine:
 
     def test_results_raise_mode(self, tmp_path, config, trace):
         campaign = Campaign(tmp_path)
-        campaign.run(config, trace, fast_simulate)
+        save_run(campaign, config, trace)
         faults.corrupt_file(next(iter(campaign._result_paths())))
         with pytest.raises(CorruptResultError):
             list(campaign.results(on_corrupt="raise"))
@@ -300,9 +311,7 @@ class TestQuarantine:
     def test_fsck_reports_then_repairs(self, tmp_path, trace):
         campaign = Campaign(tmp_path)
         for size in (2 * KB, 4 * KB):
-            campaign.run(
-                baseline_config(cache_size_bytes=size), trace, fast_simulate
-            )
+            save_run(campaign, baseline_config(cache_size_bytes=size), trace)
         faults.corrupt_file(next(iter(campaign._result_paths())))
         report = campaign.fsck()
         assert len(report.ok) == 1 and len(report.corrupt) == 1
@@ -448,7 +457,7 @@ class TestExecutor:
     def test_corrupt_cached_result_revalidated(self, tmp_path, config,
                                                trace):
         campaign = Campaign(tmp_path)
-        campaign.run(config, trace, fast_simulate)
+        save_run(campaign, config, trace)
         identifier = run_id(config, trace)
         faults.truncate_file(campaign._path(identifier))
         executor, _ = make_executor(campaign)
@@ -461,7 +470,7 @@ class TestExecutor:
     def test_valid_cached_result_short_circuits(self, tmp_path, config,
                                                 trace):
         campaign = Campaign(tmp_path)
-        campaign.run(config, trace, fast_simulate)
+        save_run(campaign, config, trace)
         executor, _ = make_executor(campaign)
         report = executor.run_sweep(sweep_jobs([config], [trace]))
         assert report.records[0].cached
@@ -493,7 +502,7 @@ class TestExecutor:
         )
         config = baseline_config(cache_size_bytes=2 * KB)
         report = executor.run_sweep(
-            sweep_jobs([config], [trace], simulate_fn=simulate)
+            sweep_jobs([config], [trace], simulator="engine")
         )
         assert report.records[0].status == "timeout"
         assert "cooperative" in report.records[0].error
@@ -673,41 +682,36 @@ class TestSiblingGroups:
     def test_groups_share_one_pass_key_and_simulate_function(
         self, tmp_path, grid, trace
     ):
-        from repro.core.geometry import CacheGeometry
-        from repro.sim.config import LowerLevelSpec
-        from repro.sim.passcache import cached_fast_simulate
         from repro.trace.record import Trace
 
         twin = Trace(
             trace.kinds, trace.addrs, trace.pids, name="twin",
             warm_boundary=trace.warm_boundary,
         )
-        cached = functools.partial(
-            cached_fast_simulate, cache_dir=str(tmp_path)
-        )
         config = grid[0].config
-        l2 = config.with_levels((LowerLevelSpec(
-            geometry=CacheGeometry(size_bytes=64 * KB, block_words=4),
-        ),))
+        l2 = with_l2(config)
         jobs = grid + [
             resilience.RunJob(config.with_cycle_ns(60.0), twin),
-            resilience.RunJob(config, trace, simulate_fn=cached),
+            resilience.RunJob(config, trace, pass_cache_dir=str(tmp_path)),
             resilience.RunJob(config.with_cycle_ns(60.0), trace,
-                              simulate_fn=cached),
+                              pass_cache_dir=str(tmp_path)),
             resilience.RunJob(config, trace, seed=1),
-            resilience.RunJob(config, trace, simulate_fn=simulate),
-            resilience.RunJob(config, trace, simulate_fn=simulate),
+            resilience.RunJob(config, trace, simulator="engine"),
+            resilience.RunJob(config, trace, simulator="engine"),
             resilience.RunJob(l2, trace),
             resilience.RunJob(l2.with_cycle_ns(20.0), trace),
         ]
-        # Same contents under another name share the pass; a pass
-        # cache, a seed, the engine or lower levels do not.
+        # Same contents under another name share the pass, and so do
+        # timing siblings with one set of lower levels; a pass cache, a
+        # seed or other lower levels split a group, and every engine job
+        # runs alone.
         assert resilience.sibling_groups(jobs) == [
-            [0, 1, 4], [2, 3], [5, 6], [7], [8], [9], [10], [11],
+            [0, 1, 4], [2, 3], [5, 6], [7], [8], [9], [10, 11],
         ]
-        assert [resilience.shared_pass_cache(job) for job in jobs[4:]] == [
-            "", str(tmp_path), str(tmp_path), "", None, None, None, None,
-        ]
+
+    def test_a_job_names_a_known_simulator(self, config, trace):
+        with pytest.raises(CampaignError):
+            resilience.RunJob(config, trace, simulator="cached")
 
     @needs_fork
     def test_a_crash_fails_every_run_of_its_group_only(self, tmp_path,
@@ -771,7 +775,7 @@ class TestSiblingGroups:
 
     def test_a_group_skips_its_stored_runs(self, tmp_path, grid):
         campaign = Campaign(tmp_path)
-        campaign.run(grid[1].config, grid[1].trace, fast_simulate)
+        save_run(campaign, grid[1].config, grid[1].trace)
         executor, _ = make_executor(campaign)
         sent = []
         execute = executor._execute_attempt
@@ -803,14 +807,11 @@ class TestSiblingGroups:
     def test_metrics_keep_a_ledger_per_run_and_one_get_per_group(
         self, tmp_path, grid
     ):
-        from repro.sim.passcache import cached_fast_simulate
         from repro.sim.telemetry import RunReport
 
-        cached = functools.partial(
-            cached_fast_simulate, cache_dir=str(tmp_path / "pc")
-        )
         jobs = [
-            resilience.RunJob(job.config, job.trace, simulate_fn=cached)
+            resilience.RunJob(job.config, job.trace,
+                              pass_cache_dir=str(tmp_path / "pc"))
             for job in grid
         ]
         campaign = Campaign(tmp_path / "campaign")
@@ -833,6 +834,82 @@ class TestSiblingGroups:
             stats = campaign.load(identifier)
             assert stats == fast_simulate(job.config, job.trace)
             assert by_id[identifier].cycles == stats.cycles
+
+    @pytest.mark.skipif(
+        multiprocessing.get_context().get_start_method() != "fork",
+        reason="counts pass-cache calls made in a forked worker",
+    )
+    def test_l2_timing_siblings_share_one_pass(self, tmp_path, trace):
+        """Two cycle times of one organization with an L2 and a pass
+        cache: one worker request, one pass-cache miss and put, no hit,
+        and each stored result is its own ``fast_simulate``."""
+        from unittest import mock
+
+        from repro.sim.passcache import PassCache
+
+        config = with_l2(baseline_config(cache_size_bytes=4 * KB))
+        jobs = sweep_jobs(
+            [config.with_cycle_ns(20.0), config.with_cycle_ns(60.0)],
+            [trace], pass_cache_dir=str(tmp_path / "pc"),
+        )
+        campaign = Campaign(tmp_path / "campaign")
+        executor, _ = make_executor(campaign)
+        sent = []
+        execute = executor._execute_attempt
+
+        def recording(members, attempt):
+            sent.append([index for index, _job in members])
+            return execute(members, attempt)
+
+        executor._execute_attempt = recording
+        calls = tmp_path / "calls"
+        get, put = PassCache.get, PassCache.put
+
+        def log(word):
+            with open(calls, "a", encoding="utf-8") as out:
+                out.write(word + "\n")
+
+        def counted_get(cache, *args, **kwargs):
+            stream = get(cache, *args, **kwargs)
+            log("miss" if stream is None else "hit")
+            return stream
+
+        def counted_put(cache, *args, **kwargs):
+            log("put")
+            return put(cache, *args, **kwargs)
+
+        with mock.patch.object(PassCache, "get", counted_get), \
+                mock.patch.object(PassCache, "put", counted_put):
+            assert executor.run_sweep(jobs).all_ok
+        assert sent == [[0, 1]]
+        assert calls.read_text().split() == ["miss", "put"]
+        for job in jobs:
+            assert campaign.load(run_id(job.config, job.trace)) == (
+                fast_simulate(job.config, job.trace)
+            )
+
+    def test_reports_name_the_engine_and_the_fastpath(self, tmp_path,
+                                                       config, trace):
+        from repro.sim.telemetry import RunReport
+
+        jobs = [
+            resilience.RunJob(config, trace, simulator="engine"),
+            resilience.RunJob(config.with_cycle_ns(60.0), trace),
+        ]
+        campaign = Campaign(tmp_path)
+        executor, _ = make_executor(campaign, collect_metrics=True)
+        assert executor.run_sweep(jobs).all_ok
+        reports = {
+            report.run_id: report
+            for report in map(RunReport.from_dict, campaign.load_reports())
+        }
+        for job in jobs:
+            report = reports[run_id(job.config, job.trace)]
+            assert report.simulator == job.simulator
+            assert report.conserved and report.buckets
+        assert {report.simulator for report in reports.values()} == {
+            "engine", "fastpath",
+        }
 
 
 @st.composite
@@ -1132,7 +1209,7 @@ class TestFaultySweepAcceptance:
         """A fault-free sweep's files, keyed by run id."""
         campaign = Campaign(tmp_path_factory.mktemp("baseline"))
         for job in sweep:
-            campaign.run(job.config, job.trace, job.simulate_fn)
+            save_run(campaign, job.config, job.trace)
         return {
             path.stem: path.read_bytes()
             for path in campaign._result_paths()
