@@ -484,12 +484,48 @@ def run_speed_size_sweep(
     collects the ``passcache.*``, ``stackpass.*`` and ``replay.*``
     counters.  Without one the sweep keeps no counters.
     """
+    return run_speed_size_sweeps(
+        traces, sizes_each_bytes, [(cycle_times_ns, memory)],
+        assoc=assoc, block_words=block_words, replacement=replacement,
+        write_buffer_depth=write_buffer_depth, seed=seed, n_jobs=n_jobs,
+        pass_cache=pass_cache, registry=registry,
+    )[0]
+
+
+def run_speed_size_sweeps(
+    traces,
+    sizes_each_bytes: Sequence[int],
+    timings: Sequence[Tuple[Sequence[float], Optional[MemoryTiming]]],
+    assoc: int = 1,
+    block_words: int = 4,
+    replacement: ReplacementKind = ReplacementKind.RANDOM,
+    write_buffer_depth: int = 4,
+    seed: int = 0,
+    n_jobs: int = 1,
+    pass_cache: Optional["PassCache"] = None,
+    registry: Optional["MetricsRegistry"] = None,
+) -> List[SpeedSizeGrid]:
+    """Speed–size sweeps of one set of organizations at several timings.
+
+    ``timings`` holds one ``(cycle_times_ns, memory)`` pair per sweep
+    (``memory=None`` is the default :class:`MemoryTiming`); the result
+    holds one grid per pair, each equal to the
+    :func:`run_speed_size_sweep` of that pair.  The sweeps differ only
+    in timing, so their organizations are timing siblings: one
+    functional pass per (size, trace) serves them all, and each stream
+    is priced at every sweep's points by one kernel.  §6's scaling study
+    is three such sweeps.
+    """
     traces = _as_trace_list(traces)
     if not traces:
         raise AnalysisError("no traces supplied")
     sizes = sorted(sizes_each_bytes)
-    cycles_ns = sorted(cycle_times_ns)
-    memory = memory or MemoryTiming()
+    timings = [
+        (sorted(cycle_times_ns), memory or MemoryTiming())
+        for cycle_times_ns, memory in timings
+    ]
+    # The pass depends on the organization only; the first sweep's
+    # memory labels the streams.
     configs = [
         baseline_config(
             cache_size_bytes=size,
@@ -497,7 +533,7 @@ def run_speed_size_sweep(
             assoc=assoc,
             replacement=replacement,
             write_buffer_depth=write_buffer_depth,
-            memory=memory,
+            memory=timings[0][1],
         )
         for size in sizes
     ]
@@ -506,19 +542,41 @@ def run_speed_size_sweep(
             memory=memory, cycle_ns=cycle_ns,
             write_buffer_depth=write_buffer_depth,
         )
+        for cycles_ns, memory in timings
         for cycle_ns in cycles_ns
     ]
-    all_streams, outcome_rows = _run_grid(
+    streams, outcome_rows = _run_grid(
         configs, traces, points, seed, n_jobs, pass_cache, registry,
     )
+    grids = []
+    lo = 0
+    for cycles_ns, _memory in timings:
+        hi = lo + len(cycles_ns)
+        grids.append(_speed_size_grid(
+            sizes, cycles_ns, len(traces), streams,
+            [row[lo:hi] for row in outcome_rows],
+        ))
+        lo = hi
+    return grids
+
+
+def _speed_size_grid(
+    sizes: List[int],
+    cycles_ns: List[float],
+    n_traces: int,
+    all_streams: Sequence[EventStream],
+    outcome_rows: Sequence[Sequence[ReplayOutcome]],
+) -> SpeedSizeGrid:
+    """Aggregate one sweep's streams and outcome rows, in (size, trace)
+    order, into its grid over the trace suite."""
     n_i, n_j = len(sizes), len(cycles_ns)
     exec_gm = np.empty((n_i, n_j))
     cpr_gm = np.empty((n_i, n_j))
     per_size_metrics: List[AggregateMetrics] = []
-    for i, size in enumerate(sizes):
-        lo = i * len(traces)
-        streams = all_streams[lo: lo + len(traces)]
-        rows = outcome_rows[lo: lo + len(traces)]
+    for i in range(n_i):
+        lo = i * n_traces
+        streams = all_streams[lo: lo + n_traces]
+        rows = outcome_rows[lo: lo + n_traces]
         # The miss and traffic ratios depend on the organization only,
         # so one summary per (size, trace) — built from the first
         # cycle-time column — covers them; the per-column reduction
@@ -694,13 +752,37 @@ def run_point(
     config: SystemConfig,
     traces,
     seed: int = 0,
+    n_jobs: int = 1,
+    pass_cache: Optional["PassCache"] = None,
 ) -> AggregateMetrics:
-    """Evaluate one configuration over the suite (fastpath)."""
+    """Evaluate one configuration over the suite (fastpath).
+
+    One functional pass per trace, spread over ``n_jobs`` processes and
+    served from ``pass_cache`` where it holds them (see
+    :func:`run_functional_passes`).  A memory-direct configuration is
+    then priced by the batch kernel, in-process; one with lower cache
+    levels by scalar :func:`~repro.sim.fastpath.replay`.
+    """
     traces = _as_trace_list(traces)
-    streams = run_functional_passes([(config, t, seed) for t in traces])
-    return aggregate([
-        TraceRunSummary.from_stats(
+    streams = run_functional_passes(
+        [(config, trace, seed) for trace in traces],
+        n_jobs=n_jobs, cache=pass_cache,
+    )
+    if config.levels:
+        # The batch kernel prices memory-direct organizations only.
+        stats = [
             fast_simulate(config, trace, seed=seed, stream=stream)
+            for trace, stream in zip(traces, streams)
+        ]
+    else:
+        point = TimingPoint(
+            memory=config.memory, cycle_ns=config.cycle_ns,
+            write_buffer_depth=config.l1.write_buffer_depth,
         )
-        for trace, stream in zip(traces, streams)
-    ])
+        stats = [
+            assemble_stats(stream, row[0], config.cycle_ns)
+            for stream, row in zip(
+                streams, _price_streams(streams, [point], 1, None)
+            )
+        ]
+    return aggregate([TraceRunSummary.from_stats(s) for s in stats])

@@ -25,7 +25,13 @@ from ..core.report import format_table, size_labels
 from ..core.sweep import run_point
 from ..sim.config import baseline_config
 from ..trace.suite import RISC_TRACES, VAX_TRACES
-from .common import ExperimentResult, ExperimentSettings, speed_size_grid, suite_for
+from .common import (
+    ExperimentResult,
+    ExperimentSettings,
+    speed_size_grid,
+    suite_for,
+    sweep_options,
+)
 
 EXPERIMENT_ID = "fig3_1"
 TITLE = "Miss ratio and traffic ratios vs total L1 size"
@@ -59,10 +65,11 @@ def run(settings: Optional[ExperimentSettings] = None) -> ExperimentResult:
     mid_size = settings.sizes_each_bytes[1]
     config = baseline_config(cache_size_bytes=mid_size)
     family = {}
+    options = sweep_options(settings)
     for name, members in (("vax", VAX_TRACES), ("risc", RISC_TRACES)):
         selected = [suite[t] for t in members if t in suite]
         if selected:
-            family[name] = run_point(config, selected, seed=settings.seed)
+            family[name] = run_point(config, selected, **options)
     extra = ""
     if len(family) == 2:
         load_gap = 1 - family["risc"].load_miss_ratio / family["vax"].load_miss_ratio

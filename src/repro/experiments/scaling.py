@@ -6,9 +6,11 @@ and position of the curves remain the same while the slopes, expressed
 in nanoseconds per doubling, scale down.  Expressed as a fraction of the
 cycle time per doubling, the slopes remain constant."
 
-We run the speed–size sweep twice: once at the base memory and clocks,
-once with every nanosecond divided by two (clocks *and* memory).  The
-experiment reports slopes in ns/doubling (should halve) and in
+We run the speed–size sweep at the base memory and clocks, and again
+with every nanosecond divided by two (clocks *and* memory).  The three
+sweeps differ only in timing, so they share one functional pass per
+organization and trace (:func:`~repro.core.sweep.run_speed_size_sweeps`).
+The experiment reports slopes in ns/doubling (should halve) and in
 cycle-fractions (should match), plus the corollary: when only the CPU
 scales and memory does not, the miss penalty in cycles grows and the
 fractional slopes *increase* — the pressure toward multilevel
@@ -23,7 +25,7 @@ import numpy as np
 
 from ..core.equal_performance import slope_ns_per_doubling
 from ..core.report import format_table
-from ..core.sweep import run_speed_size_sweep
+from ..core.sweep import run_speed_size_sweeps
 from ..memory.buses import scaled_memory
 from ..core.timing import MemoryTiming
 from .common import (
@@ -53,17 +55,14 @@ def run(settings: Optional[ExperimentSettings] = None) -> ExperimentResult:
     traces = suite_for(settings)
     sizes = settings.sizes_each_bytes[:4]
     base_cycles = [20.0, 28.0, 40.0, 60.0, 80.0]
-    options = sweep_options(settings)
-    base = run_speed_size_sweep(traces, sizes, base_cycles, **options)
-    # Everything halves: clocks and memory nanoseconds.
-    halved = run_speed_size_sweep(
-        traces, sizes, [t / 2 for t in base_cycles],
-        memory=scaled_memory(MemoryTiming(), 0.5), **options,
-    )
-    # Only the CPU halves: memory stays 1988-speed.
-    cpu_only = run_speed_size_sweep(
-        traces, sizes, [t / 2 for t in base_cycles], **options
-    )
+    half_cycles = [t / 2 for t in base_cycles]
+    base, halved, cpu_only = run_speed_size_sweeps(traces, sizes, [
+        (base_cycles, None),
+        # Everything halves: clocks and memory nanoseconds.
+        (half_cycles, scaled_memory(MemoryTiming(), 0.5)),
+        # Only the CPU halves: memory stays 1988-speed.
+        (half_cycles, None),
+    ], **sweep_options(settings))
     rows = []
     f_base = _fraction_slopes(base)
     f_halved = _fraction_slopes(halved)

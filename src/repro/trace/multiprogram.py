@@ -45,6 +45,8 @@ def interleave(
     seed: int = 0,
     name: str = "multiprogram",
     warm_boundary: int = 0,
+    *,
+    _whole_final_quantum: bool = False,
 ) -> Trace:
     """Interleave per-process streams into one multiprogrammed trace.
 
@@ -54,8 +56,9 @@ def interleave(
         Stateful :class:`Program` instances; each keeps its own PC and
         data-model context across scheduling quanta.
     length:
-        Total number of references to emit (the trace may exceed this by
-        at most one couplet, then is trimmed to exactly ``length``).
+        Total number of references to emit.  The final quantum asks its
+        program only for the references that fill the trace (at most one
+        couplet more, trimmed), so that program stops mid-quantum.
     mean_switch_interval:
         Mean number of references between context switches.  The paper
         randomly interleaved its uniprocess R2000 traces "to duplicate the
@@ -63,6 +66,11 @@ def interleave(
     scheduler:
         ``"round_robin"`` or ``"random"`` (random picks any *other*
         process at each switch).
+    _whole_final_quantum:
+        Run the final quantum out whole before trimming, so every program
+        leaves in the state its whole schedule leaves it.  A history run
+        whose programs a later :func:`interleave` resumes needs this; the
+        trace itself is the same either way.
     """
     if not programs:
         raise ConfigurationError("need at least one program to interleave")
@@ -78,6 +86,10 @@ def interleave(
     while len(kinds) < length:
         program = programs[current]
         quantum = _draw_quantum(rng, mean_switch_interval)
+        if not _whole_final_quantum:
+            # A program emits couplets in order, so a short request is
+            # a prefix of the whole quantum's references.
+            quantum = min(quantum, length - len(kinds))
         chunk_kinds, chunk_addrs = program.generate(quantum)
         kinds.extend(chunk_kinds)
         addrs.extend(chunk_addrs)

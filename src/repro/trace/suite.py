@@ -134,10 +134,13 @@ def build_trace(
         )
         return trace.with_warm_boundary(int(length * VAX_WARM_FRACTION))
     history_len = max(1, int(length * RISC_HISTORY_FRACTION))
+    # The body resumes the history's programs, so the history runs its
+    # final quantum out.
     history = interleave(
         programs, length=history_len,
         mean_switch_interval=MEAN_SWITCH_INTERVAL,
         scheduler="random", seed=seed + 29, name=f"{name}-history",
+        _whole_final_quantum=True,
     )
     body = interleave(
         programs, length=length,

@@ -47,3 +47,20 @@ def tiny_trace() -> Trace:
 def small_config():
     """The base system scaled down to an 8 KB pair."""
     return baseline_config(cache_size_bytes=8 * KB)
+
+
+@pytest.fixture()
+def counted_passes(monkeypatch):
+    """The organizations of the functional passes taken from here on,
+    in order (in-process passes only)."""
+    import repro.sim.stackpass as stackpass
+
+    passes = []
+    organization_pass = stackpass.organization_pass
+
+    def counting(*args, **kwargs):
+        passes.append(args[0])
+        return organization_pass(*args, **kwargs)
+
+    monkeypatch.setattr(stackpass, "organization_pass", counting)
+    return passes

@@ -8,6 +8,7 @@ from repro.core.sweep import (
     run_functional_passes,
     run_point,
     run_speed_size_sweep,
+    run_speed_size_sweeps,
 )
 from repro.core.metrics import TraceRunSummary, aggregate
 from repro.core.policy import ReplacementKind
@@ -192,6 +193,85 @@ class TestRunPoint:
         assert run_point(config, small_suite) == scalar_point(
             config, small_suite
         )
+
+    def test_with_levels_equals_scalar_reference(self, small_suite):
+        from repro.core.geometry import CacheGeometry
+        from repro.sim.config import LowerLevelSpec
+
+        config = baseline_config(cache_size_bytes=4 * KB).with_levels((
+            LowerLevelSpec(
+                geometry=CacheGeometry(size_bytes=64 * KB, block_words=4),
+            ),
+        ))
+        assert run_point(config, small_suite) == scalar_point(
+            config, small_suite
+        )
+
+    def test_memory_direct_prices_on_the_kernel(self, small_suite,
+                                                monkeypatch, counted_passes):
+        import repro.sim.fastpath as fastpath
+
+        config = baseline_config(cache_size_bytes=4 * KB, cycle_ns=28.0)
+        expected = scalar_point(config, small_suite)
+        counted_passes.clear()
+
+        def no_scalar_replay(*args, **kwargs):
+            raise AssertionError("scalar replay() on a memory-direct point")
+
+        monkeypatch.setattr(fastpath, "replay", no_scalar_replay)
+        assert run_point(config, small_suite) == expected
+        assert len(counted_passes) == 2
+
+    def test_warm_pass_cache_serves_every_pass(self, small_suite, tmp_path,
+                                               counted_passes):
+        config = baseline_config(cache_size_bytes=4 * KB)
+        cache = PassCache(tmp_path / "pc")
+        cold = run_point(config, small_suite, pass_cache=cache)
+        counted_passes.clear()
+        hits = cache.counters.hits
+        warm = run_point(config, small_suite, pass_cache=cache)
+        assert warm == cold
+        assert cache.counters.hits - hits == 2
+        assert counted_passes == []
+
+
+class TestSpeedSizeSweeps:
+    """Sweeps that differ only in timing share their passes and equal
+    one independent :func:`run_speed_size_sweep` each."""
+
+    TIMINGS = [
+        ([20.0, 40.0], None),
+        ([10.0, 20.0], MemoryTiming().with_latency_ns(90.0)),
+        ([28.0, 10.0], None),
+    ]
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert a.total_sizes == b.total_sizes
+        assert a.cycle_times_ns == b.cycle_times_ns
+        for field in ("execution_ns", "cycles_per_reference",
+                      "read_miss_ratio", "load_miss_ratio",
+                      "ifetch_miss_ratio", "read_traffic_ratio",
+                      "write_traffic_ratio_full",
+                      "write_traffic_ratio_dirty"):
+            assert (getattr(a, field) == getattr(b, field)).all(), field
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_each_grid_equals_its_own_sweep(self, small_suite, n_jobs):
+        registry = MetricsRegistry()
+        grids = run_speed_size_sweeps(
+            small_suite, [8 * KB, 2 * KB], self.TIMINGS, assoc=2,
+            n_jobs=n_jobs, registry=registry,
+        )
+        assert len(grids) == len(self.TIMINGS)
+        for grid, (cycles, memory) in zip(grids, self.TIMINGS):
+            self._assert_same(grid, run_speed_size_sweep(
+                small_suite, [2 * KB, 8 * KB], cycles, assoc=2,
+                memory=memory,
+            ))
+        # One pass per (size, trace), not one per sweep.
+        assert registry.counters["stackpass.passes"] == 4
+        assert registry.counters["replay.batch_outcomes"] == 4 * 6
 
 
 class TestAssociativitySweeps:

@@ -114,3 +114,60 @@ def test_archive_serves_later_experiments_and_clears():
     assert 0 < len(common._OUTCOME_ARCHIVE) <= 40
     clear_grid_cache()
     assert len(common._OUTCOME_ARCHIVE) == 0
+
+
+ONE_TRACE = ExperimentSettings(
+    trace_length=3000, trace_names=("mu3",), full=False, n_jobs=1,
+    pass_cache_dir="", sample="",
+)
+
+
+def test_scaling_takes_one_pass_per_organization(counted_passes):
+    """§6's three sweeps differ only in timing: 4 sizes x 1 trace take 4
+    passes, not 12."""
+    assert run_experiment("scaling", ONE_TRACE).ok
+    assert len(counted_passes) == 4
+
+
+def test_scaling_equals_three_independent_sweeps(monkeypatch):
+    import numpy as np
+
+    from repro.core.sweep import run_speed_size_sweep
+    from repro.experiments import scaling
+
+    shared = run_experiment("scaling", ONE_TRACE).data
+
+    def independent(traces, sizes, timings, **options):
+        return [
+            run_speed_size_sweep(
+                traces, sizes, cycles, memory=memory, **options
+            )
+            for cycles, memory in timings
+        ]
+
+    monkeypatch.setattr(scaling, "run_speed_size_sweeps", independent)
+    clear_grid_cache()
+    np.testing.assert_equal(
+        shared, run_experiment("scaling", ONE_TRACE).data
+    )
+
+
+def test_fig3_1_family_passes_come_from_the_pass_cache(counted_passes,
+                                                       tmp_path):
+    """The family comparison's organizations are the speed-size grid's:
+    with the settings' pass cache they cost no pass of their own, and a
+    warm cache serves fig3_1 whole."""
+    import dataclasses
+
+    settings = dataclasses.replace(
+        ONE_TRACE, trace_names=("mu3", "rd2n4"),
+        pass_cache_dir=str(tmp_path / "pc"),
+    )
+    clear_grid_cache()
+    cold = run_experiment("fig3_1", settings)
+    assert len(counted_passes) == len(settings.sizes_each_bytes) * 2
+    counted_passes.clear()
+    clear_grid_cache()
+    warm = run_experiment("fig3_1", settings)
+    assert counted_passes == []
+    assert warm.data == cold.data

@@ -3,9 +3,13 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.trace.multiprogram import interleave, warm_prefix, with_warm_prefix
+from repro.trace.multiprogram import (
+    interleave,
+    warm_prefix,
+    with_warm_prefix,
+)
 from repro.trace.record import Trace
-from repro.trace.workloads import make_program
+from repro.trace.workloads import Program, make_program
 
 
 def make_programs(n=3, seed=0):
@@ -55,6 +59,32 @@ class TestInterleave:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ConfigurationError):
             interleave(make_programs(1), length=0)
+
+    def test_final_quantum_stops_where_the_trace_ends(self, monkeypatch):
+        generated = []
+        original = Program.generate
+
+        def counting(program, n_refs):
+            kinds, addrs = original(program, n_refs)
+            generated.append(len(kinds))
+            return kinds, addrs
+
+        monkeypatch.setattr(Program, "generate", counting)
+        # A mean quantum far longer than the trace: one quantum, asked
+        # only for the trace's length (plus at most one couplet).
+        trimmed = interleave(
+            make_programs(2), length=3000, mean_switch_interval=50_000,
+            seed=5,
+        )
+        assert sum(generated) <= 3001
+        generated.clear()
+        whole = interleave(
+            make_programs(2), length=3000, mean_switch_interval=50_000,
+            seed=5, _whole_final_quantum=True,
+        )
+        assert sum(generated) > 3001
+        for column in ("kinds", "addrs", "pids"):
+            assert (getattr(trimmed, column) == getattr(whole, column)).all()
 
 
 class TestWarmPrefix:
