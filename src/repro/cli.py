@@ -248,10 +248,9 @@ def _cmd_din(args: argparse.Namespace) -> int:
         assoc=args.assoc,
         cycle_ns=args.cycle_ns,
     )
-    from .core.sweep import run_functional_passes
+    from .core.sweep import simulate_jobs
 
-    stream = run_functional_passes([(config, trace, 0)])[0]
-    stats = fast_simulate(config, trace, stream=stream)
+    [stats] = simulate_jobs([(config, trace, 0)])
     print(f"trace: {args.path} ({len(trace)} references)")
     print(f"system: {config.describe()}")
     print(f"read miss ratio: {stats.read_miss_ratio:.4f}")
@@ -797,9 +796,7 @@ def _campaign_sweep(args: argparse.Namespace):
         ) if args.traces else (),
         length=args.length,
         seed=args.seed,
-        simulator="engine" if args.engine else (
-            "cached" if args.pass_cache else "fastpath"
-        ),
+        simulator="engine" if args.engine else "fastpath",
         pass_cache_dir=args.pass_cache,
     )
     return spec, spec.build_jobs()

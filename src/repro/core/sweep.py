@@ -12,6 +12,15 @@ replays for every cycle time / memory speed — see
 per-organization pass (:mod:`repro.sim.stackpass`), shared by the
 organization's timing siblings.
 
+Two shapes of work take that route.  The sweep drivers price every
+stream of a grid at every timing point.  :func:`simulate_jobs` prices a
+list of ``(config, trace, seed)`` jobs, each at its own timing: one
+batch-kernel grid per group of memory-direct timing siblings, and a
+scalar replay for each job with lower cache levels.  It is the only
+code that chooses between the two by ``config.levels``; one-point
+evaluation (:func:`run_point`), §6, ``din`` and the campaign workers
+all go through it.
+
 Import note: this module imports the simulators, so it is exported from
 the top-level :mod:`repro` package rather than :mod:`repro.core` (whose
 ``__init__`` must stay substrate-free).
@@ -36,7 +45,7 @@ from typing import (
 import numpy as np
 
 from ..cpu.processor import CoupletStream, pair_couplets
-from ..errors import AnalysisError, ConfigurationError
+from ..errors import AnalysisError
 from ..sim.config import SystemConfig, baseline_config
 from ..sim.fastpath import (
     EventStream,
@@ -111,9 +120,8 @@ PassTask = Tuple[int, List[Tuple[int, SystemConfig, int]]]
 
 def _plan_tasks(
     jobs: Sequence[Tuple[SystemConfig, Trace, int]],
-    pending: Sequence[int],
 ) -> Tuple[List[PassTask], List[Trace]]:
-    """Group the pending jobs into pass tasks and dedupe their traces.
+    """Group the jobs into pass tasks and dedupe their traces.
 
     One task per distinct pass, in first-seen order: jobs that differ
     only in timing parameters join one task.  ``unique_traces`` holds
@@ -124,8 +132,7 @@ def _plan_tasks(
     slot_of: Dict[str, int] = {}
     unique_traces: List[Trace] = []
     tasks: Dict[Tuple, PassTask] = {}
-    for k in pending:
-        config, trace, seed = jobs[k]
+    for k, (config, trace, seed) in enumerate(jobs):
         fingerprint = trace.content_fingerprint()
         slot = slot_of.get(fingerprint)
         if slot is None:
@@ -172,8 +179,10 @@ def run_functional_passes(
     ``cache`` is a :class:`~repro.sim.passcache.PassCache`: hits are
     loaded from disk in the parent and only the misses are simulated
     (and then persisted, one entry per pass), so a repeated sweep over
-    the same organizations performs zero functional passes.  Results
-    always come back in job order.
+    the same organizations performs zero functional passes.  Timing
+    siblings share one entry, so each group of them reads it once and
+    the other siblings get relabelled copies.  Results always come back
+    in job order.
 
     Every miss group of timing siblings (same trace contents,
     organization, policy and seed) takes one pass
@@ -187,19 +196,22 @@ def run_functional_passes(
     """
     jobs = list(jobs)
     results: List[Optional[EventStream]] = [None] * len(jobs)
+    tasks, traces = _plan_tasks(jobs)
     if cache is not None:
-        pending = []
-        for k, (config, trace, seed) in enumerate(jobs):
-            stream = cache.get(config, trace, seed)
+        # Timing siblings share one entry: read it once per task.
+        missed = []
+        for task in tasks:
+            (first, _config, _seed), *siblings = task[1]
+            stream = cache.get(*jobs[first])
             if stream is None:
-                pending.append(k)
-            else:
-                results[k] = stream
-    else:
-        pending = list(range(len(jobs)))
-    if not pending:
+                missed.append(task)
+                continue
+            results[first] = stream
+            for k, config, _seed in siblings:
+                results[k] = sibling_stream(stream, config, jobs[k][1])
+        tasks = missed
+    if not tasks:
         return results
-    tasks, traces = _plan_tasks(jobs, pending)
     done: List[Tuple[List[int], List[EventStream]]] = []
     if n_jobs <= 1 or len(tasks) <= 1:
         pair_memo: Dict[str, CoupletStream] = {}
@@ -211,6 +223,9 @@ def run_functional_passes(
                 stream_in = pair_memo[fingerprint] = pair_couplets(trace)
             done.append(_run_task(task, traces, stream_in))
     else:
+        # Ship only the traces that some missed task runs on.
+        needed = {slot for slot, _members in tasks}
+        traces = [t if s in needed else None for s, t in enumerate(traces)]
         with ProcessPoolExecutor(
             max_workers=n_jobs, initializer=_pool_init, initargs=(traces,),
         ) as pool:
@@ -240,66 +255,11 @@ def run_functional_passes(
             cache.put(config, trace, seed, results[k])
     if registry is not None:
         registry.count("stackpass.passes", len(tasks))
-        registry.count("stackpass.reused_streams", len(pending) - len(tasks))
+        registry.count(
+            "stackpass.reused_streams",
+            sum(len(members) - 1 for _slot, members in tasks),
+        )
     return results
-
-
-def sibling_passes(
-    jobs: Sequence[Tuple[SystemConfig, Trace, int]],
-    cache: Optional["PassCache"] = None,
-) -> List[EventStream]:
-    """One functional pass for a group of timing siblings.
-
-    Every job is a ``(config, trace, seed)`` triple, and all of them
-    must share one :func:`~repro.sim.stackpass.pass_key`: they differ
-    only in cycle time, memory timing, write-buffer depth or trace name.
-    The first job takes its pass through :func:`run_functional_passes`
-    — with a ``cache``, one get and, on a miss, one put — and every
-    other job gets a copy relabelled with its own trace name and
-    configuration (:func:`~repro.sim.stackpass.sibling_stream`).
-    """
-    jobs = list(jobs)
-    key = pass_key(*jobs[0])
-    if any(pass_key(*job) != key for job in jobs[1:]):
-        raise ConfigurationError(
-            "sibling jobs must share one trace and one organization up "
-            "to timing"
-        )
-    stream = run_functional_passes(jobs[:1], cache=cache)[0]
-    return [stream] + [
-        sibling_stream(stream, config, trace)
-        for config, trace, _seed in jobs[1:]
-    ]
-
-
-def simulate_siblings(
-    jobs: Sequence[Tuple[SystemConfig, Trace, int]],
-    cache: Optional["PassCache"] = None,
-) -> List[SimStats]:
-    """:func:`~repro.sim.fastpath.fast_simulate` for a group of timing
-    siblings: one pass (:func:`sibling_passes`), then one
-    :class:`~repro.sim.replaykernel.BatchReplayKernel` grid over every
-    job's timing.  Each :class:`SimStats` carries its own job's labels
-    and equals that job's ``fast_simulate``.  Memory-direct
-    organizations only: the kernel prices no lower levels.
-    """
-    jobs = list(jobs)
-    assert not any(config.levels for config, _trace, _seed in jobs), (
-        "the batch kernel prices memory-direct organizations only"
-    )
-    streams = sibling_passes(jobs, cache)
-    outcomes = BatchReplayKernel(streams[0]).replay_grid([
-        TimingPoint(
-            memory=config.memory, cycle_ns=config.cycle_ns,
-            write_buffer_depth=config.l1.write_buffer_depth,
-        )
-        for config, _trace, _seed in jobs
-    ])
-    return [
-        assemble_stats(stream, outcome, config.cycle_ns)
-        for stream, outcome, (config, _trace, _seed)
-        in zip(streams, outcomes, jobs)
-    ]
 
 
 #: Per-worker event-stream table installed by :func:`_replay_pool_init`;
@@ -408,6 +368,47 @@ def _price_shards(
                 kernels[index].absorb(job[2], outcomes, stats)
     finally:
         _WORKER_STREAMS = []
+
+
+def simulate_jobs(
+    jobs: Sequence[Tuple[SystemConfig, Trace, int]],
+    n_jobs: int = 1,
+    pass_cache: Optional["PassCache"] = None,
+) -> List[SimStats]:
+    """:func:`~repro.sim.fastpath.fast_simulate` of every ``(config,
+    trace, seed)`` job, in job order, labels included.
+
+    The passes come from :func:`run_functional_passes` (``n_jobs`` and
+    ``pass_cache`` as there): one per group of timing siblings.  Each
+    group's memory-direct jobs are priced by one
+    :class:`~repro.sim.replaykernel.BatchReplayKernel` grid over their
+    timing.  The kernel prices no lower cache levels, so a job with
+    them is priced by scalar :func:`~repro.sim.fastpath.replay`.
+    """
+    jobs = list(jobs)
+    streams = run_functional_passes(jobs, n_jobs=n_jobs, cache=pass_cache)
+    results: List[Optional[SimStats]] = [None] * len(jobs)
+    groups: Dict[Tuple, List[int]] = {}
+    for k, (config, trace, seed) in enumerate(jobs):
+        if config.levels:
+            results[k] = fast_simulate(
+                config, trace, seed=seed, stream=streams[k]
+            )
+        else:
+            groups.setdefault(pass_key(config, trace, seed), []).append(k)
+    for members in groups.values():
+        configs = [jobs[k][0] for k in members]
+        points = [
+            TimingPoint(
+                memory=config.memory, cycle_ns=config.cycle_ns,
+                write_buffer_depth=config.l1.write_buffer_depth,
+            )
+            for config in configs
+        ]
+        [row] = _price_streams([streams[members[0]]], points, 1, None)
+        for k, config, outcome in zip(members, configs, row):
+            results[k] = assemble_stats(streams[k], outcome, config.cycle_ns)
+    return results
 
 
 def _run_grid(
@@ -755,34 +756,10 @@ def run_point(
     n_jobs: int = 1,
     pass_cache: Optional["PassCache"] = None,
 ) -> AggregateMetrics:
-    """Evaluate one configuration over the suite (fastpath).
-
-    One functional pass per trace, spread over ``n_jobs`` processes and
-    served from ``pass_cache`` where it holds them (see
-    :func:`run_functional_passes`).  A memory-direct configuration is
-    then priced by the batch kernel, in-process; one with lower cache
-    levels by scalar :func:`~repro.sim.fastpath.replay`.
-    """
-    traces = _as_trace_list(traces)
-    streams = run_functional_passes(
-        [(config, trace, seed) for trace in traces],
-        n_jobs=n_jobs, cache=pass_cache,
+    """Evaluate one configuration over the suite (fastpath): the
+    :func:`simulate_jobs` of one job per trace, aggregated."""
+    stats = simulate_jobs(
+        [(config, trace, seed) for trace in _as_trace_list(traces)],
+        n_jobs=n_jobs, pass_cache=pass_cache,
     )
-    if config.levels:
-        # The batch kernel prices memory-direct organizations only.
-        stats = [
-            fast_simulate(config, trace, seed=seed, stream=stream)
-            for trace, stream in zip(traces, streams)
-        ]
-    else:
-        point = TimingPoint(
-            memory=config.memory, cycle_ns=config.cycle_ns,
-            write_buffer_depth=config.l1.write_buffer_depth,
-        )
-        stats = [
-            assemble_stats(stream, row[0], config.cycle_ns)
-            for stream, row in zip(
-                streams, _price_streams(streams, [point], 1, None)
-            )
-        ]
     return aggregate([TraceRunSummary.from_stats(s) for s in stats])

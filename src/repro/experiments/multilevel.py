@@ -16,11 +16,11 @@ without a 256 KB unified second-level cache, and reports:
   the optimum shifts toward smaller, faster first-level caches.
 
 An L1 event stream depends on nothing below L1, so each L1 organization
-takes one functional pass (:func:`repro.core.sweep.run_functional_passes`,
-with the settings' workers and pass cache) and its with-L2 and
-without-L2 cells are two scalar replays of that stream: memory-direct,
-and through the L2 (:func:`repro.sim.fastpath.replay`).  The cells are
-bit-identical to the reference engine's.
+takes one functional pass (:func:`repro.core.sweep.simulate_jobs`, with
+the settings' workers and pass cache) and its with-L2 and without-L2
+cells are two replays of that stream: memory-direct on the batch
+kernel, and through the L2 by scalar :func:`repro.sim.fastpath.replay`.
+The cells are bit-identical to the reference engine's.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from ..core.geometry import CacheGeometry
 from ..core.metrics import geometric_mean
 from ..core.report import format_table
 from ..core.timing import MemoryTiming
-from ..core.sweep import run_functional_passes
+from ..core.sweep import simulate_jobs
 from ..sim.config import LowerLevelSpec, baseline_config
-from ..sim.fastpath import fast_simulate
 from ..units import KB
 from .common import (
     ExperimentResult,
@@ -84,13 +83,12 @@ def run(settings: Optional[ExperimentSettings] = None) -> ExperimentResult:
     options = sweep_options(settings)
     # The with-L2 and without-L2 cells of one L1 organization are
     # timing siblings: they share one pass.
-    streams = run_functional_passes(
+    all_stats = simulate_jobs(
         [(config, trace, settings.seed) for _key, config, trace in jobs],
-        n_jobs=options["n_jobs"], cache=options["pass_cache"],
+        n_jobs=options["n_jobs"], pass_cache=options["pass_cache"],
     )
     execs: Dict[Tuple[int, bool], List[float]] = {}
-    for (key, config, trace), stream in zip(jobs, streams):
-        stats = fast_simulate(config, trace, seed=settings.seed, stream=stream)
+    for (key, _config, _trace), stats in zip(jobs, all_stats):
         execs.setdefault(key, []).append(stats.execution_time_ns)
     exec_by = {key: geometric_mean(values) for key, values in execs.items()}
     for size in l1_sizes:

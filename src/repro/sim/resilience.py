@@ -322,15 +322,14 @@ def make_deadline_check(
 def sibling_groups(jobs: Sequence[RunJob]) -> List[List[int]]:
     """The job indices in groups of timing siblings, in first-seen order.
 
-    Fastpath jobs with one :func:`~repro.sim.stackpass.pass_key`, one
-    pass cache and one set of lower levels form a group; every engine
-    job is a group of one.
+    Fastpath jobs with one :func:`~repro.sim.stackpass.pass_key` and
+    one pass cache form a group, with or without lower levels; every
+    engine job is a group of one.
     """
     groups: Dict[Tuple, List[int]] = {}
     for index, job in enumerate(jobs):
         key = (index,) if job.simulator == "engine" else (
             pass_key(job.config, job.trace, job.seed), job.pass_cache_dir,
-            job.config.levels,
         )
         groups.setdefault(key, []).append(index)
     return list(groups.values())
@@ -380,26 +379,20 @@ def _simulate_engine(
 def _simulate_group(jobs: Sequence[RunJob], collect_metrics: bool) -> List:
     """A group of fastpath timing siblings from one functional pass.
 
-    A memory-direct group without metrics is priced by one batch-kernel
-    grid (:func:`~repro.core.sweep.simulate_siblings`).  The kernel
-    prices no lower levels and takes no telemetry handle, so otherwise
-    each sibling is priced by a scalar ``replay()`` of the shared pass;
-    with ``collect_metrics`` each has a cycle ledger of its own, and the
-    pass's time and ``passcache.*`` counts land once, in the first
-    sibling's report.
+    Without metrics the group is one
+    :func:`~repro.core.sweep.simulate_jobs` call.  The batch kernel
+    takes no telemetry handle, so with ``collect_metrics`` each sibling
+    is priced by a scalar ``replay()`` of the shared pass with a cycle
+    ledger of its own, and the pass's time and ``passcache.*`` counts
+    land once, in the first sibling's report.
     """
-    from ..core.sweep import sibling_passes, simulate_siblings
+    from ..core.sweep import run_functional_passes, simulate_jobs
 
     cache_dir = jobs[0].pass_cache_dir
     cache = PassCache(cache_dir) if cache_dir else None
     triples = [(job.config, job.trace, job.seed) for job in jobs]
     if not collect_metrics:
-        if not jobs[0].config.levels:
-            return simulate_siblings(triples, cache)
-        return [
-            fast_simulate(job.config, job.trace, seed=job.seed, stream=stream)
-            for job, stream in zip(jobs, sibling_passes(triples, cache))
-        ]
+        return simulate_jobs(triples, pass_cache=cache)
     streams = None
     payloads = []
     for k, job in enumerate(jobs):
@@ -408,7 +401,7 @@ def _simulate_group(jobs: Sequence[RunJob], collect_metrics: bool) -> List:
         with registry.span("simulate"):
             if streams is None:
                 with cache_metrics(cache, registry):
-                    streams = sibling_passes(triples, cache)
+                    streams = run_functional_passes(triples, cache=cache)
             stats = fast_simulate(
                 job.config, job.trace, seed=job.seed,
                 telemetry=Telemetry(ledger=ledger), stream=streams[k],
@@ -650,7 +643,7 @@ class CampaignExecutor:
     The unit of work is a group of timing siblings
     (:func:`sibling_groups`): the fastpath runs that share one
     functional pass.  A worker takes that pass once and prices every
-    sibling from it (one batch-kernel grid for a memory-direct group);
+    sibling from it (one batch-kernel grid for the memory-direct ones);
     each engine job, named by its :attr:`RunJob.simulator`, is a group
     of one.  Each run is still saved, verified and journaled on its own.
 

@@ -231,18 +231,14 @@ class SweepSpec:
     trace_names: Tuple[str, ...] = ()
     length: int = 120_000
     seed: int = 0
-    simulator: str = "fastpath"  # "fastpath" | "engine" | "cached"
+    simulator: str = "fastpath"  # "fastpath" | "engine"
     pass_cache_dir: str = ""
 
     def __post_init__(self) -> None:
-        if self.simulator not in ("fastpath", "engine", "cached"):
+        if self.simulator not in ("fastpath", "engine"):
             raise CampaignError(
-                f"simulator must be fastpath|engine|cached, "
+                f"simulator must be fastpath|engine, "
                 f"got {self.simulator!r}"
-            )
-        if self.simulator == "cached" and not self.pass_cache_dir:
-            raise CampaignError(
-                "simulator 'cached' requires pass_cache_dir"
             )
         if self.simulator == "engine" and self.pass_cache_dir:
             raise CampaignError(
@@ -270,8 +266,7 @@ class SweepSpec:
             for cycle_ns in self.cycles_ns
         ]
         return sweep_jobs(
-            configs, list(suite.values()),
-            simulator="engine" if self.simulator == "engine" else "fastpath",
+            configs, list(suite.values()), simulator=self.simulator,
             pass_cache_dir=self.pass_cache_dir, seed=self.seed,
         )
 
@@ -301,7 +296,8 @@ def spec_from_dict(payload: Dict) -> SweepSpec:
     empty.  A schema-2 spool of the removed interval-sampling route
     raises :exc:`~repro.errors.CampaignError`: its jobs were estimates,
     and running them exactly would store different results under the
-    same run ids.
+    same run ids.  The older ``"cached"`` simulator only repeated that
+    ``pass_cache_dir`` is set; it reads as ``"fastpath"``.
     """
     if payload.get("sample"):
         raise CampaignError(
@@ -310,6 +306,7 @@ def spec_from_dict(payload: Dict) -> SweepSpec:
             f"removed, so this spool cannot run"
         )
     try:
+        simulator = payload["simulator"]
         return SweepSpec(
             sizes_kb=tuple(payload["sizes_kb"]),
             cycles_ns=tuple(payload["cycles_ns"]),
@@ -318,7 +315,7 @@ def spec_from_dict(payload: Dict) -> SweepSpec:
             trace_names=tuple(payload["trace_names"]),
             length=payload["length"],
             seed=payload["seed"],
-            simulator=payload["simulator"],
+            simulator="fastpath" if simulator == "cached" else simulator,
             pass_cache_dir=payload.get("pass_cache_dir", ""),
         )
     except (KeyError, TypeError) as exc:

@@ -398,7 +398,7 @@ class TestRunFunctionalPasses:
             (slower, traces[0], 0), (slower, traces[1], 0),
             (multiway, traces[1], 0), (config, traces[0], 7),
         ]
-        tasks, unique = _plan_tasks(jobs, range(6))
+        tasks, unique = _plan_tasks(jobs)
         # each distinct trace ships to the pool exactly once
         assert len(unique) == 2
         # one task per distinct pass: timing siblings share one, another
@@ -460,6 +460,28 @@ class TestRunFunctionalPasses:
             assert a.ev_gap == b.ev_gap
             assert a.icache == b.icache
             assert a.dcache == b.dcache
+
+    def test_warm_timing_siblings_read_one_entry(self, tmp_path,
+                                                  small_suite):
+        """Timing siblings share one pass-cache entry, and a warm call
+        reads it once for all of them; each sibling still gets its own
+        labels and counters."""
+        from repro.sim.passcache import stream_to_dict
+
+        trace = next(iter(small_suite.values()))
+        config = baseline_config(cache_size_bytes=2 * KB)
+        jobs = [
+            (config.with_cycle_ns(cycle_ns), trace, 0)
+            for cycle_ns in (20.0, 40.0, 56.0)
+        ]
+        cold = run_functional_passes(jobs, cache=PassCache(tmp_path / "pc"))
+        warm_cache = PassCache(tmp_path / "pc")
+        warm = run_functional_passes(jobs, cache=warm_cache)
+        assert (warm_cache.counters.hits, warm_cache.counters.misses) == (1, 0)
+        assert len({id(stream.icache) for stream in warm}) == 3
+        for (job_config, _trace, _seed), a, b in zip(jobs, cold, warm):
+            assert stream_to_dict(a) == stream_to_dict(b)
+            assert b.config_summary == job_config.describe()
 
     def test_parallel_path_fills_only_cache_misses(
         self, tmp_path, small_suite

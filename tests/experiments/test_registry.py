@@ -152,6 +152,47 @@ def test_scaling_equals_three_independent_sweeps(monkeypatch):
     )
 
 
+def test_sec6_prices_memory_direct_cells_on_the_kernel(monkeypatch,
+                                                      counted_passes):
+    """§6 takes one pass per L1 organization and trace; its with-L2
+    cells take one scalar ``replay()`` each and its memory-direct cells
+    none.  Every cell is its own ``fast_simulate``."""
+    import dataclasses
+
+    import repro.sim.fastpath as fastpath
+    from repro.core.metrics import geometric_mean
+    from repro.experiments.common import suite_for
+    from repro.experiments.multilevel import l2_spec
+    from repro.sim.config import baseline_config
+    from repro.sim.fastpath import fast_simulate
+
+    settings = dataclasses.replace(ONE_TRACE, trace_names=("mu3", "rd2n4"))
+    replay = fastpath.replay
+    levels = []
+
+    def recording(*args, **kwargs):
+        levels.append(kwargs["levels"])
+        return replay(*args, **kwargs)
+
+    monkeypatch.setattr(fastpath, "replay", recording)
+    execution = run_experiment("sec6", settings).data["execution"]
+    monkeypatch.undo()
+    assert len(counted_passes) == 3 * 2
+    assert len(levels) == 3 * 2 and all(levels)
+    traces = list(suite_for(settings).values())
+    for key, value in execution.items():
+        total, where = key.split("@")
+        config = baseline_config(
+            cache_size_bytes=int(total[:-2]) * 512, cycle_ns=20.0,
+        )
+        if where == "l2":
+            config = config.with_levels((l2_spec(),))
+        assert value == geometric_mean(
+            fast_simulate(config, trace).execution_time_ns
+            for trace in traces
+        )
+
+
 def test_fig3_1_family_passes_come_from_the_pass_cache(counted_passes,
                                                        tmp_path):
     """The family comparison's organizations are the speed-size grid's:

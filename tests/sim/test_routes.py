@@ -46,13 +46,18 @@ from repro.core.sweep import (
     _price_streams,
     run_functional_passes,
     run_speed_size_sweep,
-    simulate_siblings,
+    simulate_jobs,
 )
 from repro.core.timing import MemoryTiming
 from repro.errors import ConfigurationError
-from repro.sim import replaykernel, stackpass
+from repro.sim import fastpath, replaykernel, stackpass
 from repro.sim.campaign import stats_to_dict
-from repro.sim.config import L1Spec, SystemConfig, baseline_config
+from repro.sim.config import (
+    L1Spec,
+    LowerLevelSpec,
+    SystemConfig,
+    baseline_config,
+)
 from repro.sim.fastpath import (
     EVENT_FIELDS,
     fast_simulate,
@@ -304,6 +309,7 @@ def check_every_route(drawn, siblings, prefill, use_cache, n_jobs):
                 if fill and stream is not None:
                     cache.put(*job, stream)
                     filled.add(cache_key(*job))
+            prefill_puts = cache.counters.puts
         registry = MetricsRegistry()
         if error is not None:
             with pytest.raises(ConfigurationError) as raised:
@@ -321,8 +327,13 @@ def check_every_route(drawn, siblings, prefill, use_cache, n_jobs):
             if cache_key(config, trace, seed) not in filled
         ]
         if cache is not None:
-            assert cache.counters.hits == len(jobs) - len(missed)
-            assert all(cache_key(*job) in cache for job in jobs)
+            # Timing siblings share one entry: one read per pass group,
+            # and one write per group it missed.
+            keys = {cache_key(*job) for job in jobs}
+            assert cache.counters.hits == len(filled)
+            assert cache.counters.misses == len(keys - filled)
+            assert cache.counters.puts - prefill_puts == len(keys - filled)
+            assert all(key in cache for key in keys)
         # One pass per distinct (organization, trace contents, seed)
         # among the misses; its timing siblings reuse the stream.
         passes = len({
@@ -442,43 +453,83 @@ def test_cached_sibling_equals_the_uncached_run(
     )
 
 
+def with_l2(config):
+    """``config`` over an L2 whose 128-word blocks hold any drawn L1
+    block."""
+    return config.with_levels((LowerLevelSpec(
+        geometry=CacheGeometry(size_bytes=16384, block_words=128, assoc=2),
+    ),))
+
+
 @settings(max_examples=15, **GENERATED)
 @given(
-    organization=organizations,
-    trace_index=st.sampled_from([0, 1, 5, 6, 7, 8, 9]),
-    seed=st.integers(0, 2**31 - 1),
-    timings=st.lists(st.tuples(
-        st.sampled_from([20.0, 40.0, 56.0]),
-        st.sampled_from([180.0, 260.0]),
-        st.sampled_from([1, 4]),
+    groups=st.lists(st.tuples(
+        organizations,
+        st.sampled_from([0, 1, 5, 6, 7, 8, 9]),
+        st.integers(0, 2**31 - 1),
+        st.lists(st.tuples(
+            st.sampled_from([20.0, 40.0, 56.0]),
+            st.sampled_from([180.0, 260.0]),
+            st.sampled_from([1, 4]),
+            st.booleans(),  # an L2 below the L1
+            st.booleans(),  # the trace under another name
+        ), min_size=1, max_size=3),
     ), min_size=1, max_size=3),
-    rename=st.booleans(),
     use_cache=st.booleans(),
 )
-def test_simulated_siblings_equal_each_fast_simulate(
-    organization, trace_index, seed, timings, rename, use_cache
-):
-    """A group of timing siblings priced from one pass and one kernel
-    grid (the campaign workers' route) returns each sibling's own
-    ``fast_simulate``, labels included, and reads or writes the pass
-    cache once.  A job whose pass differs (another seed) is refused."""
-    trace = trace_pool()[trace_index]
-    jobs = [(organization, trace, seed)] + [
-        (timing_sibling(organization, *timing),
-         trace.with_name(f"{trace.name}-{k}") if rename else trace, seed)
-        for k, timing in enumerate(timings)
-    ]
+def test_simulated_jobs_equal_each_fast_simulate(groups, use_cache):
+    """Several organizations' timing siblings, with and without an L2
+    and over renamed traces, priced in one call: each job gets its own
+    ``fast_simulate``, labels included.  The memory-direct jobs of a
+    pass group share one kernel grid, each job with an L2 takes one
+    scalar replay, and the pass cache is read once and written at most
+    once per pass group."""
+    pool = trace_pool()
+    jobs = []
+    for organization, trace_index, seed, siblings in groups:
+        trace = pool[trace_index]
+        for k, (*timing, l2, rename) in enumerate(siblings):
+            config = timing_sibling(organization, *timing)
+            jobs.append((
+                with_l2(config) if l2 else config,
+                trace.with_name(f"{trace.name}-{k}") if rename else trace,
+                seed,
+            ))
+    keys = {cache_key(*job) for job in jobs}
+    n_l2 = sum(1 for config, _trace, _seed in jobs if config.levels)
+    replay = fastpath.replay
+    replay_grid = replaykernel.BatchReplayKernel.replay_grid
+    scalar, priced = [], []
+
+    def counted_replay(*args, **kwargs):
+        scalar.append(1)
+        return replay(*args, **kwargs)
+
+    def counted_grid(kernel, points):
+        priced.extend(points)
+        return replay_grid(kernel, points)
+
     with tempfile.TemporaryDirectory() as tmp:
         cache = PassCache(tmp) if use_cache else None
-        got = simulate_siblings(jobs, cache)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fastpath, "replay", counted_replay)
+            patch.setattr(replaykernel.BatchReplayKernel, "replay_grid",
+                          counted_grid)
+            got = simulate_jobs(jobs, pass_cache=cache)
         if cache is not None:
             counters = cache.counters
-            assert (counters.hits + counters.misses, counters.puts) == (1, 1)
+            assert (counters.hits, counters.misses, counters.puts) == (
+                0, len(keys), len(keys)
+            )
+            assert simulate_jobs(jobs, pass_cache=cache) == got
+            assert (counters.hits, counters.puts) == (len(keys), len(keys))
+    assert (len(scalar), len(priced)) == (n_l2, len(jobs) - n_l2)
     for stats, (config, job_trace, job_seed) in zip(got, jobs):
         want = fast_simulate(config, job_trace, seed=job_seed)
         assert stats_to_dict(stats) == stats_to_dict(want)
-    with pytest.raises(ConfigurationError, match="up to timing"):
-        simulate_siblings(jobs + [(organization, trace, seed + 1)])
+        assert (stats.trace_name, stats.config_summary) == (
+            want.trace_name, want.config_summary
+        )
 
 
 def test_the_organization_picks_the_pass_route(monkeypatch):

@@ -237,9 +237,17 @@ class TestDocuments:
         with pytest.raises(CampaignError):
             SweepSpec(simulator="quantum")
 
-    def test_spec_cached_requires_cache_dir(self):
+    def test_spec_names_no_cached_simulator(self):
+        """A pass cache is named by ``pass_cache_dir`` alone; the older
+        ``"cached"`` simulator reads only from a stored manifest."""
         with pytest.raises(CampaignError):
-            SweepSpec(simulator="cached")
+            SweepSpec(simulator="cached", pass_cache_dir="pc")
+        doc = _schema_1_manifest()
+        doc.update(simulator="cached", pass_cache_dir="pc")
+        assert spec_from_dict(doc) == SweepSpec(
+            sizes_kb=(2.0,), cycles_ns=(40.0,), trace_names=("mu3",),
+            length=2000, pass_cache_dir="pc",
+        )
 
     def test_job_and_poison_records_carry_their_own_schemas(self, tmp_path,
                                                             jobs):
@@ -946,6 +954,41 @@ class TestCli:
         ]) == 0
         assert main(["campaign", "drain", str(directory)]) == 0
         assert "1 ok" in capsys.readouterr().out
+
+    def test_a_cached_spool_drains_to_the_same_bytes(self, tmp_path):
+        """A spool whose manifest names the older ``"cached"`` simulator
+        drains through its pass cache and stores the bytes a current
+        manifest's drain stores."""
+        from repro.cli import main
+        from repro.sim.passcache import PassCache
+
+        stored = {}
+        for name in ("current", "old"):
+            directory = tmp_path / name
+            cache_dir = tmp_path / f"pc-{name}"
+            assert main([
+                "campaign", "enqueue", str(directory),
+                "--sizes-kb", "2,4", "--cycles-ns", "40,80",
+                "--traces", "mu3", "--length", "2000",
+                "--pass-cache", str(cache_dir),
+            ]) == 0
+            manifest = directory / "spool" / "spool.json"
+            doc = json.loads(manifest.read_text())
+            assert doc["simulator"] == "fastpath"
+            if name == "old":
+                doc["simulator"] = "cached"
+                doc["checksum"] = payload_checksum(
+                    {k: v for k, v in doc.items() if k != "checksum"}
+                )
+                manifest.write_text(json.dumps(doc))
+            assert main(["campaign", "drain", str(directory)]) == 0
+            assert len(PassCache(cache_dir)) == 2
+            stored[name] = {
+                path.name: path.read_bytes()
+                for path in Campaign(directory)._result_paths()
+            }
+        assert len(stored["old"]) == 4
+        assert stored["old"] == stored["current"]
 
     @pytest.mark.parametrize("command", ["worker", "drain", "status"])
     def test_sampled_spool_is_refused_untouched(

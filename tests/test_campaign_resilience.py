@@ -702,11 +702,11 @@ class TestSiblingGroups:
             resilience.RunJob(l2.with_cycle_ns(20.0), trace),
         ]
         # Same contents under another name share the pass, and so do
-        # timing siblings with one set of lower levels; a pass cache, a
-        # seed or other lower levels split a group, and every engine job
-        # runs alone.
+        # timing siblings with or without lower levels (lower levels do
+        # not change the L1 pass); a pass cache or a seed splits a
+        # group, and every engine job runs alone.
         assert resilience.sibling_groups(jobs) == [
-            [0, 1, 4], [2, 3], [5, 6], [7], [8], [9], [10, 11],
+            [0, 1, 4, 10, 11], [2, 3], [5, 6], [7], [8], [9],
         ]
 
     def test_a_job_names_a_known_simulator(self, config, trace):
